@@ -146,8 +146,10 @@ def cmd_check(args) -> int:
     horizon = int(config.get("horizon", 1000))
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    column = fundamental(eq, 0, max(horizon, 5 * eq.T + 50))
-    fit = fit_decay(column, max(5 * eq.T, 20))
+    # fit_decay needs 50 points past the skip; a column on [0, N] has N + 1
+    skip = max(5 * eq.T, 20)
+    column = fundamental(eq, 0, max(horizon, skip + 49))
+    fit = fit_decay(column, skip)
     oracle_block = {
         "decay": {
             "mu_hat": fit.mu_hat,

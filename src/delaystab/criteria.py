@@ -221,11 +221,7 @@ def _lemma4_quantities(eq: Equation, options: CheckOptions) -> dict:
     nonneg, worst = _all_nonnegative(eq, range(eq.m), window, options.eps_cmp)
     est_sup = _sum_bounds(eq, range(eq.m), window)
     period = limits.aggregate_period(eq, with_delays=True)
-
-    def deepest_lag(n: int) -> int:
-        return max(t.delay.lag_at(n) for t in eq.terms)
-
-    double = limits.windowed_delayed_sum(eq, deepest_lag, -1, window, period)
+    double = limits.windowed_delayed_sum(eq, [t.delay for t in eq.terms], -1, window, period)
     return {
         "nonneg": nonneg,
         "min_coeff": worst,
@@ -500,26 +496,14 @@ def _limsup_ratio(eq: Equation, I: Sequence[int],
     if not out:
         return 0.0, exact
     num = sum(np.abs(table[l]) for l in out)
-    worst = 0.0
-    for nv, dv in zip(num, den):
-        if dv <= 0.0:
-            if nv > 0.0:
-                return math.inf, exact
-            continue
-        worst = max(worst, nv / dv)
-    return worst, exact
+    live = den > 0.0
+    if (num[~live] > 0.0).any():
+        return math.inf, exact
+    return float((num[live] / den[live]).max(initial=0.0)), exact
 
 
 # ---------------------------------------------------------------------------
 # Comparison with shifted delays (the gap-product tests)
-
-
-def _abs_aggregate_prefix(eq: Equation, lo: int, hi: int) -> np.ndarray:
-    """Prefix sums of sum_l |a_l(k)| over [lo, hi] (index 0 -> lo)."""
-    if hi < lo:
-        return np.zeros(1)
-    absagg = np.abs(eq.coeff_table(lo, hi)).sum(axis=0)
-    return np.concatenate([[0.0], np.cumsum(absagg)])
 
 
 def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
@@ -532,44 +516,28 @@ def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
     excluded terms, rhs(n) = sum_{k in I} a_k(n).  Returns (lhs, rhs, ns).
     """
     I = sorted(set(I))
-    delays = {l: g for l, g in zip(I, g_override)}
+    moved = {l: g for l, g in zip(I, g_override)}
+    period = None
     if exact:
         period = limits.aggregate_period(eq, with_delays=True) or 1
         for g in g_override:
             period = math.lcm(period, g.period)
-        depth = 0
-        for n in range(period):
-            for l in I:
-                depth = max(depth, eq.terms[l].delay.lag_at(n), delays[l].lag_at(n))
-        start = ((depth // period) + 1) * period
-        ns = np.arange(start, start + period, dtype=np.int64)
-    else:
-        ns = np.arange(window[0], window[1] + 1, dtype=np.int64)
-    depth = 0
-    for n in ns[: min(len(ns), 8192)]:
-        for l in I:
-            depth = max(depth, eq.terms[l].delay.lag_at(int(n)), delays[l].lag_at(int(n)))
-    lo = max(0, int(ns.min()) - depth)
-    hi = int(ns.max())
-    prefix = _abs_aggregate_prefix(eq, lo, hi)
-    table = eq.coeff_table(int(ns.min()), int(ns.max()))
-    off = int(ns.min())
+    strip = limits.delay_strip([eq.terms[l].delay for l in I] + [moved[l] for l in I],
+                               window, period)
+    ns = strip.ns
+    absagg = np.abs(eq.coeff_table(strip.lo, int(ns[-1]))).sum(axis=0)
+    table = eq.coeff_table(int(ns[0]), int(ns[-1]))
     lhs = np.zeros(len(ns))
     rhs = np.zeros(len(ns))
-    for j, n in enumerate(ns):
-        n = int(n)
-        for l in range(eq.m):
-            coeff = table[l, n - off]
-            if l in delays:
-                h = n - eq.terms[l].delay.lag_at(n)
-                g = n - delays[l].lag_at(n)
-                a, b = min(h, g), max(h, g)
-                a = max(a, lo)
-                gap = float(prefix[b - lo] - prefix[a - lo]) if b > a else 0.0
-                lhs[j] += abs(coeff) * gap
-                rhs[j] += coeff
-            else:
-                lhs[j] += abs(coeff)
+    for l in range(eq.m):
+        if l in moved:
+            i = I.index(l)
+            h = ns - strip.lags[i]
+            g = ns - strip.lags[len(I) + i]
+            lhs += np.abs(table[l]) * strip.sums(absagg, np.minimum(h, g), np.maximum(h, g))
+            rhs += table[l]
+        else:
+            lhs += np.abs(table[l])
     return lhs, rhs, ns
 
 
@@ -678,30 +646,10 @@ def check_corollary7(eq: Equation, options: CheckOptions = CheckOptions()) -> Ve
         return Verdict("corollary7", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, window, certified,
                        "short-memory domination (needs aggregate inside (0, 1/4))")
-    period = limits.aggregate_period(eq, with_delays=True)
-    if period is not None:
-        depth = max(max(t.delay.lag_at(n) for t in eq.terms) for n in range(period))
-        start = ((depth // period) + 1) * period
-        ns = np.arange(start, start + period, dtype=np.int64)
-    else:
-        ns = np.arange(window[0], window[1] + 1, dtype=np.int64)
-        certified = True
-    depth = max(max(t.delay.lag_at(int(n)) for t in eq.terms) for n in ns[: min(len(ns), 8192)])
-    lo = max(0, int(ns.min()) - depth)
-    prefix = _abs_aggregate_prefix(eq, lo, int(ns.max()))
-    table = eq.coeff_table(int(ns.min()), int(ns.max()))
-    off = int(ns.min())
-    gamma = 0.0
-    for n in ns:
-        n = int(n)
-        lhs = 0.0
-        rhs = 0.0
-        for l in range(eq.m):
-            h = max(n - eq.terms[l].delay.lag_at(n), lo)
-            gap = float(prefix[n - 1 - lo] - prefix[h - lo]) if n - 2 >= h else 0.0
-            lhs += abs(table[l, n - off]) * gap
-            rhs += table[l, n - off]
-        gamma = max(gamma, lhs / rhs)
+    # every term compared at the common delay 1: the gap [h_k(n), n-1)
+    lhs, rhs, _ = theorem5_lhs_rhs(eq, range(eq.m), [DelaySpec.constant(1)] * eq.m,
+                                   window, exact_s)
+    gamma = float((lhs / rhs).max())
     witnesses["gamma_min"] = gamma
     if gamma < 1.0 - options.eps_cmp:
         return Verdict("corollary7", Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
@@ -774,31 +722,11 @@ def check_corollary8(eq: Equation, part: int,
     witnesses["window_sum"] = wsum.value
     certified = certified or not wsum.exact
     # the displayed gap inequality: |a(n)| times the abs-aggregate between
-    # the two delays, strictly below gamma * (a(n) + b(n))
-    period = limits.aggregate_period(eq, with_delays=True)
-    if period is not None:
-        depth = max(max(t.delay.lag_at(n) for t in eq.terms) for n in range(period))
-        start = ((depth // period) + 1) * period
-        ns = np.arange(start, start + period, dtype=np.int64)
-    else:
-        ns = np.arange(window[0], window[1] + 1, dtype=np.int64)
-        certified = True
-    depth = max(max(t.delay.lag_at(int(n)) for t in eq.terms) for n in ns[: min(len(ns), 8192)])
-    lo = max(0, int(ns.min()) - depth)
-    prefix = _abs_aggregate_prefix(eq, lo, int(ns.max()))
-    table = eq.coeff_table(int(ns.min()), int(ns.max()))
-    off = int(ns.min())
-    gamma = 0.0
-    for n in ns:
-        n = int(n)
-        g = n - eq.terms[0].delay.lag_at(n)
-        h = n - eq.terms[1].delay.lag_at(n)
-        a, b = min(g, h), max(g, h)
-        a = max(a, lo)
-        gap = float(prefix[b - lo] - prefix[a - lo]) if b > a else 0.0
-        av = table[0, n - off]
-        sv = av + table[1, n - off]
-        gamma = max(gamma, abs(av) * gap / sv)
+    # the two delays, strictly below gamma * (a(n) + b(n)); both terms at
+    # the second delay leave the second term no gap
+    second = eq.terms[1].delay
+    lhs, rhs, _ = theorem5_lhs_rhs(eq, [0, 1], [second, second], window, exact_s)
+    gamma = float((lhs / rhs).max())
     witnesses["gamma_min"] = gamma
     ok = wsum.value <= 0.25 + eps and gamma < 1.0 - eps
     outcome = Outcome.STABLE if ok else Outcome.INCONCLUSIVE
@@ -885,18 +813,14 @@ def check_classical(eq: Equation, options: CheckOptions = CheckOptions()) -> lis
     agg = eq.coeff_table(window[0], window[1]).sum(axis=0)
     tail_mass = float(agg[len(agg) // 2 :].sum())
     period = limits.aggregate_period(eq, with_delays=True)
-
-    def deepest(n: int) -> int:
-        return max(t.delay.lag_at(n) for t in eq.terms)
-
     if not nonneg or tail_mass <= options.divergence_eps:
         out.append(Verdict("classical_32", Outcome.NOT_APPLICABLE, CLAIM_ASYMPTOTIC,
                            {"min_coeff": worst, "tail_mass": tail_mass}, window, True,
                            "3/2-type delayed sum bound (needs nonnegative, divergent coefficients)"))
     else:
-        k = max(deepest(n) for n in range(period)) if period is not None else int(
-            max(deepest(int(n)) for n in np.arange(window[0], window[1] + 1)))
-        est = limits.windowed_delayed_sum(eq, deepest, 0, window, period)
+        delays = [t.delay for t in eq.terms]
+        k = int(limits.delay_strip(delays, window, period).lags.max())
+        est = limits.windowed_delayed_sum(eq, delays, 0, window, period)
         thr = 1.5 + 1.0 / (2.0 * k + 2.0)
         witnesses = {"delayed_sum": est.value, "threshold": thr, "k": float(k)}
         outcome = Outcome.STABLE if est.value < thr - eps else Outcome.INCONCLUSIVE
@@ -951,31 +875,16 @@ def check_classical(eq: Equation, options: CheckOptions = CheckOptions()) -> lis
 def _pi_half_diagnostic(eq: Equation, window: tuple[int, int],
                         period: Optional[int]) -> limits.AsymptoticEstimate:
     """sup_n sum_l sum_{k=h_l(n)}^{n-1} |a_l(k)|."""
-    if period is not None:
-        depth = max(max(t.delay.lag_at(n) for t in eq.terms) for n in range(period))
-        start = ((depth // period) + 1) * period
-        ns = np.arange(start, start + period, dtype=np.int64)
-        exact = True
-    else:
-        ns = np.arange(window[0], window[1] + 1, dtype=np.int64)
-        exact = False
-    depth = max(max(t.delay.lag_at(int(n)) for t in eq.terms) for n in ns[: min(len(ns), 8192)])
-    lo = max(0, int(ns.min()) - depth)
-    hi = int(ns.max()) - 1
-    if hi < lo:
-        return limits.AsymptoticEstimate(0.0, exact, window, "sup")
-    table = np.abs(eq.coeff_table(lo, hi))
-    prefixes = [np.concatenate([[0.0], np.cumsum(table[l])]) for l in range(eq.m)]
-    best = 0.0
-    for n in ns:
-        n = int(n)
-        total = 0.0
-        for l in range(eq.m):
-            h = max(n - eq.terms[l].delay.lag_at(n), lo)
-            if n - 1 >= h:
-                total += float(prefixes[l][n - lo] - prefixes[l][h - lo])
-        best = max(best, total)
-    return limits.AsymptoticEstimate(best, exact, window, "sup")
+    strip = limits.delay_strip([t.delay for t in eq.terms], window, period)
+    ns = strip.ns
+    hi = int(ns[-1]) - 1
+    if hi < strip.lo:
+        return limits.AsymptoticEstimate(0.0, strip.exact, window, "sup")
+    table = np.abs(eq.coeff_table(strip.lo, hi))
+    total = np.zeros(len(ns))
+    for l in range(eq.m):
+        total += strip.sums(table[l], ns - strip.lags[l], ns)
+    return limits.AsymptoticEstimate(float(total.max()), strip.exact, window, "sup")
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,26 @@ liminf / limsup / sup of coefficient aggregates are exact when every
 contributing stream is constant or periodic (one period of the tail
 determines the limit); otherwise they are window estimates and flagged
 approximate so checkers can report verdicts as window-certified.
+
+Delayed sums take a sup over n of sums between h_l(n) and n.  They all
+run over one strip (``delay_strip``).  When coefficients and lags share a
+period P, the strip is one exact period [s, s + P), where s is the first
+multiple of P past the deepest lag seen on [0, P): no window is clipped
+at index 0 there, so the sup over the strip is the limit.  Otherwise the
+strip is the certification window and the sup is an estimate.  Every sum
+on the strip is a difference of prefix sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .equation import Equation
-from .seqexpr import classify
+from .seqexpr import DelaySpec, classify
 
 __all__ = [
     "AsymptoticEstimate",
@@ -115,44 +123,60 @@ def liminf_window_max(eq: Equation, p: int,
     return AsymptoticEstimate(float(maxima.min()), exact, window, "liminf")
 
 
-def windowed_delayed_sum(eq: Equation, lag_at, upper_offset: int,
-                         window: tuple[int, int], exact_period: Optional[int]) -> AsymptoticEstimate:
-    """sup over n of sum_{k=max(0, n - lag_at(n))}^{n + upper_offset} agg(k).
+@dataclass(frozen=True)
+class DelayStrip:
+    """The n a delayed-sum sup runs over, with the lags there.
 
-    ``lag_at(n)`` gives the window depth at n; upper_offset is -1 for sums
-    up to n-1 and 0 for sums up to n.  Shared by delay_window_sum and the
-    classical tests.
+    ``lags[i, j]`` is the lag of the i-th delay at ``ns[j]``; ``lo`` is the
+    lowest index any window [h_i(n), n] reaches, clipped at 0, so prefix
+    sums that start at ``lo`` cover every window on the strip.
     """
-    if exact_period is not None:
-        # evaluate one full period placed past the deepest lag, so the
-        # clipped-at-zero prefix never intrudes and the sup is the limit
-        max_back = max(int(lag_at(n)) for n in range(exact_period))
-        start = ((max_back // exact_period) + 1) * exact_period
-        ns = np.arange(start, start + exact_period, dtype=np.int64)
-        exact = True
+
+    ns: np.ndarray
+    lags: np.ndarray
+    lo: int
+    exact: bool
+
+    def sums(self, values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per strip point, the sum of ``values[k - lo]`` over k in
+        [max(a, lo), b); 0 where that range is empty."""
+        prefix = np.concatenate([[0.0], np.cumsum(values)])
+        a = np.maximum(a, self.lo)
+        b = np.maximum(b, a)
+        return np.where(b > a, prefix[b - self.lo] - prefix[a - self.lo], 0.0)
+
+
+def delay_strip(delays: Sequence[DelaySpec], window: tuple[int, int],
+                period: Optional[int]) -> DelayStrip:
+    """The strip for ``delays``: one exact ``period`` placed past the
+    deepest lag, or the window when ``period`` is None."""
+    if period is not None:
+        first = max(int(d.lag_range(0, period - 1).max()) for d in delays)
+        n0 = (first // period + 1) * period
+        n1 = n0 + period - 1
     else:
-        ns = np.arange(window[0], window[1] + 1, dtype=np.int64)
-        exact = False
-    max_back = max(int(lag_at(int(n))) for n in ns)
-    lo = max(0, int(ns.min()) - max_back)
-    hi = int(ns.max()) + upper_offset
-    if hi < lo:
-        return AsymptoticEstimate(0.0, exact, window, "sup")
-    agg = _aggregate(eq, lo, hi)
-    prefix = np.concatenate([[0.0], np.cumsum(agg)])
+        n0, n1 = window
+    lags = np.stack([d.lag_range(n0, n1) for d in delays])
+    return DelayStrip(np.arange(n0, n1 + 1, dtype=np.int64), lags,
+                      max(0, n0 - int(lags.max())), period is not None)
 
-    def cumrange(a: int, b: int) -> float:
-        # sum of agg over [a, b], clipped at lo
-        a = max(a, lo)
-        if b < a:
-            return 0.0
-        return float(prefix[b - lo + 1] - prefix[a - lo])
 
-    best = -math.inf
-    for n in ns:
-        n = int(n)
-        best = max(best, cumrange(n - int(lag_at(n)), n + upper_offset))
-    return AsymptoticEstimate(best, exact, window, "sup")
+def windowed_delayed_sum(eq: Equation, delays: Sequence[DelaySpec], upper_offset: int,
+                         window: tuple[int, int], exact_period: Optional[int]) -> AsymptoticEstimate:
+    """sup over the strip of sum_{k=max(0, n - d(n))}^{n + upper_offset} agg(k).
+
+    d(n) is the deepest of ``delays``' lags at n; upper_offset is -1 for
+    sums up to n-1 and 0 for sums up to n.  Shared by delay_window_sum,
+    lemma 4's double sum and the 3/2 test.
+    """
+    strip = delay_strip(delays, window, exact_period)
+    ns = strip.ns
+    hi = int(ns[-1]) + upper_offset
+    if hi < strip.lo:
+        return AsymptoticEstimate(0.0, strip.exact, window, "sup")
+    sums = strip.sums(_aggregate(eq, strip.lo, hi), ns - strip.lags.max(axis=0),
+                      ns + upper_offset + 1)
+    return AsymptoticEstimate(float(sums.max()), strip.exact, window, "sup")
 
 
 def delay_window_sum(eq: Equation, l: int, mode: str = "to_n_minus_1",
@@ -173,4 +197,4 @@ def delay_window_sum(eq: Equation, l: int, mode: str = "to_n_minus_1",
     exact_period = None
     if period is not None:
         exact_period = math.lcm(period, delay.period)
-    return windowed_delayed_sum(eq, delay.lag_at, upper, window, exact_period)
+    return windowed_delayed_sum(eq, [delay], upper, window, exact_period)

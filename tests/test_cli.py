@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from delaystab.fixtures import FIXTURE_CONFIGS
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -189,3 +191,15 @@ def test_config_errors_exit_2(tmp_path):
     r = run_cli("check", str(bad_expr))
     assert r.returncode == 2
     assert "position" in r.stderr
+
+
+@pytest.mark.parametrize("name", list(FIXTURE_CONFIGS))
+def test_check_runs_on_every_shipped_fixture(name, tmp_path):
+    # the fundamental column must cover the decay fit's skip plus its 50
+    # points even when the configured horizon is short
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(FIXTURE_CONFIGS[name]))
+    r = run_cli("check", str(path), "--no-meta")
+    assert r.returncode == 0, r.stderr
+    lo, hi = json.loads(r.stdout)["oracle"]["decay"]["window"]
+    assert hi - lo >= 49

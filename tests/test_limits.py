@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaystab import (
     DelaySpec,
@@ -12,6 +15,8 @@ from delaystab import (
     subset_equation,
     validate,
 )
+from delaystab import criteria
+from delaystab.limits import aggregate_period, windowed_delayed_sum
 
 
 def test_liminf_sum_alternating(eq_alternating):
@@ -116,3 +121,300 @@ def test_positive_liminf_controls_products():
         for p in (1, 2, 4):
             b = limsup_product(eq, p)
             assert b.value <= (1 - a.value + 1e-12) ** p + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The per-n strip loops the vectorised primitive replaced, kept verbatim as
+# reference implementations: every strip sum must agree with them exactly.
+
+
+def _ref_windowed_delayed_sum(eq, lag_at, upper_offset, window, exact_period):
+    if exact_period is not None:
+        max_back = max(int(lag_at(n)) for n in range(exact_period))
+        start = ((max_back // exact_period) + 1) * exact_period
+        ns = np.arange(start, start + exact_period, dtype=np.int64)
+        exact = True
+    else:
+        ns = np.arange(window[0], window[1] + 1, dtype=np.int64)
+        exact = False
+    max_back = max(int(lag_at(int(n))) for n in ns)
+    lo = max(0, int(ns.min()) - max_back)
+    hi = int(ns.max()) + upper_offset
+    if hi < lo:
+        return 0.0, exact
+    agg = eq.coeff_table(lo, hi).sum(axis=0)
+    prefix = np.concatenate([[0.0], np.cumsum(agg)])
+
+    def cumrange(a, b):
+        a = max(a, lo)
+        if b < a:
+            return 0.0
+        return float(prefix[b - lo + 1] - prefix[a - lo])
+
+    best = -math.inf
+    for n in ns:
+        n = int(n)
+        best = max(best, cumrange(n - int(lag_at(n)), n + upper_offset))
+    return best, exact
+
+
+def _ref_abs_aggregate_prefix(eq, lo, hi):
+    if hi < lo:
+        return np.zeros(1)
+    absagg = np.abs(eq.coeff_table(lo, hi)).sum(axis=0)
+    return np.concatenate([[0.0], np.cumsum(absagg)])
+
+
+def _ref_theorem5_lhs_rhs(eq, I, g_override, window, exact):
+    I = sorted(set(I))
+    delays = {l: g for l, g in zip(I, g_override)}
+    if exact:
+        period = aggregate_period(eq, with_delays=True) or 1
+        for g in g_override:
+            period = math.lcm(period, g.period)
+        depth = 0
+        for n in range(period):
+            for l in I:
+                depth = max(depth, eq.terms[l].delay.lag_at(n), delays[l].lag_at(n))
+        start = ((depth // period) + 1) * period
+        ns = np.arange(start, start + period, dtype=np.int64)
+    else:
+        ns = np.arange(window[0], window[1] + 1, dtype=np.int64)
+    depth = 0
+    for n in ns[: min(len(ns), 8192)]:
+        for l in I:
+            depth = max(depth, eq.terms[l].delay.lag_at(int(n)), delays[l].lag_at(int(n)))
+    lo = max(0, int(ns.min()) - depth)
+    hi = int(ns.max())
+    prefix = _ref_abs_aggregate_prefix(eq, lo, hi)
+    table = eq.coeff_table(int(ns.min()), int(ns.max()))
+    off = int(ns.min())
+    lhs = np.zeros(len(ns))
+    rhs = np.zeros(len(ns))
+    for j, n in enumerate(ns):
+        n = int(n)
+        for l in range(eq.m):
+            coeff = table[l, n - off]
+            if l in delays:
+                h = n - eq.terms[l].delay.lag_at(n)
+                g = n - delays[l].lag_at(n)
+                a, b = min(h, g), max(h, g)
+                a = max(a, lo)
+                gap = float(prefix[b - lo] - prefix[a - lo]) if b > a else 0.0
+                lhs[j] += abs(coeff) * gap
+                rhs[j] += coeff
+            else:
+                lhs[j] += abs(coeff)
+    return lhs, rhs, ns
+
+
+def _ref_strip(eq, window):
+    period = aggregate_period(eq, with_delays=True)
+    if period is not None:
+        depth = max(max(t.delay.lag_at(n) for t in eq.terms) for n in range(period))
+        start = ((depth // period) + 1) * period
+        ns = np.arange(start, start + period, dtype=np.int64)
+    else:
+        ns = np.arange(window[0], window[1] + 1, dtype=np.int64)
+    depth = max(max(t.delay.lag_at(int(n)) for t in eq.terms) for n in ns[: min(len(ns), 8192)])
+    return ns, max(0, int(ns.min()) - depth)
+
+
+def _ref_corollary7_gamma(eq, window):
+    ns, lo = _ref_strip(eq, window)
+    prefix = _ref_abs_aggregate_prefix(eq, lo, int(ns.max()))
+    table = eq.coeff_table(int(ns.min()), int(ns.max()))
+    off = int(ns.min())
+    gamma = 0.0
+    for n in ns:
+        n = int(n)
+        lhs = 0.0
+        rhs = 0.0
+        for l in range(eq.m):
+            h = max(n - eq.terms[l].delay.lag_at(n), lo)
+            gap = float(prefix[n - 1 - lo] - prefix[h - lo]) if n - 2 >= h else 0.0
+            lhs += abs(table[l, n - off]) * gap
+            rhs += table[l, n - off]
+        gamma = max(gamma, lhs / rhs)
+    return gamma
+
+
+def _ref_corollary8_gamma(eq, window):
+    ns, lo = _ref_strip(eq, window)
+    prefix = _ref_abs_aggregate_prefix(eq, lo, int(ns.max()))
+    table = eq.coeff_table(int(ns.min()), int(ns.max()))
+    off = int(ns.min())
+    gamma = 0.0
+    for n in ns:
+        n = int(n)
+        g = n - eq.terms[0].delay.lag_at(n)
+        h = n - eq.terms[1].delay.lag_at(n)
+        a, b = min(g, h), max(g, h)
+        a = max(a, lo)
+        gap = float(prefix[b - lo] - prefix[a - lo]) if b > a else 0.0
+        av = table[0, n - off]
+        sv = av + table[1, n - off]
+        gamma = max(gamma, abs(av) * gap / sv)
+    return gamma
+
+
+def _ref_pi_half_diagnostic(eq, window, period):
+    if period is not None:
+        depth = max(max(t.delay.lag_at(n) for t in eq.terms) for n in range(period))
+        start = ((depth // period) + 1) * period
+        ns = np.arange(start, start + period, dtype=np.int64)
+        exact = True
+    else:
+        ns = np.arange(window[0], window[1] + 1, dtype=np.int64)
+        exact = False
+    depth = max(max(t.delay.lag_at(int(n)) for t in eq.terms) for n in ns[: min(len(ns), 8192)])
+    lo = max(0, int(ns.min()) - depth)
+    hi = int(ns.max()) - 1
+    if hi < lo:
+        return 0.0, exact
+    table = np.abs(eq.coeff_table(lo, hi))
+    prefixes = [np.concatenate([[0.0], np.cumsum(table[l])]) for l in range(eq.m)]
+    best = 0.0
+    for n in ns:
+        n = int(n)
+        total = 0.0
+        for l in range(eq.m):
+            h = max(n - eq.terms[l].delay.lag_at(n), lo)
+            if n - 1 >= h:
+                total += float(prefixes[l][n - lo] - prefixes[l][h - lo])
+        best = max(best, total)
+    return best, exact
+
+
+def _ref_limsup_ratio(eq, I, window):
+    out = [l for l in range(eq.m) if l not in I]
+    period = aggregate_period(eq)
+    n0 = window[0]
+    if period is not None:
+        n1, exact = n0 + period - 1, True
+    else:
+        n1, exact = window[1], False
+    table = eq.coeff_table(n0, n1)
+    den = sum(table[l] for l in I)
+    if not out:
+        return 0.0, exact
+    num = sum(np.abs(table[l]) for l in out)
+    worst = 0.0
+    for nv, dv in zip(num, den):
+        if dv <= 0.0:
+            if nv > 0.0:
+                return math.inf, exact
+            continue
+        worst = max(worst, nv / dv)
+    return worst, exact
+
+
+def _amount(lo, hi):
+    return st.integers(lo, hi).map(lambda k: f"{k / 100:.2f}")
+
+
+def _coefficients(lo, hi):
+    """Constant, periodic and general (sin/cos) coefficients in [lo, hi]/100."""
+    constant = _amount(lo, hi)
+    periodic = st.lists(_amount(lo, hi), min_size=2, max_size=4).map(
+        lambda vs: "per(" + ", ".join(vs) + ")")
+    general = st.tuples(st.integers(lo + 2, hi - 2), st.sampled_from(["sin", "cos"]),
+                        st.sampled_from(["n", "2*n", "n/3"])).map(
+        lambda t: f"{t[0] / 100:.2f} + 0.02*{t[1]}({t[2]})")
+    return st.one_of(constant, periodic, general)
+
+
+def _delays(min_lag=0):
+    constant = st.integers(min_lag, 6).map(DelaySpec.constant)
+    periodic = st.lists(st.integers(min_lag, 6), min_size=2, max_size=4).map(DelaySpec.periodic)
+    return st.one_of(constant, periodic)
+
+
+def _equations(lo=-30, hi=30, min_lag=0, m=(1, 3)):
+    term = st.builds(lambda c, d: Term(parse(c), d), _coefficients(lo, hi), _delays(min_lag))
+    return st.lists(term, min_size=m[0], max_size=m[1]).map(validate)
+
+
+WINDOW_LENGTHS = st.sampled_from([0, 1, 7, 60, 250])
+STRIP_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _window(eq, length):
+    return (10 * eq.T, 10 * eq.T + length)
+
+
+@STRIP_SETTINGS
+@given(eq=_equations(), length=WINDOW_LENGTHS, data=st.data())
+def test_windowed_delayed_sum_matches_reference(eq, length, data):
+    window = _window(eq, length)
+    picked = data.draw(st.lists(st.integers(0, eq.m - 1), min_size=1, max_size=eq.m,
+                                unique=True))
+    delays = [eq.terms[l].delay for l in picked]
+
+    def deepest(n):
+        return max(d.lag_at(n) for d in delays)
+
+    period = aggregate_period(eq, with_delays=True) or math.lcm(*(d.period for d in delays))
+    for upper in (-1, 0):
+        for exact_period in (period, None):
+            est = windowed_delayed_sum(eq, delays, upper, window, exact_period)
+            ref = _ref_windowed_delayed_sum(eq, deepest, upper, window, exact_period)
+            assert (est.value, est.exact) == ref
+
+
+@STRIP_SETTINGS
+@given(eq=_equations(), length=WINDOW_LENGTHS, exact=st.booleans(), data=st.data())
+def test_theorem5_lhs_rhs_matches_reference(eq, length, exact, data):
+    window = _window(eq, length)
+    I = data.draw(st.lists(st.integers(0, eq.m - 1), min_size=1, max_size=eq.m, unique=True))
+    g_override = data.draw(st.lists(_delays(), min_size=len(I), max_size=len(I)))
+    got = criteria.theorem5_lhs_rhs(eq, I, g_override, window, exact)
+    ref = _ref_theorem5_lhs_rhs(eq, I, g_override, window, exact)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+@STRIP_SETTINGS
+@given(eq=_equations(lo=1, hi=8, min_lag=1), length=WINDOW_LENGTHS)
+def test_corollary7_gamma_matches_reference(eq, length):
+    window = _window(eq, length)
+    v = criteria.check_corollary7(eq, criteria.CheckOptions(window=window))
+    assert v.witnesses["gamma_min"] == _ref_corollary7_gamma(eq, window)
+
+
+@STRIP_SETTINGS
+@given(eq=_equations(lo=-10, hi=24, m=(2, 2)), length=WINDOW_LENGTHS)
+def test_corollary8_part2_gamma_matches_reference(eq, length):
+    window = _window(eq, length)
+    v = criteria.check_corollary8(eq, 2, criteria.CheckOptions(window=window))
+    if "gamma_min" in v.witnesses:
+        assert v.witnesses["gamma_min"] == _ref_corollary8_gamma(eq, window)
+
+
+@STRIP_SETTINGS
+@given(eq=_equations(), length=WINDOW_LENGTHS)
+def test_pi_half_diagnostic_matches_reference(eq, length):
+    window = _window(eq, length)
+    for period in (aggregate_period(eq, with_delays=True), None):
+        est = criteria._pi_half_diagnostic(eq, window, period)
+        assert (est.value, est.exact) == _ref_pi_half_diagnostic(eq, window, period)
+
+
+@STRIP_SETTINGS
+@given(eq=_equations(), length=WINDOW_LENGTHS, data=st.data())
+def test_limsup_ratio_matches_reference(eq, length, data):
+    window = _window(eq, length)
+    I = data.draw(st.lists(st.integers(0, eq.m - 1), min_size=1, max_size=eq.m, unique=True))
+    assert criteria._limsup_ratio(eq, I, window) == _ref_limsup_ratio(eq, I, window)
+
+
+def test_strip_depth_sees_lags_past_8192_samples():
+    # the one deep lag sits 8,500 points into a windowed strip and reaches
+    # 500 points below its start; the depth must come from the whole strip
+    lags = [1] * 8500 + [9000] + [1] * 999
+    eq = validate([Term(parse("0.01"), DelaySpec.periodic(lags))])
+    window = (10 * len(lags), 10 * len(lags) + 9000)
+    diag = criteria._pi_half_diagnostic(eq, window, None)
+    assert diag.value == pytest.approx(9000 * 0.01)
+    lhs, _, _ = criteria.theorem5_lhs_rhs(eq, [0], [DelaySpec.constant(1)], window, False)
+    assert lhs.max() == pytest.approx(0.01 * 8999 * 0.01)
