@@ -1,7 +1,6 @@
 """Simulation and exponential-stability tests for scalar linear delay
 difference equations x(n+1) - x(n) = -sum_l a_l(n) x(h_l(n)) + f(n)."""
 
-from ._kernels import NUMBA_ENABLED
 from .seqexpr import (
     DelaySpec,
     SeqClass,
@@ -65,3 +64,6 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
+
+# No compiled kernel path exists; perfbench/run.py reports this flag.
+NUMBA_ENABLED = False

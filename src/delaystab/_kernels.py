@@ -1,10 +1,9 @@
 """Hot inner loops: sequential recurrence stepping and kernel tabulation.
 
-The recurrences are inherently sequential in n, so the fast path compiles
-the loops with numba's @njit.  Set DELAYSTAB_NUMBA=0 to force the plain
-NumPy/Python fallback (used automatically when numba is unavailable); the
-two paths produce identical results and bench/bench_kernels.py compares
-their speed.
+Plain NumPy/Python.  The recurrence is inherently sequential in n, so
+``step_recurrence`` is a scalar loop; the kernel routines advance every
+column of X(., k) together, one row per step, so their inner work is a
+NumPy vector operation.  Performance is measured with perfbench/run.py.
 
 Conventions shared by all kernels: the window is [n0, n0 + size - 1],
 ``coeffs[l, i]`` and ``lags[l, i]`` hold a_l(n0 + i) and n - h_l(n) at
@@ -13,28 +12,12 @@ n = n0 + i, and X(n, k) = 0 for n < k, X(k, k) = 1.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "step_recurrence",
-    "kernel_table",
-    "weighted_kernel_sums",
-    "py_step_recurrence",
-    "py_kernel_table",
-    "py_weighted_kernel_sums",
-    "np_kernel_table",
-]
+__all__ = ["step_recurrence", "kernel_table", "weighted_kernel_sums"]
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("DELAYSTAB_NUMBA", "auto").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-def _step_recurrence(coeffs, lags, forcing, x, t_max, steps):
+def step_recurrence(coeffs, lags, forcing, x, t_max, steps):
     """Iterate x(n+1) = x(n) - sum_l a_l(n) x(n - d_l(n)) + f(n).
 
     ``x`` has length t_max + steps + 1 and already holds the history in
@@ -50,67 +33,12 @@ def _step_recurrence(coeffs, lags, forcing, x, t_max, steps):
     return x
 
 
-def _kernel_table(coeffs, lags, size):
-    """Dense fundamental table X[i, j] = X(n0+i, n0+j), lower triangular."""
-    m = coeffs.shape[0]
-    table = np.zeros((size, size))
-    for j in range(size):
-        table[j, j] = 1.0
-    for i in range(size - 1):
-        for j in range(i + 1):
-            acc = table[i, j]
-            for l in range(m):
-                h = i - lags[l, i]
-                if h >= 0:
-                    acc -= coeffs[l, i] * table[h, j]
-            table[i + 1, j] = acc
-    return table
-
-
-def _weighted_kernel_sums(coeffs, lags, weights, use_abs):
-    """out[i] = sum_{j < i} weights[j] * X(n0+i, n0+j+1), streaming columns.
-
-    With use_abs the kernel values enter in absolute value.  Memory stays
-    O(size); each column is generated independently and accumulated.
-    """
-    m = coeffs.shape[0]
-    size = weights.shape[0] + 1
-    out = np.zeros(size)
-    col = np.zeros(size)
-    for j in range(size - 1):
-        k = j + 1  # column start index (relative)
-        for i in range(size):
-            col[i] = 0.0
-        col[k] = 1.0
-        for i in range(k, size - 1):
-            acc = col[i]
-            for l in range(m):
-                h = i - lags[l, i]
-                if h >= k:
-                    acc -= coeffs[l, i] * col[h]
-            col[i + 1] = acc
-        w = weights[j]
-        if use_abs:
-            for i in range(k, size):
-                out[i] += w * abs(col[i])
-        else:
-            for i in range(k, size):
-                out[i] += w * col[i]
-    return out
-
-
-# plain-Python callables, importable regardless of dispatch mode
-py_step_recurrence = _step_recurrence
-py_kernel_table = _kernel_table
-py_weighted_kernel_sums = _weighted_kernel_sums
-
-
-def np_kernel_table(coeffs, lags, size):
-    """Row-vectorized fallback for the dense table.
+def kernel_table(coeffs, lags, size):
+    """Dense fundamental table X[i, j] = X(n0+i, n0+j), lower triangular.
 
     Advances all columns at once: row(n+1) = row(n) - sum_l a_l(n) row(h).
     Entries above the diagonal are zero already, so no per-column guard is
-    needed and the arithmetic matches the loop version exactly.
+    needed.
     """
     m = coeffs.shape[0]
     table = np.zeros((size, size))
@@ -125,31 +53,28 @@ def np_kernel_table(coeffs, lags, size):
     return table
 
 
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
+def weighted_kernel_sums(coeffs, lags, weights, use_abs):
+    """out[i] = sum_{j < i} weights[j] * X(n0+i, n0+j+1), a row at a time.
 
-        step_recurrence = njit(cache=True)(_step_recurrence)
-        kernel_table = njit(cache=True)(_kernel_table)
-        weighted_kernel_sums = njit(cache=True)(_weighted_kernel_sums)
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-if not NUMBA_ENABLED:
-    step_recurrence = _step_recurrence
-    kernel_table = np_kernel_table
-    weighted_kernel_sums = _weighted_kernel_sums
-
-
-def warmup() -> None:
-    """Trigger JIT compilation once so timed sections stay honest."""
-    coeffs = np.array([[0.1, 0.1, 0.1]])
-    lags = np.array([[1, 1, 1]], dtype=np.int64)
-    forcing = np.zeros(3)
-    x = np.zeros(5)
-    x[1] = 1.0
-    step_recurrence(coeffs, lags, forcing, x, 1, 3)
-    kernel_table(coeffs, lags, 3)
-    weighted_kernel_sums(coeffs, lags, np.zeros(2), False)
+    With use_abs the kernel values enter in absolute value.  Rows advance
+    by the same update as ``kernel_table``; only the last max(lag) + 1 rows
+    are kept, in a ring buffer, so memory stays O(size * lag).
+    """
+    size = weights.shape[0] + 1
+    out = np.zeros(size)
+    m = coeffs.shape[0]
+    depth = int(lags.max(initial=0)) + 1
+    # ring[i % depth, j] = X(n0+i, n0+j+1), zero for j >= i; row 0 is all
+    # zero, and the older row a slot held is zero past the new row's end
+    ring = np.zeros((depth, size - 1))
+    for i in range(1, size):
+        row = ring[(i - 1) % depth, : i - 1].copy()
+        for l in range(m):
+            h = i - 1 - lags[l, i - 1]
+            if h >= 0:
+                row -= coeffs[l, i - 1] * ring[h % depth, : i - 1]
+        live = ring[i % depth, :i]
+        live[:-1] = row
+        live[-1] = 1.0
+        out[i] = (np.abs(live) if use_abs else live) @ weights[:i]
+    return out

@@ -13,8 +13,7 @@ Configs are a single JSON document:
       },
       "horizon": 2000,
       "window": [0, 1000],
-      "checks": "all",
-      "seed": 0
+      "checks": "all"
     }
 
 Exit codes: 0 success, 1 expectation or property failure, 2 usage/config
@@ -113,6 +112,14 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _require_finite(n0: int, *columns: np.ndarray) -> None:
+    """Refuse to emit overflowed output: name the first non-finite index."""
+    finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
+    if not finite.all():
+        n = n0 + int(np.argmin(finite))
+        raise ValueError(f"output at n = {n} is not finite (overflow); lower the horizon")
+
+
 def _window_from(args, config: dict) -> Optional[tuple[int, int]]:
     if args.window is not None:
         return (args.window[0], args.window[1])
@@ -198,6 +205,7 @@ def cmd_simulate(args) -> int:
         values = [0.0] * eq.T + [args.x0]
         init = InitialData.from_values(n0, values)
     traj = simulate(eq, init, horizon)
+    _require_finite(n0, traj.values)
     if args.csv:
         write_trajectory_csv(traj, args.csv)
         print(f"wrote {args.csv}")
@@ -215,6 +223,7 @@ def cmd_fundamental(args) -> int:
         raise ValueError(f"N = {args.N} precedes k = {args.k}")
     column = fundamental(eq, args.k, args.N)
     bound = product_bound(eq, args.k, args.N)
+    _require_finite(args.k, column, bound)
     lines = ["n,value,bound"]
     for i, (v, b) in enumerate(zip(column, bound)):
         lines.append(f"{args.k + i},{fmt_float(v)},{fmt_float(b)}")
@@ -359,15 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("config", help="path to a JSON job config")
         p.add_argument("--out", help="write the report to this path (atomic)")
-        p.add_argument("--window", nargs=2, type=int, metavar=("N0", "N1"),
-                       help="override the certification window")
-        p.add_argument("--seed", type=int, default=0, help="base seed")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--no-meta", action="store_true",
                        help="omit tool/version metadata and timings (stable output)")
 
     p = sub.add_parser("check", help="run stability checkers and oracles")
     add_common(p)
+    p.add_argument("--window", nargs=2, type=int, metavar=("N0", "N1"),
+                   help="override the certification window")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="iterate the equation and emit a trajectory")
@@ -390,11 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("examples", help="replay the built-in fixtures")
     add_common(p, config=False)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--only", help="run a single fixture by name")
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("fuzz", help="seeded property suite against the oracles")
     add_common(p, config=False)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--seeds", type=int, default=0, help="base seed")
     p.add_argument("--count", type=int, default=200, help="cases per suite")
     p.set_defaults(func=cmd_fuzz)

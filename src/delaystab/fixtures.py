@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import _kernels
 from .criteria import (
     Outcome,
     check_classical,
@@ -114,7 +113,6 @@ def config_to_equation(config: dict) -> Equation:
 
 
 def _run_factorial_kernel(eq: Equation) -> list[CheckResult]:
-    _kernels.warmup()
     t0 = time.perf_counter()
     table = kernel(eq, 0, 20)
     err = 0.0
@@ -130,7 +128,6 @@ def _run_factorial_kernel(eq: Equation) -> list[CheckResult]:
 
 
 def _run_vanishing_coefficient(eq: Equation) -> list[CheckResult]:
-    _kernels.warmup()
     t0 = time.perf_counter()
     col = fundamental(eq, 0, 500)
     above_half = float(col.min())

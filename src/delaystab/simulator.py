@@ -151,12 +151,16 @@ def lemma6_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
     """S(n) = sum_{k=n0}^{n-1} X(n, k+1) * sum_l a_l(k) over [n0, N].
 
     Under nonnegative coefficients and a positive kernel, S stays in
-    [0, 1] from n0 + T on.
+    [0, 1] from n0 + T on.  By the representation formula S is the
+    solution with zero history and forcing sum_l a_l(k), so it is one
+    forward iteration.
     """
     if N == n0:
         return np.zeros(1)
-    agg = eq.coeff_table(n0, N - 1).sum(axis=0)
-    return _weighted_sums(eq, agg, n0, N, False)
+    coeffs, lags = _tables(eq, n0, N - 1)
+    x = np.zeros(eq.T + N - n0 + 1)
+    _kernels.step_recurrence(coeffs, lags, coeffs.sum(axis=0), x, eq.T, N - n0)
+    return x[eq.T:]
 
 
 def pituk_sum(eq: Equation, n0: int, N: int) -> np.ndarray:

@@ -1,13 +1,6 @@
 import pytest
 
 from delaystab import DelaySpec, Term, parse, validate
-from delaystab._kernels import warmup
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _jit_warmup():
-    # compile the hot kernels once so timed assertions stay honest
-    warmup()
 
 
 @pytest.fixture(scope="session")

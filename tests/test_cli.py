@@ -203,3 +203,31 @@ def test_check_runs_on_every_shipped_fixture(name, tmp_path):
     assert r.returncode == 0, r.stderr
     lo, hi = json.loads(r.stdout)["oracle"]["decay"]["window"]
     assert hi - lo >= 49
+
+
+@pytest.fixture(scope="module")
+def cfg_unbounded(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "unbounded.json"
+    path.write_text(json.dumps(FIXTURE_CONFIGS["positive_unbounded"]))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,first_bad", [
+    (["simulate", "--N", "1500"], 1301),
+    (["fundamental", "--k", "0", "--N", "1500"], 431),  # the product bound overflows first
+], ids=["simulate", "fundamental"])
+def test_overflow_exits_2_naming_first_index(cfg_unbounded, tmp_path, argv, first_bad):
+    out = tmp_path / "out.csv"
+    r = run_cli(argv[0], cfg_unbounded, *argv[1:], "--csv", str(out))
+    assert r.returncode == 2
+    assert f"n = {first_bad} is not finite" in r.stderr
+    assert not out.exists()
+
+
+def test_unused_flags_are_rejected(cfg_factorial):
+    assert run_cli("check", cfg_factorial, "--seed", "1").returncode == 2
+    assert run_cli("check", cfg_factorial, "--json").returncode == 2
+    assert run_cli("simulate", cfg_factorial, "--json").returncode == 2
+    assert run_cli("fundamental", cfg_factorial, "--k", "0", "--N", "5",
+                   "--window", "0", "5").returncode == 2
+    assert run_cli("examples", "--window", "0", "5").returncode == 2

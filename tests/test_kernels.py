@@ -1,54 +1,120 @@
-"""The dispatched kernels and the plain-Python / row-vectorized fallbacks
-must produce identical tables; DELAYSTAB_NUMBA only selects the dispatch."""
+"""The row-vectorised kernels against plain loop references.
+
+``_reference_table`` is the triple loop that defines X(n, k) column by
+column; ``kernel_table`` must reproduce it exactly, and the weighted sums
+and forced recurrences must match sums over it to rounding.
+"""
 
 import numpy as np
+import pytest
 
-from delaystab import _kernels
+from delaystab import _kernels, cauchy_apply, lemma6_sum, parse, pituk_sum
+from delaystab.oracle import random_equation
 
 
-def _toy_tables(seed, m=2, size=40):
+def _reference_table(coeffs, lags, size):
+    """Dense fundamental table X[i, j] = X(n0+i, n0+j), lower triangular."""
+    m = coeffs.shape[0]
+    table = np.zeros((size, size))
+    for j in range(size):
+        table[j, j] = 1.0
+    for i in range(size - 1):
+        for j in range(i + 1):
+            acc = table[i, j]
+            for l in range(m):
+                h = i - lags[l, i]
+                if h >= 0:
+                    acc -= coeffs[l, i] * table[h, j]
+            table[i + 1, j] = acc
+    return table
+
+
+def _reference_sums(table, weights, use_abs):
+    """out[i] = sum_{j < i} weights[j] * X(n0+i, n0+j+1) from a dense table."""
+    size = table.shape[0]
+    out = np.zeros(size)
+    for i in range(size):
+        for j in range(i):
+            v = table[i, j + 1]
+            out[i] += weights[j] * (abs(v) if use_abs else v)
+    return out
+
+
+def _assert_close(got, ref):
+    ref = np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def _random_tables(seed, m, size, max_lag):
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-0.4, 0.4, (m, size))
-    lags = rng.integers(0, 4, (m, size)).astype(np.int64)
+    lags = rng.integers(0, max_lag + 1, (m, size)).astype(np.int64)
     return coeffs, lags
 
 
-def test_step_recurrence_matches_python():
-    coeffs, lags = _toy_tables(0, size=60)
-    forcing = np.sin(np.arange(60.0))
-    x1 = np.zeros(3 + 61)
-    x1[3] = 1.0
-    x2 = x1.copy()
-    _kernels.step_recurrence(coeffs, lags, forcing, x1, 3, 60)
-    _kernels.py_step_recurrence(coeffs, lags, forcing, x2, 3, 60)
-    assert np.array_equal(x1, x2)
+def _periodic_tables(seed, size):
+    """Two terms with periodic coefficient and lag tables (periods 2 and 3)."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(size)
+    coeffs = np.stack([rng.uniform(-0.3, 0.3, 2)[n % 2], rng.uniform(0.0, 0.3, 3)[n % 3]])
+    lags = np.stack([np.array([3, 5])[n % 2], np.array([0, 4, 1])[n % 3]]).astype(np.int64)
+    return coeffs, lags
 
 
-def test_kernel_table_three_ways():
-    coeffs, lags = _toy_tables(1, size=35)
-    t_dispatched = _kernels.kernel_table(coeffs, lags, 35)
-    t_python = _kernels.py_kernel_table(coeffs, lags, 35)
-    t_numpy = _kernels.np_kernel_table(coeffs, lags, 35)
-    assert np.array_equal(t_python, t_numpy)
-    assert np.array_equal(t_dispatched, t_python)
+# (name, coeffs, lags) over the lag shapes the ring buffer must handle
+CASES = [
+    ("random", *_random_tables(0, 2, 40, 3)),
+    ("lag0", *_random_tables(1, 2, 30, 0)),
+    # every step reaches max(lag) back, the ring slot being overwritten
+    ("deepest_lag", np.full((1, 30), 0.15), np.full((1, 30), 6, dtype=np.int64)),
+    ("lag_past_window", np.full((1, 8), 0.2), np.full((1, 8), 12, dtype=np.int64)),
+    ("periodic", *_periodic_tables(3, 45)),
+    ("three_terms", *_random_tables(4, 3, 50, 7)),
+    ("size2", *_random_tables(5, 2, 2, 1)),
+    ("size1", np.zeros((1, 0)), np.zeros((1, 0), dtype=np.int64)),
+]
+IDS = [c[0] for c in CASES]
 
 
-def test_weighted_sums_match_python_and_table():
-    coeffs, lags = _toy_tables(2, size=30)
-    weights = np.cos(np.arange(29.0))
-    for use_abs in (False, True):
-        got = _kernels.weighted_kernel_sums(coeffs, lags, weights, use_abs)
-        ref = _kernels.py_weighted_kernel_sums(coeffs, lags, weights, use_abs)
-        assert np.array_equal(got, ref)
-        # independent check against the dense table
-        table = _kernels.py_kernel_table(coeffs, lags, 30)
-        expect = np.zeros(30)
-        for i in range(30):
-            for j in range(i):
-                v = table[i, j + 1]
-                expect[i] += weights[j] * (abs(v) if use_abs else v)
-        assert np.allclose(got, expect, atol=1e-12)
+@pytest.mark.parametrize("name,coeffs,lags", CASES, ids=IDS)
+def test_kernel_table_matches_reference_exactly(name, coeffs, lags):
+    size = coeffs.shape[1] + 1
+    assert np.array_equal(_kernels.kernel_table(coeffs, lags, size),
+                          _reference_table(coeffs, lags, size))
 
 
-def test_numba_flag_is_exposed():
-    assert isinstance(_kernels.NUMBA_ENABLED, bool)
+@pytest.mark.parametrize("use_abs", [False, True])
+@pytest.mark.parametrize("name,coeffs,lags", CASES, ids=IDS)
+def test_weighted_sums_match_dense_table(name, coeffs, lags, use_abs):
+    size = coeffs.shape[1] + 1
+    weights = np.cos(np.arange(size - 1.0)) + 0.5
+    got = _kernels.weighted_kernel_sums(coeffs, lags, weights, use_abs)
+    _assert_close(got, _reference_sums(_reference_table(coeffs, lags, size), weights,
+                                       use_abs))
+
+
+@pytest.mark.parametrize("name,coeffs,lags", CASES, ids=IDS)
+def test_step_recurrence_is_the_representation_formula(name, coeffs, lags):
+    # zero prehistory: x(n) = X(n, n0) x(n0) + sum_k X(n, k+1) f(k)
+    steps = coeffs.shape[1]
+    t_max = int(lags.max(initial=0))
+    forcing = np.sin(np.arange(float(steps)))
+    x = np.zeros(t_max + steps + 1)
+    x[t_max] = 1.5
+    _kernels.step_recurrence(coeffs, lags, forcing, x, t_max, steps)
+    table = _reference_table(coeffs, lags, steps + 1)
+    _assert_close(x[t_max:], 1.5 * table[:, 0] + _reference_sums(table, forcing, False))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_simulator_sums_match_dense_table(seed):
+    eq = random_equation(seed, m_max=3, T_max=6, K_max=0.8)
+    N = 80
+    coeffs, lags = eq.coeff_table(0, N - 1), eq.lag_table(0, N - 1)
+    table = _reference_table(coeffs, lags, N + 1)
+    _assert_close(lemma6_sum(eq, 0, N), _reference_sums(table, coeffs.sum(axis=0), False))
+    _assert_close(pituk_sum(eq, 0, N), _reference_sums(table, np.ones(N), True))
+    forcing = parse("per(0.3, -1, 0.25)")
+    _assert_close(cauchy_apply(eq, forcing, 0, N).values,
+                  _reference_sums(table, np.resize([0.3, -1.0, 0.25], N), False))

@@ -70,6 +70,11 @@ def test_fundamental_growth_start(eq_unbounded):
     assert col.tolist() == [1.0, 3.0]
 
 
+def test_fundamental_two_steps_exact(eq_unbounded):
+    # X(2, 0) = 3 - 2.2 * 1 + 2 * 3; the rounded steps land on the double 6.8
+    assert fundamental(eq_unbounded, 0, 2)[2] == 6.8
+
+
 def test_kernel_hand_value():
     eq = validate([Term(parse("0.2"), DelaySpec.constant(1))])
     K = kernel(eq, 0, 5)
