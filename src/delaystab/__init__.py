@@ -7,7 +7,6 @@ from .seqexpr import (
     SeqEvalError,
     SeqExpr,
     SeqSyntaxError,
-    bounds_on_window,
     classify,
     evaluate,
     eval_range,
@@ -39,7 +38,6 @@ from .limits import (
     AsymptoticEstimate,
     delay_window_sum,
     liminf_sum,
-    liminf_window_max,
     limsup_product,
 )
 from .criteria import (

@@ -204,8 +204,10 @@ def cmd_simulate(args) -> int:
     else:
         values = [0.0] * eq.T + [args.x0]
         init = InitialData.from_values(n0, values)
-    traj = simulate(eq, init, horizon)
-    _require_finite(n0, traj.values)
+    # an overflow is reported by _require_finite, not by NumPy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = simulate(eq, init, horizon)
+        _require_finite(n0, traj.values)
     if args.csv:
         write_trajectory_csv(traj, args.csv)
         print(f"wrote {args.csv}")
@@ -221,9 +223,10 @@ def cmd_fundamental(args) -> int:
     eq = config_to_equation(config)
     if args.N < args.k:
         raise ValueError(f"N = {args.N} precedes k = {args.k}")
-    column = fundamental(eq, args.k, args.N)
-    bound = product_bound(eq, args.k, args.N)
-    _require_finite(args.k, column, bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        column = fundamental(eq, args.k, args.N)
+        bound = product_bound(eq, args.k, args.N)
+        _require_finite(args.k, column, bound)
     lines = ["n,value,bound"]
     for i, (v, b) in enumerate(zip(column, bound)):
         lines.append(f"{args.k + i},{fmt_float(v)},{fmt_float(b)}")
@@ -364,21 +367,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"delaystab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("config", help="path to a JSON job config")
+    def add_config(p):
+        p.add_argument("config", help="path to a JSON job config")
+
+    def add_report_flags(p):
         p.add_argument("--out", help="write the report to this path (atomic)")
         p.add_argument("--no-meta", action="store_true",
                        help="omit tool/version metadata and timings (stable output)")
 
     p = sub.add_parser("check", help="run stability checkers and oracles")
-    add_common(p)
+    add_config(p)
+    add_report_flags(p)
     p.add_argument("--window", nargs=2, type=int, metavar=("N0", "N1"),
                    help="override the certification window")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="iterate the equation and emit a trajectory")
-    add_common(p)
+    add_config(p)
     p.add_argument("--n0", type=int, default=0, help="start index")
     p.add_argument("--N", type=int, help="final index (default: config horizon)")
     p.add_argument("--x0", type=float, default=1.0,
@@ -389,20 +394,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fundamental", help="tabulate one kernel column with its product bound")
-    add_common(p)
+    add_config(p)
     p.add_argument("--k", type=int, required=True, help="column start index")
     p.add_argument("--N", type=int, required=True, help="final row index")
     p.add_argument("--csv", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_fundamental)
 
     p = sub.add_parser("examples", help="replay the built-in fixtures")
-    add_common(p, config=False)
+    add_report_flags(p)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--only", help="run a single fixture by name")
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("fuzz", help="seeded property suite against the oracles")
-    add_common(p, config=False)
+    add_report_flags(p)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--seeds", type=int, default=0, help="base seed")
     p.add_argument("--count", type=int, default=200, help="cases per suite")

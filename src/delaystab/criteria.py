@@ -26,7 +26,7 @@ import numpy as np
 from . import limits
 from .equation import Equation, Term, merge_same_delay, subset_equation, validate
 from .oracle import autonomous_coefficients
-from .seqexpr import DelaySpec, classify, eval_range, evaluate
+from .seqexpr import DelaySpec
 from .simulator import kernel
 
 __all__ = [
@@ -138,29 +138,16 @@ def nonosc_threshold(k: int) -> float:
 
 
 def _term_bounds(eq: Equation, l: int, window: tuple[int, int]) -> tuple[float, float, bool]:
-    """(inf, sup, exact) of coefficient l over the window / one exact period."""
-    coeff = eq.terms[l].coeff
-    cls = classify(coeff)
-    if cls.tag == "constant":
-        v = evaluate(coeff, window[0])
-        return v, v, True
-    if cls.tag == "periodic":
-        values = eval_range(coeff, window[0], window[0] + cls.period - 1)
-        return float(values.min()), float(values.max()), True
-    values = eval_range(coeff, window[0], window[1])
-    return float(values.min()), float(values.max()), False
+    """(inf, sup, exact) of coefficient l over its span."""
+    (values,), exact = limits.coeff_span(eq, window, [l])
+    return float(values.min()), float(values.max()), exact
 
 
 def _sum_bounds(eq: Equation, indices: Sequence[int],
                 window: tuple[int, int]) -> tuple[float, float, bool]:
-    """(inf, sup, exact) of sum_{l in indices} a_l over the window."""
-    period = limits.aggregate_period(subset_equation(eq, indices))
-    n0 = window[0]
-    if period is not None:
-        n1, exact = n0 + period - 1, True
-    else:
-        n1, exact = window[1], False
-    total = sum(eq.coeff_table(n0, n1)[l] for l in indices)
+    """(inf, sup, exact) of sum_{l in indices} a_l over their span."""
+    table, exact = limits.coeff_span(eq, window, indices)
+    total = sum(table)
     return float(total.min()), float(total.max()), exact
 
 
@@ -215,42 +202,24 @@ def positivity_scan(eq: Equation, n0: int, N: int) -> Union[PositivityCertificat
     return PositivityCertificate(n0, N, float(values.min()), "numerical_scan")
 
 
-def _lemma4_quantities(eq: Equation, options: CheckOptions) -> dict:
-    """The two window sums of the nonoscillation test, plus sign status."""
-    window = _win(eq, options)
-    nonneg, worst = _all_nonnegative(eq, range(eq.m), window, options.eps_cmp)
-    est_sup = _sum_bounds(eq, range(eq.m), window)
-    period = limits.aggregate_period(eq, with_delays=True)
-    double = limits.windowed_delayed_sum(eq, [t.delay for t in eq.terms], -1, window, period)
-    return {
-        "nonneg": nonneg,
-        "min_coeff": worst,
-        "sup_sum": est_sup[1],
-        "sup_exact": est_sup[2],
-        "double_sum": double.value,
-        "double_exact": double.exact,
-        "window": window,
-    }
-
-
 def check_lemma4(eq: Equation, options: CheckOptions = CheckOptions()) -> Verdict:
     """Nonoscillation: nonnegative coefficients with sup sum < 1/2 and the
     delayed double window sum <= 1/4 force an eventually positive kernel."""
-    q = _lemma4_quantities(eq, options)
-    witnesses = {
-        "min_coeff": q["min_coeff"],
-        "sup_sum": q["sup_sum"],
-        "double_sum": q["double_sum"],
-    }
-    certified = not (q["sup_exact"] and q["double_exact"])
-    if not q["nonneg"]:
+    window = _win(eq, options)
+    nonneg, worst = _all_nonnegative(eq, range(eq.m), window, options.eps_cmp)
+    _, sup_sum, sup_exact = _sum_bounds(eq, range(eq.m), window)
+    double = limits.windowed_delayed_sum(eq, [t.delay for t in eq.terms], -1, window,
+                                         limits.aggregate_period(eq, with_delays=True))
+    witnesses = {"min_coeff": worst, "sup_sum": sup_sum, "double_sum": double.value}
+    if not nonneg:
         outcome = Outcome.NOT_APPLICABLE
-    elif q["sup_sum"] < 0.5 - options.eps_cmp and q["double_sum"] <= 0.25 + options.eps_cmp:
+    elif sup_sum < 0.5 - options.eps_cmp and double.value <= 0.25 + options.eps_cmp:
         outcome = Outcome.STABLE
     else:
         outcome = Outcome.INCONCLUSIVE
     return Verdict(
-        "lemma4", outcome, CLAIM_POSITIVE, witnesses, q["window"], certified,
+        "lemma4", outcome, CLAIM_POSITIVE, witnesses, window,
+        not (sup_exact and double.exact),
         "positive kernel via coefficient window sums (sup < 1/2, delayed sum <= 1/4)",
     )
 
@@ -270,27 +239,15 @@ def certify_positivity(eq: Equation, options: CheckOptions = CheckOptions()
     the effective coefficients.
     """
     merged = merge_same_delay(eq)
-    window = _win(merged, options)
-    q = _lemma4_quantities(merged, options)
-    if (q["nonneg"] and q["sup_sum"] < 0.5 - options.eps_cmp
-            and q["double_sum"] <= 0.25 + options.eps_cmp
-            and q["sup_exact"] and q["double_exact"]):
+    pre = check_lemma4(merged, options)
+    if pre.outcome is Outcome.STABLE and not pre.window_certified:
         return PositivityCertificate(0, -1, math.nan, "lemma4")
-    if q["nonneg"]:
-        if merged.m == 1:
-            _, sup, exact = _term_bounds(merged, 0, window)
-            k = max(1, merged.terms[0].delay.max_lag)
-            if exact and sup <= nonosc_threshold(k) + options.eps_cmp:
-                return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
-        alphas, taus, all_exact = [], [], True
-        for l in range(merged.m):
-            _, sup, exact = _term_bounds(merged, l, window)
-            alphas.append(max(sup, 0.0))
-            taus.append(merged.terms[l].delay.max_lag)
-            all_exact = all_exact and exact
-        lam, fmin = _char_lambda_search(alphas, taus)
-        if all_exact and fmin <= options.eps_cmp:
-            return PositivityCertificate(0, -1, lam, "corollary3_characteristic")
+    if pre.outcome is not Outcome.NOT_APPLICABLE:
+        root, part1, part2, exact = _char_root(merged, _win(merged, options), options.eps_cmp)
+        if exact and part2:
+            return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
+        if exact and part1:
+            return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
     n0 = options.scan_lead_mult * eq.T
     N = n0 + max(options.scan_len, 10 * max(eq.T, 1))
     result = positivity_scan(eq, n0, N)
@@ -300,6 +257,27 @@ def certify_positivity(eq: Equation, options: CheckOptions = CheckOptions()
         # certify the numerically representable region instead
         result = positivity_scan(eq, n0, result.n - 1)
     return result
+
+
+def _char_root(eq: Equation, window: tuple[int, int],
+               eps: float) -> tuple[dict[str, float], bool, bool, bool]:
+    """Corollary 3 on the caps alpha_l = sup a_l at delays tau_l: (witnesses,
+    part 1 (a root lam in (0, 1]), part 2 (one term under the sharp
+    autonomous bound), exact)."""
+    alphas, taus, exact = [], [], True
+    for l in range(eq.m):
+        _, sup, term_exact = _term_bounds(eq, l, window)
+        alphas.append(max(sup, 0.0))
+        taus.append(eq.terms[l].delay.max_lag)
+        exact = exact and term_exact
+    lam, fmin = _char_lambda_search(alphas, taus)
+    witnesses = {"lambda": lam, "f_min": fmin}
+    part2 = False
+    if eq.m == 1:
+        k = max(1, eq.terms[0].delay.max_lag)
+        witnesses["k"] = float(k)
+        part2 = alphas[0] <= nonosc_threshold(k) + eps
+    return witnesses, fmin <= eps, part2, exact
 
 
 def _char_lambda_search(alphas: Sequence[float], taus: Sequence[int],
@@ -411,21 +389,9 @@ def check_corollary3(eq: Equation, p: Optional[int] = None,
         return Verdict("corollary3", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, window, False,
                        "characteristic-root comparison (needs nonnegative coefficients)")
-    certified = False
-    alphas, taus = [], []
-    for l in range(eq.m):
-        _, sup, exact = _term_bounds(eq, l, window)
-        alphas.append(max(sup, 0.0))
-        taus.append(eq.terms[l].delay.max_lag)
-        certified = certified or not exact
-    lam, fmin = _char_lambda_search(alphas, taus)
-    witnesses.update({"lambda": lam, "f_min": fmin})
-    part1 = fmin <= options.eps_cmp
-    part2 = False
-    if eq.m == 1:
-        k = max(1, eq.terms[0].delay.max_lag)
-        witnesses["k"] = float(k)
-        part2 = alphas[0] <= nonosc_threshold(k) + options.eps_cmp
+    root, part1, part2, exact = _char_root(eq, window, options.eps_cmp)
+    witnesses.update(root)
+    certified = not exact
     if not (part1 or part2):
         return Verdict("corollary3", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL,
                        witnesses, window, certified,
@@ -485,16 +451,10 @@ def _limsup_ratio(eq: Equation, I: Sequence[int],
                   window: tuple[int, int]) -> tuple[float, bool]:
     """limsup of sum_{l not in I} |a_l| / sum_{l in I} a_l."""
     out = [l for l in range(eq.m) if l not in I]
-    period = limits.aggregate_period(eq)
-    n0 = window[0]
-    if period is not None:
-        n1, exact = n0 + period - 1, True
-    else:
-        n1, exact = window[1], False
-    table = eq.coeff_table(n0, n1)
-    den = sum(table[l] for l in I)
+    table, exact = limits.coeff_span(eq, window)
     if not out:
         return 0.0, exact
+    den = sum(table[l] for l in I)
     num = sum(np.abs(table[l]) for l in out)
     live = den > 0.0
     if (num[~live] > 0.0).any():
@@ -515,11 +475,19 @@ def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
     the index gap between h_k(n) and the comparison delay g_k(n)) plus the
     excluded terms, rhs(n) = sum_{k in I} a_k(n).  Returns (lhs, rhs, ns).
     """
+    lhs, rhs, strip = _gap_sides(eq, I, g_override, window, exact)
+    return lhs, rhs, strip.ns
+
+
+def _gap_sides(eq: Equation, I: Sequence[int], g_override: Sequence[DelaySpec],
+               window: tuple[int, int], exact: bool
+               ) -> tuple[np.ndarray, np.ndarray, limits.DelayStrip]:
+    """theorem5_lhs_rhs with its strip.  ``exact`` asks for one exact
+    period; the strip is the window when any coefficient is general."""
     I = sorted(set(I))
     moved = {l: g for l, g in zip(I, g_override)}
-    period = None
-    if exact:
-        period = limits.aggregate_period(eq, with_delays=True) or 1
+    period = limits.aggregate_period(eq, with_delays=True) if exact else None
+    if period is not None:
         for g in g_override:
             period = math.lcm(period, g.period)
     strip = limits.delay_strip([eq.terms[l].delay for l in I] + [moved[l] for l in I],
@@ -538,7 +506,7 @@ def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
             rhs += table[l]
         else:
             lhs += np.abs(table[l])
-    return lhs, rhs, ns
+    return lhs, rhs, strip
 
 
 def check_corollary_theorem5(eq: Equation, I: Sequence[int],
@@ -570,8 +538,8 @@ def check_corollary_theorem5(eq: Equation, I: Sequence[int],
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, True,
                        "shifted-delay comparison (comparison kernel not positive)")
-    certified = certified or cert.by == "numerical_scan"
-    lhs, rhs, _ = theorem5_lhs_rhs(eq, I, g_override, window, exact_s)
+    lhs, rhs, strip = _gap_sides(eq, I, g_override, window, exact_s)
+    certified = certified or cert.by == "numerical_scan" or not strip.exact
     gamma = float((lhs / rhs).max())
     witnesses["gamma_min"] = gamma
     if gamma < 1.0 - options.eps_cmp:
@@ -609,11 +577,8 @@ def check_corollary6(eq: Equation, options: CheckOptions = CheckOptions()) -> Ve
         return Verdict("corollary6", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, window, certified,
                        "dominant lag-1 term (needs range inside (0, 1/4))")
-    period = limits.aggregate_period(eq)
-    n0 = window[0]
-    n1 = n0 + period - 1 if period is not None else window[1]
-    certified = certified or period is None
-    table = eq.coeff_table(n0, n1)
+    table, exact = limits.coeff_span(eq, window)
+    certified = certified or not exact
     others = sum(np.abs(table[l]) for l in range(eq.m) if l != designated)
     if eq.m == 1:
         gamma = 0.0
@@ -687,11 +652,8 @@ def check_corollary8(eq: Equation, part: int,
         wsum = limits.delay_window_sum(subset_equation(eq, [0]), 0, "to_n_minus_1", window)
         witnesses["window_sum"] = wsum.value
         certified = certified or not wsum.exact
-        period = limits.aggregate_period(eq)
-        n0 = window[0]
-        n1 = n0 + period - 1 if period is not None else window[1]
-        certified = certified or period is None
-        table = eq.coeff_table(n0, n1)
+        table, exact = limits.coeff_span(eq, window)
+        certified = certified or not exact
         gamma = float((np.abs(table[1]) / table[0]).max())
         witnesses["gamma_min"] = gamma
         ok = wsum.value <= 0.25 + eps and gamma < 1.0 - eps

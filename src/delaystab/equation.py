@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .seqexpr import DelaySpec, SeqExpr, added, classify, eval_range, spliced
+from .seqexpr import DelaySpec, SeqExpr, added, eval_range, spliced
 
 __all__ = ["Term", "Equation", "InitialData", "validate", "subset_equation",
            "prefix_modify", "merge_same_delay"]
@@ -37,13 +37,6 @@ class Equation:
     @property
     def m(self) -> int:
         return len(self.terms)
-
-    def is_autonomous(self) -> bool:
-        """True when every coefficient is constant and every lag fixed."""
-        return all(
-            classify(t.coeff).tag == "constant" and t.delay.kind == "constant"
-            for t in self.terms
-        ) and self.forcing is None
 
     def coeff_table(self, n0: int, n1: int) -> np.ndarray:
         """a_l(n) for l = 0..m-1, n in [n0, n1]; shape (m, n1-n0+1)."""

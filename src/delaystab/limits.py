@@ -1,9 +1,10 @@
 """Asymptotic coefficient estimates consumed by the stability tests.
 
-liminf / limsup / sup of coefficient aggregates are exact when every
-contributing stream is constant or periodic (one period of the tail
-determines the limit); otherwise they are window estimates and flagged
-approximate so checkers can report verdicts as window-certified.
+Pointwise spans of coefficients all come from ``coeff_span``: when every
+contributing stream is constant or periodic, one period of their
+aggregate from the window start determines liminf / limsup / sup
+exactly; otherwise the span is the certification window, the value is an
+estimate, and checkers report the verdict as window-certified.
 
 Delayed sums take a sup over n of sums between h_l(n) and n.  They all
 run over one strip (``delay_strip``).  When coefficients and lags share a
@@ -22,14 +23,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .equation import Equation
-from .seqexpr import DelaySpec, classify
+from .equation import Equation, Term
+from .seqexpr import DelaySpec, classify, eval_range
 
 __all__ = [
     "AsymptoticEstimate",
     "liminf_sum",
     "limsup_product",
-    "liminf_window_max",
+    "coeff_span",
     "delay_window_sum",
     "default_window",
     "aggregate_period",
@@ -51,10 +52,10 @@ def default_window(eq: Equation, length: int = 10_000) -> tuple[int, int]:
     return (start, start + length)
 
 
-def _coeff_period(eq: Equation) -> Optional[int]:
+def _coeff_period(terms: Sequence[Term]) -> Optional[int]:
     """lcm of coefficient periods, or None when any stream is general."""
     period = 1
-    for t in eq.terms:
+    for t in terms:
         c = classify(t.coeff)
         if c.tag == "constant":
             continue
@@ -66,7 +67,7 @@ def _coeff_period(eq: Equation) -> Optional[int]:
 
 
 def aggregate_period(eq: Equation, with_delays: bool = False) -> Optional[int]:
-    period = _coeff_period(eq)
+    period = _coeff_period(eq.terms)
     if period is None:
         return None
     if with_delays:
@@ -75,19 +76,26 @@ def aggregate_period(eq: Equation, with_delays: bool = False) -> Optional[int]:
     return period
 
 
-def _aggregate(eq: Equation, n0: int, n1: int) -> np.ndarray:
-    return eq.coeff_table(n0, n1).sum(axis=0)
+def coeff_span(eq: Equation, window: tuple[int, int], indices: Optional[Sequence[int]] = None,
+               extra: int = 0) -> tuple[np.ndarray, bool]:
+    """(rows of the coefficients ``indices``, exact) from ``window[0]``.
+
+    The span is one exact period of their aggregate, or the whole window
+    (exact False) when any of them is general; ``extra`` points run past
+    its end.  Only the rows asked for are evaluated.
+    """
+    indices = range(eq.m) if indices is None else indices
+    period = _coeff_period([eq.terms[l] for l in indices])
+    n0 = window[0]
+    n1 = (n0 + period - 1 if period is not None else window[1]) + extra
+    return np.stack([eval_range(eq.terms[l].coeff, n0, n1) for l in indices]), period is not None
 
 
 def liminf_sum(eq: Equation, window: Optional[tuple[int, int]] = None) -> AsymptoticEstimate:
     """liminf over n of sum_l a_l(n)."""
     window = window or default_window(eq)
-    period = aggregate_period(eq)
-    if period is not None:
-        values = _aggregate(eq, window[0], window[0] + period - 1)
-        return AsymptoticEstimate(float(values.min()), True, window, "liminf")
-    values = _aggregate(eq, window[0], window[1])
-    return AsymptoticEstimate(float(values.min()), False, window, "liminf")
+    table, exact = coeff_span(eq, window)
+    return AsymptoticEstimate(float(table.sum(axis=0).min()), exact, window, "liminf")
 
 
 def limsup_product(eq: Equation, p: int,
@@ -96,31 +104,10 @@ def limsup_product(eq: Equation, p: int,
     if p < 1:
         raise ValueError("p must be positive")
     window = window or default_window(eq)
-    period = aggregate_period(eq)
-    if period is not None:
-        n_lo, count, exact = window[0], period, True
-    else:
-        n_lo, count, exact = window[0], window[1] - window[0] + 1, False
-    factors = 1.0 - _aggregate(eq, n_lo, n_lo + count + p - 2)
-    windows = np.lib.stride_tricks.sliding_window_view(factors, p)[:count]
-    products = windows.prod(axis=1)
+    table, exact = coeff_span(eq, window, extra=p - 1)
+    factors = 1.0 - table.sum(axis=0)
+    products = np.lib.stride_tricks.sliding_window_view(factors, p).prod(axis=1)
     return AsymptoticEstimate(float(products.max()), exact, window, "limsup")
-
-
-def liminf_window_max(eq: Equation, p: int,
-                      window: Optional[tuple[int, int]] = None) -> AsymptoticEstimate:
-    """liminf over n of max_{n <= k <= n+p-1} sum_l a_l(k)."""
-    if p < 1:
-        raise ValueError("p must be positive")
-    window = window or default_window(eq)
-    period = aggregate_period(eq)
-    if period is not None:
-        n_lo, count, exact = window[0], period, True
-    else:
-        n_lo, count, exact = window[0], window[1] - window[0] + 1, False
-    values = _aggregate(eq, n_lo, n_lo + count + p - 2)
-    maxima = np.lib.stride_tricks.sliding_window_view(values, p).max(axis=1)[:count]
-    return AsymptoticEstimate(float(maxima.min()), exact, window, "liminf")
 
 
 @dataclass(frozen=True)
@@ -174,7 +161,7 @@ def windowed_delayed_sum(eq: Equation, delays: Sequence[DelaySpec], upper_offset
     hi = int(ns[-1]) + upper_offset
     if hi < strip.lo:
         return AsymptoticEstimate(0.0, strip.exact, window, "sup")
-    sums = strip.sums(_aggregate(eq, strip.lo, hi), ns - strip.lags.max(axis=0),
+    sums = strip.sums(eq.coeff_table(strip.lo, hi).sum(axis=0), ns - strip.lags.max(axis=0),
                       ns + upper_offset + 1)
     return AsymptoticEstimate(float(sums.max()), strip.exact, window, "sup")
 

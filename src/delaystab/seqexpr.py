@@ -34,7 +34,6 @@ __all__ = [
     "evaluate",
     "eval_range",
     "classify",
-    "bounds_on_window",
     "constant",
     "periodic_table",
     "spliced",
@@ -486,14 +485,6 @@ def classify(expr: SeqExpr, probe_len: int = 64) -> SeqClass:
     if (probe == probe[0]).all():
         return SeqClass("constant")
     return SeqClass("general")
-
-
-def bounds_on_window(expr: SeqExpr, n0: int, n1: int) -> tuple[float, float]:
-    """Exact (min, max) of the expression over the window [n0, n1]."""
-    if n1 < n0:
-        raise ValueError("empty window")
-    values = eval_range(expr, n0, n1)
-    return float(values.min()), float(values.max())
 
 
 # ---------------------------------------------------------------------------

@@ -224,8 +224,28 @@ def test_overflow_exits_2_naming_first_index(cfg_unbounded, tmp_path, argv, firs
     assert not out.exists()
 
 
-def test_unused_flags_are_rejected(cfg_factorial):
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--N", "1500"],
+    ["fundamental", "--k", "0", "--N", "1500"],
+], ids=["simulate", "fundamental"])
+def test_overflow_exits_2_without_numpy_warnings(cfg_unbounded, argv):
+    # any RuntimeWarning becomes an exception, which would end the run
+    # with a traceback and exit 1 instead of the clean overflow error
+    r = run_cli(argv[0], cfg_unbounded, *argv[1:],
+                env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert r.returncode == 2
+    assert "is not finite" in r.stderr
+    assert "Warning" not in r.stderr
+
+
+def test_unused_flags_are_rejected(cfg_factorial, tmp_path):
     assert run_cli("check", cfg_factorial, "--seed", "1").returncode == 2
+    for command in (["simulate", "--N", "3"], ["fundamental", "--k", "0", "--N", "3"]):
+        out = tmp_path / "out.csv"
+        assert run_cli(command[0], cfg_factorial, *command[1:],
+                       "--out", str(out)).returncode == 2
+        assert not out.exists()
+        assert run_cli(command[0], cfg_factorial, *command[1:], "--no-meta").returncode == 2
     assert run_cli("check", cfg_factorial, "--json").returncode == 2
     assert run_cli("simulate", cfg_factorial, "--json").returncode == 2
     assert run_cli("fundamental", cfg_factorial, "--k", "0", "--N", "5",

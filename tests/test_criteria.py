@@ -31,6 +31,7 @@ from delaystab.criteria import (
     check_theorem1,
     check_theorem2,
     positivity_scan,
+    theorem5_lhs_rhs,
 )
 
 
@@ -70,6 +71,32 @@ def test_certify_positivity_routes():
     assert certify_positivity(eq).by in ("lemma4", "corollary3_characteristic")
     ref = certify_positivity(const_eq((1.5, 0)))
     assert isinstance(ref, PositivityRefutation)
+
+
+@pytest.mark.parametrize("autonomous", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_certify_positivity_reuses_checker_hypotheses(seed, autonomous):
+    from delaystab.equation import merge_same_delay
+    from delaystab.oracle import random_equation
+
+    eq = random_equation(seed, m_max=2, T_max=3, K_max=0.4, autonomous=autonomous)
+    by = getattr(certify_positivity(eq), "by", "refuted")
+    merged = merge_same_delay(eq)
+    pre = check_lemma4(merged)
+    assert (by == "lemma4") == (pre.outcome is Outcome.STABLE and not pre.window_certified)
+    if by in ("autonomous_bound", "corollary3_characteristic"):
+        # corollary 3 found a root (or the sharp bound) exactly
+        v = check_corollary3(merged)
+        assert "part" in v.witnesses and not v.window_certified
+
+
+def test_certify_positivity_window_estimates_fall_back_to_scan():
+    # lemma 4 holds on the window for a general coefficient, but only as an
+    # estimate, so positivity comes from the kernel scan
+    eq = validate([Term(parse("0.1 + 0.01*sin(n)"), DelaySpec.constant(1))])
+    pre = check_lemma4(eq)
+    assert pre.outcome is Outcome.STABLE and pre.window_certified
+    assert certify_positivity(eq).by == "numerical_scan"
 
 
 def test_certify_positivity_merges_same_delay():
@@ -227,6 +254,20 @@ def test_theorem5_sum_range_hypothesis(eq_zero):
 def test_theorem5_arity_check(eq_periodic_mixed):
     with pytest.raises(ValueError):
         check_corollary_theorem5(eq_periodic_mixed, [0, 1], [DelaySpec.constant(1)])
+
+
+def test_theorem5_general_term_outside_I_uses_window():
+    # the kept term is constant but the excluded one is general: the gap
+    # inequality must run over the window, not over a one-point "period"
+    eq = validate([Term(parse("0.2"), DelaySpec.constant(2)),
+                   Term(parse("0.15*abs(sin(n))"), DelaySpec.constant(0))])
+    v = check_corollary_theorem5(eq, [0], [DelaySpec.constant(1)])
+    assert v.window_certified
+    assert v.outcome is Outcome.INCONCLUSIVE
+    assert v.witnesses["gamma_min"] == pytest.approx(1.0238, abs=1e-4)
+    window = (10 * eq.T, 10 * eq.T + 10_000)
+    _, _, ns = theorem5_lhs_rhs(eq, [0], [DelaySpec.constant(1)], window, True)
+    assert (ns[0], ns[-1]) == window
 
 
 def test_corollary4_delegates(eq_periodic_mixed):

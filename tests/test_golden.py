@@ -1,6 +1,6 @@
 """Behaviour contract: `check --no-meta` reports on the shipped fixtures
-must stay byte-identical.  Regenerate the files only for a documented
-behaviour change:
+and on a pinned generated corpus must stay byte-identical.  Regenerate
+the files only for a documented behaviour change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,36 +13,71 @@ import pytest
 
 from delaystab.cli import main
 from delaystab.fixtures import FIXTURE_CONFIGS
+from delaystab.oracle import random_equation
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def _config(terms: list) -> dict:
+    return {"schema": 1, "equation": {"terms": [{"coeff": c, "lag": lag} for c, lag in terms]},
+            "horizon": 400}
+
+
+def _random_config(seed: int, autonomous: bool) -> dict:
+    eq = random_equation(seed, autonomous=autonomous)
+    return _config([(str(t.coeff), t.delay.lags[0] if len(t.delay.lags) == 1
+                     else list(t.delay.lags)) for t in eq.terms])
+
+
+# random_equation (T <= 5) periodic and autonomous seeds, plus general
+# sin/cos coefficients mixed with periodic ones, at m = 2 and m = 3
+GENERATED = {
+    **{f"random_periodic_{s}": _random_config(s, False) for s in (0, 2, 3, 4)},
+    **{f"random_autonomous_{s}": _random_config(s, True) for s in (0, 1, 3, 5)},
+    "sin_cos_m2": _config([("0.15 + 0.05*cos(n)", 2), ("0.05*sin(3*n)", 0)]),
+    "sin_cos_m3": _config([("0.1 + 0.02*sin(n)", 1), ("0.04*abs(cos(2*n))", [1, 3]),
+                           ("0.05 + 0.01*alt(n)", 4)]),
+}
+
+CONFIGS = {**{f"check_{name}": cfg for name, cfg in FIXTURE_CONFIGS.items()},
+           **{f"generated_{name}": cfg for name, cfg in GENERATED.items()}}
+
+
 def _golden_path(name: str) -> str:
-    return os.path.join(GOLDEN, f"check_{name}.json")
+    return os.path.join(GOLDEN, f"{name}.json")
 
 
 def _check_report(name: str, directory: str) -> bytes:
     config = os.path.join(directory, f"{name}.json")
     out = os.path.join(directory, f"{name}.report.json")
     with open(config, "w") as fh:
-        json.dump(FIXTURE_CONFIGS[name], fh)
+        json.dump(CONFIGS[name], fh)
     assert main(["check", config, "--no-meta", "--out", out]) == 0
     with open(out, "rb") as fh:
         return fh.read()
 
 
-@pytest.mark.parametrize("name", list(FIXTURE_CONFIGS))
-def test_check_report_matches_golden(name, tmp_path):
+def _assert_golden(name: str, directory: str) -> None:
     with open(_golden_path(name), "rb") as fh:
         expected = fh.read()
-    assert _check_report(name, str(tmp_path)) == expected
+    assert _check_report(name, directory) == expected
+
+
+@pytest.mark.parametrize("name", list(FIXTURE_CONFIGS))
+def test_check_report_matches_golden(name, tmp_path):
+    _assert_golden(f"check_{name}", str(tmp_path))
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_generated_report_matches_golden(name, tmp_path):
+    _assert_golden(f"generated_{name}", str(tmp_path))
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for fixture in FIXTURE_CONFIGS:
-            with open(_golden_path(fixture), "wb") as fh:
-                fh.write(_check_report(fixture, tmp))
-            print(f"wrote {_golden_path(fixture)}", file=sys.stderr)
+        for name in CONFIGS:
+            with open(_golden_path(name), "wb") as fh:
+                fh.write(_check_report(name, tmp))
+            print(f"wrote {_golden_path(name)}", file=sys.stderr)

@@ -9,14 +9,13 @@ from delaystab import (
     Term,
     delay_window_sum,
     liminf_sum,
-    liminf_window_max,
     limsup_product,
     parse,
     subset_equation,
     validate,
 )
 from delaystab import criteria
-from delaystab.limits import aggregate_period, windowed_delayed_sum
+from delaystab.limits import aggregate_period, coeff_span, windowed_delayed_sum
 
 
 def test_liminf_sum_alternating(eq_alternating):
@@ -53,11 +52,43 @@ def test_limsup_product_alternating(eq_alternating):
     assert est.value == pytest.approx(0.57 * 0.99, abs=1e-13)
 
 
-def test_liminf_window_max():
-    eq = validate([Term(parse("per(0.43, 0.01)"), DelaySpec.constant(1))])
-    assert liminf_window_max(eq, 2).value == pytest.approx(0.43)
-    est1 = liminf_window_max(eq, 1)
-    assert est1.value == pytest.approx(liminf_sum(eq).value)
+def test_coeff_span_periods_and_window():
+    eq = validate([
+        Term(parse("0.3"), DelaySpec.constant(1)),
+        Term(parse("per(0.1, 0.2)"), DelaySpec.constant(2)),
+        Term(parse("per(0.1, 0.2, 0.4)"), DelaySpec.constant(0)),
+        Term(parse("0.1 + 0.01*sin(n)"), DelaySpec.constant(3)),
+    ])
+    window = (30, 130)
+    table, exact = coeff_span(eq, window, [0])
+    assert exact and table.shape == (1, 1) and table[0, 0] == 0.3
+    table, exact = coeff_span(eq, window, [2, 1])
+    assert exact and table.shape == (2, 6)
+    assert np.array_equal(table, eq.coeff_table(30, 35)[[2, 1]])
+    table, exact = coeff_span(eq, window, [1], extra=3)
+    assert exact and np.array_equal(table, eq.coeff_table(30, 34)[[1]])
+    # one general coefficient turns the span into the whole window
+    table, exact = coeff_span(eq, window)
+    assert not exact and np.array_equal(table, eq.coeff_table(30, 130))
+    table, exact = coeff_span(eq, window, [0, 3], extra=2)
+    assert not exact and np.array_equal(table, eq.coeff_table(30, 132)[[0, 3]])
+
+
+def test_coeff_span_evaluates_only_its_rows(monkeypatch):
+    from delaystab import limits
+
+    eq = validate([Term(parse("per(0.1, 0.2)"), DelaySpec.constant(1)),
+                   Term(parse("0.1 + 0.01*sin(n)"), DelaySpec.constant(2))])
+    seen = []
+    evaluate = limits.eval_range
+
+    def recording(expr, n0, n1):
+        seen.append((str(expr), n0, n1))
+        return evaluate(expr, n0, n1)
+
+    monkeypatch.setattr(limits, "eval_range", recording)
+    coeff_span(eq, (20, 1020), [0])
+    assert seen == [("per(0.1, 0.2)", 20, 21)]
 
 
 def test_delay_window_sum_constant_lag():
@@ -168,8 +199,9 @@ def _ref_abs_aggregate_prefix(eq, lo, hi):
 def _ref_theorem5_lhs_rhs(eq, I, g_override, window, exact):
     I = sorted(set(I))
     delays = {l: g for l, g in zip(I, g_override)}
-    if exact:
-        period = aggregate_period(eq, with_delays=True) or 1
+    # a general coefficient anywhere (not only in I) forces the window strip
+    period = aggregate_period(eq, with_delays=True) if exact else None
+    if period is not None:
         for g in g_override:
             period = math.lcm(period, g.period)
         depth = 0

@@ -61,13 +61,6 @@ def test_classify_probe_len_guard():
         se.classify(se.parse("n"), probe_len=2)
 
 
-def test_bounds_on_window():
-    lo, hi = se.bounds_on_window(se.parse("0.2+0.05*sin(n)"), 0, 1000)
-    assert lo >= 0.15 and hi <= 0.25
-    assert se.bounds_on_window(se.parse("7"), 0, 10) == (7.0, 7.0)
-    assert se.bounds_on_window(se.parse("alt(n)"), 0, 3) == (-1.0, 1.0)
-
-
 def test_splice_semantics():
     before = se.parse("9")
     after = se.parse("n")
