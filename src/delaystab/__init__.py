@@ -41,7 +41,6 @@ from .limits import (
     limsup_product,
 )
 from .criteria import (
-    CheckOptions,
     Outcome,
     PositivityCertificate,
     PositivityRefutation,

@@ -32,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .criteria import CheckOptions, run_all, stable_verdicts
-from .equation import InitialData
+from .criteria import run_all, stable_verdicts
+from .equation import Equation, InitialData
 from .fixtures import config_to_equation, fixture_names, run_fixture
 from .oracle import (
     autonomous_coefficients,
@@ -96,16 +96,13 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _equation_echo(config: dict) -> dict:
-    eq = config_to_equation(config)
+def _equation_echo(eq: Equation) -> dict:
     terms = []
     for t in eq.terms:
         lag = t.delay.lags[0] if len(t.delay.lags) == 1 else list(t.delay.lags)
         terms.append({"coeff": str(t.coeff), "lag": lag})
-    echo = {"terms": terms}
-    forcing = config.get("equation", {}).get("forcing")
-    echo["forcing"] = str(eq.forcing) if forcing is not None else None
-    return echo
+    return {"terms": terms,
+            "forcing": str(eq.forcing) if eq.forcing is not None else None}
 
 
 def _dump(obj: dict) -> str:
@@ -137,7 +134,6 @@ def cmd_check(args) -> int:
     config = _load_config(args.config)
     eq = config_to_equation(config)
     window = _window_from(args, config)
-    options = CheckOptions(window=window)
     checks = config.get("checks", "all")
     if checks == "all":
         families = None
@@ -148,15 +144,17 @@ def cmd_check(args) -> int:
         families = checks
     else:
         raise ValueError("checks must be \"all\" or a list of family names")
-    verdicts = [] if families == [] else run_all(eq, options, families)
+    verdicts = [] if families == [] else run_all(eq, window, families)
 
     horizon = int(config.get("horizon", 1000))
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     # fit_decay needs 50 points past the skip; a column on [0, N] has N + 1
     skip = max(5 * eq.T, 20)
-    column = fundamental(eq, 0, max(horizon, skip + 49))
-    fit = fit_decay(column, skip)
+    # fit_decay drops the non-finite tail of an overflowed column
+    with np.errstate(over="ignore", invalid="ignore"):
+        column = fundamental(eq, 0, max(horizon, skip + 49))
+        fit = fit_decay(column, skip)
     oracle_block = {
         "decay": {
             "mu_hat": fit.mu_hat,
@@ -175,7 +173,7 @@ def cmd_check(args) -> int:
         }
     report = {
         "schema": 1,
-        "equation": _equation_echo(config),
+        "equation": _equation_echo(eq),
         "verdicts": [v.to_dict() for v in verdicts],
         "stable_criteria": [v.criterion for v in stable_verdicts(verdicts)],
         "oracle": oracle_block,

@@ -32,7 +32,6 @@ from .simulator import kernel
 __all__ = [
     "Outcome",
     "Verdict",
-    "CheckOptions",
     "PositivityCertificate",
     "PositivityRefutation",
     "positivity_scan",
@@ -112,19 +111,24 @@ class PositivityRefutation:
     value: float
 
 
-@dataclass(frozen=True)
-class CheckOptions:
-    eps_cmp: float = 1e-12
-    window: Optional[tuple[int, int]] = None
-    p_candidates: tuple[int, ...] = (1, 2, 3, 4, 6, 8, 12)
-    scan_lead_mult: int = 5
-    scan_len: int = 200
-    subset_cap: int = 12
-    divergence_eps: float = 1e-6
+# Strict thresholds need a margin above EPS; <= thresholds accept EPS of slack.
+EPS = 1e-12
+# p-step product horizons tried for the rate b^(1/p), besides P and 2P
+P_CANDIDATES = (1, 2, 3, 4, 6, 8, 12)
+# the fallback kernel scan starts at 5 T and runs max(200, 10 T) steps
+SCAN_LEAD_MULT = 5
+SCAN_LEN = 200
+# theorem2 tries every index subset up to this many terms
+SUBSET_CAP = 12
+# classical_32 needs more tail coefficient mass than this
+DIVERGENCE_EPS = 1e-6
+
+# The certification-window override; None means limits.default_window.
+Window = Optional[tuple[int, int]]
 
 
-def _win(eq: Equation, options: CheckOptions) -> tuple[int, int]:
-    return options.window or limits.default_window(eq)
+def _win(eq: Equation, window: Window) -> tuple[int, int]:
+    return window or limits.default_window(eq)
 
 
 def nonosc_threshold(k: int) -> float:
@@ -152,28 +156,23 @@ def _sum_bounds(eq: Equation, indices: Sequence[int],
 
 
 def _all_nonnegative(eq: Equation, indices: Sequence[int],
-                     window: tuple[int, int], eps: float) -> tuple[bool, float]:
+                     window: tuple[int, int]) -> tuple[bool, float]:
     worst = math.inf
     for l in indices:
         inf, _, _ = _term_bounds(eq, l, window)
         worst = min(worst, inf)
-    return worst >= -eps, worst
+    return worst >= -EPS, worst
 
 
-def _best_product(eq: Equation, options: CheckOptions,
-                  p: Optional[int] = None) -> tuple[int, float, bool]:
+def _best_product(eq: Equation, window: Window) -> tuple[int, float, bool]:
     """(p, b, exact) minimizing the rate b^(1/p) over candidate horizons."""
-    window = _win(eq, options)
-    if p is not None:
-        candidates = [p]
-    else:
-        candidates = list(options.p_candidates)
-        period = limits.aggregate_period(eq)
-        if period is not None:
-            candidates += [period, 2 * period]
-        candidates = sorted({int(q) for q in candidates if q >= 1})
+    window = _win(eq, window)
+    candidates = set(P_CANDIDATES)
+    period = limits.aggregate_period(eq)
+    if period is not None:
+        candidates |= {period, 2 * period}
     best = None
-    for q in candidates:
+    for q in sorted(candidates):
         est = limits.limsup_product(eq, q, window)
         rate = max(est.value, 0.0) ** (1.0 / q)
         if best is None or rate < best[3]:
@@ -202,18 +201,18 @@ def positivity_scan(eq: Equation, n0: int, N: int) -> Union[PositivityCertificat
     return PositivityCertificate(n0, N, float(values.min()), "numerical_scan")
 
 
-def check_lemma4(eq: Equation, options: CheckOptions = CheckOptions()) -> Verdict:
+def check_lemma4(eq: Equation, window: Window = None) -> Verdict:
     """Nonoscillation: nonnegative coefficients with sup sum < 1/2 and the
     delayed double window sum <= 1/4 force an eventually positive kernel."""
-    window = _win(eq, options)
-    nonneg, worst = _all_nonnegative(eq, range(eq.m), window, options.eps_cmp)
+    window = _win(eq, window)
+    nonneg, worst = _all_nonnegative(eq, range(eq.m), window)
     _, sup_sum, sup_exact = _sum_bounds(eq, range(eq.m), window)
     double = limits.windowed_delayed_sum(eq, [t.delay for t in eq.terms], -1, window,
                                          limits.aggregate_period(eq, with_delays=True))
     witnesses = {"min_coeff": worst, "sup_sum": sup_sum, "double_sum": double.value}
     if not nonneg:
         outcome = Outcome.NOT_APPLICABLE
-    elif sup_sum < 0.5 - options.eps_cmp and double.value <= 0.25 + options.eps_cmp:
+    elif sup_sum < 0.5 - EPS and double.value <= 0.25 + EPS:
         outcome = Outcome.STABLE
     else:
         outcome = Outcome.INCONCLUSIVE
@@ -231,7 +230,7 @@ def check_autonomous_nonosc(a: float, k: int) -> bool:
     return 0.0 < a <= nonosc_threshold(k)
 
 
-def certify_positivity(eq: Equation, options: CheckOptions = CheckOptions()
+def certify_positivity(eq: Equation, window: Window = None
                        ) -> Union[PositivityCertificate, PositivityRefutation]:
     """Try analytic positivity routes, then fall back to a kernel scan.
 
@@ -239,17 +238,17 @@ def certify_positivity(eq: Equation, options: CheckOptions = CheckOptions()
     the effective coefficients.
     """
     merged = merge_same_delay(eq)
-    pre = check_lemma4(merged, options)
+    pre = check_lemma4(merged, window)
     if pre.outcome is Outcome.STABLE and not pre.window_certified:
         return PositivityCertificate(0, -1, math.nan, "lemma4")
     if pre.outcome is not Outcome.NOT_APPLICABLE:
-        root, part1, part2, exact = _char_root(merged, _win(merged, options), options.eps_cmp)
+        root, part1, part2, exact = _char_root(merged, pre.window)
         if exact and part2:
             return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
         if exact and part1:
             return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
-    n0 = options.scan_lead_mult * eq.T
-    N = n0 + max(options.scan_len, 10 * max(eq.T, 1))
+    n0 = SCAN_LEAD_MULT * eq.T
+    N = n0 + max(SCAN_LEN, 10 * max(eq.T, 1))
     result = positivity_scan(eq, n0, N)
     if (isinstance(result, PositivityRefutation) and result.value == 0.0
             and result.n - n0 > 5 * eq.T + 20):
@@ -259,8 +258,8 @@ def certify_positivity(eq: Equation, options: CheckOptions = CheckOptions()
     return result
 
 
-def _char_root(eq: Equation, window: tuple[int, int],
-               eps: float) -> tuple[dict[str, float], bool, bool, bool]:
+def _char_root(eq: Equation, window: tuple[int, int]
+               ) -> tuple[dict[str, float], bool, bool, bool]:
     """Corollary 3 on the caps alpha_l = sup a_l at delays tau_l: (witnesses,
     part 1 (a root lam in (0, 1]), part 2 (one term under the sharp
     autonomous bound), exact)."""
@@ -276,8 +275,8 @@ def _char_root(eq: Equation, window: tuple[int, int],
     if eq.m == 1:
         k = max(1, eq.terms[0].delay.max_lag)
         witnesses["k"] = float(k)
-        part2 = alphas[0] <= nonosc_threshold(k) + eps
-    return witnesses, fmin <= eps, part2, exact
+        part2 = alphas[0] <= nonosc_threshold(k) + EPS
+    return witnesses, fmin <= EPS, part2, exact
 
 
 def _char_lambda_search(alphas: Sequence[float], taus: Sequence[int],
@@ -316,12 +315,11 @@ def _char_lambda_search(alphas: Sequence[float], taus: Sequence[int],
 
 def check_theorem1(eq: Equation,
                    positivity: Union[PositivityCertificate, PositivityRefutation, None],
-                   p: Optional[int] = None,
-                   options: CheckOptions = CheckOptions()) -> Verdict:
+                   window: Window = None) -> Verdict:
     """Positive kernel + nonnegative coefficients: a positive liminf of the
     coefficient sum (rate 1 - a), or a p-step product staying below one
     (rate b^(1/p)), certify exponential stability."""
-    window = _win(eq, options)
+    window = _win(eq, window)
     witnesses: dict[str, float] = {}
     certified = isinstance(positivity, PositivityCertificate) and positivity.by == "numerical_scan"
     if positivity is None or isinstance(positivity, PositivityRefutation):
@@ -331,7 +329,7 @@ def check_theorem1(eq: Equation,
         return Verdict("theorem1", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, window, certified,
                        "positive-kernel rate bound (kernel positivity unavailable)")
-    nonneg, worst = _all_nonnegative(eq, range(eq.m), window, options.eps_cmp)
+    nonneg, worst = _all_nonnegative(eq, range(eq.m), window)
     if not nonneg:
         return Verdict("theorem1", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        {"min_coeff": worst}, window, certified,
@@ -339,15 +337,15 @@ def check_theorem1(eq: Equation,
     est_a = limits.liminf_sum(eq, window)
     witnesses["a"] = est_a.value
     certified = certified or not est_a.exact
-    if est_a.value > options.eps_cmp:
+    if est_a.value > EPS:
         witnesses["mu"] = max(1.0 - est_a.value, 0.0)
         return Verdict("theorem1", Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, certified,
                        "positive kernel with liminf coefficient sum > 0")
-    q, b, exact = _best_product(eq, options, p)
+    q, b, exact = _best_product(eq, window)
     witnesses.update({"p": float(q), "b": b})
     certified = certified or not exact
-    if b < 1.0 - options.eps_cmp:
+    if b < 1.0 - EPS:
         witnesses["mu"] = max(b, 0.0) ** (1.0 / q)
         return Verdict("theorem1", Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, certified,
@@ -357,11 +355,10 @@ def check_theorem1(eq: Equation,
                    "positive-kernel rate bound (both rate conditions failed)")
 
 
-def check_corollary2(eq: Equation, p: Optional[int] = None,
-                     options: CheckOptions = CheckOptions()) -> Verdict:
+def check_corollary2(eq: Equation, window: Window = None) -> Verdict:
     """Nonoscillation window sums supply the kernel positivity, then the
     rate theorem runs on top."""
-    pre = check_lemma4(eq, options)
+    pre = check_lemma4(eq, window)
     if pre.outcome is Outcome.NOT_APPLICABLE:
         return replace(pre, criterion="corollary2", claim=CLAIM_EXPONENTIAL,
                        citation="window-sum positivity + rate bound (negative coefficient)")
@@ -369,37 +366,36 @@ def check_corollary2(eq: Equation, p: Optional[int] = None,
         return replace(pre, criterion="corollary2", claim=CLAIM_EXPONENTIAL,
                        citation="window-sum positivity + rate bound (window sums too large)")
     cert = PositivityCertificate(0, -1, math.nan, "lemma4")
-    v = check_theorem1(eq, cert, p, options)
+    v = check_theorem1(eq, cert, window)
     merged = {**pre.witnesses, **v.witnesses}
     return Verdict("corollary2", v.outcome, CLAIM_EXPONENTIAL, merged, v.window,
                    v.window_certified or pre.window_certified,
                    "window-sum positivity + rate bound")
 
 
-def check_corollary3(eq: Equation, p: Optional[int] = None,
-                     options: CheckOptions = CheckOptions()) -> Verdict:
+def check_corollary3(eq: Equation, window: Window = None) -> Verdict:
     """Characteristic-root comparison: coefficient caps alpha_l at delays
     tau_l admitting lam - 1 + sum alpha_l lam^(-tau_l) <= 0 (part 1), or a
     single term under the sharp autonomous bound (part 2)."""
-    window = _win(eq, options)
+    window = _win(eq, window)
     witnesses: dict[str, float] = {}
-    nonneg, worst = _all_nonnegative(eq, range(eq.m), window, options.eps_cmp)
+    nonneg, worst = _all_nonnegative(eq, range(eq.m), window)
     witnesses["min_coeff"] = worst
     if not nonneg:
         return Verdict("corollary3", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, window, False,
                        "characteristic-root comparison (needs nonnegative coefficients)")
-    root, part1, part2, exact = _char_root(eq, window, options.eps_cmp)
+    root, part1, part2, exact = _char_root(eq, window)
     witnesses.update(root)
     certified = not exact
     if not (part1 or part2):
         return Verdict("corollary3", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL,
                        witnesses, window, certified,
                        "characteristic-root comparison (no positive root found)")
-    q, b, exact = _best_product(eq, options, p)
+    q, b, exact = _best_product(eq, window)
     witnesses.update({"p": float(q), "b": b, "part": 1.0 if part1 else 2.0})
     certified = certified or not exact
-    if b < 1.0 - options.eps_cmp:
+    if b < 1.0 - EPS:
         witnesses["mu"] = max(b, 0.0) ** (1.0 / q)
         return Verdict("corollary3", Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, certified, "characteristic-root comparison")
@@ -408,23 +404,23 @@ def check_corollary3(eq: Equation, p: Optional[int] = None,
                    "characteristic-root comparison (p-step product not below 1)")
 
 
-def check_theorem2(eq: Equation, I: Sequence[int], p: Optional[int] = None,
-                   options: CheckOptions = CheckOptions()) -> Verdict:
+def check_theorem2(eq: Equation, I: Sequence[int], window: Window = None) -> Verdict:
     """Dominant positive part: the I-terms alone form a positive-kernel
     equation with product rate < 1, and the remaining terms are uniformly
     smaller in limsup ratio."""
     I = sorted(set(I))
     if not I:
         raise ValueError("empty index set")
-    window = _win(eq, options)
+    # the comparison equation resolves its own default window
+    override, window = window, _win(eq, window)
     label = "theorem2(I=" + ",".join(map(str, I)) + ")"
-    nonneg, worst = _all_nonnegative(eq, I, window, options.eps_cmp)
+    nonneg, worst = _all_nonnegative(eq, I, window)
     if not nonneg:
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        {"min_coeff": worst}, window, False,
                        "dominant positive part (kept terms must be nonnegative)")
     sub = subset_equation(eq, I)
-    cert = certify_positivity(sub, options)
+    cert = certify_positivity(sub, override)
     certified = isinstance(cert, PositivityCertificate) and cert.by == "numerical_scan"
     witnesses: dict[str, float] = {"min_coeff": worst}
     if isinstance(cert, PositivityRefutation):
@@ -432,13 +428,13 @@ def check_theorem2(eq: Equation, I: Sequence[int], p: Optional[int] = None,
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, True,
                        "dominant positive part (comparison kernel not positive)")
-    q, b, exact = _best_product(sub, options, p)
+    q, b, exact = _best_product(sub, override)
     witnesses.update({"p": float(q), "b": b})
     certified = certified or not exact
     ratio, ratio_exact = _limsup_ratio(eq, I, window)
     witnesses["ratio"] = ratio
     certified = certified or not ratio_exact
-    if b < 1.0 - options.eps_cmp and ratio < 1.0 - options.eps_cmp:
+    if b < 1.0 - EPS and ratio < 1.0 - EPS:
         witnesses["mu"] = max(b, 0.0) ** (1.0 / q)
         return Verdict(label, Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, certified, "dominant positive part")
@@ -511,8 +507,7 @@ def _gap_sides(eq: Equation, I: Sequence[int], g_override: Sequence[DelaySpec],
 
 def check_corollary_theorem5(eq: Equation, I: Sequence[int],
                              g_override: Sequence[DelaySpec],
-                             p: Optional[int] = None,
-                             options: CheckOptions = CheckOptions()) -> Verdict:
+                             window: Window = None) -> Verdict:
     """Comparison equation built from the I-terms at shifted delays g_l:
     positivity of its kernel plus a gap-product inequality with gamma < 1
     certify exponential stability."""
@@ -521,18 +516,19 @@ def check_corollary_theorem5(eq: Equation, I: Sequence[int],
         raise ValueError("empty index set")
     if len(g_override) != len(I):
         raise ValueError(f"g_override arity {len(g_override)} != |I| = {len(I)}")
-    window = _win(eq, options)
+    # the comparison equation resolves its own default window
+    override, window = window, _win(eq, window)
     label = "theorem5(I=" + ",".join(map(str, I)) + ")"
     inf_s, sup_s, exact_s = _sum_bounds(eq, I, window)
     witnesses = {"alpha0": inf_s, "alpha1": sup_s}
     certified = not exact_s
-    if not (inf_s > options.eps_cmp and sup_s < 1.0 - options.eps_cmp):
+    if not (inf_s > EPS and sup_s < 1.0 - EPS):
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, certified,
                        "shifted-delay comparison (kept sum must sit inside (0, 1))")
     cmp_terms = [Term(eq.terms[l].coeff, g) for l, g in zip(I, g_override)]
     cmp_eq = validate(cmp_terms, None, eq.validation_window[1])
-    cert = certify_positivity(cmp_eq, options)
+    cert = certify_positivity(cmp_eq, override)
     if isinstance(cert, PositivityRefutation):
         witnesses.update({"refuted_n": cert.n, "refuted_k": cert.k})
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
@@ -542,7 +538,7 @@ def check_corollary_theorem5(eq: Equation, I: Sequence[int],
     certified = certified or cert.by == "numerical_scan" or not strip.exact
     gamma = float((lhs / rhs).max())
     witnesses["gamma_min"] = gamma
-    if gamma < 1.0 - options.eps_cmp:
+    if gamma < 1.0 - EPS:
         return Verdict(label, Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, certified, "shifted-delay comparison")
     return Verdict(label, Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL, witnesses,
@@ -550,17 +546,16 @@ def check_corollary_theorem5(eq: Equation, I: Sequence[int],
                    "shifted-delay comparison (gap product needs gamma < 1)")
 
 
-def check_corollary4(eq: Equation, g: DelaySpec, p: Optional[int] = None,
-                     options: CheckOptions = CheckOptions()) -> Verdict:
+def check_corollary4(eq: Equation, g: DelaySpec, window: Window = None) -> Verdict:
     """All terms moved to one common comparison delay g."""
-    v = check_corollary_theorem5(eq, list(range(eq.m)), [g] * eq.m, p, options)
+    v = check_corollary_theorem5(eq, list(range(eq.m)), [g] * eq.m, window)
     label = f"corollary4(g={','.join(map(str, g.lags))})"
     return replace(v, criterion=label,
                    citation=v.citation.replace("shifted-delay comparison",
                                                "common-delay comparison"))
 
 
-def check_corollary6(eq: Equation, options: CheckOptions = CheckOptions()) -> Verdict:
+def check_corollary6(eq: Equation, window: Window = None) -> Verdict:
     """A lag-1 term pinned inside (0, 1/4) dominating the other terms."""
     designated = None
     for l, t in enumerate(eq.terms):
@@ -569,23 +564,18 @@ def check_corollary6(eq: Equation, options: CheckOptions = CheckOptions()) -> Ve
             break
     if designated is None:
         raise ValueError("no term with lag identically 1")
-    window = _win(eq, options)
+    window = _win(eq, window)
     inf_a, sup_a, exact_a = _term_bounds(eq, designated, window)
     witnesses = {"a0": inf_a, "b0": sup_a, "term": float(designated)}
     certified = not exact_a
-    if not (inf_a > options.eps_cmp and sup_a < 0.25 - options.eps_cmp):
+    if not (inf_a > EPS and sup_a < 0.25 - EPS):
         return Verdict("corollary6", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, window, certified,
                        "dominant lag-1 term (needs range inside (0, 1/4))")
-    table, exact = limits.coeff_span(eq, window)
+    gamma, exact = _limsup_ratio(eq, [designated], window)
     certified = certified or not exact
-    others = sum(np.abs(table[l]) for l in range(eq.m) if l != designated)
-    if eq.m == 1:
-        gamma = 0.0
-    else:
-        gamma = float((others / table[designated]).max())
     witnesses["gamma_min"] = gamma
-    if gamma < 1.0 - options.eps_cmp:
+    if gamma < 1.0 - EPS:
         return Verdict("corollary6", Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, certified, "dominant lag-1 term")
     return Verdict("corollary6", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL, witnesses,
@@ -593,11 +583,11 @@ def check_corollary6(eq: Equation, options: CheckOptions = CheckOptions()) -> Ve
                    "dominant lag-1 term (perturbation ratio needs gamma < 1)")
 
 
-def check_corollary7(eq: Equation, options: CheckOptions = CheckOptions()) -> Verdict:
+def check_corollary7(eq: Equation, window: Window = None) -> Verdict:
     """Aggregate sum inside (0, 1/4) with the memory products dominated by
     the aggregate itself; the inner windows run from h_k(n) up to n-2, so
     they are empty whenever every lag is at most 1."""
-    window = _win(eq, options)
+    window = _win(eq, window)
     if any(min(t.delay.lags) < 1 for t in eq.terms):
         # the gap windows [h_k(n), n-2] presume every term is delayed; an
         # undelayed term moves a full step and the bound no longer covers it
@@ -607,7 +597,7 @@ def check_corollary7(eq: Equation, options: CheckOptions = CheckOptions()) -> Ve
     inf_s, sup_s, exact_s = _sum_bounds(eq, range(eq.m), window)
     witnesses = {"a0": inf_s, "b0": sup_s}
     certified = not exact_s
-    if not (inf_s > options.eps_cmp and sup_s < 0.25 - options.eps_cmp):
+    if not (inf_s > EPS and sup_s < 0.25 - EPS):
         return Verdict("corollary7", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, window, certified,
                        "short-memory domination (needs aggregate inside (0, 1/4))")
@@ -616,7 +606,7 @@ def check_corollary7(eq: Equation, options: CheckOptions = CheckOptions()) -> Ve
                                    window, exact_s)
     gamma = float((lhs / rhs).max())
     witnesses["gamma_min"] = gamma
-    if gamma < 1.0 - options.eps_cmp:
+    if gamma < 1.0 - EPS:
         return Verdict("corollary7", Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, certified, "short-memory domination")
     return Verdict("corollary7", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL, witnesses,
@@ -629,8 +619,7 @@ def _pair_sum_expr(eq: Equation):
     return added(eq.terms[0].coeff, eq.terms[1].coeff)
 
 
-def check_corollary8(eq: Equation, part: int,
-                     options: CheckOptions = CheckOptions()) -> Verdict:
+def check_corollary8(eq: Equation, part: int, window: Window = None) -> Verdict:
     """Two-term tests: (1) first term inside (0, 1/2) with window sum
     <= 1/4 dominating |b|; (2) the pair sum inside (0, 1/2) with window sum
     <= 1/4 and the delay-gap product below the pair sum."""
@@ -638,32 +627,31 @@ def check_corollary8(eq: Equation, part: int,
         raise ValueError(f"needs exactly two terms, got {eq.m}")
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
-    window = _win(eq, options)
+    # the pair-sum comparison equation resolves its own default window
+    override, window = window, _win(eq, window)
     label = f"corollary8.{part}"
-    eps = options.eps_cmp
     if part == 1:
         inf_a, sup_a, exact_a = _term_bounds(eq, 0, window)
         witnesses = {"a_inf": inf_a, "a_sup": sup_a}
         certified = not exact_a
-        if not (inf_a > eps and sup_a < 0.5 - eps):
+        if not (inf_a > EPS and sup_a < 0.5 - EPS):
             return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                            witnesses, window, certified,
                            "two-term splitting, part 1 (first term must sit inside (0, 1/2))")
-        wsum = limits.delay_window_sum(subset_equation(eq, [0]), 0, "to_n_minus_1", window)
+        wsum = limits.delay_window_sum(subset_equation(eq, [0]), 0, window)
         witnesses["window_sum"] = wsum.value
         certified = certified or not wsum.exact
-        table, exact = limits.coeff_span(eq, window)
+        gamma, exact = _limsup_ratio(eq, [0], window)
         certified = certified or not exact
-        gamma = float((np.abs(table[1]) / table[0]).max())
         witnesses["gamma_min"] = gamma
-        ok = wsum.value <= 0.25 + eps and gamma < 1.0 - eps
+        ok = wsum.value <= 0.25 + EPS and gamma < 1.0 - EPS
         outcome = Outcome.STABLE if ok else Outcome.INCONCLUSIVE
         return Verdict(label, outcome, CLAIM_EXPONENTIAL, witnesses, window,
                        certified, "two-term splitting, part 1 (dominant first term)")
     inf_s, sup_s, exact_s = _sum_bounds(eq, [0, 1], window)
     witnesses = {"sum_inf": inf_s, "sum_sup": sup_s}
     certified = not exact_s
-    if not (inf_s > eps and sup_s < 0.5 - eps):
+    if not (inf_s > EPS and sup_s < 0.5 - EPS):
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, window, certified,
                        "two-term splitting, part 2 (pair sum must sit inside (0, 1/2))")
@@ -673,14 +661,14 @@ def check_corollary8(eq: Equation, part: int,
     # e.g. (-0.06, lag 0) + (0.46, lag 3), which diverges
     pair = validate([Term(_pair_sum_expr(eq), eq.terms[1].delay)],
                     None, eq.validation_window[1])
-    cert = certify_positivity(pair, options)
+    cert = certify_positivity(pair, override)
     if isinstance(cert, PositivityRefutation):
         witnesses.update({"refuted_n": cert.n, "refuted_k": cert.k})
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, window, True,
                        "two-term splitting, part 2 (pair-sum comparison kernel not positive)")
     certified = certified or cert.by == "numerical_scan"
-    wsum = limits.delay_window_sum(eq, 0, "to_n_minus_1", window)
+    wsum = limits.delay_window_sum(eq, 0, window)
     witnesses["window_sum"] = wsum.value
     certified = certified or not wsum.exact
     # the displayed gap inequality: |a(n)| times the abs-aggregate between
@@ -690,29 +678,27 @@ def check_corollary8(eq: Equation, part: int,
     lhs, rhs, _ = theorem5_lhs_rhs(eq, [0, 1], [second, second], window, exact_s)
     gamma = float((lhs / rhs).max())
     witnesses["gamma_min"] = gamma
-    ok = wsum.value <= 0.25 + eps and gamma < 1.0 - eps
+    ok = wsum.value <= 0.25 + EPS and gamma < 1.0 - EPS
     outcome = Outcome.STABLE if ok else Outcome.INCONCLUSIVE
     return Verdict(label, outcome, CLAIM_EXPONENTIAL, witnesses, window,
                    certified, "two-term splitting, part 2 (moving the second delay)")
 
 
-def check_corollary9(a: float, g: int, b: float, h: int, part: int,
-                     options: CheckOptions = CheckOptions()) -> Verdict:
+def check_corollary9(a: float, g: int, b: float, h: int, part: int) -> Verdict:
     """Autonomous two-delay tests under the sharp nonoscillation bound."""
     if a * g == 0 or b * h == 0:
         raise ValueError("needs a*g != 0 and b*h != 0")
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
-    eps = options.eps_cmp
     label = f"corollary9.{part}"
     thr = nonosc_threshold(g)
     if part == 1:
         witnesses = {"a": a, "b": b, "threshold": thr}
-        if not (a > eps and a <= thr + eps):
+        if not (a > EPS and a <= thr + EPS):
             return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                            witnesses, (0, 0), False,
                            "autonomous two-delay, part 1 (first coefficient outside (0, threshold])")
-        outcome = Outcome.STABLE if abs(b) < a - eps else Outcome.INCONCLUSIVE
+        outcome = Outcome.STABLE if abs(b) < a - EPS else Outcome.INCONCLUSIVE
         return Verdict(label, outcome, CLAIM_EXPONENTIAL, witnesses, (0, 0), False,
                        "autonomous two-delay, part 1 (|b| < a under nonoscillation bound)")
     # part 2 moves the first term onto the second delay h, so the pair sum
@@ -723,32 +709,30 @@ def check_corollary9(a: float, g: int, b: float, h: int, part: int,
     gap = abs(a) * abs(g - h) * (abs(a) + abs(b))
     witnesses = {"a": a, "b": b, "sum": a + b, "threshold": thr_h,
                  "gap_displayed": abs(a * (g - h))}
-    if not (a + b > eps and a + b <= thr_h + eps):
+    if not (a + b > EPS and a + b <= thr_h + EPS):
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, (0, 0), False,
                        "autonomous two-delay, part 2 (pair sum outside (0, threshold])")
     witnesses["gap_ratio"] = gap / (a + b)
-    ok = abs(a * (g - h)) < 1.0 - eps and witnesses["gap_ratio"] < 1.0 - eps
+    ok = abs(a * (g - h)) < 1.0 - EPS and witnesses["gap_ratio"] < 1.0 - EPS
     outcome = Outcome.STABLE if ok else Outcome.INCONCLUSIVE
     return Verdict(label, outcome, CLAIM_EXPONENTIAL, witnesses, (0, 0), False,
                    "autonomous two-delay, part 2 (first term moved onto the second delay)")
 
 
-def check_corollary10(a: Sequence[float],
-                      options: CheckOptions = CheckOptions()) -> Verdict:
+def check_corollary10(a: Sequence[float]) -> Verdict:
     """Autonomous equation with lags 1..m: some head sum must sit under the
     sharp bound while dominating the tail in absolute value."""
     a = [float(v) for v in a]
     if not a:
         raise ValueError("empty coefficient list")
-    eps = options.eps_cmp
     m = len(a)
     for k in range(1, m + 1):
-        if a[k - 1] < -eps:
+        if a[k - 1] < -EPS:
             break  # head terms must be nonnegative for the comparison root
         head = sum(a[:k])
         tail = sum(abs(v) for v in a[k:])
-        if head > eps and head <= nonosc_threshold(k) + eps and tail < head - eps:
+        if head > EPS and head <= nonosc_threshold(k) + EPS and tail < head - EPS:
             return Verdict("corollary10", Outcome.STABLE, CLAIM_EXPONENTIAL,
                            {"k": float(k), "head_sum": head, "tail_abs_sum": tail},
                            (0, 0), False, "autonomous head-dominance over lags 1..m")
@@ -762,20 +746,19 @@ def check_corollary10(a: Sequence[float],
 # Classical comparison tests
 
 
-def check_classical(eq: Equation, options: CheckOptions = CheckOptions()) -> list[Verdict]:
+def check_classical(eq: Equation, window: Window = None) -> list[Verdict]:
     """The three staple tests: the 3/2-type delayed sum bound (asymptotic
     claim), the autonomous margin test, and the pi/2 weighted-lag bound."""
-    window = _win(eq, options)
-    eps = options.eps_cmp
+    window = _win(eq, window)
     out: list[Verdict] = []
 
     # 3/2-type bound on the aggregate summed over the deepest delay window,
     # inclusive upper index n
-    nonneg, worst = _all_nonnegative(eq, range(eq.m), window, eps)
+    nonneg, worst = _all_nonnegative(eq, range(eq.m), window)
     agg = eq.coeff_table(window[0], window[1]).sum(axis=0)
     tail_mass = float(agg[len(agg) // 2 :].sum())
     period = limits.aggregate_period(eq, with_delays=True)
-    if not nonneg or tail_mass <= options.divergence_eps:
+    if not nonneg or tail_mass <= DIVERGENCE_EPS:
         out.append(Verdict("classical_32", Outcome.NOT_APPLICABLE, CLAIM_ASYMPTOTIC,
                            {"min_coeff": worst, "tail_mass": tail_mass}, window, True,
                            "3/2-type delayed sum bound (needs nonnegative, divergent coefficients)"))
@@ -785,7 +768,7 @@ def check_classical(eq: Equation, options: CheckOptions = CheckOptions()) -> lis
         est = limits.windowed_delayed_sum(eq, delays, 0, window, period)
         thr = 1.5 + 1.0 / (2.0 * k + 2.0)
         witnesses = {"delayed_sum": est.value, "threshold": thr, "k": float(k)}
-        outcome = Outcome.STABLE if est.value < thr - eps else Outcome.INCONCLUSIVE
+        outcome = Outcome.STABLE if est.value < thr - EPS else Outcome.INCONCLUSIVE
         out.append(Verdict("classical_32", outcome, CLAIM_ASYMPTOTIC, witnesses,
                            window, not est.exact, "3/2-type delayed sum bound"))
 
@@ -799,7 +782,7 @@ def check_classical(eq: Equation, options: CheckOptions = CheckOptions()) -> lis
     else:
         lhs = sum(c * lag for c, lag in pairs)
         rhs = 1.0 + 1.0 / math.e - sum(c for c, _ in pairs)
-        outcome = Outcome.STABLE if lhs < rhs - eps else Outcome.INCONCLUSIVE
+        outcome = Outcome.STABLE if lhs < rhs - EPS else Outcome.INCONCLUSIVE
         out.append(Verdict("classical_margin", outcome, CLAIM_ASYMPTOTIC,
                            {"weighted_lags": lhs, "margin": rhs}, window, False,
                            "autonomous margin test"))
@@ -814,16 +797,16 @@ def check_classical(eq: Equation, options: CheckOptions = CheckOptions()) -> lis
     witnesses = {"diagnostic_sum": diag.value, "threshold": math.pi / 2.0}
     applicable = (pairs is not None and all(c >= 0 for c, _ in pairs)
                   and all(lag >= 1 for _, lag in pairs)
-                  and sum(c for c, _ in pairs) > eps)
+                  and sum(c for c, _ in pairs) > EPS)
     if applicable:
         weighted = sum(c * (lag + 1) for c, lag in pairs)
         witnesses["step_weighted_sum"] = weighted
-    if diag.value >= math.pi / 2.0 - eps:
+    if diag.value >= math.pi / 2.0 - EPS:
         out.append(Verdict("classical_pi_half", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL,
                            witnesses, window, not diag.exact,
                            "pi/2 weighted-lag bound (sum not below pi/2)"))
     elif applicable:
-        outcome = (Outcome.STABLE if witnesses["step_weighted_sum"] < math.pi / 2.0 - eps
+        outcome = (Outcome.STABLE if witnesses["step_weighted_sum"] < math.pi / 2.0 - EPS
                    else Outcome.INCONCLUSIVE)
         out.append(Verdict("classical_pi_half", outcome, CLAIM_EXPONENTIAL,
                            witnesses, window, not diag.exact, "pi/2 weighted-lag bound"))
@@ -841,21 +824,23 @@ def _pi_half_diagnostic(eq: Equation, window: tuple[int, int],
     ns = strip.ns
     hi = int(ns[-1]) - 1
     if hi < strip.lo:
-        return limits.AsymptoticEstimate(0.0, strip.exact, window, "sup")
+        return limits.AsymptoticEstimate(0.0, strip.exact)
     table = np.abs(eq.coeff_table(strip.lo, hi))
     total = np.zeros(len(ns))
     for l in range(eq.m):
         total += strip.sums(table[l], ns - strip.lags[l], ns)
-    return limits.AsymptoticEstimate(float(total.max()), strip.exact, window, "sup")
+    return limits.AsymptoticEstimate(float(total.max()), strip.exact)
 
 
 # ---------------------------------------------------------------------------
 # Orchestration
 
 
-def _theorem2_subsets(eq: Equation, options: CheckOptions) -> list[tuple[int, ...]]:
+def _theorem2_subsets(eq: Equation) -> list[tuple[int, ...]]:
+    """Every nonempty subset up to SUBSET_CAP terms; above it, the full set
+    and each set with one term dropped."""
     indices = list(range(eq.m))
-    if eq.m <= options.subset_cap:
+    if eq.m <= SUBSET_CAP:
         subsets = []
         for size in range(1, eq.m + 1):
             subsets.extend(itertools.combinations(indices, size))
@@ -867,27 +852,28 @@ def _theorem2_subsets(eq: Equation, options: CheckOptions) -> list[tuple[int, ..
     return out
 
 
-def run_all(eq: Equation, options: CheckOptions = CheckOptions(),
+def run_all(eq: Equation, window: Window = None,
             checks: Optional[Sequence[str]] = None) -> list[Verdict]:
     """Run every applicable checker; verdicts sorted Stable-first, then by
-    criterion id.  ``checks`` filters by criterion family name."""
+    criterion id.  ``window`` overrides the certification window;
+    ``checks`` filters by criterion family name."""
 
     def want(family: str) -> bool:
         return checks is None or family in checks
 
     verdicts: list[Verdict] = []
-    cert = certify_positivity(eq, options)
+    cert = certify_positivity(eq, window)
     if want("lemma4"):
-        verdicts.append(check_lemma4(eq, options))
+        verdicts.append(check_lemma4(eq, window))
     if want("theorem1"):
-        verdicts.append(check_theorem1(eq, cert, None, options))
+        verdicts.append(check_theorem1(eq, cert, window))
     if want("corollary2"):
-        verdicts.append(check_corollary2(eq, None, options))
+        verdicts.append(check_corollary2(eq, window))
     if want("corollary3"):
-        verdicts.append(check_corollary3(eq, None, options))
+        verdicts.append(check_corollary3(eq, window))
     if want("theorem2"):
-        for I in _theorem2_subsets(eq, options):
-            verdicts.append(check_theorem2(eq, I, None, options))
+        for I in _theorem2_subsets(eq):
+            verdicts.append(check_theorem2(eq, I, window))
     if want("corollary4"):
         seen: list[DelaySpec] = []
         for t in eq.terms:
@@ -896,39 +882,35 @@ def run_all(eq: Equation, options: CheckOptions = CheckOptions(),
         if DelaySpec.constant(1) not in seen:
             seen.append(DelaySpec.constant(1))
         for g in seen:
-            verdicts.append(check_corollary4(eq, g, None, options))
+            verdicts.append(check_corollary4(eq, g, window))
     if want("corollary6") and any(set(t.delay.lags) == {1} for t in eq.terms):
-        verdicts.append(check_corollary6(eq, options))
+        verdicts.append(check_corollary6(eq, window))
     if want("corollary7"):
-        verdicts.append(check_corollary7(eq, options))
+        verdicts.append(check_corollary7(eq, window))
     if want("corollary8") and eq.m == 2:
-        verdicts.append(check_corollary8(eq, 1, options))
-        verdicts.append(check_corollary8(eq, 2, options))
+        verdicts.append(check_corollary8(eq, 1, window))
+        verdicts.append(check_corollary8(eq, 2, window))
     pairs = autonomous_coefficients(eq)
     if want("corollary9") and pairs is not None and len(pairs) == 2:
         (a, g), (b, h) = pairs
         if a * g != 0 and b * h != 0:
-            verdicts.append(check_corollary9(a, g, b, h, 1, options))
-            verdicts.append(check_corollary9(a, g, b, h, 2, options))
+            verdicts.append(check_corollary9(a, g, b, h, 1))
+            verdicts.append(check_corollary9(a, g, b, h, 2))
     if want("corollary10") and pairs is not None and all(lag >= 1 for _, lag in pairs):
         by_lag: dict[int, float] = {}
         for c, lag in pairs:
             by_lag[lag] = by_lag.get(lag, 0.0) + c
         coeffs = [by_lag.get(lag, 0.0) for lag in range(1, max(by_lag) + 1)]
-        verdicts.append(check_corollary10(coeffs, options))
+        verdicts.append(check_corollary10(coeffs))
     if want("classical"):
-        verdicts.extend(check_classical(eq, options))
+        verdicts.extend(check_classical(eq, window))
     rank = {Outcome.STABLE: 0, Outcome.INCONCLUSIVE: 1, Outcome.NOT_APPLICABLE: 2}
     verdicts.sort(key=lambda v: (rank[v.outcome], v.criterion))
     return verdicts
 
 
-def stable_verdicts(verdicts: Sequence[Verdict],
-                    include_asymptotic: bool = True) -> list[Verdict]:
+def stable_verdicts(verdicts: Sequence[Verdict]) -> list[Verdict]:
     """Verdicts that actually claim stability (positivity precursors such
     as the nonoscillation test are not stability claims)."""
-    claims = {CLAIM_EXPONENTIAL}
-    if include_asymptotic:
-        claims.add(CLAIM_ASYMPTOTIC)
-    return [v for v in verdicts
-            if v.outcome is Outcome.STABLE and v.claim in claims]
+    return [v for v in verdicts if v.outcome is Outcome.STABLE
+            and v.claim in (CLAIM_EXPONENTIAL, CLAIM_ASYMPTOTIC)]

@@ -41,15 +41,13 @@ __all__ = [
 class AsymptoticEstimate:
     value: float
     exact: bool
-    window: tuple[int, int]
-    mode: str  # liminf | limsup | sup | inf
 
 
-def default_window(eq: Equation, length: int = 10_000) -> tuple[int, int]:
-    """[10 T, 10 T + length]: skips the transient prefix the asymptotic
+def default_window(eq: Equation) -> tuple[int, int]:
+    """[10 T, 10 T + 10000]: skips the transient prefix the asymptotic
     hypotheses do not care about."""
     start = 10 * eq.T
-    return (start, start + length)
+    return (start, start + 10_000)
 
 
 def _coeff_period(terms: Sequence[Term]) -> Optional[int]:
@@ -95,7 +93,7 @@ def liminf_sum(eq: Equation, window: Optional[tuple[int, int]] = None) -> Asympt
     """liminf over n of sum_l a_l(n)."""
     window = window or default_window(eq)
     table, exact = coeff_span(eq, window)
-    return AsymptoticEstimate(float(table.sum(axis=0).min()), exact, window, "liminf")
+    return AsymptoticEstimate(float(table.sum(axis=0).min()), exact)
 
 
 def limsup_product(eq: Equation, p: int,
@@ -107,7 +105,7 @@ def limsup_product(eq: Equation, p: int,
     table, exact = coeff_span(eq, window, extra=p - 1)
     factors = 1.0 - table.sum(axis=0)
     products = np.lib.stride_tricks.sliding_window_view(factors, p).prod(axis=1)
-    return AsymptoticEstimate(float(products.max()), exact, window, "limsup")
+    return AsymptoticEstimate(float(products.max()), exact)
 
 
 @dataclass(frozen=True)
@@ -160,28 +158,24 @@ def windowed_delayed_sum(eq: Equation, delays: Sequence[DelaySpec], upper_offset
     ns = strip.ns
     hi = int(ns[-1]) + upper_offset
     if hi < strip.lo:
-        return AsymptoticEstimate(0.0, strip.exact, window, "sup")
+        return AsymptoticEstimate(0.0, strip.exact)
     sums = strip.sums(eq.coeff_table(strip.lo, hi).sum(axis=0), ns - strip.lags.max(axis=0),
                       ns + upper_offset + 1)
-    return AsymptoticEstimate(float(sums.max()), strip.exact, window, "sup")
+    return AsymptoticEstimate(float(sums.max()), strip.exact)
 
 
-def delay_window_sum(eq: Equation, l: int, mode: str = "to_n_minus_1",
+def delay_window_sum(eq: Equation, l: int,
                      window: Optional[tuple[int, int]] = None) -> AsymptoticEstimate:
-    """sup over the window of sum_{k=h_l(n)}^{n-1 or n} sum_j a_j(k).
+    """sup over the window of sum_{k=h_l(n)}^{n-1} sum_j a_j(k).
 
     The window depth follows term l's delay; the summand is the full
     coefficient aggregate of ``eq`` (pass a subset equation to restrict
-    the summand).  The two upper-index conventions differ by whether the
-    comparison at n itself is included.
+    the summand).
     """
-    if mode not in ("to_n_minus_1", "to_n"):
-        raise ValueError(f"unknown mode {mode!r}")
     window = window or default_window(eq)
-    upper = -1 if mode == "to_n_minus_1" else 0
     delay = eq.terms[l].delay
     period = aggregate_period(eq)
     exact_period = None
     if period is not None:
         exact_period = math.lcm(period, delay.period)
-    return windowed_delayed_sum(eq, [delay], upper, window, exact_period)
+    return windowed_delayed_sum(eq, [delay], -1, window, exact_period)

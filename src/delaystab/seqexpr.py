@@ -465,23 +465,21 @@ def _minimal_period(expr: SeqExpr, period: int) -> int:
     return period
 
 
-def classify(expr: SeqExpr, probe_len: int = 64) -> SeqClass:
+def classify(expr: SeqExpr) -> SeqClass:
     """Classify as constant / periodic(p) / general.
 
     Periodicity is only ever declared structurally (constants, ``alt``,
     ``per`` and pointwise combinations), never inferred by probing, so
-    integer-sampled transcendentals stay 'general'.  Probing is used to
-    spot constants among the remaining expressions.
+    integer-sampled transcendentals stay 'general'.  Probing the first 64
+    values is used to spot constants among the remaining expressions.
     """
-    if probe_len < 4:
-        raise ValueError("probe_len must be >= 4")
     period = _structural_period(expr.ast)
     if period is not None:
         period = _minimal_period(expr, period)
         if period == 1:
             return SeqClass("constant")
         return SeqClass("periodic", period)
-    probe = eval_range(expr, 0, probe_len - 1)
+    probe = eval_range(expr, 0, 63)
     if (probe == probe[0]).all():
         return SeqClass("constant")
     return SeqClass("general")
@@ -554,9 +552,6 @@ class DelaySpec:
 
     def lag_at(self, n: int) -> int:
         return self.lags[n % len(self.lags)]
-
-    def h(self, n: int) -> int:
-        return n - self.lag_at(n)
 
     def lag_range(self, n0: int, n1: int) -> np.ndarray:
         """Lag table on the inclusive window [n0, n1] as int64."""

@@ -44,13 +44,6 @@ class Trajectory:
     n0: int
     values: np.ndarray  # x(n0), x(n0+1), ..., x(N)
 
-    def at(self, n: int) -> float:
-        return float(self.values[n - self.n0])
-
-    @property
-    def N(self) -> int:
-        return self.n0 + len(self.values) - 1
-
 
 @dataclass(frozen=True)
 class Kernel:
@@ -64,10 +57,6 @@ class Kernel:
         if n < k:
             return 0.0
         return float(self.values[n - self.n0, k - self.n0])
-
-    def column(self, k: int) -> np.ndarray:
-        """X(n, k) for n in [n0, N] (leading zeros for n < k)."""
-        return self.values[:, k - self.n0]
 
 
 def _tables(eq: Equation, n0: int, n1: int):

@@ -118,7 +118,7 @@ def test_criterion_06_periodic_mixed_sign(eq_periodic_mixed):
     inf_s, sup_s, exact = _sum_bounds(eq_periodic_mixed, [0, 1], (0, 400))
     assert exact
     assert abs(inf_s - 0.03) < 1e-12 and abs(sup_s - 0.05) < 1e-12
-    wsum = delay_window_sum(eq_periodic_mixed, 0, "to_n_minus_1")
+    wsum = delay_window_sum(eq_periodic_mixed, 0)
     assert abs(wsum.value - 0.21) < 1e-12 and wsum.value <= 0.25
     h = eq_periodic_mixed.terms[1].delay
     lhs, rhs, ns = theorem5_lhs_rhs(eq_periodic_mixed, [0, 1], [h, h], (0, 400), True)

@@ -238,6 +238,31 @@ def test_overflow_exits_2_without_numpy_warnings(cfg_unbounded, argv):
     assert "Warning" not in r.stderr
 
 
+def test_check_overflow_exits_0_without_numpy_warnings(tmp_path):
+    # the decay fit drops the overflowed tail of the column; NumPy must not
+    # print RuntimeWarnings on the way
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps({**FIXTURE_CONFIGS["positive_unbounded"], "horizon": 1500}))
+    r = run_cli("check", str(path), "--no-meta")
+    assert r.returncode == 0
+    assert r.stderr == ""
+
+
+def test_check_builds_the_equation_once(cfg_factorial, tmp_path, monkeypatch):
+    from delaystab import cli
+    build = cli.config_to_equation
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return build(config)
+
+    monkeypatch.setattr(cli, "config_to_equation", counting)
+    assert cli.main(["check", cfg_factorial, "--no-meta", "--out",
+                     str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_unused_flags_are_rejected(cfg_factorial, tmp_path):
     assert run_cli("check", cfg_factorial, "--seed", "1").returncode == 2
     for command in (["simulate", "--N", "3"], ["fundamental", "--k", "0", "--N", "3"]):

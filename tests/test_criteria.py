@@ -441,6 +441,18 @@ def test_run_all_orders_stable_first(eq_sin_cos):
     assert ids == sorted(ids)
 
 
+def test_theorem2_subsets_above_the_cap():
+    # every nonempty subset up to SUBSET_CAP terms; above it, the full set
+    # and each drop-one set
+    from delaystab.criteria import SUBSET_CAP, _theorem2_subsets
+    assert SUBSET_CAP == 12
+    assert len(_theorem2_subsets(const_eq(*[(0.01, 1)] * 12))) == 2**12 - 1
+    subsets = _theorem2_subsets(const_eq(*[(0.01, 1)] * 13))
+    assert len(subsets) == 14
+    assert subsets[0] == tuple(range(13))
+    assert [set(range(13)) - set(s) for s in subsets[1:]] == [{i} for i in range(13)]
+
+
 def test_run_all_checks_filter(eq_sin_cos):
     verdicts = run_all(eq_sin_cos, checks=["corollary8"])
     assert {v.criterion for v in verdicts} == {"corollary8.1", "corollary8.2"}

@@ -30,7 +30,8 @@ def _random_config(seed: int, autonomous: bool) -> dict:
 
 
 # random_equation (T <= 5) periodic and autonomous seeds, plus general
-# sin/cos coefficients mixed with periodic ones, at m = 2 and m = 3
+# sin/cos coefficients mixed with periodic ones, at m = 2 and m = 3; the
+# two "_window" entries pin the certification-window override
 GENERATED = {
     **{f"random_periodic_{s}": _random_config(s, False) for s in (0, 2, 3, 4)},
     **{f"random_autonomous_{s}": _random_config(s, True) for s in (0, 1, 3, 5)},
@@ -38,6 +39,8 @@ GENERATED = {
     "sin_cos_m3": _config([("0.1 + 0.02*sin(n)", 1), ("0.04*abs(cos(2*n))", [1, 3]),
                            ("0.05 + 0.01*alt(n)", 4)]),
 }
+GENERATED["sin_cos_m3_window"] = {**GENERATED["sin_cos_m3"], "window": [50, 2050]}
+GENERATED["random_periodic_0_window"] = {**GENERATED["random_periodic_0"], "window": [30, 530]}
 
 CONFIGS = {**{f"check_{name}": cfg for name, cfg in FIXTURE_CONFIGS.items()},
            **{f"generated_{name}": cfg for name, cfg in GENERATED.items()}}

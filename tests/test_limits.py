@@ -93,14 +93,12 @@ def test_coeff_span_evaluates_only_its_rows(monkeypatch):
 
 def test_delay_window_sum_constant_lag():
     eq = validate([Term(parse("0.1"), DelaySpec.constant(4))])
-    est = delay_window_sum(eq, 0, "to_n_minus_1")
+    est = delay_window_sum(eq, 0)
     assert est.exact and est.value == pytest.approx(0.4)
-    est_incl = delay_window_sum(eq, 0, "to_n")
-    assert est_incl.value == pytest.approx(0.5)
 
 
 def test_delay_window_sum_periodic_mixed(eq_periodic_mixed):
-    est = delay_window_sum(eq_periodic_mixed, 0, "to_n_minus_1")
+    est = delay_window_sum(eq_periodic_mixed, 0)
     assert est.exact
     assert est.value == pytest.approx(0.21, abs=1e-15)
 
@@ -108,14 +106,9 @@ def test_delay_window_sum_periodic_mixed(eq_periodic_mixed):
 def test_delay_window_sum_subset_view(eq_sin_cos):
     # restricting to the first term measures sup a(n-1) <= 0.25
     sub = subset_equation(eq_sin_cos, [0])
-    est = delay_window_sum(sub, 0, "to_n_minus_1")
+    est = delay_window_sum(sub, 0)
     assert not est.exact
     assert est.value <= 0.25
-
-
-def test_delay_window_sum_rejects_mode(eq_zero):
-    with pytest.raises(ValueError):
-        delay_window_sum(eq_zero, 0, "nope")
 
 
 def test_exactness_stable_under_window_doubling(eq_alternating, eq_periodic_mixed):
@@ -124,8 +117,7 @@ def test_exactness_stable_under_window_doubling(eq_alternating, eq_periodic_mixe
         w2 = (10 * eq.T, 10 * eq.T + 2000)
         assert liminf_sum(eq, w1).value == liminf_sum(eq, w2).value
         assert limsup_product(eq, 3, w1).value == limsup_product(eq, 3, w2).value
-        assert delay_window_sum(eq, 0, "to_n_minus_1", w1).value == \
-            delay_window_sum(eq, 0, "to_n_minus_1", w2).value
+        assert delay_window_sum(eq, 0, w1).value == delay_window_sum(eq, 0, w2).value
 
 
 def test_liminf_below_limsup_consistency():
@@ -410,7 +402,7 @@ def test_theorem5_lhs_rhs_matches_reference(eq, length, exact, data):
 @given(eq=_equations(lo=1, hi=8, min_lag=1), length=WINDOW_LENGTHS)
 def test_corollary7_gamma_matches_reference(eq, length):
     window = _window(eq, length)
-    v = criteria.check_corollary7(eq, criteria.CheckOptions(window=window))
+    v = criteria.check_corollary7(eq, window)
     assert v.witnesses["gamma_min"] == _ref_corollary7_gamma(eq, window)
 
 
@@ -418,7 +410,7 @@ def test_corollary7_gamma_matches_reference(eq, length):
 @given(eq=_equations(lo=-10, hi=24, m=(2, 2)), length=WINDOW_LENGTHS)
 def test_corollary8_part2_gamma_matches_reference(eq, length):
     window = _window(eq, length)
-    v = criteria.check_corollary8(eq, 2, criteria.CheckOptions(window=window))
+    v = criteria.check_corollary8(eq, 2, window)
     if "gamma_min" in v.witnesses:
         assert v.witnesses["gamma_min"] == _ref_corollary8_gamma(eq, window)
 
