@@ -122,6 +122,8 @@ SCAN_LEN = 200
 SUBSET_CAP = 12
 # classical_32 needs more tail coefficient mass than this
 DIVERGENCE_EPS = 1e-6
+# golden-section search for corollary 3's characteristic root stops at this width
+LAMBDA_TOL = 1e-10
 
 # The certification-window override; None means limits.default_window.
 Window = Optional[tuple[int, int]]
@@ -279,8 +281,7 @@ def _char_root(eq: Equation, window: tuple[int, int]
     return witnesses, fmin <= EPS, part2, exact
 
 
-def _char_lambda_search(alphas: Sequence[float], taus: Sequence[int],
-                        tol: float = 1e-10) -> tuple[float, float]:
+def _char_lambda_search(alphas: Sequence[float], taus: Sequence[int]) -> tuple[float, float]:
     """Minimize f(lam) = lam - 1 + sum alpha_l lam^(-tau_l) on (0, 1].
 
     f is convex for nonnegative alphas, so golden-section search locates
@@ -295,7 +296,7 @@ def _char_lambda_search(alphas: Sequence[float], taus: Sequence[int],
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
+    while hi - lo > LAMBDA_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)

@@ -33,6 +33,14 @@ __all__ = [
 
 _FIT_FLOOR = 1e-290  # drop subnormal magnitudes before taking logs
 
+# companion power iteration: restarts, step budget, stop tolerance
+_RESTARTS = 64
+_MAX_ITER = 4000
+_TOL = 1e-10
+# steps per matrix product; every check point (a multiple of 64) and every
+# half-window start (used // 2, down to 4000 // 2) must fall on a block end
+_BLOCK = 16
+
 
 class NonAutonomousError(ValueError):
     pass
@@ -97,58 +105,74 @@ def _roots_radius_small(c: np.ndarray) -> float:
     return best
 
 
-def _power_radius(c: np.ndarray, restarts: int = 64, max_iter: int = 4000,
-                  tol: float = 1e-10) -> tuple[float, float]:
+def _companion(c: np.ndarray) -> np.ndarray:
+    d = len(c)
+    C = np.zeros((d, d))
+    C[0] = c
+    C[np.arange(1, d), np.arange(d - 1)] = 1.0
+    return C
+
+
+def _power_radius(c: np.ndarray) -> tuple[float, float]:
     """Dominant modulus of the companion matrix by growth-rate iteration.
 
-    All random restarts advance together as the columns of one matrix;
-    the radius is the median of exp(mean log growth over the trailing
-    half), which converges even when the dominant eigenvalue is a complex
-    pair or defective and the plain Rayleigh quotient oscillates.
+    All random restarts advance together as the columns of one matrix,
+    _BLOCK steps per product with C^_BLOCK; L[k] = log|C^(k _BLOCK) v0|
+    telescopes the step norms.  The radius is the median of exp(mean log
+    growth over the trailing half), (L[k] - L[k // 2]) / steps, which
+    converges even when the dominant eigenvalue is a complex pair or
+    defective and the plain Rayleigh quotient oscillates.
     Returns (radius, error bound from restart spread and stop slack).
     """
     d = len(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.linalg.matrix_power(_companion(c), _BLOCK)
+        top = float(np.abs(P).max())
+    shift = 0
+    if c.any() and not 2.0 ** -500 < top < 2.0 ** 500:
+        # C^_BLOCK under- or overflows: c_j 2^(-shift (j + 1)), exact in
+        # binary, has the roots divided by 2^shift; with shift from the
+        # Fujiwara bound 2 max |c_j|^(1 / (j + 1)) every scaled |c_j| is
+        # below 2^-(j + 1), so the scaled companion has max-row-sum <= 1
+        j1 = np.arange(1, d + 1)
+        shift = math.frexp(2.0 * float((np.abs(c) ** (1.0 / j1)).max()))[1]
+        P = np.linalg.matrix_power(_companion(np.ldexp(c, -shift * j1)), _BLOCK)
     rng = np.random.default_rng(0xD15ABE)
-    V = rng.standard_normal((d, restarts))
+    V = rng.standard_normal((d, _RESTARTS))
     V /= np.linalg.norm(V, axis=0)
-    log_hist = np.zeros((max_iter, restarts))
+    L = np.zeros((_MAX_ITER // _BLOCK + 1, _RESTARTS))
     prev = None
     stable = 0
     slack = math.inf
-    used = 0
-    for it in range(max_iter):
-        W = np.empty_like(V)
-        W[0] = c @ V
-        W[1:] = V[:-1]
-        norms = np.sqrt((W * W).sum(axis=0))
-        zero = norms == 0.0
-        if zero.any():
+    for k in range(1, len(L)):
+        W = P @ V
+        # scale before squaring: C^_BLOCK entries of near-nilpotent rows
+        # reach 1e-221, whose squares underflow
+        scale = np.abs(W).max(axis=0)
+        if not scale.all():
             # nilpotent direction: growth is exactly zero from here on
-            log_hist[it:] = -np.inf
-            used = max_iter
-            break
-        log_hist[it] = np.log(norms)
-        V = W / norms
-        used = it + 1
+            return 0.0, math.ldexp(max(min(slack, 1.0), 1e-12), shift)
+        W /= scale
+        ss = (W * W).sum(axis=0)
+        L[k] = L[k - 1] + np.log(scale) + 0.5 * np.log(ss)
+        V = W / np.sqrt(ss)
+        used = k * _BLOCK
         if used % 64 == 0:
-            half = log_hist[used // 2 : used]
-            est = float(np.median(half.mean(axis=0)))
+            est = float(np.median((L[k] - L[k // 2]) / (used - used // 2)))
             if prev is not None:
                 slack = abs(est - prev)
-                if slack < tol:
+                if slack < _TOL:
                     stable += 1
                     if stable >= 2:
                         break
                 else:
                     stable = 0
             prev = est
-    with np.errstate(invalid="ignore"):
-        means = log_hist[used // 2 : used].mean(axis=0)
-    estimates = np.exp(means)
+    estimates = np.exp((L[k] - L[k // 2]) / (used - used // 2))
     radius = float(np.median(estimates))
-    spread = float(estimates.max() - estimates.min()) if np.isfinite(estimates).all() else 0.0
+    spread = float(estimates.max() - estimates.min())
     err = max(spread, min(slack, 1.0), 1e-12)
-    return radius, err
+    return math.ldexp(radius, shift), math.ldexp(err, shift)
 
 
 def companion_radius(pairs: Sequence[tuple[float, int]]) -> SpectralReport:
@@ -196,16 +220,19 @@ def fit_decay(column: Sequence[float], skip: int) -> DecayFit:
         raise ValueError(f"column too short: {len(col)} < skip + 50 = {skip + 50}")
     tail = col[skip:]
     idx = np.arange(len(tail), dtype=float)
-    usable = np.isfinite(tail) & (np.abs(tail) > _FIT_FLOOR)
+    finite = np.isfinite(tail)
+    usable = finite & (np.abs(tail) > _FIT_FLOOR)
+    # an overflowed column is fitted, and reported, up to its last finite value
+    window = (skip, skip + int(np.flatnonzero(finite)[-1]) if finite.any() else skip)
     if usable.sum() < 5:
-        return DecayFit(0.0, 0.0, (skip, len(col) - 1), 0.0)
+        return DecayFit(0.0, 0.0, window, 0.0)
     x = idx[usable]
     y = np.log(np.abs(tail[usable]))
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (intercept + slope * x)
     mu_hat = math.exp(slope)
     L_hat = math.exp(intercept + max(0.0, resid.max()))
-    return DecayFit(mu_hat, L_hat, (skip, len(col) - 1), float(np.abs(resid).max()))
+    return DecayFit(mu_hat, L_hat, window, float(np.abs(resid).max()))
 
 
 def decay_class(fit: DecayFit) -> str:

@@ -248,6 +248,16 @@ def test_check_overflow_exits_0_without_numpy_warnings(tmp_path):
     assert r.stderr == ""
 
 
+def test_check_decay_window_ends_at_last_finite_index(tmp_path):
+    # the column is non-finite from n = 1301 on (see the simulate case above),
+    # so the fit and its reported window stop at 1300
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps({**FIXTURE_CONFIGS["positive_unbounded"], "horizon": 1500}))
+    r = run_cli("check", str(path), "--no-meta")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["oracle"]["decay"]["window"] == [20, 1300]
+
+
 def test_check_builds_the_equation_once(cfg_factorial, tmp_path, monkeypatch):
     from delaystab import cli
     build = cli.config_to_equation

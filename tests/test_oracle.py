@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from delaystab import (
     tail_equivalence_test,
     validate,
 )
-from delaystab.oracle import NonAutonomousError, _char_coeffs, autonomous_coefficients, decay_class
+from delaystab.oracle import (
+    NonAutonomousError,
+    _char_coeffs,
+    _power_radius,
+    autonomous_coefficients,
+    decay_class,
+)
 
 
 # --- companion radius
@@ -55,6 +62,115 @@ def test_companion_against_polynomial_roots():
         worst = max(worst, abs(rep.radius - ref))
         assert abs(rep.radius - ref) <= max(1e-3, rep.dominant_modulus_error_bound * 3 + 1e-6)
     assert worst < 1e-3
+
+
+# --- block power iteration against the per-step loop
+
+
+# the per-step loop that _power_radius replaced, kept verbatim as the reference
+def _ref_power_radius(c: np.ndarray, restarts: int = 64, max_iter: int = 4000,
+                      tol: float = 1e-10) -> tuple[float, float]:
+    """Dominant modulus of the companion matrix by growth-rate iteration.
+
+    All random restarts advance together as the columns of one matrix;
+    the radius is the median of exp(mean log growth over the trailing
+    half), which converges even when the dominant eigenvalue is a complex
+    pair or defective and the plain Rayleigh quotient oscillates.
+    Returns (radius, error bound from restart spread and stop slack).
+    """
+    d = len(c)
+    rng = np.random.default_rng(0xD15ABE)
+    V = rng.standard_normal((d, restarts))
+    V /= np.linalg.norm(V, axis=0)
+    log_hist = np.zeros((max_iter, restarts))
+    prev = None
+    stable = 0
+    slack = math.inf
+    used = 0
+    for it in range(max_iter):
+        W = np.empty_like(V)
+        W[0] = c @ V
+        W[1:] = V[:-1]
+        norms = np.sqrt((W * W).sum(axis=0))
+        zero = norms == 0.0
+        if zero.any():
+            # nilpotent direction: growth is exactly zero from here on
+            log_hist[it:] = -np.inf
+            used = max_iter
+            break
+        log_hist[it] = np.log(norms)
+        V = W / norms
+        used = it + 1
+        if used % 64 == 0:
+            half = log_hist[used // 2 : used]
+            est = float(np.median(half.mean(axis=0)))
+            if prev is not None:
+                slack = abs(est - prev)
+                if slack < tol:
+                    stable += 1
+                    if stable >= 2:
+                        break
+                else:
+                    stable = 0
+            prev = est
+    with np.errstate(invalid="ignore"):
+        means = log_hist[used // 2 : used].mean(axis=0)
+    estimates = np.exp(means)
+    radius = float(np.median(estimates))
+    spread = float(estimates.max() - estimates.min()) if np.isfinite(estimates).all() else 0.0
+    err = max(spread, min(slack, 1.0), 1e-12)
+    return radius, err
+
+
+def _power_rows():
+    # criterion 9's companion rows that take the power path (d >= 4)
+    rows = [_char_coeffs(autonomous_coefficients(
+        random_equation(seed, m_max=3, T_max=4, K_max=1.0, autonomous=True)))
+        for seed in range(200)]
+    rows = [c for c in rows if len(c) >= 4]
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        d = int(rng.integers(4, 9))
+        rows.append(rng.uniform(-1.2, 1.2, d))
+        # a complex dominant pair r e^(+-i theta) over smaller real roots
+        r, theta = rng.uniform(0.3, 1.3), rng.uniform(0.2, 3.0)
+        roots = [r * np.exp(1j * theta), r * np.exp(-1j * theta),
+                 *rng.uniform(-0.8 * r, 0.8 * r, d - 2)]
+        rows.append(-np.poly(roots).real[1:])
+    rows += [np.zeros(4), np.array([1e-17, 0, 0, 0]), np.array([0, 0, 0, -1e-80]),
+             np.array([0, 0, 0, 0, 1.0])]
+    return rows
+
+
+def test_block_power_radius_matches_step_loop():
+    for c in _power_rows():
+        radius, err = _power_radius(c)
+        ref, ref_err = _ref_power_radius(c)
+        assert not math.isnan(radius), c
+        assert abs(radius - ref) <= 1e-12 * max(abs(ref), 1e-3), c
+        if ref >= 1e-3:
+            assert abs(err - ref_err) <= 1e-12, c
+
+
+@pytest.mark.parametrize("c", [[0, 0, 0, 1e80], [1e30, 0, 0, 0], [0, 0, 0, -1e-100]])
+def test_block_power_radius_rescales_out_of_range_powers(c):
+    # C^16 overflows (or underflows to zero); the step loop still resolves these
+    c = np.array(c, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radius, err = _power_radius(c)
+    ref, _ = _ref_power_radius(c)
+    assert abs(radius - ref) <= 1e-12 * ref
+    assert abs(radius - ref) <= err
+
+
+def test_companion_radius_past_the_step_loop_range():
+    # the per-step loop squares norms near 1e300 and returns nan here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = companion_radius([(-1e300, 3)])
+    assert rep.radius == pytest.approx(1e75, rel=1e-12)
+    assert rep.dominant_modulus_error_bound < 1e-10 * rep.radius
 
 
 # --- decay fitting
