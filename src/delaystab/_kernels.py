@@ -1,9 +1,9 @@
-"""Hot inner loops: sequential recurrence stepping and kernel tabulation.
+"""Hot inner loops: sequential recurrence stepping and the kernel row stream.
 
 Plain NumPy/Python.  The recurrence is inherently sequential in n, so
-``step_recurrence`` is a scalar loop; the kernel routines advance every
-column of X(., k) together, one row per step, so their inner work is a
-NumPy vector operation.  Performance is measured with perfbench/run.py.
+``step_recurrence`` is a scalar loop; ``kernel_rows`` advances every column
+of X(., k) together, one NumPy row per step, and the dense table, the
+weighted sums and the positivity scan all read its rows.
 
 Conventions shared by all kernels: the window is [n0, n0 + size - 1],
 ``coeffs[l, i]`` and ``lags[l, i]`` hold a_l(n0 + i) and n - h_l(n) at
@@ -14,7 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["step_recurrence", "kernel_table", "weighted_kernel_sums"]
+__all__ = ["KernelMemoryError", "MAX_ENTRIES", "step_recurrence", "kernel_rows",
+           "kernel_table", "weighted_kernel_sums"]
+
+# a kernel buffer (the dense table or the row ring) above this many entries raises
+MAX_ENTRIES = 100_000_000
+
+
+class KernelMemoryError(MemoryError):
+    pass
 
 
 def step_recurrence(coeffs, lags, forcing, x, t_max, steps):
@@ -33,48 +41,51 @@ def step_recurrence(coeffs, lags, forcing, x, t_max, steps):
     return x
 
 
-def kernel_table(coeffs, lags, size):
-    """Dense fundamental table X[i, j] = X(n0+i, n0+j), lower triangular.
+def kernel_rows(coeffs, lags, size):
+    """Yield row i = X(n0+i, n0..n0+i) for i = 0 .. size - 1.
 
-    Advances all columns at once: row(n+1) = row(n) - sum_l a_l(n) row(h).
-    Entries above the diagonal are zero already, so no per-column guard is
-    needed.
+    All columns advance at once: row(i+1) = row(i) - sum_l a_l row(h_l)
+    on the columns of row i, then X = 1 on the new diagonal.  Only the
+    last max(lag) + 2 rows are kept, in a ring, so memory stays
+    O(size * lag); each yielded row is a view, valid until the next step.
     """
-    m = coeffs.shape[0]
+    depth = int(lags.max(initial=0)) + 2
+    if depth * size > MAX_ENTRIES:
+        raise KernelMemoryError(f"kernel rows need {depth * size} entries (cap {MAX_ENTRIES})")
+    # ring[i % depth, :i + 1] = row i, zero past it (a slot's older rows are
+    # shorter); the slot being written is never one the update reads
+    ring = np.zeros((depth, size))
+    ring[0, 0] = 1.0
+    yield ring[0, :1]
+    # Python scalars index faster than NumPy ones and multiply identically
+    steps = zip(coeffs[:, : size - 1].T.tolist(), lags[:, : size - 1].T.tolist())
+    for i, (a, d) in enumerate(steps):
+        slot = ring[(i + 1) % depth]
+        head = slot[: i + 1]
+        head[:] = ring[i % depth, : i + 1]
+        for a_l, d_l in zip(a, d):
+            if d_l <= i:
+                head -= a_l * ring[(i - d_l) % depth, : i + 1]
+        slot[i + 1] = 1.0
+        yield slot[: i + 2]
+
+
+def kernel_table(coeffs, lags, size):
+    """Dense fundamental table X[i, j] = X(n0+i, n0+j), lower triangular."""
     table = np.zeros((size, size))
-    np.fill_diagonal(table, 1.0)
-    for i in range(size - 1):
-        row = table[i, : i + 1].copy()
-        for l in range(m):
-            h = i - lags[l, i]
-            if h >= 0:
-                row -= coeffs[l, i] * table[h, : i + 1]
-        table[i + 1, : i + 1] = row
+    for i, row in enumerate(kernel_rows(coeffs, lags, size)):
+        table[i, : i + 1] = row
     return table
 
 
 def weighted_kernel_sums(coeffs, lags, weights, use_abs):
     """out[i] = sum_{j < i} weights[j] * X(n0+i, n0+j+1), a row at a time.
 
-    With use_abs the kernel values enter in absolute value.  Rows advance
-    by the same update as ``kernel_table``; only the last max(lag) + 1 rows
-    are kept, in a ring buffer, so memory stays O(size * lag).
+    With use_abs the kernel values enter in absolute value.
     """
     size = weights.shape[0] + 1
     out = np.zeros(size)
-    m = coeffs.shape[0]
-    depth = int(lags.max(initial=0)) + 1
-    # ring[i % depth, j] = X(n0+i, n0+j+1), zero for j >= i; row 0 is all
-    # zero, and the older row a slot held is zero past the new row's end
-    ring = np.zeros((depth, size - 1))
-    for i in range(1, size):
-        row = ring[(i - 1) % depth, : i - 1].copy()
-        for l in range(m):
-            h = i - 1 - lags[l, i - 1]
-            if h >= 0:
-                row -= coeffs[l, i - 1] * ring[h % depth, : i - 1]
-        live = ring[i % depth, :i]
-        live[:-1] = row
-        live[-1] = 1.0
+    for i, row in enumerate(kernel_rows(coeffs, lags, size)):
+        live = row[1:]
         out[i] = (np.abs(live) if use_abs else live) @ weights[:i]
     return out

@@ -9,7 +9,8 @@ Witness quantities record each value that was compared to a threshold.
 Positivity of the fundamental function of a comparison equation is the
 common hypothesis; it is certified analytically when the window-sum or
 characteristic-root routes apply and by a finite kernel scan otherwise
-(scan-backed verdicts are flagged window-certified).
+(scan-backed verdicts are flagged window-certified), which stops at the
+first kernel entry that is nonpositive or not finite.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import limits
+from . import _kernels, limits
 from .equation import Equation, Term, merge_same_delay, subset_equation, validate
 from .oracle import autonomous_coefficients
 from .seqexpr import DelaySpec
-from .simulator import kernel
 
 __all__ = [
     "Outcome",
@@ -118,6 +118,8 @@ P_CANDIDATES = (1, 2, 3, 4, 6, 8, 12)
 # the fallback kernel scan starts at 5 T and runs max(200, 10 T) steps
 SCAN_LEAD_MULT = 5
 SCAN_LEN = 200
+# the scan checks this many kernel rows per vectorised test
+SCAN_BLOCK = 16
 # theorem2 tries every index subset up to this many terms
 SUBSET_CAP = 12
 # classical_32 needs more tail coefficient mass than this
@@ -188,19 +190,34 @@ def _best_product(eq: Equation, window: Window) -> tuple[int, float, bool]:
 
 
 def positivity_scan(eq: Equation, n0: int, N: int) -> Union[PositivityCertificate, PositivityRefutation]:
-    """Tabulate X on [n0, N] and return a window certificate or the first
-    nonpositive entry (scanning n outward, then k)."""
+    """Stream the rows of X on [n0, N]: the first entry that is nonpositive
+    or not finite (n outward, then k) refutes, unless it is an exact zero
+    more than 5T + 20 rows deep, a decaying kernel underflowing, which
+    certifies the rows before it; otherwise certify with the minimum."""
     if N - n0 < 5 * eq.T:
         raise ValueError(f"scan window must span at least 5T = {5 * eq.T}")
-    table = kernel(eq, n0, N).values
     size = N - n0 + 1
-    rows, cols = np.tril_indices(size)
-    values = table[rows, cols]
-    bad = values <= 0.0
-    if bad.any():
-        at = int(np.argmax(bad))
-        return PositivityRefutation(n0 + int(rows[at]), n0 + int(cols[at]), float(values[at]))
-    return PositivityCertificate(n0, N, float(values.min()), "numerical_scan")
+    rows = _kernels.kernel_rows(eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1), size)
+    # rows are checked SCAN_BLOCK at a time; the 1.0 past a row's end never
+    # decides, as the diagonal X(k, k) = 1 keeps each row's minimum <= 1
+    block, low = np.ones((SCAN_BLOCK, size)), math.inf
+    # an overflowing kernel turns inf and then nan; both refute
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in enumerate(rows):
+            j = i % SCAN_BLOCK
+            block[j, : i + 1] = row
+            if j < SCAN_BLOCK - 1 and i < size - 1:
+                continue
+            ok = (block[: j + 1] > 0.0) & (block[: j + 1] < math.inf)
+            if not ok.all():
+                r, k = divmod(int(np.argmin(ok)), size)
+                n, value = i - j + r, float(block[r, k])
+                if value == 0.0 and n > 5 * eq.T + 20:
+                    low = min(low, float(block[:r].min(initial=math.inf)))
+                    return PositivityCertificate(n0, n0 + n - 1, low, "numerical_scan")
+                return PositivityRefutation(n0 + n, n0 + k, value)
+            low = min(low, float(block[: j + 1].min()))
+    return PositivityCertificate(n0, N, low, "numerical_scan")
 
 
 def check_lemma4(eq: Equation, window: Window = None) -> Verdict:
@@ -251,13 +268,7 @@ def certify_positivity(eq: Equation, window: Window = None
             return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
     n0 = SCAN_LEAD_MULT * eq.T
     N = n0 + max(SCAN_LEN, 10 * max(eq.T, 1))
-    result = positivity_scan(eq, n0, N)
-    if (isinstance(result, PositivityRefutation) and result.value == 0.0
-            and result.n - n0 > 5 * eq.T + 20):
-        # an exact zero that deep is a rapidly decaying kernel underflowing;
-        # certify the numerically representable region instead
-        result = positivity_scan(eq, n0, result.n - 1)
-    return result
+    return positivity_scan(eq, n0, N)
 
 
 def _char_root(eq: Equation, window: tuple[int, int]

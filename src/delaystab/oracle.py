@@ -213,7 +213,8 @@ def fit_decay(column: Sequence[float], skip: int) -> DecayFit:
     """Fit log|X| ~ alpha + beta n over the column tail after ``skip``.
 
     L_hat is inflated by the largest positive residual so the geometric
-    envelope bounds every fitted point by construction.
+    envelope bounds every fitted point by construction.  A zero tail fits
+    as mu_hat = 0; one that overflows before 5 points are usable raises.
     """
     col = np.asarray(column, dtype=float)
     if len(col) < skip + 50:
@@ -225,6 +226,10 @@ def fit_decay(column: Sequence[float], skip: int) -> DecayFit:
     # an overflowed column is fitted, and reported, up to its last finite value
     window = (skip, skip + int(np.flatnonzero(finite)[-1]) if finite.any() else skip)
     if usable.sum() < 5:
+        if not finite.all():
+            n = int(np.argmin(np.isfinite(col)))
+            raise ValueError(f"fundamental column at n = {n} is not finite (overflow); "
+                             f"fewer than 5 points are left to fit past n = {skip}")
         return DecayFit(0.0, 0.0, window, 0.0)
     x = idx[usable]
     y = np.log(np.abs(tail[usable]))

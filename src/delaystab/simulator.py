@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
+from ._kernels import KernelMemoryError
 from .equation import Equation, InitialData
 from .seqexpr import SeqExpr, eval_range
 
@@ -31,12 +32,7 @@ __all__ = [
     "pituk_sum",
     "fmt_float",
     "write_trajectory_csv",
-    "write_kernel_csv",
 ]
-
-
-class KernelMemoryError(MemoryError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -59,14 +55,6 @@ class Kernel:
         return float(self.values[n - self.n0, k - self.n0])
 
 
-def _tables(eq: Equation, n0: int, n1: int):
-    """Coefficient and lag tables for steps at n = n0 .. n1 (inclusive)."""
-    if n1 < n0:
-        m = eq.m
-        return np.zeros((m, 0)), np.zeros((m, 0), dtype=np.int64)
-    return eq.coeff_table(n0, n1), eq.lag_table(n0, n1)
-
-
 def simulate(eq: Equation, init: InitialData, N: int) -> Trajectory:
     """Iterate the forced equation from init.n0 up to N (inclusive)."""
     n0 = init.n0
@@ -76,7 +64,7 @@ def simulate(eq: Equation, init: InitialData, N: int) -> Trajectory:
     if missing:
         raise ValueError(f"history incomplete, missing indices {missing}")
     steps = N - n0
-    coeffs, lags = _tables(eq, n0, N - 1)
+    coeffs, lags = eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
     if eq.forcing is not None and steps > 0:
         forcing = eval_range(eq.forcing, n0, N - 1)
     else:
@@ -97,17 +85,17 @@ def fundamental(eq: Equation, k: int, N: int) -> np.ndarray:
     return simulate(hom, init, N).values
 
 
-def kernel(eq: Equation, n0: int, N: int, max_entries: int = 100_000_000) -> Kernel:
+def kernel(eq: Equation, n0: int, N: int) -> Kernel:
     """All columns k in [n0, N] as a dense table."""
     if N < n0:
         raise ValueError(f"window end {N} precedes start {n0}")
     size = N - n0 + 1
-    if size * size > max_entries:
+    if size * size > _kernels.MAX_ENTRIES:
         raise KernelMemoryError(
-            f"kernel table needs {size * size} entries (cap {max_entries}); "
+            f"kernel table needs {size * size} entries (cap {_kernels.MAX_ENTRIES}); "
             "compute streaming columns with fundamental() instead"
         )
-    coeffs, lags = _tables(eq, n0, N - 1) if size > 1 else _tables(eq, n0, n0 - 1)
+    coeffs, lags = eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
     table = _kernels.kernel_table(coeffs, lags, size)
     return Kernel(n0, N, table)
 
@@ -115,9 +103,7 @@ def kernel(eq: Equation, n0: int, N: int, max_entries: int = 100_000_000) -> Ker
 def _weighted_sums(eq: Equation, weights: np.ndarray, n0: int, N: int,
                    use_abs: bool) -> np.ndarray:
     """sum_{k=n0}^{n-1} X(n, k+1) * weights[k - n0] for n in [n0, N]."""
-    if N == n0:
-        return np.zeros(1)
-    coeffs, lags = _tables(eq, n0, N - 1)
+    coeffs, lags = eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
     return _kernels.weighted_kernel_sums(coeffs, lags, weights, use_abs)
 
 
@@ -130,8 +116,6 @@ def cauchy_apply(eq: Equation, f: SeqExpr, n0: int, N: int) -> Trajectory:
     """
     if N < n0:
         raise ValueError("horizon precedes start")
-    if N == n0:
-        return Trajectory(n0, np.zeros(1))
     weights = eval_range(f, n0, N - 1)
     return Trajectory(n0, _weighted_sums(eq, weights, n0, N, False))
 
@@ -144,9 +128,7 @@ def lemma6_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
     solution with zero history and forcing sum_l a_l(k), so it is one
     forward iteration.
     """
-    if N == n0:
-        return np.zeros(1)
-    coeffs, lags = _tables(eq, n0, N - 1)
+    coeffs, lags = eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
     x = np.zeros(eq.T + N - n0 + 1)
     _kernels.step_recurrence(coeffs, lags, coeffs.sum(axis=0), x, eq.T, N - n0)
     return x[eq.T:]
@@ -155,8 +137,6 @@ def lemma6_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
 def pituk_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
     """P(n) = sum_{j=n0}^{n-1} |X(n, j+1)|; bounded P indicates the
     summable-kernel property behind perturbation-robust stability."""
-    if N == n0:
-        return np.zeros(1)
     weights = np.ones(N - n0)
     return _weighted_sums(eq, weights, n0, N, True)
 
@@ -214,16 +194,5 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     lines = ["n,value"]
     for i, v in enumerate(traj.values):
         lines.append(f"{traj.n0 + i},{fmt_float(v)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_kernel_csv(kern: Kernel, path: str) -> None:
-    lines = ["n,k,value"]
-    for j in range(kern.values.shape[1]):
-        for i in range(j, kern.values.shape[0]):
-            lines.append(
-                f"{kern.n0 + i},{kern.n0 + j},{fmt_float(kern.values[i, j])}"
-            )
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -248,6 +248,18 @@ def test_check_overflow_exits_0_without_numpy_warnings(tmp_path):
     assert r.stderr == ""
 
 
+def test_check_overflow_before_the_fit_exits_2_without_numpy_warnings(tmp_path):
+    # X(n, 0) = (1 - 1e20)^n is non-finite from n = 16, before the fit's
+    # skip of 20: no mu_hat can be read, and the kernel scan overflows too
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema": 1, "horizon": 200,
+                                "equation": {"terms": [{"coeff": "1e20", "lag": 0}]}}))
+    r = run_cli("check", str(path), "--no-meta",
+                env_extra={"PYTHONWARNINGS": "always::RuntimeWarning"})
+    assert r.returncode == 2
+    assert "n = 16 is not finite" in r.stderr
+    assert "Warning" not in r.stderr
+
 def test_check_decay_window_ends_at_last_finite_index(tmp_path):
     # the column is non-finite from n = 1301 on (see the simulate case above),
     # so the fit and its reported window stop at 1300

@@ -1,9 +1,12 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from delaystab import (
     DelaySpec,
+    KernelMemoryError,
     Outcome,
     Term,
     parse,
@@ -11,8 +14,11 @@ from delaystab import (
     stable_verdicts,
     validate,
 )
+from delaystab import criteria
 from delaystab.criteria import (
     CLAIM_POSITIVE,
+    SCAN_LEAD_MULT,
+    SCAN_LEN,
     PositivityCertificate,
     PositivityRefutation,
     certify_positivity,
@@ -32,7 +38,11 @@ from delaystab.criteria import (
     check_theorem2,
     positivity_scan,
     theorem5_lhs_rhs,
+    _char_root,
 )
+from delaystab.equation import merge_same_delay
+from delaystab.oracle import random_equation
+from delaystab.simulator import kernel
 
 
 def const_eq(*pairs):
@@ -106,6 +116,126 @@ def test_certify_positivity_merges_same_delay():
     ])
     cert = certify_positivity(eq)
     assert isinstance(cert, PositivityCertificate)
+
+
+# The dense-table scan and certify_positivity's underflow rescan that the
+# row-streamed scan replaced, kept verbatim as the reference it must match.
+
+
+def _reference_scan(eq, n0, N):
+    """Tabulate X on [n0, N] and return a window certificate or the first
+    nonpositive entry (scanning n outward, then k)."""
+    if N - n0 < 5 * eq.T:
+        raise ValueError(f"scan window must span at least 5T = {5 * eq.T}")
+    table = kernel(eq, n0, N).values
+    size = N - n0 + 1
+    rows, cols = np.tril_indices(size)
+    values = table[rows, cols]
+    bad = values <= 0.0
+    if bad.any():
+        at = int(np.argmax(bad))
+        return PositivityRefutation(n0 + int(rows[at]), n0 + int(cols[at]), float(values[at]))
+    return PositivityCertificate(n0, N, float(values.min()), "numerical_scan")
+
+
+def _reference_certify(eq, window=None):
+    """Try analytic positivity routes, then fall back to a kernel scan.
+
+    Terms sharing a lag table are merged first so sign hypotheses apply to
+    the effective coefficients.
+    """
+    merged = merge_same_delay(eq)
+    pre = check_lemma4(merged, window)
+    if pre.outcome is Outcome.STABLE and not pre.window_certified:
+        return PositivityCertificate(0, -1, math.nan, "lemma4")
+    if pre.outcome is not Outcome.NOT_APPLICABLE:
+        root, part1, part2, exact = _char_root(merged, pre.window)
+        if exact and part2:
+            return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
+        if exact and part1:
+            return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
+    n0 = SCAN_LEAD_MULT * eq.T
+    N = n0 + max(SCAN_LEN, 10 * max(eq.T, 1))
+    result = _reference_scan(eq, n0, N)
+    if (isinstance(result, PositivityRefutation) and result.value == 0.0
+            and result.n - n0 > 5 * eq.T + 20):
+        # an exact zero that deep is a rapidly decaying kernel underflowing;
+        # certify the numerically representable region instead
+        result = _reference_scan(eq, n0, result.n - 1)
+    return result
+
+
+def _assert_same_positivity(got, want):
+    assert type(got) is type(want)
+    for key, value in vars(want).items():
+        mine = getattr(got, key)
+        if isinstance(value, float) and math.isnan(value):
+            assert math.isnan(mine), key
+        else:
+            assert mine == value, key
+
+
+def _positivity_calls(eq, monkeypatch):
+    """Every equation and window run_all hands to certify_positivity."""
+    seen = []
+    certify = criteria.certify_positivity
+
+    def recording(eq, window=None):
+        seen.append((eq, window))
+        return certify(eq, window)
+
+    monkeypatch.setattr(criteria, "certify_positivity", recording)
+    run_all(eq)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("autonomous", [False, True], ids=["periodic", "autonomous"])
+def test_streamed_scan_matches_dense_reference(autonomous, monkeypatch):
+    # the two generators of perfbench's check_periodic corpus
+    kw = (dict(m_max=3, T_max=4, K_max=1.0, autonomous=True) if autonomous
+          else dict(m_max=3, T_max=5, K_max=0.8))
+    kinds = set()
+    for seed in range(25):
+        for eq, window in _positivity_calls(random_equation(seed, **kw), monkeypatch):
+            want = _reference_certify(eq, window)
+            _assert_same_positivity(certify_positivity(eq, window), want)
+            kinds.add(getattr(want, "by", "refuted"))
+    assert {"numerical_scan", "refuted"} <= kinds
+
+
+def test_streamed_scan_certifies_rows_before_underflow():
+    # X(n+1) = 1e-9 (1.5 + sin n) X(n) underflows to an exact zero at row 37
+    eq = const_eq(("1 - 1e-9*(1.5 + sin(n))", 0))
+    cert = certify_positivity(eq)
+    assert isinstance(cert, PositivityCertificate) and cert.N == 36
+    _assert_same_positivity(cert, _reference_certify(eq))
+    _assert_same_positivity(positivity_scan(eq, 0, 200), cert)
+
+
+def test_streamed_scan_refutation_matches_dense_reference():
+    eq = const_eq((0.3, 2), (0.4, 1), ("-0.1*alt(n)", 0))
+    ref = positivity_scan(eq, 10, 210)
+    assert isinstance(ref, PositivityRefutation)
+    _assert_same_positivity(ref, _reference_scan(eq, 10, 210))
+
+
+def test_positivity_scan_caps_its_ring():
+    # lag 4000 over [20000, 60000] needs 4,002 ring rows of 40,001 entries
+    with pytest.raises(KernelMemoryError):
+        positivity_scan(const_eq((0.0001, 4000)), 20_000, 60_000)
+
+
+def test_scan_refutes_an_overflowing_kernel():
+    # the kernel grows like 1e20^n, overflows to inf and then turns nan;
+    # the dense scan let the nan through and certified it (min_value nan)
+    eq = const_eq((0.001, 1), (-1e20, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = positivity_scan(eq, 5, 205)
+        assert isinstance(certify_positivity(eq), PositivityRefutation)
+    assert isinstance(ref, PositivityRefutation)
+    assert not math.isfinite(ref.value)
 
 
 # --- nonoscillation (lemma4) and the autonomous sharp bound

@@ -8,7 +8,7 @@ and forced recurrences must match sums over it to rounding.
 import numpy as np
 import pytest
 
-from delaystab import _kernels, cauchy_apply, lemma6_sum, parse, pituk_sum
+from delaystab import KernelMemoryError, _kernels, cauchy_apply, lemma6_sum, parse, pituk_sum
 from delaystab.oracle import random_equation
 
 
@@ -92,6 +92,13 @@ def test_weighted_sums_match_dense_table(name, coeffs, lags, use_abs):
     got = _kernels.weighted_kernel_sums(coeffs, lags, weights, use_abs)
     _assert_close(got, _reference_sums(_reference_table(coeffs, lags, size), weights,
                                        use_abs))
+
+
+def test_kernel_rows_cap_their_ring():
+    # 2,002 rows of 100,001 entries pass the cap; it raises before allocating
+    coeffs, lags = np.zeros((1, 100_000)), np.full((1, 100_000), 2000, dtype=np.int64)
+    with pytest.raises(KernelMemoryError, match="kernel rows"):
+        next(_kernels.kernel_rows(coeffs, lags, 100_001))
 
 
 @pytest.mark.parametrize("name,coeffs,lags", CASES, ids=IDS)

@@ -21,7 +21,7 @@ from delaystab import (
     validate,
 )
 from delaystab.oracle import random_equation
-from delaystab.simulator import write_kernel_csv, write_trajectory_csv
+from delaystab.simulator import write_trajectory_csv
 
 
 def with_forcing(eq, f):
@@ -91,7 +91,15 @@ def test_kernel_zero_equation(eq_zero):
 
 def test_kernel_memory_cap(eq_zero):
     with pytest.raises(KernelMemoryError, match="streaming"):
-        kernel(eq_zero, 0, 100, max_entries=50)
+        # 10,001^2 entries pass the cap; it raises before any allocation
+        kernel(eq_zero, 0, 10_000)
+
+
+def test_kernel_sums_on_a_one_point_window(eq_periodic_mixed):
+    eq = eq_periodic_mixed
+    for out in (lemma6_sum(eq, 3, 3), pituk_sum(eq, 3, 3),
+                cauchy_apply(eq, parse("1"), 3, 3).values):
+        assert out.tolist() == [0.0]
 
 
 def test_kernel_columns_satisfy_recurrence(eq_periodic_mixed):
@@ -270,13 +278,3 @@ def test_trajectory_csv(tmp_path, eq_unbounded):
     assert lines[1] == "0,1"
     assert lines[3] == "2,6.7999999999999998"  # 17 significant digits
     assert "\r" not in text
-
-
-def test_kernel_csv(tmp_path, eq_zero):
-    K = kernel(eq_zero, 0, 2)
-    path = tmp_path / "kern.csv"
-    write_kernel_csv(K, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,k,value"
-    assert lines[1] == "0,0,1"
-    assert len(lines) == 1 + 6  # lower triangle of a 3x3 window
