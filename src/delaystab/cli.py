@@ -44,6 +44,7 @@ from .oracle import (
 )
 from .seqexpr import SeqEvalError, SeqSyntaxError
 from .simulator import (
+    KernelMemoryError,
     fmt_float,
     fundamental,
     product_bound,
@@ -419,7 +420,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            SeqSyntaxError, SeqEvalError) as exc:
+            SeqSyntaxError, SeqEvalError, KernelMemoryError) as exc:
         return _fail_usage(str(exc))
 
 

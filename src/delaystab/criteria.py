@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels, limits
 from .equation import Equation, Term, merge_same_delay, subset_equation, validate
 from .oracle import autonomous_coefficients
-from .seqexpr import DelaySpec
+from .seqexpr import DelaySpec, evaluation_scope
 
 __all__ = [
     "Outcome",
@@ -137,7 +137,10 @@ def _win(eq: Equation, window: Window) -> tuple[int, int]:
 
 def nonosc_threshold(k: int) -> float:
     """k^k / (k+1)^(k+1): the sharp autonomous nonoscillation bound."""
-    thr = (k**k) / float((k + 1) ** (k + 1))
+    try:
+        thr = (k**k) / float((k + 1) ** (k + 1))
+    except OverflowError:  # k >= 143: the correctly rounded integer quotient
+        thr = k**k / (k + 1) ** (k + 1)
     if os.environ.get("DELAYSTAB_LOOSEN_THRESHOLDS"):
         # mutation self-check hook: corrupt the bound far enough that the
         # fuzz harness must surface unsound verdicts
@@ -296,11 +299,18 @@ def _char_lambda_search(alphas: Sequence[float], taus: Sequence[int]) -> tuple[f
     """Minimize f(lam) = lam - 1 + sum alpha_l lam^(-tau_l) on (0, 1].
 
     f is convex for nonnegative alphas, so golden-section search locates
-    the minimum; f(lam) <= 0 yields a positive characteristic root.
+    the minimum; f(lam) <= 0 yields a positive characteristic root.  A
+    term that overflows (long delays at small lam) is +inf, its true value.
     """
 
+    def term(a: float, t: int, lam: float) -> float:
+        try:
+            return a * lam ** (-t)
+        except OverflowError:
+            return math.inf if a > 0 else 0.0
+
     def f(lam: float) -> float:
-        return lam - 1.0 + sum(a * lam ** (-t) for a, t in zip(alphas, taus))
+        return lam - 1.0 + sum(term(a, t, lam) for a, t in zip(alphas, taus))
 
     lo, hi = 1e-6, 1.0
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -308,7 +318,7 @@ def _char_lambda_search(alphas: Sequence[float], taus: Sequence[int]) -> tuple[f
     x2 = lo + inv_phi * (hi - lo)
     f1, f2 = f(x1), f(x2)
     while hi - lo > LAMBDA_TOL:
-        if f1 <= f2:
+        if f1 <= f2 < math.inf:  # on an infinite tie the minimum lies right
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)
             f1 = f(x1)
@@ -864,6 +874,8 @@ def _theorem2_subsets(eq: Equation) -> list[tuple[int, ...]]:
     return out
 
 
+# every checker reads the same coefficients: evaluate each once per run
+@evaluation_scope()
 def run_all(eq: Equation, window: Window = None,
             checks: Optional[Sequence[str]] = None) -> list[Verdict]:
     """Run every applicable checker; verdicts sorted Stable-first, then by

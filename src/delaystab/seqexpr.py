@@ -13,14 +13,18 @@ equations whose coefficients were rewritten on a finite prefix still
 print to parseable text; ``before`` applies for n < n1, ``after`` after.
 
 Evaluation is double precision and vectorized; every printed expression
-re-parses to an evaluation-equivalent tree.
+re-parses to an evaluation-equivalent tree.  Inside ``evaluation_scope()``
+each expression keeps one contiguous span of evaluated values, so a run
+that reads the same coefficients over overlapping windows evaluates them
+once.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -33,6 +37,7 @@ __all__ = [
     "parse",
     "evaluate",
     "eval_range",
+    "evaluation_scope",
     "classify",
     "constant",
     "periodic_table",
@@ -115,6 +120,10 @@ class SeqExpr:
 
     def __str__(self) -> str:
         return self.source_text
+
+    def __hash__(self) -> int:
+        # equal expressions have equal text, and str caches its hash
+        return hash(self.source_text)
 
 
 @dataclass(frozen=True)
@@ -405,15 +414,80 @@ def _eval(node: Node, n: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown node {node!r}")
 
 
-def eval_range(expr: SeqExpr, n0: int, n1: int) -> np.ndarray:
-    """Evaluate on the inclusive integer window [n0, n1]."""
-    if n1 < n0:
-        return np.empty(0)
+def _eval_window(expr: SeqExpr, n0: int, n1: int) -> np.ndarray:
     n = np.arange(n0, n1 + 1, dtype=np.int64)
     values = _eval(expr.ast, n)
     if not np.isfinite(values).all():
         raise SeqEvalError("non-finite value", _first_bad(values, n))
     return values
+
+
+class _Scope:
+    """Per-expression state of one evaluation scope.
+
+    ``spans`` maps an expression to (lo, values), its values on one
+    contiguous window.  Every evaluation is exactly a window some caller
+    asked for, so errors carry the same message and index as outside a
+    scope; evaluation is pointwise, so slicing a span gives the same bytes.
+    """
+
+    def __init__(self) -> None:
+        self.spans: dict[SeqExpr, tuple[int, np.ndarray]] = {}
+        self.classes: dict[SeqExpr, SeqClass] = {}
+
+    def window(self, expr: SeqExpr, n0: int, n1: int) -> np.ndarray:
+        span = self.spans.get(expr)
+        if span is not None:
+            lo, values = span
+            hi = lo + len(values) - 1
+            if lo <= n0 and n1 <= hi:
+                return values[n0 - lo:n1 - lo + 1]
+        fresh = _eval_window(expr, n0, n1)
+        fresh.flags.writeable = False
+        if span is not None and n0 <= hi + 1 and lo <= n1 + 1:
+            # overlapping or touching: the union becomes the span
+            start = min(lo, n0)
+            merged = np.empty(max(hi, n1) - start + 1)
+            merged[lo - start:hi - start + 1] = values
+            merged[n0 - start:n1 - start + 1] = fresh
+            merged.flags.writeable = False
+            self.spans[expr] = (start, merged)
+        else:
+            self.spans[expr] = (n0, fresh)
+        return fresh
+
+
+_scope: Optional[_Scope] = None
+
+
+@contextmanager
+def evaluation_scope() -> Iterator[None]:
+    """Evaluate each expression once inside the block.
+
+    ``eval_range`` answers a window inside an expression's span with a
+    read-only slice and widens the span by what it evaluates; ``classify``
+    is memoised.  A nested scope shares the outer one; leaving the
+    outermost scope, normally or by an exception, drops everything.
+    """
+    global _scope
+    if _scope is not None:
+        yield
+        return
+    _scope = _Scope()
+    try:
+        yield
+    finally:
+        _scope = None
+
+
+def eval_range(expr: SeqExpr, n0: int, n1: int) -> np.ndarray:
+    """Evaluate on the inclusive integer window [n0, n1]; read-only inside
+    ``evaluation_scope()``."""
+    if n1 < n0:
+        return np.empty(0)
+    if _scope is None:
+        return _eval_window(expr, n0, n1)
+    return _scope.window(expr, n0, n1)
 
 
 def evaluate(expr: SeqExpr, n: int) -> float:
@@ -473,6 +547,15 @@ def classify(expr: SeqExpr) -> SeqClass:
     integer-sampled transcendentals stay 'general'.  Probing the first 64
     values is used to spot constants among the remaining expressions.
     """
+    if _scope is None:
+        return _classify(expr)
+    cls = _scope.classes.get(expr)
+    if cls is None:
+        cls = _scope.classes[expr] = _classify(expr)
+    return cls
+
+
+def _classify(expr: SeqExpr) -> SeqClass:
     period = _structural_period(expr.ast)
     if period is not None:
         period = _minimal_period(expr, period)

@@ -270,6 +270,31 @@ def test_check_decay_window_ends_at_last_finite_index(tmp_path):
     assert json.loads(r.stdout)["oracle"]["decay"]["window"] == [20, 1300]
 
 
+def _one_config(tmp_path, terms) -> str:
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"schema": 1, "equation": {
+        "terms": [{"coeff": c, "lag": lag} for c, lag in terms]}}))
+    return str(path)
+
+
+def test_check_long_delay_gives_a_verdict(tmp_path):
+    # lam^(-1000) overflows in corollary 3's root search and the sharp
+    # bound 1000^1000 / 1001^1001 overflows a float; both used to raise
+    r = run_cli("check", _one_config(tmp_path, [("0.0001*(1 + 0.5*sin(n))", 1000)]),
+                "--no-meta")
+    assert r.returncode == 0, r.stderr
+    assert "corollary3" in json.loads(r.stdout)["stable_criteria"]
+
+
+def test_check_past_the_scan_cap_exits_2(tmp_path):
+    # the positivity scan's ring for lag 4000 passes the 10^8-entry cap
+    r = run_cli("check", _one_config(tmp_path, [("0.0001*(1 + 0.5*sin(n))", 4000),
+                                                ("-0.00001", 0)]), "--no-meta")
+    assert r.returncode == 2
+    assert "(cap 100000000)" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_check_builds_the_equation_once(cfg_factorial, tmp_path, monkeypatch):
     from delaystab import cli
     build = cli.config_to_equation

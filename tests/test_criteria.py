@@ -265,6 +265,21 @@ def test_autonomous_nonosc_thresholds():
         check_autonomous_nonosc(0.1, 0)
 
 
+def test_sharp_bound_past_float_range():
+    # (k+1)^(k+1) stops fitting a float at k = 143
+    assert criteria.nonosc_threshold(142) > criteria.nonosc_threshold(143)
+    assert criteria.nonosc_threshold(2000) == pytest.approx(1 / (math.e * 2001), rel=1e-3)
+
+
+@pytest.mark.parametrize("alphas,taus", [([1e-4], [2000]), ([1e-4, 0.0], [2000, 3000])])
+def test_char_search_treats_overflowing_terms_as_infinite(alphas, taus):
+    # f(lam) = lam - 1 + 1e-4 lam^-2000 overflows on the search's first two
+    # probes; its minimum is at lam = 0.2^(1/2001)
+    lam, fmin = criteria._char_lambda_search(alphas, taus)
+    assert lam == pytest.approx(0.2 ** (1 / 2001), abs=1e-8)
+    assert fmin < 0
+
+
 # --- theorem1 and corollary2
 
 

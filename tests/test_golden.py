@@ -31,13 +31,21 @@ def _random_config(seed: int, autonomous: bool) -> dict:
 
 # random_equation (T <= 5) periodic and autonomous seeds, plus general
 # sin/cos coefficients mixed with periodic ones, at m = 2 and m = 3; the
-# two "_window" entries pin the certification-window override
+# two "_window" entries pin the certification-window override.  sin_cos_m5
+# is laid out like the benchmark's trig items (constant lags and two-entry
+# lag tables), so theorem2's 31 subsets read the same coefficients over
+# windows that start at different 10 T.
 GENERATED = {
     **{f"random_periodic_{s}": _random_config(s, False) for s in (0, 2, 3, 4)},
     **{f"random_autonomous_{s}": _random_config(s, True) for s in (0, 1, 3, 5)},
     "sin_cos_m2": _config([("0.15 + 0.05*cos(n)", 2), ("0.05*sin(3*n)", 0)]),
     "sin_cos_m3": _config([("0.1 + 0.02*sin(n)", 1), ("0.04*abs(cos(2*n))", [1, 3]),
                            ("0.05 + 0.01*alt(n)", 4)]),
+    "sin_cos_m5": _config([("0.010632 + 0.008827*sin(1*n)", 1),
+                           ("0.007198 - 0.004213*cos(2*n)", 6),
+                           ("0.007588*abs(sin(3*n))", [0, 5]),
+                           ("0.004830 + 0.002584*cos(4*n)", 4),
+                           ("0.012281 - 0.010415*sin(5*n)", [1, 4])]),
 }
 GENERATED["sin_cos_m3_window"] = {**GENERATED["sin_cos_m3"], "window": [50, 2050]}
 GENERATED["random_periodic_0_window"] = {**GENERATED["random_periodic_0"], "window": [30, 530]}

@@ -143,3 +143,102 @@ def test_delayspec_rejects_negative():
         se.DelaySpec.periodic([2, -1])
     with pytest.raises(ValueError):
         se.DelaySpec(())
+
+
+# --- evaluation scope: one cached span per expression
+
+SCOPE_EXPRS = [
+    se.parse(text) for text in (
+        "0.2 + 0.05*sin(3*n)", "0.1*abs(cos(2*n))", "1.001^n - 0.5*cos(n)",
+        "0.05 + 0.01*alt(n)", "per(0.3, -0.1, 0.2)",
+        "splice(40, 0.1*sin(n), 0.2 + 0.1*alt(n))",
+        "1/(n-137)",         # division by zero at n = 137
+        "alt(n/2)",          # non-integer alt argument at odd n
+        "(n-60)^0.5",        # power out of domain below n = 60
+    )
+]
+
+
+def _outcome(expr, n0, n1):
+    try:
+        return se.eval_range(expr, n0, n1).tobytes()
+    except se.SeqEvalError as exc:
+        return (str(exc), exc.index)
+
+
+# each step: (expression, how the window sits against the previous one of
+# that expression, offset, length); per() rejects the negative indices
+_STEPS = st.lists(st.tuples(st.integers(0, len(SCOPE_EXPRS)),
+                            st.sampled_from(["anywhere", "inside", "overlap", "after",
+                                             "before", "gap"]),
+                            st.integers(0, 400), st.integers(1, 300)),
+                  min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_STEPS, st.integers(0, 2**31))
+def test_scope_matches_plain_evaluation(steps, seed):
+    ast = _random_ast(np.random.default_rng(seed), 3)
+    pool = SCOPE_EXPRS + [se.SeqExpr(ast, se._print(ast))]
+    last: dict = {}
+    windows = []
+    for index, how, offset, length in steps:
+        expr = pool[index]
+        p0, p1 = last.get(index, (offset - 20, offset - 20 + length - 1))
+        n0 = {"anywhere": offset - 20, "inside": p0 + offset % (p1 - p0 + 1),
+              "overlap": p0 + offset % (p1 - p0 + 1) - length // 2,
+              "after": p1 + 1, "before": p0 - length, "gap": p1 + 2}[how]
+        n1 = min(n0 + length - 1, p1) if how == "inside" else n0 + length - 1
+        last[index] = (n0, n1)
+        windows.append((expr, n0, n1))
+    expected = [_outcome(*w) for w in windows]
+
+    evaluated = []
+    plain = se._eval_window
+
+    def recording(expr, n0, n1):
+        evaluated.append((expr, n0, n1))
+        return plain(expr, n0, n1)
+
+    se._eval_window = recording
+    try:
+        with se.evaluation_scope():
+            for window, want in zip(windows, expected):
+                assert _outcome(*window) == want
+    finally:
+        se._eval_window = plain
+    # every evaluation is a window some caller asked for
+    assert set(evaluated) <= set(windows)
+    assert len(evaluated) <= len(windows)
+
+
+def test_scope_returns_read_only_views_of_one_span():
+    e = se.parse("0.2 + 0.05*sin(n)")
+    with se.evaluation_scope():
+        first = se.eval_range(e, 100, 199)
+        touching = se.eval_range(e, 200, 249)
+        inside = se.eval_range(e, 150, 240)
+        assert not first.flags.writeable
+        assert not touching.flags.writeable
+        assert not inside.flags.writeable
+        with pytest.raises(ValueError):
+            inside[0] = 1.0
+        with se.evaluation_scope():  # nested: the same span
+            nested = se.eval_range(e, 120, 130)
+        assert nested.base is inside.base
+        assert not se.eval_range(e, 0, 3).flags.writeable
+    assert se.eval_range(e, 100, 199).flags.writeable
+
+
+def test_run_all_leaves_no_scope_behind():
+    from delaystab import DelaySpec, Term, run_all, validate
+
+    eq = validate([Term(se.parse("0.1 + 0.05*sin(n)"), DelaySpec.constant(2))])
+    run_all(eq)
+    assert se._scope is None
+    # validated on [0, 1000), the coefficient fails at n = 5000 on the default window
+    bad = validate([Term(se.parse("0.1 + 1/(n-5000)"), DelaySpec.constant(2))])
+    with pytest.raises(se.SeqEvalError, match="n=5000"):
+        run_all(bad)
+    assert se._scope is None
+    assert se.eval_range(eq.terms[0].coeff, 0, 3).flags.writeable
