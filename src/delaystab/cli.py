@@ -145,7 +145,7 @@ def cmd_check(args) -> int:
         families = checks
     else:
         raise ValueError("checks must be \"all\" or a list of family names")
-    verdicts = [] if families == [] else run_all(eq, window, families)
+    verdicts = run_all(eq, window, families)
 
     horizon = int(config.get("horizon", 1000))
     if horizon < 1:

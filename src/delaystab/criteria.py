@@ -10,17 +10,20 @@ Positivity of the fundamental function of a comparison equation is the
 common hypothesis; it is certified analytically when the window-sum or
 characteristic-root routes apply and by a finite kernel scan otherwise
 (scan-backed verdicts are flagged window-certified), which stops at the
-first kernel entry that is nonpositive or not finite.
+first kernel entry that is nonpositive or not finite.  Within one
+``run_all``, theorem2's subsets share one scan per scan window through the
+comparison lemma (``ComparisonScans``); a refutation is never shared.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,6 +39,7 @@ __all__ = [
     "PositivityRefutation",
     "positivity_scan",
     "certify_positivity",
+    "ComparisonScans",
     "nonosc_threshold",
     "check_lemma4",
     "check_autonomous_nonosc",
@@ -179,8 +183,7 @@ def _best_product(eq: Equation, window: Window) -> tuple[int, float, bool]:
     if period is not None:
         candidates |= {period, 2 * period}
     best = None
-    for q in sorted(candidates):
-        est = limits.limsup_product(eq, q, window)
+    for q, est in sorted(limits.limsup_products(eq, candidates, window).items()):
         rate = max(est.value, 0.0) ** (1.0 / q)
         if best is None or rate < best[3]:
             best = (q, est.value, est.exact, rate)
@@ -252,12 +255,18 @@ def check_autonomous_nonosc(a: float, k: int) -> bool:
     return 0.0 < a <= nonosc_threshold(k)
 
 
-def certify_positivity(eq: Equation, window: Window = None
-                       ) -> Union[PositivityCertificate, PositivityRefutation]:
+Positivity = Union[PositivityCertificate, PositivityRefutation]
+
+
+def certify_positivity(eq: Equation, window: Window = None, *,
+                       comparison: Optional[Callable[[int, int], Optional[Positivity]]] = None
+                       ) -> Positivity:
     """Try analytic positivity routes, then fall back to a kernel scan.
 
     Terms sharing a lag table are merged first so sign hypotheses apply to
-    the effective coefficients.
+    the effective coefficients.  ``comparison(n0, N)``, when given, is
+    asked before the scan on [n0, N] and answers for it unless it returns
+    None (see ``ComparisonScans``).
     """
     merged = merge_same_delay(eq)
     pre = check_lemma4(merged, window)
@@ -271,7 +280,63 @@ def certify_positivity(eq: Equation, window: Window = None
             return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
     n0 = SCAN_LEAD_MULT * eq.T
     N = n0 + max(SCAN_LEN, 10 * max(eq.T, 1))
+    if comparison is not None:
+        result = comparison(n0, N)
+        if result is not None:
+            return result
     return positivity_scan(eq, n0, N)
+
+
+class ComparisonScans:
+    """One kernel scan per scan window for theorem2's subsets in one run.
+
+    Comparison lemma (Gyori & Ladas 1991, ch. 7; Berezansky & Braverman):
+    with 0 <= b_l <= a_l on the same delays, X_a > 0 implies X_b >= X_a > 0.
+    So on a window [n0, N] one positive scan of J, the terms that are >= 0
+    on every row the scan reads, certifies each subset of J there, with
+    J's minimum as a lower bound.  A refutation is never inherited: when
+    J's scan refutes, stops early at an underflow, needs a window longer
+    than [n0, N] (5 T_J) or a ring past the kernel cap, the subsets scan
+    on their own.  J is scanned on the first request by a subset of it.
+    """
+
+    def __init__(self, eq: Equation):
+        self.eq = eq
+        self.sets: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.scans: dict[tuple[int, int], Optional[Positivity]] = {}
+
+    def comparison_set(self, n0: int, N: int) -> tuple[int, ...]:
+        """J on [n0, N]: the terms >= 0.0 on rows n0 .. N - 1."""
+        if (n0, N) not in self.sets:
+            rows = self.eq.coeff_table(n0, N - 1)
+            self.sets[n0, N] = tuple(l for l in range(self.eq.m) if (rows[l] >= 0.0).all())
+        return self.sets[n0, N]
+
+    def scan(self, n0: int, N: int) -> Optional[Positivity]:
+        """J's own scan on [n0, N], or None when it cannot run there."""
+        if (n0, N) not in self.scans:
+            comp = subset_equation(self.eq, self.comparison_set(n0, N))
+            result = None
+            if N - n0 >= 5 * comp.T:
+                try:
+                    result = positivity_scan(comp, n0, N)
+                except _kernels.KernelMemoryError:
+                    pass
+            self.scans[n0, N] = result
+        return self.scans[n0, N]
+
+    def certificate(self, I: Sequence[int], n0: int, N: int) -> Optional[Positivity]:
+        """What the scan of subset ``I`` on [n0, N] may take from J's
+        scan, or None when ``I`` must scan on its own."""
+        J = self.comparison_set(n0, N)
+        if not set(I) <= set(J):
+            return None
+        result = self.scan(n0, N)
+        if tuple(I) == J:
+            return result  # the subset's own scan
+        if isinstance(result, PositivityCertificate) and result.N == N:
+            return result
+        return None
 
 
 def _char_root(eq: Equation, window: tuple[int, int]
@@ -426,10 +491,12 @@ def check_corollary3(eq: Equation, window: Window = None) -> Verdict:
                    "characteristic-root comparison (p-step product not below 1)")
 
 
-def check_theorem2(eq: Equation, I: Sequence[int], window: Window = None) -> Verdict:
+def check_theorem2(eq: Equation, I: Sequence[int], window: Window = None, *,
+                   scans: Optional[ComparisonScans] = None) -> Verdict:
     """Dominant positive part: the I-terms alone form a positive-kernel
     equation with product rate < 1, and the remaining terms are uniformly
-    smaller in limsup ratio."""
+    smaller in limsup ratio.  ``scans`` (one per run over ``eq``) lets the
+    kernel scan of the I-terms come from a comparison set's scan."""
     I = sorted(set(I))
     if not I:
         raise ValueError("empty index set")
@@ -442,7 +509,8 @@ def check_theorem2(eq: Equation, I: Sequence[int], window: Window = None) -> Ver
                        {"min_coeff": worst}, window, False,
                        "dominant positive part (kept terms must be nonnegative)")
     sub = subset_equation(eq, I)
-    cert = certify_positivity(sub, override)
+    comparison = None if scans is None else functools.partial(scans.certificate, I)
+    cert = certify_positivity(sub, override, comparison=comparison)
     certified = isinstance(cert, PositivityCertificate) and cert.by == "numerical_scan"
     witnesses: dict[str, float] = {"min_coeff": worst}
     if isinstance(cert, PositivityRefutation):
@@ -879,25 +947,31 @@ def _theorem2_subsets(eq: Equation) -> list[tuple[int, ...]]:
 def run_all(eq: Equation, window: Window = None,
             checks: Optional[Sequence[str]] = None) -> list[Verdict]:
     """Run every applicable checker; verdicts sorted Stable-first, then by
-    criterion id.  ``window`` overrides the certification window;
-    ``checks`` filters by criterion family name."""
+    criterion id.  ``window`` overrides the certification window and must
+    satisfy 0 <= N0 <= N1; ``checks`` filters by criterion family name."""
+    if window is not None and not 0 <= window[0] <= window[1]:
+        raise ValueError(f"window {list(window)} must satisfy 0 <= N0 <= N1")
 
     def want(family: str) -> bool:
         return checks is None or family in checks
 
     verdicts: list[Verdict] = []
-    cert = certify_positivity(eq, window)
+    scans = ComparisonScans(eq)
+    if want("theorem1"):
+        # the full equation's scan is theorem2's comparison-set scan when
+        # every term is nonnegative on its rows
+        cert = certify_positivity(eq, window,
+                                  comparison=functools.partial(scans.certificate, range(eq.m)))
+        verdicts.append(check_theorem1(eq, cert, window))
     if want("lemma4"):
         verdicts.append(check_lemma4(eq, window))
-    if want("theorem1"):
-        verdicts.append(check_theorem1(eq, cert, window))
     if want("corollary2"):
         verdicts.append(check_corollary2(eq, window))
     if want("corollary3"):
         verdicts.append(check_corollary3(eq, window))
     if want("theorem2"):
         for I in _theorem2_subsets(eq):
-            verdicts.append(check_theorem2(eq, I, window))
+            verdicts.append(check_theorem2(eq, I, window, scans=scans))
     if want("corollary4"):
         seen: list[DelaySpec] = []
         for t in eq.terms:

@@ -4,7 +4,9 @@ Pointwise spans of coefficients all come from ``coeff_span``: when every
 contributing stream is constant or periodic, one period of their
 aggregate from the window start determines liminf / limsup / sup
 exactly; otherwise the span is the certification window, the value is an
-estimate, and checkers report the verdict as window-certified.
+estimate, and checkers report the verdict as window-certified.  Every
+p-step product horizon a rate search tries reads one span and one
+running product (``limsup_products``).
 
 Delayed sums take a sup over n of sums between h_l(n) and n.  They all
 run over one strip (``delay_strip``).  When coefficients and lags share a
@@ -30,6 +32,7 @@ __all__ = [
     "AsymptoticEstimate",
     "liminf_sum",
     "limsup_product",
+    "limsup_products",
     "coeff_span",
     "delay_window_sum",
     "default_window",
@@ -96,16 +99,34 @@ def liminf_sum(eq: Equation, window: Optional[tuple[int, int]] = None) -> Asympt
     return AsymptoticEstimate(float(table.sum(axis=0).min()), exact)
 
 
+def limsup_products(eq: Equation, ps: Sequence[int],
+                    window: Optional[tuple[int, int]] = None) -> dict[int, AsymptoticEstimate]:
+    """limsup over n of prod_{j=n}^{n+p-1} (1 - sum_l a_l(j)), for each p in ``ps``.
+
+    One span runs max(ps) - 1 points past its end, and one running product
+    grows a factor at a time, left to right, so each p-step product is
+    the same float a sliding-window product gives.
+    """
+    ps = sorted(set(ps))
+    if ps[0] < 1:
+        raise ValueError("p must be positive")
+    window = window or default_window(eq)
+    table, exact = coeff_span(eq, window, extra=ps[-1] - 1)
+    factors = 1.0 - table.sum(axis=0)
+    count = len(factors) - ps[-1] + 1  # one product per point of the span
+    products, out = factors[:count].copy(), {}
+    for p in range(1, ps[-1] + 1):
+        if p > 1:
+            products *= factors[p - 1 : p - 1 + count]
+        if p in ps:
+            out[p] = AsymptoticEstimate(float(products.max()), exact)
+    return out
+
+
 def limsup_product(eq: Equation, p: int,
                    window: Optional[tuple[int, int]] = None) -> AsymptoticEstimate:
     """limsup over n of prod_{j=n}^{n+p-1} (1 - sum_l a_l(j))."""
-    if p < 1:
-        raise ValueError("p must be positive")
-    window = window or default_window(eq)
-    table, exact = coeff_span(eq, window, extra=p - 1)
-    factors = 1.0 - table.sum(axis=0)
-    products = np.lib.stride_tricks.sliding_window_view(factors, p).prod(axis=1)
-    return AsymptoticEstimate(float(products.max()), exact)
+    return limsup_products(eq, [p], window)[p]
 
 
 @dataclass(frozen=True)

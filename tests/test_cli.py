@@ -323,3 +323,31 @@ def test_unused_flags_are_rejected(cfg_factorial, tmp_path):
     assert run_cli("fundamental", cfg_factorial, "--k", "0", "--N", "5",
                    "--window", "0", "5").returncode == 2
     assert run_cli("examples", "--window", "0", "5").returncode == 2
+
+
+@pytest.mark.parametrize("window", [[100, 50], [-50, 100]])
+def test_check_rejects_a_bad_window_flag(tmp_path, window):
+    # a reversed window used to die in a NumPy reduction, a negative start
+    # gave Stable verdicts on sums clipped at index 0
+    r = run_cli("check", _one_config(tmp_path, [("0.1 + 0.02*sin(n)", 1)]), "--no-meta",
+                "--window", *map(str, window))
+    assert r.returncode == 2
+    assert f"window {window} must satisfy 0 <= N0 <= N1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("checks", ["all", []])
+@pytest.mark.parametrize("window", [[100, 50], [-50, 100]])
+def test_check_rejects_a_bad_config_window(tmp_path, window, checks):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"schema": 1, "window": window, "checks": checks, "equation": {
+        "terms": [{"coeff": "0.1 + 0.02*sin(n)", "lag": 1}]}}))
+    r = run_cli("check", str(path), "--no-meta")
+    assert r.returncode == 2
+    assert f"window {window} must satisfy 0 <= N0 <= N1" in r.stderr
+
+
+def test_check_accepts_a_one_point_window(tmp_path):
+    r = run_cli("check", _one_config(tmp_path, [("0.1 + 0.02*sin(n)", 1)]), "--no-meta",
+                "--window", "50", "50")
+    assert r.returncode == 0, r.stderr

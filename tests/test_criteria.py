@@ -1,8 +1,10 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delaystab import (
     DelaySpec,
@@ -41,6 +43,7 @@ from delaystab.criteria import (
     _char_root,
 )
 from delaystab.equation import merge_same_delay
+from delaystab.fixtures import config_to_equation
 from delaystab.oracle import random_equation
 from delaystab.simulator import kernel
 
@@ -180,9 +183,9 @@ def _positivity_calls(eq, monkeypatch):
     seen = []
     certify = criteria.certify_positivity
 
-    def recording(eq, window=None):
+    def recording(eq, window=None, **kw):
         seen.append((eq, window))
-        return certify(eq, window)
+        return certify(eq, window, **kw)
 
     monkeypatch.setattr(criteria, "certify_positivity", recording)
     run_all(eq)
@@ -236,6 +239,159 @@ def test_scan_refutes_an_overflowing_kernel():
         assert isinstance(certify_positivity(eq), PositivityRefutation)
     assert isinstance(ref, PositivityRefutation)
     assert not math.isfinite(ref.value)
+
+
+# --- theorem2's comparison-set scans
+
+
+def _theorem2_positivity(eq, monkeypatch):
+    """(subset equation, window, result) for every certify_positivity call
+    theorem2 makes inside run_all, and how many results a subset inherited
+    from a larger comparison set's scan."""
+    seen, inherited = [], []
+    certify = criteria.certify_positivity
+    certificate = criteria.ComparisonScans.certificate
+
+    def recording(eq, window=None, **kw):
+        result = certify(eq, window, **kw)
+        seen.append((eq, window, result))
+        return result
+
+    def counting(scans, I, n0, N):
+        result = certificate(scans, I, n0, N)
+        if result is not None and tuple(I) != scans.comparison_set(n0, N):
+            inherited.append(result)
+        return result
+
+    monkeypatch.setattr(criteria, "certify_positivity", recording)
+    monkeypatch.setattr(criteria.ComparisonScans, "certificate", counting)
+    run_all(eq, checks=["theorem2"])
+    monkeypatch.undo()
+    return seen, len(inherited)
+
+
+def _assert_inherits_soundly(eq, monkeypatch) -> int:
+    """Each certificate theorem2 gets matches the subset's own positivity
+    in type, route and window; an inherited minimum bounds its own from
+    below.  Returns how many were inherited."""
+    seen, inherited = _theorem2_positivity(eq, monkeypatch)
+    for sub, window, got in seen:
+        own = certify_positivity(sub, window)
+        assert type(got) is type(own), (got, own)
+        if isinstance(own, PositivityRefutation) or own.by != "numerical_scan":
+            _assert_same_positivity(got, own)
+        else:
+            assert (got.by, got.n0, got.N) == (own.by, own.n0, own.N)
+            assert got.min_value <= own.min_value
+    return inherited
+
+
+@pytest.mark.parametrize("autonomous", [False, True], ids=["periodic", "autonomous"])
+def test_theorem2_inherits_only_sound_certificates(autonomous, monkeypatch):
+    # the two generators of perfbench's check_periodic corpus
+    kw = (dict(m_max=3, T_max=4, K_max=1.0, autonomous=True) if autonomous
+          else dict(m_max=3, T_max=5, K_max=0.8))
+    inherited = sum(_assert_inherits_soundly(random_equation(seed, **kw), monkeypatch)
+                    for seed in range(25))
+    # every autonomous comparison set that a subset asks for refutes here
+    assert autonomous or inherited > 0
+
+
+@st.composite
+def _trig_equations(draw):
+    # laid out like perfbench's trig items: form, function, frequency and
+    # lag fixed by term index, constants drawn; large totals refute
+    m = draw(st.integers(2, 6))
+    total = draw(st.sampled_from([0.03, 0.2, 0.6]))
+    terms = []
+    for l in range(m):
+        a0 = total / m * draw(st.floats(0.5, 1.5))
+        a1 = a0 * draw(st.floats(0.1, 0.9))
+        fn = ("sin", "cos")[l % 2]
+        wave = f"{fn}({1 + l % 5}*n)"
+        text = [f"{a0!r} + {a1!r}*{wave}", f"{a0!r} - {a1!r}*{wave}", f"{a0!r}*abs({wave})"][l % 3]
+        if l == 0:
+            lag = DelaySpec.constant(1)
+        elif l % 2:
+            lag = DelaySpec.constant(6 - (l // 2) * 2)
+        else:
+            lag = DelaySpec.periodic([l // 2 - 1, 6 - l // 2])
+        terms.append(Term(parse(text), lag))
+    return validate(terms)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(eq=_trig_equations())
+def test_theorem2_inherits_only_sound_certificates_on_trig_equations(eq, monkeypatch):
+    _assert_inherits_soundly(eq, monkeypatch)
+
+
+def test_trig_m6_scans_each_window_once(monkeypatch):
+    from test_golden import GENERATED
+
+    eq = config_to_equation(GENERATED["sin_cos_m6"])
+    windows = []
+    scan = criteria.positivity_scan
+
+    def recording(eq, n0, N):
+        windows.append((n0, N))
+        return scan(eq, n0, N)
+
+    monkeypatch.setattr(criteria, "positivity_scan", recording)
+    run_all(eq, checks=["theorem2"])
+    # 63 subsets over five scan windows (T = 1, 2, 4, 5, 6)
+    assert sorted(windows) == [(5, 205), (10, 210), (20, 220), (25, 225), (30, 230)]
+
+
+def test_comparison_set_leaves_out_early_negative_terms():
+    # the spliced term is negative on the rows before 40, which every
+    # subset's scan window [5 T, ...) reads here
+    eq = const_eq(("0.1 + 0.02*sin(n)", 1), ("splice(40, -0.01, 0.02)", 3), ("0.03", 2))
+    scans = criteria.ComparisonScans(eq)
+    assert scans.comparison_set(5, 205) == (0, 2)
+    assert scans.comparison_set(15, 215) == (0, 2)
+    assert scans.comparison_set(40, 240) == (0, 1, 2)
+    assert scans.certificate([0, 1], 15, 215) is None
+    assert isinstance(scans.certificate([0, 2], 10, 210), PositivityCertificate)
+    sub = criteria.subset_equation(eq, [0, 1])
+    got = criteria.certify_positivity(sub, comparison=functools.partial(scans.certificate, [0, 1]))
+    _assert_same_positivity(got, certify_positivity(sub))
+
+
+def test_comparison_set_refutation_is_never_inherited():
+    # both terms are nonnegative, the pair's kernel is not positive
+    eq = const_eq((0.05, 1), (1.5, 0))
+    scans = criteria.ComparisonScans(eq)
+    assert scans.certificate([0], 5, 205) is None
+    assert isinstance(scans.scan(5, 205), PositivityRefutation)
+    # the set itself gets its own scan back
+    own = positivity_scan(criteria.subset_equation(eq, [0, 1]), 5, 205)
+    _assert_same_positivity(scans.certificate([0, 1], 5, 205), own)
+
+
+def test_comparison_set_underflow_stop_is_never_inherited():
+    # the pair's kernel underflows to an exact zero at row 37, short of N
+    eq = const_eq(("1 - 1e-9*(1.5 + sin(n))", 0), ("1e-12", 0))
+    scans = criteria.ComparisonScans(eq)
+    stop = scans.scan(0, 200)
+    assert isinstance(stop, PositivityCertificate) and stop.N < 200
+    assert scans.certificate([1], 0, 200) is None
+
+
+def test_comparison_set_past_its_window_or_the_cap_is_never_inherited():
+    eq = const_eq((0.1, 1), (0.0001, 4000))
+    scans = criteria.ComparisonScans(eq)
+    # [5, 205] is shorter than 5 T_J = 20,000
+    assert scans.certificate([0], 5, 205) is None
+    # lag 4000 over [20000, 60000] passes the ring cap; no error escapes
+    assert scans.certificate([0], 20_000, 60_000) is None
+    assert scans.scan(20_000, 60_000) is None
+
+
+def test_run_all_rejects_a_bad_window(eq_sin_cos):
+    for window in ((100, 50), (-50, 100)):
+        with pytest.raises(ValueError, match="must satisfy 0 <= N0 <= N1"):
+            run_all(eq_sin_cos, window)
 
 
 # --- nonoscillation (lemma4) and the autonomous sharp bound

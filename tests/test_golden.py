@@ -34,7 +34,10 @@ def _random_config(seed: int, autonomous: bool) -> dict:
 # two "_window" entries pin the certification-window override.  sin_cos_m5
 # is laid out like the benchmark's trig items (constant lags and two-entry
 # lag tables), so theorem2's 31 subsets read the same coefficients over
-# windows that start at different 10 T.
+# windows that start at different 10 T; sin_cos_m6 is the benchmark's m = 6
+# layout (63 subsets over five scan windows).  mixed_sign_splice has a term
+# that is negative only before n = 40, inside every subset's scan window,
+# and one that is negative everywhere.
 GENERATED = {
     **{f"random_periodic_{s}": _random_config(s, False) for s in (0, 2, 3, 4)},
     **{f"random_autonomous_{s}": _random_config(s, True) for s in (0, 1, 3, 5)},
@@ -46,6 +49,16 @@ GENERATED = {
                            ("0.007588*abs(sin(3*n))", [0, 5]),
                            ("0.004830 + 0.002584*cos(4*n)", 4),
                            ("0.012281 - 0.010415*sin(5*n)", [1, 4])]),
+    "sin_cos_m6": _config([("0.006993 + 0.004093*sin(1*n)", 1),
+                           ("0.004735 - 0.003237*cos(2*n)", 6),
+                           ("0.004991*abs(sin(3*n))", [0, 5]),
+                           ("0.003177 + 0.002694*cos(4*n)", 4),
+                           ("0.008078 - 0.006080*sin(5*n)", [1, 4]),
+                           ("0.013034*abs(cos(1*n))", 2)]),
+    "mixed_sign_splice": _config([("0.1 + 0.02*sin(n)", 1),
+                                  ("splice(40, -0.01, 0.02)", 3),
+                                  ("-0.004*abs(cos(2*n))", 0),
+                                  ("0.03 + 0.01*cos(3*n)", [2, 4])]),
 }
 GENERATED["sin_cos_m3_window"] = {**GENERATED["sin_cos_m3"], "window": [50, 2050]}
 GENERATED["random_periodic_0_window"] = {**GENERATED["random_periodic_0"], "window": [30, 530]}

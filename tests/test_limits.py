@@ -15,7 +15,15 @@ from delaystab import (
     validate,
 )
 from delaystab import criteria
-from delaystab.limits import aggregate_period, coeff_span, windowed_delayed_sum
+from delaystab.fixtures import config_to_equation
+from delaystab.limits import (
+    AsymptoticEstimate,
+    aggregate_period,
+    coeff_span,
+    default_window,
+    limsup_products,
+    windowed_delayed_sum,
+)
 
 
 def test_liminf_sum_alternating(eq_alternating):
@@ -442,3 +450,68 @@ def test_strip_depth_sees_lags_past_8192_samples():
     assert diag.value == pytest.approx(9000 * 0.01)
     lhs, _, _ = criteria.theorem5_lhs_rhs(eq, [0], [DelaySpec.constant(1)], window, False)
     assert lhs.max() == pytest.approx(0.01 * 8999 * 0.01)
+
+
+# ---------------------------------------------------------------------------
+# The sliding-window limsup_product the running product replaced, kept
+# verbatim as the reference: every p-step maximum must agree exactly.
+
+
+def _ref_limsup_product(eq, p, window=None):
+    """limsup over n of prod_{j=n}^{n+p-1} (1 - sum_l a_l(j))."""
+    if p < 1:
+        raise ValueError("p must be positive")
+    window = window or default_window(eq)
+    table, exact = coeff_span(eq, window, extra=p - 1)
+    factors = 1.0 - table.sum(axis=0)
+    products = np.lib.stride_tricks.sliding_window_view(factors, p).prod(axis=1)
+    return AsymptoticEstimate(float(products.max()), exact)
+
+
+def _product_horizons(eq):
+    period = aggregate_period(eq)
+    extra = set() if period is None else {period, 2 * period}
+    return sorted(set(criteria.P_CANDIDATES) | extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=24),
+       general=st.booleans())
+def test_running_products_match_sliding_windows(values, general):
+    # one periodic row of random factors 1 - a(n), or the same row plus a
+    # general term, which makes the span the whole window
+    terms = [Term(parse(f"per({', '.join(map(repr, values))})"), DelaySpec.constant(1))]
+    if general:
+        terms.append(Term(parse("0.01*sin(n)"), DelaySpec.constant(2)))
+    eq = validate(terms)
+    window = (10 * eq.T, 10 * eq.T + 300)
+    ps = _product_horizons(eq)
+    got = limsup_products(eq, ps, window)
+    assert sorted(got) == ps
+    for p in ps:
+        want = _ref_limsup_product(eq, p, window)
+        assert got[p] == want
+        assert limsup_product(eq, p, window) == want
+
+
+def test_best_product_horizons_match_sliding_windows_on_goldens(monkeypatch):
+    from test_golden import CONFIGS
+
+    calls = []
+    best = criteria._best_product
+
+    def recording(eq, window):
+        calls.append((eq, window))
+        return best(eq, window)
+
+    monkeypatch.setattr(criteria, "_best_product", recording)
+    for config in CONFIGS.values():
+        window = config.get("window")
+        criteria.run_all(config_to_equation(config), window and tuple(window))
+    monkeypatch.undo()
+    assert len(calls) >= 100
+    for eq, window in calls:
+        ps = _product_horizons(eq)
+        got = limsup_products(eq, ps, window)
+        for p in ps:
+            assert got[p] == _ref_limsup_product(eq, p, window)
