@@ -45,7 +45,7 @@ from .oracle import (
 from .seqexpr import SeqEvalError, SeqSyntaxError
 from .simulator import (
     KernelMemoryError,
-    fmt_float,
+    format_csv,
     fundamental,
     product_bound,
     representation_check,
@@ -211,9 +211,7 @@ def cmd_simulate(args) -> int:
         write_trajectory_csv(traj, args.csv)
         print(f"wrote {args.csv}")
     else:
-        lines = ["n,value"]
-        lines += [f"{traj.n0 + i},{fmt_float(v)}" for i, v in enumerate(traj.values)]
-        print("\n".join(lines))
+        sys.stdout.write(format_csv("n,value", traj.n0, traj.values))
     return 0
 
 
@@ -226,10 +224,7 @@ def cmd_fundamental(args) -> int:
         column = fundamental(eq, args.k, args.N)
         bound = product_bound(eq, args.k, args.N)
         _require_finite(args.k, column, bound)
-    lines = ["n,value,bound"]
-    for i, (v, b) in enumerate(zip(column, bound)):
-        lines.append(f"{args.k + i},{fmt_float(v)},{fmt_float(b)}")
-    text = "\n".join(lines) + "\n"
+    text = format_csv("n,value,bound", args.k, column, bound)
     if args.csv:
         _atomic_write(args.csv, text)
         print(f"wrote {args.csv}")

@@ -30,7 +30,7 @@ __all__ = [
     "product_bound",
     "lemma6_sum",
     "pituk_sum",
-    "fmt_float",
+    "format_csv",
     "write_trajectory_csv",
 ]
 
@@ -186,13 +186,17 @@ def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
 # CSV emission (plot-ready; 17 significant digits, LF endings)
 
 
-def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+def format_csv(header: str, n0: int, *columns: np.ndarray) -> str:
+    """The header line, then one row "n,c_1(n),..." for n = n0, n0 + 1, ...
+
+    Values print with 17 significant digits ("%.17g", the same text as
+    format(v, ".17g")), enough to read every float64 back exactly.
+    """
+    row = "%d" + ",%.17g" * len(columns) + "\n"
+    n = range(n0, n0 + len(columns[0]))
+    return header + "\n" + "".join(map(row.__mod__, zip(n, *(c.tolist() for c in columns))))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    lines = ["n,value"]
-    for i, v in enumerate(traj.values):
-        lines.append(f"{traj.n0 + i},{fmt_float(v)}")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_csv("n,value", traj.n0, traj.values))

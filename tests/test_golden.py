@@ -1,19 +1,24 @@
 """Behaviour contract: `check --no-meta` reports on the shipped fixtures
-and on a pinned generated corpus must stay byte-identical.  Regenerate
-the files only for a documented behaviour change:
+and on a pinned generated corpus, and the `simulate` and `fundamental`
+CSVs of one forced equation, must stay byte-identical.  Regenerate the
+files only for a documented behaviour change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from delaystab.cli import main
 from delaystab.fixtures import FIXTURE_CONFIGS
 from delaystab.oracle import random_equation
+from delaystab.simulator import format_csv
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -67,8 +72,26 @@ CONFIGS = {**{f"check_{name}": cfg for name, cfg in FIXTURE_CONFIGS.items()},
            **{f"generated_{name}": cfg for name, cfg in GENERATED.items()}}
 
 
+# a forced sin/cos equation (T = 4) started at a negative index from a
+# nonzero history; `fundamental` ignores the forcing
+CSV_CONFIG = {"schema": 1, "equation": {
+    "terms": [{"coeff": "0.1 + 0.02*sin(n)", "lag": 1},
+              {"coeff": "0.04*abs(cos(2*n))", "lag": [1, 3]},
+              {"coeff": "0.05 + 0.01*alt(n)", "lag": 4}],
+    "forcing": "0.3*sin(2*n) - 0.1*cos(n)"}}
+CSV_HISTORY = ["0.5", "-0.25", "1", "0", "0.3333333333333333"]
+SIMULATE = ["--n0", "-3", "--history", *CSV_HISTORY, "--N", "3000"]
+# name -> arguments after the config path; "--csv" writes to a file
+CSV_COMMANDS = {
+    "simulate_forced_stdout": ["simulate", *SIMULATE],
+    "simulate_forced": ["simulate", *SIMULATE, "--csv"],
+    "fundamental_k7": ["fundamental", "--k", "7", "--N", "3000", "--csv"],
+}
+
+
 def _golden_path(name: str) -> str:
-    return os.path.join(GOLDEN, f"{name}.json")
+    ext = "csv" if name in CSV_COMMANDS else "json"
+    return os.path.join(GOLDEN, f"{name}.{ext}")
 
 
 def _check_report(name: str, directory: str) -> bytes:
@@ -81,10 +104,34 @@ def _check_report(name: str, directory: str) -> bytes:
         return fh.read()
 
 
+def _csv_output(name: str, directory: str) -> bytes:
+    """The CSV a command writes to its --csv file or, without one, to stdout."""
+    config = os.path.join(directory, "csv_config.json")
+    out = os.path.join(directory, f"{name}.csv")
+    with open(config, "w") as fh:
+        json.dump(CSV_CONFIG, fh)
+    command, *flags = CSV_COMMANDS[name]
+    if flags[-1] == "--csv":
+        flags.append(out)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main([command, config, *flags]) == 0
+    if flags[-1] != out:
+        return stdout.getvalue().encode()
+    with open(out, "rb") as fh:
+        return fh.read()
+
+
+def _output(name: str, directory: str) -> bytes:
+    if name in CSV_COMMANDS:
+        return _csv_output(name, directory)
+    return _check_report(name, directory)
+
+
 def _assert_golden(name: str, directory: str) -> None:
     with open(_golden_path(name), "rb") as fh:
         expected = fh.read()
-    assert _check_report(name, directory) == expected
+    assert _output(name, directory) == expected
 
 
 @pytest.mark.parametrize("name", list(FIXTURE_CONFIGS))
@@ -97,11 +144,24 @@ def test_generated_report_matches_golden(name, tmp_path):
     _assert_golden(f"generated_{name}", str(tmp_path))
 
 
+@pytest.mark.parametrize("name", list(CSV_COMMANDS))
+def test_csv_matches_golden(name, tmp_path):
+    _assert_golden(name, str(tmp_path))
+
+
+def test_csv_formatter_prints_17_significant_digits():
+    values = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3]
+    text = format_csv("n,value,neg", -1, np.array(values), -np.array(values))
+    rows = [f"{n},{format(v, '.17g')},{format(-v, '.17g')}"
+            for n, v in zip(range(-1, 3), values)]
+    assert text == "\n".join(["n,value,neg", *rows]) + "\n"
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CONFIGS:
+        for name in [*CONFIGS, *CSV_COMMANDS]:
             with open(_golden_path(name), "wb") as fh:
-                fh.write(_check_report(name, tmp))
+                fh.write(_output(name, tmp))
             print(f"wrote {_golden_path(name)}", file=sys.stderr)

@@ -3,12 +3,15 @@
 ``_reference_table`` is the triple loop that defines X(n, k) column by
 column; ``kernel_table`` must reproduce it exactly, and the weighted sums
 and forced recurrences must match sums over it to rounding.
+``_reference_step`` is the per-step NumPy-scalar recurrence;
+``step_recurrence`` must reproduce it bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from delaystab import KernelMemoryError, _kernels, cauchy_apply, lemma6_sum, parse, pituk_sum
+from delaystab import (Equation, InitialData, KernelMemoryError, _kernels, cauchy_apply,
+                       lemma6_sum, parse, pituk_sum, simulate)
 from delaystab.oracle import random_equation
 
 
@@ -27,6 +30,18 @@ def _reference_table(coeffs, lags, size):
                     acc -= coeffs[l, i] * table[h, j]
             table[i + 1, j] = acc
     return table
+
+
+def _reference_step(coeffs, lags, forcing, x, t_max, steps):
+    """x(n+1) = x(n) - sum_l a_l(n) x(n - d_l(n)) + f(n) on NumPy scalars."""
+    m = coeffs.shape[0]
+    for i in range(steps):
+        acc = x[t_max + i]
+        for l in range(m):
+            acc -= coeffs[l, i] * x[t_max + i - lags[l, i]]
+        acc += forcing[i]
+        x[t_max + i + 1] = acc
+    return x
 
 
 def _reference_sums(table, weights, use_abs):
@@ -112,6 +127,67 @@ def test_step_recurrence_is_the_representation_formula(name, coeffs, lags):
     _kernels.step_recurrence(coeffs, lags, forcing, x, t_max, steps)
     table = _reference_table(coeffs, lags, steps + 1)
     _assert_close(x[t_max:], 1.5 * table[:, 0] + _reference_sums(table, forcing, False))
+
+
+def _six_periodic_terms(seed, size):
+    """m = 6 with periodic coefficient and lag tables (periods 1 to 6)."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(size)
+    coeffs = np.stack([rng.uniform(-0.1, 0.2, p)[n % p] for p in range(1, 7)])
+    lags = np.stack([rng.integers(0, 9, p)[n % p] for p in range(1, 7)]).astype(np.int64)
+    return coeffs, lags
+
+
+# (name, coeffs, lags, history seed or None for x(n0) = 1.5 after zeros)
+STEP_CASES = (
+    [(name, coeffs, lags, None) for name, coeffs, lags in CASES]
+    + [("history", *_random_tables(6, 3, 60, 5), 7),
+       ("six_periodic", *_six_periodic_terms(8, 200), 9),
+       ("steps0", np.zeros((2, 0)), np.zeros((2, 0), dtype=np.int64), 10),
+       # grows past the float64 range: inf, then inf - inf = nan
+       ("overflow", np.array([[-1e150, 1e150] * 20, [1e150] * 40]),
+        np.array([[0] * 40, [1] * 40], dtype=np.int64), 11)]
+)
+
+
+@pytest.mark.parametrize("name,coeffs,lags,seed", STEP_CASES, ids=[c[0] for c in STEP_CASES])
+def test_step_recurrence_matches_numpy_scalar_loop_bitwise(name, coeffs, lags, seed):
+    steps = coeffs.shape[1]
+    t_max = int(lags.max(initial=0))
+    forcing = np.sin(np.arange(float(steps)))
+    x = np.zeros(t_max + steps + 1)
+    if seed is None:
+        x[t_max] = 1.5
+    else:
+        x[: t_max + 1] = np.random.default_rng(seed).uniform(-1.0, 1.0, t_max + 1)
+    ref = x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        _reference_step(coeffs, lags, forcing, ref, t_max, steps)
+    got = _kernels.step_recurrence(coeffs, lags, forcing, x, t_max, steps)
+    assert got is x
+    assert np.array_equal(x, ref, equal_nan=True)
+    if name == "overflow":
+        assert np.isinf(x).any() and np.isnan(x[-1])
+
+
+@pytest.mark.parametrize("bad_lag", [-1, 4])
+def test_step_recurrence_rejects_lags_outside_the_history(bad_lag):
+    # a lag above t_max (or below 0) would read outside x(n0 - t_max .. n)
+    coeffs, lags = np.full((2, 5), 0.1), np.full((2, 5), 1, dtype=np.int64)
+    lags[1, 4] = bad_lag
+    x = np.zeros(3 + 5 + 1)
+    with pytest.raises(ValueError, match="leave the history"):
+        _kernels.step_recurrence(coeffs, lags, np.zeros(5), x, 3, 5)
+    # lags past the steps taken are never read
+    _kernels.step_recurrence(coeffs, lags, np.zeros(4), x[:-1], 3, 4)
+
+
+def test_simulate_rejects_a_T_below_the_largest_lag():
+    eq = random_equation(2, m_max=3, T_max=5, K_max=0.5)
+    short = Equation(eq.terms, eq.K, eq.T - 1, None, eq.validation_window)
+    init = InitialData.from_values(0, [0.0] * (eq.T - 1) + [1.0])
+    with pytest.raises(ValueError, match="leave the history"):
+        simulate(short, init, 40)
 
 
 @pytest.mark.parametrize("seed", range(12))
