@@ -145,11 +145,11 @@ def cmd_check(args) -> int:
         families = checks
     else:
         raise ValueError("checks must be \"all\" or a list of family names")
-    verdicts = run_all(eq, window, families)
-
     horizon = int(config.get("horizon", 1000))
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    verdicts = run_all(eq, window, families)
+
     # fit_decay needs 50 points past the skip; a column on [0, N] has N + 1
     skip = max(5 * eq.T, 20)
     # fit_decay drops the non-finite tail of an overflowed column

@@ -10,7 +10,10 @@ Positivity of the fundamental function of a comparison equation is the
 common hypothesis; it is certified analytically when the window-sum or
 characteristic-root routes apply and by a finite kernel scan otherwise
 (scan-backed verdicts are flagged window-certified), which stops at the
-first kernel entry that is nonpositive or not finite.  Within one
+first kernel entry that is nonpositive or not finite.  The analytic routes
+are exact-span arguments, so they are tried only when the merged
+coefficients are all constant or periodic; general coefficients go
+straight to the scan, with the same verdicts and routes.  Within one
 ``run_all``, theorem2's subsets share one scan per scan window through the
 comparison lemma (``ComparisonScans``); a refutation is never shared.
 """
@@ -264,20 +267,24 @@ def certify_positivity(eq: Equation, window: Window = None, *,
     """Try analytic positivity routes, then fall back to a kernel scan.
 
     Terms sharing a lag table are merged first so sign hypotheses apply to
-    the effective coefficients.  ``comparison(n0, N)``, when given, is
-    asked before the scan on [n0, N] and answers for it unless it returns
-    None (see ``ComparisonScans``).
+    the effective coefficients.  The analytic routes certify only on exact
+    spans, so they are tried only when every merged coefficient is
+    constant or periodic; general coefficients go straight to the scan,
+    which gives the verdict and route it gave when the routes ran first.
+    ``comparison(n0, N)``, when given, is asked before the scan on [n0, N]
+    and answers for it unless it returns None (see ``ComparisonScans``).
     """
     merged = merge_same_delay(eq)
-    pre = check_lemma4(merged, window)
-    if pre.outcome is Outcome.STABLE and not pre.window_certified:
-        return PositivityCertificate(0, -1, math.nan, "lemma4")
-    if pre.outcome is not Outcome.NOT_APPLICABLE:
-        root, part1, part2, exact = _char_root(merged, pre.window)
-        if exact and part2:
-            return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
-        if exact and part1:
-            return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
+    if limits.aggregate_period(merged) is not None:
+        pre = check_lemma4(merged, window)
+        if pre.outcome is Outcome.STABLE and not pre.window_certified:
+            return PositivityCertificate(0, -1, math.nan, "lemma4")
+        if pre.outcome is not Outcome.NOT_APPLICABLE:
+            root, part1, part2, exact = _char_root(merged, pre.window)
+            if exact and part2:
+                return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
+            if exact and part1:
+                return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
     n0 = SCAN_LEAD_MULT * eq.T
     N = n0 + max(SCAN_LEN, 10 * max(eq.T, 1))
     if comparison is not None:

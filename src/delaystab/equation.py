@@ -110,7 +110,8 @@ def merge_same_delay(eq: Equation) -> Equation:
     """Sum coefficients of terms sharing an identical lag table.
 
     x(n+1)-x(n) = -a(n)x(g(n)) - b(n)x(g(n)) is the single-term equation
-    with coefficient a+b; positivity tests want that canonical form.
+    with coefficient a+b; positivity tests want that canonical form.  An
+    equation whose lag tables are all distinct is returned as it is.
     """
     groups: dict[DelaySpec, SeqExpr] = {}
     order: list[DelaySpec] = []
@@ -120,6 +121,8 @@ def merge_same_delay(eq: Equation) -> Equation:
         else:
             groups[t.delay] = t.coeff
             order.append(t.delay)
+    if len(order) == eq.m:
+        return eq
     merged_terms = tuple(Term(groups[d], d) for d in order)
     return validate(merged_terms, eq.forcing, eq.validation_window[1])
 

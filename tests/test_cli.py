@@ -310,6 +310,20 @@ def test_check_builds_the_equation_once(cfg_factorial, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_rejects_a_bad_horizon_before_the_checkers(tmp_path, monkeypatch, capsys):
+    from delaystab import cli
+
+    def never(*args, **kw):
+        raise AssertionError("run_all ran on a config with a bad horizon")
+
+    monkeypatch.setattr(cli, "run_all", never)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"schema": 1, "horizon": 0, "equation": {
+        "terms": [{"coeff": "1 - 1/(n+1)", "lag": 0}]}}))
+    assert cli.main(["check", str(path), "--no-meta"]) == 2
+    assert capsys.readouterr().err == "error: horizon must be >= 1\n"
+
+
 def test_unused_flags_are_rejected(cfg_factorial, tmp_path):
     assert run_cli("check", cfg_factorial, "--seed", "1").returncode == 2
     for command in (["simulate", "--N", "3"], ["fundamental", "--k", "0", "--N", "3"]):

@@ -43,7 +43,7 @@ from delaystab.criteria import (
     _char_root,
 )
 from delaystab.equation import merge_same_delay
-from delaystab.fixtures import config_to_equation
+from delaystab.fixtures import FIXTURE_CONFIGS, config_to_equation
 from delaystab.oracle import random_equation
 from delaystab.simulator import kernel
 
@@ -178,7 +178,7 @@ def _assert_same_positivity(got, want):
             assert mine == value, key
 
 
-def _positivity_calls(eq, monkeypatch):
+def _positivity_calls(eq, monkeypatch, window=None):
     """Every equation and window run_all hands to certify_positivity."""
     seen = []
     certify = criteria.certify_positivity
@@ -188,23 +188,54 @@ def _positivity_calls(eq, monkeypatch):
         return certify(eq, window, **kw)
 
     monkeypatch.setattr(criteria, "certify_positivity", recording)
-    run_all(eq)
+    run_all(eq, window)
     monkeypatch.undo()
     return seen
 
 
-@pytest.mark.parametrize("autonomous", [False, True], ids=["periodic", "autonomous"])
-def test_streamed_scan_matches_dense_reference(autonomous, monkeypatch):
-    # the two generators of perfbench's check_periodic corpus
-    kw = (dict(m_max=3, T_max=4, K_max=1.0, autonomous=True) if autonomous
-          else dict(m_max=3, T_max=5, K_max=0.8))
+def _general_runs():
+    """(equation, window) of the golden corpus's sin/cos configs, of the
+    fixtures with general coefficients, and of general terms that merge to
+    a constant: sin(n) and -sin(n) on one lag sum to 0, so lemma 4's exact
+    window sums apply to the merged equation, not to the terms as given."""
+    from test_golden import GENERATED
+
+    configs = [cfg for name, cfg in GENERATED.items() if not name.startswith("random_")]
+    configs += [FIXTURE_CONFIGS[name] for name in
+                ("two_delay_sin_cos", "factorial_kernel", "vanishing_coefficient")]
+    runs = [(config_to_equation(cfg), tuple(cfg["window"]) if "window" in cfg else None)
+            for cfg in configs]
+    return runs + [(const_eq(("sin(n)", 2), ("-sin(n)", 2), (0.1, 1)), None)]
+
+
+@pytest.mark.parametrize("corpus", ["periodic", "autonomous", "general"])
+def test_streamed_scan_matches_dense_reference(corpus, monkeypatch):
+    # the two generators of perfbench's check_periodic corpus, and general
+    # coefficients, where the analytic routes are skipped
+    if corpus == "general":
+        runs = _general_runs()
+    else:
+        kw = (dict(m_max=3, T_max=4, K_max=1.0, autonomous=True) if corpus == "autonomous"
+              else dict(m_max=3, T_max=5, K_max=0.8))
+        runs = [(random_equation(seed, **kw), None) for seed in range(25)]
     kinds = set()
-    for seed in range(25):
-        for eq, window in _positivity_calls(random_equation(seed, **kw), monkeypatch):
+    for run_eq, run_window in runs:
+        for eq, window in _positivity_calls(run_eq, monkeypatch, run_window):
             want = _reference_certify(eq, window)
             _assert_same_positivity(certify_positivity(eq, window), want)
             kinds.add(getattr(want, "by", "refuted"))
     assert {"numerical_scan", "refuted"} <= kinds
+    if corpus == "general":
+        assert "lemma4" in kinds
+
+
+def test_general_coefficients_skip_the_analytic_routes(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("analytic route tried on a general coefficient")
+
+    monkeypatch.setattr(criteria, "check_lemma4", refuse)
+    monkeypatch.setattr(criteria, "_char_root", refuse)
+    assert certify_positivity(const_eq(("0.1 + 0.02*sin(n)", 1))).by == "numerical_scan"
 
 
 def test_streamed_scan_certifies_rows_before_underflow():

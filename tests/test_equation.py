@@ -70,6 +70,12 @@ def test_merge_same_delay():
     assert merged.m == 1
     assert evaluate(merged.terms[0].coeff, 0) == pytest.approx(0.05)
     assert evaluate(merged.terms[0].coeff, 1) == pytest.approx(0.03)
+    # distinct lag tables: nothing to merge, and no second validation
+    distinct = validate([
+        Term(parse("per(-0.12, -0.05)"), DelaySpec.periodic([3, 5])),
+        Term(parse("0.1 + 0.02*sin(n)"), DelaySpec.constant(3)),
+    ])
+    assert merge_same_delay(distinct) is distinct
 
 
 def test_initial_data_coverage_enforced(eq_unbounded):
