@@ -118,13 +118,27 @@ def _require_finite(n0: int, *columns: np.ndarray) -> None:
         raise ValueError(f"output at n = {n} is not finite (overflow); lower the horizon")
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bools, which isinstance counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _window_from(args, config: dict) -> Optional[tuple[int, int]]:
     if args.window is not None:
         return (args.window[0], args.window[1])
-    if config.get("window") is not None:
-        w = config["window"]
-        return (int(w[0]), int(w[1]))
-    return None
+    w = config.get("window")
+    if w is None:
+        return None
+    if not (isinstance(w, list) and len(w) == 2 and all(map(_is_int, w))):
+        raise ValueError(f"window {json.dumps(w)} must be a list of two integers [N0, N1]")
+    return (w[0], w[1])
+
+
+def _horizon_from(config: dict, default: int) -> int:
+    horizon = config.get("horizon", default)
+    if not _is_int(horizon):
+        raise ValueError(f"horizon {json.dumps(horizon)} must be an integer")
+    return horizon
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +159,7 @@ def cmd_check(args) -> int:
         families = checks
     else:
         raise ValueError("checks must be \"all\" or a list of family names")
-    horizon = int(config.get("horizon", 1000))
+    horizon = _horizon_from(config, 1000)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     verdicts = run_all(eq, window, families)
@@ -190,7 +204,7 @@ def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     eq = config_to_equation(config)
     n0 = args.n0
-    horizon = args.N if args.N is not None else int(config.get("horizon", 100))
+    horizon = args.N if args.N is not None else _horizon_from(config, 100)
     if horizon < n0:
         raise ValueError(f"horizon {horizon} precedes n0 = {n0}")
     if args.history:

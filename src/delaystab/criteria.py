@@ -33,7 +33,7 @@ import numpy as np
 from . import _kernels, limits
 from .equation import Equation, Term, merge_same_delay, subset_equation, validate
 from .oracle import autonomous_coefficients
-from .seqexpr import DelaySpec, evaluation_scope
+from .seqexpr import DelaySpec, added, evaluation_scope
 
 __all__ = [
     "Outcome",
@@ -45,7 +45,6 @@ __all__ = [
     "ComparisonScans",
     "nonosc_threshold",
     "check_lemma4",
-    "check_autonomous_nonosc",
     "check_theorem1",
     "check_corollary2",
     "check_corollary3",
@@ -134,6 +133,11 @@ DIVERGENCE_EPS = 1e-6
 # golden-section search for corollary 3's characteristic root stops at this width
 LAMBDA_TOL = 1e-10
 
+# mutation self-check hook: with DELAYSTAB_LOOSEN_THRESHOLDS set, the sharp
+# nonoscillation bound grows and the domination ratio shrinks by this factor,
+# far enough that the fuzz and benchmark gates must surface unsound verdicts
+_LOOSEN = 6.0 if os.environ.get("DELAYSTAB_LOOSEN_THRESHOLDS") else 1.0
+
 # The certification-window override; None means limits.default_window.
 Window = Optional[tuple[int, int]]
 
@@ -148,11 +152,7 @@ def nonosc_threshold(k: int) -> float:
         thr = (k**k) / float((k + 1) ** (k + 1))
     except OverflowError:  # k >= 143: the correctly rounded integer quotient
         thr = k**k / (k + 1) ** (k + 1)
-    if os.environ.get("DELAYSTAB_LOOSEN_THRESHOLDS"):
-        # mutation self-check hook: corrupt the bound far enough that the
-        # fuzz harness must surface unsound verdicts
-        thr *= 6.0
-    return thr
+    return thr * _LOOSEN
 
 
 def _term_bounds(eq: Equation, l: int, window: tuple[int, int]) -> tuple[float, float, bool]:
@@ -249,13 +249,6 @@ def check_lemma4(eq: Equation, window: Window = None) -> Verdict:
         not (sup_exact and double.exact),
         "positive kernel via coefficient window sums (sup < 1/2, delayed sum <= 1/4)",
     )
-
-
-def check_autonomous_nonosc(a: float, k: int) -> bool:
-    """Sharp test 0 < a <= k^k/(k+1)^(k+1) for a single constant delay k >= 1."""
-    if k < 1:
-        raise ValueError("delay must be >= 1")
-    return 0.0 < a <= nonosc_threshold(k)
 
 
 Positivity = Union[PositivityCertificate, PositivityRefutation]
@@ -552,7 +545,7 @@ def _limsup_ratio(eq: Equation, I: Sequence[int],
     live = den > 0.0
     if (num[~live] > 0.0).any():
         return math.inf, exact
-    return float((num[live] / den[live]).max(initial=0.0)), exact
+    return float((num[live] / den[live]).max(initial=0.0)) / _LOOSEN, exact
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +704,6 @@ def check_corollary7(eq: Equation, window: Window = None) -> Verdict:
                    "short-memory domination (gap product needs gamma < 1)")
 
 
-def _pair_sum_expr(eq: Equation):
-    from .seqexpr import added
-    return added(eq.terms[0].coeff, eq.terms[1].coeff)
-
-
 def check_corollary8(eq: Equation, part: int, window: Window = None) -> Verdict:
     """Two-term tests: (1) first term inside (0, 1/2) with window sum
     <= 1/4 dominating |b|; (2) the pair sum inside (0, 1/2) with window sum
@@ -756,7 +744,7 @@ def check_corollary8(eq: Equation, part: int, window: Window = None) -> Verdict:
     # so the pair-sum comparison equation at that delay must have a
     # positive kernel; without this hypothesis the test would certify
     # e.g. (-0.06, lag 0) + (0.46, lag 3), which diverges
-    pair = validate([Term(_pair_sum_expr(eq), eq.terms[1].delay)],
+    pair = validate([Term(added(eq.terms[0].coeff, eq.terms[1].coeff), eq.terms[1].delay)],
                     None, eq.validation_window[1])
     cert = certify_positivity(pair, override)
     if isinstance(cert, PositivityRefutation):

@@ -1,13 +1,13 @@
 """Delay difference equations x(n+1) - x(n) = -sum_l a_l(n) x(h_l(n)) + f(n).
 
-An Equation bundles the terms with window-certified bounds: K bounds every
-|a_l(n)| on the validation window and T is the largest lag, so every state
-access during simulation stays inside [n - T, n].
+An Equation holds its terms, its forcing and the window its expressions
+were checked to evaluate on.  It works out T, the largest lag, from its
+terms, so every state access during simulation stays inside [n - T, n].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,10 +29,14 @@ class Term:
 @dataclass(frozen=True)
 class Equation:
     terms: tuple[Term, ...]
-    K: float
-    T: int
     forcing: Optional[SeqExpr] = None
     validation_window: tuple[int, int] = (0, 0)
+    T: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not self.terms:
+            raise ValueError("equation needs at least one term")
+        object.__setattr__(self, "T", max(t.delay.max_lag for t in self.terms))
 
     @property
     def m(self) -> int:
@@ -73,28 +77,21 @@ def validate(
     forcing: Optional[SeqExpr] = None,
     window_len: Optional[int] = None,
 ) -> Equation:
-    """Build an Equation, certifying the coefficient bound K on a window.
-
-    K is the largest |a_l(n)| observed on [0, window_len); for constant or
-    periodic coefficients that value is the true global bound, otherwise it
-    is a window certificate only (the window is recorded on the equation).
+    """Build an Equation whose coefficients and forcing evaluate on
+    [0, window_len), so evaluation errors surface here; the window is
+    recorded on the equation.
     """
-    terms = tuple(terms)
-    if not terms:
-        raise ValueError("equation needs at least one term")
-    T = max(t.delay.max_lag for t in terms)
-    min_len = 10 * (1 + T)
+    eq = Equation(tuple(terms), forcing)
+    min_len = 10 * (1 + eq.T)
     if window_len is None:
         window_len = max(min_len, 1000)
     if window_len < min_len:
         raise ValueError(f"window_len must be at least 10*(1+T) = {min_len}")
-    K = 0.0
-    for t in terms:
-        values = eval_range(t.coeff, 0, window_len - 1)
-        K = max(K, float(np.abs(values).max()))
+    for t in eq.terms:
+        eval_range(t.coeff, 0, window_len - 1)
     if forcing is not None:
-        eval_range(forcing, 0, window_len - 1)  # surfaces eval errors early
-    return Equation(terms, K, T, forcing, (0, window_len))
+        eval_range(forcing, 0, window_len - 1)
+    return replace(eq, validation_window=(0, window_len))
 
 
 def subset_equation(eq: Equation, indices: Sequence[int]) -> Equation:

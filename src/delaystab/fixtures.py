@@ -94,19 +94,17 @@ def config_to_equation(config: dict) -> Equation:
     from .seqexpr import parse
 
     eq_cfg = config.get("equation")
-    if not isinstance(eq_cfg, dict) or "terms" not in eq_cfg:
-        raise ValueError("config needs equation.terms")
+    if not isinstance(eq_cfg, dict) or not isinstance(eq_cfg.get("terms"), list):
+        raise ValueError("config needs equation.terms, a list of terms")
     terms = []
     for i, t in enumerate(eq_cfg["terms"]):
-        if "coeff" not in t or "lag" not in t:
+        if not isinstance(t, dict) or "coeff" not in t or "lag" not in t:
             raise ValueError(f"term {i} needs 'coeff' and 'lag'")
         lag = t["lag"]
-        if isinstance(lag, int):
-            delay = DelaySpec.constant(lag)
-        elif isinstance(lag, list) and lag:
-            delay = DelaySpec.periodic(lag)
-        else:
-            raise ValueError(f"term {i}: lag must be an int or a nonempty list")
+        try:
+            delay = DelaySpec(tuple(lag) if isinstance(lag, list) else (lag,))
+        except ValueError as exc:
+            raise ValueError(f"term {i}: {exc}") from None
         terms.append(Term(parse(str(t["coeff"])), delay))
     forcing = eq_cfg.get("forcing")
     return validate(terms, parse(str(forcing)) if forcing is not None else None)

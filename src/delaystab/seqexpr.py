@@ -13,17 +13,17 @@ equations whose coefficients were rewritten on a finite prefix still
 print to parseable text; ``before`` applies for n < n1, ``after`` after.
 
 Evaluation is double precision and vectorized; every printed expression
-re-parses to an evaluation-equivalent tree.  Inside ``evaluation_scope()``
-each expression keeps one contiguous span of evaluated values, so a run
-that reads the same coefficients over overlapping windows evaluates them
-once.
+re-parses to an evaluation-equivalent tree, so a ``SeqExpr`` compares and
+hashes by the text it prints alone.  Inside ``evaluation_scope()`` each
+expression keeps one contiguous span of evaluated values, so a run that
+reads the same coefficients over overlapping windows evaluates them once.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -113,16 +113,20 @@ _FUNCS = ("sin", "cos", "abs", "alt")
 
 @dataclass(frozen=True)
 class SeqExpr:
-    """An immutable sequence expression: an AST plus its source text."""
+    """An immutable sequence expression: an AST and the canonical text it
+    prints to; trees that print alike are one expression."""
 
-    ast: Node
-    source_text: str
+    ast: Node = field(compare=False)
+    source_text: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "source_text", _print(self.ast))
 
     def __str__(self) -> str:
         return self.source_text
 
     def __hash__(self) -> int:
-        # equal expressions have equal text, and str caches its hash
+        # str caches its hash; a dataclass field-tuple hash does not
         return hash(self.source_text)
 
 
@@ -301,8 +305,7 @@ def _contains_var(node: Node) -> bool:
 
 def parse(text: str) -> SeqExpr:
     """Parse expression text; raises SeqSyntaxError with a position."""
-    ast = _Parser(text).parse()
-    return SeqExpr(ast, _print(ast))
+    return SeqExpr(_Parser(text).parse())
 
 
 # ---------------------------------------------------------------------------
@@ -573,27 +576,23 @@ def _classify(expr: SeqExpr) -> SeqClass:
 
 
 def constant(value: float) -> SeqExpr:
-    ast = Num(float(value))
-    return SeqExpr(ast, _print(ast))
+    return SeqExpr(Num(float(value)))
 
 
 def periodic_table(values) -> SeqExpr:
-    ast = Per(tuple(float(v) for v in values))
-    return SeqExpr(ast, _print(ast))
+    return SeqExpr(Per(tuple(float(v) for v in values)))
 
 
 def spliced(cutoff: int, before: SeqExpr, after: SeqExpr) -> SeqExpr:
     """Expression equal to ``before`` for n < cutoff and ``after`` beyond."""
     if cutoff <= 0:
         return after
-    ast = Splice(int(cutoff), before.ast, after.ast)
-    return SeqExpr(ast, _print(ast))
+    return SeqExpr(Splice(int(cutoff), before.ast, after.ast))
 
 
 def added(a: SeqExpr, b: SeqExpr) -> SeqExpr:
     """Pointwise sum of two expressions."""
-    ast = Bin("+", a.ast, b.ast)
-    return SeqExpr(ast, _print(ast))
+    return SeqExpr(Bin("+", a.ast, b.ast))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +609,8 @@ class DelaySpec:
         if not self.lags:
             raise ValueError("empty lag table")
         for lag in self.lags:
-            if not isinstance(lag, int) or lag < 0:
+            # a bool is an int to isinstance; a JSON true is no lag
+            if isinstance(lag, bool) or not isinstance(lag, int) or lag < 0:
                 raise ValueError(f"lags must be nonnegative integers, got {lag!r}")
 
     @staticmethod

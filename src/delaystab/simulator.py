@@ -8,7 +8,7 @@ product bound) are computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -81,7 +81,7 @@ def fundamental(eq: Equation, k: int, N: int) -> np.ndarray:
     if N < k:
         raise ValueError(f"horizon {N} precedes column start {k}")
     init = InitialData(k, {n: (1.0 if n == k else 0.0) for n in range(k - eq.T, k + 1)})
-    hom = Equation(eq.terms, eq.K, eq.T, None, eq.validation_window)
+    hom = replace(eq, forcing=None)
     return simulate(hom, init, N).values
 
 
@@ -158,7 +158,7 @@ def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
     reconstruction x(n) = X(n,n0) x(n0) + sum X(n,k+1) f(k)
     - sum X(n,k+1) sum_l a_l(k) phi(h_l(k)), with phi cut off at n0."""
     n0 = init.n0
-    forced = Equation(eq.terms, eq.K, eq.T, f, eq.validation_window)
+    forced = replace(eq, forcing=f)
     direct = simulate(forced, init, N).values
 
     col0 = np.zeros(N - n0 + 1)

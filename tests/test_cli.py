@@ -168,7 +168,7 @@ def test_fuzz_single_seed_deterministic():
 
 
 def test_fuzz_mutation_surfaces_counterexamples():
-    # corrupting the nonoscillation threshold must make the harness fail:
+    # corrupting the checkers' thresholds must make the harness fail:
     # proves the fuzz suite can actually catch an unsound checker
     r = run_cli("fuzz", "--count", "120", "--json",
                 env_extra={"DELAYSTAB_LOOSEN_THRESHOLDS": "1"})
@@ -191,6 +191,32 @@ def test_config_errors_exit_2(tmp_path):
     r = run_cli("check", str(bad_expr))
     assert r.returncode == 2
     assert "position" in r.stderr
+    # non-integer horizons, term lists and lags, bools among them, are
+    # rejected where the config is read, not coerced or left to a traceback
+    terms = [{"coeff": "0.1", "lag": 1}]
+    for key, value, message in [
+        ("horizon", None, "horizon null must be an integer"),
+        ("horizon", 1.5, "horizon 1.5 must be an integer"),
+        ("horizon", "500", 'horizon "500" must be an integer'),
+        ("terms", 5, "config needs equation.terms, a list of terms"),
+        ("terms", [5], "term 0 needs 'coeff' and 'lag'"),
+        ("lag", [1.5, 2], "term 0: lags must be nonnegative integers, got 1.5"),
+        ("lag", ["3"], "term 0: lags must be nonnegative integers, got '3'"),
+        ("lag", True, "term 0: lags must be nonnegative integers, got True"),
+    ]:
+        config = {"schema": 1, "equation": {"terms": terms}}
+        if key == "horizon":
+            config["horizon"] = value
+        elif key == "terms":
+            config["equation"]["terms"] = value
+        else:
+            config["equation"]["terms"] = [{"coeff": "0.1", "lag": value}]
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(config))
+        r = run_cli("check", str(path), "--no-meta")
+        assert r.returncode == 2, (key, value)
+        assert "Traceback" not in r.stderr
+        assert f"error: {message}" in r.stderr, (key, value, r.stderr)
 
 
 @pytest.mark.parametrize("name", list(FIXTURE_CONFIGS))
@@ -351,14 +377,18 @@ def test_check_rejects_a_bad_window_flag(tmp_path, window):
 
 
 @pytest.mark.parametrize("checks", ["all", []])
-@pytest.mark.parametrize("window", [[100, 50], [-50, 100]])
+@pytest.mark.parametrize("window", [[100, 50], [-50, 100], [5], 5, [0, 1.5], [True, 10]])
 def test_check_rejects_a_bad_config_window(tmp_path, window, checks):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"schema": 1, "window": window, "checks": checks, "equation": {
         "terms": [{"coeff": "0.1 + 0.02*sin(n)", "lag": 1}]}}))
     r = run_cli("check", str(path), "--no-meta")
     assert r.returncode == 2
-    assert f"window {window} must satisfy 0 <= N0 <= N1" in r.stderr
+    assert "Traceback" not in r.stderr
+    if isinstance(window, list) and len(window) == 2 and all(type(x) is int for x in window):
+        assert f"window {window} must satisfy 0 <= N0 <= N1" in r.stderr
+    else:
+        assert f"window {json.dumps(window)} must be a list of two integers" in r.stderr
 
 
 def test_check_accepts_a_one_point_window(tmp_path):

@@ -24,7 +24,6 @@ from delaystab.criteria import (
     PositivityCertificate,
     PositivityRefutation,
     certify_positivity,
-    check_autonomous_nonosc,
     check_classical,
     check_corollary2,
     check_corollary3,
@@ -444,12 +443,8 @@ def test_lemma4_examples(eq_zero):
 
 
 def test_autonomous_nonosc_thresholds():
-    assert check_autonomous_nonosc(0.25, 1)
-    assert not check_autonomous_nonosc(0.26, 1)
-    assert check_autonomous_nonosc(0.1, 3)  # 27/256 ~ 0.10547
-    assert not check_autonomous_nonosc(-0.1, 3)
-    with pytest.raises(ValueError):
-        check_autonomous_nonosc(0.1, 0)
+    assert criteria.nonosc_threshold(1) == 0.25
+    assert criteria.nonosc_threshold(3) == 27 / 256
 
 
 def test_sharp_bound_past_float_range():

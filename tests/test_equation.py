@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from delaystab import (
     DelaySpec,
+    Equation,
     InitialData,
     Term,
     merge_same_delay,
@@ -17,13 +20,21 @@ from delaystab.seqexpr import evaluate
 
 def test_validate_sin_cos_bounds(eq_sin_cos):
     assert eq_sin_cos.T == 20
-    assert 0.24 < eq_sin_cos.K <= 0.25  # dominated by the first coefficient
 
 
 def test_validate_trivial_and_unbounded(eq_unbounded):
     zero = validate([Term(parse("0"), DelaySpec.constant(0))])
-    assert zero.K == 0.0 and zero.T == 0
-    assert eq_unbounded.T == 1 and eq_unbounded.K == pytest.approx(2.2)
+    assert zero.T == 0 and zero.validation_window == (0, 1000)
+    assert eq_unbounded.T == 1
+
+
+def test_equation_derives_T_from_its_lags():
+    eq = Equation((Term(parse("0.1"), DelaySpec.periodic([2, 7])),
+                   Term(parse("0.05"), DelaySpec.constant(3))))
+    assert eq.T == 7
+    assert replace(eq, forcing=parse("1")).T == 7
+    with pytest.raises(ValueError, match="at least one term"):
+        Equation(())
 
 
 def test_validate_rejects_empty_and_short_window():

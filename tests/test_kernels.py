@@ -10,8 +10,7 @@ and forced recurrences must match sums over it to rounding.
 import numpy as np
 import pytest
 
-from delaystab import (Equation, InitialData, KernelMemoryError, _kernels, cauchy_apply,
-                       lemma6_sum, parse, pituk_sum, simulate)
+from delaystab import KernelMemoryError, _kernels, cauchy_apply, lemma6_sum, parse, pituk_sum
 from delaystab.oracle import random_equation
 
 
@@ -180,14 +179,6 @@ def test_step_recurrence_rejects_lags_outside_the_history(bad_lag):
         _kernels.step_recurrence(coeffs, lags, np.zeros(5), x, 3, 5)
     # lags past the steps taken are never read
     _kernels.step_recurrence(coeffs, lags, np.zeros(4), x[:-1], 3, 4)
-
-
-def test_simulate_rejects_a_T_below_the_largest_lag():
-    eq = random_equation(2, m_max=3, T_max=5, K_max=0.5)
-    short = Equation(eq.terms, eq.K, eq.T - 1, None, eq.validation_window)
-    init = InitialData.from_values(0, [0.0] * (eq.T - 1) + [1.0])
-    with pytest.raises(ValueError, match="leave the history"):
-        simulate(short, init, 40)
 
 
 @pytest.mark.parametrize("seed", range(12))

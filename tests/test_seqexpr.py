@@ -97,7 +97,7 @@ def test_print_parse_round_trip_mass():
     indices = rng.integers(0, 10_000, size=100)
     for _ in range(1000):
         ast = _random_ast(rng, 3)
-        expr = se.SeqExpr(ast, se._print(ast))
+        expr = se.SeqExpr(ast)
         reparsed = se.parse(str(expr))
         got = se.eval_range(reparsed, 0, 0)  # force a parse-level sanity hit
         del got
@@ -110,7 +110,7 @@ def test_print_parse_round_trip_mass():
 def test_round_trip_hypothesis(n, seed):
     rng = np.random.default_rng(seed)
     ast = _random_ast(rng, 3)
-    expr = se.SeqExpr(ast, se._print(ast))
+    expr = se.SeqExpr(ast)
     assert se.evaluate(expr, n) == se.evaluate(se.parse(str(expr)), n)
 
 
@@ -118,7 +118,7 @@ def test_classify_periodic_soundness():
     rng = np.random.default_rng(7)
     for _ in range(200):
         ast = _random_ast(rng, 2)
-        expr = se.SeqExpr(ast, se._print(ast))
+        expr = se.SeqExpr(ast)
         cls = se.classify(expr)
         if cls.tag == "periodic":
             p = cls.period
@@ -179,7 +179,7 @@ _STEPS = st.lists(st.tuples(st.integers(0, len(SCOPE_EXPRS)),
 @given(_STEPS, st.integers(0, 2**31))
 def test_scope_matches_plain_evaluation(steps, seed):
     ast = _random_ast(np.random.default_rng(seed), 3)
-    pool = SCOPE_EXPRS + [se.SeqExpr(ast, se._print(ast))]
+    pool = SCOPE_EXPRS + [se.SeqExpr(ast)]
     last: dict = {}
     windows = []
     for index, how, offset, length in steps:
@@ -228,6 +228,25 @@ def test_scope_returns_read_only_views_of_one_span():
         assert nested.base is inside.base
         assert not se.eval_range(e, 0, 3).flags.writeable
     assert se.eval_range(e, 100, 199).flags.writeable
+
+
+def test_expressions_that_print_alike_are_one_expression(monkeypatch):
+    built, parsed = se.SeqExpr(se.Num(-1.0)), se.SeqExpr(se.Neg(se.Num(1.0)))
+    assert built.ast != parsed.ast and str(built) == str(parsed) == "-1.0"
+    assert built == parsed and hash(built) == hash(parsed)
+    evaluated = []
+    plain = se._eval_window
+
+    def recording(expr, n0, n1):
+        evaluated.append((str(expr), n0, n1))
+        return plain(expr, n0, n1)
+
+    monkeypatch.setattr(se, "_eval_window", recording)
+    with se.evaluation_scope():
+        first = se.eval_range(built, 0, 9)
+        second = se.eval_range(parsed, 0, 9)
+    assert evaluated == [("-1.0", 0, 9)]
+    assert second.base is first
 
 
 def test_run_all_leaves_no_scope_behind():

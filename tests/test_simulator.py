@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from delaystab import (
     DelaySpec,
-    Equation,
     InitialData,
     KernelMemoryError,
     Term,
@@ -25,7 +25,7 @@ from delaystab.simulator import write_trajectory_csv
 
 
 def with_forcing(eq, f):
-    return Equation(eq.terms, eq.K, eq.T, f, eq.validation_window)
+    return replace(eq, forcing=f)
 
 
 # --- simulate
