@@ -14,8 +14,10 @@ first kernel entry that is nonpositive or not finite.  The analytic routes
 are exact-span arguments, so they are tried only when the merged
 coefficients are all constant or periodic; general coefficients go
 straight to the scan, with the same verdicts and routes.  Within one
-``run_all``, theorem2's subsets share one scan per scan window through the
-comparison lemma (``ComparisonScans``); a refutation is never shared.
+``run_all``, theorem2's subsets share their scans through the comparison
+lemma (``ComparisonScans``), which streams a comparison set's kernel rows
+once over all of the run's scan windows of one length; a refutation is
+never shared.  Corollary 4 scans the one term (sum_l a_l) x(g(n)).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "Verdict",
     "PositivityCertificate",
     "PositivityRefutation",
+    "scan_window",
     "positivity_scan",
     "certify_positivity",
     "ComparisonScans",
@@ -115,6 +118,9 @@ class PositivityRefutation:
     n: int
     k: int
     value: float
+
+
+Positivity = Union[PositivityCertificate, PositivityRefutation]
 
 
 # Strict thresholds need a margin above EPS; <= thresholds accept EPS of slack.
@@ -198,18 +204,31 @@ def _best_product(eq: Equation, window: Window) -> tuple[int, float, bool]:
 # Positivity of the fundamental function
 
 
-def positivity_scan(eq: Equation, n0: int, N: int) -> Union[PositivityCertificate, PositivityRefutation]:
-    """Stream the rows of X on [n0, N]: the first entry that is nonpositive
-    or not finite (n outward, then k) refutes, unless it is an exact zero
-    more than 5T + 20 rows deep, a decaying kernel underflowing, which
-    certifies the rows before it; otherwise certify with the minimum."""
-    if N - n0 < 5 * eq.T:
+def scan_window(T: int) -> tuple[int, int]:
+    """The fallback kernel scan's window [5 T, 5 T + max(200, 10 T)]."""
+    n0 = SCAN_LEAD_MULT * T
+    return n0, n0 + max(SCAN_LEN, 10 * max(T, 1))
+
+
+def positivity_scan(eq: Equation, windows: Sequence[tuple[int, int]]) -> list[Positivity]:
+    """Stream the rows of X once over the span of ``windows`` and scan each
+    window [n0, N] in it: the first X(n, k), n0 <= k <= n, that is
+    nonpositive or not finite (n outward, then k) refutes, unless it is an
+    exact zero more than 5T + 20 rows past n0, a decaying kernel
+    underflowing, which certifies the rows before it; otherwise certify
+    with the minimum.  X(n, k) does not depend on where the stream starts
+    (a term a window's own stream skips subtracts an exact zero here), so
+    each result is exactly that window's own scan."""
+    if any(N - n0 < 5 * eq.T for n0, N in windows):
         raise ValueError(f"scan window must span at least 5T = {5 * eq.T}")
-    size = N - n0 + 1
-    rows = _kernels.kernel_rows(eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1), size)
+    lo, hi = min(n0 for n0, _ in windows), max(N for _, N in windows)
+    size = hi - lo + 1
+    rows = _kernels.kernel_rows(eq.coeff_table(lo, hi - 1), eq.lag_table(lo, hi - 1), size)
+    results: list[Optional[Positivity]] = [None] * len(windows)
+    lows = [math.inf] * len(windows)
     # rows are checked SCAN_BLOCK at a time; the 1.0 past a row's end never
     # decides, as the diagonal X(k, k) = 1 keeps each row's minimum <= 1
-    block, low = np.ones((SCAN_BLOCK, size)), math.inf
+    block = np.ones((SCAN_BLOCK, size))
     # an overflowing kernel turns inf and then nan; both refute
     with np.errstate(over="ignore", invalid="ignore"):
         for i, row in enumerate(rows):
@@ -217,16 +236,29 @@ def positivity_scan(eq: Equation, n0: int, N: int) -> Union[PositivityCertificat
             block[j, : i + 1] = row
             if j < SCAN_BLOCK - 1 and i < size - 1:
                 continue
+            top = lo + i - j  # the n of the block's first row
             ok = (block[: j + 1] > 0.0) & (block[: j + 1] < math.inf)
-            if not ok.all():
-                r, k = divmod(int(np.argmin(ok)), size)
-                n, value = i - j + r, float(block[r, k])
-                if value == 0.0 and n > 5 * eq.T + 20:
-                    low = min(low, float(block[:r].min(initial=math.inf)))
-                    return PositivityCertificate(n0, n0 + n - 1, low, "numerical_scan")
-                return PositivityRefutation(n0 + n, n0 + k, value)
-            low = min(low, float(block[: j + 1].min()))
-    return PositivityCertificate(n0, N, low, "numerical_scan")
+            for w, (n0, N) in enumerate(windows):
+                first, last = max(n0, top), min(N, lo + i)
+                if results[w] is not None or first > last:
+                    continue
+                part = block[first - top : last - top + 1, n0 - lo :]
+                good = ok[first - top : last - top + 1, n0 - lo :]
+                if not good.all():
+                    r, k = divmod(int(np.argmin(good)), good.shape[1])
+                    n, value = first + r, float(part[r, k])
+                    if value == 0.0 and n - n0 > 5 * eq.T + 20:
+                        low = min(lows[w], float(part[:r].min(initial=math.inf)))
+                        results[w] = PositivityCertificate(n0, n - 1, low, "numerical_scan")
+                    else:
+                        results[w] = PositivityRefutation(n, n0 + k, value)
+                    continue
+                lows[w] = min(lows[w], float(part.min()))
+                if last == N:
+                    results[w] = PositivityCertificate(n0, N, lows[w], "numerical_scan")
+            if None not in results:
+                break
+    return results
 
 
 def check_lemma4(eq: Equation, window: Window = None) -> Verdict:
@@ -249,9 +281,6 @@ def check_lemma4(eq: Equation, window: Window = None) -> Verdict:
         not (sup_exact and double.exact),
         "positive kernel via coefficient window sums (sup < 1/2, delayed sum <= 1/4)",
     )
-
-
-Positivity = Union[PositivityCertificate, PositivityRefutation]
 
 
 def certify_positivity(eq: Equation, window: Window = None, *,
@@ -278,17 +307,16 @@ def certify_positivity(eq: Equation, window: Window = None, *,
                 return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
             if exact and part1:
                 return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
-    n0 = SCAN_LEAD_MULT * eq.T
-    N = n0 + max(SCAN_LEN, 10 * max(eq.T, 1))
+    n0, N = scan_window(eq.T)
     if comparison is not None:
         result = comparison(n0, N)
         if result is not None:
             return result
-    return positivity_scan(eq, n0, N)
+    return positivity_scan(eq, [(n0, N)])[0]
 
 
 class ComparisonScans:
-    """One kernel scan per scan window for theorem2's subsets in one run.
+    """One kernel stream per comparison set and window length in one run.
 
     Comparison lemma (Gyori & Ladas 1991, ch. 7; Berezansky & Braverman):
     with 0 <= b_l <= a_l on the same delays, X_a > 0 implies X_b >= X_a > 0.
@@ -297,11 +325,14 @@ class ComparisonScans:
     J's minimum as a lower bound.  A refutation is never inherited: when
     J's scan refutes, stops early at an underflow, needs a window longer
     than [n0, N] (5 T_J) or a ring past the kernel cap, the subsets scan
-    on their own.  J is scanned on the first request by a subset of it.
+    on their own.  At its first request J streams once over each of the
+    run's ``windows`` with the same J and length: those of T <= 20 are
+    201 rows long and start within 100 rows of each other.
     """
 
-    def __init__(self, eq: Equation):
+    def __init__(self, eq: Equation, windows: Sequence[tuple[int, int]]):
         self.eq = eq
+        self.windows = windows
         self.sets: dict[tuple[int, int], tuple[int, ...]] = {}
         self.scans: dict[tuple[int, int], Optional[Positivity]] = {}
 
@@ -315,14 +346,17 @@ class ComparisonScans:
     def scan(self, n0: int, N: int) -> Optional[Positivity]:
         """J's own scan on [n0, N], or None when it cannot run there."""
         if (n0, N) not in self.scans:
-            comp = subset_equation(self.eq, self.comparison_set(n0, N))
-            result = None
+            J = self.comparison_set(n0, N)
+            comp = subset_equation(self.eq, J)
+            batch = [(n0, N)] + [w for w in self.windows if w != (n0, N) and w not in self.scans
+                                 and w[1] - w[0] == N - n0 and self.comparison_set(*w) == J]
+            results = [None] * len(batch)
             if N - n0 >= 5 * comp.T:
                 try:
-                    result = positivity_scan(comp, n0, N)
+                    results = positivity_scan(comp, batch)
                 except _kernels.KernelMemoryError:
                     pass
-            self.scans[n0, N] = result
+            self.scans.update(zip(batch, results))
         return self.scans[n0, N]
 
     def certificate(self, I: Sequence[int], n0: int, N: int) -> Optional[Positivity]:
@@ -617,7 +651,9 @@ def check_corollary_theorem5(eq: Equation, I: Sequence[int],
                        window, certified,
                        "shifted-delay comparison (kept sum must sit inside (0, 1))")
     cmp_terms = [Term(eq.terms[l].coeff, g) for l, g in zip(I, g_override)]
-    cmp_eq = validate(cmp_terms, None, eq.validation_window[1])
+    # terms moved onto one delay are one term: (a + b) x(g(n)), the form
+    # the paper states, whose kernel streams once instead of once per term
+    cmp_eq = merge_same_delay(validate(cmp_terms, None, eq.validation_window[1]))
     cert = certify_positivity(cmp_eq, override)
     if isinstance(cert, PositivityRefutation):
         witnesses.update({"refuted_n": cert.n, "refuted_k": cert.k})
@@ -951,7 +987,10 @@ def run_all(eq: Equation, window: Window = None,
         return checks is None or family in checks
 
     verdicts: list[Verdict] = []
-    scans = ComparisonScans(eq)
+    subsets = _theorem2_subsets(eq) if want("theorem2") else []
+    # the full equation's scan window and every theorem2 subset's
+    lags = {max(eq.terms[l].delay.max_lag for l in I) for I in subsets}
+    scans = ComparisonScans(eq, [scan_window(T) for T in lags | {eq.T}])
     if want("theorem1"):
         # the full equation's scan is theorem2's comparison-set scan when
         # every term is nonnegative on its rows
@@ -965,7 +1004,7 @@ def run_all(eq: Equation, window: Window = None,
     if want("corollary3"):
         verdicts.append(check_corollary3(eq, window))
     if want("theorem2"):
-        for I in _theorem2_subsets(eq):
+        for I in subsets:
             verdicts.append(check_theorem2(eq, I, window, scans=scans))
     if want("corollary4"):
         seen: list[DelaySpec] = []

@@ -55,19 +55,19 @@ def const_eq(*pairs):
 
 
 def test_positivity_scan_factorial(eq_factorial):
-    cert = positivity_scan(eq_factorial, 0, 100)
+    cert = positivity_scan(eq_factorial, [(0, 100)])[0]
     assert isinstance(cert, PositivityCertificate)
     assert cert.min_value > 0
 
 
 def test_positivity_scan_unbounded_is_positive(eq_unbounded):
-    cert = positivity_scan(eq_unbounded, 0, 60)
+    cert = positivity_scan(eq_unbounded, [(0, 60)])[0]
     assert isinstance(cert, PositivityCertificate)  # positive but growing
 
 
 def test_positivity_scan_refutation():
     eq = const_eq((1.5, 0))
-    ref = positivity_scan(eq, 0, 50)
+    ref = positivity_scan(eq, [(0, 50)])[0]
     assert isinstance(ref, PositivityRefutation)
     assert ref.value == pytest.approx(-0.5)
     assert ref.n == ref.k + 1
@@ -243,12 +243,12 @@ def test_streamed_scan_certifies_rows_before_underflow():
     cert = certify_positivity(eq)
     assert isinstance(cert, PositivityCertificate) and cert.N == 36
     _assert_same_positivity(cert, _reference_certify(eq))
-    _assert_same_positivity(positivity_scan(eq, 0, 200), cert)
+    _assert_same_positivity(positivity_scan(eq, [(0, 200)])[0], cert)
 
 
 def test_streamed_scan_refutation_matches_dense_reference():
     eq = const_eq((0.3, 2), (0.4, 1), ("-0.1*alt(n)", 0))
-    ref = positivity_scan(eq, 10, 210)
+    ref = positivity_scan(eq, [(10, 210)])[0]
     assert isinstance(ref, PositivityRefutation)
     _assert_same_positivity(ref, _reference_scan(eq, 10, 210))
 
@@ -256,7 +256,7 @@ def test_streamed_scan_refutation_matches_dense_reference():
 def test_positivity_scan_caps_its_ring():
     # lag 4000 over [20000, 60000] needs 4,002 ring rows of 40,001 entries
     with pytest.raises(KernelMemoryError):
-        positivity_scan(const_eq((0.0001, 4000)), 20_000, 60_000)
+        positivity_scan(const_eq((0.0001, 4000)), [(20_000, 60_000)])
 
 
 def test_scan_refutes_an_overflowing_kernel():
@@ -265,7 +265,7 @@ def test_scan_refutes_an_overflowing_kernel():
     eq = const_eq((0.001, 1), (-1e20, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ref = positivity_scan(eq, 5, 205)
+        ref = positivity_scan(eq, [(5, 205)])[0]
         assert isinstance(certify_positivity(eq), PositivityRefutation)
     assert isinstance(ref, PositivityRefutation)
     assert not math.isfinite(ref.value)
@@ -356,28 +356,120 @@ def test_theorem2_inherits_only_sound_certificates_on_trig_equations(eq, monkeyp
     _assert_inherits_soundly(eq, monkeypatch)
 
 
+def _streams(eq, monkeypatch, checks=None):
+    """The windows of every positivity_scan stream run_all makes."""
+    streams = []
+    scan = criteria.positivity_scan
+
+    def recording(eq, windows):
+        streams.append(list(windows))
+        return scan(eq, windows)
+
+    monkeypatch.setattr(criteria, "positivity_scan", recording)
+    run_all(eq, checks=checks)
+    monkeypatch.undo()
+    return streams
+
+
 def test_trig_m6_scans_each_window_once(monkeypatch):
     from test_golden import GENERATED
 
     eq = config_to_equation(GENERATED["sin_cos_m6"])
-    windows = []
-    scan = criteria.positivity_scan
+    streams = _streams(eq, monkeypatch, ["theorem2"])
+    # 63 subsets over five scan windows (T = 1, 2, 4, 5, 6), one stream
+    assert len(streams) == 1
+    assert sorted(streams[0]) == [(5, 205), (10, 210), (20, 220), (25, 225), (30, 230)]
 
-    def recording(eq, n0, N):
-        windows.append((n0, N))
-        return scan(eq, n0, N)
 
-    monkeypatch.setattr(criteria, "positivity_scan", recording)
-    run_all(eq, checks=["theorem2"])
-    # 63 subsets over five scan windows (T = 1, 2, 4, 5, 6)
-    assert sorted(windows) == [(5, 205), (10, 210), (20, 220), (25, 225), (30, 230)]
+class _OneWindowScans(criteria.ComparisonScans):
+    """A comparison set streamed over each requested window alone."""
+
+    def __init__(self, eq, windows):
+        super().__init__(eq, [])
+
+
+def _reports(eq):
+    return [v.to_dict() for v in run_all(eq)]
+
+
+def _assert_streams_change_no_report(eq, monkeypatch):
+    shared = _reports(eq)
+    monkeypatch.setattr(criteria, "ComparisonScans", _OneWindowScans)
+    alone = _reports(eq)
+    monkeypatch.undo()
+    assert shared == alone
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(eq=_trig_equations())
+def test_shared_streams_report_as_one_window_scans_on_trig_equations(eq, monkeypatch):
+    _assert_streams_change_no_report(eq, monkeypatch)
+
+
+def test_lags_1_and_30_stream_each_length_apart(monkeypatch):
+    # T = 1 scans [5, 205] and T = 30 scans [150, 450]: 201 and 301 rows
+    eq = const_eq(("0.05 + 0.02*sin(n)", 1), ("0.002 + 0.001*cos(n)", 30))
+    streams = _streams(eq, monkeypatch)
+    assert {(5, 205), (150, 450)} <= {w for ws in streams for w in ws}
+    for windows in streams:
+        assert len({N - n0 for n0, N in windows}) == 1, windows
+    _assert_streams_change_no_report(eq, monkeypatch)
+
+
+def _assert_stream_scans_each_window_alone(eq, seed=0):
+    """scan_window(t) for several t beside windows with arbitrary starts:
+    one stream over all of them gives each window's own scan.  Returns
+    which kinds of result it saw."""
+    rng = np.random.default_rng(seed)
+    windows = [criteria.scan_window(t) for t in (eq.T, eq.T + 1, eq.T + 3, max(eq.T - 1, 0))]
+    for _ in range(3):
+        n0 = int(rng.integers(0, 60))
+        windows.append((n0, n0 + 5 * eq.T + int(rng.integers(0, 200))))
+    kinds = set()
+    for (n0, N), got in zip(windows, positivity_scan(eq, windows)):
+        want = positivity_scan(eq, [(n0, N)])[0]
+        _assert_same_positivity(got, want)
+        kinds.add("refuted" if isinstance(want, PositivityRefutation)
+                  else "certified" if want.N == N else "underflow stop")
+    return kinds
+
+
+@pytest.mark.parametrize("generator", ["periodic", "autonomous", "default"])
+def test_one_stream_scans_each_window_as_its_own_scan(generator):
+    kw = {"periodic": dict(m_max=3, T_max=5, K_max=0.8),
+          "autonomous": dict(m_max=3, T_max=4, K_max=1.0, autonomous=True),
+          "default": {}}[generator]
+    kinds = set()
+    for seed in range(50):
+        kinds |= _assert_stream_scans_each_window_alone(random_equation(seed, **kw), seed)
+    assert {"certified", "refuted"} <= kinds
+
+
+@settings(max_examples=15, deadline=None)
+@given(eq=_trig_equations(), seed=st.integers(0, 2**16))
+def test_one_stream_scans_each_window_as_its_own_scan_on_trig_equations(eq, seed):
+    _assert_stream_scans_each_window_alone(eq, seed)
+
+
+def test_one_stream_scans_underflow_and_overflow_as_their_own_scans():
+    # the underflowing kernel of test_streamed_scan_certifies_rows_before_underflow
+    # and the overflowing one of test_scan_refutes_an_overflowing_kernel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert "underflow stop" in _assert_stream_scans_each_window_alone(
+            const_eq(("1 - 1e-9*(1.5 + sin(n))", 0)))
+        assert "refuted" in _assert_stream_scans_each_window_alone(
+            const_eq((0.001, 1), (-1e20, 0)))
+    # X(k + 1, k) = 0 exactly: a zero one row past n0 refutes in every
+    # window, however far past the stream's start the window begins
+    assert _assert_stream_scans_each_window_alone(const_eq((1.0, 0))) == {"refuted"}
 
 
 def test_comparison_set_leaves_out_early_negative_terms():
     # the spliced term is negative on the rows before 40, which every
     # subset's scan window [5 T, ...) reads here
     eq = const_eq(("0.1 + 0.02*sin(n)", 1), ("splice(40, -0.01, 0.02)", 3), ("0.03", 2))
-    scans = criteria.ComparisonScans(eq)
+    scans = criteria.ComparisonScans(eq, [(5, 205), (10, 210), (15, 215), (40, 240)])
     assert scans.comparison_set(5, 205) == (0, 2)
     assert scans.comparison_set(15, 215) == (0, 2)
     assert scans.comparison_set(40, 240) == (0, 1, 2)
@@ -391,18 +483,18 @@ def test_comparison_set_leaves_out_early_negative_terms():
 def test_comparison_set_refutation_is_never_inherited():
     # both terms are nonnegative, the pair's kernel is not positive
     eq = const_eq((0.05, 1), (1.5, 0))
-    scans = criteria.ComparisonScans(eq)
+    scans = criteria.ComparisonScans(eq, [(5, 205)])
     assert scans.certificate([0], 5, 205) is None
     assert isinstance(scans.scan(5, 205), PositivityRefutation)
     # the set itself gets its own scan back
-    own = positivity_scan(criteria.subset_equation(eq, [0, 1]), 5, 205)
+    own = positivity_scan(criteria.subset_equation(eq, [0, 1]), [(5, 205)])[0]
     _assert_same_positivity(scans.certificate([0, 1], 5, 205), own)
 
 
 def test_comparison_set_underflow_stop_is_never_inherited():
     # the pair's kernel underflows to an exact zero at row 37, short of N
     eq = const_eq(("1 - 1e-9*(1.5 + sin(n))", 0), ("1e-12", 0))
-    scans = criteria.ComparisonScans(eq)
+    scans = criteria.ComparisonScans(eq, [(0, 200)])
     stop = scans.scan(0, 200)
     assert isinstance(stop, PositivityCertificate) and stop.N < 200
     assert scans.certificate([1], 0, 200) is None
@@ -410,7 +502,7 @@ def test_comparison_set_underflow_stop_is_never_inherited():
 
 def test_comparison_set_past_its_window_or_the_cap_is_never_inherited():
     eq = const_eq((0.1, 1), (0.0001, 4000))
-    scans = criteria.ComparisonScans(eq)
+    scans = criteria.ComparisonScans(eq, [(5, 205), (20_000, 60_000)])
     # [5, 205] is shorter than 5 T_J = 20,000
     assert scans.certificate([0], 5, 205) is None
     # lag 4000 over [20000, 60000] passes the ring cap; no error escapes
@@ -601,6 +693,55 @@ def test_corollary4_delegates(eq_periodic_mixed):
     v = check_corollary4(eq_periodic_mixed, eq_periodic_mixed.terms[1].delay)
     assert v.outcome is Outcome.STABLE
     assert v.criterion.startswith("corollary4")
+
+
+def _assert_corollary4_one_term_decides_like_m_terms(eq):
+    """Corollary 4's comparison equation sum_l a_l(n) x(g(n)) as one term
+    (a_0 + ... + a_{m-1}) x(g(n)) and as m terms: on scan_window(T_g), for
+    every g run_all tries, both scans give the same result type, the same
+    N and the same refutation (n, k).  Returns the kinds seen."""
+    gs = list(dict.fromkeys([t.delay for t in eq.terms] + [DelaySpec.constant(1)]))
+    kinds = set()
+    for g in gs:
+        terms = validate([Term(t.coeff, g) for t in eq.terms], None, eq.validation_window[1])
+        one = merge_same_delay(terms)
+        assert one.m == 1
+        window = criteria.scan_window(g.max_lag)
+        [got], [want] = positivity_scan(one, [window]), positivity_scan(terms, [window])
+        assert type(got) is type(want), (g, got, want)
+        if isinstance(want, PositivityRefutation):
+            assert (got.n, got.k) == (want.n, want.k)
+            kinds.add("refuted")
+        else:
+            assert got.N == want.N
+            kinds.add("certified")
+    return kinds
+
+
+@pytest.mark.parametrize("autonomous", [False, True], ids=["periodic", "autonomous"])
+def test_corollary4_one_term_comparison_decides_like_m_terms(autonomous):
+    # the two generators of perfbench's check_periodic corpus
+    kw = (dict(m_max=3, T_max=4, K_max=1.0, autonomous=True) if autonomous
+          else dict(m_max=3, T_max=5, K_max=0.8))
+    kinds = set()
+    for seed in range(50):
+        kinds |= _assert_corollary4_one_term_decides_like_m_terms(random_equation(seed, **kw))
+    assert kinds == {"certified", "refuted"}
+
+
+def test_corollary4_scans_its_one_term_comparison_equation(monkeypatch):
+    eq = const_eq(("0.05 + 0.02*sin(n)", 1), ("0.03 + 0.01*cos(n)", 2), ("0.02", 3))
+    terms = []
+    scan = criteria.positivity_scan
+    monkeypatch.setattr(criteria, "positivity_scan", lambda e, ws: terms.append(e.m) or scan(e, ws))
+    check_corollary4(eq, DelaySpec.constant(2))
+    assert terms == [1]
+
+
+@settings(max_examples=15, deadline=None)
+@given(eq=_trig_equations())
+def test_corollary4_one_term_comparison_decides_like_m_terms_on_trig_equations(eq):
+    _assert_corollary4_one_term_decides_like_m_terms(eq)
 
 
 # --- corollary6 / corollary7
