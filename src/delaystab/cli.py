@@ -272,12 +272,13 @@ def cmd_examples(args) -> int:
             payload["meta"] = {"tool": f"delaystab {__version__}"}
         _emit(_dump(payload), args.out)
     else:
+        lines = []
         for name, block in fixtures_block.items():
-            print(("PASS" if block["pass"] else "FAIL"), name)
-            for c in block["checks"]:
-                if not c["pass"]:
-                    print(f"    delta in {c['name']}: got {c.get('value')}, want {c['expected']}")
-        print("all fixtures pass" if all_pass else "some fixtures FAILED")
+            lines.append(f"{'PASS' if block['pass'] else 'FAIL'} {name}")
+            lines += [f"    delta in {c['name']}: got {c.get('value')}, want {c['expected']}"
+                      for c in block["checks"] if not c["pass"]]
+        lines.append("all fixtures pass" if all_pass else "some fixtures FAILED")
+        _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_pass else 1
 
 
@@ -355,11 +356,12 @@ def cmd_fuzz(args) -> int:
         }
         _emit(_dump(payload), args.out)
     else:
+        lines = []
         for name, failures in suites.items():
             status = "ok" if not failures else f"{len(failures)} counterexamples"
-            print(f"{name}: {args.count} cases, {status}")
-            for f in failures[:10]:
-                print(f"    counterexample: {f}")
+            lines.append(f"{name}: {args.count} cases, {status}")
+            lines += [f"    counterexample: {f}" for f in failures[:10]]
+        _emit("\n".join(lines) + "\n", args.out)
     return 0 if failed == 0 else 1
 
 

@@ -177,10 +177,8 @@ def _sum_bounds(eq: Equation, indices: Sequence[int],
 
 def _all_nonnegative(eq: Equation, indices: Sequence[int],
                      window: tuple[int, int]) -> tuple[bool, float]:
-    worst = math.inf
-    for l in indices:
-        inf, _, _ = _term_bounds(eq, l, window)
-        worst = min(worst, inf)
+    table, _ = limits.coeff_span(eq, window, indices)
+    worst = float(table.min())
     return worst >= -EPS, worst
 
 
@@ -267,8 +265,7 @@ def check_lemma4(eq: Equation, window: Window = None) -> Verdict:
     window = _win(eq, window)
     nonneg, worst = _all_nonnegative(eq, range(eq.m), window)
     _, sup_sum, sup_exact = _sum_bounds(eq, range(eq.m), window)
-    double = limits.windowed_delayed_sum(eq, [t.delay for t in eq.terms], -1, window,
-                                         limits.aggregate_period(eq, with_delays=True))
+    double = limits.windowed_delayed_sum(eq, [t.delay for t in eq.terms], -1, window)
     witnesses = {"min_coeff": worst, "sup_sum": sup_sum, "double_sum": double.value}
     if not nonneg:
         outcome = Outcome.NOT_APPLICABLE
@@ -588,30 +585,24 @@ def _limsup_ratio(eq: Equation, I: Sequence[int],
 
 def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
                      g_override: Sequence[DelaySpec],
-                     window: tuple[int, int],
-                     exact: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pointwise left/right sides of the comparison inequality: for n in the
     evaluation strip, lhs(n) = sum_{k in I} |a_k(n)| * (abs-aggregate over
     the index gap between h_k(n) and the comparison delay g_k(n)) plus the
     excluded terms, rhs(n) = sum_{k in I} a_k(n).  Returns (lhs, rhs, ns).
     """
-    lhs, rhs, strip = _gap_sides(eq, I, g_override, window, exact)
+    lhs, rhs, strip = _gap_sides(eq, I, g_override, window)
     return lhs, rhs, strip.ns
 
 
 def _gap_sides(eq: Equation, I: Sequence[int], g_override: Sequence[DelaySpec],
-               window: tuple[int, int], exact: bool
+               window: tuple[int, int]
                ) -> tuple[np.ndarray, np.ndarray, limits.DelayStrip]:
-    """theorem5_lhs_rhs with its strip.  ``exact`` asks for one exact
-    period; the strip is the window when any coefficient is general."""
+    """theorem5_lhs_rhs with its strip."""
     I = sorted(set(I))
     moved = {l: g for l, g in zip(I, g_override)}
-    period = limits.aggregate_period(eq, with_delays=True) if exact else None
-    if period is not None:
-        for g in g_override:
-            period = math.lcm(period, g.period)
-    strip = limits.delay_strip([eq.terms[l].delay for l in I] + [moved[l] for l in I],
-                               window, period)
+    strip = limits.delay_strip(eq, [eq.terms[l].delay for l in I] + [moved[l] for l in I],
+                               window)
     ns = strip.ns
     absagg = np.abs(eq.coeff_table(strip.lo, int(ns[-1]))).sum(axis=0)
     table = eq.coeff_table(int(ns[0]), int(ns[-1]))
@@ -660,7 +651,7 @@ def check_corollary_theorem5(eq: Equation, I: Sequence[int],
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, True,
                        "shifted-delay comparison (comparison kernel not positive)")
-    lhs, rhs, strip = _gap_sides(eq, I, g_override, window, exact_s)
+    lhs, rhs, strip = _gap_sides(eq, I, g_override, window)
     certified = certified or cert.by == "numerical_scan" or not strip.exact
     gamma = float((lhs / rhs).max())
     witnesses["gamma_min"] = gamma
@@ -728,8 +719,7 @@ def check_corollary7(eq: Equation, window: Window = None) -> Verdict:
                        witnesses, window, certified,
                        "short-memory domination (needs aggregate inside (0, 1/4))")
     # every term compared at the common delay 1: the gap [h_k(n), n-1)
-    lhs, rhs, _ = theorem5_lhs_rhs(eq, range(eq.m), [DelaySpec.constant(1)] * eq.m,
-                                   window, exact_s)
+    lhs, rhs, _ = theorem5_lhs_rhs(eq, range(eq.m), [DelaySpec.constant(1)] * eq.m, window)
     gamma = float((lhs / rhs).max())
     witnesses["gamma_min"] = gamma
     if gamma < 1.0 - EPS:
@@ -796,7 +786,7 @@ def check_corollary8(eq: Equation, part: int, window: Window = None) -> Verdict:
     # the two delays, strictly below gamma * (a(n) + b(n)); both terms at
     # the second delay leave the second term no gap
     second = eq.terms[1].delay
-    lhs, rhs, _ = theorem5_lhs_rhs(eq, [0, 1], [second, second], window, exact_s)
+    lhs, rhs, _ = theorem5_lhs_rhs(eq, [0, 1], [second, second], window)
     gamma = float((lhs / rhs).max())
     witnesses["gamma_min"] = gamma
     ok = wsum.value <= 0.25 + EPS and gamma < 1.0 - EPS
@@ -878,15 +868,14 @@ def check_classical(eq: Equation, window: Window = None) -> list[Verdict]:
     nonneg, worst = _all_nonnegative(eq, range(eq.m), window)
     agg = eq.coeff_table(window[0], window[1]).sum(axis=0)
     tail_mass = float(agg[len(agg) // 2 :].sum())
-    period = limits.aggregate_period(eq, with_delays=True)
     if not nonneg or tail_mass <= DIVERGENCE_EPS:
         out.append(Verdict("classical_32", Outcome.NOT_APPLICABLE, CLAIM_ASYMPTOTIC,
                            {"min_coeff": worst, "tail_mass": tail_mass}, window, True,
                            "3/2-type delayed sum bound (needs nonnegative, divergent coefficients)"))
     else:
         delays = [t.delay for t in eq.terms]
-        k = int(limits.delay_strip(delays, window, period).lags.max())
-        est = limits.windowed_delayed_sum(eq, delays, 0, window, period)
+        k = int(limits.delay_strip(eq, delays, window).lags.max())
+        est = limits.windowed_delayed_sum(eq, delays, 0, window)
         thr = 1.5 + 1.0 / (2.0 * k + 2.0)
         witnesses = {"delayed_sum": est.value, "threshold": thr, "k": float(k)}
         outcome = Outcome.STABLE if est.value < thr - EPS else Outcome.INCONCLUSIVE
@@ -914,7 +903,7 @@ def check_classical(eq: Equation, window: Window = None) -> list[Verdict]:
     # lag + 1 (the recurrence advances from n to n+1), which is the form
     # for which pi/2 really is the best constant; weighting by the bare
     # lag would wrongly certify e.g. a = 0.37 at lag 4.
-    diag = _pi_half_diagnostic(eq, window, period)
+    diag = _pi_half_diagnostic(eq, window)
     witnesses = {"diagnostic_sum": diag.value, "threshold": math.pi / 2.0}
     applicable = (pairs is not None and all(c >= 0 for c, _ in pairs)
                   and all(lag >= 1 for _, lag in pairs)
@@ -938,10 +927,9 @@ def check_classical(eq: Equation, window: Window = None) -> list[Verdict]:
     return out
 
 
-def _pi_half_diagnostic(eq: Equation, window: tuple[int, int],
-                        period: Optional[int]) -> limits.AsymptoticEstimate:
+def _pi_half_diagnostic(eq: Equation, window: tuple[int, int]) -> limits.AsymptoticEstimate:
     """sup_n sum_l sum_{k=h_l(n)}^{n-1} |a_l(k)|."""
-    strip = limits.delay_strip([t.delay for t in eq.terms], window, period)
+    strip = limits.delay_strip(eq, [t.delay for t in eq.terms], window)
     ns = strip.ns
     hi = int(ns[-1]) - 1
     if hi < strip.lo:

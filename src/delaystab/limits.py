@@ -9,12 +9,13 @@ p-step product horizon a rate search tries reads one span and one
 running product (``limsup_products``).
 
 Delayed sums take a sup over n of sums between h_l(n) and n.  They all
-run over one strip (``delay_strip``).  When coefficients and lags share a
-period P, the strip is one exact period [s, s + P), where s is the first
-multiple of P past the deepest lag seen on [0, P): no window is clipped
-at index 0 there, so the sup over the strip is the limit.  Otherwise the
-strip is the certification window and the sup is an estimate.  Every sum
-on the strip is a difference of prefix sums.
+run over one strip (``delay_strip``), which works out its own period: P =
+lcm of the periods of all the equation's coefficients and of the delays
+summed over.  The strip is one exact period [s, s + P), where s is the
+first multiple of P past the deepest lag seen on [0, P): no window is
+clipped at index 0 there, so the sup over the strip is the limit.  When
+any coefficient is general the strip is the certification window and the
+sup is an estimate.  Every sum on the strip is a difference of prefix sums.
 """
 
 from __future__ import annotations
@@ -67,14 +68,9 @@ def _coeff_period(terms: Sequence[Term]) -> Optional[int]:
     return period
 
 
-def aggregate_period(eq: Equation, with_delays: bool = False) -> Optional[int]:
-    period = _coeff_period(eq.terms)
-    if period is None:
-        return None
-    if with_delays:
-        for t in eq.terms:
-            period = math.lcm(period, t.delay.period)
-    return period
+def aggregate_period(eq: Equation) -> Optional[int]:
+    """lcm of all of ``eq``'s coefficient periods, or None when any is general."""
+    return _coeff_period(eq.terms)
 
 
 def coeff_span(eq: Equation, window: tuple[int, int], indices: Optional[Sequence[int]] = None,
@@ -152,11 +148,14 @@ class DelayStrip:
         return np.where(b > a, prefix[b - self.lo] - prefix[a - self.lo], 0.0)
 
 
-def delay_strip(delays: Sequence[DelaySpec], window: tuple[int, int],
-                period: Optional[int]) -> DelayStrip:
-    """The strip for ``delays``: one exact ``period`` placed past the
-    deepest lag, or the window when ``period`` is None."""
+def delay_strip(eq: Equation, delays: Sequence[DelaySpec],
+                window: tuple[int, int]) -> DelayStrip:
+    """The strip for ``delays``: one exact period P = lcm(period of all of
+    ``eq``'s coefficients, periods of ``delays``) placed past the deepest
+    lag, or the window when any coefficient is general."""
+    period = aggregate_period(eq)
     if period is not None:
+        period = math.lcm(period, *(d.period for d in delays))
         first = max(int(d.lag_range(0, period - 1).max()) for d in delays)
         n0 = (first // period + 1) * period
         n1 = n0 + period - 1
@@ -168,14 +167,14 @@ def delay_strip(delays: Sequence[DelaySpec], window: tuple[int, int],
 
 
 def windowed_delayed_sum(eq: Equation, delays: Sequence[DelaySpec], upper_offset: int,
-                         window: tuple[int, int], exact_period: Optional[int]) -> AsymptoticEstimate:
+                         window: tuple[int, int]) -> AsymptoticEstimate:
     """sup over the strip of sum_{k=max(0, n - d(n))}^{n + upper_offset} agg(k).
 
     d(n) is the deepest of ``delays``' lags at n; upper_offset is -1 for
     sums up to n-1 and 0 for sums up to n.  Shared by delay_window_sum,
     lemma 4's double sum and the 3/2 test.
     """
-    strip = delay_strip(delays, window, exact_period)
+    strip = delay_strip(eq, delays, window)
     ns = strip.ns
     hi = int(ns[-1]) + upper_offset
     if hi < strip.lo:
@@ -187,16 +186,10 @@ def windowed_delayed_sum(eq: Equation, delays: Sequence[DelaySpec], upper_offset
 
 def delay_window_sum(eq: Equation, l: int,
                      window: Optional[tuple[int, int]] = None) -> AsymptoticEstimate:
-    """sup over the window of sum_{k=h_l(n)}^{n-1} sum_j a_j(k).
+    """sup over the strip of sum_{k=h_l(n)}^{n-1} sum_j a_j(k).
 
     The window depth follows term l's delay; the summand is the full
     coefficient aggregate of ``eq`` (pass a subset equation to restrict
     the summand).
     """
-    window = window or default_window(eq)
-    delay = eq.terms[l].delay
-    period = aggregate_period(eq)
-    exact_period = None
-    if period is not None:
-        exact_period = math.lcm(period, delay.period)
-    return windowed_delayed_sum(eq, [delay], -1, window, exact_period)
+    return windowed_delayed_sum(eq, [eq.terms[l].delay], -1, window or default_window(eq))

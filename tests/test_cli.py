@@ -153,6 +153,15 @@ def test_examples_json_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_examples_text_out_writes_the_printed_report(tmp_path):
+    out = tmp_path / "x.txt"
+    printed = run_cli("examples", "--only", "factorial_kernel")
+    written = run_cli("examples", "--only", "factorial_kernel", "--out", str(out))
+    assert printed.returncode == written.returncode == 0, written.stderr
+    assert out.read_text() == printed.stdout
+    assert written.stdout == ""
+
+
 def test_fuzz_small_clean():
     r = run_cli("fuzz", "--count", "20", "--json")
     assert r.returncode == 0, r.stdout + r.stderr
@@ -165,6 +174,15 @@ def test_fuzz_single_seed_deterministic():
     a = run_cli("fuzz", "--count", "1", "--seeds", "0", "--json")
     b = run_cli("fuzz", "--count", "1", "--seeds", "0", "--json")
     assert a.stdout == b.stdout
+
+
+def test_fuzz_text_out_writes_the_printed_report(tmp_path):
+    out = tmp_path / "y.txt"
+    printed = run_cli("fuzz", "--count", "1")
+    written = run_cli("fuzz", "--count", "1", "--out", str(out))
+    assert printed.returncode == written.returncode == 0, written.stderr
+    assert out.read_text() == printed.stdout
+    assert written.stdout == ""
 
 
 def test_fuzz_mutation_surfaces_counterexamples():

@@ -685,7 +685,7 @@ def test_theorem5_general_term_outside_I_uses_window():
     assert v.outcome is Outcome.INCONCLUSIVE
     assert v.witnesses["gamma_min"] == pytest.approx(1.0238, abs=1e-4)
     window = (10 * eq.T, 10 * eq.T + 10_000)
-    _, _, ns = theorem5_lhs_rhs(eq, [0], [DelaySpec.constant(1)], window, True)
+    _, _, ns = theorem5_lhs_rhs(eq, [0], [DelaySpec.constant(1)], window)
     assert (ns[0], ns[-1]) == window
 
 

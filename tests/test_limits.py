@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delaystab import (
     DelaySpec,
@@ -24,6 +24,7 @@ from delaystab.limits import (
     limsup_products,
     windowed_delayed_sum,
 )
+from delaystab.seqexpr import classify
 
 
 def test_liminf_sum_alternating(eq_alternating):
@@ -159,6 +160,21 @@ def test_positive_liminf_controls_products():
 # reference implementations: every strip sum must agree with them exactly.
 
 
+def _ref_period(eq, delays):
+    """lcm of every coefficient period and of the lag-table lengths of
+    ``delays``; None when any coefficient is general."""
+    period = 1
+    for t in eq.terms:
+        c = classify(t.coeff)
+        if c.tag == "general":
+            return None
+        if c.tag == "periodic":
+            period = math.lcm(period, c.period)
+    for d in delays:
+        period = math.lcm(period, len(d.lags))
+    return period
+
+
 def _ref_windowed_delayed_sum(eq, lag_at, upper_offset, window, exact_period):
     if exact_period is not None:
         max_back = max(int(lag_at(n)) for n in range(exact_period))
@@ -196,14 +212,12 @@ def _ref_abs_aggregate_prefix(eq, lo, hi):
     return np.concatenate([[0.0], np.cumsum(absagg)])
 
 
-def _ref_theorem5_lhs_rhs(eq, I, g_override, window, exact):
+def _ref_theorem5_lhs_rhs(eq, I, g_override, window):
     I = sorted(set(I))
     delays = {l: g for l, g in zip(I, g_override)}
     # a general coefficient anywhere (not only in I) forces the window strip
-    period = aggregate_period(eq, with_delays=True) if exact else None
+    period = _ref_period(eq, [eq.terms[l].delay for l in I] + list(g_override))
     if period is not None:
-        for g in g_override:
-            period = math.lcm(period, g.period)
         depth = 0
         for n in range(period):
             for l in I:
@@ -241,7 +255,7 @@ def _ref_theorem5_lhs_rhs(eq, I, g_override, window, exact):
 
 
 def _ref_strip(eq, window):
-    period = aggregate_period(eq, with_delays=True)
+    period = _ref_period(eq, [t.delay for t in eq.terms])
     if period is not None:
         depth = max(max(t.delay.lag_at(n) for t in eq.terms) for n in range(period))
         start = ((depth // period) + 1) * period
@@ -375,39 +389,61 @@ def _window(eq, length):
     return (10 * eq.T, 10 * eq.T + length)
 
 
+@st.composite
+def _picks(draw, overrides=False):
+    """(eq, picked terms) or, with ``overrides``, (eq, I, g_override)."""
+    eq = draw(_equations())
+    picked = draw(st.lists(st.integers(0, eq.m - 1), min_size=1, max_size=eq.m, unique=True))
+    if not overrides:
+        return eq, picked
+    return eq, picked, draw(st.lists(_delays(), min_size=len(picked), max_size=len(picked)))
+
+
+# Every strip property runs these two: a general coefficient puts the strip
+# on the window; a periodic equation whose picked delays leave out a lag
+# table of period 5 puts it on one exact period of 6, not of 30.
+GENERAL = validate([Term(parse("0.05 + 0.02*sin(n)"), DelaySpec.periodic([1, 3])),
+                    Term(parse("per(0.03, 0.06)"), DelaySpec.constant(2))])
+PERIODIC = validate([Term(parse("per(0.03, 0.06)"), DelaySpec.periodic([1, 4, 2])),
+                     Term(parse("0.04"), DelaySpec.periodic([2, 1, 3, 1, 1]))])
+
+
 @STRIP_SETTINGS
-@given(eq=_equations(), length=WINDOW_LENGTHS, data=st.data())
-def test_windowed_delayed_sum_matches_reference(eq, length, data):
+@given(case=_picks(), length=WINDOW_LENGTHS)
+@example(case=(GENERAL, [0, 1]), length=60)
+@example(case=(PERIODIC, [0]), length=60)
+def test_windowed_delayed_sum_matches_reference(case, length):
+    eq, picked = case
     window = _window(eq, length)
-    picked = data.draw(st.lists(st.integers(0, eq.m - 1), min_size=1, max_size=eq.m,
-                                unique=True))
     delays = [eq.terms[l].delay for l in picked]
 
     def deepest(n):
         return max(d.lag_at(n) for d in delays)
 
-    period = aggregate_period(eq, with_delays=True) or math.lcm(*(d.period for d in delays))
+    period = _ref_period(eq, delays)
     for upper in (-1, 0):
-        for exact_period in (period, None):
-            est = windowed_delayed_sum(eq, delays, upper, window, exact_period)
-            ref = _ref_windowed_delayed_sum(eq, deepest, upper, window, exact_period)
-            assert (est.value, est.exact) == ref
+        est = windowed_delayed_sum(eq, delays, upper, window)
+        ref = _ref_windowed_delayed_sum(eq, deepest, upper, window, period)
+        assert (est.value, est.exact) == ref
 
 
 @STRIP_SETTINGS
-@given(eq=_equations(), length=WINDOW_LENGTHS, exact=st.booleans(), data=st.data())
-def test_theorem5_lhs_rhs_matches_reference(eq, length, exact, data):
+@given(case=_picks(overrides=True), length=WINDOW_LENGTHS)
+@example(case=(GENERAL, [0], [DelaySpec.periodic([2, 0])]), length=60)
+@example(case=(PERIODIC, [0], [DelaySpec.periodic([1, 2])]), length=60)
+def test_theorem5_lhs_rhs_matches_reference(case, length):
+    eq, I, g_override = case
     window = _window(eq, length)
-    I = data.draw(st.lists(st.integers(0, eq.m - 1), min_size=1, max_size=eq.m, unique=True))
-    g_override = data.draw(st.lists(_delays(), min_size=len(I), max_size=len(I)))
-    got = criteria.theorem5_lhs_rhs(eq, I, g_override, window, exact)
-    ref = _ref_theorem5_lhs_rhs(eq, I, g_override, window, exact)
+    got = criteria.theorem5_lhs_rhs(eq, I, g_override, window)
+    ref = _ref_theorem5_lhs_rhs(eq, I, g_override, window)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
 
 
 @STRIP_SETTINGS
 @given(eq=_equations(lo=1, hi=8, min_lag=1), length=WINDOW_LENGTHS)
+@example(eq=GENERAL, length=60)
+@example(eq=PERIODIC, length=60)
 def test_corollary7_gamma_matches_reference(eq, length):
     window = _window(eq, length)
     v = criteria.check_corollary7(eq, window)
@@ -416,6 +452,8 @@ def test_corollary7_gamma_matches_reference(eq, length):
 
 @STRIP_SETTINGS
 @given(eq=_equations(lo=-10, hi=24, m=(2, 2)), length=WINDOW_LENGTHS)
+@example(eq=GENERAL, length=60)
+@example(eq=PERIODIC, length=60)
 def test_corollary8_part2_gamma_matches_reference(eq, length):
     window = _window(eq, length)
     v = criteria.check_corollary8(eq, 2, window)
@@ -425,11 +463,13 @@ def test_corollary8_part2_gamma_matches_reference(eq, length):
 
 @STRIP_SETTINGS
 @given(eq=_equations(), length=WINDOW_LENGTHS)
+@example(eq=GENERAL, length=60)
+@example(eq=PERIODIC, length=60)
 def test_pi_half_diagnostic_matches_reference(eq, length):
     window = _window(eq, length)
-    for period in (aggregate_period(eq, with_delays=True), None):
-        est = criteria._pi_half_diagnostic(eq, window, period)
-        assert (est.value, est.exact) == _ref_pi_half_diagnostic(eq, window, period)
+    est = criteria._pi_half_diagnostic(eq, window)
+    period = _ref_period(eq, [t.delay for t in eq.terms])
+    assert (est.value, est.exact) == _ref_pi_half_diagnostic(eq, window, period)
 
 
 @STRIP_SETTINGS
@@ -443,12 +483,13 @@ def test_limsup_ratio_matches_reference(eq, length, data):
 def test_strip_depth_sees_lags_past_8192_samples():
     # the one deep lag sits 8,500 points into a windowed strip and reaches
     # 500 points below its start; the depth must come from the whole strip
+    # (a general coefficient, so the strip is the window; it is 0.01 there)
     lags = [1] * 8500 + [9000] + [1] * 999
-    eq = validate([Term(parse("0.01"), DelaySpec.periodic(lags))])
+    eq = validate([Term(parse("splice(1, 0.02, 0.01)"), DelaySpec.periodic(lags))])
     window = (10 * len(lags), 10 * len(lags) + 9000)
-    diag = criteria._pi_half_diagnostic(eq, window, None)
+    diag = criteria._pi_half_diagnostic(eq, window)
     assert diag.value == pytest.approx(9000 * 0.01)
-    lhs, _, _ = criteria.theorem5_lhs_rhs(eq, [0], [DelaySpec.constant(1)], window, False)
+    lhs, _, _ = criteria.theorem5_lhs_rhs(eq, [0], [DelaySpec.constant(1)], window)
     assert lhs.max() == pytest.approx(0.01 * 8999 * 0.01)
 
 
