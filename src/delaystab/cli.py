@@ -44,7 +44,6 @@ from .oracle import (
 )
 from .seqexpr import SeqEvalError, SeqSyntaxError
 from .simulator import (
-    KernelMemoryError,
     format_csv,
     fundamental,
     product_bound,
@@ -430,8 +429,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # MemoryError covers the kernel cap and an array NumPy cannot allocate
     except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            SeqSyntaxError, SeqEvalError, KernelMemoryError) as exc:
+            SeqSyntaxError, SeqEvalError, MemoryError) as exc:
         return _fail_usage(str(exc))
 
 

@@ -11,7 +11,7 @@ common hypothesis; it is certified analytically when the window-sum or
 characteristic-root routes apply and by a finite kernel scan otherwise
 (scan-backed verdicts are flagged window-certified), which stops at the
 first kernel entry that is nonpositive or not finite.  The analytic routes
-are exact-span arguments, so they are tried only when the merged
+are exact-span arguments, so they are tried only when the equation's own
 coefficients are all constant or periodic; general coefficients go
 straight to the scan, with the same verdicts and routes.  Within one
 ``run_all``, theorem2's subsets share their scans through the comparison
@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels, limits
 from .equation import Equation, Term, merge_same_delay, subset_equation, validate
 from .oracle import autonomous_coefficients
-from .seqexpr import DelaySpec, added, evaluation_scope
+from .seqexpr import DelaySpec, evaluation_scope
 
 __all__ = [
     "Outcome",
@@ -285,16 +285,17 @@ def certify_positivity(eq: Equation, window: Window = None, *,
                        ) -> Positivity:
     """Try analytic positivity routes, then fall back to a kernel scan.
 
-    Terms sharing a lag table are merged first so sign hypotheses apply to
-    the effective coefficients.  The analytic routes certify only on exact
-    spans, so they are tried only when every merged coefficient is
-    constant or periodic; general coefficients go straight to the scan,
-    which gives the verdict and route it gave when the routes ran first.
+    The analytic routes certify only on exact spans, so they are tried
+    only when every coefficient of ``eq`` is constant or periodic; general
+    coefficients go straight to the scan, which gives the verdict and route
+    it gave when the routes ran first.  A sum is periodic exactly when its
+    summands are, so the routes then merge terms sharing a lag table and
+    apply the sign hypotheses to the effective coefficients.
     ``comparison(n0, N)``, when given, is asked before the scan on [n0, N]
     and answers for it unless it returns None (see ``ComparisonScans``).
     """
-    merged = merge_same_delay(eq)
-    if limits.aggregate_period(merged) is not None:
+    if limits.aggregate_period(eq) is not None:
+        merged = merge_same_delay(eq)
         pre = check_lemma4(merged, window)
         if pre.outcome is Outcome.STABLE and not pre.window_certified:
             return PositivityCertificate(0, -1, math.nan, "lemma4")
@@ -584,21 +585,14 @@ def _limsup_ratio(eq: Equation, I: Sequence[int],
 
 
 def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
-                     g_override: Sequence[DelaySpec],
-                     window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     g_override: Sequence[DelaySpec], window: tuple[int, int]
+                     ) -> tuple[np.ndarray, np.ndarray, limits.DelayStrip]:
     """Pointwise left/right sides of the comparison inequality: for n in the
     evaluation strip, lhs(n) = sum_{k in I} |a_k(n)| * (abs-aggregate over
     the index gap between h_k(n) and the comparison delay g_k(n)) plus the
-    excluded terms, rhs(n) = sum_{k in I} a_k(n).  Returns (lhs, rhs, ns).
+    excluded terms, rhs(n) = sum_{k in I} a_k(n).  Returns (lhs, rhs, strip);
+    ``strip.ns`` are the n.
     """
-    lhs, rhs, strip = _gap_sides(eq, I, g_override, window)
-    return lhs, rhs, strip.ns
-
-
-def _gap_sides(eq: Equation, I: Sequence[int], g_override: Sequence[DelaySpec],
-               window: tuple[int, int]
-               ) -> tuple[np.ndarray, np.ndarray, limits.DelayStrip]:
-    """theorem5_lhs_rhs with its strip."""
     I = sorted(set(I))
     moved = {l: g for l, g in zip(I, g_override)}
     strip = limits.delay_strip(eq, [eq.terms[l].delay for l in I] + [moved[l] for l in I],
@@ -651,7 +645,7 @@ def check_corollary_theorem5(eq: Equation, I: Sequence[int],
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, True,
                        "shifted-delay comparison (comparison kernel not positive)")
-    lhs, rhs, strip = _gap_sides(eq, I, g_override, window)
+    lhs, rhs, strip = theorem5_lhs_rhs(eq, I, g_override, window)
     certified = certified or cert.by == "numerical_scan" or not strip.exact
     gamma = float((lhs / rhs).max())
     witnesses["gamma_min"] = gamma
@@ -733,7 +727,7 @@ def check_corollary7(eq: Equation, window: Window = None) -> Verdict:
 def check_corollary8(eq: Equation, part: int, window: Window = None) -> Verdict:
     """Two-term tests: (1) first term inside (0, 1/2) with window sum
     <= 1/4 dominating |b|; (2) the pair sum inside (0, 1/2) with window sum
-    <= 1/4 and the delay-gap product below the pair sum."""
+    <= 1/4 and theorem 5 with both terms moved onto the second delay."""
     if eq.m != 2:
         raise ValueError(f"needs exactly two terms, got {eq.m}")
     if part not in (1, 2):
@@ -760,39 +754,28 @@ def check_corollary8(eq: Equation, part: int, window: Window = None) -> Verdict:
         return Verdict(label, outcome, CLAIM_EXPONENTIAL, witnesses, window,
                        certified, "two-term splitting, part 1 (dominant first term)")
     inf_s, sup_s, exact_s = _sum_bounds(eq, [0, 1], window)
-    witnesses = {"sum_inf": inf_s, "sum_sup": sup_s}
-    certified = not exact_s
     if not (inf_s > EPS and sup_s < 0.5 - EPS):
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                       witnesses, window, certified,
+                       {"sum_inf": inf_s, "sum_sup": sup_s}, window, not exact_s,
                        "two-term splitting, part 2 (pair sum must sit inside (0, 1/2))")
-    # the gap inequality below moves the first term onto the second delay,
-    # so the pair-sum comparison equation at that delay must have a
-    # positive kernel; without this hypothesis the test would certify
-    # e.g. (-0.06, lag 0) + (0.46, lag 3), which diverges
-    pair = validate([Term(added(eq.terms[0].coeff, eq.terms[1].coeff), eq.terms[1].delay)],
-                    None, eq.validation_window[1])
-    cert = certify_positivity(pair, override)
-    if isinstance(cert, PositivityRefutation):
-        witnesses.update({"refuted_n": cert.n, "refuted_k": cert.k})
-        return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                       witnesses, window, True,
-                       "two-term splitting, part 2 (pair-sum comparison kernel not positive)")
-    certified = certified or cert.by == "numerical_scan"
+    # theorem 5 with both terms moved onto the second delay: its comparison
+    # equation is the pair sum (a + b) x(h_2(n)), whose kernel must be
+    # positive; without it the test would certify e.g. (-0.06, lag 0) +
+    # (0.46, lag 3), which diverges.  The second term is left no gap.
+    second = eq.terms[1].delay
+    v = check_corollary_theorem5(eq, [0, 1], [second, second], override)
+    witnesses = dict(v.witnesses)
+    witnesses["sum_inf"], witnesses["sum_sup"] = witnesses.pop("alpha0"), witnesses.pop("alpha1")
+    if v.outcome is Outcome.NOT_APPLICABLE:
+        return replace(v, criterion=label, witnesses=witnesses, citation=(
+            "two-term splitting, part 2 (pair-sum comparison kernel not positive)"))
     wsum = limits.delay_window_sum(eq, 0, window)
     witnesses["window_sum"] = wsum.value
-    certified = certified or not wsum.exact
-    # the displayed gap inequality: |a(n)| times the abs-aggregate between
-    # the two delays, strictly below gamma * (a(n) + b(n)); both terms at
-    # the second delay leave the second term no gap
-    second = eq.terms[1].delay
-    lhs, rhs, _ = theorem5_lhs_rhs(eq, [0, 1], [second, second], window)
-    gamma = float((lhs / rhs).max())
-    witnesses["gamma_min"] = gamma
-    ok = wsum.value <= 0.25 + EPS and gamma < 1.0 - EPS
-    outcome = Outcome.STABLE if ok else Outcome.INCONCLUSIVE
-    return Verdict(label, outcome, CLAIM_EXPONENTIAL, witnesses, window,
-                   certified, "two-term splitting, part 2 (moving the second delay)")
+    ok = v.outcome is Outcome.STABLE and wsum.value <= 0.25 + EPS
+    return replace(v, criterion=label, witnesses=witnesses,
+                   outcome=Outcome.STABLE if ok else Outcome.INCONCLUSIVE,
+                   window_certified=v.window_certified or not wsum.exact,
+                   citation="two-term splitting, part 2 (moving the second delay)")
 
 
 def check_corollary9(a: float, g: int, b: float, h: int, part: int) -> Verdict:

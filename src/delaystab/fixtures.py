@@ -193,8 +193,8 @@ def _run_periodic_mixed_sign(eq: Equation) -> list[CheckResult]:
     inf_s, sup_s, _ = _sum_bounds(eq, [0, 1], window)
     wsum = delay_window_sum(eq, 0, window)
     h_spec = eq.terms[1].delay
-    lhs, rhs, ns = theorem5_lhs_rhs(eq, [0, 1], [h_spec, h_spec], window)
-    by_parity = {int(n) % 2: (float(l), float(r)) for n, l, r in zip(ns, lhs, rhs)}
+    lhs, rhs, strip = theorem5_lhs_rhs(eq, [0, 1], [h_spec, h_spec], window)
+    by_parity = {int(n) % 2: (float(l), float(r)) for n, l, r in zip(strip.ns, lhs, rhs)}
     v = check_corollary_theorem5(eq, [0, 1], [h_spec, h_spec])
     gamma = v.witnesses.get("gamma_min", math.nan)
     return [

@@ -17,6 +17,11 @@ re-parses to an evaluation-equivalent tree, so a ``SeqExpr`` compares and
 hashes by the text it prints alone.  Inside ``evaluation_scope()`` each
 expression keeps one contiguous span of evaluated values, so a run that
 reads the same coefficients over overlapping windows evaluates them once.
+
+An expression's class is a fact about its tree alone, stored on it:
+constants, ``alt(n)``, ``per`` tables and their pointwise combinations are
+periodic; everything else, splices with a positive cutoff included, is
+general, whatever its first values are.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -114,13 +120,19 @@ _FUNCS = ("sin", "cos", "abs", "alt")
 @dataclass(frozen=True)
 class SeqExpr:
     """An immutable sequence expression: an AST and the canonical text it
-    prints to; trees that print alike are one expression."""
+    prints to; trees that print alike are one expression.  Its class is
+    derived from the tree once, on first use."""
 
     ast: Node = field(compare=False)
     source_text: str = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "source_text", _print(self.ast))
+
+    @cached_property
+    def seq_class(self) -> SeqClass:
+        # lazy: a per/alt table evaluates here, and parse evaluates nothing
+        return _classify(self)
 
     def __str__(self) -> str:
         return self.source_text
@@ -436,7 +448,6 @@ class _Scope:
 
     def __init__(self) -> None:
         self.spans: dict[SeqExpr, tuple[int, np.ndarray]] = {}
-        self.classes: dict[SeqExpr, SeqClass] = {}
 
     def window(self, expr: SeqExpr, n0: int, n1: int) -> np.ndarray:
         span = self.spans.get(expr)
@@ -468,9 +479,10 @@ def evaluation_scope() -> Iterator[None]:
     """Evaluate each expression once inside the block.
 
     ``eval_range`` answers a window inside an expression's span with a
-    read-only slice and widens the span by what it evaluates; ``classify``
-    is memoised.  A nested scope shares the outer one; leaving the
-    outermost scope, normally or by an exception, drops everything.
+    read-only slice and widens the span by what it evaluates.  Spans are
+    all a scope holds; an expression keeps its own class.  A nested scope
+    shares the outer one; leaving the outermost scope, normally or by an
+    exception, drops everything.
     """
     global _scope
     if _scope is not None:
@@ -543,32 +555,26 @@ def _minimal_period(expr: SeqExpr, period: int) -> int:
 
 
 def classify(expr: SeqExpr) -> SeqClass:
-    """Classify as constant / periodic(p) / general.
+    """Classify as constant / periodic(p) / general, from the tree alone.
 
     Periodicity is only ever declared structurally (constants, ``alt``,
-    ``per`` and pointwise combinations), never inferred by probing, so
-    integer-sampled transcendentals stay 'general'.  Probing the first 64
-    values is used to spot constants among the remaining expressions.
+    ``per`` and pointwise combinations), and one whole structural period is
+    evaluated to find the minimal one.  An expression with no structural
+    period is 'general', whatever its first values are: integer-sampled
+    transcendentals, ``n - n`` and splices with a positive cutoff alike.
+    The class is derived once per expression and stored on it.
     """
-    if _scope is None:
-        return _classify(expr)
-    cls = _scope.classes.get(expr)
-    if cls is None:
-        cls = _scope.classes[expr] = _classify(expr)
-    return cls
+    return expr.seq_class
 
 
 def _classify(expr: SeqExpr) -> SeqClass:
     period = _structural_period(expr.ast)
-    if period is not None:
-        period = _minimal_period(expr, period)
-        if period == 1:
-            return SeqClass("constant")
-        return SeqClass("periodic", period)
-    probe = eval_range(expr, 0, 63)
-    if (probe == probe[0]).all():
+    if period is None:
+        return SeqClass("general")
+    period = _minimal_period(expr, period)
+    if period == 1:
         return SeqClass("constant")
-    return SeqClass("general")
+    return SeqClass("periodic", period)
 
 
 # ---------------------------------------------------------------------------

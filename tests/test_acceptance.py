@@ -121,8 +121,8 @@ def test_criterion_06_periodic_mixed_sign(eq_periodic_mixed):
     wsum = delay_window_sum(eq_periodic_mixed, 0)
     assert abs(wsum.value - 0.21) < 1e-12 and wsum.value <= 0.25
     h = eq_periodic_mixed.terms[1].delay
-    lhs, rhs, ns = theorem5_lhs_rhs(eq_periodic_mixed, [0, 1], [h, h], (0, 400))
-    by_parity = {int(n) % 2: float(l) for n, l in zip(ns, lhs)}
+    lhs, rhs, strip = theorem5_lhs_rhs(eq_periodic_mixed, [0, 1], [h, h], (0, 400))
+    by_parity = {int(n) % 2: float(l) for n, l in zip(strip.ns, lhs)}
     assert abs(by_parity[0] - 0.0348) < 1e-12
     assert abs(by_parity[1] - 0.0275) < 1e-12
     v = check_corollary_theorem5(eq_periodic_mixed, [0, 1], [h, h])

@@ -413,3 +413,17 @@ def test_check_accepts_a_one_point_window(tmp_path):
     r = run_cli("check", _one_config(tmp_path, [("0.1 + 0.02*sin(n)", 1)]), "--no-meta",
                 "--window", "50", "50")
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("terms,argv", [
+    ([("0.1", 10**12)], ["check"]),
+    ([("0.1", 1)], ["simulate", "--N", str(10**12)]),
+    ([("0.1", 1)], ["fundamental", "--k", "0", "--N", str(10**12)]),
+], ids=["check", "simulate", "fundamental"])
+def test_a_refused_allocation_exits_2(tmp_path, terms, argv):
+    # each size is refused at once (7 to 73 TiB); NumPy's allocation error
+    # is a MemoryError like the kernel cap's, not a crash
+    r = run_cli(argv[0], _one_config(tmp_path, terms), *argv[1:])
+    assert r.returncode == 2
+    assert "Unable to allocate" in r.stderr
+    assert "Traceback" not in r.stderr

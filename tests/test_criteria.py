@@ -194,9 +194,9 @@ def _positivity_calls(eq, monkeypatch, window=None):
 
 def _general_runs():
     """(equation, window) of the golden corpus's sin/cos configs, of the
-    fixtures with general coefficients, and of general terms that merge to
-    a constant: sin(n) and -sin(n) on one lag sum to 0, so lemma 4's exact
-    window sums apply to the merged equation, not to the terms as given."""
+    fixtures with general coefficients, and of general terms on one lag
+    whose values sum to 0: sin(n) and -sin(n) merge to a general sum, so
+    that equation goes straight to the scan, as its terms do."""
     from test_golden import GENERATED
 
     configs = [cfg for name, cfg in GENERATED.items() if not name.startswith("random_")]
@@ -685,8 +685,8 @@ def test_theorem5_general_term_outside_I_uses_window():
     assert v.outcome is Outcome.INCONCLUSIVE
     assert v.witnesses["gamma_min"] == pytest.approx(1.0238, abs=1e-4)
     window = (10 * eq.T, 10 * eq.T + 10_000)
-    _, _, ns = theorem5_lhs_rhs(eq, [0], [DelaySpec.constant(1)], window)
-    assert (ns[0], ns[-1]) == window
+    _, _, strip = theorem5_lhs_rhs(eq, [0], [DelaySpec.constant(1)], window)
+    assert (strip.ns[0], strip.ns[-1]) == window
 
 
 def test_corollary4_delegates(eq_periodic_mixed):
@@ -898,6 +898,17 @@ def test_run_all_fixture_outcomes(eq_sin_cos, eq_unbounded, eq_zero):
     assert any(v.criterion == "corollary8.1" for v in stable)
     assert not stable_verdicts(run_all(eq_unbounded))
     assert not stable_verdicts(run_all(eq_zero))
+
+
+@pytest.mark.parametrize("text", ["splice(100, 0.1, -0.5)",
+                                  "0.2 + 0.01*(abs(n - 100) - (100 - n))"])
+def test_coefficients_constant_on_a_prefix_get_no_stable_verdict(text):
+    # 0.1 and 0.2 for n < 100, then -0.5 and 0.2 + 0.02 (n - 100): the
+    # kernel grows without bound, so no test may certify either
+    from delaystab import fundamental
+    eq = const_eq((text, 1))
+    assert not stable_verdicts(run_all(eq))
+    assert abs(fundamental(eq, 0, 400)[-1]) > 1e6
 
 
 def test_run_all_orders_stable_first(eq_sin_cos):

@@ -434,7 +434,8 @@ def test_windowed_delayed_sum_matches_reference(case, length):
 def test_theorem5_lhs_rhs_matches_reference(case, length):
     eq, I, g_override = case
     window = _window(eq, length)
-    got = criteria.theorem5_lhs_rhs(eq, I, g_override, window)
+    lhs, rhs, strip = criteria.theorem5_lhs_rhs(eq, I, g_override, window)
+    got = lhs, rhs, strip.ns
     ref = _ref_theorem5_lhs_rhs(eq, I, g_override, window)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)

@@ -114,16 +114,27 @@ def test_round_trip_hypothesis(n, seed):
     assert se.evaluate(expr, n) == se.evaluate(se.parse(str(expr)), n)
 
 
+def test_classify_needs_a_structural_period():
+    # the first two are constant until n = 100 and n - n is 0 everywhere,
+    # yet no tree here proves a period
+    for text in ("splice(100, 0.1, -0.5)", "0.2 + 0.01*(abs(n - 100) - (100 - n))", "n - n"):
+        assert se.classify(se.parse(text)) == se.SeqClass("general")
+    assert se.classify(se.parse("splice(0, 0.1, per(1, 2))")) == se.SeqClass("periodic", 2)
+
+
 def test_classify_periodic_soundness():
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        ast = _random_ast(rng, 2)
-        expr = se.SeqExpr(ast)
+    explicit = [se.parse(text) for text in (
+        "splice(65, 1, 2)", "splice(2000, 0.3, 0.3)", "abs(n - 70) - (70 - n)",
+        "per(1, 2) + splice(100, 0, 1)", "abs(alt(n))", "splice(0, 1, 2)")]
+    for expr in explicit + [se.SeqExpr(_random_ast(rng, 2)) for _ in range(200)]:
         cls = se.classify(expr)
+        values = se.eval_range(expr, 0, 2000)
+        if cls.tag == "constant":
+            assert (values == values[0]).all(), str(expr)
         if cls.tag == "periodic":
             p = cls.period
-            values = se.eval_range(expr, 0, 40 * p)
-            assert np.array_equal(values[:-p], values[p:])
+            assert np.array_equal(values[:-p], values[p:]), str(expr)
 
 
 # --- DelaySpec
