@@ -14,10 +14,10 @@ first kernel entry that is nonpositive or not finite.  The analytic routes
 are exact-span arguments, so they are tried only when the equation's own
 coefficients are all constant or periodic; general coefficients go
 straight to the scan, with the same verdicts and routes.  Within one
-``run_all``, theorem2's subsets share their scans through the comparison
-lemma (``ComparisonScans``), which streams a comparison set's kernel rows
-once over all of the run's scan windows of one length; a refutation is
-never shared.  Corollary 4 scans the one term (sum_l a_l) x(g(n)).
+``run_all``, the full equation and theorem2's subsets share one kernel
+stream of their nonnegative terms over the union of their scan windows
+(comparison lemma); a refutation is never inherited.  Corollary 4 scans
+the one term (sum_l a_l) x(g(n)).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "scan_window",
     "positivity_scan",
     "certify_positivity",
-    "ComparisonScans",
     "nonosc_threshold",
     "check_lemma4",
     "check_theorem1",
@@ -154,10 +153,10 @@ def _win(eq: Equation, window: Window) -> tuple[int, int]:
 
 def nonosc_threshold(k: int) -> float:
     """k^k / (k+1)^(k+1): the sharp autonomous nonoscillation bound."""
-    try:
+    if k < 143:  # (k+1)^(k+1) fits a float
         thr = (k**k) / float((k + 1) ** (k + 1))
-    except OverflowError:  # k >= 143: the correctly rounded integer quotient
-        thr = k**k / (k + 1) ** (k + 1)
+    else:  # (1 + 1/k)^-k / (k+1), within a few ulps of the exact quotient
+        thr = math.exp(-k * math.log1p(1.0 / k)) / (k + 1)
     return thr * _LOOSEN
 
 
@@ -208,55 +207,40 @@ def scan_window(T: int) -> tuple[int, int]:
     return n0, n0 + max(SCAN_LEN, 10 * max(T, 1))
 
 
-def positivity_scan(eq: Equation, windows: Sequence[tuple[int, int]]) -> list[Positivity]:
-    """Stream the rows of X once over the span of ``windows`` and scan each
-    window [n0, N] in it: the first X(n, k), n0 <= k <= n, that is
-    nonpositive or not finite (n outward, then k) refutes, unless it is an
-    exact zero more than 5T + 20 rows past n0, a decaying kernel
-    underflowing, which certifies the rows before it; otherwise certify
-    with the minimum.  X(n, k) does not depend on where the stream starts
-    (a term a window's own stream skips subtracts an exact zero here), so
-    each result is exactly that window's own scan."""
-    if any(N - n0 < 5 * eq.T for n0, N in windows):
+def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
+    """Stream the rows of X over ``window`` = [n0, N]: the first X(n, k),
+    n0 <= k <= n, that is nonpositive or not finite (n outward, then k)
+    refutes, unless it is an exact zero more than 5T + 20 rows past n0, a
+    decaying kernel underflowing, which certifies the rows before it;
+    otherwise certify with the minimum."""
+    n0, N = window
+    if N - n0 < 5 * eq.T:
         raise ValueError(f"scan window must span at least 5T = {5 * eq.T}")
-    lo, hi = min(n0 for n0, _ in windows), max(N for _, N in windows)
-    size = hi - lo + 1
-    rows = _kernels.kernel_rows(eq.coeff_table(lo, hi - 1), eq.lag_table(lo, hi - 1), size)
-    results: list[Optional[Positivity]] = [None] * len(windows)
-    lows = [math.inf] * len(windows)
+    size = N - n0 + 1
+    rows = _kernels.kernel_rows(eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1), size)
+    first = next(rows)  # the ring checks its cap before the block below exists
     # rows are checked SCAN_BLOCK at a time; the 1.0 past a row's end never
     # decides, as the diagonal X(k, k) = 1 keeps each row's minimum <= 1
     block = np.ones((SCAN_BLOCK, size))
+    low = math.inf
     # an overflowing kernel turns inf and then nan; both refute
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, row in enumerate(rows):
+        for i, row in enumerate(itertools.chain([first], rows)):
             j = i % SCAN_BLOCK
             block[j, : i + 1] = row
             if j < SCAN_BLOCK - 1 and i < size - 1:
                 continue
-            top = lo + i - j  # the n of the block's first row
-            ok = (block[: j + 1] > 0.0) & (block[: j + 1] < math.inf)
-            for w, (n0, N) in enumerate(windows):
-                first, last = max(n0, top), min(N, lo + i)
-                if results[w] is not None or first > last:
-                    continue
-                part = block[first - top : last - top + 1, n0 - lo :]
-                good = ok[first - top : last - top + 1, n0 - lo :]
-                if not good.all():
-                    r, k = divmod(int(np.argmin(good)), good.shape[1])
-                    n, value = first + r, float(part[r, k])
-                    if value == 0.0 and n - n0 > 5 * eq.T + 20:
-                        low = min(lows[w], float(part[:r].min(initial=math.inf)))
-                        results[w] = PositivityCertificate(n0, n - 1, low, "numerical_scan")
-                    else:
-                        results[w] = PositivityRefutation(n, n0 + k, value)
-                    continue
-                lows[w] = min(lows[w], float(part.min()))
-                if last == N:
-                    results[w] = PositivityCertificate(n0, N, lows[w], "numerical_scan")
-            if None not in results:
-                break
-    return results
+            part = block[: j + 1]
+            good = (part > 0.0) & (part < math.inf)
+            if not good.all():
+                r, k = divmod(int(np.argmin(good)), size)
+                n, value = n0 + i - j + r, float(part[r, k])
+                if value == 0.0 and n - n0 > 5 * eq.T + 20:
+                    low = min(low, float(part[:r].min(initial=math.inf)))
+                    return PositivityCertificate(n0, n - 1, low, "numerical_scan")
+                return PositivityRefutation(n, n0 + k, value)
+            low = min(low, float(part.min()))
+    return PositivityCertificate(n0, N, low, "numerical_scan")
 
 
 def check_lemma4(eq: Equation, window: Window = None) -> Verdict:
@@ -292,7 +276,7 @@ def certify_positivity(eq: Equation, window: Window = None, *,
     summands are, so the routes then merge terms sharing a lag table and
     apply the sign hypotheses to the effective coefficients.
     ``comparison(n0, N)``, when given, is asked before the scan on [n0, N]
-    and answers for it unless it returns None (see ``ComparisonScans``).
+    and answers for it unless it returns None (see ``_comparison_scan``).
     """
     if limits.aggregate_period(eq) is not None:
         merged = merge_same_delay(eq)
@@ -310,65 +294,48 @@ def certify_positivity(eq: Equation, window: Window = None, *,
         result = comparison(n0, N)
         if result is not None:
             return result
-    return positivity_scan(eq, [(n0, N)])[0]
+    return positivity_scan(eq, (n0, N))
 
 
-class ComparisonScans:
-    """One kernel stream per comparison set and window length in one run.
+def _comparison_scan(eq: Equation, windows: Sequence[tuple[int, int]]
+                     ) -> Callable[[Sequence[int], int, int], Optional[Positivity]]:
+    """``share(I, n0, N)``: what the scan of the subset ``I`` of ``eq`` on
+    its window [n0, N], one of ``windows``, takes from one stream of the
+    comparison set J, or None when ``I`` must scan on its own.
 
     Comparison lemma (Gyori & Ladas 1991, ch. 7; Berezansky & Braverman):
     with 0 <= b_l <= a_l on the same delays, X_a > 0 implies X_b >= X_a > 0.
-    So on a window [n0, N] one positive scan of J, the terms that are >= 0
-    on every row the scan reads, certifies each subset of J there, with
-    J's minimum as a lower bound.  A refutation is never inherited: when
-    J's scan refutes, stops early at an underflow, needs a window longer
-    than [n0, N] (5 T_J) or a ring past the kernel cap, the subsets scan
-    on their own.  At its first request J streams once over each of the
-    run's ``windows`` with the same J and length: those of T <= 20 are
-    201 rows long and start within 100 rows of each other.
+    J, the terms >= 0.0 on every row of the union [lo, hi] of ``windows``,
+    streams once over [lo, hi] when a subset of J first asks.  A
+    certificate through hi certifies each subset of J on its own window,
+    with J's minimum as a lower bound.  J itself takes the stream's result
+    when [lo, hi] is its window, or when the stream refutes at (n, k)
+    inside it: bad entries are found row by row, and the underflow stop,
+    counted from lo, is looser there.  Anything else, a union past the
+    kernel cap included, scans alone: a refutation is never inherited.
     """
+    lo, hi = min(n0 for n0, _ in windows), max(N for _, N in windows)
 
-    def __init__(self, eq: Equation, windows: Sequence[tuple[int, int]]):
-        self.eq = eq
-        self.windows = windows
-        self.sets: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.scans: dict[tuple[int, int], Optional[Positivity]] = {}
+    @functools.cache
+    def comparison_set() -> tuple[int, ...]:
+        return tuple(l for l, row in enumerate(eq.coeff_table(lo, hi - 1)) if (row >= 0.0).all())
 
-    def comparison_set(self, n0: int, N: int) -> tuple[int, ...]:
-        """J on [n0, N]: the terms >= 0.0 on rows n0 .. N - 1."""
-        if (n0, N) not in self.sets:
-            rows = self.eq.coeff_table(n0, N - 1)
-            self.sets[n0, N] = tuple(l for l in range(self.eq.m) if (rows[l] >= 0.0).all())
-        return self.sets[n0, N]
-
-    def scan(self, n0: int, N: int) -> Optional[Positivity]:
-        """J's own scan on [n0, N], or None when it cannot run there."""
-        if (n0, N) not in self.scans:
-            J = self.comparison_set(n0, N)
-            comp = subset_equation(self.eq, J)
-            batch = [(n0, N)] + [w for w in self.windows if w != (n0, N) and w not in self.scans
-                                 and w[1] - w[0] == N - n0 and self.comparison_set(*w) == J]
-            results = [None] * len(batch)
-            if N - n0 >= 5 * comp.T:
-                try:
-                    results = positivity_scan(comp, batch)
-                except _kernels.KernelMemoryError:
-                    pass
-            self.scans.update(zip(batch, results))
-        return self.scans[n0, N]
-
-    def certificate(self, I: Sequence[int], n0: int, N: int) -> Optional[Positivity]:
-        """What the scan of subset ``I`` on [n0, N] may take from J's
-        scan, or None when ``I`` must scan on its own."""
-        J = self.comparison_set(n0, N)
-        if not set(I) <= set(J):
+    @functools.cache
+    def stream() -> Optional[Positivity]:
+        try:
+            return positivity_scan(subset_equation(eq, comparison_set()), (lo, hi))
+        except _kernels.KernelMemoryError:
             return None
-        result = self.scan(n0, N)
-        if tuple(I) == J:
-            return result  # the subset's own scan
-        if isinstance(result, PositivityCertificate) and result.N == N:
-            return result
-        return None
+
+    def share(I: Sequence[int], n0: int, N: int) -> Optional[Positivity]:
+        J = comparison_set()
+        result = stream() if set(I) <= set(J) else None
+        if isinstance(result, PositivityCertificate) and result.N == hi:
+            return replace(result, n0=n0, N=N)
+        inside = isinstance(result, PositivityRefutation) and n0 <= result.k and result.n <= N
+        return result if tuple(I) == J and ((n0, N) == (lo, hi) or inside) else None
+
+    return share
 
 
 def _char_root(eq: Equation, window: tuple[int, int]
@@ -524,11 +491,12 @@ def check_corollary3(eq: Equation, window: Window = None) -> Verdict:
 
 
 def check_theorem2(eq: Equation, I: Sequence[int], window: Window = None, *,
-                   scans: Optional[ComparisonScans] = None) -> Verdict:
+                   comparison: Optional[Callable[[int, int], Optional[Positivity]]] = None
+                   ) -> Verdict:
     """Dominant positive part: the I-terms alone form a positive-kernel
     equation with product rate < 1, and the remaining terms are uniformly
-    smaller in limsup ratio.  ``scans`` (one per run over ``eq``) lets the
-    kernel scan of the I-terms come from a comparison set's scan."""
+    smaller in limsup ratio.  ``comparison`` is handed to the I-terms'
+    ``certify_positivity``."""
     I = sorted(set(I))
     if not I:
         raise ValueError("empty index set")
@@ -541,7 +509,6 @@ def check_theorem2(eq: Equation, I: Sequence[int], window: Window = None, *,
                        {"min_coeff": worst}, window, False,
                        "dominant positive part (kept terms must be nonnegative)")
     sub = subset_equation(eq, I)
-    comparison = None if scans is None else functools.partial(scans.certificate, I)
     cert = certify_positivity(sub, override, comparison=comparison)
     certified = isinstance(cert, PositivityCertificate) and cert.by == "numerical_scan"
     witnesses: dict[str, float] = {"min_coeff": worst}
@@ -961,12 +928,11 @@ def run_all(eq: Equation, window: Window = None,
     subsets = _theorem2_subsets(eq) if want("theorem2") else []
     # the full equation's scan window and every theorem2 subset's
     lags = {max(eq.terms[l].delay.max_lag for l in I) for I in subsets}
-    scans = ComparisonScans(eq, [scan_window(T) for T in lags | {eq.T}])
+    share = _comparison_scan(eq, [scan_window(T) for T in lags | {eq.T}])
     if want("theorem1"):
         # the full equation's scan is theorem2's comparison-set scan when
-        # every term is nonnegative on its rows
-        cert = certify_positivity(eq, window,
-                                  comparison=functools.partial(scans.certificate, range(eq.m)))
+        # every term is nonnegative on the union of the scan windows
+        cert = certify_positivity(eq, window, comparison=functools.partial(share, range(eq.m)))
         verdicts.append(check_theorem1(eq, cert, window))
     if want("lemma4"):
         verdicts.append(check_lemma4(eq, window))
@@ -976,7 +942,7 @@ def run_all(eq: Equation, window: Window = None,
         verdicts.append(check_corollary3(eq, window))
     if want("theorem2"):
         for I in subsets:
-            verdicts.append(check_theorem2(eq, I, window, scans=scans))
+            verdicts.append(check_theorem2(eq, I, window, comparison=functools.partial(share, I)))
     if want("corollary4"):
         seen: list[DelaySpec] = []
         for t in eq.terms:

@@ -168,7 +168,7 @@ def test_criterion_08_product_bound_and_kernel_mass(eq_factorial, eq_vanishing,
     # scan stops short of that)
     certified = 0
     for eq, scan_end in ((eq_factorial, 150), (eq_vanishing, 300)):
-        assert isinstance(positivity_scan(eq, [(0, scan_end)])[0], PositivityCertificate)
+        assert isinstance(positivity_scan(eq, (0, scan_end)), PositivityCertificate)
         S = lemma6_sum(eq, 0, 300)
         assert S[eq.T:].min() >= -1e-10
         assert S[eq.T:].max() <= 1 + 1e-10

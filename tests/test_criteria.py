@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from delaystab import (
     stable_verdicts,
     validate,
 )
-from delaystab import criteria
+from delaystab import _kernels, criteria
 from delaystab.criteria import (
     CLAIM_POSITIVE,
     SCAN_LEAD_MULT,
@@ -55,19 +56,19 @@ def const_eq(*pairs):
 
 
 def test_positivity_scan_factorial(eq_factorial):
-    cert = positivity_scan(eq_factorial, [(0, 100)])[0]
+    cert = positivity_scan(eq_factorial, (0, 100))
     assert isinstance(cert, PositivityCertificate)
     assert cert.min_value > 0
 
 
 def test_positivity_scan_unbounded_is_positive(eq_unbounded):
-    cert = positivity_scan(eq_unbounded, [(0, 60)])[0]
+    cert = positivity_scan(eq_unbounded, (0, 60))
     assert isinstance(cert, PositivityCertificate)  # positive but growing
 
 
 def test_positivity_scan_refutation():
     eq = const_eq((1.5, 0))
-    ref = positivity_scan(eq, [(0, 50)])[0]
+    ref = positivity_scan(eq, (0, 50))
     assert isinstance(ref, PositivityRefutation)
     assert ref.value == pytest.approx(-0.5)
     assert ref.n == ref.k + 1
@@ -243,20 +244,28 @@ def test_streamed_scan_certifies_rows_before_underflow():
     cert = certify_positivity(eq)
     assert isinstance(cert, PositivityCertificate) and cert.N == 36
     _assert_same_positivity(cert, _reference_certify(eq))
-    _assert_same_positivity(positivity_scan(eq, [(0, 200)])[0], cert)
+    _assert_same_positivity(positivity_scan(eq, (0, 200)), cert)
 
 
 def test_streamed_scan_refutation_matches_dense_reference():
     eq = const_eq((0.3, 2), (0.4, 1), ("-0.1*alt(n)", 0))
-    ref = positivity_scan(eq, [(10, 210)])[0]
+    ref = positivity_scan(eq, (10, 210))
     assert isinstance(ref, PositivityRefutation)
     _assert_same_positivity(ref, _reference_scan(eq, 10, 210))
 
 
 def test_positivity_scan_caps_its_ring():
-    # lag 4000 over [20000, 60000] needs 4,002 ring rows of 40,001 entries
-    with pytest.raises(KernelMemoryError):
-        positivity_scan(const_eq((0.0001, 4000)), [(20_000, 60_000)])
+    # lag 4000 over [20000, 60000] needs 4,002 ring rows of 40,001 entries;
+    # the cap refuses them before the scan allocates its block of rows
+    eq = const_eq((0.0001, 4000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(KernelMemoryError):
+            positivity_scan(eq, (20_000, 60_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < criteria.SCAN_BLOCK * 40_001 * 8
 
 
 def test_scan_refutes_an_overflowing_kernel():
@@ -265,36 +274,47 @@ def test_scan_refutes_an_overflowing_kernel():
     eq = const_eq((0.001, 1), (-1e20, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ref = positivity_scan(eq, [(5, 205)])[0]
+        ref = positivity_scan(eq, (5, 205))
         assert isinstance(certify_positivity(eq), PositivityRefutation)
     assert isinstance(ref, PositivityRefutation)
     assert not math.isfinite(ref.value)
 
 
-# --- theorem2's comparison-set scans
+# --- the comparison-set stream shared by theorem1 and theorem2
+
+
+def _comparison_set(eq, windows):
+    """J, the terms >= 0.0 on every row of the union of ``windows``."""
+    lo, hi = min(n0 for n0, _ in windows), max(N for _, N in windows)
+    return tuple(l for l, row in enumerate(eq.coeff_table(lo, hi - 1)) if (row >= 0.0).all())
 
 
 def _theorem2_positivity(eq, monkeypatch):
     """(subset equation, window, result) for every certify_positivity call
-    theorem2 makes inside run_all, and how many results a subset inherited
-    from a larger comparison set's scan."""
+    theorem2 makes inside run_all, and how many results a proper subset of
+    the comparison set inherited from its stream."""
     seen, inherited = [], []
     certify = criteria.certify_positivity
-    certificate = criteria.ComparisonScans.certificate
+    comparison_scan = criteria._comparison_scan
 
     def recording(eq, window=None, **kw):
         result = certify(eq, window, **kw)
         seen.append((eq, window, result))
         return result
 
-    def counting(scans, I, n0, N):
-        result = certificate(scans, I, n0, N)
-        if result is not None and tuple(I) != scans.comparison_set(n0, N):
-            inherited.append(result)
-        return result
+    def counting(eq, windows):
+        share, J = comparison_scan(eq, windows), _comparison_set(eq, windows)
+
+        def shared(I, n0, N):
+            result = share(I, n0, N)
+            if result is not None and tuple(I) != J:
+                inherited.append(result)
+            return result
+
+        return shared
 
     monkeypatch.setattr(criteria, "certify_positivity", recording)
-    monkeypatch.setattr(criteria.ComparisonScans, "certificate", counting)
+    monkeypatch.setattr(criteria, "_comparison_scan", counting)
     run_all(eq, checks=["theorem2"])
     monkeypatch.undo()
     return seen, len(inherited)
@@ -316,11 +336,14 @@ def _assert_inherits_soundly(eq, monkeypatch) -> int:
     return inherited
 
 
+# the two generators of perfbench's check_periodic corpus
+GENERATORS = {"periodic": dict(m_max=3, T_max=5, K_max=0.8),
+              "autonomous": dict(m_max=3, T_max=4, K_max=1.0, autonomous=True)}
+
+
 @pytest.mark.parametrize("autonomous", [False, True], ids=["periodic", "autonomous"])
 def test_theorem2_inherits_only_sound_certificates(autonomous, monkeypatch):
-    # the two generators of perfbench's check_periodic corpus
-    kw = (dict(m_max=3, T_max=4, K_max=1.0, autonomous=True) if autonomous
-          else dict(m_max=3, T_max=5, K_max=0.8))
+    kw = GENERATORS["autonomous" if autonomous else "periodic"]
     inherited = sum(_assert_inherits_soundly(random_equation(seed, **kw), monkeypatch)
                     for seed in range(25))
     # every autonomous comparison set that a subset asks for refutes here
@@ -357,13 +380,13 @@ def test_theorem2_inherits_only_sound_certificates_on_trig_equations(eq, monkeyp
 
 
 def _streams(eq, monkeypatch, checks=None):
-    """The windows of every positivity_scan stream run_all makes."""
+    """The window of every positivity_scan stream run_all makes."""
     streams = []
     scan = criteria.positivity_scan
 
-    def recording(eq, windows):
-        streams.append(list(windows))
-        return scan(eq, windows)
+    def recording(eq, window):
+        streams.append(tuple(window))
+        return scan(eq, window)
 
     monkeypatch.setattr(criteria, "positivity_scan", recording)
     run_all(eq, checks=checks)
@@ -377,15 +400,8 @@ def test_trig_m6_scans_each_window_once(monkeypatch):
     eq = config_to_equation(GENERATED["sin_cos_m6"])
     streams = _streams(eq, monkeypatch, ["theorem2"])
     # 63 subsets over five scan windows (T = 1, 2, 4, 5, 6), one stream
-    assert len(streams) == 1
-    assert sorted(streams[0]) == [(5, 205), (10, 210), (20, 220), (25, 225), (30, 230)]
-
-
-class _OneWindowScans(criteria.ComparisonScans):
-    """A comparison set streamed over each requested window alone."""
-
-    def __init__(self, eq, windows):
-        super().__init__(eq, [])
+    # over their union
+    assert streams == [(5, 230)]
 
 
 def _reports(eq):
@@ -394,7 +410,8 @@ def _reports(eq):
 
 def _assert_streams_change_no_report(eq, monkeypatch):
     shared = _reports(eq)
-    monkeypatch.setattr(criteria, "ComparisonScans", _OneWindowScans)
+    # sharing off: every set that reaches the scan streams on its own
+    monkeypatch.setattr(criteria, "_comparison_scan", lambda eq, windows: lambda I, n0, N: None)
     alone = _reports(eq)
     monkeypatch.undo()
     assert shared == alone
@@ -406,108 +423,138 @@ def test_shared_streams_report_as_one_window_scans_on_trig_equations(eq, monkeyp
     _assert_streams_change_no_report(eq, monkeypatch)
 
 
-def test_lags_1_and_30_stream_each_length_apart(monkeypatch):
-    # T = 1 scans [5, 205] and T = 30 scans [150, 450]: 201 and 301 rows
-    eq = const_eq(("0.05 + 0.02*sin(n)", 1), ("0.002 + 0.001*cos(n)", 30))
-    streams = _streams(eq, monkeypatch)
-    assert {(5, 205), (150, 450)} <= {w for ws in streams for w in ws}
-    for windows in streams:
-        assert len({N - n0 for n0, N in windows}) == 1, windows
+@pytest.mark.parametrize("generator", GENERATORS)
+def test_shared_streams_report_as_one_window_scans(generator, monkeypatch):
+    for seed in range(25):
+        _assert_streams_change_no_report(random_equation(seed, **GENERATORS[generator]),
+                                         monkeypatch)
+
+
+# T = 1 scans [5, 205] and T = 30 scans [150, 450]
+LAGS_1_AND_30 = (("0.05 + 0.02*sin(n)", 1), ("0.002 + 0.001*cos(n)", 30))
+
+
+def test_lags_1_and_30_share_one_union_stream(monkeypatch):
+    eq = const_eq(*LAGS_1_AND_30)
+    assert _streams(eq, monkeypatch, ["theorem1", "theorem2"]) == [(5, 450)]
     _assert_streams_change_no_report(eq, monkeypatch)
 
 
-def _assert_stream_scans_each_window_alone(eq, seed=0):
-    """scan_window(t) for several t beside windows with arbitrary starts:
-    one stream over all of them gives each window's own scan.  Returns
-    which kinds of result it saw."""
+def _assert_union_scan_answers_as_each_window(eq, seed=0):
+    """scan_window(t) for several t beside windows with arbitrary starts,
+    and one stream over their union [lo, hi]: a refutation at (n, k) inside
+    a window is that window's own scan, and a certificate through hi means
+    that each window's own scan certifies, with a minimum no lower.
+    Returns which kinds of union result it checked."""
     rng = np.random.default_rng(seed)
     windows = [criteria.scan_window(t) for t in (eq.T, eq.T + 1, eq.T + 3, max(eq.T - 1, 0))]
     for _ in range(3):
         n0 = int(rng.integers(0, 60))
         windows.append((n0, n0 + 5 * eq.T + int(rng.integers(0, 200))))
-    kinds = set()
-    for (n0, N), got in zip(windows, positivity_scan(eq, windows)):
-        want = positivity_scan(eq, [(n0, N)])[0]
-        _assert_same_positivity(got, want)
-        kinds.add("refuted" if isinstance(want, PositivityRefutation)
-                  else "certified" if want.N == N else "underflow stop")
+    lo, hi = min(n0 for n0, _ in windows), max(N for _, N in windows)
+    union = positivity_scan(eq, (lo, hi))
+    through = isinstance(union, PositivityCertificate) and union.N == hi
+    kinds = set() if through or isinstance(union, PositivityRefutation) else {"underflow stop"}
+    for n0, N in windows:
+        own = positivity_scan(eq, (n0, N))
+        if through:
+            assert isinstance(own, PositivityCertificate) and own.N == N, (n0, N, own)
+            assert own.min_value >= union.min_value
+            kinds.add("certified")
+        elif isinstance(union, PositivityRefutation) and n0 <= union.k and union.n <= N:
+            _assert_same_positivity(own, union)
+            kinds.add("refuted")
     return kinds
 
 
 @pytest.mark.parametrize("generator", ["periodic", "autonomous", "default"])
 def test_one_stream_scans_each_window_as_its_own_scan(generator):
-    kw = {"periodic": dict(m_max=3, T_max=5, K_max=0.8),
-          "autonomous": dict(m_max=3, T_max=4, K_max=1.0, autonomous=True),
-          "default": {}}[generator]
+    kw = GENERATORS.get(generator, {})
     kinds = set()
     for seed in range(50):
-        kinds |= _assert_stream_scans_each_window_alone(random_equation(seed, **kw), seed)
+        kinds |= _assert_union_scan_answers_as_each_window(random_equation(seed, **kw), seed)
     assert {"certified", "refuted"} <= kinds
 
 
 @settings(max_examples=15, deadline=None)
 @given(eq=_trig_equations(), seed=st.integers(0, 2**16))
 def test_one_stream_scans_each_window_as_its_own_scan_on_trig_equations(eq, seed):
-    _assert_stream_scans_each_window_alone(eq, seed)
+    _assert_union_scan_answers_as_each_window(eq, seed)
 
 
 def test_one_stream_scans_underflow_and_overflow_as_their_own_scans():
     # the underflowing kernel of test_streamed_scan_certifies_rows_before_underflow
-    # and the overflowing one of test_scan_refutes_an_overflowing_kernel
+    # stops the union short of hi, which answers for no window; the
+    # overflowing one of test_scan_refutes_an_overflowing_kernel refutes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert "underflow stop" in _assert_stream_scans_each_window_alone(
-            const_eq(("1 - 1e-9*(1.5 + sin(n))", 0)))
-        assert "refuted" in _assert_stream_scans_each_window_alone(
+        assert _assert_union_scan_answers_as_each_window(
+            const_eq(("1 - 1e-9*(1.5 + sin(n))", 0))) == {"underflow stop"}
+        assert "refuted" in _assert_union_scan_answers_as_each_window(
             const_eq((0.001, 1), (-1e20, 0)))
-    # X(k + 1, k) = 0 exactly: a zero one row past n0 refutes in every
-    # window, however far past the stream's start the window begins
-    assert _assert_stream_scans_each_window_alone(const_eq((1.0, 0))) == {"refuted"}
+    # X(k + 1, k) = 0 exactly: the union refutes at (lo + 1, lo), inside
+    # the windows that start at lo
+    assert _assert_union_scan_answers_as_each_window(const_eq((1.0, 0))) == {"refuted"}
 
 
 def test_comparison_set_leaves_out_early_negative_terms():
-    # the spliced term is negative on the rows before 40, which every
-    # subset's scan window [5 T, ...) reads here
+    # the spliced term is negative on the rows before 40, which the union
+    # [5, 240] of the windows reads, so J = (0, 2) even on [40, 240]
     eq = const_eq(("0.1 + 0.02*sin(n)", 1), ("splice(40, -0.01, 0.02)", 3), ("0.03", 2))
-    scans = criteria.ComparisonScans(eq, [(5, 205), (10, 210), (15, 215), (40, 240)])
-    assert scans.comparison_set(5, 205) == (0, 2)
-    assert scans.comparison_set(15, 215) == (0, 2)
-    assert scans.comparison_set(40, 240) == (0, 1, 2)
-    assert scans.certificate([0, 1], 15, 215) is None
-    assert isinstance(scans.certificate([0, 2], 10, 210), PositivityCertificate)
+    share = criteria._comparison_scan(eq, [(5, 205), (10, 210), (15, 215), (40, 240)])
+    assert share([0, 1], 15, 215) is None
+    assert share([0, 1, 2], 40, 240) is None
+    cert = share([0, 2], 10, 210)
+    assert isinstance(cert, PositivityCertificate) and (cert.n0, cert.N) == (10, 210)
     sub = criteria.subset_equation(eq, [0, 1])
-    got = criteria.certify_positivity(sub, comparison=functools.partial(scans.certificate, [0, 1]))
+    got = criteria.certify_positivity(sub, comparison=functools.partial(share, [0, 1]))
     _assert_same_positivity(got, certify_positivity(sub))
 
 
 def test_comparison_set_refutation_is_never_inherited():
     # both terms are nonnegative, the pair's kernel is not positive
     eq = const_eq((0.05, 1), (1.5, 0))
-    scans = criteria.ComparisonScans(eq, [(5, 205)])
-    assert scans.certificate([0], 5, 205) is None
-    assert isinstance(scans.scan(5, 205), PositivityRefutation)
+    own = positivity_scan(criteria.subset_equation(eq, [0, 1]), (5, 205))
+    assert isinstance(own, PositivityRefutation)
+    share = criteria._comparison_scan(eq, [(5, 205)])
+    assert share([0], 5, 205) is None
     # the set itself gets its own scan back
-    own = positivity_scan(criteria.subset_equation(eq, [0, 1]), [(5, 205)])[0]
-    _assert_same_positivity(scans.certificate([0, 1], 5, 205), own)
+    _assert_same_positivity(share([0, 1], 5, 205), own)
+    # over the union [0, 205] the pair refutes at k = 0, outside [5, 205]
+    share = criteria._comparison_scan(eq, [(0, 200), (5, 205)])
+    assert share([0, 1], 5, 205) is None
+    _assert_same_positivity(share([0, 1], 0, 200), positivity_scan(eq, (0, 200)))
+    # a refutation past a window's end: X(251, k) < 0, and [0, 200] certifies
+    eq = const_eq(("splice(250, 0.05, 1.5)", 0))
+    assert positivity_scan(eq, (0, 300)).n == 251
+    assert positivity_scan(eq, (0, 200)).N == 200
+    share = criteria._comparison_scan(eq, [(0, 200), (50, 300)])
+    assert share([0], 0, 200) is None
 
 
 def test_comparison_set_underflow_stop_is_never_inherited():
     # the pair's kernel underflows to an exact zero at row 37, short of N
     eq = const_eq(("1 - 1e-9*(1.5 + sin(n))", 0), ("1e-12", 0))
-    scans = criteria.ComparisonScans(eq, [(0, 200)])
-    stop = scans.scan(0, 200)
+    share = criteria._comparison_scan(eq, [(0, 200)])
+    stop = share([0, 1], 0, 200)  # the pair's own scan: [0, 200] is the union
     assert isinstance(stop, PositivityCertificate) and stop.N < 200
-    assert scans.certificate([1], 0, 200) is None
+    assert share([1], 0, 200) is None
+    share = criteria._comparison_scan(eq, [(0, 200), (5, 205)])
+    assert share([0, 1], 5, 205) is None
 
 
-def test_comparison_set_past_its_window_or_the_cap_is_never_inherited():
+def test_union_past_the_kernel_cap_scans_each_set_alone(monkeypatch):
     eq = const_eq((0.1, 1), (0.0001, 4000))
-    scans = criteria.ComparisonScans(eq, [(5, 205), (20_000, 60_000)])
-    # [5, 205] is shorter than 5 T_J = 20,000
-    assert scans.certificate([0], 5, 205) is None
-    # lag 4000 over [20000, 60000] passes the ring cap; no error escapes
-    assert scans.certificate([0], 20_000, 60_000) is None
-    assert scans.scan(20_000, 60_000) is None
+    share = criteria._comparison_scan(eq, [(5, 205), (20_000, 60_000)])
+    # J's ring over [5, 60000] passes the cap; no error escapes
+    assert share([0], 5, 205) is None
+    assert share([0, 1], 20_000, 60_000) is None
+    # a cap between the largest window's ring (32 rows of 301 entries) and
+    # the union's (32 rows of 446): the same reports, each set scanning alone
+    eq = const_eq(*LAGS_1_AND_30)
+    want = _reports(eq)
+    monkeypatch.setattr(_kernels, "MAX_ENTRIES", 12_000)
+    assert _reports(eq) == want
 
 
 def test_run_all_rejects_a_bad_window(eq_sin_cos):
@@ -543,6 +590,10 @@ def test_sharp_bound_past_float_range():
     # (k+1)^(k+1) stops fitting a float at k = 143
     assert criteria.nonosc_threshold(142) > criteria.nonosc_threshold(143)
     assert criteria.nonosc_threshold(2000) == pytest.approx(1 / (math.e * 2001), rel=1e-3)
+    # past it a float form, within 1e-15 of the correctly rounded quotient
+    for k in range(143, 401):
+        exact = k**k / (k + 1) ** (k + 1)
+        assert abs(criteria.nonosc_threshold(k) - exact) <= 1e-15 * exact, k
 
 
 @pytest.mark.parametrize("alphas,taus", [([1e-4], [2000]), ([1e-4, 0.0], [2000, 3000])])
@@ -707,7 +758,7 @@ def _assert_corollary4_one_term_decides_like_m_terms(eq):
         one = merge_same_delay(terms)
         assert one.m == 1
         window = criteria.scan_window(g.max_lag)
-        [got], [want] = positivity_scan(one, [window]), positivity_scan(terms, [window])
+        got, want = positivity_scan(one, window), positivity_scan(terms, window)
         assert type(got) is type(want), (g, got, want)
         if isinstance(want, PositivityRefutation):
             assert (got.n, got.k) == (want.n, want.k)
@@ -733,7 +784,7 @@ def test_corollary4_scans_its_one_term_comparison_equation(monkeypatch):
     eq = const_eq(("0.05 + 0.02*sin(n)", 1), ("0.03 + 0.01*cos(n)", 2), ("0.02", 3))
     terms = []
     scan = criteria.positivity_scan
-    monkeypatch.setattr(criteria, "positivity_scan", lambda e, ws: terms.append(e.m) or scan(e, ws))
+    monkeypatch.setattr(criteria, "positivity_scan", lambda e, w: terms.append(e.m) or scan(e, w))
     check_corollary4(eq, DelaySpec.constant(2))
     assert terms == [1]
 
