@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["KernelMemoryError", "MAX_ENTRIES", "step_recurrence", "kernel_rows",
-           "kernel_table", "weighted_kernel_sums"]
+__all__ = ["KernelMemoryError", "MAX_ENTRIES", "step_recurrence", "require_ring",
+           "kernel_rows", "kernel_table", "weighted_kernel_sums"]
 
 # a kernel buffer (the dense table or the row ring) above this many entries raises
 MAX_ENTRIES = 100_000_000
@@ -54,6 +54,14 @@ def step_recurrence(coeffs, lags, forcing, x, t_max, steps):
     return x
 
 
+def require_ring(depth, size):
+    """Raise KernelMemoryError when a ring of ``depth`` rows of ``size``
+    entries passes the cap; a caller that knows the depth can ask before
+    it builds the tables ``kernel_rows`` reads."""
+    if depth * size > MAX_ENTRIES:
+        raise KernelMemoryError(f"kernel rows need {depth * size} entries (cap {MAX_ENTRIES})")
+
+
 def kernel_rows(coeffs, lags, size):
     """Yield row i = X(n0+i, n0..n0+i) for i = 0 .. size - 1.
 
@@ -63,8 +71,7 @@ def kernel_rows(coeffs, lags, size):
     O(size * lag); each yielded row is a view, valid until the next step.
     """
     depth = int(lags.max(initial=0)) + 2
-    if depth * size > MAX_ENTRIES:
-        raise KernelMemoryError(f"kernel rows need {depth * size} entries (cap {MAX_ENTRIES})")
+    require_ring(depth, size)
     # ring[i % depth, :i + 1] = row i, zero past it (a slot's older rows are
     # shorter); the slot being written is never one the update reads
     ring = np.zeros((depth, size))

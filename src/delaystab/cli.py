@@ -424,9 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first call and reused: parsing keeps no state between calls
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     # MemoryError covers the kernel cap and an array NumPy cannot allocate

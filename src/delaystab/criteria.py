@@ -17,7 +17,12 @@ straight to the scan, with the same verdicts and routes.  Within one
 ``run_all``, the full equation and theorem2's subsets share one kernel
 stream of their nonnegative terms over the union of their scan windows
 (comparison lemma); a refutation is never inherited.  Corollary 4 scans
-the one term (sum_l a_l) x(g(n)).
+the one term (sum_l a_l) x(g(n)).  A scan refuses a kernel ring past the
+cap before it evaluates any table.  The positivity routes, lemma4 and
+corollaries 2 and 3 ask the same questions of the same comparison
+equations; ``run_all`` answers each (same-delay merge, lemma 4 verdict,
+characteristic root) once per equation and window, and keeps nothing
+after it returns.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ import functools
 import itertools
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -151,6 +157,35 @@ def _win(eq: Equation, window: Window) -> tuple[int, int]:
     return window or limits.default_window(eq)
 
 
+# (function, equation, window) -> result, open only inside run_all
+_memo: Optional[dict] = None
+
+
+@contextmanager
+def _run_memo() -> Iterator[None]:
+    """Hold ``_once``'s results for the block; leaving it, normally or by
+    an exception, drops them, so no result outlives its run."""
+    global _memo
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def _once(fn: Callable, eq: Equation, *window):
+    """``fn(eq, *window)``, computed once per run: the positivity routes,
+    lemma 4, corollaries 2 and 3 and theorem2's subsets ask the same
+    questions of the same equations.  Callers pass ``fn`` as looked up at
+    the call and never mutate what it returns."""
+    if _memo is None:
+        return fn(eq, *window)
+    key = (fn, eq, *window)
+    if key not in _memo:
+        _memo[key] = fn(eq, *window)
+    return _memo[key]
+
+
 def nonosc_threshold(k: int) -> float:
     """k^k / (k+1)^(k+1): the sharp autonomous nonoscillation bound."""
     if k < 143:  # (k+1)^(k+1) fits a float
@@ -207,6 +242,13 @@ def scan_window(T: int) -> tuple[int, int]:
     return n0, n0 + max(SCAN_LEN, 10 * max(T, 1))
 
 
+def _ring_depth(delays: Sequence[DelaySpec], n0: int, n1: int) -> int:
+    """The depth of ``kernel_rows``' ring over lag tables on [n0, n1]: the
+    deepest lag there plus 2, read from at most one period of each delay."""
+    return 2 + max(int(d.lag_range(n0, min(n1, n0 + d.period - 1)).max(initial=0))
+                   for d in delays)
+
+
 def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
     """Stream the rows of X over ``window`` = [n0, N]: the first X(n, k),
     n0 <= k <= n, that is nonpositive or not finite (n outward, then k)
@@ -217,15 +259,16 @@ def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
     if N - n0 < 5 * eq.T:
         raise ValueError(f"scan window must span at least 5T = {5 * eq.T}")
     size = N - n0 + 1
+    # the ring's cap is checked before the tables it would read exist
+    _kernels.require_ring(_ring_depth([t.delay for t in eq.terms], n0, N - 1), size)
     rows = _kernels.kernel_rows(eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1), size)
-    first = next(rows)  # the ring checks its cap before the block below exists
     # rows are checked SCAN_BLOCK at a time; the 1.0 past a row's end never
     # decides, as the diagonal X(k, k) = 1 keeps each row's minimum <= 1
     block = np.ones((SCAN_BLOCK, size))
     low = math.inf
     # an overflowing kernel turns inf and then nan; both refute
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, row in enumerate(itertools.chain([first], rows)):
+        for i, row in enumerate(rows):
             j = i % SCAN_BLOCK
             block[j, : i + 1] = row
             if j < SCAN_BLOCK - 1 and i < size - 1:
@@ -279,12 +322,12 @@ def certify_positivity(eq: Equation, window: Window = None, *,
     and answers for it unless it returns None (see ``_comparison_scan``).
     """
     if limits.aggregate_period(eq) is not None:
-        merged = merge_same_delay(eq)
-        pre = check_lemma4(merged, window)
+        merged = _once(merge_same_delay, eq)
+        pre = _once(check_lemma4, merged, _win(merged, window))
         if pre.outcome is Outcome.STABLE and not pre.window_certified:
             return PositivityCertificate(0, -1, math.nan, "lemma4")
         if pre.outcome is not Outcome.NOT_APPLICABLE:
-            root, part1, part2, exact = _char_root(merged, pre.window)
+            root, part1, part2, exact = _once(_char_root, merged, pre.window)
             if exact and part2:
                 return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
             if exact and part1:
@@ -327,7 +370,17 @@ def _comparison_scan(eq: Equation, windows: Sequence[tuple[int, int]]
         except _kernels.KernelMemoryError:
             return None
 
+    @functools.cache
+    def depth(l: int) -> int:
+        return _ring_depth([eq.terms[l].delay], lo, hi - 1)
+
     def share(I: Sequence[int], n0: int, N: int) -> Optional[Positivity]:
+        # J contains I, so its ring is at least as deep as I's terms make it:
+        # past the cap, J's table is never evaluated
+        try:
+            _kernels.require_ring(max(map(depth, I)), hi - lo + 1)
+        except _kernels.KernelMemoryError:
+            return None
         J = comparison_set()
         result = stream() if set(I) <= set(J) else None
         if isinstance(result, PositivityCertificate) and result.N == hi:
@@ -444,12 +497,15 @@ def check_theorem1(eq: Equation,
 def check_corollary2(eq: Equation, window: Window = None) -> Verdict:
     """Nonoscillation window sums supply the kernel positivity, then the
     rate theorem runs on top."""
-    pre = check_lemma4(eq, window)
+    pre = _once(check_lemma4, eq, _win(eq, window))
+    # the lemma 4 verdict may be run_all's own: copy its witnesses
     if pre.outcome is Outcome.NOT_APPLICABLE:
         return replace(pre, criterion="corollary2", claim=CLAIM_EXPONENTIAL,
+                       witnesses=dict(pre.witnesses),
                        citation="window-sum positivity + rate bound (negative coefficient)")
     if pre.outcome is Outcome.INCONCLUSIVE:
         return replace(pre, criterion="corollary2", claim=CLAIM_EXPONENTIAL,
+                       witnesses=dict(pre.witnesses),
                        citation="window-sum positivity + rate bound (window sums too large)")
     cert = PositivityCertificate(0, -1, math.nan, "lemma4")
     v = check_theorem1(eq, cert, window)
@@ -471,7 +527,7 @@ def check_corollary3(eq: Equation, window: Window = None) -> Verdict:
         return Verdict("corollary3", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, window, False,
                        "characteristic-root comparison (needs nonnegative coefficients)")
-    root, part1, part2, exact = _char_root(eq, window)
+    root, part1, part2, exact = _once(_char_root, eq, window)
     witnesses.update(root)
     certified = not exact
     if not (part1 or part2):
@@ -567,6 +623,7 @@ def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
     ns = strip.ns
     absagg = np.abs(eq.coeff_table(strip.lo, int(ns[-1]))).sum(axis=0)
     table = eq.coeff_table(int(ns[0]), int(ns[-1]))
+    prefix = np.concatenate([[0.0], np.cumsum(absagg)])  # one for every gap
     lhs = np.zeros(len(ns))
     rhs = np.zeros(len(ns))
     for l in range(eq.m):
@@ -574,7 +631,7 @@ def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
             i = I.index(l)
             h = ns - strip.lags[i]
             g = ns - strip.lags[len(I) + i]
-            lhs += np.abs(table[l]) * strip.sums(absagg, np.minimum(h, g), np.maximum(h, g))
+            lhs += np.abs(table[l]) * strip.sums_from(prefix, np.minimum(h, g), np.maximum(h, g))
             rhs += table[l]
         else:
             lhs += np.abs(table[l])
@@ -605,7 +662,7 @@ def check_corollary_theorem5(eq: Equation, I: Sequence[int],
     cmp_terms = [Term(eq.terms[l].coeff, g) for l, g in zip(I, g_override)]
     # terms moved onto one delay are one term: (a + b) x(g(n)), the form
     # the paper states, whose kernel streams once instead of once per term
-    cmp_eq = merge_same_delay(validate(cmp_terms, None, eq.validation_window[1]))
+    cmp_eq = _once(merge_same_delay, validate(cmp_terms, None, eq.validation_window[1]))
     cert = certify_positivity(cmp_eq, override)
     if isinstance(cert, PositivityRefutation):
         witnesses.update({"refuted_n": cert.n, "refuted_k": cert.k})
@@ -911,8 +968,10 @@ def _theorem2_subsets(eq: Equation) -> list[tuple[int, ...]]:
     return out
 
 
-# every checker reads the same coefficients: evaluate each once per run
+# every checker reads the same coefficients: evaluate each once per run,
+# and answer each repeated comparison-equation question once
 @evaluation_scope()
+@_run_memo()
 def run_all(eq: Equation, window: Window = None,
             checks: Optional[Sequence[str]] = None) -> list[Verdict]:
     """Run every applicable checker; verdicts sorted Stable-first, then by
@@ -935,7 +994,7 @@ def run_all(eq: Equation, window: Window = None,
         cert = certify_positivity(eq, window, comparison=functools.partial(share, range(eq.m)))
         verdicts.append(check_theorem1(eq, cert, window))
     if want("lemma4"):
-        verdicts.append(check_lemma4(eq, window))
+        verdicts.append(_once(check_lemma4, eq, _win(eq, window)))
     if want("corollary2"):
         verdicts.append(check_corollary2(eq, window))
     if want("corollary3"):

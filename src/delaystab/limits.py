@@ -142,7 +142,11 @@ class DelayStrip:
     def sums(self, values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per strip point, the sum of ``values[k - lo]`` over k in
         [max(a, lo), b); 0 where that range is empty."""
-        prefix = np.concatenate([[0.0], np.cumsum(values)])
+        return self.sums_from(np.concatenate([[0.0], np.cumsum(values)]), a, b)
+
+    def sums_from(self, prefix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``sums`` from the prefix sums [0, v0, v0 + v1, ...] of its values,
+        for a caller that sums the same values between several bounds."""
         a = np.maximum(a, self.lo)
         b = np.maximum(b, a)
         return np.where(b > a, prefix[b - self.lo] - prefix[a - self.lo], 0.0)
@@ -153,15 +157,17 @@ def delay_strip(eq: Equation, delays: Sequence[DelaySpec],
     """The strip for ``delays``: one exact period P = lcm(period of all of
     ``eq``'s coefficients, periods of ``delays``) placed past the deepest
     lag, or the window when any coefficient is general."""
+    distinct = dict.fromkeys(delays)  # corollary 4 passes m copies of g
     period = aggregate_period(eq)
     if period is not None:
-        period = math.lcm(period, *(d.period for d in delays))
-        first = max(int(d.lag_range(0, period - 1).max()) for d in delays)
+        period = math.lcm(period, *(d.period for d in distinct))
+        first = max(int(d.lag_range(0, period - 1).max()) for d in distinct)
         n0 = (first // period + 1) * period
         n1 = n0 + period - 1
     else:
         n0, n1 = window
-    lags = np.stack([d.lag_range(n0, n1) for d in delays])
+    rows = {d: d.lag_range(n0, n1) for d in distinct}
+    lags = np.stack([rows[d] for d in delays])
     return DelayStrip(np.arange(n0, n1 + 1, dtype=np.int64), lags,
                       max(0, n0 - int(lags.max())), period is not None)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -337,6 +338,68 @@ def test_check_past_the_scan_cap_exits_2(tmp_path):
     assert r.returncode == 2
     assert "(cap 100000000)" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_check_refuses_the_scan_cap_before_building_its_tables(tmp_path, capsys):
+    # lag 10^6 scans [5*10^6, 1.5*10^7], a ring far past the cap: check
+    # refuses it at the peak its own config validation reaches (170 MB),
+    # not after building the scan's coefficient and lag tables (440 MB)
+    from delaystab import cli
+    from delaystab.fixtures import config_to_equation
+    path = _one_config(tmp_path, [("0.1", 10**6)])
+    with open(path) as fh:
+        config = json.load(fh)
+    tracemalloc.start()
+    try:
+        config_to_equation(config)
+        _, validation = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert cli.main(["check", path, "--no-meta"]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "(cap 100000000)" in capsys.readouterr().err
+    assert peak < 1.02 * validation
+
+
+def test_main_builds_its_parser_once(cfg_factorial, tmp_path, monkeypatch, capsys):
+    from delaystab import cli
+    build = cli.build_parser
+    built = []
+
+    def counting():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    csv = tmp_path / "trajectory.csv"
+    argvs = [["check", cfg_factorial, "--no-meta"],
+             ["check", cfg_factorial, "--no-meta", "--window", "5", "30"],
+             ["simulate", cfg_factorial, "--N", "12", "--csv", str(csv)],
+             ["check", cfg_factorial, "--bogus"],
+             ["check", cfg_factorial, "--no-meta"]]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        written = csv.read_text() if csv.exists() else None
+        csv.unlink(missing_ok=True)
+        return code, out, err, written
+
+    reused = [run(argv) for argv in argvs]
+    assert len(built) == 1
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 0, 2, 0]
+    assert reused[2][3].startswith("n,value\n")
+    assert "unrecognized arguments: --bogus" in reused[3][2]
 
 
 def test_check_builds_the_equation_once(cfg_factorial, tmp_path, monkeypatch):

@@ -280,6 +280,36 @@ def test_scan_refutes_an_overflowing_kernel():
     assert not math.isfinite(ref.value)
 
 
+def _no_tables(monkeypatch):
+    from delaystab.equation import Equation
+
+    def refuse(self, n0, n1):
+        raise AssertionError(f"table on [{n0}, {n1}] built past the kernel cap")
+
+    monkeypatch.setattr(Equation, "coeff_table", refuse)
+    monkeypatch.setattr(Equation, "lag_table", refuse)
+
+
+def test_positivity_scan_refuses_the_cap_before_its_tables(monkeypatch):
+    eq = const_eq((0.0001, 4000))
+    _no_tables(monkeypatch)
+    with pytest.raises(KernelMemoryError, match=r"\(cap 100000000\)"):
+        positivity_scan(eq, (20_000, 60_000))
+
+
+def test_ring_depth_is_the_depth_kernel_rows_takes():
+    # the deepest lag the window's tables hold, plus 2: a lag table longer
+    # than the window may miss its deepest lag, an empty window holds none
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        delays = [DelaySpec.periodic(rng.integers(0, 50, int(rng.integers(1, 30))))
+                  for _ in range(int(rng.integers(1, 4)))]
+        n0 = int(rng.integers(0, 100))
+        n1 = n0 + int(rng.integers(-1, 40))
+        table = np.stack([d.lag_range(n0, n1) for d in delays])
+        assert criteria._ring_depth(delays, n0, n1) == int(table.max(initial=0)) + 2
+
+
 # --- the comparison-set stream shared by theorem1 and theorem2
 
 
@@ -555,6 +585,16 @@ def test_union_past_the_kernel_cap_scans_each_set_alone(monkeypatch):
     want = _reports(eq)
     monkeypatch.setattr(_kernels, "MAX_ENTRIES", 12_000)
     assert _reports(eq) == want
+
+
+def test_union_past_the_kernel_cap_evaluates_no_comparison_set(monkeypatch):
+    # a set whose own terms make the union's ring too deep cannot be in a
+    # comparison set that streams: it scans alone before J's table is built
+    eq = const_eq((0.1, 1), (0.0001, 4000))
+    share = criteria._comparison_scan(eq, [(5, 205), (20_000, 60_000)])
+    _no_tables(monkeypatch)
+    assert share([1], 20_000, 60_000) is None
+    assert share([0, 1], 20_000, 60_000) is None
 
 
 def test_run_all_rejects_a_bad_window(eq_sin_cos):
@@ -1048,3 +1088,79 @@ def test_not_applicable_versus_inconclusive_discipline():
         check_corollary10([0.3]),
     ]
     assert all(v.outcome is Outcome.INCONCLUSIVE for v in inc)
+
+
+# --- the per-run memo
+
+
+def _counting(monkeypatch, names=("check_lemma4", "_char_root", "merge_same_delay")):
+    """Wrap each named criteria function; returns the (name, args) of every
+    call that runs it."""
+    calls = []
+    for name in names:
+        def counted(*args, fn=getattr(criteria, name), name=name):
+            calls.append((name, args))
+            return fn(*args)
+        monkeypatch.setattr(criteria, name, counted)
+    return calls
+
+
+def test_run_all_asks_each_comparison_question_once(monkeypatch):
+    # lemma 4 is inconclusive, so both the positivity routes and corollary
+    # 3 take the characteristic root; lemma4 and corollary2 take lemma 4
+    eq = const_eq(("0.07 + 0.02*alt(n)", 2), ("per(0.03, 0.05)", 3))
+    calls = _counting(monkeypatch)
+    verdicts = run_all(eq)
+    assert len(calls) == len(set(calls))
+    full = [name for name, args in calls if args[0] == eq]
+    assert sorted(full) == ["_char_root", "check_lemma4", "merge_same_delay"]
+    witnesses = [id(v.witnesses) for v in verdicts]
+    assert len(witnesses) == len(set(witnesses))
+    assert criteria._memo is None
+
+
+def test_no_memoised_result_outlives_its_run(eq_periodic_mixed, eq_alternating, monkeypatch):
+    want = _reports(eq_alternating)
+    _reports(eq_periodic_mixed)
+    assert criteria._memo is None
+    # outside a run nothing is kept: each call runs
+    calls = _counting(monkeypatch, ["check_lemma4"])
+    check_corollary2(eq_alternating)
+    check_corollary2(eq_alternating)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    certify = criteria.certify_positivity
+    held = []
+
+    def first_ask(*args, **kw):
+        held.append(dict(criteria._memo))
+        return certify(*args, **kw)
+
+    monkeypatch.setattr(criteria, "certify_positivity", first_ask)
+    assert _reports(eq_alternating) == want
+    assert held[0] == {}
+
+
+def test_a_run_that_raises_drops_its_memo(eq_periodic_mixed, monkeypatch):
+    want = _reports(eq_periodic_mixed)
+
+    def boom(*args, **kw):
+        assert criteria._memo
+        raise RuntimeError("checker failed")
+
+    monkeypatch.setattr(criteria, "check_corollary7", boom)
+    with pytest.raises(RuntimeError, match="checker failed"):
+        run_all(eq_periodic_mixed)
+    assert criteria._memo is None
+    monkeypatch.undo()
+    assert _reports(eq_periodic_mixed) == want
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+def test_memo_changes_no_report(generator, monkeypatch):
+    for seed in range(25):
+        eq = random_equation(seed, **GENERATORS[generator])
+        memoised = _reports(eq)
+        monkeypatch.setattr(criteria, "_once", lambda fn, eq, *window: fn(eq, *window))
+        assert _reports(eq) == memoised
+        monkeypatch.undo()
