@@ -13,21 +13,20 @@ characteristic-root routes apply and by a finite kernel scan otherwise
 first kernel entry that is nonpositive or not finite.  The analytic routes
 are exact-span arguments, so they are tried only when the equation's own
 coefficients are all constant or periodic; general coefficients go
-straight to the scan, with the same verdicts and routes.  Within one
-``run_all``, the full equation and theorem2's subsets share one kernel
-stream of their nonnegative terms over the union of their scan windows
-(comparison lemma); a refutation is never inherited.  Corollary 4 scans
-the one term (sum_l a_l) x(g(n)).  A scan refuses a kernel ring past the
-cap before it evaluates any table.  The positivity routes, lemma4 and
-corollaries 2 and 3 ask the same questions of the same comparison
-equations; ``run_all`` answers each (same-delay merge, lemma 4 verdict,
-characteristic root) once per equation and window, and keeps nothing
-after it returns.
+straight to the scan, with the same verdicts and routes.  ``run_all``
+answers the positivity of the full equation and of theorem2's subsets in
+one pass: the sets left to a scan share one kernel stream of their
+nonnegative terms over the union of their scan windows (comparison
+lemma); a refutation is never inherited.  Corollary 4 scans the one term
+(sum_l a_l) x(g(n)).  A scan refuses a kernel ring past the cap before it
+evaluates any table.  The checkers ask the same questions of the same
+comparison equations; ``run_all`` answers each (same-delay merge, lemma 4
+verdict, characteristic root, theorem2's sign gate, positivity) once per
+equation and window, and keeps nothing after it returns.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -307,88 +306,83 @@ def check_lemma4(eq: Equation, window: Window = None) -> Verdict:
     )
 
 
-def certify_positivity(eq: Equation, window: Window = None, *,
-                       comparison: Optional[Callable[[int, int], Optional[Positivity]]] = None
-                       ) -> Positivity:
-    """Try analytic positivity routes, then fall back to a kernel scan.
+def _analytic_positivity(eq: Equation, window: Window) -> Optional[PositivityCertificate]:
+    """The analytic positivity routes, or None when they leave ``eq`` to
+    the kernel scan.
 
-    The analytic routes certify only on exact spans, so they are tried
-    only when every coefficient of ``eq`` is constant or periodic; general
-    coefficients go straight to the scan, which gives the verdict and route
-    it gave when the routes ran first.  A sum is periodic exactly when its
-    summands are, so the routes then merge terms sharing a lag table and
-    apply the sign hypotheses to the effective coefficients.
-    ``comparison(n0, N)``, when given, is asked before the scan on [n0, N]
-    and answers for it unless it returns None (see ``_comparison_scan``).
+    They certify only on exact spans, so they are tried only when every
+    coefficient of ``eq`` is constant or periodic; general coefficients go
+    straight to the scan, which gives the verdict and route it gave when
+    the routes ran first.  A sum is periodic exactly when its summands are,
+    so the routes then merge terms sharing a lag table and apply the sign
+    hypotheses to the effective coefficients.
     """
-    if limits.aggregate_period(eq) is not None:
-        merged = _once(merge_same_delay, eq)
-        pre = _once(check_lemma4, merged, _win(merged, window))
-        if pre.outcome is Outcome.STABLE and not pre.window_certified:
-            return PositivityCertificate(0, -1, math.nan, "lemma4")
-        if pre.outcome is not Outcome.NOT_APPLICABLE:
-            root, part1, part2, exact = _once(_char_root, merged, pre.window)
-            if exact and part2:
-                return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
-            if exact and part1:
-                return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
-    n0, N = scan_window(eq.T)
-    if comparison is not None:
-        result = comparison(n0, N)
-        if result is not None:
-            return result
-    return positivity_scan(eq, (n0, N))
+    if limits.aggregate_period(eq) is None:
+        return None
+    merged = _once(merge_same_delay, eq)
+    pre = _once(check_lemma4, merged, _win(merged, window))
+    if pre.outcome is Outcome.STABLE and not pre.window_certified:
+        return PositivityCertificate(0, -1, math.nan, "lemma4")
+    if pre.outcome is not Outcome.NOT_APPLICABLE:
+        root, part1, part2, exact = _once(_char_root, merged, pre.window)
+        if exact and part2:
+            return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
+        if exact and part1:
+            return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
+    return None
 
 
-def _comparison_scan(eq: Equation, windows: Sequence[tuple[int, int]]
-                     ) -> Callable[[Sequence[int], int, int], Optional[Positivity]]:
-    """``share(I, n0, N)``: what the scan of the subset ``I`` of ``eq`` on
-    its window [n0, N], one of ``windows``, takes from one stream of the
-    comparison set J, or None when ``I`` must scan on its own.
+def certify_positivity(eq: Equation, window: Window = None) -> Positivity:
+    """The analytic routes, else a kernel scan of ``eq`` on its own window."""
+    cert = _once(_analytic_positivity, eq, window)
+    return cert if cert is not None else positivity_scan(eq, scan_window(eq.T))
+
+
+def _positivity_pass(eq: Equation, window: Window,
+                     sets: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], Positivity]:
+    """The positivity of each index set's subset equation (the full set
+    asks about ``eq`` itself), with one kernel stream for all it can answer.
 
     Comparison lemma (Gyori & Ladas 1991, ch. 7; Berezansky & Braverman):
     with 0 <= b_l <= a_l on the same delays, X_a > 0 implies X_b >= X_a > 0.
-    J, the terms >= 0.0 on every row of the union [lo, hi] of ``windows``,
-    streams once over [lo, hi] when a subset of J first asks.  A
-    certificate through hi certifies each subset of J on its own window,
-    with J's minimum as a lower bound.  J itself takes the stream's result
-    when [lo, hi] is its window, or when the stream refutes at (n, k)
-    inside it: bad entries are found row by row, and the underflow stop,
-    counted from lo, is looser there.  Anything else, a union past the
-    kernel cap included, scans alone: a refutation is never inherited.
+    The sets the analytic routes leave to a scan have scan windows with a
+    union [lo, hi]; J, their terms that are >= 0.0 on every row of it,
+    streams once over [lo, hi] (a term of no such set may lag deeper than
+    [lo, hi] spans).  A certificate through hi certifies each subset of J on
+    its own window, with J's minimum as a lower bound.  J itself takes the
+    stream's result when [lo, hi] is its window, or when the stream refutes
+    at (n, k) inside it: bad entries are found row by row, and the
+    underflow stop, counted from lo, is looser there.  Every other set, all
+    of them when J's ring passes the kernel cap, goes to
+    ``certify_positivity``: a refutation is never inherited.
     """
-    lo, hi = min(n0 for n0, _ in windows), max(N for _, N in windows)
-
-    @functools.cache
-    def comparison_set() -> tuple[int, ...]:
-        return tuple(l for l, row in enumerate(eq.coeff_table(lo, hi - 1)) if (row >= 0.0).all())
-
-    @functools.cache
-    def stream() -> Optional[Positivity]:
+    subs = {I: eq if len(I) == eq.m else subset_equation(eq, I) for I in sets}
+    windows = {I: scan_window(sub.T) for I, sub in subs.items()
+               if _once(_analytic_positivity, sub, window) is None}
+    shared: dict[tuple[int, ...], Positivity] = {}
+    if windows:
+        lo, hi = min(n0 for n0, _ in windows.values()), max(N for _, N in windows.values())
+        terms = sorted(set().union(*windows))
+        depth = {l: _ring_depth([eq.terms[l].delay], lo, hi - 1) for l in terms}
+        J, result = (), None
+        # J contains each set it answers: when no set's own ring over [lo, hi]
+        # fits the cap, neither would J's, and its table is never built
         try:
-            return positivity_scan(subset_equation(eq, comparison_set()), (lo, hi))
+            _kernels.require_ring(min(max(depth[l] for l in I) for I in windows), hi - lo + 1)
+            rows = subset_equation(eq, terms).coeff_table(lo, hi - 1)
+            J = tuple(l for l, row in zip(terms, rows) if (row >= 0.0).all())
+            if any(set(I) <= set(J) for I in windows):
+                result = positivity_scan(subset_equation(eq, J), (lo, hi))
         except _kernels.KernelMemoryError:
-            return None
-
-    @functools.cache
-    def depth(l: int) -> int:
-        return _ring_depth([eq.terms[l].delay], lo, hi - 1)
-
-    def share(I: Sequence[int], n0: int, N: int) -> Optional[Positivity]:
-        # J contains I, so its ring is at least as deep as I's terms make it:
-        # past the cap, J's table is never evaluated
-        try:
-            _kernels.require_ring(max(map(depth, I)), hi - lo + 1)
-        except _kernels.KernelMemoryError:
-            return None
-        J = comparison_set()
-        result = stream() if set(I) <= set(J) else None
-        if isinstance(result, PositivityCertificate) and result.N == hi:
-            return replace(result, n0=n0, N=N)
-        inside = isinstance(result, PositivityRefutation) and n0 <= result.k and result.n <= N
-        return result if tuple(I) == J and ((n0, N) == (lo, hi) or inside) else None
-
-    return share
+            pass
+        for I, (n0, N) in windows.items():
+            inside = isinstance(result, PositivityRefutation) and n0 <= result.k and result.n <= N
+            if isinstance(result, PositivityCertificate) and result.N == hi and set(I) <= set(J):
+                shared[I] = replace(result, n0=n0, N=N)
+            elif result is not None and I == J and ((n0, N) == (lo, hi) or inside):
+                shared[I] = result
+    return {I: shared[I] if I in shared else certify_positivity(sub, window)
+            for I, sub in subs.items()}
 
 
 def _char_root(eq: Equation, window: tuple[int, int]
@@ -546,33 +540,32 @@ def check_corollary3(eq: Equation, window: Window = None) -> Verdict:
                    "characteristic-root comparison (p-step product not below 1)")
 
 
-def check_theorem2(eq: Equation, I: Sequence[int], window: Window = None, *,
-                   comparison: Optional[Callable[[int, int], Optional[Positivity]]] = None
-                   ) -> Verdict:
+def check_theorem2(eq: Equation, I: Sequence[int], positivity: Optional[Positivity],
+                   window: Window = None) -> Verdict:
     """Dominant positive part: the I-terms alone form a positive-kernel
     equation with product rate < 1, and the remaining terms are uniformly
-    smaller in limsup ratio.  ``comparison`` is handed to the I-terms'
-    ``certify_positivity``."""
+    smaller in limsup ratio.  ``positivity`` is that of the I-terms'
+    equation; without one (None) the test does not apply."""
     I = sorted(set(I))
     if not I:
         raise ValueError("empty index set")
     # the comparison equation resolves its own default window
     override, window = window, _win(eq, window)
     label = "theorem2(I=" + ",".join(map(str, I)) + ")"
-    nonneg, worst = _all_nonnegative(eq, I, window)
+    nonneg, worst = _once(_all_nonnegative, eq, tuple(I), window)
     if not nonneg:
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        {"min_coeff": worst}, window, False,
                        "dominant positive part (kept terms must be nonnegative)")
-    sub = subset_equation(eq, I)
-    cert = certify_positivity(sub, override, comparison=comparison)
-    certified = isinstance(cert, PositivityCertificate) and cert.by == "numerical_scan"
     witnesses: dict[str, float] = {"min_coeff": worst}
-    if isinstance(cert, PositivityRefutation):
-        witnesses.update({"refuted_n": cert.n, "refuted_k": cert.k})
+    if not isinstance(positivity, PositivityCertificate):
+        if positivity is not None:
+            witnesses.update({"refuted_n": positivity.n, "refuted_k": positivity.k})
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, True,
                        "dominant positive part (comparison kernel not positive)")
+    certified = positivity.by == "numerical_scan"
+    sub = subset_equation(eq, I)
     q, b, exact = _best_product(sub, override)
     witnesses.update({"p": float(q), "b": b})
     certified = certified or not exact
@@ -663,7 +656,7 @@ def check_corollary_theorem5(eq: Equation, I: Sequence[int],
     # terms moved onto one delay are one term: (a + b) x(g(n)), the form
     # the paper states, whose kernel streams once instead of once per term
     cmp_eq = _once(merge_same_delay, validate(cmp_terms, None, eq.validation_window[1]))
-    cert = certify_positivity(cmp_eq, override)
+    cert = _once(certify_positivity, cmp_eq, override)
     if isinstance(cert, PositivityRefutation):
         witnesses.update({"refuted_n": cert.n, "refuted_k": cert.k})
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
@@ -985,14 +978,13 @@ def run_all(eq: Equation, window: Window = None,
 
     verdicts: list[Verdict] = []
     subsets = _theorem2_subsets(eq) if want("theorem2") else []
-    # the full equation's scan window and every theorem2 subset's
-    lags = {max(eq.terms[l].delay.max_lag for l in I) for I in subsets}
-    share = _comparison_scan(eq, [scan_window(T) for T in lags | {eq.T}])
+    # the full equation's positivity and each sign-gated subset's, at once
+    full = tuple(range(eq.m))
+    asked = [full] if want("theorem1") else []
+    asked += [I for I in subsets if _once(_all_nonnegative, eq, I, _win(eq, window))[0]]
+    positivity = _positivity_pass(eq, window, asked)
     if want("theorem1"):
-        # the full equation's scan is theorem2's comparison-set scan when
-        # every term is nonnegative on the union of the scan windows
-        cert = certify_positivity(eq, window, comparison=functools.partial(share, range(eq.m)))
-        verdicts.append(check_theorem1(eq, cert, window))
+        verdicts.append(check_theorem1(eq, positivity[full], window))
     if want("lemma4"):
         verdicts.append(_once(check_lemma4, eq, _win(eq, window)))
     if want("corollary2"):
@@ -1001,7 +993,7 @@ def run_all(eq: Equation, window: Window = None,
         verdicts.append(check_corollary3(eq, window))
     if want("theorem2"):
         for I in subsets:
-            verdicts.append(check_theorem2(eq, I, window, comparison=functools.partial(share, I)))
+            verdicts.append(check_theorem2(eq, I, positivity.get(I), window))
     if want("corollary4"):
         seen: list[DelaySpec] = []
         for t in eq.terms:

@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .seqexpr import DelaySpec, SeqExpr, added, eval_range, spliced
 
 __all__ = ["Term", "Equation", "InitialData", "validate", "subset_equation",
@@ -79,7 +80,9 @@ def validate(
 ) -> Equation:
     """Build an Equation whose coefficients and forcing evaluate on
     [0, window_len), so evaluation errors surface here; the window is
-    recorded on the equation.
+    recorded on the equation.  Slices of at most 2^16 points keep the
+    memory flat; a window past the kernel cap (a lag of 10^7 and up) is
+    asked for whole, so NumPy refuses at once one it cannot hold.
     """
     eq = Equation(tuple(terms), forcing)
     min_len = 10 * (1 + eq.T)
@@ -87,20 +90,21 @@ def validate(
         window_len = max(min_len, 1000)
     if window_len < min_len:
         raise ValueError(f"window_len must be at least 10*(1+T) = {min_len}")
-    for t in eq.terms:
-        eval_range(t.coeff, 0, window_len - 1)
-    if forcing is not None:
-        eval_range(forcing, 0, window_len - 1)
+    step = 1 << 16 if window_len <= _kernels.MAX_ENTRIES else window_len
+    for expr in [t.coeff for t in eq.terms] + ([forcing] if forcing is not None else []):
+        for n0 in range(0, window_len, step):
+            eval_range(expr, n0, min(n0 + step, window_len) - 1)
     return replace(eq, validation_window=(0, window_len))
 
 
 def subset_equation(eq: Equation, indices: Sequence[int]) -> Equation:
-    """Equation keeping only the terms in ``indices``; forcing dropped."""
+    """Equation keeping only the terms in ``indices``; forcing dropped.
+    ``eq``'s validation covered these terms on its window, so nothing is
+    evaluated again."""
     indices = list(indices)
     if not indices:
         raise ValueError("empty index set")
-    picked = tuple(eq.terms[i] for i in indices)
-    return validate(picked, None, eq.validation_window[1])
+    return Equation(tuple(eq.terms[i] for i in indices), None, eq.validation_window)
 
 
 def merge_same_delay(eq: Equation) -> Equation:

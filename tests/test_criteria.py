@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 import warnings
@@ -179,15 +178,21 @@ def _assert_same_positivity(got, want):
 
 
 def _positivity_calls(eq, monkeypatch, window=None):
-    """Every equation and window run_all hands to certify_positivity."""
+    """Every equation and window whose positivity run_all asks for: each
+    set the positivity pass answers and each certify_positivity call."""
     seen = []
-    certify = criteria.certify_positivity
+    certify, answer = criteria.certify_positivity, criteria._positivity_pass
 
-    def recording(eq, window=None, **kw):
+    def recording(eq, window=None):
         seen.append((eq, window))
-        return certify(eq, window, **kw)
+        return certify(eq, window)
+
+    def asking(eq, window, sets):
+        seen.extend((criteria.subset_equation(eq, I), window) for I in sets)
+        return answer(eq, window, sets)
 
     monkeypatch.setattr(criteria, "certify_positivity", recording)
+    monkeypatch.setattr(criteria, "_positivity_pass", asking)
     run_all(eq, window)
     monkeypatch.undo()
     return seen
@@ -310,43 +315,48 @@ def test_ring_depth_is_the_depth_kernel_rows_takes():
         assert criteria._ring_depth(delays, n0, n1) == int(table.max(initial=0)) + 2
 
 
-# --- the comparison-set stream shared by theorem1 and theorem2
+# --- the positivity pass: one comparison-set stream for theorem1 and theorem2
 
 
-def _comparison_set(eq, windows):
-    """J, the terms >= 0.0 on every row of the union of ``windows``."""
-    lo, hi = min(n0 for n0, _ in windows), max(N for _, N in windows)
-    return tuple(l for l, row in enumerate(eq.coeff_table(lo, hi - 1)) if (row >= 0.0).all())
+def _pass(eq, sets, monkeypatch, window=None):
+    """The positivity pass's answer for each of ``sets``, and the sets it
+    left to certify_positivity, each to scan alone, in the order asked."""
+    alone = []
+    certify = criteria.certify_positivity
+
+    def recording(sub, window=None):
+        alone.extend(I for I in sets if criteria.subset_equation(eq, I) == sub)
+        return certify(sub, window)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(criteria, "certify_positivity", recording)
+        answers = criteria._positivity_pass(eq, window, sets)
+    return answers, alone
 
 
 def _theorem2_positivity(eq, monkeypatch):
-    """(subset equation, window, result) for every certify_positivity call
-    theorem2 makes inside run_all, and how many results a proper subset of
-    the comparison set inherited from its stream."""
-    seen, inherited = [], []
-    certify = criteria.certify_positivity
-    comparison_scan = criteria._comparison_scan
+    """(subset equation, window, result) for every positivity theorem2 is
+    handed inside run_all, and how many of those certificates a proper
+    subset of the comparison set took from J's stream: a subset equation
+    that no scan ran on."""
+    seen, scanned = [], []
+    check, scan = criteria.check_theorem2, criteria.positivity_scan
 
-    def recording(eq, window=None, **kw):
-        result = certify(eq, window, **kw)
-        seen.append((eq, window, result))
-        return result
+    def recording(eq, I, positivity, window=None):
+        if positivity is not None:
+            seen.append((criteria.subset_equation(eq, I), window, positivity))
+        return check(eq, I, positivity, window)
 
-    def counting(eq, windows):
-        share, J = comparison_scan(eq, windows), _comparison_set(eq, windows)
+    def scanning(eq, window):
+        scanned.append(eq)
+        return scan(eq, window)
 
-        def shared(I, n0, N):
-            result = share(I, n0, N)
-            if result is not None and tuple(I) != J:
-                inherited.append(result)
-            return result
-
-        return shared
-
-    monkeypatch.setattr(criteria, "certify_positivity", recording)
-    monkeypatch.setattr(criteria, "_comparison_scan", counting)
+    monkeypatch.setattr(criteria, "check_theorem2", recording)
+    monkeypatch.setattr(criteria, "positivity_scan", scanning)
     run_all(eq, checks=["theorem2"])
     monkeypatch.undo()
+    inherited = [got for sub, _, got in seen
+                 if getattr(got, "by", None) == "numerical_scan" and sub not in scanned]
     return seen, len(inherited)
 
 
@@ -434,14 +444,44 @@ def test_trig_m6_scans_each_window_once(monkeypatch):
     assert streams == [(5, 230)]
 
 
+def test_sweep_streams_only_the_windows_that_reach_the_scan(monkeypatch):
+    # ten terms 0.01 + 0.005*per(1, -1, 0) with lags cycling 1..4: the
+    # analytic routes certify every set of T <= 3, so J streams once over
+    # the window of T = 4, not over the union [5, 220] of all four windows
+    eq = const_eq(*[("0.01 + 0.005*per(1, -1, 0)", 1 + l % 4) for l in range(10)])
+    assert _streams(eq, monkeypatch, ["theorem1", "theorem2"]) == [(20, 220)]
+
+
+def test_comparison_set_takes_only_the_terms_of_sets_left_to_a_scan(monkeypatch):
+    # the lag-100 term turns negative at n = 500, so theorem2's sign gate
+    # drops every set that keeps it; with theorem1 off the union is the one
+    # window [5, 205], which could not hold that term's lag-100 ring
+    eq = const_eq(("0.1 + 0.02*sin(n)", 1), ("splice(500, 0.001, -0.001)", 100))
+    assert _streams(eq, monkeypatch, ["theorem2"]) == [(5, 205)]
+    assert run_all(eq, checks=["theorem2"])[0].outcome is Outcome.STABLE
+
+
+def test_run_all_asks_each_positivity_once(monkeypatch):
+    # the full equation is no longer scanned once for theorem1 and again
+    # for theorem2's full set, nor corollary 8.2's (a + b) x(h_2(n)) again
+    # after corollary 4 at g = h_2
+    eq = config_to_equation(FIXTURE_CONFIGS["two_delay_sin_cos"])
+    assert _streams(eq, monkeypatch) == [(5, 300), (100, 300), (5, 205), (100, 300),
+                                         (5, 205), (100, 300)]
+
+
 def _reports(eq):
     return [v.to_dict() for v in run_all(eq)]
+
+
+def _each_alone(eq, window, sets):
+    return {I: certify_positivity(criteria.subset_equation(eq, I), window) for I in sets}
 
 
 def _assert_streams_change_no_report(eq, monkeypatch):
     shared = _reports(eq)
     # sharing off: every set that reaches the scan streams on its own
-    monkeypatch.setattr(criteria, "_comparison_scan", lambda eq, windows: lambda I, n0, N: None)
+    monkeypatch.setattr(criteria, "_positivity_pass", _each_alone)
     alone = _reports(eq)
     monkeypatch.undo()
     assert shared == alone
@@ -527,74 +567,98 @@ def test_one_stream_scans_underflow_and_overflow_as_their_own_scans():
     assert _assert_union_scan_answers_as_each_window(const_eq((1.0, 0))) == {"refuted"}
 
 
-def test_comparison_set_leaves_out_early_negative_terms():
+# The rule tests pick each set's largest lag T for its scan window
+# scan_window(T): T = 0, 1, 2, 3, 8 and 30 give [0, 200], [5, 205],
+# [10, 210], [15, 215], [40, 240] and [150, 450].  A sin or cos term keeps a
+# set off the analytic routes, so it reaches the scan.
+
+
+def test_comparison_set_leaves_out_early_negative_terms(monkeypatch):
     # the spliced term is negative on the rows before 40, which the union
-    # [5, 240] of the windows reads, so J = (0, 2) even on [40, 240]
-    eq = const_eq(("0.1 + 0.02*sin(n)", 1), ("splice(40, -0.01, 0.02)", 3), ("0.03", 2))
-    share = criteria._comparison_scan(eq, [(5, 205), (10, 210), (15, 215), (40, 240)])
-    assert share([0, 1], 15, 215) is None
-    assert share([0, 1, 2], 40, 240) is None
-    cert = share([0, 2], 10, 210)
+    # [5, 240] of the windows reads, so J = (0, 2, 3) even on [40, 240]
+    eq = const_eq(("0.1 + 0.02*sin(n)", 1), ("splice(40, -0.01, 0.02)", 3), ("0.03", 2),
+                  ("0.001", 8))
+    sets = [(0,), (0, 2), (0, 1), (0, 1, 2, 3)]
+    assert [criteria.scan_window(criteria.subset_equation(eq, I).T) for I in sets] == [
+        (5, 205), (10, 210), (15, 215), (40, 240)]
+    answers, alone = _pass(eq, sets, monkeypatch)
+    assert alone == [(0, 1), (0, 1, 2, 3)]
+    cert = answers[(0, 2)]
     assert isinstance(cert, PositivityCertificate) and (cert.n0, cert.N) == (10, 210)
-    sub = criteria.subset_equation(eq, [0, 1])
-    got = criteria.certify_positivity(sub, comparison=functools.partial(share, [0, 1]))
-    _assert_same_positivity(got, certify_positivity(sub))
+    _assert_same_positivity(answers[(0, 1)],
+                            certify_positivity(criteria.subset_equation(eq, [0, 1])))
 
 
-def test_comparison_set_refutation_is_never_inherited():
+def test_comparison_set_refutation_is_never_inherited(monkeypatch):
     # both terms are nonnegative, the pair's kernel is not positive
-    eq = const_eq((0.05, 1), (1.5, 0))
+    eq = const_eq(("0.05 + 0.01*sin(n)", 1), (1.5, 0))
     own = positivity_scan(criteria.subset_equation(eq, [0, 1]), (5, 205))
     assert isinstance(own, PositivityRefutation)
-    share = criteria._comparison_scan(eq, [(5, 205)])
-    assert share([0], 5, 205) is None
+    answers, alone = _pass(eq, [(0,), (0, 1)], monkeypatch)
+    assert alone == [(0,)]
     # the set itself gets its own scan back
-    _assert_same_positivity(share([0, 1], 5, 205), own)
+    _assert_same_positivity(answers[(0, 1)], own)
     # over the union [0, 205] the pair refutes at k = 0, outside [5, 205]
-    share = criteria._comparison_scan(eq, [(0, 200), (5, 205)])
-    assert share([0, 1], 5, 205) is None
-    _assert_same_positivity(share([0, 1], 0, 200), positivity_scan(eq, (0, 200)))
+    answers, alone = _pass(eq, [(1,), (0, 1)], monkeypatch)
+    assert alone == [(1,), (0, 1)]
+    # J = (0,), the lag-0 term, refutes at k = 0 inside its own [0, 200]:
+    # the alternating term is left out of J, and its pair scans alone
+    eq = const_eq((1.5, 0), ("-0.01*alt(n)", 1))
+    answers, alone = _pass(eq, [(0,), (0, 1)], monkeypatch)
+    assert alone == [(0, 1)]
+    _assert_same_positivity(answers[(0,)], positivity_scan(eq, (0, 200)))
     # a refutation past a window's end: X(251, k) < 0, and [0, 200] certifies
-    eq = const_eq(("splice(250, 0.05, 1.5)", 0))
-    assert positivity_scan(eq, (0, 300)).n == 251
-    assert positivity_scan(eq, (0, 200)).N == 200
-    share = criteria._comparison_scan(eq, [(0, 200), (50, 300)])
-    assert share([0], 0, 200) is None
+    eq = const_eq(("splice(250, 0.05, 1.5)", 0), ("-0.001*alt(n)", 30))
+    one = criteria.subset_equation(eq, [0])
+    assert positivity_scan(one, (0, 450)).n == 251
+    assert positivity_scan(one, (0, 200)).N == 200
+    answers, alone = _pass(eq, [(0,), (0, 1)], monkeypatch)
+    assert alone == [(0,), (0, 1)]
 
 
-def test_comparison_set_underflow_stop_is_never_inherited():
+def test_comparison_set_underflow_stop_is_never_inherited(monkeypatch):
     # the pair's kernel underflows to an exact zero at row 37, short of N
     eq = const_eq(("1 - 1e-9*(1.5 + sin(n))", 0), ("1e-12", 0))
-    share = criteria._comparison_scan(eq, [(0, 200)])
-    stop = share([0, 1], 0, 200)  # the pair's own scan: [0, 200] is the union
+    answers, alone = _pass(eq, [(0,), (0, 1)], monkeypatch)
+    stop = answers[(0, 1)]  # the pair's own scan: [0, 200] is the union
     assert isinstance(stop, PositivityCertificate) and stop.N < 200
-    assert share([1], 0, 200) is None
-    share = criteria._comparison_scan(eq, [(0, 200), (5, 205)])
-    assert share([0, 1], 5, 205) is None
+    assert alone == [(0,)]
+    # the pair at lag 1 scans [5, 205], the union is [0, 205]
+    eq = const_eq(("1 - 1e-9*(1.5 + sin(n))", 0), ("1e-12", 1))
+    answers, alone = _pass(eq, [(0,), (0, 1)], monkeypatch)
+    assert alone == [(0,), (0, 1)]
 
 
 def test_union_past_the_kernel_cap_scans_each_set_alone(monkeypatch):
-    eq = const_eq((0.1, 1), (0.0001, 4000))
-    share = criteria._comparison_scan(eq, [(5, 205), (20_000, 60_000)])
-    # J's ring over [5, 60000] passes the cap; no error escapes
-    assert share([0], 5, 205) is None
-    assert share([0, 1], 20_000, 60_000) is None
     # a cap between the largest window's ring (32 rows of 301 entries) and
-    # the union's (32 rows of 446): the same reports, each set scanning alone
+    # the union's (32 rows of 446): J's ring over [5, 450] passes it, no
+    # error escapes, and every set scans alone, with the same reports
     eq = const_eq(*LAGS_1_AND_30)
     want = _reports(eq)
     monkeypatch.setattr(_kernels, "MAX_ENTRIES", 12_000)
+    sets = [(0,), (1,), (0, 1)]
+    answers, alone = _pass(eq, sets, monkeypatch)
+    assert alone == sets
     assert _reports(eq) == want
 
 
 def test_union_past_the_kernel_cap_evaluates_no_comparison_set(monkeypatch):
     # a set whose own terms make the union's ring too deep cannot be in a
-    # comparison set that streams: it scans alone before J's table is built
-    eq = const_eq((0.1, 1), (0.0001, 4000))
-    share = criteria._comparison_scan(eq, [(5, 205), (20_000, 60_000)])
+    # comparison set that streams: it scans alone before J's table is built,
+    # and its own scan refuses the cap before any table of its own
+    eq = const_eq(("0.1 + 0.02*sin(n)", 1), ("0.0001*(1 + 0.5*sin(n))", 4000))
     _no_tables(monkeypatch)
-    assert share([1], 20_000, 60_000) is None
-    assert share([0, 1], 20_000, 60_000) is None
+    asked = []
+    certify = criteria.certify_positivity
+
+    def recording(sub, window=None):
+        asked.append(sub)
+        return certify(sub, window)
+
+    monkeypatch.setattr(criteria, "certify_positivity", recording)
+    with pytest.raises(KernelMemoryError, match=r"\(cap 100000000\)"):
+        criteria._positivity_pass(eq, None, [(1,), (0, 1)])
+    assert asked == [criteria.subset_equation(eq, [1])]
 
 
 def test_run_all_rejects_a_bad_window(eq_sin_cos):
@@ -707,8 +771,13 @@ def test_corollary3_parts():
 # --- theorem2
 
 
+def _own_positivity(eq, I):
+    """The positivity of the I-terms' equation, as theorem2 takes it."""
+    return certify_positivity(criteria.subset_equation(eq, I))
+
+
 def test_theorem2_sin_cos(eq_sin_cos):
-    v = check_theorem2(eq_sin_cos, [0])
+    v = check_theorem2(eq_sin_cos, [0], _own_positivity(eq_sin_cos, [0]))
     assert v.outcome is Outcome.STABLE
     assert v.witnesses["ratio"] < 0.667
     assert v.window_certified  # sin-driven coefficients are window estimates
@@ -716,21 +785,21 @@ def test_theorem2_sin_cos(eq_sin_cos):
 
 def test_theorem2_full_set_ratio_zero():
     eq = const_eq((0.1, 1), (0.05, 2))
-    v = check_theorem2(eq, [0, 1])
+    v = check_theorem2(eq, [0, 1], _own_positivity(eq, [0, 1]))
     assert v.witnesses["ratio"] == 0.0
     assert v.outcome is Outcome.STABLE
 
 
 def test_theorem2_dominant_negative_part():
     eq = const_eq((0.1, 1), (-0.2, 3))
-    v = check_theorem2(eq, [0])
+    v = check_theorem2(eq, [0], _own_positivity(eq, [0]))
     assert v.outcome is Outcome.INCONCLUSIVE
     assert v.witnesses["ratio"] >= 1.0
 
 
 def test_theorem2_rejects_empty():
     with pytest.raises(ValueError):
-        check_theorem2(const_eq((0.1, 1)), [])
+        check_theorem2(const_eq((0.1, 1)), [], None)
 
 
 # --- theorem5 / corollary4
@@ -1040,7 +1109,7 @@ def test_verdict_serialization_nonfinite_witness():
     # an infinite domination ratio must serialize as null, not Infinity
     eq = validate([Term(parse("per(0.2, 0)"), DelaySpec.constant(1)),
                    Term(parse("0.1"), DelaySpec.constant(2))])
-    v = check_theorem2(eq, [0])
+    v = check_theorem2(eq, [0], _own_positivity(eq, [0]))
     assert v.witnesses["ratio"] == math.inf
     assert v.to_dict()["witnesses"]["ratio"] is None
     import json
@@ -1129,14 +1198,14 @@ def test_no_memoised_result_outlives_its_run(eq_periodic_mixed, eq_alternating, 
     check_corollary2(eq_alternating)
     assert len(calls) == 2
     monkeypatch.undo()
-    certify = criteria.certify_positivity
+    once = criteria._once
     held = []
 
-    def first_ask(*args, **kw):
+    def first_use(*args):
         held.append(dict(criteria._memo))
-        return certify(*args, **kw)
+        return once(*args)
 
-    monkeypatch.setattr(criteria, "certify_positivity", first_ask)
+    monkeypatch.setattr(criteria, "_once", first_use)
     assert _reports(eq_alternating) == want
     assert held[0] == {}
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,8 @@ from delaystab import (
     subset_equation,
     validate,
 )
-from delaystab.seqexpr import evaluate
+from delaystab import equation
+from delaystab.seqexpr import evaluate, evaluation_scope
 
 
 def test_validate_sin_cos_bounds(eq_sin_cos):
@@ -52,6 +54,49 @@ def test_subset_equation(eq_unbounded):
     assert [str(t.coeff) for t in same.terms] == [str(t.coeff) for t in eq_unbounded.terms]
     with pytest.raises(ValueError):
         subset_equation(eq_unbounded, [])
+
+
+def test_validation_of_a_long_delay_stays_small():
+    # lag 10^6 validates on [0, 10^7 + 10): in one piece that took 170 MB,
+    # in slices of 2^16 points it stays under 8 MB
+    tracemalloc.start()
+    try:
+        eq = validate([Term(parse("0.1"), DelaySpec.constant(10**6))])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eq.validation_window == (0, 10 * (10**6 + 1))
+    assert peak < 8 * 2**20
+
+
+def test_validation_window_of_one_slice_is_one_call(monkeypatch):
+    # T = 6552 validates on [0, 65530), one slice of at most 2^16 points:
+    # inside an evaluation scope each expression is evaluated by one call
+    calls = []
+    evaluate_range = equation.eval_range
+
+    def recording(expr, n0, n1):
+        calls.append((str(expr), n0, n1))
+        return evaluate_range(expr, n0, n1)
+
+    monkeypatch.setattr(equation, "eval_range", recording)
+    with evaluation_scope():
+        validate([Term(parse("0.1 + 0.01*sin(n)"), DelaySpec.constant(6552))], parse("cos(n)"))
+    assert calls == [("0.1 + 0.01*sin(n)", 0, 65529), ("cos(n)", 0, 65529)]
+    calls.clear()
+    validate([Term(parse("0.1"), DelaySpec.constant(6553))])
+    assert calls == [("0.1", 0, 65535), ("0.1", 65536, 65539)]
+
+
+def test_subset_equation_evaluates_nothing(eq_unbounded, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("subset_equation evaluated an expression")
+
+    monkeypatch.setattr(equation, "eval_range", refuse)
+    one = subset_equation(eq_unbounded, [1])
+    monkeypatch.undo()
+    # the parent's validation covered the term on the same window
+    assert one == validate(one.terms, None, eq_unbounded.validation_window[1])
 
 
 def test_subset_drops_forcing():
