@@ -18,8 +18,8 @@ answers the positivity of the full equation and of theorem2's subsets in
 one pass: the sets left to a scan share one kernel stream of their
 nonnegative terms over the union of their scan windows (comparison
 lemma); a refutation is never inherited.  Corollary 4 scans the one term
-(sum_l a_l) x(g(n)).  A scan refuses a kernel ring past the cap before it
-evaluates any table.  The checkers ask the same questions of the same
+(sum_l a_l) x(g(n)).  Scans and the pass refuse each kernel ring past the
+cap before any table.  The checkers ask the same questions of the same
 comparison equations; ``run_all`` answers each (same-delay merge, lemma 4
 verdict, characteristic root, theorem2's sign gate, positivity) once per
 equation and window, and keeps nothing after it returns.
@@ -338,9 +338,11 @@ def certify_positivity(eq: Equation, window: Window = None) -> Positivity:
     return cert if cert is not None else positivity_scan(eq, scan_window(eq.T))
 
 
-def _positivity_pass(eq: Equation, window: Window,
-                     sets: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], Positivity]:
-    """The positivity of each index set's subset equation (the full set
+def _positivity_pass(eq: Equation, window: Window, sets: Sequence[tuple[int, ...]],
+                     gated: Sequence[tuple[int, ...]] = ()
+                     ) -> dict[tuple[int, ...], Positivity]:
+    """The positivity of the subset equation of each of ``sets`` and of
+    each of ``gated`` whose terms pass theorem2's sign gate (the full set
     asks about ``eq`` itself), with one kernel stream for all it can answer.
 
     Comparison lemma (Gyori & Ladas 1991, ch. 7; Berezansky & Braverman):
@@ -354,11 +356,20 @@ def _positivity_pass(eq: Equation, window: Window,
     at (n, k) inside it: bad entries are found row by row, and the
     underflow stop, counted from lo, is looser there.  Every other set, all
     of them when J's ring passes the kernel cap, goes to
-    ``certify_positivity``: a refutation is never inherited.
+    ``certify_positivity``: a refutation is never inherited.  J's ring is
+    at least as deep and wide as that of any set it answers, so the first
+    set, in the order asked, whose own ring the cap refuses raises at once.
     """
-    subs = {I: eq if len(I) == eq.m else subset_equation(eq, I) for I in sets}
-    windows = {I: scan_window(sub.T) for I, sub in subs.items()
-               if _once(_analytic_positivity, sub, window) is None}
+    gate = _win(eq, window)
+    asked = [*sets, *(I for I in gated if _once(_all_nonnegative, eq, I, gate)[0])]
+    subs = {I: eq if len(I) == eq.m else subset_equation(eq, I) for I in asked}
+    windows = {}
+    for I, sub in subs.items():
+        if _once(_analytic_positivity, sub, window) is None:
+            n0, N = windows[I] = scan_window(sub.T)
+            if (sub.T + 2) * (N - n0 + 1) > _kernels.MAX_ENTRIES:  # no ring is deeper than T + 2
+                _kernels.require_ring(_ring_depth([t.delay for t in sub.terms], n0, N - 1),
+                                      N - n0 + 1)
     shared: dict[tuple[int, ...], Positivity] = {}
     if windows:
         lo, hi = min(n0 for n0, _ in windows.values()), max(N for _, N in windows.values())
@@ -492,15 +503,13 @@ def check_corollary2(eq: Equation, window: Window = None) -> Verdict:
     """Nonoscillation window sums supply the kernel positivity, then the
     rate theorem runs on top."""
     pre = _once(check_lemma4, eq, _win(eq, window))
-    # the lemma 4 verdict may be run_all's own: copy its witnesses
-    if pre.outcome is Outcome.NOT_APPLICABLE:
+    if pre.outcome is not Outcome.STABLE:
+        why = ("negative coefficient" if pre.outcome is Outcome.NOT_APPLICABLE
+               else "window sums too large")
+        # the lemma 4 verdict may be run_all's own: copy its witnesses
         return replace(pre, criterion="corollary2", claim=CLAIM_EXPONENTIAL,
                        witnesses=dict(pre.witnesses),
-                       citation="window-sum positivity + rate bound (negative coefficient)")
-    if pre.outcome is Outcome.INCONCLUSIVE:
-        return replace(pre, criterion="corollary2", claim=CLAIM_EXPONENTIAL,
-                       witnesses=dict(pre.witnesses),
-                       citation="window-sum positivity + rate bound (window sums too large)")
+                       citation=f"window-sum positivity + rate bound ({why})")
     cert = PositivityCertificate(0, -1, math.nan, "lemma4")
     v = check_theorem1(eq, cert, window)
     merged = {**pre.witnesses, **v.witnesses}
@@ -545,7 +554,8 @@ def check_theorem2(eq: Equation, I: Sequence[int], positivity: Optional[Positivi
     """Dominant positive part: the I-terms alone form a positive-kernel
     equation with product rate < 1, and the remaining terms are uniformly
     smaller in limsup ratio.  ``positivity`` is that of the I-terms'
-    equation; without one (None) the test does not apply."""
+    equation, read only past the sign gate: a set the gate refuses may
+    pass None."""
     I = sorted(set(I))
     if not I:
         raise ValueError("empty index set")
@@ -557,10 +567,11 @@ def check_theorem2(eq: Equation, I: Sequence[int], positivity: Optional[Positivi
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        {"min_coeff": worst}, window, False,
                        "dominant positive part (kept terms must be nonnegative)")
+    if positivity is None:
+        raise ValueError(f"{label} needs the positivity of its kept terms' equation")
     witnesses: dict[str, float] = {"min_coeff": worst}
-    if not isinstance(positivity, PositivityCertificate):
-        if positivity is not None:
-            witnesses.update({"refuted_n": positivity.n, "refuted_k": positivity.k})
+    if isinstance(positivity, PositivityRefutation):
+        witnesses.update({"refuted_n": positivity.n, "refuted_k": positivity.k})
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, True,
                        "dominant positive part (comparison kernel not positive)")
@@ -685,11 +696,7 @@ def check_corollary4(eq: Equation, g: DelaySpec, window: Window = None) -> Verdi
 
 def check_corollary6(eq: Equation, window: Window = None) -> Verdict:
     """A lag-1 term pinned inside (0, 1/4) dominating the other terms."""
-    designated = None
-    for l, t in enumerate(eq.terms):
-        if set(t.delay.lags) == {1}:
-            designated = l
-            break
+    designated = next((l for l, t in enumerate(eq.terms) if set(t.delay.lags) == {1}), None)
     if designated is None:
         raise ValueError("no term with lag identically 1")
     window = _win(eq, window)
@@ -980,9 +987,7 @@ def run_all(eq: Equation, window: Window = None,
     subsets = _theorem2_subsets(eq) if want("theorem2") else []
     # the full equation's positivity and each sign-gated subset's, at once
     full = tuple(range(eq.m))
-    asked = [full] if want("theorem1") else []
-    asked += [I for I in subsets if _once(_all_nonnegative, eq, I, _win(eq, window))[0]]
-    positivity = _positivity_pass(eq, window, asked)
+    positivity = _positivity_pass(eq, window, [full] if want("theorem1") else [], subsets)
     if want("theorem1"):
         verdicts.append(check_theorem1(eq, positivity[full], window))
     if want("lemma4"):
@@ -995,13 +1000,8 @@ def run_all(eq: Equation, window: Window = None,
         for I in subsets:
             verdicts.append(check_theorem2(eq, I, positivity.get(I), window))
     if want("corollary4"):
-        seen: list[DelaySpec] = []
-        for t in eq.terms:
-            if t.delay not in seen:
-                seen.append(t.delay)
-        if DelaySpec.constant(1) not in seen:
-            seen.append(DelaySpec.constant(1))
-        for g in seen:
+        # each distinct delay of the equation, in order, then lag 1
+        for g in dict.fromkeys([*(t.delay for t in eq.terms), DelaySpec.constant(1)]):
             verdicts.append(check_corollary4(eq, g, window))
     if want("corollary6") and any(set(t.delay.lags) == {1} for t in eq.terms):
         verdicts.append(check_corollary6(eq, window))

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .seqexpr import DelaySpec, SeqExpr, added, eval_range, spliced
+from .seqexpr import DelaySpec, SeqExpr, _eval_window, added, eval_range, spliced
 
 __all__ = ["Term", "Equation", "InitialData", "validate", "subset_equation",
            "prefix_modify", "merge_same_delay"]
@@ -80,9 +80,11 @@ def validate(
 ) -> Equation:
     """Build an Equation whose coefficients and forcing evaluate on
     [0, window_len), so evaluation errors surface here; the window is
-    recorded on the equation.  Slices of at most 2^16 points keep the
-    memory flat; a window past the kernel cap (a lag of 10^7 and up) is
-    asked for whole, so NumPy refuses at once one it cannot hold.
+    recorded on the equation.  A window of at most 2^16 points is one
+    ``eval_range`` call.  A longer one is checked in slices of 2^16 points
+    outside any evaluation scope, whose cache would copy its span at every
+    slice; one past the kernel cap (a lag of 10^7 and up) is asked for
+    whole, so NumPy refuses at once one it cannot hold.
     """
     eq = Equation(tuple(terms), forcing)
     min_len = 10 * (1 + eq.T)
@@ -91,9 +93,10 @@ def validate(
     if window_len < min_len:
         raise ValueError(f"window_len must be at least 10*(1+T) = {min_len}")
     step = 1 << 16 if window_len <= _kernels.MAX_ENTRIES else window_len
+    check = eval_range if window_len <= step else _eval_window
     for expr in [t.coeff for t in eq.terms] + ([forcing] if forcing is not None else []):
         for n0 in range(0, window_len, step):
-            eval_range(expr, n0, min(n0 + step, window_len) - 1)
+            check(expr, n0, min(n0 + step, window_len) - 1)
     return replace(eq, validation_window=(0, window_len))
 
 

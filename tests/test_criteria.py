@@ -187,9 +187,10 @@ def _positivity_calls(eq, monkeypatch, window=None):
         seen.append((eq, window))
         return certify(eq, window)
 
-    def asking(eq, window, sets):
-        seen.extend((criteria.subset_equation(eq, I), window) for I in sets)
-        return answer(eq, window, sets)
+    def asking(eq, window, sets, gated=()):
+        answers = answer(eq, window, sets, gated)
+        seen.extend((criteria.subset_equation(eq, I), window) for I in answers)
+        return answers
 
     monkeypatch.setattr(criteria, "certify_positivity", recording)
     monkeypatch.setattr(criteria, "_positivity_pass", asking)
@@ -474,8 +475,10 @@ def _reports(eq):
     return [v.to_dict() for v in run_all(eq)]
 
 
-def _each_alone(eq, window, sets):
-    return {I: certify_positivity(criteria.subset_equation(eq, I), window) for I in sets}
+def _each_alone(eq, window, sets, gated=()):
+    # theorem2 reads no positivity of a set its sign gate refuses
+    return {I: certify_positivity(criteria.subset_equation(eq, I), window)
+            for I in [*sets, *gated]}
 
 
 def _assert_streams_change_no_report(eq, monkeypatch):
@@ -643,9 +646,10 @@ def test_union_past_the_kernel_cap_scans_each_set_alone(monkeypatch):
 
 
 def test_union_past_the_kernel_cap_evaluates_no_comparison_set(monkeypatch):
-    # a set whose own terms make the union's ring too deep cannot be in a
-    # comparison set that streams: it scans alone before J's table is built,
-    # and its own scan refuses the cap before any table of its own
+    # the union [5, 60000] of the windows (5, 205) and (20000, 60000) fits
+    # the lag-1 term's ring, but a set that keeps the lag-4000 term cannot
+    # take J's stream: its own scan's ring passes the cap, and it refuses
+    # before J's table, or any table of its own, is built
     eq = const_eq(("0.1 + 0.02*sin(n)", 1), ("0.0001*(1 + 0.5*sin(n))", 4000))
     _no_tables(monkeypatch)
     asked = []
@@ -656,9 +660,52 @@ def test_union_past_the_kernel_cap_evaluates_no_comparison_set(monkeypatch):
         return certify(sub, window)
 
     monkeypatch.setattr(criteria, "certify_positivity", recording)
-    with pytest.raises(KernelMemoryError, match=r"\(cap 100000000\)"):
-        criteria._positivity_pass(eq, None, [(1,), (0, 1)])
-    assert asked == [criteria.subset_equation(eq, [1])]
+    for sets in ([(0,), (1,), (0, 1)], [(0,), (0, 1)], [(1,), (0, 1)]):
+        with pytest.raises(KernelMemoryError, match=r"\(cap 100000000\)"):
+            criteria._positivity_pass(eq, None, sets)
+    assert asked == []
+
+
+def test_run_all_refuses_the_first_scan_the_cap_refuses_before_any_table(monkeypatch):
+    # the full set's window [5*10^6, 1.5*10^7] and {0}'s [5, 205] have the
+    # union [5, 1.5*10^7], which the lag-1 term's ring of 3 rows fits: J =
+    # {0} would stream over it with a 16 x 1.5*10^7 block.  A set that keeps
+    # the lag-10^6 term has a ring past the cap, so the run refuses before
+    # any table; theorem2's sign gate alone asks no such set of a signed term
+    signed = const_eq(("0.1 + 0.02*sin(n)", 1), ("0.001*sin(n)", 10**6))
+    nonneg = const_eq(("0.1 + 0.02*sin(n)", 1), ("0.001*(1 + 0.5*sin(n))", 10**6))
+    for eq, checks in ((signed, ["theorem1", "theorem2"]), (nonneg, ["theorem1", "theorem2"]),
+                       (nonneg, ["theorem2"])):
+        with monkeypatch.context() as patch:
+            _no_tables(patch)
+            with pytest.raises(KernelMemoryError, match=r"\(cap 100000000\)"):
+                run_all(eq, checks=checks)
+    assert _streams(signed, monkeypatch, ["theorem2"]) == [(5, 205)]
+
+
+def test_run_all_copies_no_sliced_validation_window(monkeypatch):
+    # two terms on lag 20000 merge into one, and corollary 4 validates its
+    # comparison equations, on [0, 200010): four slices, none of which the
+    # run's scope keeps, so no span grows by a slice at a time
+    from delaystab import seqexpr
+
+    copied = []
+    window = seqexpr._Scope.window
+
+    def recording(self, expr, n0, n1):
+        before = self.spans.get(expr)
+        out = window(self, expr, n0, n1)
+        after = self.spans.get(expr)
+        if after is not before and after[1] is not out:
+            copied.append(len(after[1]))
+        return out
+
+    monkeypatch.setattr(seqexpr._Scope, "window", recording)
+    eq = const_eq(("1e-9", 20_000), ("2e-9*(1 + 0.5*per(1, -1))", 20_000))
+    assert eq.validation_window == (0, 200_010)
+    verdicts = run_all(eq, checks=["theorem1", "corollary4"])
+    assert [v.outcome for v in verdicts] == [Outcome.STABLE] * 3
+    assert sum(copied) < 200_010
 
 
 def test_run_all_rejects_a_bad_window(eq_sin_cos):
@@ -800,6 +847,13 @@ def test_theorem2_dominant_negative_part():
 def test_theorem2_rejects_empty():
     with pytest.raises(ValueError):
         check_theorem2(const_eq((0.1, 1)), [], None)
+
+
+def test_theorem2_reads_positivity_only_past_its_sign_gate():
+    eq = const_eq((0.1, 1), (-0.02, 2))
+    assert check_theorem2(eq, [1], None).outcome is Outcome.NOT_APPLICABLE
+    with pytest.raises(ValueError, match="needs the positivity"):
+        check_theorem2(eq, [0], None)
 
 
 # --- theorem5 / corollary4

@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,8 @@ from delaystab import (
     subset_equation,
     validate,
 )
-from delaystab import equation
-from delaystab.seqexpr import evaluate, evaluation_scope
+from delaystab import equation, seqexpr
+from delaystab.seqexpr import SeqEvalError, evaluate, evaluation_scope
 
 
 def test_validate_sin_cos_bounds(eq_sin_cos):
@@ -73,19 +74,37 @@ def test_validation_window_of_one_slice_is_one_call(monkeypatch):
     # T = 6552 validates on [0, 65530), one slice of at most 2^16 points:
     # inside an evaluation scope each expression is evaluated by one call
     calls = []
-    evaluate_range = equation.eval_range
+    evaluate_range, evaluate_window = equation.eval_range, equation._eval_window
 
     def recording(expr, n0, n1):
         calls.append((str(expr), n0, n1))
         return evaluate_range(expr, n0, n1)
 
+    def slicing(expr, n0, n1):
+        calls.append(("slice", str(expr), n0, n1))
+        return evaluate_window(expr, n0, n1)
+
     monkeypatch.setattr(equation, "eval_range", recording)
+    monkeypatch.setattr(equation, "_eval_window", slicing)
     with evaluation_scope():
         validate([Term(parse("0.1 + 0.01*sin(n)"), DelaySpec.constant(6552))], parse("cos(n)"))
     assert calls == [("0.1 + 0.01*sin(n)", 0, 65529), ("cos(n)", 0, 65529)]
-    calls.clear()
-    validate([Term(parse("0.1"), DelaySpec.constant(6553))])
-    assert calls == [("0.1", 0, 65535), ("0.1", 65536, 65539)]
+    # T = 6553 needs two slices, each evaluated once, in a scope or not,
+    # and none of them kept by the scope
+    for scope in (evaluation_scope, nullcontext):
+        calls.clear()
+        with scope():
+            validate([Term(parse("0.1"), DelaySpec.constant(6553))])
+            assert seqexpr._scope is None or not seqexpr._scope.spans
+        assert calls == [("slice", "0.1", 0, 65535), ("slice", "0.1", 65536, 65539)]
+
+
+def test_validation_reports_the_first_bad_index_of_a_sliced_window():
+    # 2^16 + 6 is the first index where 1/(n - 65542) is not finite, in the
+    # second slice of T = 6600's window [0, 66010)
+    with pytest.raises(SeqEvalError) as err:
+        validate([Term(parse("1/(n - 65542)"), DelaySpec.constant(6600))])
+    assert err.value.index == 65542
 
 
 def test_subset_equation_evaluates_nothing(eq_unbounded, monkeypatch):
