@@ -21,6 +21,8 @@ __all__ = ["KernelMemoryError", "MAX_ENTRIES", "step_recurrence", "require_ring"
 
 # a kernel buffer (the dense table or the row ring) above this many entries raises
 MAX_ENTRIES = 100_000_000
+# step_recurrence converts this many steps of its rows to Python lists at a time
+STEP_CHUNK = 1 << 16
 
 
 class KernelMemoryError(MemoryError):
@@ -37,19 +39,18 @@ def step_recurrence(coeffs, lags, forcing, x, t_max, steps):
     low, high = int(lags[:, :steps].min(initial=0)), int(lags[:, :steps].max(initial=0))
     if low < 0 or high > t_max:
         raise ValueError(f"lags in [{low}, {high}] leave the history [0, {t_max}]")
-    # converted by term column, m lists zipped into one tuple per step: a
-    # list per step costs an object per step (about 2 MB more for two terms
-    # over 20,000 steps)
-    a_steps = zip(*coeffs[:, :steps].tolist())
-    d_steps = zip(*lags[:, :steps].tolist())
     xs = x[: t_max + 1].tolist()
     append = xs.append
-    for i, a, d, f in zip(range(t_max, t_max + steps), a_steps, d_steps,
-                          forcing[:steps].tolist()):
-        acc = xs[i]
-        for a_l, d_l in zip(a, d):
-            acc -= a_l * xs[i - d_l]
-        append(acc + f)
+    # rows become Python lists a chunk at a time (whole, they outweigh their
+    # tables several times), by term column, zipped into a tuple per step
+    for c0 in range(0, steps, STEP_CHUNK):
+        c1 = min(c0 + STEP_CHUNK, steps)
+        for i, a, d, f in zip(range(t_max + c0, t_max + c1), zip(*coeffs[:, c0:c1].tolist()),
+                              zip(*lags[:, c0:c1].tolist()), forcing[c0:c1].tolist()):
+            acc = xs[i]
+            for a_l, d_l in zip(a, d):
+                acc -= a_l * xs[i - d_l]
+            append(acc + f)
     x[t_max + 1: t_max + steps + 1] = xs[t_max + 1:]
     return x
 

@@ -19,10 +19,12 @@ one pass: the sets left to a scan share one kernel stream of their
 nonnegative terms over the union of their scan windows (comparison
 lemma); a refutation is never inherited.  Corollary 4 scans the one term
 (sum_l a_l) x(g(n)).  Scans and the pass refuse each kernel ring past the
-cap before any table.  The checkers ask the same questions of the same
-comparison equations; ``run_all`` answers each (same-delay merge, lemma 4
-verdict, characteristic root, theorem2's sign gate, positivity) once per
-equation and window, and keeps nothing after it returns.
+cap before any table.  Comparison equations are built from the given
+equation's validated coefficients, never validated again.  The checkers
+ask the same questions of them; inside ``run_all``'s evaluation scope
+``seqexpr.once`` answers each (same-delay merge, lemma 4 verdict,
+characteristic root, theorem2's sign gate, positivity) once per equation
+and window, and the scope drops the answers when the run returns.
 """
 
 from __future__ import annotations
@@ -30,17 +32,16 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import _kernels, limits
-from .equation import Equation, Term, merge_same_delay, subset_equation, validate
+from .equation import Equation, Term, merge_same_delay, subset_equation
 from .oracle import autonomous_coefficients
-from .seqexpr import DelaySpec, evaluation_scope
+from .seqexpr import DelaySpec, eval_range, evaluation_scope, once
 
 __all__ = [
     "Outcome",
@@ -65,6 +66,7 @@ __all__ = [
     "check_corollary9",
     "check_corollary10",
     "check_classical",
+    "CHECK_FAMILIES",
     "run_all",
     "stable_verdicts",
 ]
@@ -148,41 +150,17 @@ LAMBDA_TOL = 1e-10
 # far enough that the fuzz and benchmark gates must surface unsound verdicts
 _LOOSEN = 6.0 if os.environ.get("DELAYSTAB_LOOSEN_THRESHOLDS") else 1.0
 
+# the family names run_all's ``checks`` filter accepts
+CHECK_FAMILIES = ("lemma4", "theorem1", "corollary2", "corollary3", "theorem2", "corollary4",
+                  "corollary6", "corollary7", "corollary8", "corollary9", "corollary10",
+                  "classical")
+
 # The certification-window override; None means limits.default_window.
 Window = Optional[tuple[int, int]]
 
 
 def _win(eq: Equation, window: Window) -> tuple[int, int]:
     return window or limits.default_window(eq)
-
-
-# (function, equation, window) -> result, open only inside run_all
-_memo: Optional[dict] = None
-
-
-@contextmanager
-def _run_memo() -> Iterator[None]:
-    """Hold ``_once``'s results for the block; leaving it, normally or by
-    an exception, drops them, so no result outlives its run."""
-    global _memo
-    _memo = {}
-    try:
-        yield
-    finally:
-        _memo = None
-
-
-def _once(fn: Callable, eq: Equation, *window):
-    """``fn(eq, *window)``, computed once per run: the positivity routes,
-    lemma 4, corollaries 2 and 3 and theorem2's subsets ask the same
-    questions of the same equations.  Callers pass ``fn`` as looked up at
-    the call and never mutate what it returns."""
-    if _memo is None:
-        return fn(eq, *window)
-    key = (fn, eq, *window)
-    if key not in _memo:
-        _memo[key] = fn(eq, *window)
-    return _memo[key]
 
 
 def nonosc_threshold(k: int) -> float:
@@ -319,12 +297,12 @@ def _analytic_positivity(eq: Equation, window: Window) -> Optional[PositivityCer
     """
     if limits.aggregate_period(eq) is None:
         return None
-    merged = _once(merge_same_delay, eq)
-    pre = _once(check_lemma4, merged, _win(merged, window))
+    merged = once(merge_same_delay, eq)
+    pre = once(check_lemma4, merged, _win(merged, window))
     if pre.outcome is Outcome.STABLE and not pre.window_certified:
         return PositivityCertificate(0, -1, math.nan, "lemma4")
     if pre.outcome is not Outcome.NOT_APPLICABLE:
-        root, part1, part2, exact = _once(_char_root, merged, pre.window)
+        root, part1, part2, exact = once(_char_root, merged, pre.window)
         if exact and part2:
             return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
         if exact and part1:
@@ -334,7 +312,7 @@ def _analytic_positivity(eq: Equation, window: Window) -> Optional[PositivityCer
 
 def certify_positivity(eq: Equation, window: Window = None) -> Positivity:
     """The analytic routes, else a kernel scan of ``eq`` on its own window."""
-    cert = _once(_analytic_positivity, eq, window)
+    cert = once(_analytic_positivity, eq, window)
     return cert if cert is not None else positivity_scan(eq, scan_window(eq.T))
 
 
@@ -361,11 +339,11 @@ def _positivity_pass(eq: Equation, window: Window, sets: Sequence[tuple[int, ...
     set, in the order asked, whose own ring the cap refuses raises at once.
     """
     gate = _win(eq, window)
-    asked = [*sets, *(I for I in gated if _once(_all_nonnegative, eq, I, gate)[0])]
+    asked = [*sets, *(I for I in gated if once(_all_nonnegative, eq, I, gate)[0])]
     subs = {I: eq if len(I) == eq.m else subset_equation(eq, I) for I in asked}
     windows = {}
     for I, sub in subs.items():
-        if _once(_analytic_positivity, sub, window) is None:
+        if once(_analytic_positivity, sub, window) is None:
             n0, N = windows[I] = scan_window(sub.T)
             if (sub.T + 2) * (N - n0 + 1) > _kernels.MAX_ENTRIES:  # no ring is deeper than T + 2
                 _kernels.require_ring(_ring_depth([t.delay for t in sub.terms], n0, N - 1),
@@ -502,7 +480,7 @@ def check_theorem1(eq: Equation,
 def check_corollary2(eq: Equation, window: Window = None) -> Verdict:
     """Nonoscillation window sums supply the kernel positivity, then the
     rate theorem runs on top."""
-    pre = _once(check_lemma4, eq, _win(eq, window))
+    pre = once(check_lemma4, eq, _win(eq, window))
     if pre.outcome is not Outcome.STABLE:
         why = ("negative coefficient" if pre.outcome is Outcome.NOT_APPLICABLE
                else "window sums too large")
@@ -530,7 +508,7 @@ def check_corollary3(eq: Equation, window: Window = None) -> Verdict:
         return Verdict("corollary3", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        witnesses, window, False,
                        "characteristic-root comparison (needs nonnegative coefficients)")
-    root, part1, part2, exact = _once(_char_root, eq, window)
+    root, part1, part2, exact = once(_char_root, eq, window)
     witnesses.update(root)
     certified = not exact
     if not (part1 or part2):
@@ -562,7 +540,7 @@ def check_theorem2(eq: Equation, I: Sequence[int], positivity: Optional[Positivi
     # the comparison equation resolves its own default window
     override, window = window, _win(eq, window)
     label = "theorem2(I=" + ",".join(map(str, I)) + ")"
-    nonneg, worst = _once(_all_nonnegative, eq, tuple(I), window)
+    nonneg, worst = once(_all_nonnegative, eq, tuple(I), window)
     if not nonneg:
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
                        {"min_coeff": worst}, window, False,
@@ -663,11 +641,11 @@ def check_corollary_theorem5(eq: Equation, I: Sequence[int],
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
                        window, certified,
                        "shifted-delay comparison (kept sum must sit inside (0, 1))")
-    cmp_terms = [Term(eq.terms[l].coeff, g) for l, g in zip(I, g_override)]
-    # terms moved onto one delay are one term: (a + b) x(g(n)), the form
-    # the paper states, whose kernel streams once instead of once per term
-    cmp_eq = _once(merge_same_delay, validate(cmp_terms, None, eq.validation_window[1]))
-    cert = _once(certify_positivity, cmp_eq, override)
+    # eq's validated coefficients at the delays g_l; terms on one delay are
+    # one term (a + b) x(g(n)), as the paper states it, with one kernel stream
+    cmp_terms = tuple(Term(eq.terms[l].coeff, g) for l, g in zip(I, g_override))
+    cmp_eq = once(merge_same_delay, Equation(cmp_terms, None, eq.validation_window))
+    cert = once(certify_positivity, cmp_eq, override)
     if isinstance(cert, PositivityRefutation):
         witnesses.update({"refuted_n": cert.n, "refuted_k": cert.k})
         return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
@@ -971,14 +949,20 @@ def _theorem2_subsets(eq: Equation) -> list[tuple[int, ...]]:
 # every checker reads the same coefficients: evaluate each once per run,
 # and answer each repeated comparison-equation question once
 @evaluation_scope()
-@_run_memo()
 def run_all(eq: Equation, window: Window = None,
             checks: Optional[Sequence[str]] = None) -> list[Verdict]:
     """Run every applicable checker; verdicts sorted Stable-first, then by
     criterion id.  ``window`` overrides the certification window and must
-    satisfy 0 <= N0 <= N1; ``checks`` filters by criterion family name."""
+    satisfy 0 <= N0 <= N1; ``checks`` filters by the names in
+    ``CHECK_FAMILIES`` and refuses any other."""
     if window is not None and not 0 <= window[0] <= window[1]:
         raise ValueError(f"window {list(window)} must satisfy 0 <= N0 <= N1")
+    unknown = [c for c in checks or () if c not in CHECK_FAMILIES]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; known: {CHECK_FAMILIES}")
+    # each coefficient's span starts as its first validated slice
+    for t in eq.terms:
+        eval_range(t.coeff, 0, min(eq.validation_window[1], 1 << 16) - 1)
 
     def want(family: str) -> bool:
         return checks is None or family in checks
@@ -991,7 +975,7 @@ def run_all(eq: Equation, window: Window = None,
     if want("theorem1"):
         verdicts.append(check_theorem1(eq, positivity[full], window))
     if want("lemma4"):
-        verdicts.append(_once(check_lemma4, eq, _win(eq, window)))
+        verdicts.append(once(check_lemma4, eq, _win(eq, window)))
     if want("corollary2"):
         verdicts.append(check_corollary2(eq, window))
     if want("corollary3"):

@@ -80,11 +80,9 @@ def validate(
 ) -> Equation:
     """Build an Equation whose coefficients and forcing evaluate on
     [0, window_len), so evaluation errors surface here; the window is
-    recorded on the equation.  A window of at most 2^16 points is one
-    ``eval_range`` call.  A longer one is checked in slices of 2^16 points
-    outside any evaluation scope, whose cache would copy its span at every
-    slice; one past the kernel cap (a lag of 10^7 and up) is asked for
-    whole, so NumPy refuses at once one it cannot hold.
+    recorded on the equation.  It is evaluated in slices of 2^16 points,
+    never through an evaluation scope; one past the kernel cap (a lag of
+    10^7 and up) whole, so NumPy refuses at once one it cannot hold.
     """
     eq = Equation(tuple(terms), forcing)
     min_len = 10 * (1 + eq.T)
@@ -93,10 +91,9 @@ def validate(
     if window_len < min_len:
         raise ValueError(f"window_len must be at least 10*(1+T) = {min_len}")
     step = 1 << 16 if window_len <= _kernels.MAX_ENTRIES else window_len
-    check = eval_range if window_len <= step else _eval_window
     for expr in [t.coeff for t in eq.terms] + ([forcing] if forcing is not None else []):
         for n0 in range(0, window_len, step):
-            check(expr, n0, min(n0 + step, window_len) - 1)
+            _eval_window(expr, n0, min(n0 + step, window_len) - 1)
     return replace(eq, validation_window=(0, window_len))
 
 
@@ -115,7 +112,8 @@ def merge_same_delay(eq: Equation) -> Equation:
 
     x(n+1)-x(n) = -a(n)x(g(n)) - b(n)x(g(n)) is the single-term equation
     with coefficient a+b; positivity tests want that canonical form.  An
-    equation whose lag tables are all distinct is returned as it is.
+    equation whose lag tables are all distinct is returned as it is.  Sums
+    are built, not evaluated, and keep ``eq``'s validated window.
     """
     groups: dict[DelaySpec, SeqExpr] = {}
     order: list[DelaySpec] = []
@@ -128,14 +126,14 @@ def merge_same_delay(eq: Equation) -> Equation:
     if len(order) == eq.m:
         return eq
     merged_terms = tuple(Term(groups[d], d) for d in order)
-    return validate(merged_terms, eq.forcing, eq.validation_window[1])
+    return Equation(merged_terms, eq.forcing, eq.validation_window)
 
 
 def prefix_modify(eq: Equation, n1: int, replacement: Sequence[Term]) -> Equation:
     """Equation equal to ``replacement`` coefficients before n1 and to the
     original from n1 on.  Delays are kept from the original equation: the
     finite-segment robustness statements change coefficient values on a
-    prefix, not the delay structure.
+    prefix, not the delay structure.  The new input is validated again.
     """
     replacement = list(replacement)
     if len(replacement) != eq.m:

@@ -14,9 +14,9 @@ print to parseable text; ``before`` applies for n < n1, ``after`` after.
 
 Evaluation is double precision and vectorized; every printed expression
 re-parses to an evaluation-equivalent tree, so a ``SeqExpr`` compares and
-hashes by the text it prints alone.  Inside ``evaluation_scope()`` each
-expression keeps one contiguous span of evaluated values, so a run that
-reads the same coefficients over overlapping windows evaluates them once.
+hashes by the text it prints alone.  ``evaluation_scope()`` is the one
+per-run context: each expression keeps one contiguous span of values, and
+``once(fn, *args)`` answers each repeated question once.
 
 An expression's class is a fact about its tree alone, stored on it:
 constants, ``alt(n)``, ``per`` tables and their pointwise combinations are
@@ -30,7 +30,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "evaluate",
     "eval_range",
     "evaluation_scope",
+    "once",
     "classify",
     "constant",
     "periodic_table",
@@ -438,16 +439,18 @@ def _eval_window(expr: SeqExpr, n0: int, n1: int) -> np.ndarray:
 
 
 class _Scope:
-    """Per-expression state of one evaluation scope.
+    """The state of one evaluation scope.
 
     ``spans`` maps an expression to (lo, values), its values on one
     contiguous window.  Every evaluation is exactly a window some caller
     asked for, so errors carry the same message and index as outside a
     scope; evaluation is pointwise, so slicing a span gives the same bytes.
+    ``memo`` maps (fn, *args) to what ``once`` computed.
     """
 
     def __init__(self) -> None:
         self.spans: dict[SeqExpr, tuple[int, np.ndarray]] = {}
+        self.memo: dict[tuple, object] = {}
 
     def window(self, expr: SeqExpr, n0: int, n1: int) -> np.ndarray:
         span = self.spans.get(expr)
@@ -476,13 +479,14 @@ _scope: Optional[_Scope] = None
 
 @contextmanager
 def evaluation_scope() -> Iterator[None]:
-    """Evaluate each expression once inside the block.
+    """Evaluate each expression, and answer each ``once`` question, once
+    inside the block.
 
     ``eval_range`` answers a window inside an expression's span with a
-    read-only slice and widens the span by what it evaluates.  Spans are
-    all a scope holds; an expression keeps its own class.  A nested scope
-    shares the outer one; leaving the outermost scope, normally or by an
-    exception, drops everything.
+    read-only slice and widens the span by what it evaluates.  Spans and
+    ``once``'s results are all a scope holds; an expression keeps its own
+    class.  A nested scope shares the outer one's; leaving the outermost
+    scope, normally or by an exception, drops them all.
     """
     global _scope
     if _scope is not None:
@@ -493,6 +497,17 @@ def evaluation_scope() -> Iterator[None]:
         yield
     finally:
         _scope = None
+
+
+def once(fn: Callable, *args):
+    """``fn(*args)``, computed once per open scope (each call outside one);
+    callers pass ``fn`` as looked up at the call and never mutate the result."""
+    if _scope is None:
+        return fn(*args)
+    key = (fn, *args)
+    if key not in _scope.memo:
+        _scope.memo[key] = fn(*args)
+    return _scope.memo[key]
 
 
 def eval_range(expr: SeqExpr, n0: int, n1: int) -> np.ndarray:

@@ -77,12 +77,15 @@ def simulate(eq: Equation, init: InitialData, N: int) -> Trajectory:
 
 
 def fundamental(eq: Equation, k: int, N: int) -> np.ndarray:
-    """Column X(n, k) for n in [k, N]."""
+    """Column X(n, k) for n in [k, N], stepped from the history 1 at k and
+    0 before with ``simulate``'s zero forcing, so bit for bit its column."""
     if N < k:
         raise ValueError(f"horizon {N} precedes column start {k}")
-    init = InitialData(k, {n: (1.0 if n == k else 0.0) for n in range(k - eq.T, k + 1)})
-    hom = replace(eq, forcing=None)
-    return simulate(hom, init, N).values
+    coeffs, lags = eq.coeff_table(k, N - 1), eq.lag_table(k, N - 1)
+    x = np.zeros(eq.T + N - k + 1)
+    x[eq.T] = 1.0
+    _kernels.step_recurrence(coeffs, lags, np.zeros(N - k), x, eq.T, N - k)
+    return x[eq.T:]
 
 
 def kernel(eq: Equation, n0: int, N: int) -> Kernel:

@@ -246,7 +246,7 @@ def test_criterion_12_determinism(tmp_path):
         r = subprocess.run(
             [sys.executable, "-m", "delaystab.cli", "examples", "--json",
              "--no-meta", "--out", str(out)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=env, timeout=120,
         )
         assert r.returncode == 0, r.stdout + r.stderr
         outputs.append(out.read_bytes())

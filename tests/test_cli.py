@@ -15,9 +15,10 @@ def run_cli(*args, env_extra=None):
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     if env_extra:
         env.update(env_extra)
+    # a CLI that loops fails its test instead of hanging the suite
     return subprocess.run(
         [sys.executable, "-m", "delaystab.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=120,
     )
 
 
@@ -255,6 +256,15 @@ def cfg_unbounded(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "unbounded.json"
     path.write_text(json.dumps(FIXTURE_CONFIGS["positive_unbounded"]))
     return str(path)
+
+
+def test_check_refuses_unknown_check_families(tmp_path):
+    path = tmp_path / "checks.json"
+    path.write_text(json.dumps({"schema": 1, "checks": ["theorem1", "theorm1"],
+                                "equation": {"terms": [{"coeff": "0.1", "lag": 1}]}}))
+    r = run_cli("check", str(path), "--no-meta")
+    assert r.returncode == 2
+    assert "error: unknown checks ['theorm1']; known: ('lemma4', 'theorem1'," in r.stderr
 
 
 @pytest.mark.parametrize("argv,first_bad", [

@@ -16,7 +16,7 @@ from delaystab import (
     stable_verdicts,
     validate,
 )
-from delaystab import _kernels, criteria
+from delaystab import _kernels, criteria, seqexpr
 from delaystab.criteria import (
     CLAIM_POSITIVE,
     SCAN_LEAD_MULT,
@@ -903,6 +903,18 @@ def test_theorem5_general_term_outside_I_uses_window():
     assert (strip.ns[0], strip.ns[-1]) == window
 
 
+def test_comparison_delay_deeper_than_the_validated_window_gets_a_verdict():
+    # a lag-1 equation validated on [0, 1000): the comparison equation at
+    # lag 200 keeps that window and is not validated again, which needed
+    # 10 * (1 + 200) = 2010 points
+    refuted = const_eq((0.1, 1))
+    g = DelaySpec.constant(200)
+    for v in (check_corollary4(refuted, g), check_corollary_theorem5(refuted, [0], [g])):
+        assert v.outcome is Outcome.NOT_APPLICABLE and "refuted_n" in v.witnesses
+    v = check_corollary4(const_eq((0.001, 1)), g)
+    assert v.outcome is Outcome.STABLE and v.witnesses["gamma_min"] == pytest.approx(0.199)
+
+
 def test_corollary4_delegates(eq_periodic_mixed):
     v = check_corollary4(eq_periodic_mixed, eq_periodic_mixed.terms[1].delay)
     assert v.outcome is Outcome.STABLE
@@ -1239,27 +1251,27 @@ def test_run_all_asks_each_comparison_question_once(monkeypatch):
     assert sorted(full) == ["_char_root", "check_lemma4", "merge_same_delay"]
     witnesses = [id(v.witnesses) for v in verdicts]
     assert len(witnesses) == len(set(witnesses))
-    assert criteria._memo is None
+    assert seqexpr._scope is None  # the memo went with the run's scope
 
 
 def test_no_memoised_result_outlives_its_run(eq_periodic_mixed, eq_alternating, monkeypatch):
     want = _reports(eq_alternating)
     _reports(eq_periodic_mixed)
-    assert criteria._memo is None
+    assert seqexpr._scope is None
     # outside a run nothing is kept: each call runs
     calls = _counting(monkeypatch, ["check_lemma4"])
     check_corollary2(eq_alternating)
     check_corollary2(eq_alternating)
     assert len(calls) == 2
     monkeypatch.undo()
-    once = criteria._once
+    once = criteria.once
     held = []
 
     def first_use(*args):
-        held.append(dict(criteria._memo))
+        held.append(dict(seqexpr._scope.memo))
         return once(*args)
 
-    monkeypatch.setattr(criteria, "_once", first_use)
+    monkeypatch.setattr(criteria, "once", first_use)
     assert _reports(eq_alternating) == want
     assert held[0] == {}
 
@@ -1268,15 +1280,39 @@ def test_a_run_that_raises_drops_its_memo(eq_periodic_mixed, monkeypatch):
     want = _reports(eq_periodic_mixed)
 
     def boom(*args, **kw):
-        assert criteria._memo
+        assert seqexpr._scope.memo
         raise RuntimeError("checker failed")
 
     monkeypatch.setattr(criteria, "check_corollary7", boom)
     with pytest.raises(RuntimeError, match="checker failed"):
         run_all(eq_periodic_mixed)
-    assert criteria._memo is None
+    assert seqexpr._scope is None
     monkeypatch.undo()
     assert _reports(eq_periodic_mixed) == want
+
+
+def test_run_all_evaluates_each_term_once_on_its_seed_window(monkeypatch):
+    # validated on [0, 1000): the run evaluates each coefficient there
+    # first, and every window a checker asks inside it is a slice of that
+    eq = const_eq(("0.07 + 0.02*alt(n)", 2), ("per(0.03, 0.05)", 3))
+    evaluated = []
+    plain = seqexpr._eval_window
+
+    def recording(expr, n0, n1):
+        evaluated.append((expr, n0, n1))
+        return plain(expr, n0, n1)
+
+    monkeypatch.setattr(seqexpr, "_eval_window", recording)
+    run_all(eq)
+    for t in eq.terms:
+        assert [(n0, n1) for e, n0, n1 in evaluated if e == t.coeff and n1 < 1000] == [(0, 999)]
+        assert evaluated.index((t.coeff, 0, 999)) < eq.m
+
+
+def test_run_all_refuses_unknown_families(eq_periodic_mixed):
+    with pytest.raises(ValueError, match=r"unknown checks \['theorm1'\]; known: \('lemma4'"):
+        run_all(eq_periodic_mixed, checks=["theorem1", "theorm1"])
+    assert run_all(eq_periodic_mixed, checks=[]) == []
 
 
 @pytest.mark.parametrize("generator", GENERATORS)
@@ -1284,6 +1320,6 @@ def test_memo_changes_no_report(generator, monkeypatch):
     for seed in range(25):
         eq = random_equation(seed, **GENERATORS[generator])
         memoised = _reports(eq)
-        monkeypatch.setattr(criteria, "_once", lambda fn, eq, *window: fn(eq, *window))
+        monkeypatch.setattr(criteria, "once", lambda fn, *args: fn(*args))
         assert _reports(eq) == memoised
         monkeypatch.undo()

@@ -72,23 +72,24 @@ def test_validation_of_a_long_delay_stays_small():
 
 def test_validation_window_of_one_slice_is_one_call(monkeypatch):
     # T = 6552 validates on [0, 65530), one slice of at most 2^16 points:
-    # inside an evaluation scope each expression is evaluated by one call
+    # each expression is evaluated by one call, never through eval_range,
+    # so an open scope keeps nothing of it
     calls = []
-    evaluate_range, evaluate_window = equation.eval_range, equation._eval_window
+    evaluate_window = equation._eval_window
 
-    def recording(expr, n0, n1):
-        calls.append((str(expr), n0, n1))
-        return evaluate_range(expr, n0, n1)
+    def refused(expr, n0, n1):
+        raise AssertionError(f"validation called eval_range({expr}, {n0}, {n1})")
 
     def slicing(expr, n0, n1):
         calls.append(("slice", str(expr), n0, n1))
         return evaluate_window(expr, n0, n1)
 
-    monkeypatch.setattr(equation, "eval_range", recording)
+    monkeypatch.setattr(equation, "eval_range", refused)
     monkeypatch.setattr(equation, "_eval_window", slicing)
     with evaluation_scope():
         validate([Term(parse("0.1 + 0.01*sin(n)"), DelaySpec.constant(6552))], parse("cos(n)"))
-    assert calls == [("0.1 + 0.01*sin(n)", 0, 65529), ("cos(n)", 0, 65529)]
+        assert not seqexpr._scope.spans and not seqexpr._scope.memo
+    assert calls == [("slice", "0.1 + 0.01*sin(n)", 0, 65529), ("slice", "cos(n)", 0, 65529)]
     # T = 6553 needs two slices, each evaluated once, in a scope or not,
     # and none of them kept by the scope
     for scope in (evaluation_scope, nullcontext):
@@ -151,6 +152,26 @@ def test_merge_same_delay():
         Term(parse("0.1 + 0.02*sin(n)"), DelaySpec.constant(3)),
     ])
     assert merge_same_delay(distinct) is distinct
+
+
+def test_merge_same_delay_evaluates_nothing(monkeypatch):
+    eq = validate([
+        Term(parse("per(-0.12, -0.05)"), DelaySpec.periodic([3, 5])),
+        Term(parse("0.1 + 0.02*sin(n)"), DelaySpec.constant(2)),
+        Term(parse("per(0.17, 0.08)"), DelaySpec.periodic([3, 5])),
+    ], window_len=1200)
+
+    def refuse(*args):
+        raise AssertionError("merge_same_delay evaluated an expression")
+
+    for module, name in ((equation, "eval_range"), (equation, "_eval_window"),
+                         (seqexpr, "eval_range"), (seqexpr, "_eval_window")):
+        monkeypatch.setattr(module, name, refuse)
+    merged = merge_same_delay(eq)
+    monkeypatch.undo()
+    assert [t.delay for t in merged.terms] == [DelaySpec.periodic([3, 5]), DelaySpec.constant(2)]
+    # the sums keep eq's window, which covered their summands
+    assert merged == validate(merged.terms, None, 1200)
 
 
 def test_initial_data_coverage_enforced(eq_unbounded):

@@ -169,6 +169,23 @@ def test_step_recurrence_matches_numpy_scalar_loop_bitwise(name, coeffs, lags, s
         assert np.isinf(x).any() and np.isnan(x[-1])
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_step_recurrence_gives_the_same_bits_in_any_chunk(chunk, monkeypatch):
+    for name, coeffs, lags, _ in STEP_CASES:
+        steps = coeffs.shape[1]
+        t_max = int(lags.max(initial=0))
+        forcing = np.sin(np.arange(float(steps)))
+        x = np.zeros(t_max + steps + 1)
+        x[: t_max + 1] = np.linspace(-1.0, 1.0, t_max + 1)
+        chunked = x.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            _kernels.step_recurrence(coeffs, lags, forcing, x, t_max, steps)
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "STEP_CHUNK", chunk)
+                _kernels.step_recurrence(coeffs, lags, forcing, chunked, t_max, steps)
+        assert chunked.tobytes() == x.tobytes(), name
+
+
 @pytest.mark.parametrize("bad_lag", [-1, 4])
 def test_step_recurrence_rejects_lags_outside_the_history(bad_lag):
     # a lag above t_max (or below 0) would read outside x(n0 - t_max .. n)

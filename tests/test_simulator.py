@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +77,40 @@ def test_fundamental_growth_start(eq_unbounded):
 def test_fundamental_two_steps_exact(eq_unbounded):
     # X(2, 0) = 3 - 2.2 * 1 + 2 * 3; the rounded steps land on the double 6.8
     assert fundamental(eq_unbounded, 0, 2)[2] == 6.8
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fundamental_is_the_simulated_column_bit_for_bit(seed):
+    # the column from the history 1 at k and 0 before, signed zeros included
+    eq = random_equation(seed, m_max=3, T_max=5, K_max=1.2)
+    k, N = 7, 300
+    history = {n: (1.0 if n == k else 0.0) for n in range(k - eq.T, k + 1)}
+    want = simulate(replace(eq, forcing=None), InitialData(k, history), N).values
+    assert fundamental(eq, k, N).tobytes() == want.tobytes()
+
+
+def test_fundamental_steps_a_long_column_in_bounded_memory():
+    # lag 10^5, a column of 500,050 steps: its coefficient and lag rows
+    # become Python lists a chunk at a time and its zero history is never
+    # a dict, so a fresh process grows by about 60 MB; whole rows and a
+    # history dict take about 150 MB.  Peak RSS of a child, as tracemalloc
+    # slows the step loop about twenty-fold.
+    code = textwrap.dedent("""
+        import resource
+        from delaystab import DelaySpec, Term, fundamental, parse, validate
+        base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        eq = validate([Term(parse("1e-9"), DelaySpec.constant(10**5)),
+                       Term(parse("2e-9*(1 + 0.5*per(1, -1))"), DelaySpec.constant(10**5))])
+        assert len(fundamental(eq, 0, 5 * 10**5 + 49)) == 5 * 10**5 + 50
+        print(base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    base, peak = map(int, r.stdout.split())  # KiB
+    assert peak - base < 100 * 1024
 
 
 def test_kernel_hand_value():
