@@ -2,10 +2,12 @@
 
 Plain NumPy/Python.  The recurrence is inherently sequential in n, so
 ``step_recurrence`` steps a list of Python floats, which round exactly like
-float64 scalars: its output is bit-identical to a per-step NumPy loop,
-overflow to inf and nan included.  ``kernel_rows`` advances every column
-of X(., k) together, one NumPy row per step, and the dense table, the
-weighted sums and the positivity scan all read its rows.
+float64 scalars, through a loop written out once per term count m (one
+expression per step, terms subtracted in order): its output is
+bit-identical to a per-step NumPy loop, overflow to inf and nan included.
+``kernel_rows`` advances every column of X(., k) together, one NumPy row
+per step, and the dense table, the weighted sums and the positivity scan
+all read its rows.
 
 Conventions shared by all kernels: the window is [n0, n0 + size - 1],
 ``coeffs[l, i]`` and ``lags[l, i]`` hold a_l(n0 + i) and n - h_l(n) at
@@ -14,6 +16,8 @@ n = n0 + i, and X(n, k) = 0 for n < k, X(k, k) = 1.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["KernelMemoryError", "MAX_ENTRIES", "step_recurrence", "require_ring",
@@ -21,8 +25,9 @@ __all__ = ["KernelMemoryError", "MAX_ENTRIES", "step_recurrence", "require_ring"
 
 # a kernel buffer (the dense table or the row ring) above this many entries raises
 MAX_ENTRIES = 100_000_000
-# step_recurrence converts this many steps of its rows to Python lists at a time
-STEP_CHUNK = 1 << 16
+# step_recurrence converts this many steps of its rows to Python lists at a
+# time; a few thousand keep those lists (and peak memory) small at no cost in speed
+STEP_CHUNK = 1 << 12
 
 
 class KernelMemoryError(MemoryError):
@@ -39,20 +44,37 @@ def step_recurrence(coeffs, lags, forcing, x, t_max, steps):
     low, high = int(lags[:, :steps].min(initial=0)), int(lags[:, :steps].max(initial=0))
     if low < 0 or high > t_max:
         raise ValueError(f"lags in [{low}, {high}] leave the history [0, {t_max}]")
+    step = _stepper(coeffs.shape[0])
     xs = x[: t_max + 1].tolist()
-    append = xs.append
     # rows become Python lists a chunk at a time (whole, they outweigh their
-    # tables several times), by term column, zipped into a tuple per step
+    # tables several times), each lag row as the indices of xs it reads
     for c0 in range(0, steps, STEP_CHUNK):
         c1 = min(c0 + STEP_CHUNK, steps)
-        for i, a, d, f in zip(range(t_max + c0, t_max + c1), zip(*coeffs[:, c0:c1].tolist()),
-                              zip(*lags[:, c0:c1].tolist()), forcing[c0:c1].tolist()):
-            acc = xs[i]
-            for a_l, d_l in zip(a, d):
-                acc -= a_l * xs[i - d_l]
-            append(acc + f)
+        reads = np.arange(t_max + c0, t_max + c1) - lags[:, c0:c1]
+        step(xs, forcing[c0:c1].tolist(), *coeffs[:, c0:c1].tolist(), *reads.tolist())
     x[t_max + 1: t_max + steps + 1] = xs[t_max + 1:]
     return x
+
+
+@functools.cache
+def _stepper(m):
+    """The step loop for m terms, its source written out from m alone.
+
+    step(xs, fs, a0s, .., j0s, ..) appends to xs, per entry f of fs, the
+    value x = (x - a0 * xs[j0]) - a1 * xs[j1] ... + f, x being the last
+    entry: the terms in the order a per-term loop takes, so it rounds the same.
+    """
+    names = [f"a{l}" for l in range(m)] + [f"j{l}" for l in range(m)]
+    row_args, items = "".join(f", {v}s" for v in names), "".join(f", {v}" for v in names)
+    terms = "".join(f" - a{l} * xs[j{l}]" for l in range(m))
+    source = (f"def step(xs, fs{row_args}):\n"
+              f"    append, x = xs.append, xs[-1]\n"
+              f"    for f{items} in zip(fs{row_args}):\n"
+              f"        x = x{terms} + f\n"
+              f"        append(x)\n")
+    namespace = {}
+    exec(source, namespace)
+    return namespace["step"]
 
 
 def require_ring(depth, size):

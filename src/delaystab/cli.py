@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -49,6 +47,7 @@ from .simulator import (
     product_bound,
     representation_check,
     simulate,
+    write_atomic,
     write_trajectory_csv,
 )
 
@@ -59,16 +58,10 @@ def _fail_usage(message: str) -> int:
 
 
 def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    # the CLI's own writes (reports, fundamental columns); simulate's CSV goes
+    # through write_trajectory_csv, which perfbench times apart, so no write
+    # is timed twice
+    write_atomic(path, data)
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -8,6 +8,7 @@ product bound) are computed here.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -31,6 +32,7 @@ __all__ = [
     "lemma6_sum",
     "pituk_sum",
     "format_csv",
+    "write_atomic",
     "write_trajectory_csv",
 ]
 
@@ -52,6 +54,8 @@ class Kernel:
     def at(self, n: int, k: int) -> float:
         if n < k:
             return 0.0
+        if k < self.n0 or n > self.N:
+            raise IndexError(f"X({n}, {k}) lies outside the table [{self.n0}, {self.N}]")
         return float(self.values[n - self.n0, k - self.n0])
 
 
@@ -186,7 +190,7 @@ def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (plot-ready; 17 significant digits, LF endings)
+# Output: plot-ready CSV (17 significant digits, LF endings), written atomically
 
 
 def format_csv(header: str, n0: int, *columns: np.ndarray) -> str:
@@ -200,6 +204,22 @@ def format_csv(header: str, n0: int, *columns: np.ndarray) -> str:
     return header + "\n" + "".join(map(row.__mod__, zip(n, *(c.tolist() for c in columns))))
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path``, then rename it over
+    ``path``: a failed write leaves the old file and no temporary.  The file
+    gets the mode ``open`` gives a new one (0o666 less the umask)."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(format_csv("n,value", traj.n0, traj.values))
+    write_atomic(path, format_csv("n,value", traj.n0, traj.values))

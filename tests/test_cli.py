@@ -501,3 +501,47 @@ def test_a_refused_allocation_exits_2(tmp_path, terms, argv):
     assert r.returncode == 2
     assert "Unable to allocate" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+class _FullDisk:
+    """An open temporary file whose writes fail as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fail", ["write", "rename"])
+@pytest.mark.parametrize("argv", [["simulate", "--N", "12", "--csv"],
+                                  ["fundamental", "--k", "0", "--N", "12", "--csv"],
+                                  ["check", "--no-meta", "--out"]],
+                         ids=["simulate", "fundamental", "check"])
+def test_a_failed_write_keeps_the_old_file(cfg_factorial, tmp_path, monkeypatch, argv, fail):
+    from delaystab import cli
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    if fail == "write":
+        fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda fd, *a, **kw: _FullDisk(fdopen(fd, *a, **kw)))
+    else:
+        def refuse(src, dst):
+            raise OSError(13, "Permission denied")
+        monkeypatch.setattr(os, "replace", refuse)
+    assert cli.main([argv[0], cfg_factorial, *argv[1:], str(target)]) == 2
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    monkeypatch.undo()
+    assert cli.main([argv[0], cfg_factorial, *argv[1:], str(target)]) == 0
+    assert target.read_text() != "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    # the renamed file has the mode a plainly opened new file gets
+    (tmp_path / "plain.txt").write_text("")
+    assert os.stat(target).st_mode == os.stat(tmp_path / "plain.txt").st_mode

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from delaystab import KernelMemoryError, _kernels, cauchy_apply, lemma6_sum, parse, pituk_sum
+from delaystab.criteria import SUBSET_CAP
 from delaystab.oracle import random_equation
 
 
@@ -137,6 +138,18 @@ def _six_periodic_terms(seed, size):
     return coeffs, lags
 
 
+def _m_terms(seed, m, size):
+    """m terms, for the step loop written out for m: term 0 at lag 0, the
+    others on periodic lag rows (periods 1 to 3, lags 0 to 6, so some steps
+    read x(n) twice)."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(size)
+    coeffs = rng.uniform(-0.5, 0.5, (m, size)) / m
+    lags = np.stack([np.zeros(size, dtype=np.int64)]
+                    + [rng.integers(0, 7, l % 3 + 1)[n % (l % 3 + 1)] for l in range(1, m)])
+    return coeffs, lags.astype(np.int64)
+
+
 # (name, coeffs, lags, history seed or None for x(n0) = 1.5 after zeros)
 STEP_CASES = (
     [(name, coeffs, lags, None) for name, coeffs, lags in CASES]
@@ -146,6 +159,7 @@ STEP_CASES = (
        # grows past the float64 range: inf, then inf - inf = nan
        ("overflow", np.array([[-1e150, 1e150] * 20, [1e150] * 40]),
         np.array([[0] * 40, [1] * 40], dtype=np.int64), 11)]
+    + [(f"m{m}", *_m_terms(20 + m, m, 150), 40 + m) for m in (1, 2, 3, 4, 8, SUBSET_CAP)]
 )
 
 

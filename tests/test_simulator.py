@@ -120,6 +120,18 @@ def test_kernel_hand_value():
     assert all(K.at(k, k) == 1.0 for k in range(6))
 
 
+def test_kernel_at_refuses_entries_outside_its_table():
+    eq = validate([Term(parse("0.2"), DelaySpec.constant(1))])
+    K = kernel(eq, 3, 20)
+    assert K.at(20, 3) == K.values[17, 0]
+    assert K.at(5, 8) == 0.0  # above the diagonal, inside or out of the window
+    assert K.at(2, 30) == 0.0
+    # k = 2 and n = 21 are offsets -1 and 18, which NumPy would wrap or refuse
+    for n, k in [(20, 2), (21, 20), (21, 3), (3, -1)]:
+        with pytest.raises(IndexError, match="outside the table"):
+            K.at(n, k)
+
+
 def test_kernel_zero_equation(eq_zero):
     K = kernel(eq_zero, 0, 6)
     for k in range(7):
