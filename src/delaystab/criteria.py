@@ -4,27 +4,24 @@ Every checker certifies a sufficient condition: Stable means the cited
 inequalities hold with margin on the certification window, Inconclusive
 means a test inequality failed (no instability claim is ever made), and
 NotApplicable means a hypothesis predicate is violated or refuted.
-Witness quantities record each value that was compared to a threshold.
 
-Positivity of the fundamental function of a comparison equation is the
-common hypothesis; it is certified analytically when the window-sum or
-characteristic-root routes apply and by a finite kernel scan otherwise
-(scan-backed verdicts are flagged window-certified), which stops at the
-first kernel entry that is nonpositive or not finite.  The analytic routes
-are exact-span arguments, so they are tried only when the equation's own
-coefficients are all constant or periodic; general coefficients go
-straight to the scan, with the same verdicts and routes.  ``run_all``
-answers the positivity of the full equation and of theorem2's subsets in
-one pass: the sets left to a scan share one kernel stream of their
-nonnegative terms over the union of their scan windows (comparison
-lemma); a refutation is never inherited.  Corollary 4 scans the one term
-(sum_l a_l) x(g(n)).  Scans and the pass refuse each kernel ring past the
-cap before any table.  Comparison equations are built from the given
-equation's validated coefficients, never validated again.  The checkers
-ask the same questions of them; inside ``run_all``'s evaluation scope
-``seqexpr.once`` answers each (same-delay merge, lemma 4 verdict,
-characteristic root, theorem2's sign gate, positivity) once per equation
-and window, and the scope drops the answers when the run returns.
+Each checker is one instance of the paper's theorems (a kept set I, a
+positivity route for its comparison equation, a rate, a perturbation
+bound) and fills one verdict draft, ``_Draft``, with one stage per
+hypothesis: the range gate 0 < sum_I a < c, positivity, the p-step product
+rate, the domination ratio, the gap product and the quarter window sum.
+A stage notes each value it compared as a witness and flags the verdict
+window-certified when the value is an estimate on the window.  Inside
+``run_all``'s evaluation scope ``seqexpr.once`` answers each range bound,
+rate, ratio and gap product once, so corollaries 6 and 8.1 read theorem
+2's ratio and corollaries 7 and 8.2 corollary 4's gap product; it also
+answers the same-delay merge, the lemma 4 verdict, the characteristic
+root, theorem 2's sign gate and each comparison equation's positivity.
+
+Positivity is certified analytically (window sums, characteristic roots;
+constant or periodic coefficients only) or by a kernel scan that stops at
+the first entry that is nonpositive or not finite; ``_positivity_pass``
+answers the full equation and theorem 2's subsets with one shared stream.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -172,12 +169,6 @@ def nonosc_threshold(k: int) -> float:
     return thr * _LOOSEN
 
 
-def _term_bounds(eq: Equation, l: int, window: tuple[int, int]) -> tuple[float, float, bool]:
-    """(inf, sup, exact) of coefficient l over its span."""
-    (values,), exact = limits.coeff_span(eq, window, [l])
-    return float(values.min()), float(values.max()), exact
-
-
 def _sum_bounds(eq: Equation, indices: Sequence[int],
                 window: tuple[int, int]) -> tuple[float, float, bool]:
     """(inf, sup, exact) of sum_{l in indices} a_l over their span."""
@@ -193,9 +184,8 @@ def _all_nonnegative(eq: Equation, indices: Sequence[int],
     return worst >= -EPS, worst
 
 
-def _best_product(eq: Equation, window: Window) -> tuple[int, float, bool]:
+def _best_product(eq: Equation, window: tuple[int, int]) -> tuple[int, float, bool]:
     """(p, b, exact) minimizing the rate b^(1/p) over candidate horizons."""
-    window = _win(eq, window)
     candidates = set(P_CANDIDATES)
     period = limits.aggregate_period(eq)
     if period is not None:
@@ -207,6 +197,93 @@ def _best_product(eq: Equation, window: Window) -> tuple[int, float, bool]:
             best = (q, est.value, est.exact, rate)
     q, b, exact, _ = best
     return q, b, exact
+
+
+@dataclass
+class _Draft:
+    """One verdict in the making: its label, base citation, window and
+    claim, the witnesses noted so far, and whether any of them is an
+    estimate on the window rather than an exact limit (window-certified).
+    Each stage method checks one hypothesis on the draft's window, notes
+    what it compared and says whether the hypothesis holds."""
+
+    label: str
+    base: str
+    window: tuple[int, int] = (0, 0)
+    claim: str = CLAIM_EXPONENTIAL
+    witnesses: dict[str, float] = field(default_factory=dict)
+    certified: bool = False
+    mu: Optional[float] = None  # the rate a Stable verdict certifies
+
+    def note(self, exact: bool = True, **witnesses: float) -> "_Draft":
+        self.witnesses.update(witnesses)
+        self.certified = self.certified or not exact
+        return self
+
+    def out(self, outcome: Outcome, why: Optional[str] = None) -> Verdict:
+        """The verdict, citing the base and, when given, why in parentheses;
+        a Stable one also states its rate mu, if a stage found one."""
+        if outcome is Outcome.STABLE and self.mu is not None:
+            self.note(mu=self.mu)
+        citation = self.base if why is None else f"{self.base} ({why})"
+        return Verdict(self.label, outcome, self.claim, self.witnesses, self.window,
+                       self.certified, citation)
+
+    def in_range(self, eq: Equation, I: Sequence[int], cap: float, low: str, high: str) -> bool:
+        """0 < inf sum_I a_l and sup sum_I a_l < cap, noted as ``low``, ``high``."""
+        inf_s, sup_s, exact = once(_sum_bounds, eq, tuple(I), self.window)
+        self.note(exact, **{low: inf_s, high: sup_s})
+        return inf_s > EPS and sup_s < cap - EPS
+
+    def nonnegative(self, eq: Equation, I: Sequence[int]) -> bool:
+        """Every a_l, l in I, nonnegative on its span; notes the least."""
+        nonneg, worst = once(_all_nonnegative, eq, tuple(I), self.window)
+        self.note(min_coeff=worst)
+        return nonneg
+
+    def positive(self, positivity: Positivity) -> bool:
+        """A positive comparison kernel.  A scan-backed certificate makes the
+        verdict window-certified, and so does a refutation, noted where found."""
+        if isinstance(positivity, PositivityRefutation):
+            self.note(False, refuted_n=positivity.n, refuted_k=positivity.k)
+            return False
+        self.note(positivity.by != "numerical_scan")
+        return True
+
+    def comparison_positive(self, eq: Equation, I: tuple[int, ...],
+                            moved: tuple[DelaySpec, ...], window: Window) -> bool:
+        """``positive`` for theorem 5's comparison equation: ``eq``'s validated
+        coefficients at the delays g_l, one term (a + b) x(g(n)) per delay as
+        the paper states it; it resolves its own default window."""
+        cmp_terms = tuple(Term(eq.terms[l].coeff, g) for l, g in zip(I, moved))
+        cmp_eq = once(merge_same_delay, Equation(cmp_terms, None, eq.validation_window))
+        return self.positive(once(certify_positivity, cmp_eq, window))
+
+    def product_rate(self, eq: Equation, window: tuple[int, int]) -> bool:
+        """The best p-step product b below 1, with the rate mu = b^(1/p)."""
+        q, b, exact = once(_best_product, eq, window)
+        self.note(exact, p=float(q), b=b)
+        self.mu = max(b, 0.0) ** (1.0 / q) if b < 1.0 - EPS else None
+        return self.mu is not None
+
+    def dominated(self, eq: Equation, I: Sequence[int], name: str) -> bool:
+        """The terms outside I below the I-terms in limsup ratio, noted as ``name``."""
+        ratio, exact = once(_limsup_ratio, eq, tuple(I), self.window)
+        self.note(exact, **{name: ratio})
+        return ratio < 1.0 - EPS
+
+    def gap_product(self, eq: Equation, I: tuple[int, ...],
+                    moved: tuple[DelaySpec, ...]) -> bool:
+        """Theorem 5's gap product gamma < 1, each l in I moved to its delay."""
+        gamma, exact = once(_gamma, eq, I, moved, self.window)
+        self.note(exact, gamma_min=gamma)
+        return gamma < 1.0 - EPS
+
+    def quarter(self, name: str, eq: Equation, delays: Sequence[DelaySpec]) -> bool:
+        """The window sum of ``eq``'s aggregate below ``delays`` at most 1/4."""
+        est = limits.windowed_delayed_sum(eq, delays, -1, self.window)
+        self.note(est.exact, **{name: est.value})
+        return est.value <= 0.25 + EPS
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +343,15 @@ def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
 def check_lemma4(eq: Equation, window: Window = None) -> Verdict:
     """Nonoscillation: nonnegative coefficients with sup sum < 1/2 and the
     delayed double window sum <= 1/4 force an eventually positive kernel."""
-    window = _win(eq, window)
-    nonneg, worst = _all_nonnegative(eq, range(eq.m), window)
-    _, sup_sum, sup_exact = _sum_bounds(eq, range(eq.m), window)
-    double = limits.windowed_delayed_sum(eq, [t.delay for t in eq.terms], -1, window)
-    witnesses = {"min_coeff": worst, "sup_sum": sup_sum, "double_sum": double.value}
+    d = _Draft("lemma4", "positive kernel via coefficient window sums "
+               "(sup < 1/2, delayed sum <= 1/4)", _win(eq, window), CLAIM_POSITIVE)
+    nonneg = d.nonnegative(eq, range(eq.m))
+    _, sup_sum, exact = once(_sum_bounds, eq, tuple(range(eq.m)), d.window)
+    d.note(exact, sup_sum=sup_sum)
+    quarter = d.quarter("double_sum", eq, [t.delay for t in eq.terms])
     if not nonneg:
-        outcome = Outcome.NOT_APPLICABLE
-    elif sup_sum < 0.5 - EPS and double.value <= 0.25 + EPS:
-        outcome = Outcome.STABLE
-    else:
-        outcome = Outcome.INCONCLUSIVE
-    return Verdict(
-        "lemma4", outcome, CLAIM_POSITIVE, witnesses, window,
-        not (sup_exact and double.exact),
-        "positive kernel via coefficient window sums (sup < 1/2, delayed sum <= 1/4)",
-    )
+        return d.out(Outcome.NOT_APPLICABLE)
+    return d.out(Outcome.STABLE if sup_sum < 0.5 - EPS and quarter else Outcome.INCONCLUSIVE)
 
 
 def _analytic_positivity(eq: Equation, window: Window) -> Optional[PositivityCertificate]:
@@ -379,12 +449,10 @@ def _char_root(eq: Equation, window: tuple[int, int]
     """Corollary 3 on the caps alpha_l = sup a_l at delays tau_l: (witnesses,
     part 1 (a root lam in (0, 1]), part 2 (one term under the sharp
     autonomous bound), exact)."""
-    alphas, taus, exact = [], [], True
-    for l in range(eq.m):
-        _, sup, term_exact = _term_bounds(eq, l, window)
-        alphas.append(max(sup, 0.0))
-        taus.append(eq.terms[l].delay.max_lag)
-        exact = exact and term_exact
+    bounds = [once(_sum_bounds, eq, (l,), window) for l in range(eq.m)]
+    alphas = [max(sup, 0.0) for _, sup, _ in bounds]
+    taus = [t.delay.max_lag for t in eq.terms]
+    exact = all(term_exact for _, _, term_exact in bounds)
     lam, fmin = _char_lambda_search(alphas, taus)
     witnesses = {"lambda": lam, "f_min": fmin}
     part2 = False
@@ -435,96 +503,69 @@ def _char_lambda_search(alphas: Sequence[float], taus: Sequence[int]) -> tuple[f
 # Main rate theorem and its corollaries
 
 
+def _theorem1_rate(d: _Draft, eq: Equation) -> Optional[str]:
+    """Theorem 1's rates on a positive kernel: 1 - a for a positive liminf
+    a of the coefficient sum, else the best p-step product's; the route
+    that certified, or None."""
+    est = once(limits.liminf_sum, eq, d.window)
+    d.note(est.exact, a=est.value)
+    if est.value > EPS:
+        d.mu = max(1.0 - est.value, 0.0)
+        return "liminf coefficient sum > 0"
+    return "p-step coefficient product < 1" if d.product_rate(eq, d.window) else None
+
+
 def check_theorem1(eq: Equation,
                    positivity: Union[PositivityCertificate, PositivityRefutation, None],
                    window: Window = None) -> Verdict:
     """Positive kernel + nonnegative coefficients: a positive liminf of the
     coefficient sum (rate 1 - a), or a p-step product staying below one
     (rate b^(1/p)), certify exponential stability."""
-    window = _win(eq, window)
-    witnesses: dict[str, float] = {}
-    certified = isinstance(positivity, PositivityCertificate) and positivity.by == "numerical_scan"
-    if positivity is None or isinstance(positivity, PositivityRefutation):
-        if isinstance(positivity, PositivityRefutation):
-            witnesses = {"refuted_n": positivity.n, "refuted_k": positivity.k,
-                         "refuted_value": positivity.value}
-        return Verdict("theorem1", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                       witnesses, window, certified,
-                       "positive-kernel rate bound (kernel positivity unavailable)")
-    nonneg, worst = _all_nonnegative(eq, range(eq.m), window)
+    d = _Draft("theorem1", "positive-kernel rate bound", _win(eq, window))
+    if not isinstance(positivity, PositivityCertificate):
+        if positivity is not None:
+            d.note(refuted_n=positivity.n, refuted_k=positivity.k, refuted_value=positivity.value)
+        return d.out(Outcome.NOT_APPLICABLE, "kernel positivity unavailable")
+    d.positive(positivity)
+    nonneg, worst = once(_all_nonnegative, eq, tuple(range(eq.m)), d.window)
     if not nonneg:
-        return Verdict("theorem1", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                       {"min_coeff": worst}, window, certified,
-                       "positive-kernel rate bound (needs nonnegative coefficients)")
-    est_a = limits.liminf_sum(eq, window)
-    witnesses["a"] = est_a.value
-    certified = certified or not est_a.exact
-    if est_a.value > EPS:
-        witnesses["mu"] = max(1.0 - est_a.value, 0.0)
-        return Verdict("theorem1", Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
-                       window, certified,
-                       "positive kernel with liminf coefficient sum > 0")
-    q, b, exact = _best_product(eq, window)
-    witnesses.update({"p": float(q), "b": b})
-    certified = certified or not exact
-    if b < 1.0 - EPS:
-        witnesses["mu"] = max(b, 0.0) ** (1.0 / q)
-        return Verdict("theorem1", Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
-                       window, certified,
-                       "positive kernel with p-step coefficient product < 1")
-    return Verdict("theorem1", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL, witnesses,
-                   window, certified,
-                   "positive-kernel rate bound (both rate conditions failed)")
+        return d.note(min_coeff=worst).out(Outcome.NOT_APPLICABLE,
+                                           "needs nonnegative coefficients")
+    route = _theorem1_rate(d, eq)
+    if route is None:
+        return d.out(Outcome.INCONCLUSIVE, "both rate conditions failed")
+    d.base = f"positive kernel with {route}"
+    return d.out(Outcome.STABLE)
 
 
 def check_corollary2(eq: Equation, window: Window = None) -> Verdict:
     """Nonoscillation window sums supply the kernel positivity, then the
     rate theorem runs on top."""
     pre = once(check_lemma4, eq, _win(eq, window))
-    if pre.outcome is not Outcome.STABLE:
-        why = ("negative coefficient" if pre.outcome is Outcome.NOT_APPLICABLE
-               else "window sums too large")
-        # the lemma 4 verdict may be run_all's own: copy its witnesses
-        return replace(pre, criterion="corollary2", claim=CLAIM_EXPONENTIAL,
-                       witnesses=dict(pre.witnesses),
-                       citation=f"window-sum positivity + rate bound ({why})")
-    cert = PositivityCertificate(0, -1, math.nan, "lemma4")
-    v = check_theorem1(eq, cert, window)
-    merged = {**pre.witnesses, **v.witnesses}
-    return Verdict("corollary2", v.outcome, CLAIM_EXPONENTIAL, merged, v.window,
-                   v.window_certified or pre.window_certified,
-                   "window-sum positivity + rate bound")
+    d = _Draft("corollary2", "window-sum positivity + rate bound", pre.window)
+    d.note(not pre.window_certified, **pre.witnesses)
+    if pre.outcome is Outcome.NOT_APPLICABLE:
+        return d.out(pre.outcome, "negative coefficient")
+    if pre.outcome is Outcome.INCONCLUSIVE:
+        return d.out(pre.outcome, "window sums too large")
+    return d.out(Outcome.STABLE if _theorem1_rate(d, eq) else Outcome.INCONCLUSIVE)
 
 
 def check_corollary3(eq: Equation, window: Window = None) -> Verdict:
     """Characteristic-root comparison: coefficient caps alpha_l at delays
     tau_l admitting lam - 1 + sum alpha_l lam^(-tau_l) <= 0 (part 1), or a
     single term under the sharp autonomous bound (part 2)."""
-    window = _win(eq, window)
-    witnesses: dict[str, float] = {}
-    nonneg, worst = _all_nonnegative(eq, range(eq.m), window)
-    witnesses["min_coeff"] = worst
-    if not nonneg:
-        return Verdict("corollary3", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                       witnesses, window, False,
-                       "characteristic-root comparison (needs nonnegative coefficients)")
-    root, part1, part2, exact = once(_char_root, eq, window)
-    witnesses.update(root)
-    certified = not exact
+    d = _Draft("corollary3", "characteristic-root comparison", _win(eq, window))
+    if not d.nonnegative(eq, range(eq.m)):
+        return d.out(Outcome.NOT_APPLICABLE, "needs nonnegative coefficients")
+    root, part1, part2, exact = once(_char_root, eq, d.window)
+    d.note(exact, **root)
     if not (part1 or part2):
-        return Verdict("corollary3", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL,
-                       witnesses, window, certified,
-                       "characteristic-root comparison (no positive root found)")
-    q, b, exact = _best_product(eq, window)
-    witnesses.update({"p": float(q), "b": b, "part": 1.0 if part1 else 2.0})
-    certified = certified or not exact
-    if b < 1.0 - EPS:
-        witnesses["mu"] = max(b, 0.0) ** (1.0 / q)
-        return Verdict("corollary3", Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
-                       window, certified, "characteristic-root comparison")
-    return Verdict("corollary3", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL, witnesses,
-                   window, certified,
-                   "characteristic-root comparison (p-step product not below 1)")
+        return d.out(Outcome.INCONCLUSIVE, "no positive root found")
+    d.note(part=1.0 if part1 else 2.0)
+    if d.product_rate(eq, d.window):
+        return d.out(Outcome.STABLE)
+    return d.out(Outcome.INCONCLUSIVE, "p-step product not below 1")
 
 
 def check_theorem2(eq: Equation, I: Sequence[int], positivity: Optional[Positivity],
@@ -537,37 +578,20 @@ def check_theorem2(eq: Equation, I: Sequence[int], positivity: Optional[Positivi
     I = sorted(set(I))
     if not I:
         raise ValueError("empty index set")
-    # the comparison equation resolves its own default window
-    override, window = window, _win(eq, window)
     label = "theorem2(I=" + ",".join(map(str, I)) + ")"
-    nonneg, worst = once(_all_nonnegative, eq, tuple(I), window)
-    if not nonneg:
-        return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                       {"min_coeff": worst}, window, False,
-                       "dominant positive part (kept terms must be nonnegative)")
+    d = _Draft(label, "dominant positive part", _win(eq, window))
+    if not d.nonnegative(eq, I):
+        return d.out(Outcome.NOT_APPLICABLE, "kept terms must be nonnegative")
     if positivity is None:
         raise ValueError(f"{label} needs the positivity of its kept terms' equation")
-    witnesses: dict[str, float] = {"min_coeff": worst}
-    if isinstance(positivity, PositivityRefutation):
-        witnesses.update({"refuted_n": positivity.n, "refuted_k": positivity.k})
-        return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
-                       window, True,
-                       "dominant positive part (comparison kernel not positive)")
-    certified = positivity.by == "numerical_scan"
+    if not d.positive(positivity):
+        return d.out(Outcome.NOT_APPLICABLE, "comparison kernel not positive")
+    # the comparison equation resolves its own default window
     sub = subset_equation(eq, I)
-    q, b, exact = _best_product(sub, override)
-    witnesses.update({"p": float(q), "b": b})
-    certified = certified or not exact
-    ratio, ratio_exact = _limsup_ratio(eq, I, window)
-    witnesses["ratio"] = ratio
-    certified = certified or not ratio_exact
-    if b < 1.0 - EPS and ratio < 1.0 - EPS:
-        witnesses["mu"] = max(b, 0.0) ** (1.0 / q)
-        return Verdict(label, Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
-                       window, certified, "dominant positive part")
-    return Verdict(label, Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL, witnesses,
-                   window, certified,
-                   "dominant positive part (rate or domination ratio failed)")
+    rate = d.product_rate(sub, _win(sub, window))
+    if d.dominated(eq, I, "ratio") and rate:
+        return d.out(Outcome.STABLE)
+    return d.out(Outcome.INCONCLUSIVE, "rate or domination ratio failed")
 
 
 def _limsup_ratio(eq: Equation, I: Sequence[int],
@@ -589,19 +613,31 @@ def _limsup_ratio(eq: Equation, I: Sequence[int],
 # Comparison with shifted delays (the gap-product tests)
 
 
+def _paired(I: Sequence[int], g_override: Sequence[DelaySpec]
+            ) -> tuple[tuple[int, ...], tuple[DelaySpec, ...]]:
+    """I in increasing order, each index with its own comparison delay."""
+    if not I:
+        raise ValueError("empty index set")
+    for l in I:
+        if list(I).count(l) > 1:
+            raise ValueError(f"index {l} appears more than once in I")
+    if len(g_override) != len(I):
+        raise ValueError(f"g_override arity {len(g_override)} != |I| = {len(I)}")
+    return tuple(zip(*sorted(zip(I, g_override), key=lambda pair: pair[0])))
+
+
 def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
                      g_override: Sequence[DelaySpec], window: tuple[int, int]
                      ) -> tuple[np.ndarray, np.ndarray, limits.DelayStrip]:
     """Pointwise left/right sides of the comparison inequality: for n in the
     evaluation strip, lhs(n) = sum_{k in I} |a_k(n)| * (abs-aggregate over
     the index gap between h_k(n) and the comparison delay g_k(n)) plus the
-    excluded terms, rhs(n) = sum_{k in I} a_k(n).  Returns (lhs, rhs, strip);
+    excluded terms, rhs(n) = sum_{k in I} a_k(n).  ``g_override[i]`` is the
+    comparison delay of term ``I[i]``.  Returns (lhs, rhs, strip);
     ``strip.ns`` are the n.
     """
-    I = sorted(set(I))
-    moved = {l: g for l, g in zip(I, g_override)}
-    strip = limits.delay_strip(eq, [eq.terms[l].delay for l in I] + [moved[l] for l in I],
-                               window)
+    I, moved = _paired(I, g_override)
+    strip = limits.delay_strip(eq, [eq.terms[l].delay for l in I] + list(moved), window)
     ns = strip.ns
     absagg = np.abs(eq.coeff_table(strip.lo, int(ns[-1]))).sum(axis=0)
     table = eq.coeff_table(int(ns[0]), int(ns[-1]))
@@ -609,7 +645,7 @@ def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
     lhs = np.zeros(len(ns))
     rhs = np.zeros(len(ns))
     for l in range(eq.m):
-        if l in moved:
+        if l in I:
             i = I.index(l)
             h = ns - strip.lags[i]
             g = ns - strip.lags[len(I) + i]
@@ -620,56 +656,42 @@ def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
     return lhs, rhs, strip
 
 
+def _gamma(eq: Equation, I: tuple[int, ...], moved: tuple[DelaySpec, ...],
+           window: tuple[int, int]) -> tuple[float, bool]:
+    """(the gap product gamma = max lhs / rhs over the strip, exact)."""
+    lhs, rhs, strip = theorem5_lhs_rhs(eq, I, moved, window)
+    return float((lhs / rhs).max()), strip.exact
+
+
+def _theorem5(d: _Draft, eq: Equation, I: tuple[int, ...], moved: tuple[DelaySpec, ...],
+              window: Window) -> Verdict:
+    """Theorem 5's stages: range gate, comparison positivity, gap product."""
+    if not d.in_range(eq, I, 1.0, "alpha0", "alpha1"):
+        return d.out(Outcome.NOT_APPLICABLE, "kept sum must sit inside (0, 1)")
+    if not d.comparison_positive(eq, I, moved, window):
+        return d.out(Outcome.NOT_APPLICABLE, "comparison kernel not positive")
+    if d.gap_product(eq, I, moved):
+        return d.out(Outcome.STABLE)
+    return d.out(Outcome.INCONCLUSIVE, "gap product needs gamma < 1")
+
+
 def check_corollary_theorem5(eq: Equation, I: Sequence[int],
                              g_override: Sequence[DelaySpec],
                              window: Window = None) -> Verdict:
     """Comparison equation built from the I-terms at shifted delays g_l:
     positivity of its kernel plus a gap-product inequality with gamma < 1
     certify exponential stability."""
-    I = sorted(set(I))
-    if not I:
-        raise ValueError("empty index set")
-    if len(g_override) != len(I):
-        raise ValueError(f"g_override arity {len(g_override)} != |I| = {len(I)}")
-    # the comparison equation resolves its own default window
-    override, window = window, _win(eq, window)
-    label = "theorem5(I=" + ",".join(map(str, I)) + ")"
-    inf_s, sup_s, exact_s = _sum_bounds(eq, I, window)
-    witnesses = {"alpha0": inf_s, "alpha1": sup_s}
-    certified = not exact_s
-    if not (inf_s > EPS and sup_s < 1.0 - EPS):
-        return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
-                       window, certified,
-                       "shifted-delay comparison (kept sum must sit inside (0, 1))")
-    # eq's validated coefficients at the delays g_l; terms on one delay are
-    # one term (a + b) x(g(n)), as the paper states it, with one kernel stream
-    cmp_terms = tuple(Term(eq.terms[l].coeff, g) for l, g in zip(I, g_override))
-    cmp_eq = once(merge_same_delay, Equation(cmp_terms, None, eq.validation_window))
-    cert = once(certify_positivity, cmp_eq, override)
-    if isinstance(cert, PositivityRefutation):
-        witnesses.update({"refuted_n": cert.n, "refuted_k": cert.k})
-        return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL, witnesses,
-                       window, True,
-                       "shifted-delay comparison (comparison kernel not positive)")
-    lhs, rhs, strip = theorem5_lhs_rhs(eq, I, g_override, window)
-    certified = certified or cert.by == "numerical_scan" or not strip.exact
-    gamma = float((lhs / rhs).max())
-    witnesses["gamma_min"] = gamma
-    if gamma < 1.0 - EPS:
-        return Verdict(label, Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
-                       window, certified, "shifted-delay comparison")
-    return Verdict(label, Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL, witnesses,
-                   window, certified,
-                   "shifted-delay comparison (gap product needs gamma < 1)")
+    I, moved = _paired(I, g_override)
+    d = _Draft("theorem5(I=" + ",".join(map(str, I)) + ")", "shifted-delay comparison",
+               _win(eq, window))
+    return _theorem5(d, eq, I, moved, window)
 
 
 def check_corollary4(eq: Equation, g: DelaySpec, window: Window = None) -> Verdict:
     """All terms moved to one common comparison delay g."""
-    v = check_corollary_theorem5(eq, list(range(eq.m)), [g] * eq.m, window)
-    label = f"corollary4(g={','.join(map(str, g.lags))})"
-    return replace(v, criterion=label,
-                   citation=v.citation.replace("shifted-delay comparison",
-                                               "common-delay comparison"))
+    d = _Draft(f"corollary4(g={','.join(map(str, g.lags))})", "common-delay comparison",
+               _win(eq, window))
+    return _theorem5(d, eq, tuple(range(eq.m)), (g,) * eq.m, window)
 
 
 def check_corollary6(eq: Equation, window: Window = None) -> Verdict:
@@ -677,53 +699,31 @@ def check_corollary6(eq: Equation, window: Window = None) -> Verdict:
     designated = next((l for l, t in enumerate(eq.terms) if set(t.delay.lags) == {1}), None)
     if designated is None:
         raise ValueError("no term with lag identically 1")
-    window = _win(eq, window)
-    inf_a, sup_a, exact_a = _term_bounds(eq, designated, window)
-    witnesses = {"a0": inf_a, "b0": sup_a, "term": float(designated)}
-    certified = not exact_a
-    if not (inf_a > EPS and sup_a < 0.25 - EPS):
-        return Verdict("corollary6", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                       witnesses, window, certified,
-                       "dominant lag-1 term (needs range inside (0, 1/4))")
-    gamma, exact = _limsup_ratio(eq, [designated], window)
-    certified = certified or not exact
-    witnesses["gamma_min"] = gamma
-    if gamma < 1.0 - EPS:
-        return Verdict("corollary6", Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
-                       window, certified, "dominant lag-1 term")
-    return Verdict("corollary6", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL, witnesses,
-                   window, certified,
-                   "dominant lag-1 term (perturbation ratio needs gamma < 1)")
+    d = _Draft("corollary6", "dominant lag-1 term", _win(eq, window))
+    d.note(term=float(designated))
+    if not d.in_range(eq, [designated], 0.25, "a0", "b0"):
+        return d.out(Outcome.NOT_APPLICABLE, "needs range inside (0, 1/4)")
+    if d.dominated(eq, [designated], "gamma_min"):
+        return d.out(Outcome.STABLE)
+    return d.out(Outcome.INCONCLUSIVE, "perturbation ratio needs gamma < 1")
 
 
 def check_corollary7(eq: Equation, window: Window = None) -> Verdict:
     """Aggregate sum inside (0, 1/4) with the memory products dominated by
     the aggregate itself; the inner windows run from h_k(n) up to n-2, so
     they are empty whenever every lag is at most 1."""
-    window = _win(eq, window)
+    d = _Draft("corollary7", "short-memory domination", _win(eq, window))
     if any(min(t.delay.lags) < 1 for t in eq.terms):
         # the gap windows [h_k(n), n-2] presume every term is delayed; an
         # undelayed term moves a full step and the bound no longer covers it
-        return Verdict("corollary7", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                       {}, window, False,
-                       "short-memory domination (every lag must be >= 1)")
-    inf_s, sup_s, exact_s = _sum_bounds(eq, range(eq.m), window)
-    witnesses = {"a0": inf_s, "b0": sup_s}
-    certified = not exact_s
-    if not (inf_s > EPS and sup_s < 0.25 - EPS):
-        return Verdict("corollary7", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                       witnesses, window, certified,
-                       "short-memory domination (needs aggregate inside (0, 1/4))")
+        return d.out(Outcome.NOT_APPLICABLE, "every lag must be >= 1")
+    I = tuple(range(eq.m))
+    if not d.in_range(eq, I, 0.25, "a0", "b0"):
+        return d.out(Outcome.NOT_APPLICABLE, "needs aggregate inside (0, 1/4)")
     # every term compared at the common delay 1: the gap [h_k(n), n-1)
-    lhs, rhs, _ = theorem5_lhs_rhs(eq, range(eq.m), [DelaySpec.constant(1)] * eq.m, window)
-    gamma = float((lhs / rhs).max())
-    witnesses["gamma_min"] = gamma
-    if gamma < 1.0 - EPS:
-        return Verdict("corollary7", Outcome.STABLE, CLAIM_EXPONENTIAL, witnesses,
-                       window, certified, "short-memory domination")
-    return Verdict("corollary7", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL, witnesses,
-                   window, certified,
-                   "short-memory domination (gap product needs gamma < 1)")
+    if d.gap_product(eq, I, (DelaySpec.constant(1),) * eq.m):
+        return d.out(Outcome.STABLE)
+    return d.out(Outcome.INCONCLUSIVE, "gap product needs gamma < 1")
 
 
 def check_corollary8(eq: Equation, part: int, window: Window = None) -> Verdict:
@@ -734,50 +734,26 @@ def check_corollary8(eq: Equation, part: int, window: Window = None) -> Verdict:
         raise ValueError(f"needs exactly two terms, got {eq.m}")
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
-    # the pair-sum comparison equation resolves its own default window
-    override, window = window, _win(eq, window)
-    label = f"corollary8.{part}"
+    d = _Draft(f"corollary8.{part}", f"two-term splitting, part {part}", _win(eq, window))
+    first = eq.terms[0].delay
     if part == 1:
-        inf_a, sup_a, exact_a = _term_bounds(eq, 0, window)
-        witnesses = {"a_inf": inf_a, "a_sup": sup_a}
-        certified = not exact_a
-        if not (inf_a > EPS and sup_a < 0.5 - EPS):
-            return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                           witnesses, window, certified,
-                           "two-term splitting, part 1 (first term must sit inside (0, 1/2))")
-        wsum = limits.delay_window_sum(subset_equation(eq, [0]), 0, window)
-        witnesses["window_sum"] = wsum.value
-        certified = certified or not wsum.exact
-        gamma, exact = _limsup_ratio(eq, [0], window)
-        certified = certified or not exact
-        witnesses["gamma_min"] = gamma
-        ok = wsum.value <= 0.25 + EPS and gamma < 1.0 - EPS
-        outcome = Outcome.STABLE if ok else Outcome.INCONCLUSIVE
-        return Verdict(label, outcome, CLAIM_EXPONENTIAL, witnesses, window,
-                       certified, "two-term splitting, part 1 (dominant first term)")
-    inf_s, sup_s, exact_s = _sum_bounds(eq, [0, 1], window)
-    if not (inf_s > EPS and sup_s < 0.5 - EPS):
-        return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                       {"sum_inf": inf_s, "sum_sup": sup_s}, window, not exact_s,
-                       "two-term splitting, part 2 (pair sum must sit inside (0, 1/2))")
+        if not d.in_range(eq, [0], 0.5, "a_inf", "a_sup"):
+            return d.out(Outcome.NOT_APPLICABLE, "first term must sit inside (0, 1/2)")
+        quarter = d.quarter("window_sum", subset_equation(eq, [0]), [first])
+        ok = d.dominated(eq, [0], "gamma_min") and quarter
+        return d.out(Outcome.STABLE if ok else Outcome.INCONCLUSIVE, "dominant first term")
+    if not d.in_range(eq, [0, 1], 0.5, "sum_inf", "sum_sup"):
+        return d.out(Outcome.NOT_APPLICABLE, "pair sum must sit inside (0, 1/2)")
     # theorem 5 with both terms moved onto the second delay: its comparison
     # equation is the pair sum (a + b) x(h_2(n)), whose kernel must be
     # positive; without it the test would certify e.g. (-0.06, lag 0) +
     # (0.46, lag 3), which diverges.  The second term is left no gap.
-    second = eq.terms[1].delay
-    v = check_corollary_theorem5(eq, [0, 1], [second, second], override)
-    witnesses = dict(v.witnesses)
-    witnesses["sum_inf"], witnesses["sum_sup"] = witnesses.pop("alpha0"), witnesses.pop("alpha1")
-    if v.outcome is Outcome.NOT_APPLICABLE:
-        return replace(v, criterion=label, witnesses=witnesses, citation=(
-            "two-term splitting, part 2 (pair-sum comparison kernel not positive)"))
-    wsum = limits.delay_window_sum(eq, 0, window)
-    witnesses["window_sum"] = wsum.value
-    ok = v.outcome is Outcome.STABLE and wsum.value <= 0.25 + EPS
-    return replace(v, criterion=label, witnesses=witnesses,
-                   outcome=Outcome.STABLE if ok else Outcome.INCONCLUSIVE,
-                   window_certified=v.window_certified or not wsum.exact,
-                   citation="two-term splitting, part 2 (moving the second delay)")
+    moved = (eq.terms[1].delay,) * 2
+    if not d.comparison_positive(eq, (0, 1), moved, window):
+        return d.out(Outcome.NOT_APPLICABLE, "pair-sum comparison kernel not positive")
+    ok = d.gap_product(eq, (0, 1), moved)
+    ok = d.quarter("window_sum", eq, [first]) and ok
+    return d.out(Outcome.STABLE if ok else Outcome.INCONCLUSIVE, "moving the second delay")
 
 
 def check_corollary9(a: float, g: int, b: float, h: int, part: int) -> Verdict:
@@ -786,34 +762,27 @@ def check_corollary9(a: float, g: int, b: float, h: int, part: int) -> Verdict:
         raise ValueError("needs a*g != 0 and b*h != 0")
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
-    label = f"corollary9.{part}"
-    thr = nonosc_threshold(g)
+    d = _Draft(f"corollary9.{part}", f"autonomous two-delay, part {part}")
     if part == 1:
-        witnesses = {"a": a, "b": b, "threshold": thr}
-        if not (a > EPS and a <= thr + EPS):
-            return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                           witnesses, (0, 0), False,
-                           "autonomous two-delay, part 1 (first coefficient outside (0, threshold])")
-        outcome = Outcome.STABLE if abs(b) < a - EPS else Outcome.INCONCLUSIVE
-        return Verdict(label, outcome, CLAIM_EXPONENTIAL, witnesses, (0, 0), False,
-                       "autonomous two-delay, part 1 (|b| < a under nonoscillation bound)")
+        thr = nonosc_threshold(g)
+        d.note(a=a, b=b, threshold=thr)
+        if not EPS < a <= thr + EPS:
+            return d.out(Outcome.NOT_APPLICABLE, "first coefficient outside (0, threshold]")
+        return d.out(Outcome.STABLE if abs(b) < a - EPS else Outcome.INCONCLUSIVE,
+                     "|b| < a under nonoscillation bound")
     # part 2 moves the first term onto the second delay h, so the pair sum
     # must clear the nonoscillation bound at h (gating it at g admits
     # counterexamples such as a=0.01 g=1, b=0.22 h=9, which diverges), and
     # for mixed signs the gap picks up the absolute coefficient mass
     thr_h = nonosc_threshold(h)
-    gap = abs(a) * abs(g - h) * (abs(a) + abs(b))
-    witnesses = {"a": a, "b": b, "sum": a + b, "threshold": thr_h,
-                 "gap_displayed": abs(a * (g - h))}
-    if not (a + b > EPS and a + b <= thr_h + EPS):
-        return Verdict(label, Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                       witnesses, (0, 0), False,
-                       "autonomous two-delay, part 2 (pair sum outside (0, threshold])")
-    witnesses["gap_ratio"] = gap / (a + b)
-    ok = abs(a * (g - h)) < 1.0 - EPS and witnesses["gap_ratio"] < 1.0 - EPS
-    outcome = Outcome.STABLE if ok else Outcome.INCONCLUSIVE
-    return Verdict(label, outcome, CLAIM_EXPONENTIAL, witnesses, (0, 0), False,
-                   "autonomous two-delay, part 2 (first term moved onto the second delay)")
+    d.note(a=a, b=b, sum=a + b, threshold=thr_h, gap_displayed=abs(a * (g - h)))
+    if not EPS < a + b <= thr_h + EPS:
+        return d.out(Outcome.NOT_APPLICABLE, "pair sum outside (0, threshold]")
+    gap_ratio = abs(a) * abs(g - h) * (abs(a) + abs(b)) / (a + b)
+    d.note(gap_ratio=gap_ratio)
+    ok = abs(a * (g - h)) < 1.0 - EPS and gap_ratio < 1.0 - EPS
+    return d.out(Outcome.STABLE if ok else Outcome.INCONCLUSIVE,
+                 "first term moved onto the second delay")
 
 
 def check_corollary10(a: Sequence[float]) -> Verdict:
@@ -822,20 +791,15 @@ def check_corollary10(a: Sequence[float]) -> Verdict:
     a = [float(v) for v in a]
     if not a:
         raise ValueError("empty coefficient list")
-    m = len(a)
-    for k in range(1, m + 1):
+    d = _Draft("corollary10", "autonomous head-dominance over lags 1..m")
+    for k in range(1, len(a) + 1):
         if a[k - 1] < -EPS:
             break  # head terms must be nonnegative for the comparison root
         head = sum(a[:k])
         tail = sum(abs(v) for v in a[k:])
         if head > EPS and head <= nonosc_threshold(k) + EPS and tail < head - EPS:
-            return Verdict("corollary10", Outcome.STABLE, CLAIM_EXPONENTIAL,
-                           {"k": float(k), "head_sum": head, "tail_abs_sum": tail},
-                           (0, 0), False, "autonomous head-dominance over lags 1..m")
-    head = sum(a[:1])
-    return Verdict("corollary10", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL,
-                   {"k": 0.0, "head_sum": head}, (0, 0), False,
-                   "autonomous head-dominance over lags 1..m (no admissible split)")
+            return d.note(k=float(k), head_sum=head, tail_abs_sum=tail).out(Outcome.STABLE)
+    return d.note(k=0.0, head_sum=sum(a[:1])).out(Outcome.INCONCLUSIVE, "no admissible split")
 
 
 # ---------------------------------------------------------------------------
@@ -846,41 +810,34 @@ def check_classical(eq: Equation, window: Window = None) -> list[Verdict]:
     """The three staple tests: the 3/2-type delayed sum bound (asymptotic
     claim), the autonomous margin test, and the pi/2 weighted-lag bound."""
     window = _win(eq, window)
-    out: list[Verdict] = []
 
     # 3/2-type bound on the aggregate summed over the deepest delay window,
     # inclusive upper index n
-    nonneg, worst = _all_nonnegative(eq, range(eq.m), window)
+    d32 = _Draft("classical_32", "3/2-type delayed sum bound", window, CLAIM_ASYMPTOTIC)
+    nonneg, worst = once(_all_nonnegative, eq, tuple(range(eq.m)), window)
     agg = eq.coeff_table(window[0], window[1]).sum(axis=0)
     tail_mass = float(agg[len(agg) // 2 :].sum())
     if not nonneg or tail_mass <= DIVERGENCE_EPS:
-        out.append(Verdict("classical_32", Outcome.NOT_APPLICABLE, CLAIM_ASYMPTOTIC,
-                           {"min_coeff": worst, "tail_mass": tail_mass}, window, True,
-                           "3/2-type delayed sum bound (needs nonnegative, divergent coefficients)"))
+        v32 = d32.note(False, min_coeff=worst, tail_mass=tail_mass).out(
+            Outcome.NOT_APPLICABLE, "needs nonnegative, divergent coefficients")
     else:
         delays = [t.delay for t in eq.terms]
         k = int(limits.delay_strip(eq, delays, window).lags.max())
         est = limits.windowed_delayed_sum(eq, delays, 0, window)
         thr = 1.5 + 1.0 / (2.0 * k + 2.0)
-        witnesses = {"delayed_sum": est.value, "threshold": thr, "k": float(k)}
-        outcome = Outcome.STABLE if est.value < thr - EPS else Outcome.INCONCLUSIVE
-        out.append(Verdict("classical_32", outcome, CLAIM_ASYMPTOTIC, witnesses,
-                           window, not est.exact, "3/2-type delayed sum bound"))
-
-    pairs = autonomous_coefficients(eq)
+        d32.note(est.exact, delayed_sum=est.value, threshold=thr, k=float(k))
+        v32 = d32.out(Outcome.STABLE if est.value < thr - EPS else Outcome.INCONCLUSIVE)
 
     # autonomous margin test: sum a_l * lag_l < 1 + 1/e - sum a_l
+    pairs = autonomous_coefficients(eq)
+    dm = _Draft("classical_margin", "autonomous margin test", window, CLAIM_ASYMPTOTIC)
     if pairs is None or any(c <= 0 for c, _ in pairs):
-        out.append(Verdict("classical_margin", Outcome.NOT_APPLICABLE, CLAIM_ASYMPTOTIC,
-                           {}, window, False,
-                           "autonomous margin test (needs positive constant coefficients)"))
+        vm = dm.out(Outcome.NOT_APPLICABLE, "needs positive constant coefficients")
     else:
         lhs = sum(c * lag for c, lag in pairs)
         rhs = 1.0 + 1.0 / math.e - sum(c for c, _ in pairs)
-        outcome = Outcome.STABLE if lhs < rhs - EPS else Outcome.INCONCLUSIVE
-        out.append(Verdict("classical_margin", outcome, CLAIM_ASYMPTOTIC,
-                           {"weighted_lags": lhs, "margin": rhs}, window, False,
-                           "autonomous margin test"))
+        dm.note(weighted_lags=lhs, margin=rhs)
+        vm = dm.out(Outcome.STABLE if lhs < rhs - EPS else Outcome.INCONCLUSIVE)
 
     # pi/2 bound: the reported diagnostic is the per-term delayed absolute
     # window sum (sum_k lag_k * a_k for an autonomous equation).  The
@@ -889,27 +846,20 @@ def check_classical(eq: Equation, window: Window = None) -> list[Verdict]:
     # for which pi/2 really is the best constant; weighting by the bare
     # lag would wrongly certify e.g. a = 0.37 at lag 4.
     diag = _pi_half_diagnostic(eq, window)
-    witnesses = {"diagnostic_sum": diag.value, "threshold": math.pi / 2.0}
-    applicable = (pairs is not None and all(c >= 0 for c, _ in pairs)
-                  and all(lag >= 1 for _, lag in pairs)
-                  and sum(c for c, _ in pairs) > EPS)
-    if applicable:
-        weighted = sum(c * (lag + 1) for c, lag in pairs)
-        witnesses["step_weighted_sum"] = weighted
+    dpi = _Draft("classical_pi_half", "pi/2 weighted-lag bound", window)
+    dpi.note(diag.exact, diagnostic_sum=diag.value, threshold=math.pi / 2.0)
+    if (pairs is not None and all(c >= 0 and lag >= 1 for c, lag in pairs)
+            and sum(c for c, _ in pairs) > EPS):
+        dpi.note(step_weighted_sum=sum(c * (lag + 1) for c, lag in pairs))
+    weighted = dpi.witnesses.get("step_weighted_sum")
     if diag.value >= math.pi / 2.0 - EPS:
-        out.append(Verdict("classical_pi_half", Outcome.INCONCLUSIVE, CLAIM_EXPONENTIAL,
-                           witnesses, window, not diag.exact,
-                           "pi/2 weighted-lag bound (sum not below pi/2)"))
-    elif applicable:
-        outcome = (Outcome.STABLE if witnesses["step_weighted_sum"] < math.pi / 2.0 - EPS
-                   else Outcome.INCONCLUSIVE)
-        out.append(Verdict("classical_pi_half", outcome, CLAIM_EXPONENTIAL,
-                           witnesses, window, not diag.exact, "pi/2 weighted-lag bound"))
+        vpi = dpi.out(Outcome.INCONCLUSIVE, "sum not below pi/2")
+    elif weighted is not None:
+        vpi = dpi.out(Outcome.STABLE if weighted < math.pi / 2.0 - EPS else Outcome.INCONCLUSIVE)
     else:
-        out.append(Verdict("classical_pi_half", Outcome.NOT_APPLICABLE, CLAIM_EXPONENTIAL,
-                           witnesses, window, not diag.exact,
-                           "pi/2 weighted-lag bound (certifies delayed autonomous nonnegative equations)"))
-    return out
+        vpi = dpi.out(Outcome.NOT_APPLICABLE,
+                      "certifies delayed autonomous nonnegative equations")
+    return [v32, vm, vpi]
 
 
 def _pi_half_diagnostic(eq: Equation, window: tuple[int, int]) -> limits.AsymptoticEstimate:
@@ -933,17 +883,10 @@ def _pi_half_diagnostic(eq: Equation, window: tuple[int, int]) -> limits.Asympto
 def _theorem2_subsets(eq: Equation) -> list[tuple[int, ...]]:
     """Every nonempty subset up to SUBSET_CAP terms; above it, the full set
     and each set with one term dropped."""
-    indices = list(range(eq.m))
+    indices = range(eq.m)
     if eq.m <= SUBSET_CAP:
-        subsets = []
-        for size in range(1, eq.m + 1):
-            subsets.extend(itertools.combinations(indices, size))
-        return subsets
-    full = tuple(indices)
-    out = [full]
-    for drop in indices:
-        out.append(tuple(i for i in indices if i != drop))
-    return out
+        return [I for size in range(1, eq.m + 1) for I in itertools.combinations(indices, size)]
+    return [tuple(indices), *(tuple(i for i in indices if i != drop) for drop in indices)]
 
 
 # every checker reads the same coefficients: evaluate each once per run,
@@ -980,32 +923,27 @@ def run_all(eq: Equation, window: Window = None,
         verdicts.append(check_corollary2(eq, window))
     if want("corollary3"):
         verdicts.append(check_corollary3(eq, window))
-    if want("theorem2"):
-        for I in subsets:
-            verdicts.append(check_theorem2(eq, I, positivity.get(I), window))
+    verdicts += [check_theorem2(eq, I, positivity.get(I), window) for I in subsets]
     if want("corollary4"):
         # each distinct delay of the equation, in order, then lag 1
-        for g in dict.fromkeys([*(t.delay for t in eq.terms), DelaySpec.constant(1)]):
-            verdicts.append(check_corollary4(eq, g, window))
+        delays = dict.fromkeys([*(t.delay for t in eq.terms), DelaySpec.constant(1)])
+        verdicts += [check_corollary4(eq, g, window) for g in delays]
     if want("corollary6") and any(set(t.delay.lags) == {1} for t in eq.terms):
         verdicts.append(check_corollary6(eq, window))
     if want("corollary7"):
         verdicts.append(check_corollary7(eq, window))
     if want("corollary8") and eq.m == 2:
-        verdicts.append(check_corollary8(eq, 1, window))
-        verdicts.append(check_corollary8(eq, 2, window))
+        verdicts += [check_corollary8(eq, part, window) for part in (1, 2)]
     pairs = autonomous_coefficients(eq)
     if want("corollary9") and pairs is not None and len(pairs) == 2:
         (a, g), (b, h) = pairs
         if a * g != 0 and b * h != 0:
-            verdicts.append(check_corollary9(a, g, b, h, 1))
-            verdicts.append(check_corollary9(a, g, b, h, 2))
+            verdicts += [check_corollary9(a, g, b, h, part) for part in (1, 2)]
     if want("corollary10") and pairs is not None and all(lag >= 1 for _, lag in pairs):
-        by_lag: dict[int, float] = {}
-        for c, lag in pairs:
-            by_lag[lag] = by_lag.get(lag, 0.0) + c
-        coeffs = [by_lag.get(lag, 0.0) for lag in range(1, max(by_lag) + 1)]
-        verdicts.append(check_corollary10(coeffs))
+        # the coefficient at each lag 1..max lag, summed in term order
+        top = max(lag for _, lag in pairs)
+        verdicts.append(check_corollary10([sum(c for c, lag in pairs if lag == k)
+                                           for k in range(1, top + 1)]))
     if want("classical"):
         verdicts.extend(check_classical(eq, window))
     rank = {Outcome.STABLE: 0, Outcome.INCONCLUSIVE: 1, Outcome.NOT_APPLICABLE: 2}

@@ -889,6 +889,22 @@ def test_theorem5_arity_check(eq_periodic_mixed):
         check_corollary_theorem5(eq_periodic_mixed, [0, 1], [DelaySpec.constant(1)])
 
 
+def test_theorem5_pairs_each_index_with_its_own_delay():
+    # g_override[i] is the comparison delay of term I[i] in whatever order I
+    # lists the terms: each term moved onto its own lag leaves no gap
+    eq = const_eq((0.05, 1), (0.05, 3))
+    g1, g3 = DelaySpec.constant(1), DelaySpec.constant(3)
+    v = check_corollary_theorem5(eq, [1, 0], [g3, g1])
+    assert v == check_corollary_theorem5(eq, [0, 1], [g1, g3])
+    assert v.outcome is Outcome.STABLE and v.witnesses["gamma_min"] == 0.0
+    got = theorem5_lhs_rhs(eq, [1, 0], [g3, g1], (30, 10030))
+    want = theorem5_lhs_rhs(eq, [0, 1], [g1, g3], (30, 10030))
+    for a, b in zip(got[:2], want[:2]):
+        assert (a == b).all()
+    with pytest.raises(ValueError, match="index 0 appears more than once in I"):
+        check_corollary_theorem5(eq, [0, 0], [g1, g3])
+
+
 def test_theorem5_general_term_outside_I_uses_window():
     # the kept term is constant but the excluded one is general: the gap
     # inequality must run over the window, not over a one-point "period"
@@ -1252,6 +1268,66 @@ def test_run_all_asks_each_comparison_question_once(monkeypatch):
     witnesses = [id(v.witnesses) for v in verdicts]
     assert len(witnesses) == len(set(witnesses))
     assert seqexpr._scope is None  # the memo went with the run's scope
+
+
+@pytest.mark.parametrize("eq", [
+    # corollary 7 and corollary 4(g=1) pass their gates: one gap product
+    const_eq(("0.05 + 0.01*alt(n)", 1), (0.04, 2), ("per(0.02, 0.03)", 3)),
+    # corollaries 6 and 8.1 and theorem2(I=0): one domination ratio
+    const_eq((0.1, 1), ("per(0.03, 0.05)", 3)),
+], ids=["m3", "m2_lag1"])
+def test_run_all_answers_each_instance_once(eq, monkeypatch):
+    calls = _counting(monkeypatch, ("_limsup_ratio", "_gamma", "_best_product"))
+    verdicts = {v.criterion: v for v in run_all(eq)}
+    assert len(calls) == len(set(calls))
+    window = criteria.limits.default_window(eq)
+    full = tuple(range(eq.m))
+    # corollary 3 and theorem2(I=all) ask one product rate of the equation
+    assert calls.count(("_best_product", (eq, window))) == 1
+    label = "theorem2(I=" + ",".join(map(str, full)) + ")"
+    for w in ("p", "b"):
+        assert verdicts["corollary3"].witnesses[w] == verdicts[label].witnesses[w]
+    if eq.m == 3:
+        assert ("_gamma", (eq, full, (DelaySpec.constant(1),) * 3, window)) in calls
+        assert (verdicts["corollary7"].witnesses["gamma_min"]
+                == verdicts["corollary4(g=1)"].witnesses["gamma_min"])
+    else:
+        assert ("_limsup_ratio", (eq, (0,), window)) in calls
+        ratios = {verdicts[c].witnesses[k] for c, k in [
+            ("corollary6", "gamma_min"), ("corollary8.1", "gamma_min"), ("theorem2(I=0)", "ratio")]}
+        assert len(ratios) == 1
+
+
+BASELINE_SETS = [dict(m_max=3, T_max=4), dict(m_max=4, T_max=6), dict(m_max=2, T_max=3),
+                 dict(m_max=3, T_max=4, autonomous=True)]
+
+
+def test_corollaries_imply_their_parent_instance():
+    # a Stable corollary is an instance of a theorem the run also checks:
+    # (corollary, parent, the witness both must report alike)
+    hits = dict.fromkeys(["corollary7", "corollary8.2", "corollary6", "corollary8.1",
+                          "theorem1", "corollary2", "corollary3"], 0)
+    for kw in BASELINE_SETS:
+        for seed in range(75):
+            eq = random_equation(seed, **kw)
+            by = {v.criterion: v for v in run_all(eq)}
+            lag1 = next((l for l, t in enumerate(eq.terms) if set(t.delay.lags) == {1}), None)
+            h2 = ",".join(map(str, eq.terms[-1].delay.lags))
+            pairs = [("corollary7", "corollary4(g=1)", "gamma_min"),
+                     ("corollary8.2", f"corollary4(g={h2})", "gamma_min"),
+                     ("corollary6", f"theorem2(I={lag1})", None),
+                     ("corollary8.1", "theorem2(I=0)", None),
+                     ("theorem1", "theorem2(I=" + ",".join(map(str, range(eq.m))) + ")", None),
+                     ("corollary2", "theorem1", "mu"),
+                     ("corollary3", "theorem1", None)]
+            for child, parent, same in pairs:
+                if child not in by or by[child].outcome is not Outcome.STABLE:
+                    continue
+                hits[child] += 1
+                assert by[parent].outcome is Outcome.STABLE, (seed, kw, child, parent)
+                if same:
+                    assert by[child].witnesses[same] == by[parent].witnesses[same]
+    assert all(hits.values()), hits
 
 
 def test_no_memoised_result_outlives_its_run(eq_periodic_mixed, eq_alternating, monkeypatch):

@@ -28,13 +28,16 @@ def _config(terms: list) -> dict:
             "horizon": 400}
 
 
-def _random_config(seed: int, autonomous: bool) -> dict:
-    eq = random_equation(seed, autonomous=autonomous)
+def _random_config(seed: int, autonomous: bool, **bounds) -> dict:
+    eq = random_equation(seed, autonomous=autonomous, **bounds)
     return _config([(str(t.coeff), t.delay.lags[0] if len(t.delay.lags) == 1
                      else list(t.delay.lags)) for t in eq.terms])
 
 
-# random_equation (T <= 5) periodic and autonomous seeds, plus general
+# random_equation (T <= 5) periodic and autonomous seeds, four seeds at
+# (m_max, T_max) = (3, 4) that reach verdict exits the others miss (among
+# them corollary 8.2's pair-sum gate, Stable corollary 2, 8.2 and lemma4
+# verdicts that are not window-certified, and every corollary 9 exit), plus general
 # sin/cos coefficients mixed with periodic ones, at m = 2 and m = 3; the
 # two "_window" entries pin the certification-window override.  sin_cos_m5
 # is laid out like the benchmark's trig items (constant lags and two-entry
@@ -46,6 +49,9 @@ def _random_config(seed: int, autonomous: bool) -> dict:
 GENERATED = {
     **{f"random_periodic_{s}": _random_config(s, False) for s in (0, 2, 3, 4)},
     **{f"random_autonomous_{s}": _random_config(s, True) for s in (0, 1, 3, 5)},
+    **{f"random_autonomous_m3T4_{s}": _random_config(s, True, m_max=3, T_max=4)
+       for s in (19, 62, 92)},
+    "random_periodic_m3T4_17": _random_config(17, False, m_max=3, T_max=4),
     "sin_cos_m2": _config([("0.15 + 0.05*cos(n)", 2), ("0.05*sin(3*n)", 0)]),
     "sin_cos_m3": _config([("0.1 + 0.02*sin(n)", 1), ("0.04*abs(cos(2*n))", [1, 3]),
                            ("0.05 + 0.01*alt(n)", 4)]),

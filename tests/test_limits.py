@@ -213,8 +213,8 @@ def _ref_abs_aggregate_prefix(eq, lo, hi):
 
 
 def _ref_theorem5_lhs_rhs(eq, I, g_override, window):
-    I = sorted(set(I))
-    delays = {l: g for l, g in zip(I, g_override)}
+    delays = dict(zip(I, g_override))  # g_override[i] belongs to I[i]
+    I = sorted(delays)
     # a general coefficient anywhere (not only in I) forces the window strip
     period = _ref_period(eq, [eq.terms[l].delay for l in I] + list(g_override))
     if period is not None:
