@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,7 @@ from .fixtures import config_to_equation, fixture_names, run_fixture
 from .oracle import (
     autonomous_coefficients,
     companion_from_equation,
+    companion_radius,
     fit_decay,
     random_equation,
     tail_equivalence_test,
@@ -149,6 +151,7 @@ def cmd_check(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         column = fundamental(eq, 0, max(horizon, skip + 49))
         fit = fit_decay(column, skip)
+    pairs = autonomous_coefficients(eq)
     oracle_block = {
         "decay": {
             "mu_hat": fit.mu_hat,
@@ -156,15 +159,8 @@ def cmd_check(args) -> int:
             "window": list(fit.window),
             "residual": fit.residual,
         },
-        "spectral": None,
+        "spectral": None if pairs is None else asdict(companion_radius(pairs)),
     }
-    if autonomous_coefficients(eq) is not None:
-        rep = companion_from_equation(eq)
-        oracle_block["spectral"] = {
-            "radius": rep.radius,
-            "dominant_modulus_error_bound": rep.dominant_modulus_error_bound,
-            "dimension": rep.dimension,
-        }
     report = {
         "schema": 1,
         "equation": _equation_echo(eq),

@@ -8,7 +8,6 @@ can be cross-validated against one of the two.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -78,39 +77,44 @@ def _char_coeffs(pairs: Sequence[tuple[float, int]]) -> np.ndarray:
     return c
 
 
-def _roots_radius_small(c: np.ndarray) -> float:
-    """Exact dominant modulus for dimension <= 3 via root formulas."""
-    d = len(c)
-    if d == 1:
-        return abs(c[0])
-    if d == 2:
-        # lambda^2 - c0 lambda - c1
-        disc = cmath.sqrt(c[0] * c[0] + 4.0 * c[1])
-        return max(abs((c[0] + disc) / 2.0), abs((c[0] - disc) / 2.0))
-    # lambda^3 - c0 lambda^2 - c1 lambda - c2, depressed-cubic form
-    a, b, cc = -c[0], -c[1], -c[2]
-    p = b - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + cc
-    disc = cmath.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    u = (-q / 2.0 + disc) ** (1.0 / 3.0)
-    if abs(u) < 1e-30:
-        u = (-q / 2.0 - disc) ** (1.0 / 3.0)
-    best = 0.0
-    omega = complex(-0.5, math.sqrt(3.0) / 2.0)
-    for k in range(3):
-        uk = u * omega**k
-        v = -p / (3.0 * uk) if abs(uk) > 1e-300 else 0.0
-        root = uk + v - a / 3.0
-        best = max(best, abs(root))
-    return best
-
-
 def _companion(c: np.ndarray) -> np.ndarray:
     d = len(c)
     C = np.zeros((d, d))
     C[0] = c
     C[np.arange(1, d), np.arange(d - 1)] = 1.0
     return C
+
+
+def _eig_radius(c: np.ndarray) -> tuple[float, float]:
+    """Dominant modulus of the companion matrix from its eigenvalues z_i, with
+    an error bound from p(x) = x^d - c_0 x^(d-1) - ... - c_(d-1), rescaled
+    as in _power_radius so that every root lambda_j has |lambda_j| < 1.
+
+    R_i >= |p(z_i)| = prod_j |z_i - lambda_j| and p'/p = sum_j 1 / (x -
+    lambda_j) put a root within e_i = min(R_i^(1/d), d R_i / |p'(z_i)|) of
+    z_i; disjoint disks hold one root each.  Where disks meet, every root has
+    prod_j |lambda - z_j| = |(q - p)(lambda)| <= sum_k |q_k - p_k| for
+    q = prod_j (x - z_j).  g = 8 d eps exceeds each step's rounding bound.
+    """
+    d = len(c)
+    j1 = np.arange(1, d + 1)
+    shift = math.frexp(2.0 * float((np.abs(c) ** (1.0 / j1)).max()))[1]
+    c = np.ldexp(c, -shift * j1)
+    z = np.linalg.eigvals(_companion(c))
+    a = np.abs(z)
+    g = 8 * d * np.finfo(float).eps
+    p = np.concatenate([[1.0], -c])
+    dp = np.polyder(p)
+    R = np.abs(np.polyval(p, z)) + g * np.polyval(np.abs(p), a)
+    P1 = np.abs(np.polyval(dp, z)) - g * np.polyval(np.abs(dp), a)
+    e = np.fmin(R ** (1.0 / d), d * R / np.where(P1 > 0, P1, np.nan))  # nan: p' may vanish
+    t = float(e.max())
+    if (np.abs(z[:, None] - z) * (1 - g) <= e[:, None] + e).sum() > d:  # off the diagonal
+        # q's leading 1 is exact; np.poly's rounding is within g prod (x + a_j)
+        delta = np.abs(np.poly(z) - p)[1:] + g * np.poly(-a)[1:]
+        t = max(t, float(delta.sum()) ** (1.0 / d))
+    r = float(a.max())
+    return math.ldexp(r, shift), math.ldexp(t * (1 + g) + g * r, shift)
 
 
 def _power_radius(c: np.ndarray) -> tuple[float, float]:
@@ -185,11 +189,8 @@ def companion_radius(pairs: Sequence[tuple[float, int]]) -> SpectralReport:
         if lag < 0:
             raise ValueError("negative lag")
     c = _char_coeffs(pairs)
-    d = len(c)
-    if d <= 3:
-        return SpectralReport(_roots_radius_small(c), 1e-12, d)
-    radius, err = _power_radius(c)
-    return SpectralReport(radius, err, d)
+    radius, err = (_eig_radius if len(c) <= 3 else _power_radius)(c)
+    return SpectralReport(radius, err, len(c))
 
 
 def autonomous_coefficients(eq: Equation) -> Optional[list[tuple[float, int]]]:

@@ -64,6 +64,60 @@ def test_companion_against_polynomial_roots():
     assert worst < 1e-3
 
 
+def _true_radius(c: np.ndarray):
+    """max |root| of x^d - c_0 x^(d-1) - ... - c_(d-1) at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    c = np.trim_zeros(np.asarray(c, dtype=float), "b")  # each trailing zero is a root at 0
+    if len(c) < 2:
+        return abs(mp.mpf(c[0])) if len(c) else mp.mpf(0)
+    # roots of p(M y) / M^d, with M a power of two near the Fujiwara bound
+    M = mp.mpf(2) ** math.frexp(max(abs(x) ** (1 / (j + 1)) for j, x in enumerate(c)))[1]
+    with mp.workdps(50):
+        roots = mp.polyroots([1] + [-mp.mpf(x) / M ** (j + 1) for j, x in enumerate(c)],
+                             maxsteps=200, extraprec=200)
+        return M * max(abs(r) for r in roots)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0.1, 0), (0.27, 1), (-0.027, 2)],  # near-triple root at 0.3
+    [(0.25, 1)],  # double root 0.5
+    [(0.1, 0), (0.2025, 1)],  # double root 0.45
+    [(-1e300, 1)],
+    [(1.0, 0), (0.0, 2)],  # x^3: triple root at 0
+    [(-1e-300, 2)],  # x^3 - x^2 - 1e-300: two tiny roots under a simple one
+])
+def test_small_companion_bound_holds(pairs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = companion_radius(pairs)
+    assert rep.dimension <= 3
+    assert math.isfinite(rep.dominant_modulus_error_bound)
+    assert abs(rep.radius - _true_radius(_char_coeffs(pairs))) <= rep.dominant_modulus_error_bound
+
+
+def test_small_companion_bound_holds_on_random_equations():
+    for seed in range(1500):
+        pairs = autonomous_coefficients(random_equation(seed, m_max=3, T_max=2, autonomous=True))
+        rep = companion_radius(pairs)
+        assert rep.dimension <= 3
+        err = abs(rep.radius - _true_radius(_char_coeffs(pairs)))
+        assert err <= rep.dominant_modulus_error_bound, seed
+
+
+def test_power_path_bound_holds_on_benchmark_generator():
+    powered = 0
+    for seed in range(100):
+        pairs = autonomous_coefficients(
+            random_equation(seed, m_max=3, T_max=4, K_max=1.0, autonomous=True))
+        rep = companion_radius(pairs)
+        if rep.dimension < 4:
+            continue
+        powered += 1
+        err = abs(rep.radius - _true_radius(_char_coeffs(pairs)))
+        assert err <= rep.dominant_modulus_error_bound, seed
+    assert powered > 50
+
+
 # --- block power iteration against the per-step loop
 
 
