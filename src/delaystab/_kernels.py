@@ -6,8 +6,11 @@ float64 scalars, through a loop written out once per term count m (one
 expression per step, terms subtracted in order): its output is
 bit-identical to a per-step NumPy loop, overflow to inf and nan included.
 ``kernel_rows`` advances every column of X(., k) together, one NumPy row
-per step, and the dense table, the weighted sums and the positivity scan
-all read its rows.
+per step; the dense table, the weighted sums and the positivity scan of
+general or long-period coefficients read its rows.  When coefficients and
+delays have a short exact period P, X(n + P, k + P) = X(n, k), and the
+scan reads P columns from ``kernel_columns`` instead, each stepped by the
+recurrence loop.
 
 Conventions shared by all kernels: the window is [n0, n0 + size - 1],
 ``coeffs[l, i]`` and ``lags[l, i]`` hold a_l(n0 + i) and n - h_l(n) at
@@ -21,7 +24,7 @@ import functools
 import numpy as np
 
 __all__ = ["KernelMemoryError", "MAX_ENTRIES", "step_recurrence", "require_ring",
-           "kernel_rows", "kernel_table", "weighted_kernel_sums"]
+           "kernel_rows", "kernel_columns", "kernel_table", "weighted_kernel_sums"]
 
 # a kernel buffer (the dense table or the row ring) above this many entries raises
 MAX_ENTRIES = 100_000_000
@@ -111,6 +114,34 @@ def kernel_rows(coeffs, lags, size):
                 head -= a_l * ring[(i - d_l) % depth, : i + 1]
         slot[i + 1] = 1.0
         yield slot[: i + 2]
+
+
+def kernel_columns(coeffs, lags, count, size, chunk):
+    """Yield the columns X(., n0 + j), j < ``count``, a chunk of rows at a time.
+
+    The first chunk is rows [0, ``chunk``) and each next one ends at twice
+    the row the last one ended at, so a caller that stops at a chunk has
+    stepped at most twice the rows it needed.  Per chunk [i0, i1) it yields
+    i0 and one list per column j of X(n0+i, n0+j) for i in [max(i0, j), i1)
+    (empty before the column's diagonal).  Each column is the recurrence
+    from zeros and 1.0 at its diagonal, stepped by ``step_recurrence``'s
+    loop; every column reads the same index rows, and its values are
+    bit-identical to ``kernel_rows``' entries.
+    """
+    depth = int(lags.max(initial=0))
+    step = _stepper(coeffs.shape[0])
+    rows = coeffs[:, : size - 1].tolist()
+    rows += (np.arange(depth, depth + size - 1) - lags[:, : size - 1]).tolist()
+    zeros = [0.0] * (size - 1)
+    columns = [[0.0] * (depth + j) + [1.0] for j in range(count)]
+    i0, i1 = 0, min(chunk, size)
+    while i0 < size:
+        for xs in columns:
+            # xs ends at row len(xs) - depth - 1; a column not yet begun stays put
+            i = len(xs) - depth - 1
+            step(xs, zeros[i : i1 - 1], *(row[i : i1 - 1] for row in rows))
+        yield i0, [xs[depth + max(i0, j) : depth + i1] for j, xs in enumerate(columns)]
+        i0, i1 = i1, min(2 * i1, size)
 
 
 def kernel_table(coeffs, lags, size):

@@ -9,9 +9,10 @@ p-step product horizon a rate search tries reads one span and one
 running product (``limsup_products``).
 
 Delayed sums take a sup over n of sums between h_l(n) and n.  They all
-run over one strip (``delay_strip``), which works out its own period: P =
-lcm of the periods of all the equation's coefficients and of the delays
-summed over.  The strip is one exact period [s, s + P), where s is the
+run over one strip (``delay_strip``), which works out its own period:
+``exact_period``, the lcm of the periods of all the equation's
+coefficients and of the delays summed over, which the positivity scan
+also reads.  The strip is one exact period [s, s + P), where s is the
 first multiple of P past the deepest lag seen on [0, P): no window is
 clipped at index 0 there, so the sup over the strip is the limit.  When
 any coefficient is general the strip is the certification window and the
@@ -38,6 +39,7 @@ __all__ = [
     "delay_window_sum",
     "default_window",
     "aggregate_period",
+    "exact_period",
 ]
 
 
@@ -71,6 +73,14 @@ def _coeff_period(terms: Sequence[Term]) -> Optional[int]:
 def aggregate_period(eq: Equation) -> Optional[int]:
     """lcm of all of ``eq``'s coefficient periods, or None when any is general."""
     return _coeff_period(eq.terms)
+
+
+def exact_period(eq: Equation, delays: Sequence[DelaySpec]) -> Optional[int]:
+    """lcm of all of ``eq``'s coefficient periods and the periods of
+    ``delays``, or None when any coefficient is general: every table of
+    ``eq`` on those delays repeats after it, bit for bit."""
+    period = aggregate_period(eq)
+    return None if period is None else math.lcm(period, *(d.period for d in delays))
 
 
 def coeff_span(eq: Equation, window: tuple[int, int], indices: Optional[Sequence[int]] = None,
@@ -154,13 +164,12 @@ class DelayStrip:
 
 def delay_strip(eq: Equation, delays: Sequence[DelaySpec],
                 window: tuple[int, int]) -> DelayStrip:
-    """The strip for ``delays``: one exact period P = lcm(period of all of
-    ``eq``'s coefficients, periods of ``delays``) placed past the deepest
-    lag, or the window when any coefficient is general."""
+    """The strip for ``delays``: one exact period P = ``exact_period(eq,
+    delays)`` placed past the deepest lag, or the window when any
+    coefficient is general."""
     distinct = dict.fromkeys(delays)  # corollary 4 passes m copies of g
-    period = aggregate_period(eq)
+    period = exact_period(eq, distinct)
     if period is not None:
-        period = math.lcm(period, *(d.period for d in distinct))
         first = max(int(d.lag_range(0, period - 1).max()) for d in distinct)
         n0 = (first // period + 1) * period
         n1 = n0 + period - 1

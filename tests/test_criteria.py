@@ -16,7 +16,7 @@ from delaystab import (
     stable_verdicts,
     validate,
 )
-from delaystab import _kernels, criteria, seqexpr
+from delaystab import _kernels, criteria, limits, seqexpr
 from delaystab.criteria import (
     CLAIM_POSITIVE,
     SCAN_LEAD_MULT,
@@ -38,6 +38,7 @@ from delaystab.criteria import (
     check_theorem1,
     check_theorem2,
     positivity_scan,
+    scan_window,
     theorem5_lhs_rhs,
     _char_root,
 )
@@ -157,7 +158,11 @@ def _reference_certify(eq, window=None):
         if exact and part1:
             return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
     n0 = SCAN_LEAD_MULT * eq.T
-    N = n0 + max(SCAN_LEN, 10 * max(eq.T, 1))
+    return _reference_window(eq, n0, n0 + max(SCAN_LEN, 10 * max(eq.T, 1)))
+
+
+def _reference_window(eq, n0, N):
+    """The dense scan on [n0, N] with the underflow rescan."""
     result = _reference_scan(eq, n0, N)
     if (isinstance(result, PositivityRefutation) and result.value == 0.0
             and result.n - n0 > 5 * eq.T + 20):
@@ -301,6 +306,110 @@ def test_positivity_scan_refuses_the_cap_before_its_tables(monkeypatch):
     _no_tables(monkeypatch)
     with pytest.raises(KernelMemoryError, match=r"\(cap 100000000\)"):
         positivity_scan(eq, (20_000, 60_000))
+
+
+def _scanned(eq, window):
+    """positivity_scan's result and the kernel entry points it read."""
+    paths = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("kernel_rows", "kernel_columns"):
+            def recording(*args, _name=name, _kernel=getattr(_kernels, name)):
+                paths.add(_name)
+                return _kernel(*args)
+            mp.setattr(_kernels, name, recording)
+        return positivity_scan(eq, window), paths
+
+
+def _scan_period(eq):
+    return limits.exact_period(eq, [t.delay for t in eq.terms])
+
+
+@pytest.mark.parametrize("corpus", ["periodic", "autonomous"])
+def test_column_scan_matches_dense_reference(corpus):
+    # perfbench's check_periodic generators, on windows whose start is no
+    # multiple of the period, among them windows shorter than the period
+    kw = (dict(m_max=3, T_max=4, K_max=1.0, autonomous=True) if corpus == "autonomous"
+          else dict(m_max=3, T_max=5, K_max=0.8))
+    kinds, periods = set(), set()
+    for seed in range(40):
+        eq = random_equation(seed, **kw)
+        periods.add(_scan_period(eq))
+        for n0 in (1, 5 * eq.T + 1, 7):
+            for N in (n0 + max(5 * eq.T, 1), n0 + 200):
+                got, paths = _scanned(eq, (n0, N))
+                want = _reference_window(eq, n0, N)
+                _assert_same_positivity(got, want)
+                assert paths == {"kernel_columns"}
+                kinds.add(type(want).__name__)
+    assert kinds == {"PositivityCertificate", "PositivityRefutation"}
+    assert max(periods) > 1 if corpus == "periodic" else periods == {1}
+
+
+def _per_eq(values, lag=1):
+    return const_eq(("0.01*per(" + ", ".join(map(str, values)) + ")", lag))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_column_scan_runs_up_to_its_period_bound(extra):
+    # P at SCAN_COLUMN_PERIOD steps columns, one above it streams rows
+    P = criteria.SCAN_COLUMN_PERIOD + extra
+    kinds = set()
+    for values in (range(1, P + 1), [1] * (P - 1) + [200]):
+        eq = _per_eq(values)
+        assert _scan_period(eq) == P
+        for window in ((3, 203), (2, 9)):
+            got, paths = _scanned(eq, window)
+            _assert_same_positivity(got, _reference_window(eq, *window))
+            assert paths == {"kernel_rows" if extra else "kernel_columns"}
+            kinds.add(type(got).__name__)
+    assert kinds == {"PositivityCertificate", "PositivityRefutation"}
+
+
+def test_column_scan_period_past_the_window():
+    # P = 12 > the 8 rows of [3, 10]: every column is stepped
+    eq = _per_eq(range(1, 13))
+    for window in ((3, 10), (0, 5)):
+        cert = positivity_scan(eq, window)
+        assert isinstance(cert, PositivityCertificate)
+        _assert_same_positivity(cert, _reference_window(eq, *window))
+    # a(8) = 1.5 turns every column k <= 8 negative at n = 9
+    eq = _per_eq([10] * 8 + [150] + [10] * 3, 0)
+    ref = positivity_scan(eq, (3, 10))
+    assert isinstance(ref, PositivityRefutation) and (ref.n, ref.k) == (9, 3)
+    _assert_same_positivity(ref, _reference_scan(eq, 3, 10))
+
+
+def test_column_scan_ties_go_to_the_smaller_k():
+    # X(n+1, k) = (1 - a(n)) X(n, k) with a = 0.5, 1.5, ...: column 0 turns
+    # negative at n = 2 after one good step, column 1 at once, also at n = 2
+    eq = const_eq(("per(0.5, 1.5)", 0))
+    ref = positivity_scan(eq, (0, 50))
+    assert (ref.n, ref.k, ref.value) == (2, 0, -0.25)
+    _assert_same_positivity(ref, _reference_scan(eq, 0, 50))
+
+
+def test_column_scan_certifies_rows_before_underflow():
+    # X(n+1) = 1e-9 per(1.5, 2.5) X(n) underflows to an exact zero
+    eq = const_eq(("1 - 1e-9*per(1.5, 2.5)", 0))
+    for n0 in (0, 3):
+        cert, paths = _scanned(eq, (n0, n0 + 200))
+        assert isinstance(cert, PositivityCertificate) and n0 + 30 < cert.N < n0 + 200
+        _assert_same_positivity(cert, _reference_window(eq, n0, n0 + 200))
+        assert paths == {"kernel_columns"}
+    # an exact zero right away is no underflow: it refutes
+    ref, paths = _scanned(const_eq((1, 0)), (4, 204))
+    assert (ref.n, ref.k, ref.value) == (5, 4, 0.0) and paths == {"kernel_columns"}
+
+
+def test_periodic_scans_read_no_kernel_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel_rows read on a periodic scan")
+
+    monkeypatch.setattr(_kernels, "kernel_rows", refuse)
+    for eq in (const_eq((0.1, 2), ("0.05*alt(n)", 1)), _per_eq([1, 2, 3], 4)):
+        assert isinstance(positivity_scan(eq, scan_window(eq.T)), PositivityCertificate)
+    with pytest.raises(AssertionError, match="kernel_rows"):
+        positivity_scan(const_eq(("0.1 + 0.01*sin(n)", 1)), (5, 205))
 
 
 def test_ring_depth_is_the_depth_kernel_rows_takes():

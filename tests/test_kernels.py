@@ -4,7 +4,8 @@
 column; ``kernel_table`` must reproduce it exactly, and the weighted sums
 and forced recurrences must match sums over it to rounding.
 ``_reference_step`` is the per-step NumPy-scalar recurrence;
-``step_recurrence`` must reproduce it bit for bit.
+``step_recurrence`` must reproduce it bit for bit, and ``kernel_columns``
+the table's columns.
 """
 
 import numpy as np
@@ -107,6 +108,24 @@ def test_weighted_sums_match_dense_table(name, coeffs, lags, use_abs):
     got = _kernels.weighted_kernel_sums(coeffs, lags, weights, use_abs)
     _assert_close(got, _reference_sums(_reference_table(coeffs, lags, size), weights,
                                        use_abs))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+@pytest.mark.parametrize("name,coeffs,lags", CASES, ids=IDS)
+def test_kernel_columns_are_the_table_columns_exactly(name, coeffs, lags, chunk):
+    size = coeffs.shape[1] + 1
+    table = _reference_table(coeffs, lags, size)
+    count = max(size - 2, 1)  # columns past the count are never stepped
+    got, ends = [[] for _ in range(count)], []
+    for i0, columns in _kernels.kernel_columns(coeffs, lags, count, size, chunk):
+        assert i0 == (ends[-1] if ends else 0)
+        ends.append(i0 + len(columns[0]))
+        for col, part in zip(got, columns):
+            col.extend(part)
+    # chunk ends double from the first chunk on
+    assert ends == [min(chunk << q, size) for q in range(len(ends))]
+    for j, col in enumerate(got):
+        assert np.array_equal(col, table[j:, j]), j
 
 
 def test_kernel_rows_cap_their_ring():

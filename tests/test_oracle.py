@@ -49,7 +49,7 @@ def test_companion_rejects_nonautonomous(eq_sin_cos):
 
 
 def test_companion_against_polynomial_roots():
-    # independent cross-check of both the closed forms and the power path
+    # independent cross-check of both the d <= 3 eigenvalue path and the power path
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(150):
