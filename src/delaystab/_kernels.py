@@ -5,9 +5,11 @@ Plain NumPy/Python.  The recurrence is inherently sequential in n, so
 float64 scalars, through a loop written out once per term count m (one
 expression per step, terms subtracted in order): its output is
 bit-identical to a per-step NumPy loop, overflow to inf and nan included.
-``kernel_rows`` advances every column of X(., k) together, one NumPy row
-per step; the dense table, the weighted sums and the positivity scan of
-general or long-period coefficients read its rows.  When coefficients and
+``kernel_rows`` advances every column of X(., k) together, one row of a
+ring per step, and hands out a block of consecutive rows as one view of
+the ring; the dense table and the weighted sums take blocks of one row,
+and the positivity scan of general or long-period coefficients checks
+blocks of SCAN_BLOCK rows in place.  When coefficients and
 delays have a short exact period P, X(n + P, k + P) = X(n, k), and the
 scan reads P columns from ``kernel_columns`` instead, each stepped by the
 recurrence loop.
@@ -88,32 +90,49 @@ def require_ring(depth, size):
         raise KernelMemoryError(f"kernel rows need {depth * size} entries (cap {MAX_ENTRIES})")
 
 
-def kernel_rows(coeffs, lags, size):
-    """Yield row i = X(n0+i, n0..n0+i) for i = 0 .. size - 1.
+def kernel_rows(coeffs, lags, size, block=1):
+    """Yield (i0, rows): rows i0 .. i0 + b - 1 of X as one (b, size) view,
+    row i holding X(n0+i, n0..n0+size-1), b = ``block`` but for the last.
 
     All columns advance at once: row(i+1) = row(i) - sum_l a_l row(h_l)
     on the columns of row i, then X = 1 on the new diagonal.  Only the
     last max(lag) + 2 rows are kept, in a ring, so memory stays
-    O(size * lag); each yielded row is a view, valid until the next step.
+    O(size * lag).  The ring's depth is rounded up to a multiple of
+    ``block``, so a block's rows sit in consecutive slots; where that would
+    pass the cap, blocks are one row instead.  Each view is valid until the
+    next step.
     """
     depth = int(lags.max(initial=0)) + 2
     require_ring(depth, size)
-    # ring[i % depth, :i + 1] = row i, zero past it (a slot's older rows are
-    # shorter); the slot being written is never one the update reads
+    if (depth + -depth % block) * size > MAX_ENTRIES:
+        block = 1
+    depth += -depth % block
+    # slots[i % depth][: i + 1] = row i, zero past it (a slot's older rows
+    # are shorter); the slot being written is never one the update reads
     ring = np.zeros((depth, size))
     ring[0, 0] = 1.0
-    yield ring[0, :1]
+    slots, term = list(ring), np.empty(size)
     # Python scalars index faster than NumPy ones and multiply identically
     steps = zip(coeffs[:, : size - 1].T.tolist(), lags[:, : size - 1].T.tolist())
     for i, (a, d) in enumerate(steps):
-        slot = ring[(i + 1) % depth]
-        head = slot[: i + 1]
-        head[:] = ring[i % depth, : i + 1]
+        if (i + 1) % block == 0:
+            i0 = i + 1 - block
+            yield i0, ring[i0 % depth : i0 % depth + block]
+        # row i + 1 = row i - a_0 row(h_0) - a_1 row(h_1) ... on the columns
+        # of row i, the first subtraction reading row i, each later one the
+        # new row, each product written into one preallocated row
+        new, head, last = slots[(i + 1) % depth], term[: i + 1], slots[i % depth][: i + 1]
+        slot = new[: i + 1]
         for a_l, d_l in zip(a, d):
             if d_l <= i:
-                head -= a_l * ring[(i - d_l) % depth, : i + 1]
-        slot[i + 1] = 1.0
-        yield slot[: i + 2]
+                np.subtract(last, np.multiply(slots[(i - d_l) % depth][: i + 1], a_l, out=head),
+                            out=slot)
+                last = slot
+        if last is not slot:
+            slot[:] = last
+        new[i + 1] = 1.0
+    i0 = (size - 1) // block * block
+    yield i0, ring[i0 % depth : i0 % depth + size - i0]
 
 
 def kernel_columns(coeffs, lags, count, size, chunk):
@@ -147,8 +166,8 @@ def kernel_columns(coeffs, lags, count, size, chunk):
 def kernel_table(coeffs, lags, size):
     """Dense fundamental table X[i, j] = X(n0+i, n0+j), lower triangular."""
     table = np.zeros((size, size))
-    for i, row in enumerate(kernel_rows(coeffs, lags, size)):
-        table[i, : i + 1] = row
+    for i, rows in kernel_rows(coeffs, lags, size):
+        table[i, : i + 1] = rows[0, : i + 1]
     return table
 
 
@@ -159,7 +178,7 @@ def weighted_kernel_sums(coeffs, lags, weights, use_abs):
     """
     size = weights.shape[0] + 1
     out = np.zeros(size)
-    for i, row in enumerate(kernel_rows(coeffs, lags, size)):
-        live = row[1:]
+    for i, rows in kernel_rows(coeffs, lags, size):
+        live = rows[0, 1 : i + 1]
         out[i] = (np.abs(live) if use_abs else live) @ weights[:i]
     return out

@@ -176,15 +176,15 @@ def nonosc_threshold(k: int) -> float:
 def _sum_bounds(eq: Equation, indices: Sequence[int],
                 window: tuple[int, int]) -> tuple[float, float, bool]:
     """(inf, sup, exact) of sum_{l in indices} a_l over their span."""
-    table, exact = limits.coeff_span(eq, window, indices)
-    total = sum(table)
+    rows, exact = limits.coeff_span(eq, window, indices)
+    total = sum(rows)
     return float(total.min()), float(total.max()), exact
 
 
 def _all_nonnegative(eq: Equation, indices: Sequence[int],
                      window: tuple[int, int]) -> tuple[bool, float]:
-    table, _ = limits.coeff_span(eq, window, indices)
-    worst = float(table.min())
+    rows, _ = limits.coeff_span(eq, window, indices)
+    worst = limits.least(rows)
     return worst >= -EPS, worst
 
 
@@ -307,6 +307,11 @@ def _ring_depth(delays: Sequence[DelaySpec], n0: int, n1: int) -> int:
                    for d in delays)
 
 
+# a block of SCAN_BLOCK rows from row i0 has its entries past each row's
+# diagonal in columns i0 .. i0 + SCAN_BLOCK - 1 where this mask is true
+_PAST_DIAGONAL = np.triu(np.ones((SCAN_BLOCK, SCAN_BLOCK), dtype=bool), 1)
+
+
 def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
     """Scan X over ``window`` = [n0, N]: the first X(n, k), n0 <= k <= n,
     that is nonpositive or not finite (n outward, then k) refutes, unless
@@ -318,8 +323,8 @@ def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
     ``SCAN_COLUMN_PERIOD``, X(n + P, k + P) = X(n, k) bit for bit, so only
     the columns k < n0 + P are stepped, in chunks of rows that double from
     SCAN_BLOCK: column k's first bad entry comes before that of every
-    column k + qP.  Otherwise X streams a row at a time, SCAN_BLOCK rows
-    per test.
+    column k + qP.  Otherwise ``kernel_rows`` steps X a row at a time and
+    the scan checks each block of SCAN_BLOCK rows in place in the ring.
     """
     n0, N = window
     if N - n0 < 5 * eq.T:
@@ -333,26 +338,24 @@ def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
     if period is not None and period <= SCAN_COLUMN_PERIOD:
         columns = _kernels.kernel_columns(coeffs, lags, min(period, size), size, SCAN_BLOCK)
         return _column_scan(columns, eq.T, window)
-    rows = _kernels.kernel_rows(coeffs, lags, size)
-    # rows are checked SCAN_BLOCK at a time; the 1.0 past a row's end never
-    # decides, as the diagonal X(k, k) = 1 keeps each row's minimum <= 1
-    block = np.ones((SCAN_BLOCK, size))
     low = math.inf
     # an overflowing kernel turns inf and then nan; both refute
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, row in enumerate(rows):
-            j = i % SCAN_BLOCK
-            block[j, : i + 1] = row
-            if j < SCAN_BLOCK - 1 and i < size - 1:
-                continue
-            part = block[: j + 1]
-            good = (part > 0.0) & (part < math.inf)
+        for i0, rows in _kernels.kernel_rows(coeffs, lags, size, SCAN_BLOCK):
+            # the rows' columns up to the last diagonal, in place; the
+            # entries past each row's diagonal are masked as good
+            part = rows[:, : i0 + len(rows)]
+            positive = part > 0.0
+            good = positive & (part < math.inf)
+            good[:, i0:] |= _PAST_DIAGONAL[: len(rows), : len(rows)]
+            # above the first bad entry every entry up to a diagonal is
+            # positive, and every entry past one is +0.0
             if not good.all():
-                r, k = divmod(int(np.argmin(good)), size)
-                n, value = n0 + i - j + r, float(part[r, k])
-                return _scan_stop(eq.T, n0, n, n0 + k, value,
-                                  min(low, float(part[:r].min(initial=math.inf))))
-            low = min(low, float(part.min()))
+                r, k = divmod(int(np.argmin(good)), part.shape[1])
+                above = float(part[:r].min(where=positive[:r], initial=math.inf))
+                return _scan_stop(eq.T, n0, n0 + i0 + r, n0 + k, float(part[r, k]),
+                                  min(low, above))
+            low = min(low, float(part.min(where=positive, initial=math.inf)))
     return PositivityCertificate(n0, N, low, "numerical_scan")
 
 
@@ -646,11 +649,11 @@ def _limsup_ratio(eq: Equation, I: Sequence[int],
                   window: tuple[int, int]) -> tuple[float, bool]:
     """limsup of sum_{l not in I} |a_l| / sum_{l in I} a_l."""
     out = [l for l in range(eq.m) if l not in I]
-    table, exact = limits.coeff_span(eq, window)
+    rows, exact = limits.coeff_span(eq, window)
     if not out:
         return 0.0, exact
-    den = sum(table[l] for l in I)
-    num = sum(np.abs(table[l]) for l in out)
+    den = sum(rows[l] for l in I)
+    num = sum(np.abs(rows[l]) for l in out)
     live = den > 0.0
     if (num[~live] > 0.0).any():
         return math.inf, exact
@@ -687,20 +690,22 @@ def theorem5_lhs_rhs(eq: Equation, I: Sequence[int],
     I, moved = _paired(I, g_override)
     strip = limits.delay_strip(eq, [eq.terms[l].delay for l in I] + list(moved), window)
     ns = strip.ns
-    absagg = np.abs(eq.coeff_table(strip.lo, int(ns[-1]))).sum(axis=0)
-    table = eq.coeff_table(int(ns[0]), int(ns[-1]))
-    prefix = np.concatenate([[0.0], np.cumsum(absagg)])  # one for every gap
+    # the rows run from lo; from ns[0] on they are the strip's
+    rows = eq.coeff_rows(strip.lo, int(ns[-1]))
+    absrows = [np.abs(row) for row in rows]
+    prefix = np.concatenate([[0.0], np.cumsum(limits.row_sum(absrows))])  # one for every gap
+    on = slice(int(ns[0]) - strip.lo, None)
     lhs = np.zeros(len(ns))
     rhs = np.zeros(len(ns))
-    for l in range(eq.m):
+    for l, (row, absrow) in enumerate(zip(rows, absrows)):
         if l in I:
             i = I.index(l)
             h = ns - strip.lags[i]
             g = ns - strip.lags[len(I) + i]
-            lhs += np.abs(table[l]) * strip.sums_from(prefix, np.minimum(h, g), np.maximum(h, g))
-            rhs += table[l]
+            lhs += absrow[on] * strip.sums_from(prefix, np.minimum(h, g), np.maximum(h, g))
+            rhs += row[on]
         else:
-            lhs += np.abs(table[l])
+            lhs += absrow[on]
     return lhs, rhs, strip
 
 
@@ -863,14 +868,14 @@ def check_classical(eq: Equation, window: Window = None) -> list[Verdict]:
     # inclusive upper index n
     d32 = _Draft("classical_32", "3/2-type delayed sum bound", window, CLAIM_ASYMPTOTIC)
     nonneg, worst = once(_all_nonnegative, eq, tuple(range(eq.m)), window)
-    agg = eq.coeff_table(window[0], window[1]).sum(axis=0)
+    agg = limits.row_sum(eq.coeff_rows(*window))
     tail_mass = float(agg[len(agg) // 2 :].sum())
     if not nonneg or tail_mass <= DIVERGENCE_EPS:
         v32 = d32.note(False, min_coeff=worst, tail_mass=tail_mass).out(
             Outcome.NOT_APPLICABLE, "needs nonnegative, divergent coefficients")
     else:
         delays = [t.delay for t in eq.terms]
-        k = int(limits.delay_strip(eq, delays, window).lags.max())
+        k = int(limits.delay_strip(eq, delays, window).deepest().max())
         est = limits.windowed_delayed_sum(eq, delays, 0, window)
         thr = 1.5 + 1.0 / (2.0 * k + 2.0)
         d32.note(est.exact, delayed_sum=est.value, threshold=thr, k=float(k))
@@ -917,10 +922,9 @@ def _pi_half_diagnostic(eq: Equation, window: tuple[int, int]) -> limits.Asympto
     hi = int(ns[-1]) - 1
     if hi < strip.lo:
         return limits.AsymptoticEstimate(0.0, strip.exact)
-    table = np.abs(eq.coeff_table(strip.lo, hi))
     total = np.zeros(len(ns))
-    for l in range(eq.m):
-        total += strip.sums(table[l], ns - strip.lags[l], ns)
+    for l, row in enumerate(eq.coeff_rows(strip.lo, hi)):
+        total += strip.sums(np.abs(row), ns - strip.lags[l], ns)
     return limits.AsymptoticEstimate(float(total.max()), strip.exact)
 
 

@@ -43,9 +43,14 @@ class Equation:
     def m(self) -> int:
         return len(self.terms)
 
+    def coeff_rows(self, n0: int, n1: int) -> list[np.ndarray]:
+        """a_l(n) for n in [n0, n1], one row per term l as ``eval_range``
+        gives it: read-only inside an evaluation scope."""
+        return [eval_range(t.coeff, n0, n1) for t in self.terms]
+
     def coeff_table(self, n0: int, n1: int) -> np.ndarray:
         """a_l(n) for l = 0..m-1, n in [n0, n1]; shape (m, n1-n0+1)."""
-        return np.stack([eval_range(t.coeff, n0, n1) for t in self.terms])
+        return np.stack(self.coeff_rows(n0, n1))
 
     def lag_table(self, n0: int, n1: int) -> np.ndarray:
         """Integer lags d_l(n) = n - h_l(n) on [n0, n1]; shape (m, len)."""

@@ -4,7 +4,11 @@ Pointwise spans of coefficients all come from ``coeff_span``: when every
 contributing stream is constant or periodic, one period of their
 aggregate from the window start determines liminf / limsup / sup
 exactly; otherwise the span is the certification window, the value is an
-estimate, and checkers report the verdict as window-certified.  Every
+estimate, and checkers report the verdict as window-certified.  A span is
+the coefficients' rows as ``eval_range`` gives them (inside an evaluation
+scope, read-only slices of the values the run already holds), so the
+consumers that index rows copy nothing; ``row_sum`` and ``least`` stack
+or join the rows, and so give the floats the stacked table gave.  Every
 p-step product horizon a rate search tries reads one span and one
 running product (``limsup_products``).
 
@@ -16,11 +20,14 @@ also reads.  The strip is one exact period [s, s + P), where s is the
 first multiple of P past the deepest lag seen on [0, P): no window is
 clipped at index 0 there, so the sup over the strip is the limit.  When
 any coefficient is general the strip is the certification window and the
-sup is an estimate.  Every sum on the strip is a difference of prefix sums.
+sup is an estimate.  Each distinct delay's lag row is made once per
+evaluation scope (``seqexpr.once``) and shared by every strip on the same
+n.  Every sum on the strip is a difference of prefix sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -28,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .equation import Equation, Term
-from .seqexpr import DelaySpec, classify, eval_range
+from .seqexpr import DelaySpec, classify, eval_range, once
 
 __all__ = [
     "AsymptoticEstimate",
@@ -36,6 +43,8 @@ __all__ = [
     "limsup_product",
     "limsup_products",
     "coeff_span",
+    "row_sum",
+    "least",
     "delay_window_sum",
     "default_window",
     "aggregate_period",
@@ -84,25 +93,36 @@ def exact_period(eq: Equation, delays: Sequence[DelaySpec]) -> Optional[int]:
 
 
 def coeff_span(eq: Equation, window: tuple[int, int], indices: Optional[Sequence[int]] = None,
-               extra: int = 0) -> tuple[np.ndarray, bool]:
+               extra: int = 0) -> tuple[list[np.ndarray], bool]:
     """(rows of the coefficients ``indices``, exact) from ``window[0]``.
 
     The span is one exact period of their aggregate, or the whole window
     (exact False) when any of them is general; ``extra`` points run past
-    its end.  Only the rows asked for are evaluated.
+    its end.  Only the rows asked for are evaluated, and each row is what
+    ``eval_range`` returns, read-only inside an evaluation scope.
     """
     indices = range(eq.m) if indices is None else indices
     period = _coeff_period([eq.terms[l] for l in indices])
     n0 = window[0]
     n1 = (n0 + period - 1 if period is not None else window[1]) + extra
-    return np.stack([eval_range(eq.terms[l].coeff, n0, n1) for l in indices]), period is not None
+    return [eval_range(eq.terms[l].coeff, n0, n1) for l in indices], period is not None
+
+
+def row_sum(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Per point, the sum over ``rows``: the stacked table's axis-0 sum."""
+    return np.stack(rows).sum(axis=0)
+
+
+def least(rows: Sequence[np.ndarray]) -> float:
+    """The least entry of ``rows``, the minimum of the joined rows."""
+    return float(np.concatenate(rows).min())
 
 
 def liminf_sum(eq: Equation, window: Optional[tuple[int, int]] = None) -> AsymptoticEstimate:
     """liminf over n of sum_l a_l(n)."""
     window = window or default_window(eq)
-    table, exact = coeff_span(eq, window)
-    return AsymptoticEstimate(float(table.sum(axis=0).min()), exact)
+    rows, exact = coeff_span(eq, window)
+    return AsymptoticEstimate(float(row_sum(rows).min()), exact)
 
 
 def limsup_products(eq: Equation, ps: Sequence[int],
@@ -117,8 +137,8 @@ def limsup_products(eq: Equation, ps: Sequence[int],
     if ps[0] < 1:
         raise ValueError("p must be positive")
     window = window or default_window(eq)
-    table, exact = coeff_span(eq, window, extra=ps[-1] - 1)
-    factors = 1.0 - table.sum(axis=0)
+    rows, exact = coeff_span(eq, window, extra=ps[-1] - 1)
+    factors = 1.0 - row_sum(rows)
     count = len(factors) - ps[-1] + 1  # one product per point of the span
     products, out = factors[:count].copy(), {}
     for p in range(1, ps[-1] + 1):
@@ -139,15 +159,20 @@ def limsup_product(eq: Equation, p: int,
 class DelayStrip:
     """The n a delayed-sum sup runs over, with the lags there.
 
-    ``lags[i, j]`` is the lag of the i-th delay at ``ns[j]``; ``lo`` is the
-    lowest index any window [h_i(n), n] reaches, clipped at 0, so prefix
-    sums that start at ``lo`` cover every window on the strip.
+    ``lags[i][j]`` is the lag of the i-th delay at ``ns[j]``: one read-only
+    row per delay passed in, the same row object for repeats of a delay;
+    ``lo`` is the lowest index any window [h_i(n), n] reaches, clipped at
+    0, so prefix sums that start at ``lo`` cover every window on the strip.
     """
 
     ns: np.ndarray
-    lags: np.ndarray
+    lags: tuple[np.ndarray, ...]
     lo: int
     exact: bool
+
+    def deepest(self) -> np.ndarray:
+        """Per strip point, the deepest of the lags there."""
+        return functools.reduce(np.maximum, self.lags)
 
     def sums(self, values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per strip point, the sum of ``values[k - lo]`` over k in
@@ -162,6 +187,13 @@ class DelayStrip:
         return np.where(b > a, prefix[b - self.lo] - prefix[a - self.lo], 0.0)
 
 
+def _lag_row(delay: DelaySpec, n0: int, n1: int) -> np.ndarray:
+    """``delay``'s lags on [n0, n1], read-only: ``once`` hands it to every strip."""
+    row = delay.lag_range(n0, n1)
+    row.flags.writeable = False
+    return row
+
+
 def delay_strip(eq: Equation, delays: Sequence[DelaySpec],
                 window: tuple[int, int]) -> DelayStrip:
     """The strip for ``delays``: one exact period P = ``exact_period(eq,
@@ -170,15 +202,15 @@ def delay_strip(eq: Equation, delays: Sequence[DelaySpec],
     distinct = dict.fromkeys(delays)  # corollary 4 passes m copies of g
     period = exact_period(eq, distinct)
     if period is not None:
-        first = max(int(d.lag_range(0, period - 1).max()) for d in distinct)
+        first = max(int(once(_lag_row, d, 0, period - 1).max()) for d in distinct)
         n0 = (first // period + 1) * period
         n1 = n0 + period - 1
     else:
         n0, n1 = window
-    rows = {d: d.lag_range(n0, n1) for d in distinct}
-    lags = np.stack([rows[d] for d in delays])
-    return DelayStrip(np.arange(n0, n1 + 1, dtype=np.int64), lags,
-                      max(0, n0 - int(lags.max())), period is not None)
+    rows = {d: once(_lag_row, d, n0, n1) for d in distinct}
+    return DelayStrip(np.arange(n0, n1 + 1, dtype=np.int64), tuple(rows[d] for d in delays),
+                      max(0, n0 - max(int(row.max()) for row in rows.values())),
+                      period is not None)
 
 
 def windowed_delayed_sum(eq: Equation, delays: Sequence[DelaySpec], upper_offset: int,
@@ -194,7 +226,7 @@ def windowed_delayed_sum(eq: Equation, delays: Sequence[DelaySpec], upper_offset
     hi = int(ns[-1]) + upper_offset
     if hi < strip.lo:
         return AsymptoticEstimate(0.0, strip.exact)
-    sums = strip.sums(eq.coeff_table(strip.lo, hi).sum(axis=0), ns - strip.lags.max(axis=0),
+    sums = strip.sums(row_sum(eq.coeff_rows(strip.lo, hi)), ns - strip.deepest(),
                       ns + upper_offset + 1)
     return AsymptoticEstimate(float(sums.max()), strip.exact)
 

@@ -308,6 +308,14 @@ def test_positivity_scan_refuses_the_cap_before_its_tables(monkeypatch):
         positivity_scan(eq, (20_000, 60_000))
 
 
+def test_the_lag_4000_scan_names_the_ring_it_refuses():
+    # the cap counts max lag + 2 rows, not the ring rounded up to a block
+    eq = const_eq(("0.0001*(1 + 0.5*sin(n))", 4000))
+    with pytest.raises(KernelMemoryError,
+                       match=r"^kernel rows need 160084002 entries \(cap 100000000\)$"):
+        positivity_scan(eq, scan_window(eq.T))
+
+
 def _scanned(eq, window):
     """positivity_scan's result and the kernel entry points it read."""
     paths = set()
@@ -410,6 +418,52 @@ def test_periodic_scans_read_no_kernel_rows(monkeypatch):
         assert isinstance(positivity_scan(eq, scan_window(eq.T)), PositivityCertificate)
     with pytest.raises(AssertionError, match="kernel_rows"):
         positivity_scan(const_eq(("0.1 + 0.01*sin(n)", 1)), (5, 205))
+
+
+def _general_scan_cases(n0):
+    return {
+        # a(n0 + 194) = 2 flips every column at n0 + 195, in the last block
+        "refuted_in_last_block": const_eq((f"splice({n0 + 194}, 0.01, 2)", 0),
+                                          ("0.001*(1 + sin(n))", 3)),
+        # X(n+1) = 1e-9 (1.5 + 0.5 sin(n)) X(n) underflows to an exact zero
+        "underflow": const_eq(("1 - 1e-9*(1.5 + 0.5*sin(n))", 0)),
+        "certified": const_eq(("0.02 + 0.01*sin(n)", 2), ("0.01*(1 + cos(n))", 3)),
+        "refuted_early": const_eq(("0.3 + 0.2*sin(n)", 4), ("0.1*cos(n)", 1)),
+    }
+
+
+def test_row_scan_matches_dense_reference_on_general_coefficients():
+    # general coefficients take the row scan: blocks of SCAN_BLOCK rows
+    # checked in place, the last block partial on a 201-row window; at
+    # n0 = 0 and 1 the underflow row holds an entry below every row above it
+    for n0 in (0, 1, 15):
+        for name, eq in _general_scan_cases(n0).items():
+            got, paths = _scanned(eq, (n0, n0 + 200))
+            _assert_same_positivity(got, _reference_window(eq, n0, n0 + 200))
+            assert paths == {"kernel_rows"}, name
+        cases = _general_scan_cases(n0)
+        got = positivity_scan(cases["refuted_in_last_block"], (n0, n0 + 200))
+        assert (got.n, got.k) == (n0 + 195, n0) and got.value < 0.0
+        got = positivity_scan(cases["underflow"], (n0, n0 + 200))
+        assert isinstance(got, PositivityCertificate) and n0 + 30 < got.N < n0 + 200
+    # a window of one row: X(n0, n0) = 1
+    eq = const_eq(("0.1 + 0.01*sin(n)", 0))
+    got, paths = _scanned(eq, (5, 5))
+    assert got == PositivityCertificate(5, 5, 1.0, "numerical_scan")
+    _assert_same_positivity(got, _reference_scan(eq, 5, 5))
+    assert paths == {"kernel_rows"}
+
+
+def test_a_scan_whose_block_ring_would_pass_the_cap_reads_single_rows(monkeypatch):
+    # max lag + 2 rows fit the cap, the ring rounded up to SCAN_BLOCK rows
+    # would not: the scan reads one row at a time, with the same result
+    for name, eq in _general_scan_cases(0).items():
+        want = positivity_scan(eq, (0, 200))
+        depth = criteria._ring_depth([t.delay for t in eq.terms], 0, 199)
+        assert depth % criteria.SCAN_BLOCK, name
+        monkeypatch.setattr(_kernels, "MAX_ENTRIES", depth * 201)
+        _assert_same_positivity(positivity_scan(eq, (0, 200)), want)
+        monkeypatch.undo()
 
 
 def test_ring_depth_is_the_depth_kernel_rows_takes():

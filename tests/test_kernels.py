@@ -5,7 +5,9 @@ column; ``kernel_table`` must reproduce it exactly, and the weighted sums
 and forced recurrences must match sums over it to rounding.
 ``_reference_step`` is the per-step NumPy-scalar recurrence;
 ``step_recurrence`` must reproduce it bit for bit, and ``kernel_columns``
-the table's columns.
+the table's columns.  ``_reference_rows`` is the per-slice row stepper
+that ``kernel_rows``' full-width ring replaced; the ring's rows must
+reproduce it bit for bit.
 """
 
 import numpy as np
@@ -126,6 +128,104 @@ def test_kernel_columns_are_the_table_columns_exactly(name, coeffs, lags, chunk)
     assert ends == [min(chunk << q, size) for q in range(len(ends))]
     for j, col in enumerate(got):
         assert np.array_equal(col, table[j:, j]), j
+
+
+def _reference_rows(coeffs, lags, size):
+    """The per-slice row stepper the full-width ring replaced, kept as the
+    reference: row i = X(n0+i, n0..n0+i), stepped on its first i + 1
+    columns with a temporary per term; yields a copy of each row."""
+    depth = int(lags.max(initial=0)) + 2
+    ring = np.zeros((depth, size))
+    ring[0, 0] = 1.0
+    yield ring[0, :1].copy()
+    steps = zip(coeffs[:, : size - 1].T.tolist(), lags[:, : size - 1].T.tolist())
+    for i, (a, d) in enumerate(steps):
+        slot = ring[(i + 1) % depth]
+        head = slot[: i + 1]
+        head[:] = ring[i % depth, : i + 1]
+        for a_l, d_l in zip(a, d):
+            if d_l <= i:
+                head -= a_l * ring[(i - d_l) % depth, : i + 1]
+        slot[i + 1] = 1.0
+        yield slot[: i + 2].copy()
+
+
+def _streamed_rows(coeffs, lags, size, block):
+    """kernel_rows' rows one by one, each cut at its diagonal, with a check
+    of the blocks' layout and of the +0.0 past every diagonal."""
+    out, ring = [], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0, rows in _kernels.kernel_rows(coeffs, lags, size, block):
+            assert i0 == len(out) and len(rows) == min(block, size - i0)
+            assert rows.shape[1] == size and (ring is None or rows.base is ring)
+            ring = rows.base
+            for r, row in enumerate(rows):
+                past = row[i0 + r + 1:]
+                assert not past.any() and not np.signbit(past).any()
+                out.append(row[: i0 + r + 1].copy())
+    return out
+
+
+ROW_LAGS = {"lag0": 0, "deep": 40}
+
+
+@pytest.mark.parametrize("block", [1, 16])
+@pytest.mark.parametrize("size", [1, 2, 15, 16, 17, 201])
+@pytest.mark.parametrize("lag", list(ROW_LAGS), ids=list(ROW_LAGS))
+@pytest.mark.parametrize("m", range(1, 7))
+def test_kernel_rows_match_the_per_slice_stepper(m, lag, size, block):
+    # random signed coefficients and lags up to 0 or up to 40, deeper than
+    # most rows i; entries equal bit for bit, signs of zero included
+    rng = np.random.default_rng([m, size, ROW_LAGS[lag]])
+    coeffs = rng.uniform(-0.6, 0.6, (m, max(size - 1, 0)))
+    coeffs[:, ::7] = 0.0
+    lags = rng.integers(0, ROW_LAGS[lag] + 1, coeffs.shape).astype(np.int64)
+    got = _streamed_rows(coeffs, lags, size, block)
+    want = list(_reference_rows(coeffs, lags, size))
+    assert len(got) == len(want) == size
+    for i, (row, ref) in enumerate(zip(got, want)):
+        assert np.array_equal(row, ref) and np.array_equal(np.signbit(row), np.signbit(ref)), i
+
+
+@pytest.mark.parametrize("block", [1, 16])
+def test_kernel_rows_match_the_per_slice_stepper_through_overflow(block):
+    # X(n+1) = X(n) + 1e30 X(n - 1) overflows to inf, then inf - inf is nan
+    size = 60
+    coeffs = np.stack([np.full(size - 1, 0.5), np.full(size - 1, -1e30)])
+    lags = np.stack([np.zeros(size - 1), np.ones(size - 1)]).astype(np.int64)
+    got = _streamed_rows(coeffs, lags, size, block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = list(_reference_rows(coeffs, lags, size))
+    assert np.isinf(got[-1]).any() and np.isnan(got[-1]).any()
+    for i, (row, ref) in enumerate(zip(got, want)):
+        assert np.array_equal(row, ref, equal_nan=True), i
+        assert np.array_equal(np.signbit(row), np.signbit(ref)), i
+
+
+@pytest.mark.parametrize("block", [1, 3, 16])
+@pytest.mark.parametrize("lag", [0, 1, 14, 15, 16, 40])
+def test_kernel_rows_ring_stays_under_the_cap(block, lag, monkeypatch):
+    # the cap counts max lag + 2 rows; the ring rounds that up to a
+    # multiple of the block, unless the rounded ring alone would pass the
+    # cap: then it keeps max lag + 2 rows and hands out one row at a time
+    size = 50
+    coeffs = np.full((1, size - 1), 0.01) + np.arange(size - 1) * 1e-4
+    lags = np.full((1, size - 1), lag, dtype=np.int64)
+    depth = lag + 2
+    rounded = depth + -depth % block
+    want = _streamed_rows(coeffs, lags, size, 1)
+    for cap, ring_depth, step in ((rounded * size, rounded, block),
+                                  (depth * size, depth, block if rounded == depth else 1)):
+        monkeypatch.setattr(_kernels, "MAX_ENTRIES", cap)
+        blocks = [(i0, rows.copy(), rows.base)
+                  for i0, rows in _kernels.kernel_rows(coeffs, lags, size, block)]
+        assert blocks[0][2].shape == (ring_depth, size) and ring_depth * size <= cap
+        assert [i0 for i0, _, _ in blocks] == list(range(0, size, step))
+        got = [row[: i0 + r + 1] for i0, rows, _ in blocks for r, row in enumerate(rows)]
+        assert len(got) == size and all(map(np.array_equal, got, want))
+    monkeypatch.setattr(_kernels, "MAX_ENTRIES", depth * size - 1)
+    with pytest.raises(KernelMemoryError, match=f"kernel rows need {depth * size} entries"):
+        next(_kernels.kernel_rows(coeffs, lags, size, block))
 
 
 def test_kernel_rows_cap_their_ring():

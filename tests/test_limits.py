@@ -21,10 +21,13 @@ from delaystab.limits import (
     aggregate_period,
     coeff_span,
     default_window,
+    delay_strip,
+    least,
     limsup_products,
+    row_sum,
     windowed_delayed_sum,
 )
-from delaystab.seqexpr import classify
+from delaystab.seqexpr import classify, evaluation_scope
 
 
 def test_liminf_sum_alternating(eq_alternating):
@@ -69,18 +72,19 @@ def test_coeff_span_periods_and_window():
         Term(parse("0.1 + 0.01*sin(n)"), DelaySpec.constant(3)),
     ])
     window = (30, 130)
-    table, exact = coeff_span(eq, window, [0])
-    assert exact and table.shape == (1, 1) and table[0, 0] == 0.3
-    table, exact = coeff_span(eq, window, [2, 1])
-    assert exact and table.shape == (2, 6)
-    assert np.array_equal(table, eq.coeff_table(30, 35)[[2, 1]])
-    table, exact = coeff_span(eq, window, [1], extra=3)
-    assert exact and np.array_equal(table, eq.coeff_table(30, 34)[[1]])
+    # the span is one row per index asked for, stacked here to compare
+    rows, exact = coeff_span(eq, window, [0])
+    assert exact and np.stack(rows).shape == (1, 1) and rows[0][0] == 0.3
+    rows, exact = coeff_span(eq, window, [2, 1])
+    assert exact and np.stack(rows).shape == (2, 6)
+    assert np.array_equal(np.stack(rows), eq.coeff_table(30, 35)[[2, 1]])
+    rows, exact = coeff_span(eq, window, [1], extra=3)
+    assert exact and np.array_equal(np.stack(rows), eq.coeff_table(30, 34)[[1]])
     # one general coefficient turns the span into the whole window
-    table, exact = coeff_span(eq, window)
-    assert not exact and np.array_equal(table, eq.coeff_table(30, 130))
-    table, exact = coeff_span(eq, window, [0, 3], extra=2)
-    assert not exact and np.array_equal(table, eq.coeff_table(30, 132)[[0, 3]])
+    rows, exact = coeff_span(eq, window)
+    assert not exact and np.array_equal(np.stack(rows), eq.coeff_table(30, 130))
+    rows, exact = coeff_span(eq, window, [0, 3], extra=2)
+    assert not exact and np.array_equal(np.stack(rows), eq.coeff_table(30, 132)[[0, 3]])
 
 
 def test_coeff_span_evaluates_only_its_rows(monkeypatch):
@@ -98,6 +102,50 @@ def test_coeff_span_evaluates_only_its_rows(monkeypatch):
     monkeypatch.setattr(limits, "eval_range", recording)
     coeff_span(eq, (20, 1020), [0])
     assert seen == [("per(0.1, 0.2)", 20, 21)]
+
+
+def _same_floats(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _row_cases():
+    # random floats of many magnitudes and rows of signed zeros; a single
+    # row and 12 rows; one-entry rows (a constant coefficient's span) and
+    # the 10,001-point window
+    rng = np.random.default_rng(0)
+    for m in (1, 12):
+        for length in (1, 10_001):
+            yield list(rng.normal(size=(m, length)) * 10.0 ** rng.integers(-6, 6, (m, length)))
+            yield list(rng.choice([0.0, -0.0, 0.25], size=(m, length)))
+
+
+def test_row_reductions_match_the_stacked_table():
+    # spans are rows, no stacked table: each reduction of them must give
+    # the floats, signs of zero included, that the stacked table gave
+    for rows in _row_cases():
+        table = np.stack(rows)
+        assert _same_floats(row_sum(rows), table.sum(axis=0))
+        # Python's sum starts from the integer 0, over the rows as over the table
+        assert _same_floats(sum(rows), sum(table))
+        assert _same_floats(least(rows), table.min())
+
+
+def test_spans_and_lag_rows_are_read_only_in_a_scope():
+    eq = validate([Term(parse("0.1 + 0.01*sin(n)"), DelaySpec.constant(2)),
+                   Term(parse("per(0.1, 0.2)"), DelaySpec.periodic([1, 3]))])
+    window = (20, 120)
+    with evaluation_scope():
+        rows, _ = coeff_span(eq, window)
+        strip = delay_strip(eq, [t.delay for t in eq.terms] * 2, window)
+        # repeats of a delay share one row, and a second strip reads the same rows
+        assert strip.lags[0] is strip.lags[2] and strip.lags[1] is strip.lags[3]
+        assert delay_strip(eq, [eq.terms[1].delay], window).lags[0] is strip.lags[1]
+        for row in (*rows, *strip.lags):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+    assert np.array_equal(strip.deepest(), np.maximum(strip.lags[0], strip.lags[1]))
 
 
 def test_delay_window_sum_constant_lag():
@@ -504,8 +552,8 @@ def _ref_limsup_product(eq, p, window=None):
     if p < 1:
         raise ValueError("p must be positive")
     window = window or default_window(eq)
-    table, exact = coeff_span(eq, window, extra=p - 1)
-    factors = 1.0 - table.sum(axis=0)
+    rows, exact = coeff_span(eq, window, extra=p - 1)
+    factors = 1.0 - np.stack(rows).sum(axis=0)
     products = np.lib.stride_tricks.sliding_window_view(factors, p).prod(axis=1)
     return AsymptoticEstimate(float(products.max()), exact)
 
