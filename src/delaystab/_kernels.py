@@ -31,7 +31,8 @@ __all__ = ["KernelMemoryError", "MAX_ENTRIES", "step_recurrence", "require_ring"
 # a kernel buffer (the dense table or the row ring) above this many entries raises
 MAX_ENTRIES = 100_000_000
 # step_recurrence converts this many steps of its rows to Python lists at a
-# time; a few thousand keep those lists (and peak memory) small at no cost in speed
+# time, and format_csv formats this many rows per %; a few thousand keep those
+# lists (and peak memory) small at no cost in speed
 STEP_CHUNK = 1 << 12
 
 

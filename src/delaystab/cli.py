@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -188,10 +189,13 @@ def cmd_simulate(args) -> int:
             raise ValueError(
                 f"history must cover [n0-T, n0]: need {eq.T + 1} values, got {len(values)}"
             )
-        init = InitialData.from_values(n0, values)
     else:
         values = [0.0] * eq.T + [args.x0]
-        init = InitialData.from_values(n0, values)
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        # refused before stepping: the overflow check would blame the horizon
+        raise ValueError(f"{'--history' if args.history else '--x0'} must be finite, not {bad[0]}")
+    init = InitialData.from_values(n0, values)
     # an overflow is reported by _require_finite, not by NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         traj = simulate(eq, init, horizon)

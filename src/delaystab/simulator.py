@@ -197,28 +197,46 @@ def format_csv(header: str, n0: int, *columns: np.ndarray) -> str:
     """The header line, then one row "n,c_1(n),..." for n = n0, n0 + 1, ...
 
     Values print with 17 significant digits ("%.17g", the same text as
-    format(v, ".17g")), enough to read every float64 back exactly.
+    format(v, ".17g")), enough to read every float64 back exactly.  Each
+    chunk of ``_kernels.STEP_CHUNK`` rows is one ``%``: the row format,
+    repeated once per row, applied to the flat tuple (n, c_1(n), ..., n + 1,
+    ...), so no Python call or string is made per row.
     """
     row = "%d" + ",%.17g" * len(columns) + "\n"
-    n = range(n0, n0 + len(columns[0]))
-    return header + "\n" + "".join(map(row.__mod__, zip(n, *(c.tolist() for c in columns))))
+    width, size = len(columns) + 1, len(columns[0])
+    parts = [header + "\n"]
+    for c0 in range(0, size, _kernels.STEP_CHUNK):
+        c1 = min(c0 + _kernels.STEP_CHUNK, size)
+        flat = [0] * ((c1 - c0) * width)
+        flat[::width] = range(n0 + c0, n0 + c1)
+        for j, c in enumerate(columns, 1):
+            flat[j::width] = c[c0:c1].tolist()
+        parts.append(row * (c1 - c0) % tuple(flat))
+    return "".join(parts)
 
 
 def write_atomic(path: str, text: str) -> None:
     """Write ``text`` to a new file beside ``path``, then rename it over
-    ``path``: a failed write leaves the old file and no temporary.  The file
-    gets the mode ``open`` gives a new one (0o666 less the umask)."""
+    ``path``: a failed write leaves the old file and no temporary, and its
+    error names ``path``.  The file gets the mode ``open`` gives a new one
+    (0o666 less the umask)."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        # name the path asked for: the temporary is an implementation detail
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:

@@ -545,3 +545,37 @@ def test_a_failed_write_keeps_the_old_file(cfg_factorial, tmp_path, monkeypatch,
     # the renamed file has the mode a plainly opened new file gets
     (tmp_path / "plain.txt").write_text("")
     assert os.stat(target).st_mode == os.stat(tmp_path / "plain.txt").st_mode
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--x0", "nan"], "--x0"),
+    (["--x0", "inf"], "--x0"),
+    (["--history", "1", "nan"], "--history"),
+], ids=["x0-nan", "x0-inf", "history-nan"])
+def test_simulate_refuses_non_finite_initial_values(tmp_path, argv, flag):
+    out = tmp_path / "out.csv"
+    r = run_cli("simulate", _one_config(tmp_path, [("0.1", 1)]), *argv, "--csv", str(out))
+    assert r.returncode == 2
+    assert f"error: {flag} must be finite, not {argv[-1]}" in r.stderr
+    assert "horizon" not in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "target-is-a-directory"])
+def test_a_failed_write_names_the_requested_path(cfg_factorial, tmp_path, case):
+    if case == "missing-directory":
+        target = tmp_path / "missing" / "r.json"
+        r = run_cli("check", cfg_factorial, "--no-meta", "--out", str(target))
+        assert "No such file or directory" in r.stderr
+    else:
+        target = tmp_path / "prof"
+        target.mkdir()
+        r = run_cli("simulate", cfg_factorial, "--csv", str(target))
+        assert "Is a directory" in r.stderr
+    assert r.returncode == 2
+    assert f"'{target}'" in r.stderr
+    assert ".tmp" not in r.stderr
+    assert "Traceback" not in r.stderr
+    left = [p.name for p in tmp_path.rglob("*")]
+    assert left == ([] if case == "missing-directory" else ["prof"])

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from delaystab import (
     validate,
 )
 from delaystab.oracle import random_equation
-from delaystab.simulator import write_trajectory_csv
+from delaystab.simulator import format_csv, write_trajectory_csv
 
 
 def with_forcing(eq, f):
@@ -328,3 +329,34 @@ def test_trajectory_csv(tmp_path, eq_unbounded):
     assert lines[1] == "0,1"
     assert lines[3] == "2,6.7999999999999998"  # 17 significant digits
     assert "\r" not in text
+
+
+_CSV_VALUES = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3]
+
+
+@pytest.mark.parametrize("n0", [-5, 10**12])
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8195])
+def test_format_csv_matches_the_per_row_text(rows, width, n0):
+    rng = np.random.default_rng(rows + width)
+    columns = [np.resize(np.concatenate([_CSV_VALUES[j:], rng.standard_normal(5)]), rows)
+               for j in range(width)]
+    row = "%d" + ",%.17g" * width + "\n"
+    reference = "".join(row % r for r in zip(range(n0, n0 + rows), *(c.tolist() for c in columns)))
+    header = ",".join(["n"] + [f"c{j}" for j in range(width)])
+    assert format_csv(header, n0, *columns) == header + "\n" + reference
+
+
+def test_format_csv_memory_stays_near_its_text():
+    # chunked rows: the peak is the chunks plus their join, not a string
+    # per row and whole-column lists
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal(200_001)
+    bound = np.cumsum(np.abs(values))
+    tracemalloc.start()
+    try:
+        text = format_csv("n,value,bound", 0, values, bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
