@@ -1,18 +1,18 @@
-"""Hot inner loops: sequential recurrence stepping and the kernel row stream.
+"""Hot inner loops: sequential recurrence stepping and the kernel streams.
 
 Plain NumPy/Python.  The recurrence is inherently sequential in n, so
 ``step_recurrence`` steps a list of Python floats, which round exactly like
 float64 scalars, through a loop written out once per term count m (one
 expression per step, terms subtracted in order): its output is
 bit-identical to a per-step NumPy loop, overflow to inf and nan included.
-``kernel_rows`` advances every column of X(., k) together, one row of a
-ring per step, and hands out a block of consecutive rows as one view of
-the ring; the dense table and the weighted sums take blocks of one row,
-and the positivity scan of general or long-period coefficients checks
-blocks of SCAN_BLOCK rows in place.  When coefficients and
-delays have a short exact period P, X(n + P, k + P) = X(n, k), and the
-scan reads P columns from ``kernel_columns`` instead, each stepped by the
-recurrence loop.
+
+Both kernel streams yield (i0, block), block[r] being row n0 + i0 + r of X
+on the stream's columns, +0.0 past the diagonal.  ``kernel_rows`` steps
+every column, one row of a ring per step, and hands out BLOCK rows as one
+view of the ring; the dense table, the weighted sums and the positivity
+scan read it.  When coefficients and delays have a short exact period P,
+X(n + P, k + P) = X(n, k), and the scan reads the first P columns from
+``kernel_columns`` instead, each stepped by the recurrence loop.
 
 Conventions shared by all kernels: the window is [n0, n0 + size - 1],
 ``coeffs[l, i]`` and ``lags[l, i]`` hold a_l(n0 + i) and n - h_l(n) at
@@ -30,6 +30,8 @@ __all__ = ["KernelMemoryError", "MAX_ENTRIES", "step_recurrence", "require_ring"
 
 # a kernel buffer (the dense table or the row ring) above this many entries raises
 MAX_ENTRIES = 100_000_000
+# rows per block of the kernel streams (the column stream's later blocks double)
+BLOCK = 16
 # step_recurrence converts this many steps of its rows to Python lists at a
 # time, and format_csv formats this many rows per %; a few thousand keep those
 # lists (and peak memory) small at no cost in speed
@@ -91,19 +93,19 @@ def require_ring(depth, size):
         raise KernelMemoryError(f"kernel rows need {depth * size} entries (cap {MAX_ENTRIES})")
 
 
-def kernel_rows(coeffs, lags, size, block=1):
+def kernel_rows(coeffs, lags, size):
     """Yield (i0, rows): rows i0 .. i0 + b - 1 of X as one (b, size) view,
-    row i holding X(n0+i, n0..n0+size-1), b = ``block`` but for the last.
+    row i holding X(n0+i, n0..n0+size-1), b = BLOCK but for the last.
 
     All columns advance at once: row(i+1) = row(i) - sum_l a_l row(h_l)
     on the columns of row i, then X = 1 on the new diagonal.  Only the
     last max(lag) + 2 rows are kept, in a ring, so memory stays
     O(size * lag).  The ring's depth is rounded up to a multiple of
-    ``block``, so a block's rows sit in consecutive slots; where that would
+    BLOCK, so a block's rows sit in consecutive slots; where that would
     pass the cap, blocks are one row instead.  Each view is valid until the
     next step.
     """
-    depth = int(lags.max(initial=0)) + 2
+    depth, block = int(lags.max(initial=0)) + 2, BLOCK
     require_ring(depth, size)
     if (depth + -depth % block) * size > MAX_ENTRIES:
         block = 1
@@ -136,39 +138,40 @@ def kernel_rows(coeffs, lags, size, block=1):
     yield i0, ring[i0 % depth : i0 % depth + size - i0]
 
 
-def kernel_columns(coeffs, lags, count, size, chunk):
-    """Yield the columns X(., n0 + j), j < ``count``, a chunk of rows at a time.
+def kernel_columns(coeffs, lags, count, size):
+    """Yield (i0, block): rows [i0, i1) of X on the columns j < ``count``,
+    block[r, j] = X(n0+i0+r, n0+j) as a (i1 - i0, count) array, +0.0 past
+    the diagonal.
 
-    The first chunk is rows [0, ``chunk``) and each next one ends at twice
-    the row the last one ended at, so a caller that stops at a chunk has
-    stepped at most twice the rows it needed.  Per chunk [i0, i1) it yields
-    i0 and one list per column j of X(n0+i, n0+j) for i in [max(i0, j), i1)
-    (empty before the column's diagonal).  Each column is the recurrence
-    from zeros and 1.0 at its diagonal, stepped by ``step_recurrence``'s
-    loop; every column reads the same index rows, and its values are
-    bit-identical to ``kernel_rows``' entries.
+    The first block is rows [0, BLOCK) and each next one ends at twice the
+    row the last one ended at, so a caller that stops at a block has
+    stepped at most twice the rows it needed.  Each column is the
+    recurrence from zeros and 1.0 at its diagonal, stepped by
+    ``step_recurrence``'s loop; every column reads the same index rows, and
+    its values are bit-identical to ``kernel_rows``' entries.
     """
     depth = int(lags.max(initial=0))
     step = _stepper(coeffs.shape[0])
     rows = coeffs[:, : size - 1].tolist()
     rows += (np.arange(depth, depth + size - 1) - lags[:, : size - 1]).tolist()
     zeros = [0.0] * (size - 1)
+    # column j's zero prefix holds its entries above the diagonal
     columns = [[0.0] * (depth + j) + [1.0] for j in range(count)]
-    i0, i1 = 0, min(chunk, size)
+    i0, i1 = 0, min(BLOCK, size)
     while i0 < size:
         for xs in columns:
             # xs ends at row len(xs) - depth - 1; a column not yet begun stays put
             i = len(xs) - depth - 1
             step(xs, zeros[i : i1 - 1], *(row[i : i1 - 1] for row in rows))
-        yield i0, [xs[depth + max(i0, j) : depth + i1] for j, xs in enumerate(columns)]
+        yield i0, np.array([xs[depth + i0 : depth + i1] for xs in columns]).T
         i0, i1 = i1, min(2 * i1, size)
 
 
 def kernel_table(coeffs, lags, size):
     """Dense fundamental table X[i, j] = X(n0+i, n0+j), lower triangular."""
     table = np.zeros((size, size))
-    for i, rows in kernel_rows(coeffs, lags, size):
-        table[i, : i + 1] = rows[0, : i + 1]
+    for i0, rows in kernel_rows(coeffs, lags, size):
+        table[i0 : i0 + len(rows)] = rows
     return table
 
 
@@ -179,7 +182,8 @@ def weighted_kernel_sums(coeffs, lags, weights, use_abs):
     """
     size = weights.shape[0] + 1
     out = np.zeros(size)
-    for i, rows in kernel_rows(coeffs, lags, size):
-        live = rows[0, 1 : i + 1]
-        out[i] = (np.abs(live) if use_abs else live) @ weights[:i]
+    for i0, rows in kernel_rows(coeffs, lags, size):
+        for i, row in enumerate(rows, i0):
+            live = row[1 : i + 1]
+            out[i] = (np.abs(live) if use_abs else live) @ weights[:i]
     return out

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -372,6 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="iterate the equation and emit a trajectory")
+    # argparse reads "-1e-3" or "-inf" as an option (its own pattern takes only
+    # plain integers and decimals as negative numbers); take every negative float
+    p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
     add_config(p)
     p.add_argument("--n0", type=int, default=0, help="start index")
     p.add_argument("--N", type=int, help="final index (default: config horizon)")

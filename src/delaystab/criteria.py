@@ -133,11 +133,11 @@ P_CANDIDATES = (1, 2, 3, 4, 6, 8, 12)
 # the fallback kernel scan starts at 5 T and runs max(200, 10 T) steps
 SCAN_LEAD_MULT = 5
 SCAN_LEN = 200
-# the scan checks this many kernel rows per vectorised test
-SCAN_BLOCK = 16
 # the scan steps P columns instead of every row up to this exact period P:
-# columns took at most 0.83 of the rows' time at every P <= 16 in a sweep
-# over T in {2, 20, 100} and m in {1, 3, 6}, and up to 1.4 at P = 20
+# on whole-window certifying scans over T in {2, 20, 100} and m in
+# {1, 3, 6}, column blocks took at most 0.87 of the rows' time at every
+# P <= 16, up to 1.05 at P = 20 and 1.22 at P = 24; at most _kernels.BLOCK,
+# so only a column stream's first block reaches past a diagonal
 SCAN_COLUMN_PERIOD = 16
 # theorem2 tries every index subset up to this many terms
 SUBSET_CAP = 12
@@ -307,9 +307,9 @@ def _ring_depth(delays: Sequence[DelaySpec], n0: int, n1: int) -> int:
                    for d in delays)
 
 
-# a block of SCAN_BLOCK rows from row i0 has its entries past each row's
-# diagonal in columns i0 .. i0 + SCAN_BLOCK - 1 where this mask is true
-_PAST_DIAGONAL = np.triu(np.ones((SCAN_BLOCK, SCAN_BLOCK), dtype=bool), 1)
+# a block of BLOCK rows from row i0 has its entries past each row's
+# diagonal in columns i0 .. i0 + BLOCK - 1 where this mask is true
+_PAST_DIAGONAL = np.triu(np.ones((_kernels.BLOCK, _kernels.BLOCK), dtype=bool), 1)
 
 
 def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
@@ -319,12 +319,13 @@ def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
     underflowing, which certifies the rows before it; otherwise certify
     with the minimum.
 
+    The scan checks each block of rows a kernel stream yields in place.
     When coefficients and delays repeat with a period P of at most
-    ``SCAN_COLUMN_PERIOD``, X(n + P, k + P) = X(n, k) bit for bit, so only
-    the columns k < n0 + P are stepped, in chunks of rows that double from
-    SCAN_BLOCK: column k's first bad entry comes before that of every
-    column k + qP.  Otherwise ``kernel_rows`` steps X a row at a time and
-    the scan checks each block of SCAN_BLOCK rows in place in the ring.
+    ``SCAN_COLUMN_PERIOD``, X(n + P, k + P) = X(n, k) bit for bit, so
+    ``kernel_columns`` steps only the columns k < n0 + P: column k's first
+    bad entry comes before that of every column k + qP, and the entries
+    above it are among those of the rows above.  Otherwise ``kernel_rows``
+    steps every column.
     """
     n0, N = window
     if N - n0 < 5 * eq.T:
@@ -336,59 +337,32 @@ def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
     coeffs, lags = eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
     period = limits.exact_period(eq, delays)
     if period is not None and period <= SCAN_COLUMN_PERIOD:
-        columns = _kernels.kernel_columns(coeffs, lags, min(period, size), size, SCAN_BLOCK)
-        return _column_scan(columns, eq.T, window)
+        blocks = _kernels.kernel_columns(coeffs, lags, min(period, size), size)
+    else:
+        blocks = _kernels.kernel_rows(coeffs, lags, size)
     low = math.inf
     # an overflowing kernel turns inf and then nan; both refute
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0, rows in _kernels.kernel_rows(coeffs, lags, size, SCAN_BLOCK):
+        for i0, rows in blocks:
             # the rows' columns up to the last diagonal, in place; the
             # entries past each row's diagonal are masked as good
             part = rows[:, : i0 + len(rows)]
             positive = part > 0.0
             good = positive & (part < math.inf)
-            good[:, i0:] |= _PAST_DIAGONAL[: len(rows), : len(rows)]
+            if i0 < part.shape[1]:  # a column stream's later blocks lie below every diagonal
+                good[:, i0:] |= _PAST_DIAGONAL[: len(rows), : part.shape[1] - i0]
             # above the first bad entry every entry up to a diagonal is
             # positive, and every entry past one is +0.0
             if not good.all():
                 r, k = divmod(int(np.argmin(good)), part.shape[1])
-                above = float(part[:r].min(where=positive[:r], initial=math.inf))
-                return _scan_stop(eq.T, n0, n0 + i0 + r, n0 + k, float(part[r, k]),
-                                  min(low, above))
+                value = float(part[r, k])
+                low = min(low, float(part[:r].min(where=positive[:r], initial=math.inf)))
+                # an exact zero deep enough is underflow and certifies the rows above
+                if value == 0.0 and i0 + r > 5 * eq.T + 20:
+                    return PositivityCertificate(n0, n0 + i0 + r - 1, low, "numerical_scan")
+                return PositivityRefutation(n0 + i0 + r, n0 + k, value)
             low = min(low, float(part.min(where=positive, initial=math.inf)))
     return PositivityCertificate(n0, N, low, "numerical_scan")
-
-
-def _column_scan(chunks, T: int, window: tuple[int, int]) -> Positivity:
-    """``positivity_scan`` on the chunks of columns ``kernel_columns``
-    yields: the first bad entry is the least (n, k) over the columns' first
-    bad entries, and the minimum runs over the rows above it."""
-    (n0, N), low = window, math.inf
-    for i0, columns in chunks:
-        first = None
-        for j, col in enumerate(columns):
-            # a nan or inf makes the sum non-finite; only then, or when the
-            # minimum is <= 0, is the column searched entry by entry
-            if col and not (min(col) > 0.0 and sum(col) < math.inf):
-                t = next((t for t, v in enumerate(col) if not 0.0 < v < math.inf), None)
-                if t is not None and (first is None or (max(i0, j) + t, j) < first[:2]):
-                    first = (max(i0, j) + t, j, col[t])
-        if first is not None:
-            i, k, value = first
-            above = [min(col[: max(i - max(i0, j), 0)], default=math.inf)
-                     for j, col in enumerate(columns)]
-            return _scan_stop(T, n0, n0 + i, n0 + k, value, min(low, *above))
-        low = min(low, *(min(col) for col in columns if col))
-    return PositivityCertificate(n0, N, low, "numerical_scan")
-
-
-def _scan_stop(T: int, n0: int, n: int, k: int, value: float, low: float) -> Positivity:
-    """The scan's answer at its first bad entry X(n, k) = ``value``, ``low``
-    being the minimum over the rows above it: an exact zero deep enough is
-    underflow and certifies those rows, anything else refutes."""
-    if value == 0.0 and n - n0 > 5 * T + 20:
-        return PositivityCertificate(n0, n - 1, low, "numerical_scan")
-    return PositivityRefutation(n, k, value)
 
 
 def check_lemma4(eq: Equation, window: Window = None) -> Verdict:

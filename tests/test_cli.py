@@ -562,6 +562,35 @@ def test_simulate_refuses_non_finite_initial_values(tmp_path, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,first", [
+    (["--history", "0", "-1e-3"], "-0.001"),
+    (["--x0", "-1e-3"], "-0.001"),
+    (["--history", "0", "-2.5E+1"], "-25"),
+    (["--x0", "-1."], "-1"),
+    (["--x0=-1e-3"], "-0.001"),
+    (["--history", "0", "-0.5"], "-0.5"),
+    (["--x0", "-.5"], "-0.5"),
+    (["--history", "0", "-inf"], "--history must be finite, not -inf"),
+    (["--x0", "-inf"], "--x0 must be finite, not -inf"),
+    (["--x0", "-NaN"], "--x0 must be finite, not nan"),
+], ids=["history-exponent", "x0-exponent", "history-signed-exponent", "x0-trailing-dot",
+        "x0-equals", "history-decimal", "x0-leading-dot", "history-inf", "x0-inf", "x0-nan"])
+def test_simulate_reads_every_negative_float(tmp_path, capsys, argv, first):
+    # argparse's own pattern took only plain negative integers and decimals
+    # as values; "-1e-3" and "-inf" were read as options and refused
+    from delaystab import cli
+
+    out = tmp_path / "out.csv"
+    code = cli.main(["simulate", _one_config(tmp_path, [("0.1", 1)]), "--N", "2", *argv,
+                     "--csv", str(out)])
+    err = capsys.readouterr().err
+    if first.startswith("--"):
+        assert code == 2 and err == f"error: {first}\n" and not out.exists()
+    else:
+        assert code == 0 and err == ""
+        assert out.read_text().splitlines()[1] == f"0,{first}"
+
+
 @pytest.mark.parametrize("case", ["missing-directory", "target-is-a-directory"])
 def test_a_failed_write_names_the_requested_path(cfg_factorial, tmp_path, case):
     if case == "missing-directory":

@@ -276,7 +276,7 @@ def test_positivity_scan_caps_its_ring():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < criteria.SCAN_BLOCK * 40_001 * 8
+    assert peak < _kernels.BLOCK * 40_001 * 8
 
 
 def test_scan_refutes_an_overflowing_kernel():
@@ -359,7 +359,9 @@ def _per_eq(values, lag=1):
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_column_scan_runs_up_to_its_period_bound(extra):
-    # P at SCAN_COLUMN_PERIOD steps columns, one above it streams rows
+    # P at SCAN_COLUMN_PERIOD steps columns, one above it streams rows;
+    # P <= BLOCK keeps entries past a diagonal in a column stream's first block
+    assert criteria.SCAN_COLUMN_PERIOD <= _kernels.BLOCK
     P = criteria.SCAN_COLUMN_PERIOD + extra
     kinds = set()
     for values in (range(1, P + 1), [1] * (P - 1) + [200]):
@@ -433,7 +435,7 @@ def _general_scan_cases(n0):
 
 
 def test_row_scan_matches_dense_reference_on_general_coefficients():
-    # general coefficients take the row scan: blocks of SCAN_BLOCK rows
+    # general coefficients take the row scan: blocks of BLOCK rows
     # checked in place, the last block partial on a 201-row window; at
     # n0 = 0 and 1 the underflow row holds an entry below every row above it
     for n0 in (0, 1, 15):
@@ -455,12 +457,12 @@ def test_row_scan_matches_dense_reference_on_general_coefficients():
 
 
 def test_a_scan_whose_block_ring_would_pass_the_cap_reads_single_rows(monkeypatch):
-    # max lag + 2 rows fit the cap, the ring rounded up to SCAN_BLOCK rows
+    # max lag + 2 rows fit the cap, the ring rounded up to BLOCK rows
     # would not: the scan reads one row at a time, with the same result
     for name, eq in _general_scan_cases(0).items():
         want = positivity_scan(eq, (0, 200))
         depth = criteria._ring_depth([t.delay for t in eq.terms], 0, 199)
-        assert depth % criteria.SCAN_BLOCK, name
+        assert depth % _kernels.BLOCK, name
         monkeypatch.setattr(_kernels, "MAX_ENTRIES", depth * 201)
         _assert_same_positivity(positivity_scan(eq, (0, 200)), want)
         monkeypatch.undo()

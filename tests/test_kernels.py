@@ -4,10 +4,10 @@
 column; ``kernel_table`` must reproduce it exactly, and the weighted sums
 and forced recurrences must match sums over it to rounding.
 ``_reference_step`` is the per-step NumPy-scalar recurrence;
-``step_recurrence`` must reproduce it bit for bit, and ``kernel_columns``
-the table's columns.  ``_reference_rows`` is the per-slice row stepper
-that ``kernel_rows``' full-width ring replaced; the ring's rows must
-reproduce it bit for bit.
+``step_recurrence`` must reproduce it bit for bit, and ``kernel_columns``'
+blocks the table's rows on its first columns.  ``_reference_rows`` is the
+per-slice row stepper that ``kernel_rows``' full-width ring replaced; the
+ring's rows must reproduce it bit for bit.
 """
 
 import numpy as np
@@ -112,22 +112,25 @@ def test_weighted_sums_match_dense_table(name, coeffs, lags, use_abs):
                                        use_abs))
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 16])
+@pytest.mark.parametrize("block", [1, 3, 16])
 @pytest.mark.parametrize("name,coeffs,lags", CASES, ids=IDS)
-def test_kernel_columns_are_the_table_columns_exactly(name, coeffs, lags, chunk):
+def test_kernel_columns_are_the_table_columns_exactly(name, coeffs, lags, block, monkeypatch):
+    # each block is the table's rows [i0, i1) on the first count columns,
+    # +0.0 past the diagonal, bit for bit; block ends double from BLOCK
+    monkeypatch.setattr(_kernels, "BLOCK", block)
     size = coeffs.shape[1] + 1
     table = _reference_table(coeffs, lags, size)
     count = max(size - 2, 1)  # columns past the count are never stepped
-    got, ends = [[] for _ in range(count)], []
-    for i0, columns in _kernels.kernel_columns(coeffs, lags, count, size, chunk):
+    ends = []
+    for i0, rows in _kernels.kernel_columns(coeffs, lags, count, size):
         assert i0 == (ends[-1] if ends else 0)
-        ends.append(i0 + len(columns[0]))
-        for col, part in zip(got, columns):
-            col.extend(part)
-    # chunk ends double from the first chunk on
-    assert ends == [min(chunk << q, size) for q in range(len(ends))]
-    for j, col in enumerate(got):
-        assert np.array_equal(col, table[j:, j]), j
+        assert rows.dtype == np.float64 and rows.shape[1] == count
+        ends.append(i0 + len(rows))
+        want = table[i0 : ends[-1], :count]
+        assert np.array_equal(rows, want) and np.array_equal(np.signbit(rows), np.signbit(want))
+        past = rows[np.arange(count) > np.arange(i0, ends[-1])[:, None]]
+        assert not past.any() and not np.signbit(past).any()
+    assert ends == [min(block << q, size) for q in range(len(ends))]
 
 
 def _reference_rows(coeffs, lags, size):
@@ -150,13 +153,13 @@ def _reference_rows(coeffs, lags, size):
         yield slot[: i + 2].copy()
 
 
-def _streamed_rows(coeffs, lags, size, block):
+def _streamed_rows(coeffs, lags, size):
     """kernel_rows' rows one by one, each cut at its diagonal, with a check
     of the blocks' layout and of the +0.0 past every diagonal."""
     out, ring = [], None
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0, rows in _kernels.kernel_rows(coeffs, lags, size, block):
-            assert i0 == len(out) and len(rows) == min(block, size - i0)
+        for i0, rows in _kernels.kernel_rows(coeffs, lags, size):
+            assert i0 == len(out) and len(rows) == min(_kernels.BLOCK, size - i0)
             assert rows.shape[1] == size and (ring is None or rows.base is ring)
             ring = rows.base
             for r, row in enumerate(rows):
@@ -173,14 +176,16 @@ ROW_LAGS = {"lag0": 0, "deep": 40}
 @pytest.mark.parametrize("size", [1, 2, 15, 16, 17, 201])
 @pytest.mark.parametrize("lag", list(ROW_LAGS), ids=list(ROW_LAGS))
 @pytest.mark.parametrize("m", range(1, 7))
-def test_kernel_rows_match_the_per_slice_stepper(m, lag, size, block):
+def test_kernel_rows_match_the_per_slice_stepper(m, lag, size, block, monkeypatch):
     # random signed coefficients and lags up to 0 or up to 40, deeper than
-    # most rows i; entries equal bit for bit, signs of zero included
+    # most rows i; entries equal bit for bit, signs of zero included, in
+    # blocks of BLOCK rows and of the one row the cap fallback hands out
+    monkeypatch.setattr(_kernels, "BLOCK", block)
     rng = np.random.default_rng([m, size, ROW_LAGS[lag]])
     coeffs = rng.uniform(-0.6, 0.6, (m, max(size - 1, 0)))
     coeffs[:, ::7] = 0.0
     lags = rng.integers(0, ROW_LAGS[lag] + 1, coeffs.shape).astype(np.int64)
-    got = _streamed_rows(coeffs, lags, size, block)
+    got = _streamed_rows(coeffs, lags, size)
     want = list(_reference_rows(coeffs, lags, size))
     assert len(got) == len(want) == size
     for i, (row, ref) in enumerate(zip(got, want)):
@@ -188,12 +193,13 @@ def test_kernel_rows_match_the_per_slice_stepper(m, lag, size, block):
 
 
 @pytest.mark.parametrize("block", [1, 16])
-def test_kernel_rows_match_the_per_slice_stepper_through_overflow(block):
+def test_kernel_rows_match_the_per_slice_stepper_through_overflow(block, monkeypatch):
     # X(n+1) = X(n) + 1e30 X(n - 1) overflows to inf, then inf - inf is nan
+    monkeypatch.setattr(_kernels, "BLOCK", block)
     size = 60
     coeffs = np.stack([np.full(size - 1, 0.5), np.full(size - 1, -1e30)])
     lags = np.stack([np.zeros(size - 1), np.ones(size - 1)]).astype(np.int64)
-    got = _streamed_rows(coeffs, lags, size, block)
+    got = _streamed_rows(coeffs, lags, size)
     with np.errstate(over="ignore", invalid="ignore"):
         want = list(_reference_rows(coeffs, lags, size))
     assert np.isinf(got[-1]).any() and np.isnan(got[-1]).any()
@@ -206,26 +212,27 @@ def test_kernel_rows_match_the_per_slice_stepper_through_overflow(block):
 @pytest.mark.parametrize("lag", [0, 1, 14, 15, 16, 40])
 def test_kernel_rows_ring_stays_under_the_cap(block, lag, monkeypatch):
     # the cap counts max lag + 2 rows; the ring rounds that up to a
-    # multiple of the block, unless the rounded ring alone would pass the
+    # multiple of BLOCK, unless the rounded ring alone would pass the
     # cap: then it keeps max lag + 2 rows and hands out one row at a time
+    monkeypatch.setattr(_kernels, "BLOCK", block)
     size = 50
     coeffs = np.full((1, size - 1), 0.01) + np.arange(size - 1) * 1e-4
     lags = np.full((1, size - 1), lag, dtype=np.int64)
     depth = lag + 2
     rounded = depth + -depth % block
-    want = _streamed_rows(coeffs, lags, size, 1)
+    want = list(_reference_rows(coeffs, lags, size))
     for cap, ring_depth, step in ((rounded * size, rounded, block),
                                   (depth * size, depth, block if rounded == depth else 1)):
         monkeypatch.setattr(_kernels, "MAX_ENTRIES", cap)
         blocks = [(i0, rows.copy(), rows.base)
-                  for i0, rows in _kernels.kernel_rows(coeffs, lags, size, block)]
+                  for i0, rows in _kernels.kernel_rows(coeffs, lags, size)]
         assert blocks[0][2].shape == (ring_depth, size) and ring_depth * size <= cap
         assert [i0 for i0, _, _ in blocks] == list(range(0, size, step))
         got = [row[: i0 + r + 1] for i0, rows, _ in blocks for r, row in enumerate(rows)]
         assert len(got) == size and all(map(np.array_equal, got, want))
     monkeypatch.setattr(_kernels, "MAX_ENTRIES", depth * size - 1)
     with pytest.raises(KernelMemoryError, match=f"kernel rows need {depth * size} entries"):
-        next(_kernels.kernel_rows(coeffs, lags, size, block))
+        next(_kernels.kernel_rows(coeffs, lags, size))
 
 
 def test_kernel_rows_cap_their_ring():
