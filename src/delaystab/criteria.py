@@ -110,9 +110,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class PositivityCertificate:
+    """X(n, k) > 0 for n0 <= k <= n <= N by a kernel scan, or an eventually
+    positive kernel by an analytic route, which records no window: [0, -1]."""
+
     n0: int
     N: int
-    min_value: float
     by: str  # numerical_scan | lemma4 | autonomous_bound | corollary3_characteristic
 
 
@@ -136,8 +138,7 @@ SCAN_LEN = 200
 # the scan steps P columns instead of every row up to this exact period P:
 # on whole-window certifying scans over T in {2, 20, 100} and m in
 # {1, 3, 6}, column blocks took at most 0.87 of the rows' time at every
-# P <= 16, up to 1.05 at P = 20 and 1.22 at P = 24; at most _kernels.BLOCK,
-# so only a column stream's first block reaches past a diagonal
+# P <= 16, up to 1.05 at P = 20 and 1.22 at P = 24
 SCAN_COLUMN_PERIOD = 16
 # theorem2 tries every index subset up to this many terms
 SUBSET_CAP = 12
@@ -307,19 +308,15 @@ def _ring_depth(delays: Sequence[DelaySpec], n0: int, n1: int) -> int:
                    for d in delays)
 
 
-# a block of BLOCK rows from row i0 has its entries past each row's
-# diagonal in columns i0 .. i0 + BLOCK - 1 where this mask is true
-_PAST_DIAGONAL = np.triu(np.ones((_kernels.BLOCK, _kernels.BLOCK), dtype=bool), 1)
-
-
 def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
     """Scan X over ``window`` = [n0, N]: the first X(n, k), n0 <= k <= n,
     that is nonpositive or not finite (n outward, then k) refutes, unless
     it is an exact zero more than 5T + 20 rows past n0, a decaying kernel
     underflowing, which certifies the rows before it; otherwise certify
-    with the minimum.
+    the window.
 
-    The scan checks each block of rows a kernel stream yields in place.
+    The scan checks each block of rows a kernel stream yields in place;
+    the +0.0 entries past each row's diagonal pass by their indices.
     When coefficients and delays repeat with a period P of at most
     ``SCAN_COLUMN_PERIOD``, X(n + P, k + P) = X(n, k) bit for bit, so
     ``kernel_columns`` steps only the columns k < n0 + P: column k's first
@@ -340,29 +337,22 @@ def positivity_scan(eq: Equation, window: tuple[int, int]) -> Positivity:
         blocks = _kernels.kernel_columns(coeffs, lags, min(period, size), size)
     else:
         blocks = _kernels.kernel_rows(coeffs, lags, size)
-    low = math.inf
     # an overflowing kernel turns inf and then nan; both refute
     with np.errstate(over="ignore", invalid="ignore"):
         for i0, rows in blocks:
-            # the rows' columns up to the last diagonal, in place; the
-            # entries past each row's diagonal are masked as good
+            # the rows' columns up to the last diagonal, in place; column j
+            # is past row i0 + r's diagonal, so +0.0 and good, when j > i0 + r
             part = rows[:, : i0 + len(rows)]
-            positive = part > 0.0
-            good = positive & (part < math.inf)
-            if i0 < part.shape[1]:  # a column stream's later blocks lie below every diagonal
-                good[:, i0:] |= _PAST_DIAGONAL[: len(rows), : part.shape[1] - i0]
-            # above the first bad entry every entry up to a diagonal is
-            # positive, and every entry past one is +0.0
+            good = (part > 0.0) & (part < math.inf)
+            good[:, i0:] |= np.arange(i0, part.shape[1]) > np.arange(i0, i0 + len(rows))[:, None]
             if not good.all():
                 r, k = divmod(int(np.argmin(good)), part.shape[1])
                 value = float(part[r, k])
-                low = min(low, float(part[:r].min(where=positive[:r], initial=math.inf)))
                 # an exact zero deep enough is underflow and certifies the rows above
                 if value == 0.0 and i0 + r > 5 * eq.T + 20:
-                    return PositivityCertificate(n0, n0 + i0 + r - 1, low, "numerical_scan")
+                    return PositivityCertificate(n0, n0 + i0 + r - 1, "numerical_scan")
                 return PositivityRefutation(n0 + i0 + r, n0 + k, value)
-            low = min(low, float(part.min(where=positive, initial=math.inf)))
-    return PositivityCertificate(n0, N, low, "numerical_scan")
+    return PositivityCertificate(n0, N, "numerical_scan")
 
 
 def check_lemma4(eq: Equation, window: Window = None) -> Verdict:
@@ -395,13 +385,13 @@ def _analytic_positivity(eq: Equation, window: Window) -> Optional[PositivityCer
     merged = once(merge_same_delay, eq)
     pre = once(check_lemma4, merged, _win(merged, window))
     if pre.outcome is Outcome.STABLE and not pre.window_certified:
-        return PositivityCertificate(0, -1, math.nan, "lemma4")
+        return PositivityCertificate(0, -1, "lemma4")
     if pre.outcome is not Outcome.NOT_APPLICABLE:
-        root, part1, part2, exact = once(_char_root, merged, pre.window)
+        _, part1, part2, exact = once(_char_root, merged, pre.window)
         if exact and part2:
-            return PositivityCertificate(0, -1, math.nan, "autonomous_bound")
+            return PositivityCertificate(0, -1, "autonomous_bound")
         if exact and part1:
-            return PositivityCertificate(0, -1, root["lambda"], "corollary3_characteristic")
+            return PositivityCertificate(0, -1, "corollary3_characteristic")
     return None
 
 
@@ -424,7 +414,7 @@ def _positivity_pass(eq: Equation, window: Window, sets: Sequence[tuple[int, ...
     union [lo, hi]; J, their terms that are >= 0.0 on every row of it,
     streams once over [lo, hi] (a term of no such set may lag deeper than
     [lo, hi] spans).  A certificate through hi certifies each subset of J on
-    its own window, with J's minimum as a lower bound.  J itself takes the
+    its own window, as that set's own scan would.  J itself takes the
     stream's result when [lo, hi] is its window, or when the stream refutes
     at (n, k) inside it: bad entries are found row by row, and the
     underflow stop, counted from lo, is looser there.  Every other set, all

@@ -20,9 +20,9 @@ also reads.  The strip is one exact period [s, s + P), where s is the
 first multiple of P past the deepest lag seen on [0, P): no window is
 clipped at index 0 there, so the sup over the strip is the limit.  When
 any coefficient is general the strip is the certification window and the
-sup is an estimate.  Each distinct delay's lag row is made once per
-evaluation scope (``seqexpr.once``) and shared by every strip on the same
-n.  Every sum on the strip is a difference of prefix sums.
+sup is an estimate.  A strip makes one lag row per distinct delay, on
+[0, P) when it is exact, where the lags are those of [s, s + P).  Every
+sum on the strip is a difference of prefix sums.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .equation import Equation, Term
-from .seqexpr import DelaySpec, classify, eval_range, once
+from .seqexpr import DelaySpec, classify, eval_range
 
 __all__ = [
     "AsymptoticEstimate",
@@ -159,8 +159,8 @@ def limsup_product(eq: Equation, p: int,
 class DelayStrip:
     """The n a delayed-sum sup runs over, with the lags there.
 
-    ``lags[i][j]`` is the lag of the i-th delay at ``ns[j]``: one read-only
-    row per delay passed in, the same row object for repeats of a delay;
+    ``lags[i][j]`` is the lag of the i-th delay at ``ns[j]``: one row per
+    delay passed in, the same row object for repeats of a delay;
     ``lo`` is the lowest index any window [h_i(n), n] reaches, clipped at
     0, so prefix sums that start at ``lo`` cover every window on the strip.
     """
@@ -187,13 +187,6 @@ class DelayStrip:
         return np.where(b > a, prefix[b - self.lo] - prefix[a - self.lo], 0.0)
 
 
-def _lag_row(delay: DelaySpec, n0: int, n1: int) -> np.ndarray:
-    """``delay``'s lags on [n0, n1], read-only: ``once`` hands it to every strip."""
-    row = delay.lag_range(n0, n1)
-    row.flags.writeable = False
-    return row
-
-
 def delay_strip(eq: Equation, delays: Sequence[DelaySpec],
                 window: tuple[int, int]) -> DelayStrip:
     """The strip for ``delays``: one exact period P = ``exact_period(eq,
@@ -201,16 +194,15 @@ def delay_strip(eq: Equation, delays: Sequence[DelaySpec],
     coefficient is general."""
     distinct = dict.fromkeys(delays)  # corollary 4 passes m copies of g
     period = exact_period(eq, distinct)
+    n0, n1 = window if period is None else (0, period - 1)
+    rows = {d: d.lag_range(n0, n1) for d in distinct}
+    deepest = max(int(row.max()) for row in rows.values())
     if period is not None:
-        first = max(int(once(_lag_row, d, 0, period - 1).max()) for d in distinct)
-        n0 = (first // period + 1) * period
+        # the lags repeat after P, so the rows on [0, P) are those on the strip
+        n0 = (deepest // period + 1) * period
         n1 = n0 + period - 1
-    else:
-        n0, n1 = window
-    rows = {d: once(_lag_row, d, n0, n1) for d in distinct}
     return DelayStrip(np.arange(n0, n1 + 1, dtype=np.int64), tuple(rows[d] for d in delays),
-                      max(0, n0 - max(int(row.max()) for row in rows.values())),
-                      period is not None)
+                      max(0, n0 - deepest), period is not None)
 
 
 def windowed_delayed_sum(eq: Equation, delays: Sequence[DelaySpec], upper_offset: int,

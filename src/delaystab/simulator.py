@@ -135,6 +135,8 @@ def lemma6_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
     solution with zero history and forcing sum_l a_l(k), so it is one
     forward iteration.
     """
+    if N < n0:
+        raise ValueError(f"horizon {N} precedes start {n0}")
     coeffs, lags = eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
     x = np.zeros(eq.T + N - n0 + 1)
     _kernels.step_recurrence(coeffs, lags, coeffs.sum(axis=0), x, eq.T, N - n0)
@@ -144,6 +146,8 @@ def lemma6_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
 def pituk_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
     """P(n) = sum_{j=n0}^{n-1} |X(n, j+1)|; bounded P indicates the
     summable-kernel property behind perturbation-robust stability."""
+    if N < n0:
+        raise ValueError(f"horizon {N} precedes start {n0}")
     weights = np.ones(N - n0)
     return _weighted_sums(eq, weights, n0, N, True)
 
@@ -168,9 +172,7 @@ def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
     forced = replace(eq, forcing=f)
     direct = simulate(forced, init, N).values
 
-    col0 = np.zeros(N - n0 + 1)
-    col0[:] = fundamental(eq, n0, N)
-    rec = col0 * init.value_at(n0)
+    rec = fundamental(eq, n0, N) * init.value_at(n0)
     if N > n0:
         if f is not None:
             weights = eval_range(f, n0, N - 1)

@@ -2,6 +2,10 @@
 check corpora: a `check --no-meta` report that drifts from
 ``perfbench/goldens`` fails here, not only in a benchmark run.
 
+The tracer's test runs one fixture through every entry point
+``perfbench/tracing.py`` wraps, so a rename or a signature change in the
+program that would break ``run.py --trace 1`` fails in tier 1 too.
+
 The jobs come from ``perfbench/corpus.py`` at the sizes ``perfbench/run.py``
 builds for a 30 s run: every ``check_general`` job, and the periodic
 fixtures plus every third ``check_periodic`` job of each stratum and cost
@@ -17,7 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from delaystab import cli
+from delaystab import cli, simulator
+from delaystab.equation import InitialData
+from delaystab.fixtures import config_to_equation
+from delaystab.seqexpr import parse
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # import perfbench's modules without writing a bytecode cache next to them,
@@ -26,6 +33,7 @@ _dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 sys.path.insert(0, str(PERFBENCH))
 import corpus  # noqa: E402
 import gate  # noqa: E402
+import tracing  # noqa: E402
 
 sys.path.remove(str(PERFBENCH))
 sys.dont_write_bytecode = _dont_write
@@ -64,3 +72,35 @@ def test_check_reports_pass_the_benchmark_gate(workload, tmp_path):
         if found:
             problems[digest] = found
     assert problems == {}
+
+
+def test_tracer_wraps_every_layer_and_restores_it(tmp_path):
+    job = corpus.fixture_job("alternating_two_delay")
+    path, out = tmp_path / "job.json", tmp_path / "out"
+    path.write_text(json.dumps(job))
+    eq, f = config_to_equation(job), parse("sin(n)")
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    patched = list(tracer._undo)
+    try:
+        assert all(getattr(holder, key) is not fn for holder, key, fn in patched)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["check", str(path), "--no-meta", "--out", str(out)],
+                         ["simulate", str(path), "--N", "40", "--csv", str(out)],
+                         ["fundamental", str(path), "--k", "0", "--N", "40", "--csv", str(out)]):
+                assert cli.main(argv) == 0, argv
+        simulator.representation_check(eq, InitialData.from_values(0, [0.5] * (eq.T + 1)),
+                                       f, 40)
+        simulator.cauchy_apply(eq, f, 0, 40)
+        simulator.lemma6_sum(eq, 0, 40)
+        simulator.pituk_sum(eq, 0, 40)
+        simulator.kernel(eq, 0, 40)
+    finally:
+        tracer.unpatch()
+    assert all(getattr(holder, key) is fn for holder, key, fn in patched)
+    metrics = tracing.per_layer_metrics(tracer, 0.0)
+    assert list(metrics) == [name for name, _, _ in tracing.PER_LAYER]
+    # every simulator entry point was traced, and each kernel's observer
+    # read the arguments it unpacks
+    assert all(metrics[f"simulator.{name}.calls"] > 0 for name in tracing.SIMULATOR)
+    assert all(metrics[f"kernels.{name}.ops"] > 0 for name in tracing.KERNELS)

@@ -57,6 +57,15 @@ def test_simulate_rejects_bad_horizon(eq_zero):
         simulate(eq_zero, InitialData.point(5), 4)
 
 
+@pytest.mark.parametrize("fn, N", [(lemma6_sum, 4), (lemma6_sum, 1), (pituk_sum, 4)],
+                         ids=["lemma6_sum-N4", "lemma6_sum-N1", "pituk_sum-N4"])
+def test_kernel_sums_refuse_a_horizon_before_the_start(fn, N, eq_sin_cos):
+    # simulate's error: lemma6_sum returned [] at N = n0 - 1, and NumPy
+    # refused a negative size further back
+    with pytest.raises(ValueError, match=f"^horizon {N} precedes start 5$"):
+        fn(eq_sin_cos, 5, N)
+
+
 # --- fundamental / kernel
 
 
