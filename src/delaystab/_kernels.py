@@ -28,7 +28,8 @@ import numpy as np
 __all__ = ["KernelMemoryError", "MAX_ENTRIES", "step_recurrence", "require_ring",
            "kernel_rows", "kernel_columns", "kernel_table", "weighted_kernel_sums"]
 
-# a kernel buffer (the dense table or the row ring) above this many entries raises
+# kernel_table and kernel_rows refuse a buffer (the dense table, the row ring)
+# above this many entries
 MAX_ENTRIES = 100_000_000
 # rows per block of the kernel streams (the column stream's later blocks double)
 BLOCK = 16
@@ -99,13 +100,13 @@ def kernel_rows(coeffs, lags, size):
 
     All columns advance at once: row(i+1) = row(i) - sum_l a_l row(h_l)
     on the columns of row i, then X = 1 on the new diagonal.  Only the
-    last max(lag) + 2 rows are kept, in a ring, so memory stays
-    O(size * lag).  The ring's depth is rounded up to a multiple of
-    BLOCK, so a block's rows sit in consecutive slots; where that would
-    pass the cap, blocks are one row instead.  Each view is valid until the
-    next step.
+    last min(max(lag), size - 1) + 2 rows are kept, in a ring, so memory
+    stays O(size * lag): no row reads one before the window's first.  The
+    ring's depth is rounded up to a multiple of BLOCK, so a block's rows
+    sit in consecutive slots; where that would pass the cap, blocks are one
+    row instead.  Each view is valid until the next step.
     """
-    depth, block = int(lags.max(initial=0)) + 2, BLOCK
+    depth, block = min(int(lags.max(initial=0)), size - 1) + 2, BLOCK
     require_ring(depth, size)
     if (depth + -depth % block) * size > MAX_ENTRIES:
         block = 1
@@ -168,7 +169,11 @@ def kernel_columns(coeffs, lags, count, size):
 
 
 def kernel_table(coeffs, lags, size):
-    """Dense fundamental table X[i, j] = X(n0+i, n0+j), lower triangular."""
+    """Dense fundamental table X[i, j] = X(n0+i, n0+j), lower triangular;
+    one past the cap is refused before it is allocated."""
+    if size * size > MAX_ENTRIES:
+        raise KernelMemoryError(f"kernel table needs {size * size} entries (cap {MAX_ENTRIES}); "
+                                "compute streaming columns with fundamental() instead")
     table = np.zeros((size, size))
     for i0, rows in kernel_rows(coeffs, lags, size):
         table[i0 : i0 + len(rows)] = rows

@@ -303,7 +303,8 @@ def scan_window(T: int) -> tuple[int, int]:
 
 def _ring_depth(delays: Sequence[DelaySpec], n0: int, n1: int) -> int:
     """The depth of ``kernel_rows``' ring over lag tables on [n0, n1]: the
-    deepest lag there plus 2, read from at most one period of each delay."""
+    deepest lag there plus 2, read from at most one period of each delay
+    (a scan window spans 5T rows, past every lag, so the ring takes all)."""
     return 2 + max(int(d.lag_range(n0, min(n1, n0 + d.period - 1)).max(initial=0))
                    for d in delays)
 

@@ -658,7 +658,9 @@ class DelaySpec:
         return self.lags[n % len(self.lags)]
 
     def lag_range(self, n0: int, n1: int) -> np.ndarray:
-        """Lag table on the inclusive window [n0, n1] as int64."""
-        n = np.arange(n0, n1 + 1, dtype=np.int64)
-        table = np.asarray(self.lags, dtype=np.int64)
-        return table[n % len(self.lags)]
+        """Lag table on the inclusive window [n0, n1] as int64 (empty when
+        n1 < n0), cut from a block of whole periods of the lags."""
+        p, i, size = len(self.lags), n0 % len(self.lags), max(n1 - n0 + 1, 0)
+        periods = np.empty(((i + size + p - 1) // p, p), dtype=np.int64)
+        periods[:] = self.lags
+        return periods.ravel()[i : i + size]

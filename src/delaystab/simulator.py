@@ -4,6 +4,10 @@ The fundamental function X(n, k) solves the homogeneous equation with
 x(n) = 0 for n < k and x(k) = 1; every solution decomposes over it, and
 the checkers' witness quantities (kernel-weighted sums, the a-priori
 product bound) are computed here.
+
+Every entry point works on the steps from its start n0 to its horizon N
+and reads the coefficient and lag tables on [n0, N - 1] from ``_tables``,
+which refuses N < n0; the kernels in ``_kernels`` cap their own buffers.
 """
 
 from __future__ import annotations
@@ -59,16 +63,22 @@ class Kernel:
         return float(self.values[n - self.n0, k - self.n0])
 
 
+def _tables(eq: Equation, n0: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient and lag tables of the steps from n0 to N, on
+    [n0, N - 1]: every entry point's window, refused when N < n0."""
+    if N < n0:
+        raise ValueError(f"horizon {N} precedes start {n0}")
+    return eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
+
+
 def simulate(eq: Equation, init: InitialData, N: int) -> Trajectory:
     """Iterate the forced equation from init.n0 up to N (inclusive)."""
     n0 = init.n0
-    if N < n0:
-        raise ValueError(f"horizon {N} precedes start {n0}")
+    coeffs, lags = _tables(eq, n0, N)
     missing = [n for n in range(n0 - eq.T, n0 + 1) if n not in init.history]
     if missing:
         raise ValueError(f"history incomplete, missing indices {missing}")
     steps = N - n0
-    coeffs, lags = eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
     if eq.forcing is not None and steps > 0:
         forcing = eval_range(eq.forcing, n0, N - 1)
     else:
@@ -83,9 +93,7 @@ def simulate(eq: Equation, init: InitialData, N: int) -> Trajectory:
 def fundamental(eq: Equation, k: int, N: int) -> np.ndarray:
     """Column X(n, k) for n in [k, N], stepped from the history 1 at k and
     0 before with ``simulate``'s zero forcing, so bit for bit its column."""
-    if N < k:
-        raise ValueError(f"horizon {N} precedes column start {k}")
-    coeffs, lags = eq.coeff_table(k, N - 1), eq.lag_table(k, N - 1)
+    coeffs, lags = _tables(eq, k, N)
     x = np.zeros(eq.T + N - k + 1)
     x[eq.T] = 1.0
     _kernels.step_recurrence(coeffs, lags, np.zeros(N - k), x, eq.T, N - k)
@@ -94,24 +102,7 @@ def fundamental(eq: Equation, k: int, N: int) -> np.ndarray:
 
 def kernel(eq: Equation, n0: int, N: int) -> Kernel:
     """All columns k in [n0, N] as a dense table."""
-    if N < n0:
-        raise ValueError(f"window end {N} precedes start {n0}")
-    size = N - n0 + 1
-    if size * size > _kernels.MAX_ENTRIES:
-        raise KernelMemoryError(
-            f"kernel table needs {size * size} entries (cap {_kernels.MAX_ENTRIES}); "
-            "compute streaming columns with fundamental() instead"
-        )
-    coeffs, lags = eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
-    table = _kernels.kernel_table(coeffs, lags, size)
-    return Kernel(n0, N, table)
-
-
-def _weighted_sums(eq: Equation, weights: np.ndarray, n0: int, N: int,
-                   use_abs: bool) -> np.ndarray:
-    """sum_{k=n0}^{n-1} X(n, k+1) * weights[k - n0] for n in [n0, N]."""
-    coeffs, lags = eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
-    return _kernels.weighted_kernel_sums(coeffs, lags, weights, use_abs)
+    return Kernel(n0, N, _kernels.kernel_table(*_tables(eq, n0, N), N - n0 + 1))
 
 
 def cauchy_apply(eq: Equation, f: SeqExpr, n0: int, N: int) -> Trajectory:
@@ -121,10 +112,9 @@ def cauchy_apply(eq: Equation, f: SeqExpr, n0: int, N: int) -> Trajectory:
     from kernel columns rather than by forward iteration, so it can be
     cross-checked against simulate().
     """
-    if N < n0:
-        raise ValueError("horizon precedes start")
+    coeffs, lags = _tables(eq, n0, N)
     weights = eval_range(f, n0, N - 1)
-    return Trajectory(n0, _weighted_sums(eq, weights, n0, N, False))
+    return Trajectory(n0, _kernels.weighted_kernel_sums(coeffs, lags, weights, False))
 
 
 def lemma6_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
@@ -135,9 +125,7 @@ def lemma6_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
     solution with zero history and forcing sum_l a_l(k), so it is one
     forward iteration.
     """
-    if N < n0:
-        raise ValueError(f"horizon {N} precedes start {n0}")
-    coeffs, lags = eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
+    coeffs, lags = _tables(eq, n0, N)
     x = np.zeros(eq.T + N - n0 + 1)
     _kernels.step_recurrence(coeffs, lags, coeffs.sum(axis=0), x, eq.T, N - n0)
     return x[eq.T:]
@@ -146,21 +134,14 @@ def lemma6_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
 def pituk_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
     """P(n) = sum_{j=n0}^{n-1} |X(n, j+1)|; bounded P indicates the
     summable-kernel property behind perturbation-robust stability."""
-    if N < n0:
-        raise ValueError(f"horizon {N} precedes start {n0}")
-    weights = np.ones(N - n0)
-    return _weighted_sums(eq, weights, n0, N, True)
+    coeffs, lags = _tables(eq, n0, N)
+    return _kernels.weighted_kernel_sums(coeffs, lags, np.ones(N - n0), True)
 
 
 def product_bound(eq: Equation, k: int, N: int) -> np.ndarray:
     """B(n) = prod_{j=k}^{n-1} (1 + sum_l |a_l(j)|); always >= |X(n, k)|."""
-    if N < k:
-        raise ValueError("horizon precedes column start")
-    out = np.ones(N - k + 1)
-    if N > k:
-        absagg = np.abs(eq.coeff_table(k, N - 1)).sum(axis=0)
-        out[1:] = np.cumprod(1.0 + absagg)
-    return out
+    coeffs, _ = _tables(eq, k, N)
+    return np.concatenate(([1.0], np.cumprod(1.0 + np.abs(coeffs).sum(axis=0))))
 
 
 def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
@@ -173,21 +154,19 @@ def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
     direct = simulate(forced, init, N).values
 
     rec = fundamental(eq, n0, N) * init.value_at(n0)
-    if N > n0:
-        if f is not None:
-            weights = eval_range(f, n0, N - 1)
-        else:
-            weights = np.zeros(N - n0)
-        coeffs = eq.coeff_table(n0, N - 1)
-        lags = eq.lag_table(n0, N - 1)
-        for l in range(eq.m):
-            hist = np.zeros(N - n0)
-            for i in range(N - n0):
-                h = (n0 + i) - int(lags[l, i])
-                if h < n0:
-                    hist[i] = init.value_at(h)
-            weights = weights - coeffs[l] * hist
-        rec = rec + _weighted_sums(eq, weights, n0, N, False)
+    coeffs, lags = _tables(eq, n0, N)
+    if f is not None:
+        weights = eval_range(f, n0, N - 1)
+    else:
+        weights = np.zeros(N - n0)
+    for l in range(eq.m):
+        hist = np.zeros(N - n0)
+        for i in range(N - n0):
+            h = (n0 + i) - int(lags[l, i])
+            if h < n0:
+                hist[i] = init.value_at(h)
+        weights = weights - coeffs[l] * hist
+    rec = rec + _kernels.weighted_kernel_sums(coeffs, lags, weights, False)
     return float(np.abs(direct - rec).max())
 
 

@@ -1,6 +1,8 @@
 """The benchmark's own correctness gate, run in tier 1 on the default-seed
 check corpora: a `check --no-meta` report that drifts from
-``perfbench/goldens`` fails here, not only in a benchmark run.
+``perfbench/goldens`` fails here, not only in a benchmark run.  One
+default-seed ``kernel_sums`` cycle passes the gate's kernel checks too,
+each output recomputed from the corpus' own parameters.
 
 The tracer's test runs one fixture through every entry point
 ``perfbench/tracing.py`` wraps, so a rename or a signature change in the
@@ -24,7 +26,7 @@ import pytest
 from delaystab import cli, simulator
 from delaystab.equation import InitialData
 from delaystab.fixtures import config_to_equation
-from delaystab.seqexpr import parse
+from delaystab.seqexpr import parse, periodic_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # import perfbench's modules without writing a bytecode cache next to them,
@@ -71,6 +73,39 @@ def test_check_reports_pass_the_benchmark_gate(workload, tmp_path):
         found = gate.check_report(json.loads(out.read_text()), goldens[digest])
         if found:
             problems[digest] = found
+    assert problems == {}
+
+
+def test_kernel_sums_pass_the_benchmark_gate(tmp_path):
+    # one cycle, each output as perfbench/run.py makes it: the CSVs through
+    # the CLI, the sums and the representation residual in-process
+    items = corpus.kernel_sums(corpus.DEFAULT_SEED, 1)
+    assert sorted({item.kind for item in items}) == sorted(
+        {kind for kind, _, _ in corpus.KERNEL_CYCLE})
+    problems = {}
+    for i, item in enumerate(items):
+        a = item.args
+        if item.kind in ("simulate_csv", "fundamental_csv"):
+            path, output = tmp_path / f"job-{i}.json", str(tmp_path / f"out-{i}.csv")
+            path.write_text(json.dumps(a["job"]))
+            argv = (["simulate", str(path), "--N", str(a["N"])] if item.kind == "simulate_csv"
+                    else ["fundamental", str(path), "--k", "0", "--N", str(a["N"])])
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv + ["--csv", output]) == 0, item.name
+        elif item.kind == "representation_check":
+            output = simulator.representation_check(
+                a["eq"], InitialData.from_values(0, a["history"]),
+                periodic_table(a["forcing"]), a["N"])
+        else:
+            eq = config_to_equation(a["job"])
+            if item.kind == "cauchy_apply":
+                output = simulator.cauchy_apply(eq, parse(a["job"]["equation"]["forcing"]),
+                                                0, a["N"])
+            else:
+                output = getattr(simulator, item.kind)(eq, 0, a["N"])
+        found = gate.check_kernel_item(item.kind, a, output)
+        if found:
+            problems[item.name] = found
     assert problems == {}
 
 

@@ -10,6 +10,8 @@ per-slice row stepper that ``kernel_rows``' full-width ring replaced; the
 ring's rows must reproduce it bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,30 @@ def test_kernel_rows_ring_stays_under_the_cap(block, lag, monkeypatch):
     monkeypatch.setattr(_kernels, "MAX_ENTRIES", depth * size - 1)
     with pytest.raises(KernelMemoryError, match=f"kernel rows need {depth * size} entries"):
         next(_kernels.kernel_rows(coeffs, lags, size))
+
+
+def test_kernel_rows_ring_holds_no_row_before_the_window():
+    # a lag of 10^7 reads no row of a 30-row window: the ring keeps
+    # min(max lag, size - 1) + 2 = 31 rows, rounded up to BLOCK
+    size = 30
+    coeffs = np.full((2, size - 1), 0.01)
+    lags = np.stack([np.ones(size - 1, dtype=np.int64), np.full(size - 1, 10**7)])
+    _, rows = next(_kernels.kernel_rows(coeffs, lags, size))
+    assert rows.base.shape == (31 + -31 % _kernels.BLOCK, size)
+
+
+def test_kernel_table_refuses_past_the_cap_before_allocating():
+    # 10,001^2 entries pass the cap; the 800 MB table is never allocated
+    coeffs, lags = np.zeros((1, 10_000)), np.zeros((1, 10_000), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(KernelMemoryError,
+                           match=r"^kernel table needs 100020001 entries \(cap 100000000\); "
+                                 r"compute streaming columns with fundamental\(\) instead$"):
+            _kernels.kernel_table(coeffs, lags, 10_001)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_kernel_rows_cap_their_ring():

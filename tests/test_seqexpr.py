@@ -149,6 +149,20 @@ def test_delayspec_invariants():
     assert c.kind == "constant" and c.max_lag == 4
 
 
+@pytest.mark.parametrize("period", range(1, 6))
+def test_lag_range_is_lag_at_on_every_window(period):
+    # cut from whole periods: every start offset, lengths 0 to 3p, one
+    # certification-length window, and nothing at n1 = n0 - 1
+    d = se.DelaySpec.periodic([(7 * j + 3) % 11 for j in range(period)])
+    windows = [(n0, n0 + length - 1) for n0 in (0, 1, period - 1, 2 * period + 1, 1003)
+               for length in range(3 * period + 1)]
+    for n0, n1 in windows + [(5, 10_005)]:
+        got = d.lag_range(n0, n1)
+        assert got.dtype == np.int64
+        assert got.tolist() == [d.lag_at(n) for n in range(n0, n1 + 1)], (n0, n1)
+    assert d.lag_range(9, 8).shape == (0,)
+
+
 def test_delayspec_rejects_negative():
     with pytest.raises(ValueError):
         se.DelaySpec.periodic([2, -1])

@@ -11,6 +11,7 @@ import pytest
 
 from delaystab import (
     DelaySpec,
+    Equation,
     InitialData,
     KernelMemoryError,
     Term,
@@ -23,6 +24,7 @@ from delaystab import (
     product_bound,
     representation_check,
     simulate,
+    subset_equation,
     validate,
 )
 from delaystab.oracle import random_equation
@@ -57,13 +59,42 @@ def test_simulate_rejects_bad_horizon(eq_zero):
         simulate(eq_zero, InitialData.point(5), 4)
 
 
-@pytest.mark.parametrize("fn, N", [(lemma6_sum, 4), (lemma6_sum, 1), (pituk_sum, 4)],
-                         ids=["lemma6_sum-N4", "lemma6_sum-N1", "pituk_sum-N4"])
-def test_kernel_sums_refuse_a_horizon_before_the_start(fn, N, eq_sin_cos):
-    # simulate's error: lemma6_sum returned [] at N = n0 - 1, and NumPy
-    # refused a negative size further back
+# every entry point as (eq, n0, N)
+ENTRY_POINTS = {
+    "simulate": lambda eq, n0, N: simulate(eq, InitialData.point(n0), N),
+    "fundamental": fundamental,
+    "kernel": kernel,
+    "cauchy_apply": lambda eq, n0, N: cauchy_apply(eq, parse("sin(n)"), n0, N),
+    "lemma6_sum": lemma6_sum,
+    "pituk_sum": pituk_sum,
+    "product_bound": product_bound,
+    "representation_check": lambda eq, n0, N: representation_check(
+        eq, InitialData.point(n0), parse("1"), N),
+}
+
+
+@pytest.mark.parametrize("name, N", [(name, N) for name in ENTRY_POINTS for N in (4, 1)],
+                         ids=[f"{name}-N{N}" for name in ENTRY_POINTS for N in (4, 1)])
+def test_kernel_sums_refuse_a_horizon_before_the_start(name, N, eq_sin_cos):
+    # one window check, simulate's message, before the history is read;
+    # fundamental, kernel, cauchy_apply and product_bound each had their
+    # own message, lemma6_sum returned [] at N = n0 - 1
     with pytest.raises(ValueError, match=f"^horizon {N} precedes start 5$"):
-        fn(eq_sin_cos, 5, N)
+        ENTRY_POINTS[name](eq_sin_cos, 5, N)
+
+
+def test_a_lag_past_the_window_subtracts_nothing():
+    # a window of 101 rows never reads a row 10^7 back: the kernel ring
+    # keeps the rows the window reaches, not 10^7 + 2 of them (past the
+    # cap), and the result is the one without that term, bit for bit.
+    # Built directly: validate would evaluate 10^8 points at this lag.
+    eq = Equation((Term(parse("0.1 + 0.05*sin(n)"), DelaySpec.constant(1)),
+                   Term(parse("0.001"), DelaySpec.constant(10**7))))
+    alone, f = subset_equation(eq, [0]), parse("cos(n)")
+    assert pituk_sum(eq, 0, 100).tobytes() == pituk_sum(alone, 0, 100).tobytes()
+    assert (cauchy_apply(eq, f, 0, 100).values.tobytes()
+            == cauchy_apply(alone, f, 0, 100).values.tobytes())
+    assert kernel(eq, 0, 20).values.tobytes() == kernel(alone, 0, 20).values.tobytes()
 
 
 # --- fundamental / kernel
@@ -151,7 +182,8 @@ def test_kernel_zero_equation(eq_zero):
 
 def test_kernel_memory_cap(eq_zero):
     with pytest.raises(KernelMemoryError, match="streaming"):
-        # 10,001^2 entries pass the cap; it raises before any allocation
+        # 10,001^2 entries pass the cap; kernel_table refuses them before it
+        # allocates the table (the coefficient tables come first)
         kernel(eq_zero, 0, 10_000)
 
 
