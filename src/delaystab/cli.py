@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import run_all, stable_verdicts
-from .equation import Equation, InitialData
+from .equation import Equation, InitialData, Term
 from .fixtures import config_to_equation, fixture_names, run_fixture
 from .oracle import (
     autonomous_coefficients,
@@ -44,7 +44,7 @@ from .oracle import (
     random_equation,
     tail_equivalence_test,
 )
-from .seqexpr import SeqEvalError, SeqSyntaxError
+from .seqexpr import SeqEvalError, SeqSyntaxError, constant, periodic_table
 from .simulator import (
     format_csv,
     fundamental,
@@ -184,19 +184,13 @@ def cmd_simulate(args) -> int:
     horizon = args.N if args.N is not None else _horizon_from(config, 100)
     if horizon < n0:
         raise ValueError(f"horizon {horizon} precedes n0 = {n0}")
-    if args.history:
-        values = [float(v) for v in args.history]
-        if len(values) != eq.T + 1:
-            raise ValueError(
-                f"history must cover [n0-T, n0]: need {eq.T + 1} values, got {len(values)}"
-            )
-    else:
-        values = [0.0] * eq.T + [args.x0]
-    bad = [v for v in values if not math.isfinite(v)]
+    given = args.history or [args.x0]
+    bad = [v for v in given if not math.isfinite(v)]
     if bad:
         # refused before stepping: the overflow check would blame the horizon
         raise ValueError(f"{'--history' if args.history else '--x0'} must be finite, not {bad[0]}")
-    init = InitialData.from_values(n0, values)
+    init = InitialData.from_values(
+        n0, given if args.history else np.append(np.zeros(eq.T), args.x0))
     # an overflow is reported by _require_finite, not by NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         traj = simulate(eq, init, horizon)
@@ -269,7 +263,6 @@ def _fuzz_representation(base_seed: int, count: int, rng: np.random.Generator):
         eq = random_equation(seed, m_max=3, T_max=5, K_max=0.35)
         history = [float(v) for v in rng.uniform(-1.0, 1.0, eq.T + 1)]
         init = InitialData.from_values(0, history)
-        from .seqexpr import periodic_table
         forcing = periodic_table([float(v) for v in rng.uniform(-1.0, 1.0, 3)])
         resid = representation_check(eq, init, forcing, 50)
         if not resid < 1e-9:
@@ -294,9 +287,6 @@ def _fuzz_oracle_soundness(base_seed: int, count: int):
 
 
 def _fuzz_tail_equivalence(base_seed: int, count: int, rng: np.random.Generator):
-    from .equation import Term
-    from .seqexpr import constant as const_expr
-
     failures = []
     produced = 0
     seed = base_seed
@@ -309,7 +299,7 @@ def _fuzz_tail_equivalence(base_seed: int, count: int, rng: np.random.Generator)
             continue  # marginal rate: decay class not well defined
         produced += 1
         n1 = int(rng.integers(1, 21))
-        replacement = [Term(const_expr(float(rng.uniform(-0.8, 0.8))), t.delay)
+        replacement = [Term(constant(float(rng.uniform(-0.8, 0.8))), t.delay)
                        for t in eq.terms]
         if not tail_equivalence_test(eq, n1, replacement, 400):
             failures.append({"seed": seed - 1, "n1": n1})

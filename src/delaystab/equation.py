@@ -59,23 +59,25 @@ class Equation:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Start index n0 and history covering [n0 - T, n0] (includes x(n0))."""
+    """Start index n0 and the history x(n0 - len + 1) .. x(n0), kept as one
+    read-only float64 array; x is zero before it."""
 
     n0: int
-    history: dict[int, float] = field(default_factory=dict)
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @staticmethod
     def from_values(n0: int, values: Sequence[float]) -> "InitialData":
         """Values for indices n0 - len + 1 .. n0 in order."""
-        start = n0 - len(values) + 1
-        return InitialData(n0, {start + i: float(v) for i, v in enumerate(values)})
+        return InitialData(n0, values)
 
     @staticmethod
     def point(n0: int, value: float = 1.0) -> "InitialData":
-        return InitialData(n0, {n0: float(value)})
-
-    def value_at(self, n: int) -> float:
-        return self.history.get(n, 0.0)
+        return InitialData(n0, [value])
 
 
 def validate(

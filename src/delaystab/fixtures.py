@@ -23,10 +23,10 @@ from .criteria import (
     stable_verdicts,
     theorem5_lhs_rhs,
 )
-from .equation import Equation
+from .equation import Equation, Term, validate
 from .limits import delay_window_sum
 from .oracle import companion_from_equation, fit_decay
-from .seqexpr import DelaySpec
+from .seqexpr import DelaySpec, parse
 from .simulator import fundamental, kernel
 
 __all__ = ["CheckResult", "FIXTURE_CONFIGS", "run_fixture", "fixture_names",
@@ -90,9 +90,6 @@ FIXTURE_CONFIGS: dict[str, dict] = {
 
 def config_to_equation(config: dict) -> Equation:
     """Build a validated Equation from the JSON config shape."""
-    from .equation import Term, validate
-    from .seqexpr import parse
-
     eq_cfg = config.get("equation")
     if not isinstance(eq_cfg, dict) or not isinstance(eq_cfg.get("terms"), list):
         raise ValueError("config needs equation.terms, a list of terms")

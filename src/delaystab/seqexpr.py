@@ -505,9 +505,10 @@ def once(fn: Callable, *args):
     if _scope is None:
         return fn(*args)
     key = (fn, *args)
-    if key not in _scope.memo:
-        _scope.memo[key] = fn(*args)
-    return _scope.memo[key]
+    value = _scope.memo.get(key, _scope)  # the scope itself marks a miss
+    if value is _scope:
+        value = _scope.memo[key] = fn(*args)
+    return value
 
 
 def eval_range(expr: SeqExpr, n0: int, n1: int) -> np.ndarray:

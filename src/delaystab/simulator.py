@@ -8,13 +8,15 @@ product bound) are computed here.
 Every entry point works on the steps from its start n0 to its horizon N
 and reads the coefficient and lag tables on [n0, N - 1] from ``_tables``,
 which refuses N < n0; the kernels in ``_kernels`` cap their own buffers.
+``simulate``, ``fundamental`` and ``lemma6_sum`` step the recurrence
+through one helper, ``_step``, from a history with zeros before it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -71,33 +73,41 @@ def _tables(eq: Equation, n0: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     return eq.coeff_table(n0, N - 1), eq.lag_table(n0, N - 1)
 
 
+def _step(eq: Equation, coeffs: np.ndarray, lags: np.ndarray, forcing: np.ndarray,
+          history: Sequence[float]) -> np.ndarray:
+    """x(n0), ..., x(N) stepped from ``history`` (x(n0 - len + 1) .. x(n0))
+    with zeros before it.  The buffer keeps depth = min(T, steps + len - 1)
+    entries before n0 and ``lags``, the caller's own table, is clipped at
+    depth in place: a lag past the history reads one of the buffer's
+    leading zeros, x's value there, so a zero history is only as deep as
+    its window."""
+    steps, h = len(forcing), len(history)
+    depth = min(eq.T, steps + h - 1)
+    x = np.zeros(depth + steps + 1)
+    x[depth + 1 - h: depth + 1] = history
+    np.minimum(lags, depth, out=lags)
+    _kernels.step_recurrence(coeffs, lags, forcing, x, depth, steps)
+    return x[depth:]
+
+
 def simulate(eq: Equation, init: InitialData, N: int) -> Trajectory:
     """Iterate the forced equation from init.n0 up to N (inclusive)."""
-    n0 = init.n0
-    coeffs, lags = _tables(eq, n0, N)
-    missing = [n for n in range(n0 - eq.T, n0 + 1) if n not in init.history]
-    if missing:
-        raise ValueError(f"history incomplete, missing indices {missing}")
-    steps = N - n0
-    if eq.forcing is not None and steps > 0:
-        forcing = eval_range(eq.forcing, n0, N - 1)
+    coeffs, lags = _tables(eq, init.n0, N)
+    if len(init.values) != eq.T + 1:
+        raise ValueError(f"history must cover [n0-T, n0]: need {eq.T + 1} values, "
+                         f"got {len(init.values)}")
+    if eq.forcing is not None:
+        forcing = eval_range(eq.forcing, init.n0, N - 1)
     else:
-        forcing = np.zeros(steps)
-    x = np.zeros(eq.T + steps + 1)
-    for i in range(eq.T + 1):
-        x[i] = init.history[n0 - eq.T + i]
-    _kernels.step_recurrence(coeffs, lags, forcing, x, eq.T, steps)
-    return Trajectory(n0, x[eq.T:].copy())
+        forcing = np.zeros(N - init.n0)
+    return Trajectory(init.n0, _step(eq, coeffs, lags, forcing, init.values))
 
 
 def fundamental(eq: Equation, k: int, N: int) -> np.ndarray:
     """Column X(n, k) for n in [k, N], stepped from the history 1 at k and
     0 before with ``simulate``'s zero forcing, so bit for bit its column."""
     coeffs, lags = _tables(eq, k, N)
-    x = np.zeros(eq.T + N - k + 1)
-    x[eq.T] = 1.0
-    _kernels.step_recurrence(coeffs, lags, np.zeros(N - k), x, eq.T, N - k)
-    return x[eq.T:]
+    return _step(eq, coeffs, lags, np.zeros(N - k), [1.0])
 
 
 def kernel(eq: Equation, n0: int, N: int) -> Kernel:
@@ -126,9 +136,7 @@ def lemma6_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
     forward iteration.
     """
     coeffs, lags = _tables(eq, n0, N)
-    x = np.zeros(eq.T + N - n0 + 1)
-    _kernels.step_recurrence(coeffs, lags, coeffs.sum(axis=0), x, eq.T, N - n0)
-    return x[eq.T:]
+    return _step(eq, coeffs, lags, coeffs.sum(axis=0), [0.0])
 
 
 def pituk_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
@@ -149,23 +157,21 @@ def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
     """Max deviation between forward iteration and the kernel-sum
     reconstruction x(n) = X(n,n0) x(n0) + sum X(n,k+1) f(k)
     - sum X(n,k+1) sum_l a_l(k) phi(h_l(k)), with phi cut off at n0."""
-    n0 = init.n0
+    n0, h = init.n0, len(init.values)
     forced = replace(eq, forcing=f)
     direct = simulate(forced, init, N).values
 
-    rec = fundamental(eq, n0, N) * init.value_at(n0)
+    rec = fundamental(eq, n0, N) * init.values[-1]
     coeffs, lags = _tables(eq, n0, N)
     if f is not None:
         weights = eval_range(f, n0, N - 1)
     else:
         weights = np.zeros(N - n0)
-    for l in range(eq.m):
-        hist = np.zeros(N - n0)
-        for i in range(N - n0):
-            h = (n0 + i) - int(lags[l, i])
-            if h < n0:
-                hist[i] = init.value_at(h)
-        weights = weights - coeffs[l] * hist
+    # phi(n0 + i - lag) is init.values[h - 1 + i - lag] below n0, and 0 from n0 on
+    phi = np.append(init.values[:-1], 0.0)
+    reads = phi[np.minimum(h - 1 + np.arange(N - n0) - lags, h - 1)]
+    for a, read in zip(coeffs, reads):
+        weights = weights - a * read
     rec = rec + _kernels.weighted_kernel_sums(coeffs, lags, weights, False)
     return float(np.abs(direct - rec).max())
 

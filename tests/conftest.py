@@ -1,6 +1,34 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from delaystab import DelaySpec, Term, parse, validate
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def _peak_rss_growth(setup: str, run: str) -> int:
+    """KiB by which the peak RSS of a fresh interpreter grows while it runs
+    ``run``, after ``setup`` (imports, inputs).  A child process, as
+    tracemalloc slows the step loop about twenty-fold."""
+    code = "\n".join([textwrap.dedent(setup), "import resource",
+                      "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+                      textwrap.dedent(run),
+                      "print(base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"])
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    base, peak = map(int, r.stdout.split()[-2:])
+    return peak - base
+
+
+@pytest.fixture(scope="session")
+def peak_rss_growth():
+    return _peak_rss_growth
 
 
 @pytest.fixture(scope="session")

@@ -562,6 +562,39 @@ def test_simulate_refuses_non_finite_initial_values(tmp_path, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("terms,history,message", [
+    ([("0.1", 1)], ["1", "2", "3"], "history must cover [n0-T, n0]: need 2 values, got 3"),
+    ([("0.1", 1)], ["1"], "history must cover [n0-T, n0]: need 2 values, got 1"),
+    # only the values given are read for finiteness, before their count
+    ([("0.1", 0)], ["1", "nan"], "--history must be finite, not nan"),
+], ids=["too-long", "too-short", "non-finite-first"])
+def test_simulate_refuses_a_history_of_the_wrong_length(tmp_path, capsys, terms, history,
+                                                         message):
+    from delaystab import cli
+
+    out = tmp_path / "out.csv"
+    code = cli.main(["simulate", _one_config(tmp_path, terms), "--N", "2",
+                     "--history", *history, "--csv", str(out)])
+    assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_at_a_long_lag_steps_in_bounded_memory(tmp_path, peak_rss_growth):
+    # lag 10^6 over 100 steps: the T zeros before --x0 are one array, so the
+    # process grows by about 50 MiB (the history, the step buffer and its
+    # list); a history dict of 10^6 + 1 entries took about 110 MiB.
+    config = _one_config(tmp_path, [("0.1", 1), ("0.001", 10**6)])
+    out = tmp_path / "out.csv"
+    growth = peak_rss_growth("from delaystab import cli", f"""
+        assert cli.main(["simulate", {config!r}, "--N", "100", "--csv", {str(out)!r}]) == 0
+    """)
+    assert growth < 80 * 1024  # KiB
+    alone = tmp_path / "alone.csv"
+    assert run_cli("simulate", _one_config(tmp_path, [("0.1", 1)]), "--N", "100",
+                   "--csv", str(alone)).returncode == 0
+    assert out.read_text() == alone.read_text()
+
+
 @pytest.mark.parametrize("argv,first", [
     (["--history", "0", "-1e-3"], "-0.001"),
     (["--x0", "-1e-3"], "-0.001"),

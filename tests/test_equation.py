@@ -175,10 +175,22 @@ def test_merge_same_delay_evaluates_nothing(monkeypatch):
 
 
 def test_initial_data_coverage_enforced(eq_unbounded):
-    with pytest.raises(ValueError, match="missing"):
-        simulate(eq_unbounded, InitialData(0, {0: 1.0}), 5)
+    # T = 1: a history is x(n0 - 1), x(n0), neither shorter nor longer
+    for values in ([1.0], [0.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match=r"^history must cover \[n0-T, n0\]: need 2 "
+                                             rf"values, got {len(values)}$"):
+            simulate(eq_unbounded, InitialData(0, values), 5)
     traj = simulate(eq_unbounded, InitialData.from_values(0, [0.0, 1.0]), 2)
     assert traj.values[2] == pytest.approx(6.8)
+
+
+def test_initial_data_holds_a_read_only_float_copy():
+    given = np.array([1.0, 2.0])
+    init = InitialData(4, given)
+    given[0] = 9.0
+    assert init.values.tolist() == [1.0, 2.0] and not init.values.flags.writeable
+    assert InitialData.from_values(4, [1, 2]).values.dtype == np.float64
+    assert InitialData.point(4, 7).values.tolist() == [7.0]
 
 
 def test_delay_accesses_stay_in_range(eq_periodic_mixed):

@@ -255,6 +255,33 @@ def test_scope_returns_read_only_views_of_one_span():
     assert se.eval_range(e, 100, 199).flags.writeable
 
 
+def test_once_hashes_its_key_once_per_lookup():
+    # a hit hashes the key once and a miss twice (the lookup and the store);
+    # a stored None is an answer, as _analytic_positivity's "no route" is
+    class Key:
+        hashes = 0
+
+        def __hash__(self):
+            Key.hashes += 1
+            return 0
+
+    calls = []
+
+    def answer(key):
+        calls.append(key)
+        return None
+
+    key = Key()
+    with se.evaluation_scope():
+        assert se.once(answer, key) is None
+        assert Key.hashes == 2
+        assert se.once(answer, key) is None
+        assert Key.hashes == 3
+    assert calls == [key]
+    se.once(answer, key)  # outside a scope every call computes, hashing nothing
+    assert calls == [key, key] and Key.hashes == 3
+
+
 def test_expressions_that_print_alike_are_one_expression(monkeypatch):
     built, parsed = se.SeqExpr(se.Num(-1.0)), se.SeqExpr(se.Neg(se.Num(1.0)))
     assert built.ast != parsed.ast and str(built) == str(parsed) == "-1.0"

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 from dataclasses import replace
 
@@ -125,33 +121,66 @@ def test_fundamental_is_the_simulated_column_bit_for_bit(seed):
     # the column from the history 1 at k and 0 before, signed zeros included
     eq = random_equation(seed, m_max=3, T_max=5, K_max=1.2)
     k, N = 7, 300
-    history = {n: (1.0 if n == k else 0.0) for n in range(k - eq.T, k + 1)}
-    want = simulate(replace(eq, forcing=None), InitialData(k, history), N).values
+    init = InitialData(k, [0.0] * eq.T + [1.0])
+    want = simulate(replace(eq, forcing=None), init, N).values
     assert fundamental(eq, k, N).tobytes() == want.tobytes()
 
 
-def test_fundamental_steps_a_long_column_in_bounded_memory():
+def test_fundamental_steps_a_long_column_in_bounded_memory(peak_rss_growth):
     # lag 10^5, a column of 500,050 steps: its coefficient and lag rows
     # become Python lists a chunk at a time and its zero history is never
     # a dict, so a fresh process grows by about 60 MB; whole rows and a
-    # history dict take about 150 MB.  Peak RSS of a child, as tracemalloc
-    # slows the step loop about twenty-fold.
-    code = textwrap.dedent("""
-        import resource
+    # history dict take about 150 MB.
+    growth = peak_rss_growth("""
         from delaystab import DelaySpec, Term, fundamental, parse, validate
-        base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    """, """
         eq = validate([Term(parse("1e-9"), DelaySpec.constant(10**5)),
                        Term(parse("2e-9*(1 + 0.5*per(1, -1))"), DelaySpec.constant(10**5))])
         assert len(fundamental(eq, 0, 5 * 10**5 + 49)) == 5 * 10**5 + 50
-        print(base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     """)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       env=env, timeout=120)
-    assert r.returncode == 0, r.stderr
-    base, peak = map(int, r.stdout.split())  # KiB
-    assert peak - base < 100 * 1024
+    assert growth < 100 * 1024  # KiB
+
+
+def _peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_zero_history_is_only_as_deep_as_its_window():
+    # A window of 100 steps reads no history 10^6 back.  The buffer keeps
+    # the 100 entries before the start that a lag can reach, and a longer
+    # lag reads one of their zeros.  So each call equals the one with that
+    # term at lag 100, whose reads all land on zeros of the buffer, bit for
+    # bit, and allocates no 10^6-deep history (39 MiB before).  lemma6_sum's
+    # forcing sums every coefficient, so the term is moved, not dropped.
+    # Built directly: validate would evaluate 10^7 points at this lag.
+    short, far = Term(parse("0.1 + 0.05*sin(n)"), DelaySpec.constant(1)), parse("0.001")
+    eq = Equation((short, Term(far, DelaySpec.constant(10**6))))
+    near = Equation((short, Term(far, DelaySpec.constant(100))))
+    alone = Equation((short,))
+    assert fundamental(near, 0, 100).tobytes() == fundamental(alone, 0, 100).tobytes()
+    for fn in (fundamental, lemma6_sum):
+        want = fn(near, 0, 100)
+        got, peak = _peak_mib(fn, eq, 0, 100)
+        assert got.tobytes() == want.tobytes()
+        assert peak < 1.0, fn.__name__
+
+
+def test_simulate_holds_its_history_as_one_array():
+    # the same equation from the history 0, ..., 0, 1 of T + 1 = 10^6 + 1
+    # values: an array of them, a step buffer and the buffer's list stay
+    # near 47 MiB; a dict of them took 110 MiB
+    eq = Equation((Term(parse("0.1 + 0.05*sin(n)"), DelaySpec.constant(1)),
+                   Term(parse("0.001"), DelaySpec.constant(10**6))))
+    want = fundamental(eq, 0, 100)
+    traj, peak = _peak_mib(lambda: simulate(
+        eq, InitialData.from_values(0, [0.0] * eq.T + [1.0]), 100))
+    assert traj.values.tobytes() == want.tobytes()
+    assert peak < 64
 
 
 def test_kernel_hand_value():
