@@ -55,6 +55,7 @@ from .oracle import (
     SpectralReport,
     companion_from_equation,
     companion_radius,
+    decay_fit,
     fit_decay,
     random_equation,
     tail_equivalence_test,

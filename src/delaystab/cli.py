@@ -27,7 +27,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -37,10 +36,9 @@ from .criteria import run_all, stable_verdicts
 from .equation import Equation, InitialData, Term
 from .fixtures import config_to_equation, fixture_names, run_fixture
 from .oracle import (
-    autonomous_coefficients,
     companion_from_equation,
-    companion_radius,
-    fit_decay,
+    decay_fit,
+    oracle_block,
     random_equation,
     tail_equivalence_test,
 )
@@ -146,29 +144,12 @@ def cmd_check(args) -> int:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     verdicts = run_all(eq, window, None if checks == "all" else checks)
-
-    # fit_decay needs 50 points past the skip; a column on [0, N] has N + 1
-    skip = max(5 * eq.T, 20)
-    # fit_decay drops the non-finite tail of an overflowed column
-    with np.errstate(over="ignore", invalid="ignore"):
-        column = fundamental(eq, 0, max(horizon, skip + 49))
-        fit = fit_decay(column, skip)
-    pairs = autonomous_coefficients(eq)
-    oracle_block = {
-        "decay": {
-            "mu_hat": fit.mu_hat,
-            "L_hat": fit.L_hat,
-            "window": list(fit.window),
-            "residual": fit.residual,
-        },
-        "spectral": None if pairs is None else asdict(companion_radius(pairs)),
-    }
     report = {
         "schema": 1,
         "equation": _equation_echo(eq),
         "verdicts": [v.to_dict() for v in verdicts],
         "stable_criteria": [v.criterion for v in stable_verdicts(verdicts)],
-        "oracle": oracle_block,
+        "oracle": oracle_block(eq, horizon),
         "artifacts": [],
     }
     if not args.no_meta:
@@ -293,9 +274,7 @@ def _fuzz_tail_equivalence(base_seed: int, count: int, rng: np.random.Generator)
     while produced < count:
         eq = random_equation(seed, m_max=3, T_max=5, K_max=0.8)
         seed += 1
-        col = fundamental(eq, 0, 400)
-        fit = fit_decay(col, max(5 * eq.T, 20))
-        if 0.98 <= fit.mu_hat <= 1.02:
+        if 0.98 <= decay_fit(eq, 400).mu_hat <= 1.02:
             continue  # marginal rate: decay class not well defined
         produced += 1
         n1 = int(rng.integers(1, 21))

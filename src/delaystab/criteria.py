@@ -36,8 +36,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels, limits
-from .equation import Equation, Term, merge_same_delay, subset_equation
-from .oracle import autonomous_coefficients
+from .equation import (Equation, Term, autonomous_coefficients, merge_same_delay,
+                       subset_equation)
 from .seqexpr import DelaySpec, eval_range, evaluation_scope, once
 
 __all__ = [

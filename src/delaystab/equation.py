@@ -13,10 +13,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .seqexpr import DelaySpec, SeqExpr, _eval_window, added, eval_range, spliced
+from .seqexpr import (DelaySpec, SeqExpr, _eval_window, added, classify, eval_range,
+                      evaluate, spliced)
 
 __all__ = ["Term", "Equation", "InitialData", "validate", "subset_equation",
-           "prefix_modify", "merge_same_delay"]
+           "prefix_modify", "merge_same_delay", "autonomous_coefficients"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class Equation:
         return np.stack([t.delay.lag_range(n0, n1) for t in self.terms])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialData:
     """Start index n0 and the history x(n0 - len + 1) .. x(n0), kept as one
     read-only float64 array; x is zero before it."""
@@ -134,6 +135,16 @@ def merge_same_delay(eq: Equation) -> Equation:
         return eq
     merged_terms = tuple(Term(groups[d], d) for d in order)
     return Equation(merged_terms, eq.forcing, eq.validation_window)
+
+
+def autonomous_coefficients(eq: Equation) -> Optional[list[tuple[float, int]]]:
+    """(coeff, lag) pairs when the equation is autonomous, else None."""
+    pairs = []
+    for t in eq.terms:
+        if t.delay.kind != "constant" or classify(t.coeff).tag != "constant":
+            return None
+        pairs.append((evaluate(t.coeff, 0), t.delay.max_lag))
+    return pairs
 
 
 def prefix_modify(eq: Equation, n1: int, replacement: Sequence[Term]) -> Equation:

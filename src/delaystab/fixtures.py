@@ -25,7 +25,7 @@ from .criteria import (
 )
 from .equation import Equation, Term, validate
 from .limits import delay_window_sum
-from .oracle import companion_from_equation, fit_decay
+from .oracle import companion_from_equation, decay_fit
 from .seqexpr import DelaySpec, parse
 from .simulator import fundamental, kernel
 
@@ -158,8 +158,7 @@ def _run_two_delay_sin_cos(eq: Equation) -> list[CheckResult]:
     a_inf = v.witnesses.get("a_inf", math.nan)
     a_sup = v.witnesses.get("a_sup", math.nan)
     gamma = v.witnesses.get("gamma_min", math.nan)
-    col = fundamental(eq, 0, 2000)
-    fit = fit_decay(col, max(5 * eq.T, 20))
+    fit = decay_fit(eq, 2000)
     return [
         CheckResult("two_term_part1_stable", v.outcome is Outcome.STABLE,
                     float(v.outcome is Outcome.STABLE), "Stable"),

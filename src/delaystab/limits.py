@@ -155,7 +155,7 @@ def limsup_product(eq: Equation, p: int,
     return limsup_products(eq, [p], window)[p]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayStrip:
     """The n a delayed-sum sup runs over, with the lags there.
 

@@ -3,19 +3,21 @@
 Autonomous equations reduce to a companion matrix whose spectral radius
 decides stability exactly; general equations get an empirical geometric
 decay rate fitted to a fundamental-function column.  Every Stable verdict
-can be cross-validated against one of the two.
+can be cross-validated against one of the two: ``oracle_block`` gives both
+as a report's ``oracle`` entry, and ``decay_fit`` is the one decay oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .equation import Equation, Term, validate
-from .seqexpr import DelaySpec, classify, constant, evaluate, periodic_table
+from .equation import Equation, Term, autonomous_coefficients, prefix_modify, validate
+from .seqexpr import DelaySpec, constant, periodic_table
+from .simulator import fundamental
 
 __all__ = [
     "SpectralReport",
@@ -23,8 +25,9 @@ __all__ = [
     "NonAutonomousError",
     "companion_radius",
     "companion_from_equation",
-    "autonomous_coefficients",
     "fit_decay",
+    "decay_fit",
+    "oracle_block",
     "decay_class",
     "tail_equivalence_test",
     "random_equation",
@@ -193,16 +196,6 @@ def companion_radius(pairs: Sequence[tuple[float, int]]) -> SpectralReport:
     return SpectralReport(radius, err, len(c))
 
 
-def autonomous_coefficients(eq: Equation) -> Optional[list[tuple[float, int]]]:
-    """(coeff, lag) pairs when the equation is autonomous, else None."""
-    pairs = []
-    for t in eq.terms:
-        if t.delay.kind != "constant" or classify(t.coeff).tag != "constant":
-            return None
-        pairs.append((evaluate(t.coeff, 0), t.delay.max_lag))
-    return pairs
-
-
 def companion_from_equation(eq: Equation) -> SpectralReport:
     pairs = autonomous_coefficients(eq)
     if pairs is None:
@@ -241,6 +234,24 @@ def fit_decay(column: Sequence[float], skip: int) -> DecayFit:
     return DecayFit(mu_hat, L_hat, window, float(np.abs(resid).max()))
 
 
+def decay_fit(eq: Equation, horizon: int) -> DecayFit:
+    """``fit_decay`` of X(n, 0) on [0, max(horizon, skip + 49)] past
+    skip = max(5T, 20): the fit needs 50 points past the skip, and drops
+    the non-finite tail of an overflowed column."""
+    skip = max(5 * eq.T, 20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fit_decay(fundamental(eq, 0, max(horizon, skip + 49)), skip)
+
+
+def oracle_block(eq: Equation, horizon: int) -> dict:
+    """A report's ``oracle`` entry: the decay fit up to ``horizon`` and, for
+    an autonomous equation, the companion radius (None otherwise)."""
+    decay = asdict(decay_fit(eq, horizon))
+    pairs = autonomous_coefficients(eq)
+    return {"decay": decay,
+            "spectral": None if pairs is None else asdict(companion_radius(pairs))}
+
+
 def decay_class(fit: DecayFit) -> str:
     """'decaying' when the fitted rate certifies contraction."""
     return "decaying" if fit.mu_hat < 1.0 else "nondecaying"
@@ -251,9 +262,6 @@ def tail_equivalence_test(eq: Equation, n1: int, replacement: Sequence[Term],
     """True when rewriting the coefficients before n1 leaves the decay
     class of the fundamental function unchanged (finite prefixes must not
     matter for exponential stability)."""
-    from .equation import prefix_modify
-    from .simulator import fundamental
-
     modified = prefix_modify(eq, n1, replacement)
     skip = min(n1 + 5 * eq.T, max(0, N - 60))
     fit_orig = fit_decay(fundamental(eq, 0, N), skip)

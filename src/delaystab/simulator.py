@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import KernelMemoryError
 from .equation import Equation, InitialData
-from .seqexpr import SeqExpr, eval_range
+from .seqexpr import SeqExpr, eval_range, evaluation_scope
 
 __all__ = [
     "Trajectory",
@@ -43,13 +43,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     n0: int
     values: np.ndarray  # x(n0), x(n0+1), ..., x(N)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """Dense table X(n, k) for n0 <= k <= n <= N (zeros above diagonal)."""
 
@@ -156,17 +156,15 @@ def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
                          N: int) -> float:
     """Max deviation between forward iteration and the kernel-sum
     reconstruction x(n) = X(n,n0) x(n0) + sum X(n,k+1) f(k)
-    - sum X(n,k+1) sum_l a_l(k) phi(h_l(k)), with phi cut off at n0."""
+    - sum X(n,k+1) sum_l a_l(k) phi(h_l(k)), with phi cut off at n0.
+    One evaluation scope serves its own tables and those of ``simulate``
+    and ``fundamental``, so each coefficient is evaluated once."""
     n0, h = init.n0, len(init.values)
-    forced = replace(eq, forcing=f)
-    direct = simulate(forced, init, N).values
-
-    rec = fundamental(eq, n0, N) * init.values[-1]
-    coeffs, lags = _tables(eq, n0, N)
-    if f is not None:
-        weights = eval_range(f, n0, N - 1)
-    else:
-        weights = np.zeros(N - n0)
+    with evaluation_scope():
+        direct = simulate(replace(eq, forcing=f), init, N).values
+        rec = fundamental(eq, n0, N) * init.values[-1]
+        coeffs, lags = _tables(eq, n0, N)
+        weights = eval_range(f, n0, N - 1) if f is not None else np.zeros(N - n0)
     # phi(n0 + i - lag) is init.values[h - 1 + i - lag] below n0, and 0 from n0 on
     phi = np.append(init.values[:-1], 0.0)
     reads = phi[np.minimum(h - 1 + np.arange(N - n0) - lags, h - 1)]

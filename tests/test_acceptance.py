@@ -21,6 +21,7 @@ from delaystab import (
     Outcome,
     Term,
     companion_from_equation,
+    decay_fit,
     fit_decay,
     fundamental,
     kernel,
@@ -96,7 +97,7 @@ def test_criterion_04_two_delay_sin_cos(eq_sin_cos):
     assert v.witnesses["a_inf"] > 0
     assert v.witnesses["a_sup"] <= 0.25 + 1e-9
     assert v.witnesses["gamma_min"] <= 0.1 / 0.15 + 1e-9
-    fit = fit_decay(fundamental(eq_sin_cos, 0, 2000), max(5 * eq_sin_cos.T, 20))
+    fit = decay_fit(eq_sin_cos, 2000)
     assert fit.mu_hat < 1
     report(4, f"two-term part 1 Stable, gamma {v.witnesses['gamma_min']:.4f}, "
               f"mu_hat {fit.mu_hat:.4f}")
@@ -190,7 +191,7 @@ def test_criterion_09_oracle_soundness():
             sound_violations.append(seed)
         if 0.2 <= rep.radius <= 0.98:
             fits += 1
-            fit = fit_decay(fundamental(eq, 0, 600), max(5 * eq.T, 20))
+            fit = decay_fit(eq, 600)
             if abs(fit.mu_hat - rep.radius) > 0.02:
                 rate_violations.append(seed)
     elapsed = time.perf_counter() - t0
@@ -225,7 +226,7 @@ def test_criterion_11_tail_equivalence():
     while produced < 100:
         eq = random_equation(seed, m_max=3, T_max=5, K_max=0.8)
         seed += 1
-        fit = fit_decay(fundamental(eq, 0, 400), max(5 * eq.T, 20))
+        fit = decay_fit(eq, 400)
         if 0.98 <= fit.mu_hat <= 1.02:
             continue  # decay class ill-defined at the margin
         produced += 1

@@ -1367,11 +1367,11 @@ def test_liminf_stable_implies_one_step_product_below_one():
 
 def test_stable_fixture_verdicts_match_empirical_decay(eq_sin_cos, eq_alternating,
                                                        eq_periodic_mixed):
-    from delaystab import fit_decay, fundamental
+    from delaystab import decay_fit
     for eq in (eq_sin_cos, eq_alternating, eq_periodic_mixed):
         stable = stable_verdicts(run_all(eq))
         assert stable
-        fit = fit_decay(fundamental(eq, 0, 1000), max(5 * eq.T, 20))
+        fit = decay_fit(eq, 1000)
         assert fit.mu_hat < 1.0
 
 

@@ -1,0 +1,50 @@
+"""The package's module layering, read from the sources with ``ast``.
+
+Every import counts, function-local ones too: ``cli`` sits on top, only
+``cli`` reads the fixtures, only ``cli`` and ``fixtures`` read the oracles
+(the checkers stay independent of their ground truth), and no two modules
+import each other, directly or through others.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delaystab"
+
+
+def _imports() -> dict[str, set[str]]:
+    """Each module (not ``__init__``) -> the package modules it imports."""
+    modules = {p.stem: p for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    graph = {}
+    for name, path in modules.items():
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # "from .x import y" names module x; "from . import x, y" names x and y
+                found |= {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("delaystab"):
+                rest = node.module.split(".")[1:]
+                found |= {rest[0]} if rest else {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                found |= {a.name.split(".")[1] for a in node.names
+                          if a.name.startswith("delaystab.")}
+        graph[name] = found & set(modules)
+    return graph
+
+
+def _importers(graph: dict[str, set[str]], module: str) -> set[str]:
+    return {name for name, deps in graph.items() if module in deps}
+
+
+def test_module_layering():
+    graph = _imports()
+    assert {"cli", "criteria", "fixtures", "oracle", "simulator"} <= set(graph)
+    assert _importers(graph, "cli") == set()
+    assert _importers(graph, "fixtures") == {"cli"}
+    assert _importers(graph, "oracle") <= {"cli", "fixtures"}
+    # no cycle: repeatedly drop the modules that import nothing left
+    left = dict(graph)
+    while left:
+        leaves = {name for name, deps in left.items() if not deps & set(left)}
+        assert leaves, f"import cycle among {sorted(left)}"
+        left = {name: deps for name, deps in left.items() if name not in leaves}

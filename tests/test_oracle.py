@@ -9,6 +9,7 @@ from delaystab import (
     Term,
     companion_from_equation,
     companion_radius,
+    decay_fit,
     fit_decay,
     fundamental,
     parse,
@@ -16,12 +17,13 @@ from delaystab import (
     tail_equivalence_test,
     validate,
 )
+from delaystab.equation import autonomous_coefficients
 from delaystab.oracle import (
     NonAutonomousError,
     _char_coeffs,
     _power_radius,
-    autonomous_coefficients,
     decay_class,
+    oracle_block,
 )
 
 
@@ -263,6 +265,40 @@ def test_fit_short_column_rejected():
         fit_decay(np.ones(30), 20)
 
 
+@pytest.mark.parametrize("seed,horizon", [(0, 600), (3, 1000), (7, 30), (11, 0)])
+def test_decay_fit_is_the_fit_of_the_column_past_its_skip(seed, horizon):
+    # a horizon short of skip + 49 is lengthened so the fit has 50 points
+    eq = random_equation(seed, m_max=3, T_max=12, K_max=0.8)
+    skip = max(5 * eq.T, 20)
+    column = fundamental(eq, 0, max(horizon, skip + 49))
+    assert decay_fit(eq, horizon) == fit_decay(column, skip)
+
+
+def test_decay_fit_of_an_early_overflow_raises_the_fit_error():
+    # X(n, 0) = (1 - 1e20)^n is non-finite from n = 16, before the skip of 20;
+    # the overflow raises no NumPy warning (they fail tests here)
+    eq = validate([Term(parse("1e20"), DelaySpec.constant(0))])
+    with pytest.raises(ValueError, match=r"at n = 16 is not finite \(overflow\)"):
+        decay_fit(eq, 200)
+
+
+def test_oracle_block_is_the_report_entry():
+    # the entries ``check`` wrote for these equations at horizon 1000
+    autonomous = random_equation(3, autonomous=True)
+    assert oracle_block(autonomous, 1000) == {
+        "decay": {"mu_hat": 0.8732863116640487, "L_hat": 0.07445179242815517,
+                  "window": (20, 1000), "residual": 5.999289953706466e-11},
+        "spectral": {"radius": 0.873286311664048, "dominant_modulus_error_bound": 1e-12,
+                     "dimension": 4},
+    }
+    periodic = random_equation(0)
+    assert oracle_block(periodic, 1000) == {
+        "decay": {"mu_hat": 0.8288536916292571, "L_hat": 0.014367930762328613,
+                  "window": (25, 1000), "residual": 6.325728843622031},
+        "spectral": None,
+    }
+
+
 def test_spectral_agreement_sample():
     mismatches = []
     fits = 0
@@ -272,7 +308,7 @@ def test_spectral_agreement_sample():
         if not 0.2 <= rep.radius <= 0.98:
             continue
         fits += 1
-        fit = fit_decay(fundamental(eq, 0, 600), max(5 * eq.T, 20))
+        fit = decay_fit(eq, 600)
         if abs(fit.mu_hat - rep.radius) > 0.02:
             mismatches.append(seed)
     assert fits > 50

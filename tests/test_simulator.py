@@ -285,6 +285,26 @@ def test_representation_random_instances():
     assert worst < 1e-9
 
 
+def test_representation_check_evaluates_each_coefficient_once(monkeypatch):
+    # a 3-term equation with periodic forcing: one window per coefficient and
+    # one for the forcing, shared by simulate, fundamental and its own tables
+    from delaystab import seqexpr
+    from delaystab.seqexpr import periodic_table
+    eq = random_equation(0, m_max=3, T_max=5, K_max=0.35)
+    assert eq.m == 3
+    calls = []
+    evaluate = seqexpr._eval_window
+
+    def counting(expr, n0, n1):
+        calls.append((str(expr), n0, n1))
+        return evaluate(expr, n0, n1)
+
+    monkeypatch.setattr(seqexpr, "_eval_window", counting)
+    history = InitialData.from_values(0, np.linspace(-1.0, 1.0, eq.T + 1))
+    assert representation_check(eq, history, periodic_table([0.5, -0.25, 1.0]), 50) < 1e-9
+    assert len(calls) == eq.m + 1
+
+
 def test_representation_periodic_mixed(eq_periodic_mixed):
     rng = np.random.default_rng(5)
     history = [float(v) for v in rng.uniform(-1, 1, eq_periodic_mixed.T + 1)]
@@ -430,3 +450,27 @@ def test_format_csv_memory_stays_near_its_text():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text)
+
+
+# --- value types holding arrays
+
+
+def _two_equal(kind):
+    from delaystab.limits import DelayStrip
+    from delaystab.simulator import Kernel, Trajectory
+    make = {
+        "InitialData": lambda: InitialData(0, [0.5, 1.0]),
+        "Trajectory": lambda: Trajectory(0, np.array([1.0, 0.5])),
+        "Kernel": lambda: Kernel(0, 1, np.array([[1.0, 0.0], [0.5, 1.0]])),
+        "DelayStrip": lambda: DelayStrip(np.arange(2), (np.array([1, 1]),), 0, True),
+    }[kind]
+    return make(), make()
+
+
+@pytest.mark.parametrize("kind", ["InitialData", "Trajectory", "Kernel", "DelayStrip"])
+def test_array_holders_compare_and_hash_by_identity(kind):
+    # NumPy's == on arrays has no single truth value, so these compare as objects
+    a, b = _two_equal(kind)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
