@@ -11,6 +11,8 @@ Coefficient and forcing streams are written in a small expression language:
 ``splice(n1, before, after)`` is accepted as an extension so that
 equations whose coefficients were rewritten on a finite prefix still
 print to parseable text; ``before`` applies for n < n1, ``after`` after.
+A table value or a cutoff is any finite expression of constant class, read
+when it is parsed.
 
 Evaluation is double precision and vectorized; every printed expression
 re-parses to an evaluation-equivalent tree, so a ``SeqExpr`` compares and
@@ -116,6 +118,9 @@ class Splice:
 Node = Union[Num, Var, Neg, Bin, Call, Per, Splice]
 
 _FUNCS = ("sin", "cos", "abs", "alt")
+# the left-associative operators (^ is parse_power's); a tuple, since the
+# empty string peek() returns at the end of the text is in "+-*/"
+_LEFT_OPS = ("+", "-", "*", "/")
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,15 @@ class SeqExpr:
 
     @cached_property
     def seq_class(self) -> SeqClass:
-        # lazy: a per/alt table evaluates here, and parse evaluates nothing
-        return _classify(self)
+        # lazy: evaluates one structural period; parse classifies only the
+        # constant slots of per and splice, and evaluates those at n = 0
+        period = _structural_period(self.ast)
+        if period is None:
+            return SeqClass("general")
+        period = _minimal_period(self, period)
+        if period == 1:
+            return SeqClass("constant")
+        return SeqClass("periodic", period)
 
     def __str__(self) -> str:
         return self.source_text
@@ -177,33 +189,23 @@ class _Parser:
         self.pos += 1
 
     def parse(self) -> Node:
-        node = self.parse_sum()
+        node = self.parse_binary()
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error(f"unexpected character {self.peek()!r}")
         return node
 
-    def parse_sum(self) -> Node:
-        node = self.parse_product()
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch in ("+", "-"):
-                self.pos += 1
-                node = Bin(ch, node, self.parse_product())
-            else:
-                return node
-
-    def parse_product(self) -> Node:
+    def parse_binary(self, floor: int = 0) -> Node:
+        # one loop for every left-associative level: precedence climbing over
+        # the printer's _PREC, taking operators that bind at least ``floor``
         node = self.parse_unary()
         while True:
             self.skip_ws()
             ch = self.peek()
-            if ch in ("*", "/"):
-                self.pos += 1
-                node = Bin(ch, node, self.parse_unary())
-            else:
+            if ch not in _LEFT_OPS or _PREC[ch] < floor:
                 return node
+            self.pos += 1
+            node = Bin(ch, node, self.parse_binary(_PREC[ch] + 1))
 
     def parse_unary(self) -> Node:
         self.skip_ws()
@@ -229,7 +231,7 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            node = self.parse_sum()
+            node = self.parse_binary()
             self.expect(")")
             return node
         if ch.isdigit() or ch == ".":
@@ -267,7 +269,7 @@ class _Parser:
             return Var()
         if name in _FUNCS:
             self.expect("(")
-            arg = self.parse_sum()
+            arg = self.parse_binary()
             self.expect(")")
             return Call(name, arg)
         if name == "per":
@@ -286,34 +288,20 @@ class _Parser:
             if cutoff != int(cutoff):
                 raise self.error("splice cutoff must be an integer")
             self.expect(",")
-            before = self.parse_sum()
+            before = self.parse_binary()
             self.expect(",")
-            after = self.parse_sum()
+            after = self.parse_binary()
             self.expect(")")
             return Splice(int(cutoff), before, after)
         self.pos = start
         raise self.error(f"unknown name {name!r}")
 
     def parse_const(self) -> float:
-        # constant subexpression (no free n), folded at parse time
-        node = self.parse_sum()
-        if _contains_var(node):
+        # an expression of constant class, read at n = 0 (finite, or SeqEvalError)
+        expr = SeqExpr(self.parse_binary())
+        if expr.seq_class.tag != "constant":
             raise self.error("expected a constant expression")
-        return float(_eval(node, np.zeros(1, dtype=np.int64))[0])
-
-
-def _contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Neg):
-        return _contains_var(node.arg)
-    if isinstance(node, Bin):
-        return _contains_var(node.left) or _contains_var(node.right)
-    if isinstance(node, Call):
-        return _contains_var(node.arg)
-    if isinstance(node, Splice):
-        return _contains_var(node.before) or _contains_var(node.after)
-    return False
+        return evaluate(expr, 0)
 
 
 def parse(text: str) -> SeqExpr:
@@ -581,16 +569,6 @@ def classify(expr: SeqExpr) -> SeqClass:
     The class is derived once per expression and stored on it.
     """
     return expr.seq_class
-
-
-def _classify(expr: SeqExpr) -> SeqClass:
-    period = _structural_period(expr.ast)
-    if period is None:
-        return SeqClass("general")
-    period = _minimal_period(expr, period)
-    if period == 1:
-        return SeqClass("constant")
-    return SeqClass("periodic", period)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,16 @@ def test_fuzz_mutation_surfaces_counterexamples():
     assert payload["counterexamples"]["oracle_soundness"]
 
 
+def test_infinite_splice_cutoff_exits_2(tmp_path):
+    path = tmp_path / "cutoff.json"
+    path.write_text(json.dumps({"schema": 1, "equation": {
+        "terms": [{"coeff": "splice(1e400, 0.1, 0.2)", "lag": 1}]}}))
+    r = run_cli("check", str(path), "--no-meta")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "error: non-finite value (at n=0)" in r.stderr
+
+
 def test_config_errors_exit_2(tmp_path):
     missing = run_cli("check", str(tmp_path / "nope.json"))
     assert missing.returncode == 2

@@ -14,9 +14,12 @@ from delaystab import (
     fundamental,
     parse,
     random_equation,
+    run_all,
+    stable_verdicts,
     tail_equivalence_test,
     validate,
 )
+from delaystab import criteria
 from delaystab.equation import autonomous_coefficients
 from delaystab.oracle import (
     NonAutonomousError,
@@ -25,6 +28,7 @@ from delaystab.oracle import (
     decay_class,
     oracle_block,
 )
+from delaystab.seqexpr import constant
 
 
 # --- companion radius
@@ -64,6 +68,42 @@ def test_companion_against_polynomial_roots():
         worst = max(worst, abs(rep.radius - ref))
         assert abs(rep.radius - ref) <= max(1e-3, rep.dominant_modulus_error_bound * 3 + 1e-6)
     assert worst < 1e-3
+
+
+# --- the exact stability boundary (Levin & May 1976; Kuruklis 1994):
+# x(n+1) - x(n) = -a x(n - k) is asymptotically stable exactly when
+# 0 < a < 2 sin(pi / (2 (2k + 1))); each lag is probed a hair on each side
+
+
+BOUNDARY_LAGS = range(1, 51)
+BOUNDARY_HAIR = 1e-6
+
+
+def _boundary_cases():
+    for k in BOUNDARY_LAGS:
+        a = 2 * math.sin(math.pi / (2 * (2 * k + 1)))
+        yield k, a * (1 - BOUNDARY_HAIR), a * (1 + BOUNDARY_HAIR)
+
+
+def _stable_lags_past_the_boundary() -> list:
+    return [k for k, _, above in _boundary_cases()
+            if stable_verdicts(run_all(validate([Term(constant(above), DelaySpec.constant(k))])))]
+
+
+def test_closed_form_boundary_is_never_certified_from_outside():
+    for k, below, above in _boundary_cases():
+        # |lambda| is within about 1e-6 of 1 on both sides, so the radius
+        # alone does not say which side of 1 it is on; its interval must
+        inside, outside = companion_radius([(below, k)]), companion_radius([(above, k)])
+        assert inside.radius - inside.dominant_modulus_error_bound < 1, k
+        assert outside.radius + outside.dominant_modulus_error_bound > 1, k
+    assert _stable_lags_past_the_boundary() == []
+
+
+def test_closed_form_boundary_catches_a_loosened_threshold(monkeypatch):
+    # the factor DELAYSTAB_LOOSEN_THRESHOLDS=1 sets: the test above can fail
+    monkeypatch.setattr(criteria, "_LOOSEN", 6.0)
+    assert _stable_lags_past_the_boundary() == list(BOUNDARY_LAGS)
 
 
 def _true_radius(c: np.ndarray):

@@ -137,6 +137,38 @@ def test_classify_periodic_soundness():
             assert np.array_equal(values[:-p], values[p:]), str(expr)
 
 
+# --- constant slots: a per value or splice cutoff is any finite expression
+# of constant class
+
+
+def test_constant_slots_refuse_tables_with_their_position():
+    for text, position in [("per(per(0.1, 0.3), 0.2)", 17), ("splice(per(7, 9), 1, 2)", 16),
+                           ("per(splice(5, 1, 2), 3)", 19), ("per(n)", 5)]:
+        with pytest.raises(se.SeqSyntaxError, match="expected a constant expression") as exc:
+            se.parse(text)
+        assert exc.value.position == position, text
+
+
+def test_constant_slots_take_any_expression_of_constant_class():
+    assert str(se.parse("per(per(1, 1), 3)")) == "per(1.0, 3.0)"
+    assert str(se.parse("per(alt(n)*alt(n), 2)")) == "per(1.0, 2.0)"
+    assert str(se.parse("per(abs(alt(n)))")) == "per(1.0)"
+    assert str(se.parse("splice(per(4, 4) + 1, n, 2)")) == "splice(5, n, 2.0)"
+
+
+def test_non_finite_constant_slots_raise_an_evaluation_error():
+    # the suite turns NumPy's invalid-value warning into an error; the CLI
+    # leaves it a warning, as here
+    with np.errstate(invalid="ignore"):
+        for text in ("splice(1e400, 0.1, 0.2)", "splice(sin(1e400), 1, 2)", "per(1e400)",
+                     "per(0.1, 1e400 - 1e400)"):
+            with pytest.raises(se.SeqEvalError, match=r"non-finite value \(at n=0\)"):
+                se.parse(text)
+    # the slot is read where it ends, before the text after it
+    with pytest.raises(se.SeqEvalError):
+        se.parse("per(1e400,^7")
+
+
 # --- DelaySpec
 
 
