@@ -388,9 +388,10 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    # MemoryError covers the kernel cap and an array NumPy cannot allocate
+    # MemoryError covers the kernel cap and an array NumPy cannot allocate;
+    # RecursionError a tree too deep to print or evaluate
     except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            SeqSyntaxError, SeqEvalError, MemoryError) as exc:
+            SeqSyntaxError, SeqEvalError, MemoryError, RecursionError) as exc:
         return _fail_usage(str(exc))
 
 

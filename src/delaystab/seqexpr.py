@@ -1,12 +1,12 @@
 """Closed-form integer-indexed sequences and bounded lag tables.
 
-Coefficient and forcing streams are written in a small expression language:
-
-    numbers, the index variable ``n``, operators ``+ - * / ^`` with the
-    usual precedence (``^`` is right associative and binds tightest),
-    parentheses, the functions ``sin``, ``cos``, ``abs``,
-    ``alt(n)`` for (-1)^n, and ``per(v0, ..., vp-1)`` for a table
-    indexed by ``n mod p``.
+Coefficient and forcing streams are written in a small expression language,
+a subset of Python's expressions that Python's own parser reads once ``^``
+is spelled ``**``: numbers, the index variable ``n``, ``+ - * / ^`` with
+the usual precedence (``^`` is right associative and binds tightest),
+parentheses, ``sin``, ``cos``, ``abs``, ``alt(n)`` for (-1)^n, and
+``per(v0, ..., vp-1)`` for a table indexed by ``n mod p``.  ``**``, ``#``,
+``0x10``, ``007`` and too deep nesting are errors; a call may end in a comma.
 
 ``splice(n1, before, after)`` is accepted as an extension so that
 equations whose coefficients were rewritten on a finite prefix still
@@ -28,7 +28,9 @@ general, whatever its first values are.
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -117,11 +119,6 @@ class Splice:
 
 Node = Union[Num, Var, Neg, Bin, Call, Per, Splice]
 
-_FUNCS = ("sin", "cos", "abs", "alt")
-# the left-associative operators (^ is parse_power's); a tuple, since the
-# empty string peek() returns at the end of the text is in "+-*/"
-_LEFT_OPS = ("+", "-", "*", "/")
-
 
 @dataclass(frozen=True)
 class SeqExpr:
@@ -167,146 +164,69 @@ class SeqClass:
 # Parsing
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str) -> SeqSyntaxError:
-        return SeqSyntaxError(msg, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
-            raise self.error(f"expected '{ch}'")
-        self.pos += 1
-
-    def parse(self) -> Node:
-        node = self.parse_binary()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error(f"unexpected character {self.peek()!r}")
-        return node
-
-    def parse_binary(self, floor: int = 0) -> Node:
-        # one loop for every left-associative level: precedence climbing over
-        # the printer's _PREC, taking operators that bind at least ``floor``
-        node = self.parse_unary()
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch not in _LEFT_OPS or _PREC[ch] < floor:
-                return node
-            self.pos += 1
-            node = Bin(ch, node, self.parse_binary(_PREC[ch] + 1))
-
-    def parse_unary(self) -> Node:
-        self.skip_ws()
-        if self.peek() == "-":
-            self.pos += 1
-            return Neg(self.parse_unary())
-        if self.peek() == "+":
-            self.pos += 1
-            return self.parse_unary()
-        return self.parse_power()
-
-    def parse_power(self) -> Node:
-        base = self.parse_atom()
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            # right associative; exponent may carry a sign
-            return Bin("^", base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> Node:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            node = self.parse_binary()
-            self.expect(")")
-            return node
-        if ch.isdigit() or ch == ".":
-            return self.parse_number()
-        if ch.isalpha() or ch == "_":
-            return self.parse_name()
-        raise self.error("expected a number, name or '('")
-
-    def parse_number(self) -> Num:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isdigit() or text[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(text) and text[self.pos] in "eE":
-            probe = self.pos + 1
-            if probe < len(text) and text[probe] in "+-":
-                probe += 1
-            if probe < len(text) and text[probe].isdigit():
-                self.pos = probe
-                while self.pos < len(text) and text[self.pos].isdigit():
-                    self.pos += 1
-        try:
-            return Num(float(text[start:self.pos]))
-        except ValueError:
-            self.pos = start
-            raise self.error("bad numeric literal") from None
-
-    def parse_name(self) -> Node:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-            self.pos += 1
-        name = text[start:self.pos]
-        if name == "n":
-            return Var()
-        if name in _FUNCS:
-            self.expect("(")
-            arg = self.parse_binary()
-            self.expect(")")
-            return Call(name, arg)
-        if name == "per":
-            self.expect("(")
-            values = [self.parse_const()]
-            self.skip_ws()
-            while self.peek() == ",":
-                self.pos += 1
-                values.append(self.parse_const())
-                self.skip_ws()
-            self.expect(")")
-            return Per(tuple(values))
-        if name == "splice":
-            self.expect("(")
-            cutoff = self.parse_const()
-            if cutoff != int(cutoff):
-                raise self.error("splice cutoff must be an integer")
-            self.expect(",")
-            before = self.parse_binary()
-            self.expect(",")
-            after = self.parse_binary()
-            self.expect(")")
-            return Splice(int(cutoff), before, after)
-        self.pos = start
-        raise self.error(f"unknown name {name!r}")
-
-    def parse_const(self) -> float:
-        # an expression of constant class, read at n = 0 (finite, or SeqEvalError)
-        expr = SeqExpr(self.parse_binary())
-        if expr.seq_class.tag != "constant":
-            raise self.error("expected a constant expression")
-        return evaluate(expr, 0)
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+_BRACKET_ERRORS = ("too many nested parentheses", "'(' was never closed", "unmatched ')'")
 
 
 def parse(text: str) -> SeqExpr:
-    """Parse expression text; raises SeqSyntaxError with a position."""
-    return SeqExpr(_Parser(text).parse())
+    """Parse expression text; raises SeqSyntaxError with a character position."""
+    start = len(text) - len(text.lstrip())
+    plain = re.sub(r"\s", " ", text[start:])
+    # a comment, Python's power, and what ast.parse cannot read
+    if refused := re.search(r"#|\*\*|[\x00\ud800-\udfff]", plain):
+        raise SeqSyntaxError(f"unexpected {refused.group()!r}", start + refused.start())
+    source = plain.replace("^", "**")
+    encoded = source.encode()
+
+    def where(offset: int) -> int:  # the position in text of the source's byte offset
+        at = [i for i, ch in enumerate(plain, start) for _ in ch.replace("^", "**").encode()]
+        return (at + [len(text)])[offset]
+
+    def span(node: ast.AST) -> str:
+        return encoded[node.col_offset:node.end_col_offset].decode()
+
+    def const(node: ast.AST) -> float:
+        expr = SeqExpr(convert(node))
+        if expr.seq_class.tag != "constant":
+            raise SeqSyntaxError("expected a constant expression", where(node.end_col_offset))
+        return evaluate(expr, 0)
+
+    def convert(node: ast.AST) -> Node:
+        kind, op = type(node), type(getattr(node, "op", None))
+        if kind is ast.Constant and type(node.value) in (int, float):
+            if set(span(node)) <= set("0123456789.eE+-"):  # not 0x10 or 1_0
+                return Num(float(span(node)))
+        elif kind is ast.Name and span(node) == "n":  # ids are NFKC-normalised
+            return Var()
+        elif kind is ast.UnaryOp and op in (ast.USub, ast.UAdd):
+            return Neg(convert(node.operand)) if op is ast.USub else convert(node.operand)
+        elif kind is ast.BinOp and op in _BINARY:
+            return Bin(_BINARY[op], convert(node.left), convert(node.right))
+        elif (kind is ast.Call and type(node.func) is ast.Name and not node.keywords
+                and node.func.col_offset == node.col_offset):  # not a callee in parentheses
+            name, args = span(node.func), node.args
+            if name in ("sin", "cos", "abs", "alt") and len(args) == 1:
+                return Call(name, convert(args[0]))
+            if name == "per" and args:
+                return Per(tuple(const(arg) for arg in args))
+            if name == "splice" and len(args) == 3:
+                cutoff = const(args[0])
+                if cutoff != int(cutoff):
+                    raise SeqSyntaxError("non-integer splice cutoff", where(args[0].end_col_offset))
+                return Splice(int(cutoff), convert(args[1]), convert(args[2]))
+        what = "unknown name" if kind is ast.Name else "unsupported syntax"
+        first, end = where(node.col_offset), where(node.end_col_offset)
+        raise SeqSyntaxError(f"{what} {text[first:end]!r}", first)
+
+    try:
+        return SeqExpr(convert(ast.parse(source, mode="eval").body))
+    except SyntaxError as exc:  # exc.offset counts characters from 1, 0 at the end
+        # CPython's other messages give Python advice ("use an 0o prefix")
+        message = exc.msg if exc.msg in _BRACKET_ERRORS else "invalid syntax"
+        at = exc.offset - 1 if exc.offset else len(source)
+        raise SeqSyntaxError(message, where(len(source[:at].encode()))) from None
+    except (RecursionError, MemoryError):  # CPython's parser stack, or ours
+        raise SeqSyntaxError("expression nested too deeply", 0) from None
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +262,7 @@ def _print(node: Node, parent_prec: int = 0) -> str:
     if isinstance(node, Per):
         return "per(" + ", ".join(repr(v) for v in node.values) + ")"
     if isinstance(node, Splice):
-        return (
-            f"splice({node.cutoff}, {_print(node.before)}, {_print(node.after)})"
-        )
+        return f"splice({node.cutoff}, {_print(node.before)}, {_print(node.after)})"
     raise TypeError(f"unknown node {node!r}")
 
 

@@ -207,6 +207,37 @@ def test_infinite_splice_cutoff_exits_2(tmp_path):
     assert "error: non-finite value (at n=0)" in r.stderr
 
 
+# reading these slots makes NumPy warn; the warning stays a warning
+@pytest.mark.parametrize("coeff", [
+    "splice(sin(1e400), 1, 2)",
+    "per(0.1, 1e400 - 1e400)",
+    "per(1e200*1e200)",
+])
+def test_non_finite_constant_slot_exits_2(tmp_path, coeff):
+    path = tmp_path / "slot.json"
+    path.write_text(json.dumps({"schema": 1, "equation": {
+        "terms": [{"coeff": coeff, "lag": 1}]}}))
+    r = run_cli("check", str(path), "--no-meta")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "error: non-finite value (at n=0)" in r.stderr
+
+
+@pytest.mark.parametrize("coeff", [
+    "(" * 300 + "0.1" + ")" * 300,
+    " + ".join(["0.0001"] * 3000),
+    "-" * 3000 + "0.1",
+    "-" * 10000 + "0.1",  # past CPython's parser stack, which raises MemoryError
+], ids=["parentheses", "sum", "minuses", "parser_stack"])
+def test_deep_expressions_exit_2(tmp_path, coeff):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"schema": 1, "equation": {"terms": [{"coeff": coeff, "lag": 1}]}}))
+    r = run_cli("check", str(path), "--no-meta")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ")
+
+
 def test_config_errors_exit_2(tmp_path):
     missing = run_cli("check", str(tmp_path / "nope.json"))
     assert missing.returncode == 2

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,59 @@ def test_syntax_error_position():
     with pytest.raises(se.SeqSyntaxError) as exc:
         se.parse("0.2 + * 3")
     assert exc.value.position == 6
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("\t0.1 *\tn", "0.1*n"),
+    ("0.1 +\n  n\r\n", "0.1 + n"),
+    ("   per(1, 2)", "per(1.0, 2.0)"),
+    ("2**3", 1),
+    ("0x10", 0),
+    ("007", (0, "invalid syntax")),      # not CPython's "use an 0o prefix"
+    # not CPython's int_max_str_digits advice
+    pytest.param("1" * 5000, (5000, "invalid syntax"), id="5000-digit integer"),
+    pytest.param("(" * 300 + "1" + ")" * 300, (200, "too many nested parentheses"),
+                 id="300 parentheses"),
+    ("n(2)", 0),
+    ("sin(n, 2)", 0),
+    ("per()", 0),
+    ("splice(1, 2)", 0),
+    ("True", 0),
+    ("1j", 0),
+    ("n if n else 1", 0),
+    ("1_0", 0),
+    ("(sin)(n)", 0),
+    ("\u207f", 0),               # NFKC makes Python read it as n
+    ("sin(n, ^n)", 0),           # Python reads **n as keyword arguments
+    ("0.1 # note", 4),
+    ("0.1\x00", 3),
+    ("2^3 + * 1", 6),
+    ("1 + ", (4, "invalid syntax")),     # an error at the end is at the end
+    ("sin(n", (3, "'\\(' was never closed")),
+    ("1)", (1, "unmatched '\\)'")),
+    # positions count characters, not UTF-8 bytes
+    ("0.5 + é + * 1", 10),
+    ("0.5 +\u2003foo", 6),
+])
+def test_language_edges(text, outcome):
+    # accepted texts give their printed form, refused ones their position
+    # and, where pinned, their message
+    if isinstance(outcome, str):
+        assert str(se.parse(text)) == outcome
+        return
+    position, message = outcome if isinstance(outcome, tuple) else (outcome, None)
+    with pytest.raises(se.SeqSyntaxError, match=message) as exc:
+        se.parse(text)
+    assert exc.value.position == position
+
+
+def test_long_per_table_parses_in_linear_time():
+    values = [0.5 + i / 1e6 for i in range(20_000)]
+    text = "per(" + ", ".join(map(repr, values)) + ")"
+    start = time.perf_counter()
+    expr = se.parse(text)
+    assert time.perf_counter() - start < 5.0
+    assert expr.ast == se.Per(tuple(values))
 
 
 def test_division_by_zero_reports_index():
@@ -70,7 +125,7 @@ def test_splice_semantics():
 
 
 def _random_ast(rng, depth):
-    choice = rng.integers(0, 8 if depth > 0 else 3)
+    choice = rng.integers(0, 10 if depth > 0 else 3)
     if choice == 0:
         return se.Num(float(np.round(rng.uniform(-5, 5), 6)))
     if choice == 1:
@@ -89,6 +144,15 @@ def _random_ast(rng, depth):
     if choice == 6:
         fn = ["sin", "cos", "abs"][rng.integers(0, 3)]
         return se.Call(fn, _random_ast(rng, depth - 1))
+    if choice == 7:
+        # small nonnegative integer exponents stay in domain and finite; a
+        # power as the exponent prints right-associated
+        exponent = [se.Num(2.0), se.Num(3.0), se.Neg(se.Num(-2.0)),
+                    se.Bin("^", se.Num(-1.0), se.Num(2.0))][rng.integers(0, 4)]
+        return se.Bin("^", _random_ast(rng, depth - 1), exponent)
+    if choice == 8:
+        return se.Splice(int(rng.integers(-3, 30)), _random_ast(rng, depth - 1),
+                         _random_ast(rng, depth - 1))
     return se.Call("alt", se.Var())
 
 
@@ -111,7 +175,10 @@ def test_round_trip_hypothesis(n, seed):
     rng = np.random.default_rng(seed)
     ast = _random_ast(rng, 3)
     expr = se.SeqExpr(ast)
-    assert se.evaluate(expr, n) == se.evaluate(se.parse(str(expr)), n)
+    reparsed = se.parse(str(expr))
+    assert se.evaluate(expr, n) == se.evaluate(reparsed, n)
+    # printing is a fixed point
+    assert str(reparsed) == str(expr)
 
 
 def test_classify_needs_a_structural_period():
@@ -158,14 +225,14 @@ def test_constant_slots_take_any_expression_of_constant_class():
 
 def test_non_finite_constant_slots_raise_an_evaluation_error():
     # the suite turns NumPy's invalid-value warning into an error; the CLI
-    # leaves it a warning, as here
+    # leaves it a warning, as here (tests/test_cli.py runs these texts)
     with np.errstate(invalid="ignore"):
         for text in ("splice(1e400, 0.1, 0.2)", "splice(sin(1e400), 1, 2)", "per(1e400)",
                      "per(0.1, 1e400 - 1e400)"):
             with pytest.raises(se.SeqEvalError, match=r"non-finite value \(at n=0\)"):
                 se.parse(text)
-    # the slot is read where it ends, before the text after it
-    with pytest.raises(se.SeqEvalError):
+    # the whole text is parsed before any slot is read
+    with pytest.raises(se.SeqSyntaxError):
         se.parse("per(1e400,^7")
 
 
