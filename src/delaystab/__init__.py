@@ -3,7 +3,6 @@ difference equations x(n+1) - x(n) = -sum_l a_l(n) x(h_l(n)) + f(n)."""
 
 from .seqexpr import (
     DelaySpec,
-    SeqClass,
     SeqEvalError,
     SeqExpr,
     SeqSyntaxError,

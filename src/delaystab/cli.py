@@ -303,6 +303,8 @@ def cmd_fuzz(args) -> int:
             "counterexamples": suites,
             "pass": failed == 0,
         }
+        if not args.no_meta:
+            payload["meta"] = {"tool": f"delaystab {__version__}"}
         _emit(_dump(payload), args.out)
     else:
         lines = []

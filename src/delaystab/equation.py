@@ -141,7 +141,7 @@ def autonomous_coefficients(eq: Equation) -> Optional[list[tuple[float, int]]]:
     """(coeff, lag) pairs when the equation is autonomous, else None."""
     pairs = []
     for t in eq.terms:
-        if t.delay.kind != "constant" or classify(t.coeff).tag != "constant":
+        if t.delay.kind != "constant" or classify(t.coeff) != 1:
             return None
         pairs.append((evaluate(t.coeff, 0), t.delay.max_lag))
     return pairs

@@ -30,11 +30,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .equation import Equation, Term
+from .equation import Equation
 from .seqexpr import DelaySpec, classify, eval_range
 
 __all__ = [
@@ -65,31 +65,27 @@ def default_window(eq: Equation) -> tuple[int, int]:
     return (start, start + 10_000)
 
 
-def _coeff_period(terms: Sequence[Term]) -> Optional[int]:
-    """lcm of coefficient periods, or None when any stream is general."""
+def _lcm(periods: Iterable[Optional[int]]) -> Optional[int]:
+    """lcm of ``periods``, or None at the first None: a generator that
+    classifies coefficients stops classifying at the first general one."""
     period = 1
-    for t in terms:
-        c = classify(t.coeff)
-        if c.tag == "constant":
-            continue
-        if c.tag == "periodic":
-            period = math.lcm(period, c.period)
-        else:
+    for p in periods:
+        if p is None:
             return None
+        period = math.lcm(period, p)
     return period
 
 
 def aggregate_period(eq: Equation) -> Optional[int]:
     """lcm of all of ``eq``'s coefficient periods, or None when any is general."""
-    return _coeff_period(eq.terms)
+    return _lcm(classify(t.coeff) for t in eq.terms)
 
 
 def exact_period(eq: Equation, delays: Sequence[DelaySpec]) -> Optional[int]:
     """lcm of all of ``eq``'s coefficient periods and the periods of
     ``delays``, or None when any coefficient is general: every table of
     ``eq`` on those delays repeats after it, bit for bit."""
-    period = aggregate_period(eq)
-    return None if period is None else math.lcm(period, *(d.period for d in delays))
+    return _lcm([aggregate_period(eq), *(d.period for d in delays)])
 
 
 def coeff_span(eq: Equation, window: tuple[int, int], indices: Optional[Sequence[int]] = None,
@@ -102,7 +98,7 @@ def coeff_span(eq: Equation, window: tuple[int, int], indices: Optional[Sequence
     ``eval_range`` returns, read-only inside an evaluation scope.
     """
     indices = range(eq.m) if indices is None else indices
-    period = _coeff_period([eq.terms[l] for l in indices])
+    period = _lcm(classify(eq.terms[l].coeff) for l in indices)
     n0 = window[0]
     n1 = (n0 + period - 1 if period is not None else window[1]) + extra
     return [eval_range(eq.terms[l].coeff, n0, n1) for l in indices], period is not None

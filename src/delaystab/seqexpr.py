@@ -11,8 +11,8 @@ parentheses, ``sin``, ``cos``, ``abs``, ``alt(n)`` for (-1)^n, and
 ``splice(n1, before, after)`` is accepted as an extension so that
 equations whose coefficients were rewritten on a finite prefix still
 print to parseable text; ``before`` applies for n < n1, ``after`` after.
-A table value or a cutoff is any finite expression of constant class, read
-when it is parsed.
+A table value or a cutoff is any finite expression of period 1, read when
+it is parsed.
 
 Evaluation is double precision and vectorized; every printed expression
 re-parses to an evaluation-equivalent tree, so a ``SeqExpr`` compares and
@@ -20,10 +20,11 @@ hashes by the text it prints alone.  ``evaluation_scope()`` is the one
 per-run context: each expression keeps one contiguous span of values, and
 ``once(fn, *args)`` answers each repeated question once.
 
-An expression's class is a fact about its tree alone, stored on it:
-constants, ``alt(n)``, ``per`` tables and their pointwise combinations are
-periodic; everything else, splices with a positive cutoff included, is
-general, whatever its first values are.
+An expression's period is a fact about its tree alone, stored on it:
+constants, ``alt(n)``, ``per`` tables and their pointwise combinations have
+one, the least of which is found from one structural period of values (1
+for a constant); everything else, splices with a positive cutoff included,
+has None, whatever its first values are.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 
 __all__ = [
     "SeqExpr",
-    "SeqClass",
     "DelaySpec",
     "SeqSyntaxError",
     "SeqEvalError",
@@ -123,7 +123,7 @@ Node = Union[Num, Var, Neg, Bin, Call, Per, Splice]
 @dataclass(frozen=True)
 class SeqExpr:
     """An immutable sequence expression: an AST and the canonical text it
-    prints to; trees that print alike are one expression.  Its class is
+    prints to; trees that print alike are one expression.  Its period is
     derived from the tree once, on first use."""
 
     ast: Node = field(compare=False)
@@ -133,16 +133,17 @@ class SeqExpr:
         object.__setattr__(self, "source_text", _print(self.ast))
 
     @cached_property
-    def seq_class(self) -> SeqClass:
-        # lazy: evaluates one structural period; parse classifies only the
+    def period(self) -> Optional[int]:
+        """The least p >= 1 with a(n + p) = a(n) for every n >= 0, or None
+        when the tree proves no period."""
+        # lazy: evaluates one structural period; parse asks only for the
         # constant slots of per and splice, and evaluates those at n = 0
         period = _structural_period(self.ast)
         if period is None:
-            return SeqClass("general")
-        period = _minimal_period(self, period)
-        if period == 1:
-            return SeqClass("constant")
-        return SeqClass("periodic", period)
+            return None
+        values = eval_range(self, 0, period - 1)
+        return next((d for d in range(1, period)
+                     if period % d == 0 and (values[d:] == values[:-d]).all()), period)
 
     def __str__(self) -> str:
         return self.source_text
@@ -150,14 +151,6 @@ class SeqExpr:
     def __hash__(self) -> int:
         # str caches its hash; a dataclass field-tuple hash does not
         return hash(self.source_text)
-
-
-@dataclass(frozen=True)
-class SeqClass:
-    """Structural classification: 'constant', 'periodic' or 'general'."""
-
-    tag: str
-    period: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +180,7 @@ def parse(text: str) -> SeqExpr:
 
     def const(node: ast.AST) -> float:
         expr = SeqExpr(convert(node))
-        if expr.seq_class.tag != "constant":
+        if expr.period != 1:
             raise SeqSyntaxError("expected a constant expression", where(node.end_col_offset))
         return evaluate(expr, 0)
 
@@ -307,10 +300,11 @@ def _eval(node: Node, n: np.ndarray) -> np.ndarray:
         if node.func == "alt":
             arg = _eval(node.arg, n)
             rounded = np.rint(arg)
-            if not np.allclose(arg, rounded, atol=1e-9):
-                raise SeqEvalError(
-                    "alt() needs an integer argument", int(n[np.argmax(np.abs(arg - rounded) > 1e-9)])
-                )
+            # past 2^53 a float's parity is unknown; nan and inf fail both tests
+            with np.errstate(invalid="ignore"):
+                bad = ~((np.abs(arg - rounded) <= 1e-9) & (np.abs(arg) < 2.0**53))
+            if bad.any():
+                raise SeqEvalError("alt() needs an integer argument", int(n[np.argmax(bad)]))
             return np.where(rounded.astype(np.int64) % 2 == 0, 1.0, -1.0)
         arg = _eval(node.arg, n)
         if node.func == "sin":
@@ -391,7 +385,7 @@ def evaluation_scope() -> Iterator[None]:
     ``eval_range`` answers a window inside an expression's span with a
     read-only slice and widens the span by what it evaluates.  Spans and
     ``once``'s results are all a scope holds; an expression keeps its own
-    class.  A nested scope shares the outer one's; leaving the outermost
+    period.  A nested scope shares the outer one's; leaving the outermost
     scope, normally or by an exception, drops them all.
     """
     global _scope
@@ -466,27 +460,16 @@ def _structural_period(node: Node) -> Optional[int]:
     raise TypeError(f"unknown node {node!r}")
 
 
-def _minimal_period(expr: SeqExpr, period: int) -> int:
-    values = eval_range(expr, 0, period - 1)
-    for d in range(1, period + 1):
-        if period % d:
-            continue
-        if all(values[i] == values[i % d] for i in range(period)):
-            return d
-    return period
-
-
-def classify(expr: SeqExpr) -> SeqClass:
-    """Classify as constant / periodic(p) / general, from the tree alone.
+def classify(expr: SeqExpr) -> Optional[int]:
+    """``expr.period``: the least period, 1 for a constant, None for general.
 
     Periodicity is only ever declared structurally (constants, ``alt``,
     ``per`` and pointwise combinations), and one whole structural period is
-    evaluated to find the minimal one.  An expression with no structural
-    period is 'general', whatever its first values are: integer-sampled
+    evaluated to find the least one.  An expression with no structural
+    period is general, whatever its first values are: integer-sampled
     transcendentals, ``n - n`` and splices with a positive cutoff alike.
-    The class is derived once per expression and stored on it.
     """
-    return expr.seq_class
+    return expr.period
 
 
 # ---------------------------------------------------------------------------

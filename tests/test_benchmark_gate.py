@@ -139,3 +139,6 @@ def test_tracer_wraps_every_layer_and_restores_it(tmp_path):
     # read the arguments it unpacks
     assert all(metrics[f"simulator.{name}.calls"] > 0 for name in tracing.SIMULATOR)
     assert all(metrics[f"kernels.{name}.ops"] > 0 for name in tracing.KERNELS)
+    # the check read its coefficients' periods through both traced layers
+    assert metrics["seqexpr.classify.calls"] > 0
+    assert metrics["limits.aggregate_period.calls"] > 0

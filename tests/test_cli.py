@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from delaystab import __version__
 from delaystab.fixtures import FIXTURE_CONFIGS
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -178,6 +179,16 @@ def test_fuzz_single_seed_deterministic():
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize("flags, meta", [
+    ((), {"tool": f"delaystab {__version__}"}),
+    (("--no-meta",), None),
+])
+def test_fuzz_json_meta_follows_no_meta(flags, meta):
+    r = run_cli("fuzz", "--count", "1", "--json", *flags)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert json.loads(r.stdout).get("meta") == meta
+
+
 def test_fuzz_text_out_writes_the_printed_report(tmp_path):
     out = tmp_path / "y.txt"
     printed = run_cli("fuzz", "--count", "1")
@@ -205,6 +216,17 @@ def test_infinite_splice_cutoff_exits_2(tmp_path):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert "error: non-finite value (at n=0)" in r.stderr
+
+
+def test_non_integer_alt_argument_exits_2(tmp_path):
+    # n/2 is within alt's old relative tolerance of an integer past n = 10^5
+    path = tmp_path / "alt.json"
+    path.write_text(json.dumps({"schema": 1, "equation": {
+        "terms": [{"coeff": "splice(1000000, 0.1, 0.1 + 0.01*alt(n/2))", "lag": 1}]}}))
+    r = run_cli("check", str(path), "--no-meta", "--window", "1000000", "1010000")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "error: alt() needs an integer argument (at n=1000001)" in r.stderr
 
 
 # reading these slots makes NumPy warn; the warning stays a warning

@@ -211,11 +211,10 @@ def _ref_period(eq, delays):
     ``delays``; None when any coefficient is general."""
     period = 1
     for t in eq.terms:
-        c = classify(t.coeff)
-        if c.tag == "general":
+        p = classify(t.coeff)
+        if p is None:
             return None
-        if c.tag == "periodic":
-            period = math.lcm(period, c.period)
+        period = math.lcm(period, p)
     for d in delays:
         period = math.lcm(period, len(d.lags))
     return period

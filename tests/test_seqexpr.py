@@ -101,14 +101,34 @@ def test_power_domain_error():
         se.evaluate(se.parse("(-2)^(1/2)"), 1)
 
 
+@pytest.mark.parametrize("text, n0, n1, index", [
+    ("alt(n/2)", 200000, 200005, 200001),  # inside allclose's rtol=1e-5
+    ("alt(1e300*n)", 0, 3, 1),  # past int64
+    ("alt(2^53 - 2 + n)", 0, 3, 2),  # a float's parity is unknown from 2^53
+])
+def test_alt_refuses_an_argument_without_a_known_parity(text, n0, n1, index):
+    with pytest.raises(se.SeqEvalError, match=r"alt\(\) needs an integer argument") as exc:
+        se.eval_range(se.parse(text), n0, n1)
+    assert exc.value.index == index
+
+
+def test_alt_reads_integers_to_within_1e_9():
+    assert se.eval_range(se.parse("alt(2^52 + n)"), 0, 3).tolist() == [1, -1, 1, -1]
+    assert se.eval_range(se.parse("alt(n + 1e-10)"), 0, 3).tolist() == [1, -1, 1, -1]
+    assert se.eval_range(se.parse("alt(n/2)"), 200000, 200000).tolist() == [1]
+
+
 def test_classify_examples():
-    assert se.classify(se.parse("0.1*alt(n)")) == se.SeqClass("periodic", 2)
-    assert se.classify(se.parse("sin(n)")).tag == "general"
-    assert se.classify(se.parse("5")).tag == "constant"
-    assert se.classify(se.parse("per(1, 1)")).tag == "constant"
-    assert se.classify(se.parse("per(1, 2, 1, 2)")) == se.SeqClass("periodic", 2)
+    assert se.classify(se.parse("0.1*alt(n)")) == 2
+    assert se.classify(se.parse("sin(n)")) is None
+    assert se.classify(se.parse("5")) == 1
+    assert se.classify(se.parse("per(1, 1)")) == 1
+    assert se.classify(se.parse("per(1, 2, 1, 2)")) == 2
     # alt*alt collapses to the constant sequence 1
-    assert se.classify(se.parse("alt(n)*alt(n)")).tag == "constant"
+    assert se.classify(se.parse("alt(n)*alt(n)")) == 1
+    # classify reads the period stored on the expression
+    expr = se.parse("per(1, 2, 3) + alt(n)")
+    assert se.classify(expr) == expr.period == 6
 
 
 def test_splice_semantics():
@@ -185,8 +205,9 @@ def test_classify_needs_a_structural_period():
     # the first two are constant until n = 100 and n - n is 0 everywhere,
     # yet no tree here proves a period
     for text in ("splice(100, 0.1, -0.5)", "0.2 + 0.01*(abs(n - 100) - (100 - n))", "n - n"):
-        assert se.classify(se.parse(text)) == se.SeqClass("general")
-    assert se.classify(se.parse("splice(0, 0.1, per(1, 2))")) == se.SeqClass("periodic", 2)
+        expr = se.parse(text)
+        assert se.classify(expr) is None and expr.period is None
+    assert se.classify(se.parse("splice(0, 0.1, per(1, 2))")) == 2
 
 
 def test_classify_periodic_soundness():
@@ -195,13 +216,14 @@ def test_classify_periodic_soundness():
         "splice(65, 1, 2)", "splice(2000, 0.3, 0.3)", "abs(n - 70) - (70 - n)",
         "per(1, 2) + splice(100, 0, 1)", "abs(alt(n))", "splice(0, 1, 2)")]
     for expr in explicit + [se.SeqExpr(_random_ast(rng, 2)) for _ in range(200)]:
-        cls = se.classify(expr)
+        p = se.classify(expr)
         values = se.eval_range(expr, 0, 2000)
-        if cls.tag == "constant":
-            assert (values == values[0]).all(), str(expr)
-        if cls.tag == "periodic":
-            p = cls.period
+        if p is not None:
+            # p repeats, and no proper divisor of p does
             assert np.array_equal(values[:-p], values[p:]), str(expr)
+            for d in range(1, p):
+                if p % d == 0:
+                    assert not np.array_equal(values[:-d], values[d:]), (str(expr), d)
 
 
 # --- constant slots: a per value or splice cutoff is any finite expression
