@@ -51,11 +51,13 @@ from .criteria import (
 )
 from .oracle import (
     DecayFit,
+    FloquetRate,
     SpectralReport,
     companion_from_equation,
     companion_radius,
     decay_fit,
     fit_decay,
+    floquet_rate,
     random_equation,
     tail_equivalence_test,
 )

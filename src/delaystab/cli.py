@@ -36,8 +36,8 @@ from .criteria import run_all, stable_verdicts
 from .equation import Equation, InitialData, Term
 from .fixtures import config_to_equation, fixture_names, run_fixture
 from .oracle import (
-    companion_from_equation,
     decay_fit,
+    floquet_rate,
     oracle_block,
     random_equation,
     tail_equivalence_test,
@@ -98,6 +98,11 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _with_meta(report: dict, args) -> dict:
+    """``report`` with the tool's ``meta`` block, unless ``--no-meta``."""
+    return report if args.no_meta else {**report, "meta": {"tool": f"delaystab {__version__}"}}
+
+
 def _require_finite(n0: int, *columns: np.ndarray) -> None:
     """Refuse to emit overflowed output: name the first non-finite index."""
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
@@ -152,9 +157,7 @@ def cmd_check(args) -> int:
         "oracle": oracle_block(eq, horizon),
         "artifacts": [],
     }
-    if not args.no_meta:
-        report["meta"] = {"tool": f"delaystab {__version__}"}
-    _emit(_dump(report), args.out)
+    _emit(_dump(_with_meta(report, args)), args.out)
     return 0
 
 
@@ -163,8 +166,6 @@ def cmd_simulate(args) -> int:
     eq = config_to_equation(config)
     n0 = args.n0
     horizon = args.N if args.N is not None else _horizon_from(config, 100)
-    if horizon < n0:
-        raise ValueError(f"horizon {horizon} precedes n0 = {n0}")
     given = args.history or [args.x0]
     bad = [v for v in given if not math.isfinite(v)]
     if bad:
@@ -187,8 +188,6 @@ def cmd_simulate(args) -> int:
 def cmd_fundamental(args) -> int:
     config = _load_config(args.config)
     eq = config_to_equation(config)
-    if args.N < args.k:
-        raise ValueError(f"N = {args.N} precedes k = {args.k}")
     with np.errstate(over="ignore", invalid="ignore"):
         column = fundamental(eq, args.k, args.N)
         bound = product_bound(eq, args.k, args.N)
@@ -223,9 +222,7 @@ def cmd_examples(args) -> int:
         fixtures_block[name] = {"pass": passed, "checks": checks}
     if args.json:
         payload = {"schema": 1, "fixtures": fixtures_block, "pass": all_pass}
-        if not args.no_meta:
-            payload["meta"] = {"tool": f"delaystab {__version__}"}
-        _emit(_dump(payload), args.out)
+        _emit(_dump(_with_meta(payload, args)), args.out)
     else:
         lines = []
         for name, block in fixtures_block.items():
@@ -255,13 +252,13 @@ def _fuzz_oracle_soundness(base_seed: int, count: int):
     failures = []
     for i in range(count):
         seed = base_seed + i
-        eq = random_equation(seed, m_max=3, T_max=4, K_max=1.0, autonomous=True)
-        rep = companion_from_equation(eq)
+        eq = random_equation(seed, m_max=3, T_max=4, K_max=1.0)
+        rate = floquet_rate(eq)
         stable = stable_verdicts(run_all(eq))
-        if rep.radius >= 1.0 and stable:
+        if rate.rate - rate.tolerance >= 1.0 and stable:
             failures.append({
                 "seed": seed,
-                "radius": rep.radius,
+                "rate": rate.rate,
                 "criteria": [v.criterion for v in stable],
             })
     return failures
@@ -303,9 +300,7 @@ def cmd_fuzz(args) -> int:
             "counterexamples": suites,
             "pass": failed == 0,
         }
-        if not args.no_meta:
-            payload["meta"] = {"tool": f"delaystab {__version__}"}
-        _emit(_dump(payload), args.out)
+        _emit(_dump(_with_meta(payload, args)), args.out)
     else:
         lines = []
         for name, failures in suites.items():

@@ -3,7 +3,8 @@
 Each fixture is a config-shaped equation plus a runner that recomputes its
 known quantities (kernel values, growth ratios, checker verdicts, witness
 margins) and compares them at fixed tolerances.  The CLI `examples`
-command and the acceptance tests both drive this registry.
+command drives this registry; the acceptance tests build their own copies
+of these equations and state their expectations on their own.
 """
 
 from __future__ import annotations

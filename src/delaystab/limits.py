@@ -28,14 +28,13 @@ sum on the strip is a difference of prefix sums.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .equation import Equation
-from .seqexpr import DelaySpec, classify, eval_range
+from .seqexpr import DelaySpec, classify, common_period, eval_range
 
 __all__ = [
     "AsymptoticEstimate",
@@ -65,27 +64,16 @@ def default_window(eq: Equation) -> tuple[int, int]:
     return (start, start + 10_000)
 
 
-def _lcm(periods: Iterable[Optional[int]]) -> Optional[int]:
-    """lcm of ``periods``, or None at the first None: a generator that
-    classifies coefficients stops classifying at the first general one."""
-    period = 1
-    for p in periods:
-        if p is None:
-            return None
-        period = math.lcm(period, p)
-    return period
-
-
 def aggregate_period(eq: Equation) -> Optional[int]:
     """lcm of all of ``eq``'s coefficient periods, or None when any is general."""
-    return _lcm(classify(t.coeff) for t in eq.terms)
+    return common_period(classify(t.coeff) for t in eq.terms)
 
 
 def exact_period(eq: Equation, delays: Sequence[DelaySpec]) -> Optional[int]:
     """lcm of all of ``eq``'s coefficient periods and the periods of
     ``delays``, or None when any coefficient is general: every table of
     ``eq`` on those delays repeats after it, bit for bit."""
-    return _lcm([aggregate_period(eq), *(d.period for d in delays)])
+    return common_period([aggregate_period(eq), *(d.period for d in delays)])
 
 
 def coeff_span(eq: Equation, window: tuple[int, int], indices: Optional[Sequence[int]] = None,
@@ -98,7 +86,7 @@ def coeff_span(eq: Equation, window: tuple[int, int], indices: Optional[Sequence
     ``eval_range`` returns, read-only inside an evaluation scope.
     """
     indices = range(eq.m) if indices is None else indices
-    period = _lcm(classify(eq.terms[l].coeff) for l in indices)
+    period = common_period(classify(eq.terms[l].coeff) for l in indices)
     n0 = window[0]
     n1 = (n0 + period - 1 if period is not None else window[1]) + extra
     return [eval_range(eq.terms[l].coeff, n0, n1) for l in indices], period is not None

@@ -5,26 +5,31 @@ decides stability exactly; general equations get an empirical geometric
 decay rate fitted to a fundamental-function column.  Every Stable verdict
 can be cross-validated against one of the two: ``oracle_block`` gives both
 as a report's ``oracle`` entry, and ``decay_fit`` is the one decay oracle.
+Periodic equations have an exact rate too, from a Floquet monodromy over
+one period (``floquet_rate``), which the tests and ``fuzz`` read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .equation import Equation, Term, autonomous_coefficients, prefix_modify, validate
+from .limits import exact_period
 from .seqexpr import DelaySpec, constant, periodic_table
 from .simulator import fundamental
 
 __all__ = [
     "SpectralReport",
+    "FloquetRate",
     "DecayFit",
     "NonAutonomousError",
     "companion_radius",
     "companion_from_equation",
+    "floquet_rate",
     "fit_decay",
     "decay_fit",
     "oracle_block",
@@ -42,6 +47,11 @@ _TOL = 1e-10
 # steps per matrix product; every check point (a multiple of 64) and every
 # half-window start (used // 2, down to 4000 // 2) must fall on a block end
 _BLOCK = 16
+# floquet_rate's cap on its work L (T + 1)^2 + (T + 1)^3, a step counted at
+# least 32 wide for its Python overhead: eigvals takes 0.48 s at
+# d = T + 1 = 301 (d^3 = 2.7e7) and 12.9 s at d = 2,001
+_FLOQUET_WORK = 10**8
+_UNDECIDED = 1e-6  # a monodromy rate this near 1 decides nothing
 
 
 class NonAutonomousError(ValueError):
@@ -53,6 +63,23 @@ class SpectralReport:
     radius: float
     dominant_modulus_error_bound: float
     dimension: int
+
+
+@dataclass(frozen=True)
+class FloquetRate:
+    """rho(M)^(1/L) for the monodromy M over one exact period L, with an
+    error bound at L = 1 only; rate None, with the reason, when there is none."""
+
+    rate: Optional[float]
+    error_bound: Optional[float]
+    period: Optional[int]
+    reason: Optional[str] = None
+
+    @property
+    def tolerance(self) -> float:
+        """How far from 1 the rate decides stability: its error bound, or
+        1e-6 where it has none."""
+        return _UNDECIDED if self.error_bound is None else self.error_bound
 
 
 @dataclass(frozen=True)
@@ -88,10 +115,12 @@ def _companion(c: np.ndarray) -> np.ndarray:
     return C
 
 
-def _eig_radius(c: np.ndarray) -> tuple[float, float]:
+def _eig_radius(c: np.ndarray, z: Optional[np.ndarray] = None) -> tuple[float, float]:
     """Dominant modulus of the companion matrix from its eigenvalues z_i, with
     an error bound from p(x) = x^d - c_0 x^(d-1) - ... - c_(d-1), rescaled
     as in _power_radius so that every root lambda_j has |lambda_j| < 1.
+    A caller may pass the z_i of the companion itself: past d of about 20
+    the rescaled companion's small entries cost its roots their accuracy.
 
     R_i >= |p(z_i)| = prod_j |z_i - lambda_j| and p'/p = sum_j 1 / (x -
     lambda_j) put a root within e_i = min(R_i^(1/d), d R_i / |p'(z_i)|) of
@@ -103,7 +132,7 @@ def _eig_radius(c: np.ndarray) -> tuple[float, float]:
     j1 = np.arange(1, d + 1)
     shift = math.frexp(2.0 * float((np.abs(c) ** (1.0 / j1)).max()))[1]
     c = np.ldexp(c, -shift * j1)
-    z = np.linalg.eigvals(_companion(c))
+    z = np.linalg.eigvals(_companion(c)) if z is None else z * 2.0**-shift
     a = np.abs(z)
     g = 8 * d * np.finfo(float).eps
     p = np.concatenate([[1.0], -c])
@@ -201,6 +230,41 @@ def companion_from_equation(eq: Equation) -> SpectralReport:
     if pairs is None:
         raise NonAutonomousError("equation has variable coefficients or delays")
     return companion_radius(pairs)
+
+
+def floquet_rate(eq: Equation) -> FloquetRate:
+    """The exact exponential rate of a periodic equation (Elaydi, Floquet
+    theory).  The state (x(n), ..., x(n - T)) advances by A(n), whose first
+    row is e_0 - sum_l a_l(n) e_(d_l(n)) and whose other rows shift down;
+    the rate is rho(M)^(1/L) for M = A(L - 1) ... A(0) and L =
+    ``exact_period``.  At L = 1, M is the companion matrix and the rate
+    carries ``_eig_radius``'s bound; past it there is no bound, and a rate
+    near 1 decides nothing."""
+    period = exact_period(eq, [t.delay for t in eq.terms])
+    if period is None:
+        return FloquetRate(None, None, None, "a coefficient is general")
+    d = eq.T + 1
+    work = period * max(d, 32) ** 2 + d**3
+    if work > _FLOQUET_WORK:
+        return FloquetRate(None, None, period,
+                           f"monodromy work {work} exceeds the cap {_FLOQUET_WORK}")
+    if period == 1:  # the companion's own eigenvalues, not its rescaled copy's
+        c = _char_coeffs(autonomous_coefficients(eq))
+        return FloquetRate(*_eig_radius(c, np.linalg.eigvals(_companion(c))), 1)
+    coeffs, lags = eq.coeff_table(0, period - 1), eq.lag_table(0, period - 1)
+    M, shift = np.eye(d), 0  # the product so far is M 2^shift
+    for n in range(period):
+        row = M[0] - coeffs[:, n] @ M[lags[:, n]]
+        M[1:] = M[:-1]
+        M[0] = row
+        # long periods overflow: keep max |M| in [1/2, 1), exactly
+        e = math.frexp(float(np.abs(M).max()))[1]
+        M = np.ldexp(M, -e)
+        shift += e
+    radius = float(np.abs(np.linalg.eigvals(M)).max())
+    if radius == 0.0:
+        return FloquetRate(0.0, None, period)
+    return FloquetRate(math.exp((math.log(radius) + shift * math.log(2.0)) / period), None, period)
 
 
 def fit_decay(column: Sequence[float], skip: int) -> DecayFit:

@@ -35,7 +35,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "evaluation_scope",
     "once",
     "classify",
+    "common_period",
     "constant",
     "periodic_table",
     "spliced",
@@ -77,6 +78,23 @@ class SeqEvalError(ArithmeticError):
 # AST
 
 
+class _Op(NamedTuple):
+    syntax: type  # the ast operator node Python's parser reads it as
+    prec: int  # printed precedence; unary minus binds at _NEG_PREC
+    ufunc: np.ufunc
+
+
+# each binary operator once, read by the parser, the printer and evaluation
+_BINARY = {"+": _Op(ast.Add, 1, np.add), "-": _Op(ast.Sub, 1, np.subtract),
+           "*": _Op(ast.Mult, 2, np.multiply), "/": _Op(ast.Div, 2, np.divide),
+           "^": _Op(ast.Pow, 4, np.power)}
+_NEG_PREC = 3
+# each function once; alt is (-1)^k once evaluation has checked that k is an
+# integer below 2^53
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "abs": np.abs,
+              "alt": lambda k: 1.0 - 2.0 * (np.rint(k) % 2.0)}
+
+
 @dataclass(frozen=True)
 class Num:
     value: float
@@ -94,14 +112,14 @@ class Neg:
 
 @dataclass(frozen=True)
 class Bin:
-    op: str  # one of + - * / ^
+    op: str  # a key of _BINARY
     left: "Node"
     right: "Node"
 
 
 @dataclass(frozen=True)
 class Call:
-    func: str  # sin | cos | abs | alt
+    func: str  # a key of _FUNCTIONS
     arg: "Node"
 
 
@@ -157,7 +175,7 @@ class SeqExpr:
 # Parsing
 
 
-_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+_SYMBOLS = {op.syntax: symbol for symbol, op in _BINARY.items()}
 _BRACKET_ERRORS = ("too many nested parentheses", "'(' was never closed", "unmatched ')'")
 
 
@@ -193,12 +211,12 @@ def parse(text: str) -> SeqExpr:
             return Var()
         elif kind is ast.UnaryOp and op in (ast.USub, ast.UAdd):
             return Neg(convert(node.operand)) if op is ast.USub else convert(node.operand)
-        elif kind is ast.BinOp and op in _BINARY:
-            return Bin(_BINARY[op], convert(node.left), convert(node.right))
+        elif kind is ast.BinOp and op in _SYMBOLS:
+            return Bin(_SYMBOLS[op], convert(node.left), convert(node.right))
         elif (kind is ast.Call and type(node.func) is ast.Name and not node.keywords
                 and node.func.col_offset == node.col_offset):  # not a callee in parentheses
             name, args = span(node.func), node.args
-            if name in ("sin", "cos", "abs", "alt") and len(args) == 1:
+            if name in _FUNCTIONS and len(args) == 1:
                 return Call(name, convert(args[0]))
             if name == "per" and args:
                 return Per(tuple(const(arg) for arg in args))
@@ -225,30 +243,22 @@ def parse(text: str) -> SeqExpr:
 # ---------------------------------------------------------------------------
 # Printing (canonical form; re-parses to an equivalent tree)
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
 
 def _print(node: Node, parent_prec: int = 0) -> str:
+    additive = _BINARY["+"].prec
     if isinstance(node, Num):
         text = repr(node.value)
-        if node.value < 0 and parent_prec > _PREC["-"]:
-            return f"({text})"
-        return text
+        return f"({text})" if node.value < 0 and parent_prec > additive else text
     if isinstance(node, Var):
         return "n"
     if isinstance(node, Neg):
-        inner = _print(node.arg, _PREC["neg"])
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > _PREC["+"] else text
+        text = f"-{_print(node.arg, _NEG_PREC)}"
+        return f"({text})" if parent_prec > additive else text
     if isinstance(node, Bin):
-        prec = _PREC[node.op]
-        if node.op == "^":
-            left = _print(node.left, prec + 1)
-            right = _print(node.right, prec)
-        else:
-            left = _print(node.left, prec)
-            right = _print(node.right, prec + 1)
-        text = f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
+        prec, right_assoc = _BINARY[node.op].prec, node.op == "^"
+        left = _print(node.left, prec + right_assoc)
+        right = _print(node.right, prec + 1 - right_assoc)
+        text = f"{left} {node.op} {right}" if prec == additive else f"{left}{node.op}{right}"
         return f"({text})" if prec < parent_prec else text
     if isinstance(node, Call):
         return f"{node.func}({_print(node.arg)})"
@@ -276,44 +286,28 @@ def _eval(node: Node, n: np.ndarray) -> np.ndarray:
     if isinstance(node, Neg):
         return -_eval(node.arg, n)
     if isinstance(node, Bin):
-        left = _eval(node.left, n)
-        right = _eval(node.right, n)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            zero = right == 0.0
-            if zero.any():
-                raise SeqEvalError("division by zero", int(n[np.argmax(zero)]))
-            return left / right
+        left, right = _eval(node.left, n), _eval(node.right, n)
+        ufunc = _BINARY[node.op].ufunc
+        if node.op == "/" and (zero := right == 0.0).any():
+            raise SeqEvalError("division by zero", int(n[np.argmax(zero)]))
+        if node.op != "^":
+            return ufunc(left, right)
         # power: negative base with integral exponent is fine, otherwise a
         # domain error; overflow is reported as non-finite below
         with np.errstate(all="ignore"):
-            out = np.power(left, right)
+            out = ufunc(left, right)
         if not np.isfinite(out).all():
             raise SeqEvalError("power out of domain or overflow", _first_bad(out, n))
         return out
     if isinstance(node, Call):
+        arg = _eval(node.arg, n)
         if node.func == "alt":
-            arg = _eval(node.arg, n)
-            rounded = np.rint(arg)
             # past 2^53 a float's parity is unknown; nan and inf fail both tests
             with np.errstate(invalid="ignore"):
-                bad = ~((np.abs(arg - rounded) <= 1e-9) & (np.abs(arg) < 2.0**53))
+                bad = ~((np.abs(arg - np.rint(arg)) <= 1e-9) & (np.abs(arg) < 2.0**53))
             if bad.any():
                 raise SeqEvalError("alt() needs an integer argument", int(n[np.argmax(bad)]))
-            return np.where(rounded.astype(np.int64) % 2 == 0, 1.0, -1.0)
-        arg = _eval(node.arg, n)
-        if node.func == "sin":
-            return np.sin(arg)
-        if node.func == "cos":
-            return np.cos(arg)
-        if node.func == "abs":
-            return np.abs(arg)
-        raise TypeError(f"unknown function {node.func}")
+        return _FUNCTIONS[node.func](arg)
     if isinstance(node, Per):
         if (n < 0).any():
             raise SeqEvalError("negative index", int(n[np.argmax(n < 0)]))
@@ -443,11 +437,7 @@ def _structural_period(node: Node) -> Optional[int]:
     if isinstance(node, Neg):
         return _structural_period(node.arg)
     if isinstance(node, Bin):
-        left = _structural_period(node.left)
-        right = _structural_period(node.right)
-        if left is None or right is None:
-            return None
-        return math.lcm(left, right)
+        return common_period(_structural_period(side) for side in (node.left, node.right))
     if isinstance(node, Call):
         if node.func == "alt" and isinstance(node.arg, Var):
             return 2
@@ -458,6 +448,17 @@ def _structural_period(node: Node) -> Optional[int]:
             return _structural_period(node.after)
         return None
     raise TypeError(f"unknown node {node!r}")
+
+
+def common_period(periods: Iterable[Optional[int]]) -> Optional[int]:
+    """lcm of ``periods``, or None at the first None: a generator that
+    finds periods stops at the first general one."""
+    period = 1
+    for p in periods:
+        if p is None:
+            return None
+        period = math.lcm(period, p)
+    return period
 
 
 def classify(expr: SeqExpr) -> Optional[int]:

@@ -116,6 +116,14 @@ def test_simulate_history_validation(cfg_sin_cos):
     assert "history" in r.stderr
 
 
+@pytest.mark.parametrize("command", [["simulate", "--n0", "5", "--N", "3"],
+                                     ["fundamental", "--k", "5", "--N", "3"]])
+def test_a_horizon_before_the_start_exits_2_with_the_simulator_message(cfg_factorial, command):
+    r = run_cli(command[0], cfg_factorial, *command[1:])
+    assert r.returncode == 2
+    assert r.stderr == "error: horizon 3 precedes start 5\n"
+
+
 def test_simulate_csv_output(cfg_factorial, tmp_path):
     out = tmp_path / "traj.csv"
     r = run_cli("simulate", cfg_factorial, "--N", "5", "--csv", str(out))

@@ -22,10 +22,12 @@ from delaystab import (
 from delaystab import criteria
 from delaystab.equation import autonomous_coefficients
 from delaystab.oracle import (
+    FloquetRate,
     NonAutonomousError,
     _char_coeffs,
     _power_radius,
     decay_class,
+    floquet_rate,
     oracle_block,
 )
 from delaystab.seqexpr import constant
@@ -158,6 +160,109 @@ def test_power_path_bound_holds_on_benchmark_generator():
         err = abs(rep.radius - _true_radius(_char_coeffs(pairs)))
         assert err <= rep.dominant_modulus_error_bound, seed
     assert powered > 50
+
+
+# --- the Floquet rate (Elaydi): rho(M)^(1/L) for the monodromy M over one
+# exact period L; at L = 1 with the companion's residual bound
+
+
+def _rate(a: float, lags) -> FloquetRate:
+    return floquet_rate(validate([Term(constant(a), DelaySpec.periodic(lags))]))
+
+
+def test_floquet_rate_decides_the_closed_form_boundary():
+    for k, below, above in _boundary_cases():
+        inside, outside = _rate(below, [k]), _rate(above, [k])
+        assert inside.period == outside.period == 1
+        assert inside.rate + inside.tolerance < 1 < outside.rate - outside.tolerance, k
+        # a lag table of period 2 takes the monodromy path to the same rate
+        for a, exact in ((below, inside), (above, outside)):
+            twice = _rate(a, [k, k])
+            assert twice.period == 2 and twice.error_bound is None
+            assert abs(twice.rate - exact.rate) <= exact.error_bound, k
+
+
+@pytest.mark.parametrize("k", [1, 10, 20])
+def test_floquet_bound_holds_at_the_closed_form_boundary(k):
+    # past d of about 20 the rescaled companion's own roots miss by far more
+    a = 2 * math.sin(math.pi / (2 * (2 * k + 1))) * (1 + BOUNDARY_HAIR)
+    rate = _rate(a, [k])
+    assert abs(rate.rate - _true_radius(_char_coeffs([(a, k)]))) <= rate.error_bound
+
+
+def test_floquet_rate_agrees_with_companion_radius():
+    for seed in range(100):
+        eq = random_equation(seed, m_max=3, T_max=4, K_max=1.0, autonomous=True)
+        rate, companion = floquet_rate(eq), companion_from_equation(eq)
+        assert rate.period == 1
+        assert abs(rate.rate - companion.radius) <= (
+            companion.dominant_modulus_error_bound + rate.error_bound), seed
+        assert abs(rate.rate - _true_radius(_char_coeffs(autonomous_coefficients(eq)))) <= (
+            rate.error_bound), seed
+
+
+def test_floquet_rate_is_the_product_of_its_steps():
+    # the monodromy as L step matrices multiplied out, without rescaling
+    checked = 0
+    for seed in range(60):
+        eq = random_equation(seed, m_max=3, T_max=4)
+        rate = floquet_rate(eq)
+        if rate.period == 1:
+            continue
+        checked += 1
+        d, L = eq.T + 1, rate.period
+        coeffs, lags = eq.coeff_table(0, L - 1), eq.lag_table(0, L - 1)
+        M = np.eye(d)
+        for n in range(L):
+            A = np.eye(d, k=-1)
+            A[0, 0] = 1.0
+            np.subtract.at(A[0], lags[:, n], coeffs[:, n])
+            M = A @ M
+        want = float(np.abs(np.linalg.eigvals(M)).max()) ** (1 / L)
+        assert rate.rate == pytest.approx(want, rel=1e-9, abs=1e-12), seed
+    assert checked > 40
+
+
+def test_floquet_rate_rescales_a_long_period():
+    # 2,000 steps of growth about 2.2 overflow an unscaled product
+    exact = _rate(5.0, [1])
+    long = _rate(5.0, [1] * 2000)
+    assert long.period == 2000 and exact.rate > 2
+    assert long.rate == pytest.approx(exact.rate, rel=1e-9)
+
+
+def test_floquet_rate_refuses_general_coefficients_and_past_its_cap():
+    general = validate([Term(parse("0.1 + 0.01*sin(n)"), DelaySpec.constant(1))])
+    assert floquet_rate(general) == FloquetRate(None, None, None, "a coefficient is general")
+    # d = 501: 3 d^2 + d^3 = 126,504,504
+    deep = validate([Term(parse("per(0.1, 0.2, 0.3)"), DelaySpec.constant(500))])
+    assert floquet_rate(deep) == FloquetRate(
+        None, None, 3, "monodromy work 126504504 exceeds the cap 100000000")
+
+
+# --- the soundness baseline: random_equation seeds 0..299 in four cells; no
+# Stable verdict on a rate >= 1, and the share of stable equations with one
+
+
+@pytest.mark.parametrize("kwargs, covered, stable", [
+    ({"m_max": 3, "T_max": 4}, 105, 242),
+    ({"m_max": 4, "T_max": 6}, 86, 226),
+    ({"m_max": 2, "T_max": 3}, 136, 238),
+    ({"m_max": 3, "T_max": 4, "autonomous": True}, 173, 208),
+])
+def test_soundness_baseline(kwargs, covered, stable):
+    found_covered = found_stable = 0
+    for seed in range(300):
+        eq = random_equation(seed, **kwargs)
+        rate = floquet_rate(eq)
+        certified = bool(stable_verdicts(run_all(eq)))
+        assert abs(rate.rate - 1) > rate.tolerance, seed  # every rate here decides
+        if rate.rate > 1:
+            assert not certified, seed
+        else:
+            found_stable += 1
+            found_covered += certified
+    assert (found_covered, found_stable) == (covered, stable)
 
 
 # --- block power iteration against the per-step loop

@@ -201,6 +201,42 @@ def test_round_trip_hypothesis(n, seed):
     assert str(reparsed) == str(expr)
 
 
+# the language's meaning written out apart from seqexpr's operator tables,
+# for the trees _random_ast draws (alt only of n, no zero denominators)
+_REFERENCE_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+                     "^": np.power}
+_REFERENCE_CALLS = {"sin": np.sin, "cos": np.cos, "abs": np.abs}
+
+
+def _reference(node, n):
+    if isinstance(node, se.Num):
+        return np.full(n.shape, node.value)
+    if isinstance(node, se.Var):
+        return n.astype(float)
+    if isinstance(node, se.Neg):
+        return -_reference(node.arg, n)
+    if isinstance(node, se.Bin):
+        return _REFERENCE_BINARY[node.op](_reference(node.left, n), _reference(node.right, n))
+    if isinstance(node, se.Call) and node.func == "alt":
+        return np.where(n % 2 == 0, 1.0, -1.0)
+    if isinstance(node, se.Call):
+        return _REFERENCE_CALLS[node.func](_reference(node.arg, n))
+    if isinstance(node, se.Per):
+        return np.asarray(node.values)[n % len(node.values)]
+    return np.where(n < node.cutoff, _reference(node.before, n), _reference(node.after, n))
+
+
+def test_evaluation_matches_an_independent_reference():
+    # the round trips compare evaluation with itself; this catches a wrong
+    # ufunc in an operator table row
+    rng = np.random.default_rng(2024)
+    n = np.arange(0, 2001)
+    for _ in range(500):
+        tree = _random_ast(rng, 3)
+        assert np.array_equal(se.eval_range(se.SeqExpr(tree), 0, 2000), _reference(tree, n)), \
+            str(se.SeqExpr(tree))
+
+
 def test_classify_needs_a_structural_period():
     # the first two are constant until n = 100 and n - n is 0 everywhere,
     # yet no tree here proves a period
