@@ -171,8 +171,10 @@ def cmd_simulate(args) -> int:
     if bad:
         # refused before stepping: the overflow check would blame the horizon
         raise ValueError(f"{'--history' if args.history else '--x0'} must be finite, not {bad[0]}")
-    init = InitialData.from_values(
-        n0, given if args.history else np.append(np.zeros(eq.T), args.x0))
+    if args.history and len(given) != eq.T + 1:
+        raise ValueError(f"history must cover [n0-T, n0]: need {eq.T + 1} values, "
+                         f"got {len(given)}")
+    init = InitialData.from_values(n0, given)
     # an overflow is reported by _require_finite, not by NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         traj = simulate(eq, init, horizon)

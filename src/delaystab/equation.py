@@ -68,6 +68,8 @@ class InitialData:
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
+        if not values.size:
+            raise ValueError("a history needs at least x(n0), got no values")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

@@ -77,29 +77,24 @@ def _step(eq: Equation, coeffs: np.ndarray, lags: np.ndarray, forcing: np.ndarra
           history: Sequence[float]) -> np.ndarray:
     """x(n0), ..., x(N) stepped from ``history`` (x(n0 - len + 1) .. x(n0))
     with zeros before it.  The buffer keeps depth = min(T, steps + len - 1)
-    entries before n0 and ``lags``, the caller's own table, is clipped at
-    depth in place: a lag past the history reads one of the buffer's
-    leading zeros, x's value there, so a zero history is only as deep as
-    its window."""
+    entries before n0: zeros, then the history's last values up to x(n0),
+    as no step reads x before n0 - T.  ``lags``, the caller's own table, is
+    clipped at depth in place: a lag past the history reads one of those
+    zeros, so a zero history is only as deep as its window."""
     steps, h = len(forcing), len(history)
     depth = min(eq.T, steps + h - 1)
     x = np.zeros(depth + steps + 1)
-    x[depth + 1 - h: depth + 1] = history
+    x[max(depth + 1 - h, 0): depth + 1] = history[-(depth + 1):]
     np.minimum(lags, depth, out=lags)
     _kernels.step_recurrence(coeffs, lags, forcing, x, depth, steps)
     return x[depth:]
 
 
 def simulate(eq: Equation, init: InitialData, N: int) -> Trajectory:
-    """Iterate the forced equation from init.n0 up to N (inclusive)."""
+    """Iterate the forced equation from ``init``, zeros before it, to N."""
     coeffs, lags = _tables(eq, init.n0, N)
-    if len(init.values) != eq.T + 1:
-        raise ValueError(f"history must cover [n0-T, n0]: need {eq.T + 1} values, "
-                         f"got {len(init.values)}")
-    if eq.forcing is not None:
-        forcing = eval_range(eq.forcing, init.n0, N - 1)
-    else:
-        forcing = np.zeros(N - init.n0)
+    forcing = (eval_range(eq.forcing, init.n0, N - 1) if eq.forcing is not None
+               else np.zeros(N - init.n0))
     return Trajectory(init.n0, _step(eq, coeffs, lags, forcing, init.values))
 
 
@@ -156,7 +151,7 @@ def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
                          N: int) -> float:
     """Max deviation between forward iteration and the kernel-sum
     reconstruction x(n) = X(n,n0) x(n0) + sum X(n,k+1) f(k)
-    - sum X(n,k+1) sum_l a_l(k) phi(h_l(k)), with phi cut off at n0.
+    - sum X(n,k+1) sum_l a_l(k) phi(h_l(k)), phi the history cut off at n0.
     One evaluation scope serves its own tables and those of ``simulate``
     and ``fundamental``, so each coefficient is evaluated once."""
     n0, h = init.n0, len(init.values)
@@ -165,9 +160,9 @@ def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
         rec = fundamental(eq, n0, N) * init.values[-1]
         coeffs, lags = _tables(eq, n0, N)
         weights = eval_range(f, n0, N - 1) if f is not None else np.zeros(N - n0)
-    # phi(n0 + i - lag) is init.values[h - 1 + i - lag] below n0, and 0 from n0 on
-    phi = np.append(init.values[:-1], 0.0)
-    reads = phi[np.minimum(h - 1 + np.arange(N - n0) - lags, h - 1)]
+    # phi[h + i - lag] is phi(n0 + i - lag): the history, 0 before it and from n0 on
+    phi = np.concatenate(([0.0], init.values[:-1], [0.0]))
+    reads = phi[np.clip(h + np.arange(N - n0) - lags, 0, h)]
     for a, read in zip(coeffs, reads):
         weights = weights - a * read
     rec = rec + _kernels.weighted_kernel_sums(coeffs, lags, weights, False)

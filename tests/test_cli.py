@@ -650,16 +650,29 @@ def test_simulate_refuses_a_history_of_the_wrong_length(tmp_path, capsys, terms,
     assert not out.exists()
 
 
+def test_simulate_checks_the_history_length_before_the_horizon(tmp_path, capsys):
+    # --history is checked in the CLI, before the simulator reads the horizon
+    from delaystab import cli
+
+    code = cli.main(["simulate", _one_config(tmp_path, [("0.1", 1)]), "--n0", "5", "--N", "3",
+                     "--history", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: history must cover [n0-T, n0]: need 2 values, got 1\n")
+
+
 def test_simulate_at_a_long_lag_steps_in_bounded_memory(tmp_path, peak_rss_growth):
-    # lag 10^6 over 100 steps: the T zeros before --x0 are one array, so the
-    # process grows by about 50 MiB (the history, the step buffer and its
-    # list); a history dict of 10^6 + 1 entries took about 110 MiB.
+    # lag 10^6 over 100 steps: --x0 is a one-value history, and the step
+    # buffer holds only the 100 entries before n0 that the window reads, so
+    # the process grows by about 1 MiB; T zeros before --x0 took about
+    # 60 MiB (the history, the step buffer and its list), a history dict of
+    # 10^6 + 1 entries about 110 MiB.
     config = _one_config(tmp_path, [("0.1", 1), ("0.001", 10**6)])
     out = tmp_path / "out.csv"
     growth = peak_rss_growth("from delaystab import cli", f"""
         assert cli.main(["simulate", {config!r}, "--N", "100", "--csv", {str(out)!r}]) == 0
     """)
-    assert growth < 80 * 1024  # KiB
+    assert growth < 8 * 1024  # KiB
     alone = tmp_path / "alone.csv"
     assert run_cli("simulate", _one_config(tmp_path, [("0.1", 1)]), "--N", "100",
                    "--csv", str(alone)).returncode == 0

@@ -174,14 +174,31 @@ def test_merge_same_delay_evaluates_nothing(monkeypatch):
     assert merged == validate(merged.terms, None, 1200)
 
 
-def test_initial_data_coverage_enforced(eq_unbounded):
-    # T = 1: a history is x(n0 - 1), x(n0), neither shorter nor longer
-    for values in ([1.0], [0.0, 0.0, 1.0]):
-        with pytest.raises(ValueError, match=r"^history must cover \[n0-T, n0\]: need 2 "
-                                             rf"values, got {len(values)}$"):
-            simulate(eq_unbounded, InitialData(0, values), 5)
-    traj = simulate(eq_unbounded, InitialData.from_values(0, [0.0, 1.0]), 2)
-    assert traj.values[2] == pytest.approx(6.8)
+@pytest.mark.parametrize("T", [0, 1, 3, 7])
+def test_a_history_is_stepped_with_zeros_before_it(T):
+    # x is zero before the history and never read before n0 - T, so a short
+    # history is bit for bit its zero-padded T + 1 form and a long one its
+    # last T + 1 values, on horizons shorter and longer than T
+    rng = np.random.default_rng(T)
+    terms = [Term(parse("0.3 + 0.1*sin(n)"), DelaySpec.constant(T)),
+             Term(parse("per(-0.1, 0.2)"), DelaySpec.periodic([0, T]))]
+    for forcing in (None, parse("0.5*cos(n)")):
+        eq = validate(terms, forcing)
+        assert eq.T == T
+        for h in (1, T + 1, T + 6):
+            values = rng.uniform(-1.0, 1.0, h)
+            padded = np.concatenate((np.zeros(max(T + 1 - h, 0)), values[-(T + 1):]))
+            for N in (3, 5, 3 + T, 40):
+                got = simulate(eq, InitialData(3, values), N).values
+                assert got.tobytes() == simulate(eq, InitialData(3, padded), N).values.tobytes()
+    with pytest.raises(ValueError, match=r"^a history needs at least x\(n0\), got no values$"):
+        InitialData(0, [])
+
+
+def test_a_one_value_history_steps_by_hand(eq_unbounded):
+    # x(n+1) = x(n) - 2.2 x(n-1) + 2 x(n) from x(-1) = 0, x(0) = 1
+    for init in (InitialData.point(0), InitialData.from_values(0, [0.0, 1.0])):
+        assert simulate(eq_unbounded, init, 2).values.tolist() == [1.0, 3.0, 6.8]
 
 
 def test_initial_data_holds_a_read_only_float_copy():

@@ -30,7 +30,7 @@ from delaystab.oracle import (
     floquet_rate,
     oracle_block,
 )
-from delaystab.seqexpr import constant
+from delaystab.seqexpr import classify, constant
 
 
 # --- companion radius
@@ -263,6 +263,47 @@ def test_soundness_baseline(kwargs, covered, stable):
             found_stable += 1
             found_covered += certified
     assert (found_covered, found_stable) == (covered, stable)
+
+
+# --- periodic surrogates: a periodic equation written with
+# general coefficients takes the general path, with floquet_rate of the
+# periodic form as its exact rate
+
+
+# read autonomous_coefficients, so they cannot fire on a general coefficient
+_AUTONOMOUS_FAMILIES = {"corollary9", "corollary10", "classical_margin", "classical_pi_half"}
+
+
+def _disguised(eq):
+    """``eq`` with each coefficient written as ``<text> + 0*sin(n)``: the
+    same values, bit for bit, but classify calls each one general."""
+    terms = [Term(parse(f"{t.coeff} + 0*sin(n)"), t.delay) for t in eq.terms]
+    assert all(classify(t.coeff) is None for t in terms)
+    return validate(terms)
+
+
+def _family(criterion):
+    return criterion.split("(")[0].split(".")[0]
+
+
+def _stable_criteria(eq):
+    return {v.criterion for v in stable_verdicts(run_all(eq))}
+
+
+def test_the_general_path_is_sound_on_periodic_surrogates():
+    unstable = 0
+    for seed in range(100):
+        eq = random_equation(seed, m_max=3, T_max=4)
+        general = _disguised(eq)
+        assert general.coeff_table(0, 999).tobytes() == eq.coeff_table(0, 999).tobytes()
+        rate = floquet_rate(eq)
+        periodic, found = _stable_criteria(eq), _stable_criteria(general)
+        if rate.rate - rate.tolerance >= 1:
+            unstable += 1
+            assert not found, seed
+        assert not {_family(c) for c in found} & _AUTONOMOUS_FAMILIES, seed
+        assert found == {c for c in periodic if _family(c) not in _AUTONOMOUS_FAMILIES}, seed
+    assert unstable == 18
 
 
 # --- block power iteration against the per-step loop

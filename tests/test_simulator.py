@@ -285,6 +285,21 @@ def test_representation_random_instances():
     assert worst < 1e-9
 
 
+def test_representation_from_a_one_value_history():
+    # phi is zero before the history as well as from n0 on, so x(n0) alone
+    # is a history; a lag reaching past it reads those zeros, and values
+    # older than n0 - T are never read
+    rng = np.random.default_rng(8)
+    from delaystab.seqexpr import periodic_table
+    for seed in range(30):
+        eq = random_equation(seed, m_max=3, T_max=5, K_max=0.35)
+        forcing = periodic_table([float(v) for v in rng.uniform(-1, 1, 3)])
+        for h in (1, max(eq.T, 1), eq.T + 3):
+            init = InitialData(4, rng.uniform(-1, 1, h))
+            for N in (6, 50):
+                assert representation_check(eq, init, forcing, N) < 1e-9, (seed, h, N)
+
+
 def test_representation_check_evaluates_each_coefficient_once(monkeypatch):
     # a 3-term equation with periodic forcing: one window per coefficient and
     # one for the forcing, shared by simulate, fundamental and its own tables
