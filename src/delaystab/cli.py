@@ -166,15 +166,15 @@ def cmd_simulate(args) -> int:
     eq = config_to_equation(config)
     n0 = args.n0
     horizon = args.N if args.N is not None else _horizon_from(config, 100)
-    given = args.history or [args.x0]
-    bad = [v for v in given if not math.isfinite(v)]
+    bad = [v for v in args.history if not math.isfinite(v)]
     if bad:
         # refused before stepping: the overflow check would blame the horizon
-        raise ValueError(f"{'--history' if args.history else '--x0'} must be finite, not {bad[0]}")
-    if args.history and len(given) != eq.T + 1:
-        raise ValueError(f"history must cover [n0-T, n0]: need {eq.T + 1} values, "
-                         f"got {len(given)}")
-    init = InitialData.from_values(n0, given)
+        raise ValueError(f"--history must be finite, not {bad[0]}")
+    if len(args.history) > eq.T + 1:
+        # no step reads x before n0 - T
+        raise ValueError(f"--history takes at most T + 1 = {eq.T + 1} values, "
+                         f"got {len(args.history)}")
+    init = InitialData(n0, args.history)
     # an overflow is reported by _require_finite, not by NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         traj = simulate(eq, init, horizon)
@@ -242,7 +242,7 @@ def _fuzz_representation(base_seed: int, count: int, rng: np.random.Generator):
         seed = base_seed + i
         eq = random_equation(seed, m_max=3, T_max=5, K_max=0.35)
         history = [float(v) for v in rng.uniform(-1.0, 1.0, eq.T + 1)]
-        init = InitialData.from_values(0, history)
+        init = InitialData(0, history)
         forcing = periodic_table([float(v) for v in rng.uniform(-1.0, 1.0, 3)])
         resid = representation_check(eq, init, forcing, 50)
         if not resid < 1e-9:
@@ -347,10 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--n0", type=int, default=0, help="start index")
     p.add_argument("--N", type=int, help="final index (default: config horizon)")
-    p.add_argument("--x0", type=float, default=1.0,
-                   help="value at n0 when no --history is given (prehistory 0)")
-    p.add_argument("--history", nargs="+", type=float,
-                   help="values for n0-T .. n0 in order (T+1 numbers)")
+    p.add_argument("--history", nargs="+", type=float, default=[1.0],
+                   help="x(n0-h+1) .. x(n0), 1 to T+1 values, x zero before (default: 1)")
     p.add_argument("--csv", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_simulate)
 

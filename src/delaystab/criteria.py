@@ -132,7 +132,8 @@ Positivity = Union[PositivityCertificate, PositivityRefutation]
 EPS = 1e-12
 # p-step product horizons tried for the rate b^(1/p), besides P and 2P
 P_CANDIDATES = (1, 2, 3, 4, 6, 8, 12)
-# the fallback kernel scan starts at 5 T and runs max(200, 10 T) steps
+# the fallback kernel scan starts at 5 T, or at the last splice cutoff past
+# it, and runs max(200, 10 T) steps
 SCAN_LEAD_MULT = 5
 SCAN_LEN = 200
 # the scan steps P columns instead of every row up to this exact period P:
@@ -295,10 +296,11 @@ class _Draft:
 # Positivity of the fundamental function
 
 
-def scan_window(T: int) -> tuple[int, int]:
-    """The fallback kernel scan's window [5 T, 5 T + max(200, 10 T)]."""
-    n0 = SCAN_LEAD_MULT * T
-    return n0, n0 + max(SCAN_LEN, 10 * max(T, 1))
+def scan_window(eq: Equation) -> tuple[int, int]:
+    """The fallback kernel scan's window [s, s + max(200, 10 T)] from
+    s = max(5 T, ``limits.tail_start``)."""
+    n0 = max(SCAN_LEAD_MULT * eq.T, limits.tail_start(eq))
+    return n0, n0 + max(SCAN_LEN, 10 * max(eq.T, 1))
 
 
 def _ring_depth(delays: Sequence[DelaySpec], n0: int, n1: int) -> int:
@@ -399,7 +401,7 @@ def _analytic_positivity(eq: Equation, window: Window) -> Optional[PositivityCer
 def certify_positivity(eq: Equation, window: Window = None) -> Positivity:
     """The analytic routes, else a kernel scan of ``eq`` on its own window."""
     cert = once(_analytic_positivity, eq, window)
-    return cert if cert is not None else positivity_scan(eq, scan_window(eq.T))
+    return cert if cert is not None else positivity_scan(eq, scan_window(eq))
 
 
 def _positivity_pass(eq: Equation, window: Window, sets: Sequence[tuple[int, ...]],
@@ -430,7 +432,7 @@ def _positivity_pass(eq: Equation, window: Window, sets: Sequence[tuple[int, ...
     windows = {}
     for I, sub in subs.items():
         if once(_analytic_positivity, sub, window) is None:
-            n0, N = windows[I] = scan_window(sub.T)
+            n0, N = windows[I] = scan_window(sub)
             if (sub.T + 2) * (N - n0 + 1) > _kernels.MAX_ENTRIES:  # no ring is deeper than T + 2
                 _kernels.require_ring(_ring_depth([t.delay for t in sub.terms], n0, N - 1),
                                       N - n0 + 1)

@@ -78,10 +78,6 @@ class InitialData:
         """Values for indices n0 - len + 1 .. n0 in order."""
         return InitialData(n0, values)
 
-    @staticmethod
-    def point(n0: int, value: float = 1.0) -> "InitialData":
-        return InitialData(n0, [value])
-
 
 def validate(
     terms: Sequence[Term],

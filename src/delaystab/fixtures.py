@@ -25,7 +25,7 @@ from .criteria import (
     theorem5_lhs_rhs,
 )
 from .equation import Equation, Term, validate
-from .limits import delay_window_sum
+from .limits import coeff_span, delay_window_sum, row_sum
 from .oracle import companion_from_equation, decay_fit
 from .seqexpr import DelaySpec, parse
 from .simulator import fundamental, kernel
@@ -185,9 +185,9 @@ def _run_alternating_two_delay(eq: Equation) -> list[CheckResult]:
 
 
 def _run_periodic_mixed_sign(eq: Equation) -> list[CheckResult]:
-    from .criteria import _sum_bounds
     window = (0, 400)
-    inf_s, sup_s, _ = _sum_bounds(eq, [0, 1], window)
+    pair = row_sum(coeff_span(eq, window, [0, 1])[0])
+    inf_s, sup_s = float(pair.min()), float(pair.max())
     wsum = delay_window_sum(eq, 0, window)
     h_spec = eq.terms[1].delay
     lhs, rhs, strip = theorem5_lhs_rhs(eq, [0, 1], [h_spec, h_spec], window)

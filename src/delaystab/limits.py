@@ -46,6 +46,7 @@ __all__ = [
     "least",
     "delay_window_sum",
     "default_window",
+    "tail_start",
     "aggregate_period",
     "exact_period",
 ]
@@ -57,10 +58,17 @@ class AsymptoticEstimate:
     exact: bool
 
 
+def tail_start(eq: Equation) -> int:
+    """The deepest splice cutoff among ``eq``'s coefficients, 0 when there
+    is none: a window starting before it reads a prefix the tail need not
+    share."""
+    return max(t.coeff.cutoff for t in eq.terms)
+
+
 def default_window(eq: Equation) -> tuple[int, int]:
-    """[10 T, 10 T + 10000]: skips the transient prefix the asymptotic
-    hypotheses do not care about."""
-    start = 10 * eq.T
+    """[s, s + 10000] from s = max(10 T, ``tail_start``): skips the
+    transient prefix the asymptotic hypotheses do not care about."""
+    start = max(10 * eq.T, tail_start(eq))
     return (start, start + 10_000)
 
 

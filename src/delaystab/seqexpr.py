@@ -141,8 +141,8 @@ Node = Union[Num, Var, Neg, Bin, Call, Per, Splice]
 @dataclass(frozen=True)
 class SeqExpr:
     """An immutable sequence expression: an AST and the canonical text it
-    prints to; trees that print alike are one expression.  Its period is
-    derived from the tree once, on first use."""
+    prints to; trees that print alike are one expression.  Its period and
+    cutoff are derived from the tree once, on first use."""
 
     ast: Node = field(compare=False)
     source_text: str = field(init=False)
@@ -162,6 +162,12 @@ class SeqExpr:
         values = eval_range(self, 0, period - 1)
         return next((d for d in range(1, period)
                      if period % d == 0 and (values[d:] == values[:-d]).all()), period)
+
+    @cached_property
+    def cutoff(self) -> int:
+        """The deepest ``splice`` cutoff outside a before-branch, 0 when
+        there is none: from there on no before-branch is read."""
+        return _deepest_cutoff(self.ast)
 
     def __str__(self) -> str:
         return self.source_text
@@ -448,6 +454,17 @@ def _structural_period(node: Node) -> Optional[int]:
             return _structural_period(node.after)
         return None
     raise TypeError(f"unknown node {node!r}")
+
+
+def _deepest_cutoff(node: Node) -> int:
+    if isinstance(node, Splice):
+        # the before-branch's splices are read only below this cutoff
+        return max(node.cutoff, _deepest_cutoff(node.after))
+    if isinstance(node, Bin):
+        return max(_deepest_cutoff(node.left), _deepest_cutoff(node.right))
+    if isinstance(node, (Neg, Call)):
+        return _deepest_cutoff(node.arg)
+    return 0
 
 
 def common_period(periods: Iterable[Optional[int]]) -> Optional[int]:

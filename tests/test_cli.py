@@ -111,7 +111,8 @@ def test_simulate_factorial_values(cfg_factorial):
 
 
 def test_simulate_history_validation(cfg_sin_cos):
-    r = run_cli("simulate", cfg_sin_cos, "--N", "5", "--history", "1.0", "2.0")
+    # T = 20: x(n0 - 21) is never read, so a 22-value history is refused
+    r = run_cli("simulate", cfg_sin_cos, "--N", "5", "--history", *["1.0"] * 22)
     assert r.returncode == 2
     assert "history" in r.stderr
 
@@ -523,6 +524,8 @@ def test_unused_flags_are_rejected(cfg_factorial, tmp_path):
         assert run_cli(command[0], cfg_factorial, *command[1:], "--no-meta").returncode == 2
     assert run_cli("check", cfg_factorial, "--json").returncode == 2
     assert run_cli("simulate", cfg_factorial, "--json").returncode == 2
+    # a history is given by --history alone
+    assert run_cli("simulate", cfg_factorial, "--x0", "1").returncode == 2
     assert run_cli("fundamental", cfg_factorial, "--k", "0", "--N", "5",
                    "--window", "0", "5").returncode == 2
     assert run_cli("examples", "--window", "0", "5").returncode == 2
@@ -618,27 +621,27 @@ def test_a_failed_write_keeps_the_old_file(cfg_factorial, tmp_path, monkeypatch,
     assert os.stat(target).st_mode == os.stat(tmp_path / "plain.txt").st_mode
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["--x0", "nan"], "--x0"),
-    (["--x0", "inf"], "--x0"),
-    (["--history", "1", "nan"], "--history"),
+# the "x0-" cases give the one value x(n0)
+@pytest.mark.parametrize("argv", [
+    ["--history", "nan"],
+    ["--history", "inf"],
+    ["--history", "1", "nan"],
 ], ids=["x0-nan", "x0-inf", "history-nan"])
-def test_simulate_refuses_non_finite_initial_values(tmp_path, argv, flag):
+def test_simulate_refuses_non_finite_initial_values(tmp_path, argv):
     out = tmp_path / "out.csv"
     r = run_cli("simulate", _one_config(tmp_path, [("0.1", 1)]), *argv, "--csv", str(out))
     assert r.returncode == 2
-    assert f"error: {flag} must be finite, not {argv[-1]}" in r.stderr
+    assert f"error: --history must be finite, not {argv[-1]}" in r.stderr
     assert "horizon" not in r.stderr
     assert "Traceback" not in r.stderr
     assert not out.exists()
 
 
 @pytest.mark.parametrize("terms,history,message", [
-    ([("0.1", 1)], ["1", "2", "3"], "history must cover [n0-T, n0]: need 2 values, got 3"),
-    ([("0.1", 1)], ["1"], "history must cover [n0-T, n0]: need 2 values, got 1"),
+    ([("0.1", 1)], ["1", "2", "3"], "--history takes at most T + 1 = 2 values, got 3"),
     # only the values given are read for finiteness, before their count
     ([("0.1", 0)], ["1", "nan"], "--history must be finite, not nan"),
-], ids=["too-long", "too-short", "non-finite-first"])
+], ids=["too-long", "non-finite-first"])
 def test_simulate_refuses_a_history_of_the_wrong_length(tmp_path, capsys, terms, history,
                                                          message):
     from delaystab import cli
@@ -655,16 +658,34 @@ def test_simulate_checks_the_history_length_before_the_horizon(tmp_path, capsys)
     from delaystab import cli
 
     code = cli.main(["simulate", _one_config(tmp_path, [("0.1", 1)]), "--n0", "5", "--N", "3",
-                     "--history", "1"])
+                     "--history", "1", "2", "3"])
     assert code == 2
-    assert capsys.readouterr().err == (
-        "error: history must cover [n0-T, n0]: need 2 values, got 1\n")
+    assert capsys.readouterr().err == "error: --history takes at most T + 1 = 2 values, got 3\n"
+
+
+@pytest.mark.parametrize("lag", [1, [3, 5]], ids=["1", "3-5"])
+def test_simulate_pads_a_short_history_with_zeros(tmp_path, capsys, lag):
+    # k <= T + 1 values write the CSV of their zero-padded T + 1 form, byte
+    # for byte, and no flag is the history 1
+    from delaystab import cli
+
+    config = _one_config(tmp_path, [("0.1 + 0.05*sin(n)", lag), ("-0.2", 0)])
+    T = max(lag) if isinstance(lag, list) else lag
+
+    def csv(*history):
+        assert cli.main(["simulate", config, "--n0", "2", "--N", "40", *history]) == 0
+        return capsys.readouterr().out
+
+    assert csv() == csv("--history", "1") == csv("--history", *["0"] * T, "1")
+    for k in range(1, T + 2):
+        given = ["0.25", "-1.5", "3", "0.5", "-2", "1e-3"][:k]
+        assert csv("--history", *given) == csv("--history", *["0"] * (T + 1 - k), *given)
 
 
 def test_simulate_at_a_long_lag_steps_in_bounded_memory(tmp_path, peak_rss_growth):
-    # lag 10^6 over 100 steps: --x0 is a one-value history, and the step
+    # lag 10^6 over 100 steps from the default one-value history: the step
     # buffer holds only the 100 entries before n0 that the window reads, so
-    # the process grows by about 1 MiB; T zeros before --x0 took about
+    # the process grows by about 1 MiB; T zeros before x(n0) took about
     # 60 MiB (the history, the step buffer and its list), a history dict of
     # 10^6 + 1 entries about 110 MiB.
     config = _one_config(tmp_path, [("0.1", 1), ("0.001", 10**6)])
@@ -679,17 +700,18 @@ def test_simulate_at_a_long_lag_steps_in_bounded_memory(tmp_path, peak_rss_growt
     assert out.read_text() == alone.read_text()
 
 
+# the "x0-" cases give the one value x(n0)
 @pytest.mark.parametrize("argv,first", [
     (["--history", "0", "-1e-3"], "-0.001"),
-    (["--x0", "-1e-3"], "-0.001"),
+    (["--history", "-1e-3"], "-0.001"),
     (["--history", "0", "-2.5E+1"], "-25"),
-    (["--x0", "-1."], "-1"),
-    (["--x0=-1e-3"], "-0.001"),
+    (["--history", "-1."], "-1"),
+    (["--history=-1e-3"], "-0.001"),
     (["--history", "0", "-0.5"], "-0.5"),
-    (["--x0", "-.5"], "-0.5"),
+    (["--history", "-.5"], "-0.5"),
     (["--history", "0", "-inf"], "--history must be finite, not -inf"),
-    (["--x0", "-inf"], "--x0 must be finite, not -inf"),
-    (["--x0", "-NaN"], "--x0 must be finite, not nan"),
+    (["--history", "-inf"], "--history must be finite, not -inf"),
+    (["--history", "-NaN"], "--history must be finite, not nan"),
 ], ids=["history-exponent", "x0-exponent", "history-signed-exponent", "x0-trailing-dot",
         "x0-equals", "history-decimal", "x0-leading-dot", "history-inf", "x0-inf", "x0-nan"])
 def test_simulate_reads_every_negative_float(tmp_path, capsys, argv, first):
@@ -725,3 +747,18 @@ def test_a_failed_write_names_the_requested_path(cfg_factorial, tmp_path, case):
     assert "Traceback" not in r.stderr
     left = [p.name for p in tmp_path.rglob("*")]
     assert left == ([] if case == "missing-directory" else ["prof"])
+
+
+def test_readme_cli_section_names_every_option_and_no_other():
+    import argparse
+    import re
+
+    from delaystab import cli
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for p in [parser, *commands.choices.values()] for action in p._actions
+               for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        section = fh.read().split("\n## CLI\n")[1].split("\n## ")[0]
+    assert set(re.findall(r"--[A-Za-z][\w-]*", section)) == options

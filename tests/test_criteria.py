@@ -156,8 +156,13 @@ def _reference_certify(eq, window=None):
             return PositivityCertificate(0, -1, "autonomous_bound")
         if exact and part1:
             return PositivityCertificate(0, -1, "corollary3_characteristic")
-    n0 = SCAN_LEAD_MULT * eq.T
-    return _reference_window(eq, n0, n0 + max(SCAN_LEN, 10 * max(eq.T, 1)))
+    return _reference_window(eq, *_scan_window(eq.T, max(t.coeff.cutoff for t in eq.terms)))
+
+
+def _scan_window(T, cutoff=0):
+    """The scan window of lag T, from 5 T or from a later splice cutoff."""
+    n0 = max(SCAN_LEAD_MULT * T, cutoff)
+    return n0, n0 + max(SCAN_LEN, 10 * max(T, 1))
 
 
 def _reference_window(eq, n0, N):
@@ -302,7 +307,7 @@ def test_the_lag_4000_scan_names_the_ring_it_refuses():
     eq = const_eq(("0.0001*(1 + 0.5*sin(n))", 4000))
     with pytest.raises(KernelMemoryError,
                        match=r"^kernel rows need 160084002 entries \(cap 100000000\)$"):
-        positivity_scan(eq, scan_window(eq.T))
+        positivity_scan(eq, scan_window(eq))
 
 
 def _scanned(eq, window):
@@ -416,7 +421,7 @@ def test_periodic_scans_read_no_kernel_rows(monkeypatch):
 
     monkeypatch.setattr(_kernels, "kernel_rows", refuse)
     for eq in (const_eq((0.1, 2), ("0.05*alt(n)", 1)), _per_eq([1, 2, 3], 4)):
-        assert isinstance(positivity_scan(eq, scan_window(eq.T)), PositivityCertificate)
+        assert isinstance(positivity_scan(eq, scan_window(eq)), PositivityCertificate)
     with pytest.raises(AssertionError, match="kernel_rows"):
         positivity_scan(const_eq(("0.1 + 0.01*sin(n)", 1)), (5, 205))
 
@@ -671,13 +676,13 @@ def test_lags_1_and_30_share_one_union_stream(monkeypatch):
 
 
 def _assert_union_scan_answers_as_each_window(eq, seed=0):
-    """scan_window(t) for several t beside windows with arbitrary starts,
+    """the scan windows of lags t for several t beside windows with arbitrary starts,
     and one stream over their union [lo, hi]: a refutation at (n, k) inside
     a window is that window's own scan, and a certificate through hi is
     each window's own scan on that window.
     Returns which kinds of union result it checked."""
     rng = np.random.default_rng(seed)
-    windows = [criteria.scan_window(t) for t in (eq.T, eq.T + 1, eq.T + 3, max(eq.T - 1, 0))]
+    windows = [_scan_window(t) for t in (eq.T, eq.T + 1, eq.T + 3, max(eq.T - 1, 0))]
     for _ in range(3):
         n0 = int(rng.integers(0, 60))
         windows.append((n0, n0 + 5 * eq.T + int(rng.integers(0, 200))))
@@ -727,19 +732,21 @@ def test_one_stream_scans_underflow_and_overflow_as_their_own_scans():
 
 
 # The rule tests pick each set's largest lag T for its scan window
-# scan_window(T): T = 0, 1, 2, 3, 8 and 30 give [0, 200], [5, 205],
-# [10, 210], [15, 215], [40, 240] and [150, 450].  A sin or cos term keeps a
+# scan_window: T = 0, 1, 2, 3, 8 and 30 give [0, 200], [5, 205],
+# [10, 210], [15, 215], [40, 240] and [150, 450], each starting instead at
+# the deepest splice cutoff of the set's terms when that is later.  A sin or cos term keeps a
 # set off the analytic routes, so it reaches the scan.
 
 
 def test_comparison_set_leaves_out_early_negative_terms(monkeypatch):
     # the spliced term is negative on the rows before 40, which the union
-    # [5, 240] of the windows reads, so J = (0, 2, 3) even on [40, 240]
+    # [5, 240] of the windows reads, so J = (0, 2, 3) even on [40, 240];
+    # the sets that hold it scan from its cutoff 40
     eq = const_eq(("0.1 + 0.02*sin(n)", 1), ("splice(40, -0.01, 0.02)", 3), ("0.03", 2),
                   ("0.001", 8))
     sets = [(0,), (0, 2), (0, 1), (0, 1, 2, 3)]
-    assert [criteria.scan_window(criteria.subset_equation(eq, I).T) for I in sets] == [
-        (5, 205), (10, 210), (15, 215), (40, 240)]
+    assert [criteria.scan_window(criteria.subset_equation(eq, I)) for I in sets] == [
+        (5, 205), (10, 210), (40, 240), (40, 240)]
     answers, alone = _pass(eq, sets, monkeypatch)
     assert alone == [(0, 1), (0, 1, 2, 3)]
     cert = answers[(0, 2)]
@@ -765,8 +772,9 @@ def test_comparison_set_refutation_is_never_inherited(monkeypatch):
     answers, alone = _pass(eq, [(0,), (0, 1)], monkeypatch)
     assert alone == [(0, 1)]
     assert answers[(0,)] == positivity_scan(eq, (0, 200))
-    # a refutation past a window's end: X(251, k) < 0, and [0, 200] certifies
-    eq = const_eq(("splice(250, 0.05, 1.5)", 0), ("-0.001*alt(n)", 30))
+    # a refutation past a window's end: a(250) = 1.05 gives X(251, k) < 0,
+    # and [0, 200] certifies (a splice at 250 would start the windows there)
+    eq = const_eq(("0.05 + (n/250)^40", 0), ("-0.001*alt(n)", 30))
     one = criteria.subset_equation(eq, [0])
     assert positivity_scan(one, (0, 450)).n == 251
     assert positivity_scan(one, (0, 200)).N == 200
@@ -861,6 +869,23 @@ def test_run_all_copies_no_sliced_validation_window(monkeypatch):
     verdicts = run_all(eq, checks=["theorem1", "corollary4"])
     assert [v.outcome for v in verdicts] == [Outcome.STABLE] * 3
     assert sum(copied) < 200_010
+
+
+@pytest.mark.parametrize("coeff,lag,default,scan", [
+    ("0.1 + 0.01*sin(n)", 3, (30, 10030), (15, 215)),
+    # a cutoff before 5 T moves neither window, one between 5 T and 10 T
+    # only the scan's, one past 10 T both, keeping their lengths
+    ("splice(12, 0.3, 0.1 + 0.01*sin(n))", 3, (30, 10030), (15, 215)),
+    ("splice(20, 0.3, 0.1 + 0.01*sin(n))", 3, (30, 10030), (20, 220)),
+    ("0.05 + splice(500, 0.3, 0.1 + 0.01*sin(n))", 30, (500, 10500), (500, 800)),
+])
+def test_windows_start_past_the_last_splice_cutoff(coeff, lag, default, scan):
+    eq = const_eq((coeff, lag), ("0.01*abs(cos(n))", 1))
+    assert criteria.limits.default_window(eq) == default
+    assert scan_window(eq) == scan
+    assert {v.window for v in run_all(eq)} == {default}
+    # an explicit window stays as given
+    assert {v.window for v in run_all(eq, (0, 300))} == {(0, 300)}
 
 
 def test_run_all_rejects_a_bad_window(eq_sin_cos):
@@ -1094,7 +1119,7 @@ def test_corollary4_delegates(eq_periodic_mixed):
 
 def _assert_corollary4_one_term_decides_like_m_terms(eq):
     """Corollary 4's comparison equation sum_l a_l(n) x(g(n)) as one term
-    (a_0 + ... + a_{m-1}) x(g(n)) and as m terms: on scan_window(T_g), for
+    (a_0 + ... + a_{m-1}) x(g(n)) and as m terms: on its scan window, for
     every g run_all tries, both scans give the same result type, the same
     N and the same refutation (n, k).  Returns the kinds seen."""
     gs = list(dict.fromkeys([t.delay for t in eq.terms] + [DelaySpec.constant(1)]))
@@ -1103,7 +1128,7 @@ def _assert_corollary4_one_term_decides_like_m_terms(eq):
         terms = validate([Term(t.coeff, g) for t in eq.terms], None, eq.validation_window[1])
         one = merge_same_delay(terms)
         assert one.m == 1
-        window = criteria.scan_window(g.max_lag)
+        window = criteria.scan_window(one)
         got, want = positivity_scan(one, window), positivity_scan(terms, window)
         assert type(got) is type(want), (g, got, want)
         if isinstance(want, PositivityRefutation):
@@ -1234,6 +1259,19 @@ def test_corollary9_part1():
     assert check_corollary9(0.2, 1, 0.25, 3, 1).outcome is Outcome.INCONCLUSIVE
     with pytest.raises(ValueError):
         check_corollary9(0.0, 1, 0.1, 2, 1)
+
+
+@pytest.mark.parametrize("part", [0, 3])
+def test_corollary9_has_two_parts(part):
+    with pytest.raises(ValueError, match=r"^part must be 1 or 2$"):
+        check_corollary9(0.25, 1, -0.2, 3, part)
+
+
+def test_scan_refuses_a_window_shorter_than_5T():
+    eq = const_eq(("0.1 + 0.01*sin(n)", 4))
+    with pytest.raises(ValueError, match=r"^scan window must span at least 5T = 20$"):
+        positivity_scan(eq, (20, 39))
+    assert isinstance(positivity_scan(eq, (20, 40)), PositivityCertificate)
 
 
 def test_corollary9_pq_sufficiency():

@@ -128,6 +128,11 @@ def test_prefix_modify_identity(eq_sin_cos):
     assert prefix_modify(eq_sin_cos, 0, list(eq_sin_cos.terms)) is eq_sin_cos
 
 
+def test_prefix_modify_refuses_a_replacement_of_another_arity(eq_sin_cos):
+    with pytest.raises(ValueError, match=r"^replacement arity 1 != 2$"):
+        prefix_modify(eq_sin_cos, 5, eq_sin_cos.terms[:1])
+
+
 def test_prefix_modify_splices_coefficients():
     eq = validate([Term(parse("0.3"), DelaySpec.constant(1))])
     replacement = [Term(parse("0"), DelaySpec.constant(1))]
@@ -197,7 +202,7 @@ def test_a_history_is_stepped_with_zeros_before_it(T):
 
 def test_a_one_value_history_steps_by_hand(eq_unbounded):
     # x(n+1) = x(n) - 2.2 x(n-1) + 2 x(n) from x(-1) = 0, x(0) = 1
-    for init in (InitialData.point(0), InitialData.from_values(0, [0.0, 1.0])):
+    for init in (InitialData(0, [1.0]), InitialData.from_values(0, [0.0, 1.0])):
         assert simulate(eq_unbounded, init, 2).values.tolist() == [1.0, 3.0, 6.8]
 
 
@@ -207,7 +212,7 @@ def test_initial_data_holds_a_read_only_float_copy():
     given[0] = 9.0
     assert init.values.tolist() == [1.0, 2.0] and not init.values.flags.writeable
     assert InitialData.from_values(4, [1, 2]).values.dtype == np.float64
-    assert InitialData.point(4, 7).values.tolist() == [7.0]
+    assert InitialData(4, [7]).values.tolist() == [7.0]
 
 
 def test_delay_accesses_stay_in_range(eq_periodic_mixed):

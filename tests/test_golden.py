@@ -44,7 +44,8 @@ def _random_config(seed: int, autonomous: bool, **bounds) -> dict:
 # lag tables), so theorem2's 31 subsets read the same coefficients over
 # windows that start at different 10 T; sin_cos_m6 is the benchmark's m = 6
 # layout (63 subsets over five scan windows).  mixed_sign_splice has a term
-# that is negative only before n = 40, inside every subset's scan window,
+# that is negative only before its cutoff n = 40, where the windows of the
+# sets that hold it start and which the union of the scan windows reads,
 # and one that is negative everywhere.
 GENERATED = {
     **{f"random_periodic_{s}": _random_config(s, False) for s in (0, 2, 3, 4)},

@@ -3,7 +3,8 @@
 Every import counts, function-local ones too: ``cli`` sits on top, only
 ``cli`` reads the fixtures, only ``cli`` and ``fixtures`` read the oracles
 (the checkers stay independent of their ground truth), and no two modules
-import each other, directly or through others.
+import each other, directly or through others.  The two top layers, ``cli``
+and ``fixtures``, import no private name of another module.
 """
 
 import ast
@@ -48,3 +49,23 @@ def test_module_layering():
         leaves = {name for name, deps in left.items() if not deps & set(left)}
         assert leaves, f"import cycle among {sorted(left)}"
         left = {name: deps for name, deps in left.items() if name not in leaves}
+
+
+def _private_imports(module: str) -> list[str]:
+    """The single-underscore names ``module`` imports from the package."""
+    path = PACKAGE / f"{module}.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        package = isinstance(node, ast.ImportFrom) and (
+            node.level == 1 or (node.module or "").startswith("delaystab"))
+        if package:
+            found += [".".join(filter(None, [node.module, a.name])) for a in node.names
+                      if a.name.startswith("_") and not a.name.startswith("__")]
+    return found
+
+
+def test_top_layers_import_no_private_name():
+    for module in ("cli", "fixtures"):
+        assert _private_imports(module) == [], module
+    # a lower layer may: the check sees equation's import of the scope-free evaluator
+    assert "seqexpr._eval_window" in _private_imports("equation")

@@ -581,6 +581,12 @@ def test_running_products_match_sliding_windows(values, general):
         assert limsup_product(eq, p, window) == want
 
 
+@pytest.mark.parametrize("ps", [[0, 2], [-1]])
+def test_product_horizons_must_be_positive(eq_sin_cos, ps):
+    with pytest.raises(ValueError, match=r"^p must be positive$"):
+        limsup_products(eq_sin_cos, ps)
+
+
 def test_best_product_horizons_match_sliding_windows_on_goldens(monkeypatch):
     from test_golden import CONFIGS
 

@@ -46,6 +46,13 @@ def test_companion_identity_marginal():
     assert companion_radius([(0.0, 0)]).radius == 1.0
 
 
+@pytest.mark.parametrize("pairs,message", [([], "no coefficients"),
+                                           ([(0.1, 1), (0.2, -1)], "negative lag")])
+def test_companion_radius_refuses_what_is_no_equation(pairs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        companion_radius(pairs)
+
+
 def test_companion_unbounded_fixture(eq_unbounded):
     rep = companion_from_equation(eq_unbounded)
     assert rep.radius == pytest.approx((3 + math.sqrt(0.2)) / 2, abs=1e-9)
@@ -190,6 +197,12 @@ def test_floquet_bound_holds_at_the_closed_form_boundary(k):
     assert abs(rate.rate - _true_radius(_char_coeffs([(a, k)]))) <= rate.error_bound
 
 
+def test_a_monodromy_that_vanishes_has_rate_zero():
+    # a(0) = 1 at lag 0 zeroes x(1), so the product over the period L = 2 is 0
+    eq = validate([Term(parse("per(1.0, 0.5)"), DelaySpec.constant(0))])
+    assert floquet_rate(eq) == FloquetRate(0.0, None, 2)
+
+
 def test_floquet_rate_agrees_with_companion_radius():
     for seed in range(100):
         eq = random_equation(seed, m_max=3, T_max=4, K_max=1.0, autonomous=True)
@@ -303,6 +316,29 @@ def test_the_general_path_is_sound_on_periodic_surrogates():
             assert not found, seed
         assert not {_family(c) for c in found} & _AUTONOMOUS_FAMILIES, seed
         assert found == {c for c in periodic if _family(c) not in _AUTONOMOUS_FAMILIES}, seed
+    assert unstable == 18
+
+
+def _spliced(eq, cutoff):
+    """``eq`` with each coefficient written as ``splice(cutoff, 0.02, <text>)``:
+    a calm prefix, then ``eq``'s own coefficients, whose ``floquet_rate`` is
+    the tail's exact rate."""
+    return validate([Term(parse(f"splice({cutoff}, 0.02, {t.coeff})"), t.delay)
+                     for t in eq.terms])
+
+
+def test_no_stable_verdict_rests_on_a_prefix_before_a_splice():
+    # the cutoff lies past 10 T and 5 T, where the windows started before
+    # they read the cutoff; the calm prefix passed every hypothesis there
+    unstable = 0
+    for seed in range(100):
+        eq = random_equation(seed, m_max=3, T_max=4)
+        rate = floquet_rate(eq)
+        if rate.rate - rate.tolerance >= 1:
+            unstable += 1
+            verdicts = run_all(_spliced(eq, 20_000))
+            assert not stable_verdicts(verdicts), seed
+            assert {v.window for v in verdicts} == {(20_000, 30_000)}, seed
     assert unstable == 18
 
 

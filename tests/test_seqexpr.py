@@ -66,6 +66,7 @@ def test_syntax_error_position():
     # positions count characters, not UTF-8 bytes
     ("0.5 + é + * 1", 10),
     ("0.5 +\u2003foo", 6),
+    ("splice(1.5, 0.1, 0.2)", (10, "non-integer splice cutoff")),
 ])
 def test_language_edges(text, outcome):
     # accepted texts give their printed form, refused ones their position
@@ -244,6 +245,47 @@ def test_classify_needs_a_structural_period():
         expr = se.parse(text)
         assert se.classify(expr) is None and expr.period is None
     assert se.classify(se.parse("splice(0, 0.1, per(1, 2))")) == 2
+
+
+@pytest.mark.parametrize("text,cutoff", [
+    ("0.1 + sin(n)", 0),
+    ("splice(40, 0.1, 0.2)", 40),
+    ("splice(-3, 0.1, n)", 0),
+    ("0.1 + splice(40, 0.1, splice(90, 0.2, 0.3))", 90),
+    # the before-branch is read only below the outer cutoff
+    ("splice(40, splice(90, 0.2, 0.3), 0.1)", 40),
+    ("abs(-splice(7, 1, 2))*cos(splice(5, 1, n))", 7),
+])
+def test_cutoff_is_the_deepest_splice_cutoff(text, cutoff):
+    expr = se.parse(text)
+    assert expr.cutoff == cutoff
+    assert vars(expr)["cutoff"] == cutoff  # stored, like the period
+
+
+def _tail(node):
+    """``node`` with every splice replaced by its after-branch."""
+    if isinstance(node, se.Splice):
+        return _tail(node.after)
+    if isinstance(node, se.Neg):
+        return se.Neg(_tail(node.arg))
+    if isinstance(node, se.Bin):
+        return se.Bin(node.op, _tail(node.left), _tail(node.right))
+    if isinstance(node, se.Call):
+        return se.Call(node.func, _tail(node.arg))
+    return node
+
+
+def test_from_the_cutoff_on_every_splice_reads_its_after_branch():
+    rng = np.random.default_rng(36)
+    spliced = 0
+    for _ in range(500):
+        tree = _random_ast(rng, 3)
+        expr = se.SeqExpr(tree)
+        cut = expr.cutoff
+        spliced += cut > 0
+        n = np.arange(cut, cut + 200)
+        assert np.array_equal(_reference(tree, n), _reference(_tail(tree), n)), str(expr)
+    assert spliced > 50
 
 
 def test_classify_periodic_soundness():

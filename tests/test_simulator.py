@@ -35,13 +35,13 @@ def with_forcing(eq, f):
 
 
 def test_simulate_factorial(eq_factorial):
-    traj = simulate(eq_factorial, InitialData.point(0, 1.0), 20)
+    traj = simulate(eq_factorial, InitialData(0, [1.0]), 20)
     expect = np.array([1.0 / math.factorial(n) for n in range(21)])
     assert np.abs(traj.values - expect).max() < 1e-12
 
 
 def test_simulate_constant(eq_zero):
-    traj = simulate(eq_zero, InitialData.point(3, 7.0), 10)
+    traj = simulate(eq_zero, InitialData(3, [7.0]), 10)
     assert np.array_equal(traj.values, np.full(8, 7.0))
 
 
@@ -52,12 +52,12 @@ def test_simulate_two_steps_by_hand(eq_unbounded):
 
 def test_simulate_rejects_bad_horizon(eq_zero):
     with pytest.raises(ValueError):
-        simulate(eq_zero, InitialData.point(5), 4)
+        simulate(eq_zero, InitialData(5, [1.0]), 4)
 
 
 # every entry point as (eq, n0, N)
 ENTRY_POINTS = {
-    "simulate": lambda eq, n0, N: simulate(eq, InitialData.point(n0), N),
+    "simulate": lambda eq, n0, N: simulate(eq, InitialData(n0, [1.0]), N),
     "fundamental": fundamental,
     "kernel": kernel,
     "cauchy_apply": lambda eq, n0, N: cauchy_apply(eq, parse("sin(n)"), n0, N),
@@ -65,7 +65,7 @@ ENTRY_POINTS = {
     "pituk_sum": pituk_sum,
     "product_bound": product_bound,
     "representation_check": lambda eq, n0, N: representation_check(
-        eq, InitialData.point(n0), parse("1"), N),
+        eq, InitialData(n0, [1.0]), parse("1"), N),
 }
 
 
@@ -255,7 +255,7 @@ def test_cauchy_telescoping(eq_zero):
 def test_cauchy_matches_forced_simulation(eq_factorial):
     y = cauchy_apply(eq_factorial, parse("1"), 0, 30)
     forced = with_forcing(eq_factorial, parse("1"))
-    direct = simulate(forced, InitialData.point(0, 0.0), 30)
+    direct = simulate(forced, InitialData(0, [0.0]), 30)
     assert np.abs(y.values - direct.values).max() < 1e-12
     # closed form: y(n) = sum_{k=0}^{n-1} (k+1)!/n!
     n = 7
