@@ -489,14 +489,16 @@ def _char_lambda_search(alphas: Sequence[float], taus: Sequence[int]) -> tuple[f
     term that overflows (long delays at small lam) is +inf, its true value.
     """
 
-    def term(a: float, t: int, lam: float) -> float:
-        try:
-            return a * lam ** (-t)
-        except OverflowError:
-            return math.inf if a > 0 else 0.0
+    terms = [(a, -t) for a, t in zip(alphas, taus)]
 
     def f(lam: float) -> float:
-        return lam - 1.0 + sum(term(a, t, lam) for a, t in zip(alphas, taus))
+        total = 0  # an int 0 then each term in order, as sum() adds them
+        for a, neg_t in terms:
+            try:
+                total += a * lam ** neg_t
+            except OverflowError:
+                total += math.inf if a > 0 else 0.0
+        return lam - 1.0 + total
 
     lo, hi = 1e-6, 1.0
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0

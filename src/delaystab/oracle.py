@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .equation import Equation, Term, autonomous_coefficients, prefix_modify, validate
-from .limits import exact_period
+from .limits import exact_period, tail_start
 from .seqexpr import DelaySpec, constant, periodic_table
 from .simulator import fundamental
 
@@ -149,6 +149,15 @@ def _eig_radius(c: np.ndarray, z: Optional[np.ndarray] = None) -> tuple[float, f
     return math.ldexp(r, shift), math.ldexp(t * (1 + g) + g * r, shift)
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of an even-length array, bit for bit, in a tenth of its
+    time: the mean of the two middle sorted values, NaN when any is NaN.
+    The sum starts at +0.0, as np.mean's does, so two -0.0 give +0.0."""
+    s = np.sort(x)
+    mid = len(s) // 2
+    return math.nan if math.isnan(s[-1]) else (0.0 + float(s[mid - 1]) + float(s[mid])) / 2.0
+
+
 def _power_radius(c: np.ndarray) -> tuple[float, float]:
     """Dominant modulus of the companion matrix by growth-rate iteration.
 
@@ -177,24 +186,36 @@ def _power_radius(c: np.ndarray) -> tuple[float, float]:
     V = rng.standard_normal((d, _RESTARTS))
     V /= np.linalg.norm(V, axis=0)
     L = np.zeros((_MAX_ITER // _BLOCK + 1, _RESTARTS))
+    # step buffers, allocated once and written in place; each step's
+    # operations and their order are fixed, so the radius keeps its bits
+    W, A = np.empty_like(V), np.empty_like(V)
+    scale, ss, row = np.empty(_RESTARTS), np.empty(_RESTARTS), np.empty(_RESTARTS)
     prev = None
     stable = 0
     slack = math.inf
     for k in range(1, len(L)):
-        W = P @ V
+        np.matmul(P, V, out=W)
         # scale before squaring: C^_BLOCK entries of near-nilpotent rows
         # reach 1e-221, whose squares underflow
-        scale = np.abs(W).max(axis=0)
+        np.abs(W, out=A)
+        A.max(axis=0, out=scale)
         if not scale.all():
             # nilpotent direction: growth is exactly zero from here on
             return 0.0, math.ldexp(max(min(slack, 1.0), 1e-12), shift)
         W /= scale
-        ss = (W * W).sum(axis=0)
-        L[k] = L[k - 1] + np.log(scale) + 0.5 * np.log(ss)
-        V = W / np.sqrt(ss)
+        np.multiply(W, W, out=A)
+        A.sum(axis=0, out=ss)
+        # L[k] = (L[k - 1] + log scale) + 0.5 log ss
+        np.add(L[k - 1], np.log(scale, out=row), out=L[k])
+        np.log(ss, out=row)
+        row *= 0.5
+        L[k] += row
+        np.divide(W, np.sqrt(ss, out=ss), out=V)
         used = k * _BLOCK
         if used % 64 == 0:
-            est = float(np.median((L[k] - L[k // 2]) / (used - used // 2)))
+            np.subtract(L[k], L[k // 2], out=row)
+            row /= used - used // 2
+            est = _median(row)
             if prev is not None:
                 slack = abs(est - prev)
                 if slack < _TOL:
@@ -205,7 +226,7 @@ def _power_radius(c: np.ndarray) -> tuple[float, float]:
                     stable = 0
             prev = est
     estimates = np.exp((L[k] - L[k // 2]) / (used - used // 2))
-    radius = float(np.median(estimates))
+    radius = _median(estimates)
     spread = float(estimates.max() - estimates.min())
     err = max(spread, min(slack, 1.0), 1e-12)
     return math.ldexp(radius, shift), math.ldexp(err, shift)
@@ -267,8 +288,9 @@ def floquet_rate(eq: Equation) -> FloquetRate:
     return FloquetRate(math.exp((math.log(radius) + shift * math.log(2.0)) / period), None, period)
 
 
-def fit_decay(column: Sequence[float], skip: int) -> DecayFit:
-    """Fit log|X| ~ alpha + beta n over the column tail after ``skip``.
+def fit_decay(column: Sequence[float], skip: int, n0: int = 0) -> DecayFit:
+    """Fit log|X| ~ alpha + beta n over the column tail after ``skip``, for
+    a column X(n) from n = n0; the window and the errors name n itself.
 
     L_hat is inflated by the largest positive residual so the geometric
     envelope bounds every fitted point by construction.  A zero tail fits
@@ -282,12 +304,13 @@ def fit_decay(column: Sequence[float], skip: int) -> DecayFit:
     finite = np.isfinite(tail)
     usable = finite & (np.abs(tail) > _FIT_FLOOR)
     # an overflowed column is fitted, and reported, up to its last finite value
-    window = (skip, skip + int(np.flatnonzero(finite)[-1]) if finite.any() else skip)
+    lo = n0 + skip
+    window = (lo, lo + int(np.flatnonzero(finite)[-1]) if finite.any() else lo)
     if usable.sum() < 5:
         if not finite.all():
-            n = int(np.argmin(np.isfinite(col)))
+            n = n0 + int(np.argmin(np.isfinite(col)))
             raise ValueError(f"fundamental column at n = {n} is not finite (overflow); "
-                             f"fewer than 5 points are left to fit past n = {skip}")
+                             f"fewer than 5 points are left to fit past n = {lo}")
         return DecayFit(0.0, 0.0, window, 0.0)
     x = idx[usable]
     y = np.log(np.abs(tail[usable]))
@@ -299,12 +322,14 @@ def fit_decay(column: Sequence[float], skip: int) -> DecayFit:
 
 
 def decay_fit(eq: Equation, horizon: int) -> DecayFit:
-    """``fit_decay`` of X(n, 0) on [0, max(horizon, skip + 49)] past
-    skip = max(5T, 20): the fit needs 50 points past the skip, and drops
+    """``fit_decay`` of X(n, s) on [s, max(horizon, s + skip + 49)] past
+    skip = max(5T, 20), from s = ``tail_start``, the last splice cutoff (0
+    without one): X(n, 0) would fit the prefix, and underflows to zero long
+    before a far cutoff.  The fit needs 50 points past the skip, and drops
     the non-finite tail of an overflowed column."""
-    skip = max(5 * eq.T, 20)
+    s, skip = tail_start(eq), max(5 * eq.T, 20)
     with np.errstate(over="ignore", invalid="ignore"):
-        return fit_decay(fundamental(eq, 0, max(horizon, skip + 49)), skip)
+        return fit_decay(fundamental(eq, s, max(horizon, s + skip + 49)), skip, s)
 
 
 def oracle_block(eq: Equation, horizon: int) -> dict:

@@ -936,6 +936,23 @@ def test_char_search_treats_overflowing_terms_as_infinite(alphas, taus):
     assert fmin < 0
 
 
+# (lam, f_min) as float.hex, captured from the generator of per-term calls
+# that the one loop replaced: every term adds to an int 0 in the same order
+@pytest.mark.parametrize("alphas,taus,expected", [
+    ([0.2], [1], ("0x1.c9f25c1e108ecp-2", "-0x1.b06d1d2009134p-4")),
+    ([0.1, 0.05], [2, 5], ("0x1.b2333cd54a661p-1", "0x1.9e0ac3f72e360p-4")),
+    ([0.0, 0.3], [1, 3], ("0x1.f2b09e58a9e35p-1", "0x1.31d6fbf06aab4p-2")),
+    ([0.5], [0], ("0x1.0c6f7a0b5ed8dp-20", "-0x1.ffffbce4217d2p-2")),
+    # lam^-800 overflows below lam = 0.41, on the search's first probe
+    ([0.001], [800], ("0x1.ffdb7daad7f2ep-1", "0x1.fd24193cb4e14p-11")),
+    ([0.0], [800], ("0x1.0c6f7a0b5ed8dp-20", "-0x1.ffffde7210be9p-1")),
+    ([0.3, 0.0], [2, 800], ("0x1.afd667cf47f60p-1", "0x1.0f83380b18426p-2")),
+])
+def test_char_search_keeps_its_bits(alphas, taus, expected):
+    lam, fmin = criteria._char_lambda_search(alphas, taus)
+    assert (lam.hex(), fmin.hex()) == expected
+
+
 # --- theorem1 and corollary2
 
 

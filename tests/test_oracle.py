@@ -25,6 +25,7 @@ from delaystab.oracle import (
     FloquetRate,
     NonAutonomousError,
     _char_coeffs,
+    _median,
     _power_radius,
     decay_class,
     floquet_rate,
@@ -442,6 +443,46 @@ def test_block_power_radius_rescales_out_of_range_powers(c):
     assert abs(radius - ref) <= err
 
 
+def _row(seed, **kw):
+    return _char_coeffs(autonomous_coefficients(random_equation(seed, **kw)))
+
+
+# (radius, err) as float.hex, captured from the allocating step loop that the
+# buffered one replaced: the rewrite keeps every operation and its order
+@pytest.mark.parametrize("c,expected", [
+    (_row(3, autonomous=True),  # stops early
+     ("0x1.bf1f622948793p-1", "0x1.19799812dea11p-40")),
+    (_row(1, m_max=4, T_max=8, autonomous=True),  # d = 5, all 250 blocks
+     ("0x1.b97ae902b15b8p-1", "0x1.e416bd4596800p-12")),
+    (_row(8, m_max=4, T_max=8, autonomous=True),  # d = 6, all 250 blocks
+     ("0x1.00d64c347f5d8p+0", "0x1.49a0e9bfc8000p-12")),
+    (np.array([0, 0, 0, 1e80]), ("0x1.5af1d78b58c41p+66", "0x1.19799812dea11p+28")),
+    (np.array([0, 0, 0, -1e-100]), ("0x1.ef2d0f5da7dd9p-84", "0x1.19799812dea11p-122")),
+    (np.zeros(20), ("0x0.0p+0", "0x1.0000000000000p+0")),  # nilpotent after one block
+])
+def test_power_radius_keeps_its_bits(c, expected):
+    radius, err = _power_radius(c)
+    assert (radius.hex(), err.hex()) == expected
+
+
+def test_median_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(5)
+    samples = [rng.standard_normal(64), rng.standard_normal(64) * 1e300,
+               np.exp(rng.uniform(-3, 3, 64)), np.zeros(64), np.full(64, -0.0),
+               np.repeat(rng.standard_normal(4), 16)]
+    for special in (math.inf, -math.inf, math.nan):
+        for count in (1, 32, 64):
+            x = rng.standard_normal(64)
+            x[rng.choice(64, count, replace=False)] = special
+            samples.append(x)
+    x = rng.standard_normal(64)
+    x[:32], x[32:] = -math.inf, math.inf
+    samples.append(x)
+    with np.errstate(invalid="ignore"):
+        for x in samples:
+            assert np.float64(_median(x)).tobytes() == np.median(x).tobytes(), x
+
+
 def test_companion_radius_past_the_step_loop_range():
     # the per-step loop squares norms near 1e300 and returns nan here
     with warnings.catch_warnings():
@@ -502,6 +543,24 @@ def test_decay_fit_of_an_early_overflow_raises_the_fit_error():
     eq = validate([Term(parse("1e20"), DelaySpec.constant(0))])
     with pytest.raises(ValueError, match=r"at n = 16 is not finite \(overflow\)"):
         decay_fit(eq, 200)
+
+
+def test_decay_fit_reads_the_tail_past_the_last_splice_cutoff():
+    # a = 1.5 at lag 1 is past the Levin-May bound of 1; its rate is
+    # sqrt(1.5) ~ 1.2247.  X(n, 0) fitted the calm prefix (mu_hat 0.887 on
+    # [20, 1000]), and underflows to zero long before the cutoff
+    eq = validate([Term(parse("splice(100000, 0.1, 1.5)"), DelaySpec.constant(1))])
+    fit = decay_fit(eq, 1000)
+    assert fit.mu_hat > 1
+    assert fit.window == (100_020, 100_069)
+    assert decay_fit(eq, 100_500).window[0] >= 100_000
+
+
+def test_decay_fit_names_an_overflow_past_a_splice_by_its_own_n():
+    # X(n, 1000) = (1 - 1e20)^(n - 1000) is non-finite from n = 1016
+    eq = validate([Term(parse("splice(1000, 0.1, 1e20)"), DelaySpec.constant(0))])
+    with pytest.raises(ValueError, match=r"at n = 1016 is not finite .* past n = 1020$"):
+        decay_fit(eq, 2000)
 
 
 def test_oracle_block_is_the_report_entry():
