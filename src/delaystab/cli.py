@@ -38,11 +38,13 @@ from .fixtures import config_to_equation, fixture_names, run_fixture
 from .oracle import (
     decay_fit,
     floquet_rate,
+    general_surrogate,
     oracle_block,
     random_equation,
+    splice_surrogate,
     tail_equivalence_test,
 )
-from .seqexpr import SeqEvalError, SeqSyntaxError, constant, periodic_table
+from .seqexpr import SeqEvalError, constant, periodic_table
 from .simulator import (
     format_csv,
     fundamental,
@@ -116,9 +118,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _window_from(args, config: dict) -> Optional[tuple[int, int]]:
-    if args.window is not None:
-        return (args.window[0], args.window[1])
+def _window_from(config: dict) -> Optional[tuple[int, int]]:
     w = config.get("window")
     if w is None:
         return None
@@ -141,7 +141,7 @@ def _horizon_from(config: dict, default: int) -> int:
 def cmd_check(args) -> int:
     config = _load_config(args.config)
     eq = config_to_equation(config)
-    window = _window_from(args, config)
+    window = _window_from(config)
     checks = config.get("checks", "all")
     if checks != "all" and not isinstance(checks, list):
         raise ValueError("checks must be \"all\" or a list of family names")
@@ -204,11 +204,8 @@ def cmd_fundamental(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    names = fixture_names()
-    if args.only:
-        if args.only not in names:
-            raise ValueError(f"unknown fixture {args.only!r}; have {', '.join(names)}")
-        names = [args.only]
+    # run_fixture refuses an unknown name
+    names = [args.only] if args.only else fixture_names()
     all_pass = True
     fixtures_block: dict[str, dict] = {}
     for name in names:
@@ -250,12 +247,17 @@ def _fuzz_representation(base_seed: int, count: int, rng: np.random.Generator):
     return failures
 
 
-def _fuzz_oracle_soundness(base_seed: int, count: int):
+def _fuzz_soundness(base_seed: int, count: int, general: bool):
+    """Stable verdicts on periodic equations whose exact rate is at least 1;
+    with ``general``, on a surrogate that takes the general path: even seeds
+    hide the period behind ``+ 0*sin(n)``, odd ones behind a splice."""
     failures = []
     for i in range(count):
         seed = base_seed + i
         eq = random_equation(seed, m_max=3, T_max=4, K_max=1.0)
         rate = floquet_rate(eq)
+        if general:
+            eq = general_surrogate(eq) if seed % 2 == 0 else splice_surrogate(eq, 20_000)
         stable = stable_verdicts(run_all(eq))
         if rate.rate - rate.tolerance >= 1.0 and stable:
             failures.append({
@@ -290,7 +292,8 @@ def cmd_fuzz(args) -> int:
     rng = np.random.default_rng(args.seeds)
     suites = {
         "representation_residual": _fuzz_representation(args.seeds, args.count, rng),
-        "oracle_soundness": _fuzz_oracle_soundness(args.seeds, args.count),
+        "oracle_soundness": _fuzz_soundness(args.seeds, args.count, general=False),
+        "general_soundness": _fuzz_soundness(args.seeds, args.count, general=True),
         "tail_equivalence": _fuzz_tail_equivalence(args.seeds, args.count, rng),
     }
     failed = sum(len(v) for v in suites.values())
@@ -336,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run stability checkers and oracles")
     add_config(p)
     add_report_flags(p)
-    p.add_argument("--window", nargs=2, type=int, metavar=("N0", "N1"),
-                   help="override the certification window")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="iterate the equation and emit a trajectory")
@@ -387,8 +388,8 @@ def main(argv=None) -> int:
         return args.func(args)
     # MemoryError covers the kernel cap and an array NumPy cannot allocate;
     # RecursionError a tree too deep to print or evaluate
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            SeqSyntaxError, SeqEvalError, MemoryError, RecursionError) as exc:
+    except (ValueError, KeyError, OSError, SeqEvalError, MemoryError,
+            RecursionError) as exc:
         return _fail_usage(str(exc))
 
 

@@ -810,15 +810,17 @@ def check_corollary9(a: float, g: int, b: float, h: int, part: int) -> Verdict:
 def check_corollary10(a: Sequence[float]) -> Verdict:
     """Autonomous equation with lags 1..m: some head sum must sit under the
     sharp bound while dominating the tail in absolute value."""
-    a = [float(v) for v in a]
+    a = list(map(float, a))
     if not a:
         raise ValueError("empty coefficient list")
     d = _Draft("corollary10", "autonomous head-dominance over lags 1..m")
-    for k in range(1, len(a) + 1):
-        if a[k - 1] < -EPS:
+    for k, v in enumerate(a, start=1):
+        if v < -EPS:
             break  # head terms must be nonnegative for the comparison root
+        if v == 0.0:
+            continue  # head and tail are k - 1's, and the threshold only falls
         head = sum(a[:k])
-        tail = sum(abs(v) for v in a[k:])
+        tail = sum(map(abs, a[k:]))
         if head > EPS and head <= nonosc_threshold(k) + EPS and tail < head - EPS:
             return d.note(k=float(k), head_sum=head, tail_abs_sum=tail).out(Outcome.STABLE)
     return d.note(k=0.0, head_sum=sum(a[:1])).out(Outcome.INCONCLUSIVE, "no admissible split")
@@ -961,10 +963,12 @@ def run_all(eq: Equation, window: Window = None,
         if a * g != 0 and b * h != 0:
             verdicts += [check_corollary9(a, g, b, h, part) for part in (1, 2)]
     if want("corollary10") and pairs is not None and all(lag >= 1 for _, lag in pairs):
-        # the coefficient at each lag 1..max lag, summed in term order
-        top = max(lag for _, lag in pairs)
-        verdicts.append(check_corollary10([sum(c for c, lag in pairs if lag == k)
-                                           for k in range(1, top + 1)]))
+        # the coefficient at each lag 1..max lag, added to an int 0 in term
+        # order, as sum does
+        a = [0] * max(lag for _, lag in pairs)
+        for c, lag in pairs:
+            a[lag - 1] += c
+        verdicts.append(check_corollary10(a))
     if want("classical"):
         verdicts.extend(check_classical(eq, window))
     rank = {Outcome.STABLE: 0, Outcome.INCONCLUSIVE: 1, Outcome.NOT_APPLICABLE: 2}

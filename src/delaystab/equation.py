@@ -79,28 +79,20 @@ class InitialData:
         return InitialData(n0, values)
 
 
-def validate(
-    terms: Sequence[Term],
-    forcing: Optional[SeqExpr] = None,
-    window_len: Optional[int] = None,
-) -> Equation:
+def validate(terms: Sequence[Term], forcing: Optional[SeqExpr] = None) -> Equation:
     """Build an Equation whose coefficients and forcing evaluate on
-    [0, window_len), so evaluation errors surface here; the window is
-    recorded on the equation.  It is evaluated in slices of 2^16 points,
-    never through an evaluation scope; one past the kernel cap (a lag of
-    10^7 and up) whole, so NumPy refuses at once one it cannot hold.
+    [0, max(10 (T + 1), 1000)), so evaluation errors surface here; the
+    window is recorded on the equation.  It is evaluated in slices of 2^16
+    points, never through an evaluation scope; one past the kernel cap (a
+    lag of 10^7 and up) whole, so NumPy refuses at once one it cannot hold.
     """
     eq = Equation(tuple(terms), forcing)
-    min_len = 10 * (1 + eq.T)
-    if window_len is None:
-        window_len = max(min_len, 1000)
-    if window_len < min_len:
-        raise ValueError(f"window_len must be at least 10*(1+T) = {min_len}")
-    step = 1 << 16 if window_len <= _kernels.MAX_ENTRIES else window_len
+    length = max(10 * (1 + eq.T), 1000)
+    step = 1 << 16 if length <= _kernels.MAX_ENTRIES else length
     for expr in [t.coeff for t in eq.terms] + ([forcing] if forcing is not None else []):
-        for n0 in range(0, window_len, step):
-            _eval_window(expr, n0, min(n0 + step, window_len) - 1)
-    return replace(eq, validation_window=(0, window_len))
+        for n0 in range(0, length, step):
+            _eval_window(expr, n0, min(n0 + step, length) - 1)
+    return replace(eq, validation_window=(0, length))
 
 
 def subset_equation(eq: Equation, indices: Sequence[int]) -> Equation:
@@ -160,4 +152,4 @@ def prefix_modify(eq: Equation, n1: int, replacement: Sequence[Term]) -> Equatio
         Term(spliced(n1, r.coeff, t.coeff), t.delay)
         for t, r in zip(eq.terms, replacement)
     )
-    return validate(new_terms, eq.forcing, eq.validation_window[1])
+    return validate(new_terms, eq.forcing)

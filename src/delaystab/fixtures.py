@@ -224,6 +224,6 @@ def fixture_names() -> list[str]:
 
 def run_fixture(name: str) -> list[CheckResult]:
     if name not in FIXTURE_CONFIGS:
-        raise KeyError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_CONFIGS)}")
+        raise ValueError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_CONFIGS)}")
     eq = config_to_equation(FIXTURE_CONFIGS[name])
     return _RUNNERS[name](eq)

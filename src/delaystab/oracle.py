@@ -19,7 +19,7 @@ import numpy as np
 
 from .equation import Equation, Term, autonomous_coefficients, prefix_modify, validate
 from .limits import exact_period, tail_start
-from .seqexpr import DelaySpec, constant, periodic_table
+from .seqexpr import DelaySpec, constant, parse, periodic_table
 from .simulator import fundamental
 
 __all__ = [
@@ -36,6 +36,8 @@ __all__ = [
     "decay_class",
     "tail_equivalence_test",
     "random_equation",
+    "general_surrogate",
+    "splice_surrogate",
 ]
 
 _FIT_FLOOR = 1e-290  # drop subnormal magnitudes before taking logs
@@ -387,3 +389,18 @@ def random_equation(seed: int, m_max: int = 3, T_max: int = 5,
             delay = DelaySpec.periodic([int(rng.integers(0, T_max + 1)) for _ in range(p)])
         terms.append(Term(coeff, delay))
     return validate(terms)
+
+
+def general_surrogate(eq: Equation) -> Equation:
+    """``eq`` with each coefficient written as ``<text> + 0*sin(n)``: the
+    same values, bit for bit, but classify calls each one general, so the
+    checkers take the general path and ``floquet_rate(eq)`` is its exact rate."""
+    return validate([Term(parse(f"{t.coeff} + 0*sin(n)"), t.delay) for t in eq.terms])
+
+
+def splice_surrogate(eq: Equation, cutoff: int) -> Equation:
+    """``eq`` with each coefficient written as ``splice(cutoff, 0.02, <text>)``:
+    a calm prefix, then ``eq``'s own coefficients, whose ``floquet_rate`` is
+    the tail's exact rate."""
+    return validate([Term(parse(f"splice({cutoff}, 0.02, {t.coeff})"), t.delay)
+                     for t in eq.terms])

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -1142,7 +1143,7 @@ def _assert_corollary4_one_term_decides_like_m_terms(eq):
     gs = list(dict.fromkeys([t.delay for t in eq.terms] + [DelaySpec.constant(1)]))
     kinds = set()
     for g in gs:
-        terms = validate([Term(t.coeff, g) for t in eq.terms], None, eq.validation_window[1])
+        terms = validate([Term(t.coeff, g) for t in eq.terms])
         one = merge_same_delay(terms)
         assert one.m == 1
         window = criteria.scan_window(one)
@@ -1313,6 +1314,64 @@ def test_corollary10_cases():
     assert v.outcome is Outcome.STABLE and v.witnesses["k"] == 1.0
     with pytest.raises(ValueError):
         check_corollary10([])
+
+
+def _corollary10_dense(a):
+    """Corollary 10 with its head and tail sums taken at every k = 1..m:
+    the outcome and the witnesses."""
+    a = [float(v) for v in a]
+    for k in range(1, len(a) + 1):
+        if a[k - 1] < -criteria.EPS:
+            break
+        head = sum(a[:k])
+        tail = sum(abs(v) for v in a[k:])
+        if (head > criteria.EPS and head <= criteria.nonosc_threshold(k) + criteria.EPS
+                and tail < head - criteria.EPS):
+            return Outcome.STABLE, {"k": float(k), "head_sum": head, "tail_abs_sum": tail}
+    return Outcome.INCONCLUSIVE, {"k": 0.0, "head_sum": sum(a[:1])}
+
+
+def test_corollary10_skips_zero_lags_bit_for_bit():
+    # a zero entry leaves head and tail as they were one lag earlier, and
+    # the threshold only falls, so skipping it changes no bit
+    rng = np.random.default_rng(10)
+    special = [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 0.25, 0.1, -0.3, 1e-4, 1e-6]
+    outcomes = set()
+    for _ in range(3000):
+        a = [0.0] * int(rng.integers(1, 60))
+        for _ in range(int(rng.integers(0, 7))):
+            a[int(rng.integers(len(a)))] = (float(rng.choice(special)) if rng.random() < 0.5
+                                            else float(rng.uniform(-0.05, 0.3))
+                                            * 10.0 ** -int(rng.integers(0, 7)))
+        v = check_corollary10(a)
+        outcome, witnesses = _corollary10_dense(a)
+        assert v.outcome is outcome, a
+        # repr tells -0.0 from 0.0 and an int 0 (an empty tail) from 0.0
+        assert ({k: repr(x) for k, x in v.witnesses.items()}
+                == {k: repr(x) for k, x in witnesses.items()}), a
+        outcomes.add(outcome)
+    assert outcomes == {Outcome.STABLE, Outcome.INCONCLUSIVE}
+
+
+def test_run_all_gives_corollary10_each_lag_sum_in_term_order(monkeypatch):
+    pairs = [(0.1, 2), (0.2, 2), (-0.3, 2), ("-0.0", 3), (0.05, 5), (1e-13, 2)]
+    seen = []
+    check = criteria.check_corollary10
+    monkeypatch.setattr(criteria, "check_corollary10", lambda a: seen.append(a) or check(a))
+    run_all(const_eq(*pairs), checks=["corollary10"])
+    coeffs = [float(c) for c, _ in pairs]
+    want = [sum(c for c, (_, lag) in zip(coeffs, pairs) if lag == k) for k in range(1, 6)]
+    assert [float.hex(float(v)) for v in seen[0]] == [float.hex(float(v)) for v in want]
+
+
+def test_corollary10_on_a_long_lag_takes_no_quadratic_time():
+    # the head and tail sums at every k = 1..20000 took 18.8 s
+    eq = const_eq((1e-6, 1), (1e-4, 20_000))
+    start = time.perf_counter()
+    (v,) = run_all(eq, checks=["corollary10"])
+    assert time.perf_counter() - start < 1.0
+    assert v.outcome is Outcome.INCONCLUSIVE
+    assert v.witnesses == {"k": 0.0, "head_sum": 1e-6}
 
 
 # --- classical tests

@@ -40,11 +40,9 @@ def test_equation_derives_T_from_its_lags():
         Equation(())
 
 
-def test_validate_rejects_empty_and_short_window():
+def test_validate_rejects_empty_terms():
     with pytest.raises(ValueError):
         validate([])
-    with pytest.raises(ValueError):
-        validate([Term(parse("1"), DelaySpec.constant(30))], window_len=100)
 
 
 def test_subset_equation(eq_unbounded):
@@ -116,7 +114,7 @@ def test_subset_equation_evaluates_nothing(eq_unbounded, monkeypatch):
     one = subset_equation(eq_unbounded, [1])
     monkeypatch.undo()
     # the parent's validation covered the term on the same window
-    assert one == validate(one.terms, None, eq_unbounded.validation_window[1])
+    assert one == validate(one.terms)
 
 
 def test_subset_drops_forcing():
@@ -164,7 +162,7 @@ def test_merge_same_delay_evaluates_nothing(monkeypatch):
         Term(parse("per(-0.12, -0.05)"), DelaySpec.periodic([3, 5])),
         Term(parse("0.1 + 0.02*sin(n)"), DelaySpec.constant(2)),
         Term(parse("per(0.17, 0.08)"), DelaySpec.periodic([3, 5])),
-    ], window_len=1200)
+    ])
 
     def refuse(*args):
         raise AssertionError("merge_same_delay evaluated an expression")
@@ -176,7 +174,7 @@ def test_merge_same_delay_evaluates_nothing(monkeypatch):
     monkeypatch.undo()
     assert [t.delay for t in merged.terms] == [DelaySpec.periodic([3, 5]), DelaySpec.constant(2)]
     # the sums keep eq's window, which covered their summands
-    assert merged == validate(merged.terms, None, 1200)
+    assert merged == validate(merged.terms)
 
 
 @pytest.mark.parametrize("T", [0, 1, 3, 7])

@@ -29,7 +29,9 @@ from delaystab.oracle import (
     _power_radius,
     decay_class,
     floquet_rate,
+    general_surrogate,
     oracle_block,
+    splice_surrogate,
 )
 from delaystab.seqexpr import classify, constant
 
@@ -279,6 +281,37 @@ def test_soundness_baseline(kwargs, covered, stable):
     assert (found_covered, found_stable) == (covered, stable)
 
 
+# --- a stability-region atlas (Levin & May; Kuruklis): the autonomous
+# equation x(n+1) - x(n) = -a x(n - k) - b x(n - j) on a 17 x 17 grid of
+# a, b in [-0.5, 1.0], against floquet_rate at L = 1 with its bound; no
+# Stable verdict outside the exact region, and the count inside pinned
+
+
+@pytest.mark.parametrize("lags, stable, covered", [
+    ((1, 3), 89, 26),
+    ((0, 2), 163, 114),
+    ((2, 5), 36, 11),
+], ids=["lags_1_3", "lags_0_2", "lags_2_5"])
+def test_stability_region_atlas(lags, stable, covered):
+    found_covered = found_stable = 0
+    grid = np.linspace(-0.5, 1.0, 17)
+    for a in grid:
+        for b in grid:
+            eq = validate([Term(constant(float(a)), DelaySpec.constant(lags[0])),
+                           Term(constant(float(b)), DelaySpec.constant(lags[1]))])
+            rate = floquet_rate(eq)
+            assert rate.period == 1
+            if abs(rate.rate - 1) <= rate.tolerance:
+                continue  # on the boundary within the bound: decides nothing
+            certified = bool(stable_verdicts(run_all(eq)))
+            if rate.rate > 1:
+                assert not certified, (a, b)
+            else:
+                found_stable += 1
+                found_covered += certified
+    assert (found_covered, found_stable) == (covered, stable)
+
+
 # --- periodic surrogates: a periodic equation written with
 # general coefficients takes the general path, with floquet_rate of the
 # periodic form as its exact rate
@@ -286,14 +319,6 @@ def test_soundness_baseline(kwargs, covered, stable):
 
 # read autonomous_coefficients, so they cannot fire on a general coefficient
 _AUTONOMOUS_FAMILIES = {"corollary9", "corollary10", "classical_margin", "classical_pi_half"}
-
-
-def _disguised(eq):
-    """``eq`` with each coefficient written as ``<text> + 0*sin(n)``: the
-    same values, bit for bit, but classify calls each one general."""
-    terms = [Term(parse(f"{t.coeff} + 0*sin(n)"), t.delay) for t in eq.terms]
-    assert all(classify(t.coeff) is None for t in terms)
-    return validate(terms)
 
 
 def _family(criterion):
@@ -308,7 +333,8 @@ def test_the_general_path_is_sound_on_periodic_surrogates():
     unstable = 0
     for seed in range(100):
         eq = random_equation(seed, m_max=3, T_max=4)
-        general = _disguised(eq)
+        general = general_surrogate(eq)
+        assert all(classify(t.coeff) is None for t in general.terms)
         assert general.coeff_table(0, 999).tobytes() == eq.coeff_table(0, 999).tobytes()
         rate = floquet_rate(eq)
         periodic, found = _stable_criteria(eq), _stable_criteria(general)
@@ -320,14 +346,6 @@ def test_the_general_path_is_sound_on_periodic_surrogates():
     assert unstable == 18
 
 
-def _spliced(eq, cutoff):
-    """``eq`` with each coefficient written as ``splice(cutoff, 0.02, <text>)``:
-    a calm prefix, then ``eq``'s own coefficients, whose ``floquet_rate`` is
-    the tail's exact rate."""
-    return validate([Term(parse(f"splice({cutoff}, 0.02, {t.coeff})"), t.delay)
-                     for t in eq.terms])
-
-
 def test_no_stable_verdict_rests_on_a_prefix_before_a_splice():
     # the cutoff lies past 10 T and 5 T, where the windows started before
     # they read the cutoff; the calm prefix passed every hypothesis there
@@ -337,7 +355,7 @@ def test_no_stable_verdict_rests_on_a_prefix_before_a_splice():
         rate = floquet_rate(eq)
         if rate.rate - rate.tolerance >= 1:
             unstable += 1
-            verdicts = run_all(_spliced(eq, 20_000))
+            verdicts = run_all(splice_surrogate(eq, 20_000))
             assert not stable_verdicts(verdicts), seed
             assert {v.window for v in verdicts} == {(20_000, 30_000)}, seed
     assert unstable == 18
