@@ -31,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -807,23 +807,23 @@ def check_corollary9(a: float, g: int, b: float, h: int, part: int) -> Verdict:
                  "first term moved onto the second delay")
 
 
-def check_corollary10(a: Sequence[float]) -> Verdict:
-    """Autonomous equation with lags 1..m: some head sum must sit under the
-    sharp bound while dominating the tail in absolute value."""
-    a = list(map(float, a))
+def check_corollary10(a: Mapping[int, float]) -> Verdict:
+    """Autonomous equation as {lag: coefficient} over its lags 1..m: some head
+    sum must sit under the sharp bound while dominating the tail in absolute value."""
+    a = {lag: float(v) for lag, v in sorted(a.items())}
     if not a:
-        raise ValueError("empty coefficient list")
+        raise ValueError("empty coefficient map")
     d = _Draft("corollary10", "autonomous head-dominance over lags 1..m")
-    for k, v in enumerate(a, start=1):
+    values = list(a.values())  # a missing lag is a zero: it changes no sum
+    for i, (k, v) in enumerate(a.items()):
         if v < -EPS:
             break  # head terms must be nonnegative for the comparison root
         if v == 0.0:
-            continue  # head and tail are k - 1's, and the threshold only falls
-        head = sum(a[:k])
-        tail = sum(map(abs, a[k:]))
+            continue  # head and tail are the previous lag's, and the threshold only falls
+        head, tail = sum(values[:i + 1]), sum(map(abs, values[i + 1:]))
         if head > EPS and head <= nonosc_threshold(k) + EPS and tail < head - EPS:
             return d.note(k=float(k), head_sum=head, tail_abs_sum=tail).out(Outcome.STABLE)
-    return d.note(k=0.0, head_sum=sum(a[:1])).out(Outcome.INCONCLUSIVE, "no admissible split")
+    return d.note(k=0.0, head_sum=0 + a.get(1, 0.0)).out(Outcome.INCONCLUSIVE, "no admissible split")
 
 
 # ---------------------------------------------------------------------------
@@ -963,11 +963,11 @@ def run_all(eq: Equation, window: Window = None,
         if a * g != 0 and b * h != 0:
             verdicts += [check_corollary9(a, g, b, h, part) for part in (1, 2)]
     if want("corollary10") and pairs is not None and all(lag >= 1 for _, lag in pairs):
-        # the coefficient at each lag 1..max lag, added to an int 0 in term
+        # the coefficient at each lag it has, added to an int 0 in term
         # order, as sum does
-        a = [0] * max(lag for _, lag in pairs)
+        a = {}
         for c, lag in pairs:
-            a[lag - 1] += c
+            a[lag] = a.get(lag, 0) + c
         verdicts.append(check_corollary10(a))
     if want("classical"):
         verdicts.extend(check_classical(eq, window))

@@ -25,7 +25,7 @@ from delaystab.oracle import (
     FloquetRate,
     NonAutonomousError,
     _char_coeffs,
-    _median,
+    _medians,
     _power_radius,
     decay_class,
     floquet_rate,
@@ -465,8 +465,10 @@ def _row(seed, **kw):
     return _char_coeffs(autonomous_coefficients(random_equation(seed, **kw)))
 
 
-# (radius, err) as float.hex, captured from the allocating step loop that the
-# buffered one replaced: the rewrite keeps every operation and its order
+# (radius, err) as float.hex, captured from the loops that the strided one
+# replaced, which keeps every operation and its order: the first six from the
+# allocating step loop, the rest from the buffered one.  The strides end at
+# blocks 16, 32, 64, 128, 192 and 250, and a stop check falls every 4 blocks
 @pytest.mark.parametrize("c,expected", [
     (_row(3, autonomous=True),  # stops early
      ("0x1.bf1f622948793p-1", "0x1.19799812dea11p-40")),
@@ -477,6 +479,25 @@ def _row(seed, **kw):
     (np.array([0, 0, 0, 1e80]), ("0x1.5af1d78b58c41p+66", "0x1.19799812dea11p+28")),
     (np.array([0, 0, 0, -1e-100]), ("0x1.ef2d0f5da7dd9p-84", "0x1.19799812dea11p-122")),
     (np.zeros(20), ("0x0.0p+0", "0x1.0000000000000p+0")),  # nilpotent after one block
+    (_row(29, m_max=4, T_max=8, autonomous=True),  # stops at block 12, the earliest stop
+     ("0x1.ef6ec024278e7p-1", "0x1.19799812dea11p-40")),
+    (_row(2, autonomous=True),  # stops at block 16, a stride's last
+     ("0x1.076e7589b2b89p+0", "0x1.19799812dea11p-40")),
+    (_row(3, m_max=4, T_max=8, autonomous=True),  # stops at block 20, inside the second stride
+     ("0x1.bdd5aaf176d79p-1", "0x1.19799812dea11p-40")),
+    (_row(55, m_max=4, T_max=8, autonomous=True),  # stops at block 32, a stride's last
+     ("0x1.0682d4917ca5ep+0", "0x1.4a68000000000p-39")),
+    (_row(21, m_max=4, T_max=8, autonomous=True),  # stops at block 48, inside the third stride
+     ("0x1.034adb921af06p+0", "0x1.605a4c0000000p-30")),
+    (_row(109, autonomous=True),  # stops at block 56, inside the third stride
+     ("0x1.e60afa471da18p-1", "0x1.b858000000000p-35")),
+    # shift companions: the first zero scale at block ceil(d / 16), each after
+    # checks with a finite slack; blocks 9 and 10 are inside the first
+    # stride, 17 starts the second and 33 the third
+    (np.zeros(144), ("0x0.0p+0", "0x1.f4e0a1912d7dap-8")),
+    (np.zeros(160), ("0x0.0p+0", "0x1.0793a85f2d8fcp-8")),
+    (np.zeros(272), ("0x0.0p+0", "0x1.32370d896cd4cp-8")),
+    (np.zeros(528), ("0x0.0p+0", "0x1.66776812295dcp-9")),
 ])
 def test_power_radius_keeps_its_bits(c, expected):
     radius, err = _power_radius(c)
@@ -496,9 +517,18 @@ def test_median_is_numpys_bit_for_bit():
     x = rng.standard_normal(64)
     x[:32], x[32:] = -math.inf, math.inf
     samples.append(x)
+    for head in ((-math.inf, math.inf), (math.nan, -math.inf)):
+        # -0.0 in the middle, with infinities, or a NaN, beside it
+        x = rng.standard_normal(64)
+        x[rng.choice(64, 20, replace=False)] = -0.0
+        x[:2] = head
+        samples.append(x)
+    batch = np.stack(samples)  # one call, each row its own median
     with np.errstate(invalid="ignore"):
-        for x in samples:
-            assert np.float64(_median(x)).tobytes() == np.median(x).tobytes(), x
+        medians = _medians(batch)
+        assert len(medians) == len(samples)
+        for x, m in zip(samples, medians):
+            assert m.tobytes() == np.median(x).tobytes(), x
 
 
 def test_companion_radius_past_the_step_loop_range():
