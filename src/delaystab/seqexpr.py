@@ -12,7 +12,8 @@ parentheses, ``sin``, ``cos``, ``abs``, ``alt(n)`` for (-1)^n, and
 equations whose coefficients were rewritten on a finite prefix still
 print to parseable text; ``before`` applies for n < n1, ``after`` after.
 A table value or a cutoff is any finite expression of period 1, read when
-it is parsed.
+it is parsed; a cutoff is an integer below 2^53, where a float stops
+holding every integer.
 
 Evaluation is double precision and vectorized; every printed expression
 re-parses to an evaluation-equivalent tree, so a ``SeqExpr`` compares and
@@ -20,11 +21,13 @@ hashes by the text it prints alone.  ``evaluation_scope()`` is the one
 per-run context: each expression keeps one contiguous span of values, and
 ``once(fn, *args)`` answers each repeated question once.
 
-An expression's period is a fact about its tree alone, stored on it:
-constants, ``alt(n)``, ``per`` tables and their pointwise combinations have
-one, the least of which is found from one structural period of values (1
-for a constant); everything else, splices with a positive cutoff included,
-has None, whatever its first values are.
+An expression's cutoff and period are facts about its tree alone, read
+from one walk over it and stored on it.  The cutoff is the deepest splice
+cutoff outside a before-branch.  Constants, ``alt(n)``, ``per`` tables and
+their pointwise combinations have a period, the least of which is found
+from one structural period of values (1 for a constant); everything else,
+splices with a positive cutoff included, has None, whatever its first
+values are, and so does a structural period past 2^20.
 """
 
 from __future__ import annotations
@@ -151,13 +154,17 @@ class SeqExpr:
         object.__setattr__(self, "source_text", _print(self.ast))
 
     @cached_property
+    def _tail(self) -> tuple[int, Optional[int]]:
+        return _tail(self.ast)
+
+    @cached_property
     def period(self) -> Optional[int]:
         """The least p >= 1 with a(n + p) = a(n) for every n >= 0, or None
-        when the tree proves no period."""
+        when the tree proves no period from n = 0."""
         # lazy: evaluates one structural period; parse asks only for the
         # constant slots of per and splice, and evaluates those at n = 0
-        period = _structural_period(self.ast)
-        if period is None:
+        cutoff, period = self._tail
+        if cutoff > 0 or period is None:
             return None
         values = eval_range(self, 0, period - 1)
         return next((d for d in range(1, period)
@@ -167,7 +174,7 @@ class SeqExpr:
     def cutoff(self) -> int:
         """The deepest ``splice`` cutoff outside a before-branch, 0 when
         there is none: from there on no before-branch is read."""
-        return _deepest_cutoff(self.ast)
+        return self._tail[0]
 
     def __str__(self) -> str:
         return self.source_text
@@ -230,6 +237,8 @@ def parse(text: str) -> SeqExpr:
                 cutoff = const(args[0])
                 if cutoff != int(cutoff):
                     raise SeqSyntaxError("non-integer splice cutoff", where(args[0].end_col_offset))
+                if cutoff >= 2.0**53:  # past it a float is not the integer written
+                    raise SeqSyntaxError("splice cutoff past 2^53", where(args[0].end_col_offset))
                 return Splice(int(cutoff), convert(args[1]), convert(args[2]))
         what = "unknown name" if kind is ast.Name else "unsupported syntax"
         first, end = where(node.col_offset), where(node.end_col_offset)
@@ -432,49 +441,45 @@ def evaluate(expr: SeqExpr, n: int) -> float:
 # Classification
 
 
-def _structural_period(node: Node) -> Optional[int]:
-    """Exact period provable from the tree alone; None when unknown."""
+def _tail(node: Node) -> tuple[int, Optional[int]]:
+    """(cutoff, period) of ``node``, from one walk: the deepest splice cutoff
+    outside a before-branch (0 when there is none), and a period its values
+    keep from that cutoff on, None when the tree proves none."""
     if isinstance(node, Num):
-        return 1
+        return 0, 1
     if isinstance(node, Per):
-        return len(node.values)
+        return 0, common_period([len(node.values)])
     if isinstance(node, Var):
-        return None
-    if isinstance(node, Neg):
-        return _structural_period(node.arg)
-    if isinstance(node, Bin):
-        return common_period(_structural_period(side) for side in (node.left, node.right))
-    if isinstance(node, Call):
-        if node.func == "alt" and isinstance(node.arg, Var):
-            return 2
+        return 0, None
+    if isinstance(node, Call) and node.func == "alt" and isinstance(node.arg, Var):
+        return 0, 2
+    if isinstance(node, (Neg, Call)):
         # a pointwise function of an exactly periodic sequence is periodic
-        return _structural_period(node.arg)
+        return _tail(node.arg)
+    if isinstance(node, Bin):
+        (left_cutoff, left), (right_cutoff, right) = _tail(node.left), _tail(node.right)
+        return max(left_cutoff, right_cutoff), common_period([left, right])
     if isinstance(node, Splice):
-        if node.cutoff <= 0:
-            return _structural_period(node.after)
-        return None
+        # the before-branch is read only below this cutoff
+        cutoff, period = _tail(node.after)
+        return max(node.cutoff, cutoff), period
     raise TypeError(f"unknown node {node!r}")
 
 
-def _deepest_cutoff(node: Node) -> int:
-    if isinstance(node, Splice):
-        # the before-branch's splices are read only below this cutoff
-        return max(node.cutoff, _deepest_cutoff(node.after))
-    if isinstance(node, Bin):
-        return max(_deepest_cutoff(node.left), _deepest_cutoff(node.right))
-    if isinstance(node, (Neg, Call)):
-        return _deepest_cutoff(node.arg)
-    return 0
+# a longer period counts as none: one period of one row stays near 8 MB
+_PERIOD_CAP = 2**20
 
 
 def common_period(periods: Iterable[Optional[int]]) -> Optional[int]:
-    """lcm of ``periods``, or None at the first None: a generator that
-    finds periods stops at the first general one."""
+    """lcm of ``periods``, or None at the first None or once it passes
+    ``_PERIOD_CAP``: a generator that finds periods stops there."""
     period = 1
     for p in periods:
         if p is None:
             return None
         period = math.lcm(period, p)
+        if period > _PERIOD_CAP:
+            return None
     return period
 
 

@@ -1,18 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
-from delaystab import __version__
+from delaystab import __version__, cli
 from delaystab.fixtures import FIXTURE_CONFIGS
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_module(*args, env_extra=None):
+    """``python -m delaystab.cli *args`` in a fresh interpreter, for the entry
+    point itself and for environment variables read at import."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     if env_extra:
         env.update(env_extra)
@@ -21,6 +26,26 @@ def run_cli(*args, env_extra=None):
         [sys.executable, "-m", "delaystab.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run_cli(*args):
+    """``cli.main(args)`` in this process, with its exit code and captured
+    streams as ``run_module`` gives them; a RuntimeWarning prints to the
+    captured stderr, as in a fresh interpreter, instead of failing the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)
+        warnings.showwarning = _print_warning
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +85,7 @@ def cfg_factorial(tmp_path_factory):
 
 
 def test_check_reports_stability(cfg_sin_cos):
-    r = run_cli("check", cfg_sin_cos, "--no-meta")
+    r = run_module("check", cfg_sin_cos, "--no-meta")
     assert r.returncode == 0, r.stderr
     report = json.loads(r.stdout)
     assert "corollary8.1" in report["stable_criteria"]
@@ -213,8 +238,8 @@ def test_fuzz_text_out_writes_the_printed_report(tmp_path):
 def test_fuzz_mutation_surfaces_counterexamples():
     # corrupting the checkers' thresholds must make the harness fail:
     # proves the fuzz suite can actually catch an unsound checker
-    r = run_cli("fuzz", "--count", "120", "--json",
-                env_extra={"DELAYSTAB_LOOSEN_THRESHOLDS": "1"})
+    r = run_module("fuzz", "--count", "120", "--json",
+                   env_extra={"DELAYSTAB_LOOSEN_THRESHOLDS": "1"})
     assert r.returncode == 1
     payload = json.loads(r.stdout)
     assert payload["counterexamples"]["oracle_soundness"]
@@ -228,10 +253,21 @@ def test_infinite_splice_cutoff_exits_2(tmp_path):
     path = tmp_path / "cutoff.json"
     path.write_text(json.dumps({"schema": 1, "equation": {
         "terms": [{"coeff": "splice(1e400, 0.1, 0.2)", "lag": 1}]}}))
-    r = run_cli("check", str(path), "--no-meta")
+    r = run_module("check", str(path), "--no-meta")
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert "error: non-finite value (at n=0)" in r.stderr
+
+
+@pytest.mark.parametrize("cutoff,position", [("1e19", 11), ("9007199254740993", 23)])
+def test_a_splice_cutoff_past_2_53_exits_2(tmp_path, cutoff, position):
+    # 1e19 overflowed the window's int64 index in a traceback; 2^53 + 1 ran
+    # as 2^53
+    r = run_cli("check", _one_config(tmp_path, [(f"splice({cutoff}, 0.1, 0.2)", 1)]),
+                "--no-meta")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr == f"error: splice cutoff past 2^53 (at position {position})\n"
 
 
 def test_non_integer_alt_argument_exits_2(tmp_path):
@@ -364,8 +400,8 @@ def test_overflow_exits_2_naming_first_index(cfg_unbounded, tmp_path, argv, firs
 def test_overflow_exits_2_without_numpy_warnings(cfg_unbounded, argv):
     # any RuntimeWarning becomes an exception, which would end the run
     # with a traceback and exit 1 instead of the clean overflow error
-    r = run_cli(argv[0], cfg_unbounded, *argv[1:],
-                env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    r = run_module(argv[0], cfg_unbounded, *argv[1:],
+                   env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
     assert r.returncode == 2
     assert "is not finite" in r.stderr
     assert "Warning" not in r.stderr
@@ -387,8 +423,8 @@ def test_check_overflow_before_the_fit_exits_2_without_numpy_warnings(tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"schema": 1, "horizon": 200,
                                 "equation": {"terms": [{"coeff": "1e20", "lag": 0}]}}))
-    r = run_cli("check", str(path), "--no-meta",
-                env_extra={"PYTHONWARNINGS": "always::RuntimeWarning"})
+    r = run_module("check", str(path), "--no-meta",
+                   env_extra={"PYTHONWARNINGS": "always::RuntimeWarning"})
     assert r.returncode == 2
     assert "n = 16 is not finite" in r.stderr
     assert "Warning" not in r.stderr
@@ -432,7 +468,6 @@ def test_check_refuses_the_scan_cap_before_building_its_tables(tmp_path, capsys)
     # lag 10^6 scans [5*10^6, 1.5*10^7], a ring far past the cap: check
     # refuses it before building the scan's coefficient and lag tables
     # (160 MB), and config validation, in slices, stays small
-    from delaystab import cli
     from delaystab.fixtures import config_to_equation
     path = _one_config(tmp_path, [("0.1", 10**6)])
     with open(path) as fh:
@@ -452,7 +487,6 @@ def test_check_refuses_the_scan_cap_before_building_its_tables(tmp_path, capsys)
 
 
 def test_main_builds_its_parser_once(cfg_factorial, tmp_path, monkeypatch, capsys):
-    from delaystab import cli
     build = cli.build_parser
     built = []
 
@@ -493,7 +527,6 @@ def test_main_builds_its_parser_once(cfg_factorial, tmp_path, monkeypatch, capsy
 
 
 def test_check_builds_the_equation_once(cfg_factorial, tmp_path, monkeypatch):
-    from delaystab import cli
     build = cli.config_to_equation
     calls = []
 
@@ -508,8 +541,6 @@ def test_check_builds_the_equation_once(cfg_factorial, tmp_path, monkeypatch):
 
 
 def test_check_rejects_a_bad_horizon_before_the_checkers(tmp_path, monkeypatch, capsys):
-    from delaystab import cli
-
     def never(*args, **kw):
         raise AssertionError("run_all ran on a config with a bad horizon")
 
@@ -597,7 +628,6 @@ class _FullDisk:
                                   ["check", "--no-meta", "--out"]],
                          ids=["simulate", "fundamental", "check"])
 def test_a_failed_write_keeps_the_old_file(cfg_factorial, tmp_path, monkeypatch, argv, fail):
-    from delaystab import cli
     target = tmp_path / "out.txt"
     target.write_text("old\n")
     if fail == "write":
@@ -642,8 +672,6 @@ def test_simulate_refuses_non_finite_initial_values(tmp_path, argv):
 ], ids=["too-long", "non-finite-first"])
 def test_simulate_refuses_a_history_of_the_wrong_length(tmp_path, capsys, terms, history,
                                                          message):
-    from delaystab import cli
-
     out = tmp_path / "out.csv"
     code = cli.main(["simulate", _one_config(tmp_path, terms), "--N", "2",
                      "--history", *history, "--csv", str(out)])
@@ -653,8 +681,6 @@ def test_simulate_refuses_a_history_of_the_wrong_length(tmp_path, capsys, terms,
 
 def test_simulate_checks_the_history_length_before_the_horizon(tmp_path, capsys):
     # --history is checked in the CLI, before the simulator reads the horizon
-    from delaystab import cli
-
     code = cli.main(["simulate", _one_config(tmp_path, [("0.1", 1)]), "--n0", "5", "--N", "3",
                      "--history", "1", "2", "3"])
     assert code == 2
@@ -665,8 +691,6 @@ def test_simulate_checks_the_history_length_before_the_horizon(tmp_path, capsys)
 def test_simulate_pads_a_short_history_with_zeros(tmp_path, capsys, lag):
     # k <= T + 1 values write the CSV of their zero-padded T + 1 form, byte
     # for byte, and no flag is the history 1
-    from delaystab import cli
-
     config = _one_config(tmp_path, [("0.1 + 0.05*sin(n)", lag), ("-0.2", 0)])
     T = max(lag) if isinstance(lag, list) else lag
 
@@ -715,8 +739,6 @@ def test_simulate_at_a_long_lag_steps_in_bounded_memory(tmp_path, peak_rss_growt
 def test_simulate_reads_every_negative_float(tmp_path, capsys, argv, first):
     # argparse's own pattern took only plain negative integers and decimals
     # as values; "-1e-3" and "-inf" were read as options and refused
-    from delaystab import cli
-
     out = tmp_path / "out.csv"
     code = cli.main(["simulate", _one_config(tmp_path, [("0.1", 1)]), "--N", "2", *argv,
                      "--csv", str(out)])
@@ -750,8 +772,6 @@ def test_a_failed_write_names_the_requested_path(cfg_factorial, tmp_path, case):
 def test_readme_cli_section_names_every_option_and_no_other():
     import argparse
     import re
-
-    from delaystab import cli
 
     parser = cli.build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaystab import Term, validate
 from delaystab import seqexpr as se
+from delaystab.limits import aggregate_period, coeff_span, exact_period
 
 
 def test_parse_examples():
@@ -67,6 +70,12 @@ def test_syntax_error_position():
     ("0.5 + é + * 1", 10),
     ("0.5 +\u2003foo", 6),
     ("splice(1.5, 0.1, 0.2)", (10, "non-integer splice cutoff")),
+    # past 2^53 a float cutoff is not the integer written, or not an int64
+    ("splice(1e19, 0.1, 0.2)", (11, r"splice cutoff past 2\^53")),
+    ("splice(9007199254740993, 0.1, 0.2)", (23, r"splice cutoff past 2\^53")),
+    ("splice(9007199254740991, 0.1, 0.2)", "splice(9007199254740991, 0.1, 0.2)"),
+    # a negative cutoff reads the after-branch everywhere
+    ("splice(-1e19, 0.1, 0.2)", "splice(-10000000000000000000, 0.1, 0.2)"),
 ])
 def test_language_edges(text, outcome):
     # accepted texts give their printed form, refused ones their position
@@ -302,6 +311,98 @@ def test_classify_periodic_soundness():
             for d in range(1, p):
                 if p % d == 0:
                     assert not np.array_equal(values[:-d], values[d:]), (str(expr), d)
+
+
+# the two walks the one structural walk replaced, kept as its reference
+
+
+def _structural_period(node):
+    """Exact period provable from the tree alone; None when unknown."""
+    if isinstance(node, se.Num):
+        return 1
+    if isinstance(node, se.Per):
+        return len(node.values)
+    if isinstance(node, se.Var):
+        return None
+    if isinstance(node, se.Neg):
+        return _structural_period(node.arg)
+    if isinstance(node, se.Bin):
+        periods = [_structural_period(side) for side in (node.left, node.right)]
+        return None if None in periods else math.lcm(*periods)
+    if isinstance(node, se.Call):
+        if node.func == "alt" and isinstance(node.arg, se.Var):
+            return 2
+        return _structural_period(node.arg)
+    if node.cutoff <= 0:
+        return _structural_period(node.after)
+    return None
+
+
+def _deepest_cutoff(node):
+    if isinstance(node, se.Splice):
+        return max(node.cutoff, _deepest_cutoff(node.after))
+    if isinstance(node, se.Bin):
+        return max(_deepest_cutoff(node.left), _deepest_cutoff(node.right))
+    if isinstance(node, (se.Neg, se.Call)):
+        return _deepest_cutoff(node.arg)
+    return 0
+
+
+def _assert_walk_matches_the_reference(expr):
+    assert expr.cutoff == _deepest_cutoff(expr.ast), str(expr)
+    reference = _structural_period(expr.ast)
+    assert (expr.period is None) == (reference is None), str(expr)
+    assert expr.period is None or reference % expr.period == 0, str(expr)
+
+
+def test_one_walk_gives_the_two_walks_answers_on_random_trees():
+    rng = np.random.default_rng(41)
+    trees = [_random_ast(rng, 3) for _ in range(2000)]
+    periodic = 0
+    for tree in trees:
+        expr = se.SeqExpr(tree)
+        _assert_walk_matches_the_reference(expr)
+        periodic += expr.period is not None
+    assert periodic > 200 and sum(_deepest_cutoff(t) > 0 for t in trees) > 200
+
+
+@pytest.mark.parametrize("text,cutoff,period", [
+    ("splice(0, n, per(1, 2, 3))", 0, 3),
+    ("splice(-5, sin(n), 0.1*alt(n))", 0, 2),
+    ("splice(-5, n, splice(0, n, per(1, 2)))", 0, 2),
+    # a positive cutoff inside a before-branch is never read from n = 0 on
+    ("splice(0, splice(40, n, 1), per(1, 2))", 0, 2),
+    ("splice(-2, splice(40, 1, 2), 0.5) + alt(n)", 0, 2),
+    ("per(1, 2) + splice(40, 0, 1)", 40, None),
+    # alt of something other than n is a pointwise function of its argument
+    ("alt(per(2, 4))", 0, 1),
+    ("alt(per(1, 2))", 0, 2),
+    ("alt(3)", 0, 1),
+    ("alt(2*n)", 0, None),
+])
+def test_one_walk_on_splices_and_alt(text, cutoff, period):
+    expr = se.parse(text)
+    assert (expr.cutoff, expr.period) == (cutoff, period)
+    _assert_walk_matches_the_reference(expr)
+
+
+def test_a_period_past_the_cap_counts_as_none():
+    # prime lengths: the lcm 1,052,651 passes 2^20, so no period of the sum
+    # is evaluated and the limits read the window, as for a general stream
+    short, long = (", ".join(repr(0.001 * (j % 7)) for j in range(p)) for p in (1021, 1031))
+    total = se.parse(f"per({short}) + per({long})")
+    assert se.common_period([1021, 1031]) is None
+    assert se.common_period([1024, 2**20]) == 2**20
+    assert se.common_period([2**20 + 1]) is None
+    assert total.cutoff == 0 and total.period is None
+    assert se.parse(f"per({long})").period == 1031
+    tables = [se.parse(f"per({short})"), se.parse(f"per({long})")]
+    eq = validate([Term(table, se.DelaySpec.constant(lag)) for table, lag in zip(tables, (1, 2))])
+    assert aggregate_period(eq) is None
+    rows, exact = coeff_span(eq, (0, 100))
+    assert not exact and [len(row) for row in rows] == [101, 101]
+    alone = validate([Term(tables[0], se.DelaySpec.constant(1))])
+    assert exact_period(alone, [se.DelaySpec.periodic([1] * 1030 + [2])]) is None
 
 
 # --- constant slots: a per value or splice cutoff is any finite expression
