@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .criteria import run_all, stable_verdicts
 from .equation import Equation, InitialData, Term
-from .fixtures import config_to_equation, fixture_names, run_fixture
+from .fixtures import FIXTURE_CONFIGS, config_to_equation, run_fixture
 from .oracle import (
     decay_fit,
     floquet_rate,
@@ -54,11 +54,6 @@ from .simulator import (
     write_atomic,
     write_trajectory_csv,
 )
-
-
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -205,7 +200,7 @@ def cmd_fundamental(args) -> int:
 
 def cmd_examples(args) -> int:
     # run_fixture refuses an unknown name
-    names = [args.only] if args.only else fixture_names()
+    names = [args.only] if args.only else FIXTURE_CONFIGS
     all_pass = True
     fixtures_block: dict[str, dict] = {}
     for name in names:
@@ -390,7 +385,8 @@ def main(argv=None) -> int:
     # RecursionError a tree too deep to print or evaluate
     except (ValueError, KeyError, OSError, SeqEvalError, MemoryError,
             RecursionError) as exc:
-        return _fail_usage(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .seqexpr import (DelaySpec, SeqExpr, _eval_window, added, classify, eval_range,
-                      evaluate, spliced)
+from .seqexpr import (DelaySpec, SeqEvalError, SeqExpr, _eval_window, added, classify,
+                      eval_range, evaluate, spliced)
 
 __all__ = ["Term", "Equation", "InitialData", "validate", "subset_equation",
            "prefix_modify", "merge_same_delay", "autonomous_coefficients"]
@@ -81,17 +81,22 @@ class InitialData:
 
 def validate(terms: Sequence[Term], forcing: Optional[SeqExpr] = None) -> Equation:
     """Build an Equation whose coefficients and forcing evaluate on
-    [0, max(10 (T + 1), 1000)), so evaluation errors surface here; the
-    window is recorded on the equation.  It is evaluated in slices of 2^16
-    points, never through an evaluation scope; one past the kernel cap (a
-    lag of 10^7 and up) whole, so NumPy refuses at once one it cannot hold.
+    [0, max(10 (T + 1), 1000)), so evaluation errors surface here, named
+    by their term or the forcing; the window is recorded on the equation.
+    It is evaluated in slices of 2^16 points, never through an evaluation
+    scope; one past the kernel cap (a lag of 10^7 and up) whole, so NumPy
+    refuses at once one it cannot hold.
     """
     eq = Equation(tuple(terms), forcing)
     length = max(10 * (1 + eq.T), 1000)
     step = 1 << 16 if length <= _kernels.MAX_ENTRIES else length
-    for expr in [t.coeff for t in eq.terms] + ([forcing] if forcing is not None else []):
-        for n0 in range(0, length, step):
-            _eval_window(expr, n0, min(n0 + step, length) - 1)
+    named = [(f"term {i}", t.coeff) for i, t in enumerate(eq.terms)]
+    for name, expr in named + ([("forcing", forcing)] if forcing is not None else []):
+        try:
+            for n0 in range(0, length, step):
+                _eval_window(expr, n0, min(n0 + step, length) - 1)
+        except SeqEvalError as exc:
+            raise SeqEvalError(f"{name}: {exc.message}", exc.index) from None
     return replace(eq, validation_window=(0, length))
 
 
@@ -131,7 +136,8 @@ def autonomous_coefficients(eq: Equation) -> Optional[list[tuple[float, int]]]:
     """(coeff, lag) pairs when the equation is autonomous, else None."""
     pairs = []
     for t in eq.terms:
-        if t.delay.kind != "constant" or classify(t.coeff) != 1:
+        # a table of one repeated lag, such as [3, 3], is a constant delay
+        if len(set(t.delay.lags)) != 1 or classify(t.coeff) != 1:
             return None
         pairs.append((evaluate(t.coeff, 0), t.delay.max_lag))
     return pairs

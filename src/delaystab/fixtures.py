@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .criteria import (
     Outcome,
@@ -27,11 +28,10 @@ from .criteria import (
 from .equation import Equation, Term, validate
 from .limits import coeff_span, delay_window_sum, row_sum
 from .oracle import companion_from_equation, decay_fit
-from .seqexpr import DelaySpec, parse
+from .seqexpr import DelaySpec, SeqEvalError, parse
 from .simulator import fundamental, kernel
 
-__all__ = ["CheckResult", "FIXTURE_CONFIGS", "run_fixture", "fixture_names",
-           "config_to_equation"]
+__all__ = ["CheckResult", "FIXTURE_CONFIGS", "run_fixture", "config_to_equation"]
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ FIXTURE_CONFIGS: dict[str, dict] = {
 
 
 def config_to_equation(config: dict) -> Equation:
-    """Build a validated Equation from the JSON config shape."""
+    """Build a validated Equation from the JSON config shape; an error in a
+    term or in the forcing names it."""
     eq_cfg = config.get("equation")
     if not isinstance(eq_cfg, dict) or not isinstance(eq_cfg.get("terms"), list):
         raise ValueError("config needs equation.terms, a list of terms")
@@ -99,13 +100,24 @@ def config_to_equation(config: dict) -> Equation:
         if not isinstance(t, dict) or "coeff" not in t or "lag" not in t:
             raise ValueError(f"term {i} needs 'coeff' and 'lag'")
         lag = t["lag"]
-        try:
+        with _naming(f"term {i}"):
             delay = DelaySpec(tuple(lag) if isinstance(lag, list) else (lag,))
-        except ValueError as exc:
-            raise ValueError(f"term {i}: {exc}") from None
-        terms.append(Term(parse(str(t["coeff"])), delay))
+            terms.append(Term(parse(str(t["coeff"])), delay))
     forcing = eq_cfg.get("forcing")
-    return validate(terms, parse(str(forcing)) if forcing is not None else None)
+    with _naming("forcing"):
+        forcing = parse(str(forcing)) if forcing is not None else None
+    return validate(terms, forcing)
+
+
+@contextmanager
+def _naming(name: str) -> Iterator[None]:
+    """Prefix ``name: `` to an error raised inside, keeping its kind."""
+    try:
+        yield
+    except SeqEvalError as exc:
+        raise SeqEvalError(f"{name}: {exc.message}", exc.index) from None
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _run_factorial_kernel(eq: Equation) -> list[CheckResult]:
@@ -216,10 +228,6 @@ _RUNNERS: dict[str, Callable[[Equation], list[CheckResult]]] = {
     "alternating_two_delay": _run_alternating_two_delay,
     "periodic_mixed_sign": _run_periodic_mixed_sign,
 }
-
-
-def fixture_names() -> list[str]:
-    return list(FIXTURE_CONFIGS)
 
 
 def run_fixture(name: str) -> list[CheckResult]:

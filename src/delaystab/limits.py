@@ -49,6 +49,9 @@ __all__ = [
     "tail_start",
     "aggregate_period",
     "exact_period",
+    "DelayStrip",
+    "delay_strip",
+    "windowed_delayed_sum",
 ]
 
 

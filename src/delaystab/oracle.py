@@ -33,7 +33,6 @@ __all__ = [
     "fit_decay",
     "decay_fit",
     "oracle_block",
-    "decay_class",
     "tail_equivalence_test",
     "random_equation",
     "general_surrogate",
@@ -363,11 +362,6 @@ def oracle_block(eq: Equation, horizon: int) -> dict:
             "spectral": None if pairs is None else asdict(companion_radius(pairs))}
 
 
-def decay_class(fit: DecayFit) -> str:
-    """'decaying' when the fitted rate certifies contraction."""
-    return "decaying" if fit.mu_hat < 1.0 else "nondecaying"
-
-
 def tail_equivalence_test(eq: Equation, n1: int, replacement: Sequence[Term],
                           N: int) -> bool:
     """True when rewriting the coefficients before n1 leaves the decay
@@ -377,7 +371,7 @@ def tail_equivalence_test(eq: Equation, n1: int, replacement: Sequence[Term],
     skip = min(n1 + 5 * eq.T, max(0, N - 60))
     fit_orig = fit_decay(fundamental(eq, 0, N), skip)
     fit_mod = fit_decay(fundamental(modified, 0, N), skip)
-    return decay_class(fit_orig) == decay_class(fit_mod)
+    return (fit_orig.mu_hat < 1.0) == (fit_mod.mu_hat < 1.0)
 
 
 def random_equation(seed: int, m_max: int = 3, T_max: int = 5,

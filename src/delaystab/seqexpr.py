@@ -70,11 +70,12 @@ class SeqSyntaxError(ValueError):
 
 
 class SeqEvalError(ArithmeticError):
-    """Evaluation produced a non-finite value; carries the offending index."""
+    """Evaluation produced a non-finite value; carries the bare message and
+    the offending index."""
 
     def __init__(self, message: str, index: int):
         super().__init__(f"{message} (at n={index})")
-        self.index = index
+        self.message, self.index = message, index
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +545,6 @@ class DelaySpec:
     @staticmethod
     def periodic(lags) -> "DelaySpec":
         return DelaySpec(tuple(int(x) for x in lags))
-
-    @property
-    def kind(self) -> str:
-        return "constant" if len(set(self.lags)) == 1 else "periodic"
 
     @property
     def period(self) -> int:

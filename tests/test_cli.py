@@ -210,6 +210,11 @@ def test_fuzz_small_clean():
     assert all(not v for v in payload["counterexamples"].values())
 
 
+def test_fuzz_refuses_a_count_below_1():
+    r = run_cli("fuzz", "--count", "0")
+    assert (r.returncode, r.stderr, r.stdout) == (2, "error: count must be >= 1\n", "")
+
+
 def test_fuzz_single_seed_deterministic():
     a = run_cli("fuzz", "--count", "1", "--seeds", "0", "--json")
     b = run_cli("fuzz", "--count", "1", "--seeds", "0", "--json")
@@ -256,7 +261,7 @@ def test_infinite_splice_cutoff_exits_2(tmp_path):
     r = run_module("check", str(path), "--no-meta")
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
-    assert "error: non-finite value (at n=0)" in r.stderr
+    assert r.stderr == "error: term 0: non-finite value (at n=0)\n"
 
 
 @pytest.mark.parametrize("cutoff,position", [("1e19", 11), ("9007199254740993", 23)])
@@ -267,7 +272,7 @@ def test_a_splice_cutoff_past_2_53_exits_2(tmp_path, cutoff, position):
                 "--no-meta")
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
-    assert r.stderr == f"error: splice cutoff past 2^53 (at position {position})\n"
+    assert r.stderr == f"error: term 0: splice cutoff past 2^53 (at position {position})\n"
 
 
 def test_non_integer_alt_argument_exits_2(tmp_path):
@@ -293,7 +298,7 @@ def test_non_finite_constant_slot_exits_2(tmp_path, coeff):
     r = run_cli("check", str(path), "--no-meta")
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
-    assert "error: non-finite value (at n=0)" in r.stderr
+    assert "error: term 0: non-finite value (at n=0)" in r.stderr
 
 
 @pytest.mark.parametrize("coeff", [
@@ -317,40 +322,37 @@ def test_config_errors_exit_2(tmp_path):
     bad_schema = tmp_path / "bad.json"
     bad_schema.write_text(json.dumps({"schema": 2, "equation": {"terms": []}}))
     assert run_cli("check", str(bad_schema)).returncode == 2
-    bad_expr = tmp_path / "expr.json"
-    bad_expr.write_text(json.dumps({
-        "schema": 1,
-        "equation": {"terms": [{"coeff": "0.2 +", "lag": 1}]},
-    }))
-    r = run_cli("check", str(bad_expr))
-    assert r.returncode == 2
-    assert "position" in r.stderr
+
+    def job(terms, forcing=None, **config):
+        return {"schema": 1, "equation": {"terms": terms, "forcing": forcing}, **config}
+
+    def term(coeff="0.1", lag=1):
+        return {"coeff": coeff, "lag": lag}
+
     # non-integer horizons, term lists and lags, bools among them, are
-    # rejected where the config is read, not coerced or left to a traceback
-    terms = [{"coeff": "0.1", "lag": 1}]
-    for key, value, message in [
-        ("horizon", None, "horizon null must be an integer"),
-        ("horizon", 1.5, "horizon 1.5 must be an integer"),
-        ("horizon", "500", 'horizon "500" must be an integer'),
-        ("terms", 5, "config needs equation.terms, a list of terms"),
-        ("terms", [5], "term 0 needs 'coeff' and 'lag'"),
-        ("lag", [1.5, 2], "term 0: lags must be nonnegative integers, got 1.5"),
-        ("lag", ["3"], "term 0: lags must be nonnegative integers, got '3'"),
-        ("lag", True, "term 0: lags must be nonnegative integers, got True"),
+    # rejected where the config is read, not coerced or left to a traceback;
+    # an error in a term or the forcing names it
+    for config, message in [
+        (job([term()], horizon=None), "horizon null must be an integer"),
+        (job([term()], horizon=1.5), "horizon 1.5 must be an integer"),
+        (job([term()], horizon="500"), 'horizon "500" must be an integer'),
+        (job(5), "config needs equation.terms, a list of terms"),
+        (job([5]), "term 0 needs 'coeff' and 'lag'"),
+        (job([term(lag=[1.5, 2])]), "term 0: lags must be nonnegative integers, got 1.5"),
+        (job([term(lag=["3"])]), "term 0: lags must be nonnegative integers, got '3'"),
+        (job([term(lag=True)]), "term 0: lags must be nonnegative integers, got True"),
+        (job([term(), term(lag=-2)]), "term 1: lags must be nonnegative integers, got -2"),
+        (job([term(), term("0.2 +")]), "term 1: invalid syntax (at position 5)"),
+        (job([term(), term("1/(n-3)")]), "term 1: division by zero (at n=3)"),
+        (job([term()], forcing="sin("), "forcing: '(' was never closed (at position 3)"),
+        ([job([term()])], "config must be a JSON object"),
+        (job([term()], checks=5), 'checks must be "all" or a list of family names'),
     ]:
-        config = {"schema": 1, "equation": {"terms": terms}}
-        if key == "horizon":
-            config["horizon"] = value
-        elif key == "terms":
-            config["equation"]["terms"] = value
-        else:
-            config["equation"]["terms"] = [{"coeff": "0.1", "lag": value}]
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(config))
         r = run_cli("check", str(path), "--no-meta")
-        assert r.returncode == 2, (key, value)
-        assert "Traceback" not in r.stderr
-        assert f"error: {message}" in r.stderr, (key, value, r.stderr)
+        assert r.returncode == 2, config
+        assert r.stderr == f"error: {message}\n", (config, r.stderr)
 
 
 @pytest.mark.parametrize("name", list(FIXTURE_CONFIGS))

@@ -1085,6 +1085,8 @@ def test_theorem5_sum_range_hypothesis(eq_zero):
 def test_theorem5_arity_check(eq_periodic_mixed):
     with pytest.raises(ValueError):
         check_corollary_theorem5(eq_periodic_mixed, [0, 1], [DelaySpec.constant(1)])
+    with pytest.raises(ValueError, match="^empty index set$"):
+        check_corollary_theorem5(eq_periodic_mixed, [], [])
 
 
 def test_theorem5_pairs_each_index_with_its_own_delay():

@@ -104,6 +104,7 @@ def test_validation_reports_the_first_bad_index_of_a_sliced_window():
     with pytest.raises(SeqEvalError) as err:
         validate([Term(parse("1/(n - 65542)"), DelaySpec.constant(6600))])
     assert err.value.index == 65542
+    assert str(err.value) == "term 0: division by zero (at n=65542)"
 
 
 def test_subset_equation_evaluates_nothing(eq_unbounded, monkeypatch):
@@ -120,6 +121,15 @@ def test_subset_equation_evaluates_nothing(eq_unbounded, monkeypatch):
 def test_subset_drops_forcing():
     eq = validate([Term(parse("0.1"), DelaySpec.constant(0))], forcing=parse("1"))
     assert subset_equation(eq, [0]).forcing is None
+
+
+def test_a_table_of_one_repeated_lag_is_a_constant_delay():
+    def pairs(*lag_tables):
+        return equation.autonomous_coefficients(validate(
+            [Term(parse("0.1"), DelaySpec.periodic(lags)) for lags in lag_tables]))
+
+    assert pairs([3, 3], [2]) == [(0.1, 3), (0.1, 2)]
+    assert pairs([3, 5]) is None and pairs([2], [3, 5]) is None
 
 
 def test_prefix_modify_identity(eq_sin_cos):

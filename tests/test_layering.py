@@ -4,10 +4,12 @@ Every import counts, function-local ones too: ``cli`` sits on top, only
 ``cli`` reads the fixtures, only ``cli`` and ``fixtures`` read the oracles
 (the checkers stay independent of their ground truth), and no two modules
 import each other, directly or through others.  The two top layers, ``cli``
-and ``fixtures``, import no private name of another module.
+and ``fixtures``, import no private name of another module.  Every name a module's
+``__all__`` lists is defined in it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delaystab"
@@ -69,3 +71,11 @@ def test_top_layers_import_no_private_name():
         assert _private_imports(module) == [], module
     # a lower layer may: the check sees equation's import of the scope-free evaluator
     assert "seqexpr._eval_window" in _private_imports("equation")
+
+
+def test_every_all_entry_is_defined():
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "delaystab" if path.stem == "__init__" else f"delaystab.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], name

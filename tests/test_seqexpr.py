@@ -106,6 +106,12 @@ def test_division_by_zero_reports_index():
     assert exc.value.index == 3
 
 
+def test_evaluate_refuses_a_negative_index():
+    # refused even where the expression is defined there
+    with pytest.raises(se.SeqEvalError, match=r"^negative index \(at n=-1\)$"):
+        se.evaluate(se.parse("1/(n-3)"), -1)
+
+
 def test_power_domain_error():
     with pytest.raises(se.SeqEvalError):
         se.evaluate(se.parse("(-2)^(1/2)"), 1)
@@ -442,11 +448,11 @@ def test_non_finite_constant_slots_raise_an_evaluation_error():
 
 def test_delayspec_invariants():
     d = se.DelaySpec.periodic([3, 5])
-    assert d.kind == "periodic" and d.period == 2 and d.max_lag == 5
+    assert d.period == 2 and d.max_lag == 5
     for n in range(100):
         assert 0 <= d.lag_at(n) <= d.max_lag
     c = se.DelaySpec.constant(4)
-    assert c.kind == "constant" and c.max_lag == 4
+    assert c.lags == (4,) and c.max_lag == 4
 
 
 @pytest.mark.parametrize("period", range(1, 6))
