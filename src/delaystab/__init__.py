@@ -35,7 +35,6 @@ from .simulator import (
 )
 from .limits import (
     AsymptoticEstimate,
-    delay_window_sum,
     liminf_sum,
     limsup_product,
 )
@@ -53,7 +52,6 @@ from .oracle import (
     DecayFit,
     FloquetRate,
     SpectralReport,
-    companion_from_equation,
     companion_radius,
     decay_fit,
     fit_decay,

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import run_all, stable_verdicts
-from .equation import Equation, InitialData, Term
+from .equation import Equation, InitialData, Term, name_failure
 from .fixtures import FIXTURE_CONFIGS, config_to_equation, run_fixture
 from .oracle import (
     decay_fit,
@@ -68,8 +68,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         _atomic_write(out, text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _load_config(path: str) -> dict:
@@ -133,9 +131,7 @@ def _horizon_from(config: dict, default: int) -> int:
 # Commands
 
 
-def cmd_check(args) -> int:
-    config = _load_config(args.config)
-    eq = config_to_equation(config)
+def cmd_check(args, config: dict, eq: Equation) -> int:
     window = _window_from(config)
     checks = config.get("checks", "all")
     if checks != "all" and not isinstance(checks, list):
@@ -156,9 +152,7 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    eq = config_to_equation(config)
+def cmd_simulate(args, config: dict, eq: Equation) -> int:
     n0 = args.n0
     horizon = args.N if args.N is not None else _horizon_from(config, 100)
     bad = [v for v in args.history if not math.isfinite(v)]
@@ -182,9 +176,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_fundamental(args) -> int:
-    config = _load_config(args.config)
-    eq = config_to_equation(config)
+def cmd_fundamental(args, config: dict, eq: Equation) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         column = fundamental(eq, args.k, args.N)
         bound = product_bound(eq, args.k, args.N)
@@ -379,12 +371,20 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    eq = None
     try:
-        return args.func(args)
+        if "config" not in args:  # examples and fuzz read no job
+            return args.func(args)
+        # the one place a job is loaded: each job command gets its equation
+        config = _load_config(args.config)
+        eq = config_to_equation(config)
+        return args.func(args, config, eq)
     # MemoryError covers the kernel cap and an array NumPy cannot allocate;
     # RecursionError a tree too deep to print or evaluate
     except (ValueError, KeyError, OSError, SeqEvalError, MemoryError,
             RecursionError) as exc:
+        if isinstance(exc, SeqEvalError) and eq is not None:
+            exc = name_failure(eq, exc)  # met past validation: name the term
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from . import _kernels
 from .seqexpr import (DelaySpec, SeqEvalError, SeqExpr, _eval_window, added, classify,
                       eval_range, evaluate, spliced)
 
-__all__ = ["Term", "Equation", "InitialData", "validate", "subset_equation",
+__all__ = ["Term", "Equation", "InitialData", "validate", "name_failure", "subset_equation",
            "prefix_modify", "merge_same_delay", "autonomous_coefficients"]
 
 
@@ -90,14 +90,30 @@ def validate(terms: Sequence[Term], forcing: Optional[SeqExpr] = None) -> Equati
     eq = Equation(tuple(terms), forcing)
     length = max(10 * (1 + eq.T), 1000)
     step = 1 << 16 if length <= _kernels.MAX_ENTRIES else length
-    named = [(f"term {i}", t.coeff) for i, t in enumerate(eq.terms)]
-    for name, expr in named + ([("forcing", forcing)] if forcing is not None else []):
-        try:
+    try:
+        for _, expr in _named_exprs(eq):
             for n0 in range(0, length, step):
                 _eval_window(expr, n0, min(n0 + step, length) - 1)
-        except SeqEvalError as exc:
-            raise SeqEvalError(f"{name}: {exc.message}", exc.index) from None
+    except SeqEvalError as exc:
+        raise name_failure(eq, exc) from None
     return replace(eq, validation_window=(0, length))
+
+
+def _named_exprs(eq: Equation) -> list[tuple[str, SeqExpr]]:
+    named = [(f"term {i}", t.coeff) for i, t in enumerate(eq.terms)]
+    return named + ([("forcing", eq.forcing)] if eq.forcing is not None else [])
+
+
+def name_failure(eq: Equation, exc: SeqEvalError) -> SeqEvalError:
+    """``exc`` renamed after the first of ``eq``'s terms, or its forcing,
+    that fails at ``exc.index``; evaluation is pointwise, so that one point
+    decides.  ``exc`` itself when none fails there (a sum that overflows)."""
+    for name, expr in _named_exprs(eq):
+        try:
+            _eval_window(expr, exc.index, exc.index)
+        except SeqEvalError:
+            return SeqEvalError(f"{name}: {exc.message}", exc.index)
+    return exc
 
 
 def subset_equation(eq: Equation, indices: Sequence[int]) -> Equation:

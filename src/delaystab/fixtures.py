@@ -25,9 +25,9 @@ from .criteria import (
     stable_verdicts,
     theorem5_lhs_rhs,
 )
-from .equation import Equation, Term, validate
-from .limits import coeff_span, delay_window_sum, row_sum
-from .oracle import companion_from_equation, decay_fit
+from .equation import Equation, Term, autonomous_coefficients, validate
+from .limits import coeff_span, row_sum, windowed_delayed_sum
+from .oracle import companion_radius, decay_fit
 from .seqexpr import DelaySpec, SeqEvalError, parse
 from .simulator import fundamental, kernel
 
@@ -157,7 +157,7 @@ def _run_positive_unbounded(eq: Equation) -> list[CheckResult]:
     col = fundamental(eq, 0, 60)
     ratio_ok = bool(all(col[n] > 1.5 * col[n - 1] for n in range(1, 61)))
     exact = (3.0 + math.sqrt(0.2)) / 2.0
-    radius_err = abs(companion_from_equation(eq).radius - exact)
+    radius_err = abs(companion_radius(autonomous_coefficients(eq)).radius - exact)
     no_stable = len(stable_verdicts(run_all(eq))) == 0
     return [
         CheckResult("growth_ratio_above_1p5", ratio_ok, float(ratio_ok), "X(n,0) > 1.5 X(n-1,0)"),
@@ -200,7 +200,7 @@ def _run_periodic_mixed_sign(eq: Equation) -> list[CheckResult]:
     window = (0, 400)
     pair = row_sum(coeff_span(eq, window, [0, 1])[0])
     inf_s, sup_s = float(pair.min()), float(pair.max())
-    wsum = delay_window_sum(eq, 0, window)
+    wsum = windowed_delayed_sum(eq, [eq.terms[0].delay], -1, window)
     h_spec = eq.terms[1].delay
     lhs, rhs, strip = theorem5_lhs_rhs(eq, [0, 1], [h_spec, h_spec], window)
     by_parity = {int(n) % 2: (float(l), float(r)) for n, l, r in zip(strip.ns, lhs, rhs)}

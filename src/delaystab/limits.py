@@ -44,7 +44,6 @@ __all__ = [
     "coeff_span",
     "row_sum",
     "least",
-    "delay_window_sum",
     "default_window",
     "tail_start",
     "aggregate_period",
@@ -205,8 +204,8 @@ def windowed_delayed_sum(eq: Equation, delays: Sequence[DelaySpec], upper_offset
     """sup over the strip of sum_{k=max(0, n - d(n))}^{n + upper_offset} agg(k).
 
     d(n) is the deepest of ``delays``' lags at n; upper_offset is -1 for
-    sums up to n-1 and 0 for sums up to n.  Shared by delay_window_sum,
-    lemma 4's double sum and the 3/2 test.
+    sums up to n-1 and 0 for sums up to n.  Shared by lemma 4's double
+    sum and the 3/2 test.
     """
     strip = delay_strip(eq, delays, window)
     ns = strip.ns
@@ -216,14 +215,3 @@ def windowed_delayed_sum(eq: Equation, delays: Sequence[DelaySpec], upper_offset
     sums = strip.sums(row_sum(eq.coeff_rows(strip.lo, hi)), ns - strip.deepest(),
                       ns + upper_offset + 1)
     return AsymptoticEstimate(float(sums.max()), strip.exact)
-
-
-def delay_window_sum(eq: Equation, l: int,
-                     window: Optional[tuple[int, int]] = None) -> AsymptoticEstimate:
-    """sup over the strip of sum_{k=h_l(n)}^{n-1} sum_j a_j(k).
-
-    The window depth follows term l's delay; the summand is the full
-    coefficient aggregate of ``eq`` (pass a subset equation to restrict
-    the summand).
-    """
-    return windowed_delayed_sum(eq, [eq.terms[l].delay], -1, window or default_window(eq))

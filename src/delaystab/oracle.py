@@ -26,9 +26,7 @@ __all__ = [
     "SpectralReport",
     "FloquetRate",
     "DecayFit",
-    "NonAutonomousError",
     "companion_radius",
-    "companion_from_equation",
     "floquet_rate",
     "fit_decay",
     "decay_fit",
@@ -53,10 +51,6 @@ _BLOCK = 16
 # d = T + 1 = 301 (d^3 = 2.7e7) and 12.9 s at d = 2,001
 _FLOQUET_WORK = 10**8
 _UNDECIDED = 1e-6  # a monodromy rate this near 1 decides nothing
-
-
-class NonAutonomousError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -265,13 +259,6 @@ def companion_radius(pairs: Sequence[tuple[float, int]]) -> SpectralReport:
     c = _char_coeffs(pairs)
     radius, err = (_eig_radius if len(c) <= 3 else _power_radius)(c)
     return SpectralReport(radius, err, len(c))
-
-
-def companion_from_equation(eq: Equation) -> SpectralReport:
-    pairs = autonomous_coefficients(eq)
-    if pairs is None:
-        raise NonAutonomousError("equation has variable coefficients or delays")
-    return companion_radius(pairs)
 
 
 def floquet_rate(eq: Equation) -> FloquetRate:

@@ -20,7 +20,7 @@ from delaystab import (
     InitialData,
     Outcome,
     Term,
-    companion_from_equation,
+    companion_radius,
     decay_fit,
     fit_decay,
     fundamental,
@@ -45,7 +45,8 @@ from delaystab.criteria import (
     positivity_scan,
     theorem5_lhs_rhs,
 )
-from delaystab.limits import delay_window_sum
+from delaystab.equation import autonomous_coefficients
+from delaystab.limits import default_window, windowed_delayed_sum
 from delaystab.seqexpr import periodic_table
 
 
@@ -84,7 +85,7 @@ def test_criterion_02_vanishing_coefficient_non_decay(eq_vanishing):
 def test_criterion_03_unbounded_growth(eq_unbounded):
     col = fundamental(eq_unbounded, 0, 60)
     assert all(col[n] > 1.5 * col[n - 1] for n in range(1, 61))
-    radius = companion_from_equation(eq_unbounded).radius
+    radius = companion_radius(autonomous_coefficients(eq_unbounded)).radius
     exact = (3 + math.sqrt(0.2)) / 2
     assert abs(radius - exact) < 1e-6
     assert not stable_verdicts(run_all(eq_unbounded))
@@ -119,7 +120,8 @@ def test_criterion_06_periodic_mixed_sign(eq_periodic_mixed):
     inf_s, sup_s, exact = _sum_bounds(eq_periodic_mixed, [0, 1], (0, 400))
     assert exact
     assert abs(inf_s - 0.03) < 1e-12 and abs(sup_s - 0.05) < 1e-12
-    wsum = delay_window_sum(eq_periodic_mixed, 0)
+    wsum = windowed_delayed_sum(eq_periodic_mixed, [eq_periodic_mixed.terms[0].delay], -1,
+                                default_window(eq_periodic_mixed))
     assert abs(wsum.value - 0.21) < 1e-12 and wsum.value <= 0.25
     h = eq_periodic_mixed.terms[1].delay
     lhs, rhs, strip = theorem5_lhs_rhs(eq_periodic_mixed, [0, 1], [h, h], (0, 400))
@@ -185,7 +187,7 @@ def test_criterion_09_oracle_soundness():
     fits = 0
     for seed in range(200):
         eq = random_equation(seed, m_max=3, T_max=4, K_max=1.0, autonomous=True)
-        rep = companion_from_equation(eq)
+        rep = companion_radius(autonomous_coefficients(eq))
         stable = stable_verdicts(run_all(eq))
         if rep.radius >= 1.0 and stable:
             sound_violations.append(seed)

@@ -282,7 +282,7 @@ def test_non_integer_alt_argument_exits_2(tmp_path):
     r = run_cli("check", path, "--no-meta")
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
-    assert "error: alt() needs an integer argument (at n=1000001)" in r.stderr
+    assert "error: term 0: alt() needs an integer argument (at n=1000001)" in r.stderr
 
 
 # reading these slots makes NumPy warn; the warning stays a warning
@@ -329,10 +329,14 @@ def test_config_errors_exit_2(tmp_path):
     def term(coeff="0.1", lag=1):
         return {"coeff": coeff, "lag": lag}
 
+    alt_past_validation = "splice(1000000, 0.1, 0.1 + 0.01*alt(n/2))"
+    pole_past_validation = [term(), term("0.01/(n-5000)", 2)]
+
     # non-integer horizons, term lists and lags, bools among them, are
     # rejected where the config is read, not coerced or left to a traceback;
-    # an error in a term or the forcing names it
-    for config, message in [
+    # an error in a term or the forcing names it, also one that a command
+    # meets past the validation window
+    for config, message, *command in [
         (job([term()], horizon=None), "horizon null must be an integer"),
         (job([term()], horizon=1.5), "horizon 1.5 must be an integer"),
         (job([term()], horizon="500"), 'horizon "500" must be an integer'),
@@ -347,10 +351,20 @@ def test_config_errors_exit_2(tmp_path):
         (job([term()], forcing="sin("), "forcing: '(' was never closed (at position 3)"),
         ([job([term()])], "config must be a JSON object"),
         (job([term()], checks=5), 'checks must be "all" or a list of family names'),
+        (job([term(), term(alt_past_validation)], window=[1000000, 1010000]),
+         "term 1: alt() needs an integer argument (at n=1000001)"),
+        (job(pole_past_validation, horizon=6000), "term 1: division by zero (at n=5000)"),
+        (job(pole_past_validation), "term 1: division by zero (at n=5000)",
+         "simulate", "--N", "6000"),
+        (job(pole_past_validation), "term 1: division by zero (at n=5000)",
+         "fundamental", "--k", "0", "--N", "6000"),
+        (job([term()], forcing="1/(n-3000)"), "forcing: division by zero (at n=3000)",
+         "simulate", "--N", "4000"),
     ]:
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(config))
-        r = run_cli("check", str(path), "--no-meta")
+        command = command or ["check", "--no-meta"]
+        r = run_cli(command[0], str(path), *command[1:])
         assert r.returncode == 2, config
         assert r.stderr == f"error: {message}\n", (config, r.stderr)
 
@@ -528,7 +542,11 @@ def test_main_builds_its_parser_once(cfg_factorial, tmp_path, monkeypatch, capsy
     assert "unrecognized arguments: --bogus" in reused[3][2]
 
 
-def test_check_builds_the_equation_once(cfg_factorial, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", [["check", "--no-meta", "--out"],
+                                     ["simulate", "--N", "50", "--csv"],
+                                     ["fundamental", "--k", "0", "--N", "50", "--csv"]],
+                         ids=["check", "simulate", "fundamental"])
+def test_check_builds_the_equation_once(cfg_factorial, tmp_path, monkeypatch, command):
     build = cli.config_to_equation
     calls = []
 
@@ -537,8 +555,7 @@ def test_check_builds_the_equation_once(cfg_factorial, tmp_path, monkeypatch):
         return build(config)
 
     monkeypatch.setattr(cli, "config_to_equation", counting)
-    assert cli.main(["check", cfg_factorial, "--no-meta", "--out",
-                     str(tmp_path / "report.json")]) == 0
+    assert cli.main([command[0], cfg_factorial, *command[1:], str(tmp_path / "out")]) == 0
     assert len(calls) == 1
 
 

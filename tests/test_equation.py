@@ -107,6 +107,15 @@ def test_validation_reports_the_first_bad_index_of_a_sliced_window():
     assert str(err.value) == "term 0: division by zero (at n=65542)"
 
 
+def test_name_failure_keeps_an_error_that_no_term_meets():
+    # each coefficient is finite; only their merged sum overflows
+    eq = validate([Term(parse("1e308"), DelaySpec.constant(1))] * 2)
+    with np.errstate(over="ignore"), pytest.raises(SeqEvalError) as err:
+        seqexpr.eval_range(merge_same_delay(eq).terms[0].coeff, 0, 3)
+    assert str(err.value) == "non-finite value (at n=0)"
+    assert equation.name_failure(eq, err.value) is err.value
+
+
 def test_subset_equation_evaluates_nothing(eq_unbounded, monkeypatch):
     def refuse(*args):
         raise AssertionError("subset_equation evaluated an expression")

@@ -5,14 +5,17 @@ Every import counts, function-local ones too: ``cli`` sits on top, only
 (the checkers stay independent of their ground truth), and no two modules
 import each other, directly or through others.  The two top layers, ``cli``
 and ``fixtures``, import no private name of another module.  Every name a module's
-``__all__`` lists is defined in it.
+``__all__`` lists is defined in it, and every ``module.attr`` that README's
+package layout cites is defined.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delaystab"
+README = PACKAGE.parent.parent / "README.md"
 
 
 def _imports() -> dict[str, set[str]]:
@@ -79,3 +82,21 @@ def test_every_all_entry_is_defined():
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], name
+
+
+def test_readme_package_layout_cites_only_defined_names():
+    # `delaystab.limits` names a module; `limits.row_sum` and
+    # `delaystab.limits.row_sum` a name that module defines
+    section = README.read_text().split("## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    modules = {p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    rows, cited = set(), set()
+    for text in re.findall(r"`([\w.]+)`", section):
+        module, _, attr = text.removeprefix("delaystab.").rpartition(".")
+        if not module and text.startswith("delaystab."):
+            rows.add(attr)
+        elif module in modules:
+            cited.add((module, attr))
+    assert rows == modules
+    missing = [f"{m}.{a}" for m, a in sorted(cited)
+               if not hasattr(importlib.import_module(f"delaystab.{m}"), a)]
+    assert cited and missing == []

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from delaystab import (
     DelaySpec,
     Term,
-    delay_window_sum,
     liminf_sum,
     limsup_product,
     parse,
@@ -146,22 +145,23 @@ def test_spans_are_read_only_and_repeated_delays_share_a_lag_row():
     assert np.array_equal(strip.deepest(), np.maximum(strip.lags[0], strip.lags[1]))
 
 
-def test_delay_window_sum_constant_lag():
+def test_windowed_delayed_sum_constant_lag():
     eq = validate([Term(parse("0.1"), DelaySpec.constant(4))])
-    est = delay_window_sum(eq, 0)
+    est = windowed_delayed_sum(eq, [eq.terms[0].delay], -1, default_window(eq))
     assert est.exact and est.value == pytest.approx(0.4)
 
 
-def test_delay_window_sum_periodic_mixed(eq_periodic_mixed):
-    est = delay_window_sum(eq_periodic_mixed, 0)
+def test_windowed_delayed_sum_periodic_mixed(eq_periodic_mixed):
+    eq = eq_periodic_mixed
+    est = windowed_delayed_sum(eq, [eq.terms[0].delay], -1, default_window(eq))
     assert est.exact
     assert est.value == pytest.approx(0.21, abs=1e-15)
 
 
-def test_delay_window_sum_subset_view(eq_sin_cos):
+def test_windowed_delayed_sum_subset_view(eq_sin_cos):
     # restricting to the first term measures sup a(n-1) <= 0.25
     sub = subset_equation(eq_sin_cos, [0])
-    est = delay_window_sum(sub, 0)
+    est = windowed_delayed_sum(sub, [sub.terms[0].delay], -1, default_window(sub))
     assert not est.exact
     assert est.value <= 0.25
 
@@ -172,7 +172,9 @@ def test_exactness_stable_under_window_doubling(eq_alternating, eq_periodic_mixe
         w2 = (10 * eq.T, 10 * eq.T + 2000)
         assert liminf_sum(eq, w1).value == liminf_sum(eq, w2).value
         assert limsup_product(eq, 3, w1).value == limsup_product(eq, 3, w2).value
-        assert delay_window_sum(eq, 0, w1).value == delay_window_sum(eq, 0, w2).value
+        delays = [eq.terms[0].delay]
+        assert (windowed_delayed_sum(eq, delays, -1, w1).value
+                == windowed_delayed_sum(eq, delays, -1, w2).value)
 
 
 def test_liminf_below_limsup_consistency():

@@ -7,7 +7,6 @@ import pytest
 from delaystab import (
     DelaySpec,
     Term,
-    companion_from_equation,
     companion_radius,
     decay_fit,
     fit_decay,
@@ -23,7 +22,6 @@ from delaystab import criteria
 from delaystab.equation import autonomous_coefficients
 from delaystab.oracle import (
     FloquetRate,
-    NonAutonomousError,
     _char_coeffs,
     _medians,
     _power_radius,
@@ -56,13 +54,12 @@ def test_companion_radius_refuses_what_is_no_equation(pairs, message):
 
 
 def test_companion_unbounded_fixture(eq_unbounded):
-    rep = companion_from_equation(eq_unbounded)
+    rep = companion_radius(autonomous_coefficients(eq_unbounded))
     assert rep.radius == pytest.approx((3 + math.sqrt(0.2)) / 2, abs=1e-9)
 
 
 def test_companion_rejects_nonautonomous(eq_sin_cos):
-    with pytest.raises(NonAutonomousError):
-        companion_from_equation(eq_sin_cos)
+    assert autonomous_coefficients(eq_sin_cos) is None
 
 
 def test_companion_against_polynomial_roots():
@@ -208,7 +205,7 @@ def test_a_monodromy_that_vanishes_has_rate_zero():
 def test_floquet_rate_agrees_with_companion_radius():
     for seed in range(100):
         eq = random_equation(seed, m_max=3, T_max=4, K_max=1.0, autonomous=True)
-        rate, companion = floquet_rate(eq), companion_from_equation(eq)
+        rate, companion = floquet_rate(eq), companion_radius(autonomous_coefficients(eq))
         assert rate.period == 1
         assert abs(rate.rate - companion.radius) <= (
             companion.dominant_modulus_error_bound + rate.error_bound), seed
@@ -632,7 +629,7 @@ def test_spectral_agreement_sample():
     fits = 0
     for seed in range(200):
         eq = random_equation(seed, m_max=2, T_max=4, K_max=1.0, autonomous=True)
-        rep = companion_from_equation(eq)
+        rep = companion_radius(autonomous_coefficients(eq))
         if not 0.2 <= rep.radius <= 0.98:
             continue
         fits += 1
