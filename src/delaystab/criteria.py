@@ -913,8 +913,10 @@ def _theorem2_subsets(eq: Equation) -> list[tuple[int, ...]]:
 
 
 # every checker reads the same coefficients: evaluate each once per run,
-# and answer each repeated comparison-equation question once
+# and answer each repeated comparison-equation question once; a sum that
+# overflows gives an inf or nan witness and a conservative verdict, unwarned
 @evaluation_scope()
+@np.errstate(over="ignore", invalid="ignore")
 def run_all(eq: Equation, window: Window = None,
             checks: Optional[Sequence[str]] = None) -> list[Verdict]:
     """Run every applicable checker; verdicts sorted Stable-first, then by

@@ -105,10 +105,15 @@ def _named_exprs(eq: Equation) -> list[tuple[str, SeqExpr]]:
 
 
 def name_failure(eq: Equation, exc: SeqEvalError) -> SeqEvalError:
-    """``exc`` renamed after the first of ``eq``'s terms, or its forcing,
-    that fails at ``exc.index``; evaluation is pointwise, so that one point
-    decides.  ``exc`` itself when none fails there (a sum that overflows)."""
-    for name, expr in _named_exprs(eq):
+    """``exc`` renamed after the first of ``eq``'s terms, its forcing, or
+    the sums ``merge_same_delay`` builds (named by their terms) that fails
+    at ``exc.index``; evaluation is pointwise, so that one point decides.
+    ``exc`` itself when none fails there."""
+    named = _named_exprs(eq)
+    for s in merge_same_delay(eq).terms:
+        same = [str(i) for i, t in enumerate(eq.terms) if t.delay == s.delay]
+        named += [(f"terms {', '.join(same)}", s.coeff)] if len(same) > 1 else []
+    for name, expr in named:
         try:
             _eval_window(expr, exc.index, exc.index)
         except SeqEvalError:
@@ -134,18 +139,13 @@ def merge_same_delay(eq: Equation) -> Equation:
     equation whose lag tables are all distinct is returned as it is.  Sums
     are built, not evaluated, and keep ``eq``'s validated window.
     """
-    groups: dict[DelaySpec, SeqExpr] = {}
-    order: list[DelaySpec] = []
+    groups: dict[DelaySpec, SeqExpr] = {}  # in first-seen order
     for t in eq.terms:
-        if t.delay in groups:
-            groups[t.delay] = added(groups[t.delay], t.coeff)
-        else:
-            groups[t.delay] = t.coeff
-            order.append(t.delay)
-    if len(order) == eq.m:
+        groups[t.delay] = added(groups[t.delay], t.coeff) if t.delay in groups else t.coeff
+    if len(groups) == eq.m:
         return eq
-    merged_terms = tuple(Term(groups[d], d) for d in order)
-    return Equation(merged_terms, eq.forcing, eq.validation_window)
+    return Equation(tuple(Term(c, d) for d, c in groups.items()), eq.forcing,
+                    eq.validation_window)
 
 
 def autonomous_coefficients(eq: Equation) -> Optional[list[tuple[float, int]]]:

@@ -336,8 +336,7 @@ def decay_fit(eq: Equation, horizon: int) -> DecayFit:
     before a far cutoff.  The fit needs 50 points past the skip, and drops
     the non-finite tail of an overflowed column."""
     s, skip = tail_start(eq), max(5 * eq.T, 20)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return fit_decay(fundamental(eq, s, max(horizon, s + skip + 49)), skip, s)
+    return fit_decay(fundamental(eq, s, max(horizon, s + skip + 49)), skip, s)
 
 
 def oracle_block(eq: Equation, horizon: int) -> dict:

@@ -306,21 +306,17 @@ def _eval(node: Node, n: np.ndarray) -> np.ndarray:
         ufunc = _BINARY[node.op].ufunc
         if node.op == "/" and (zero := right == 0.0).any():
             raise SeqEvalError("division by zero", int(n[np.argmax(zero)]))
-        if node.op != "^":
-            return ufunc(left, right)
+        out = ufunc(left, right)
         # power: negative base with integral exponent is fine, otherwise a
         # domain error; overflow is reported as non-finite below
-        with np.errstate(all="ignore"):
-            out = ufunc(left, right)
-        if not np.isfinite(out).all():
+        if node.op == "^" and not np.isfinite(out).all():
             raise SeqEvalError("power out of domain or overflow", _first_bad(out, n))
         return out
     if isinstance(node, Call):
         arg = _eval(node.arg, n)
         if node.func == "alt":
             # past 2^53 a float's parity is unknown; nan and inf fail both tests
-            with np.errstate(invalid="ignore"):
-                bad = ~((np.abs(arg - np.rint(arg)) <= 1e-9) & (np.abs(arg) < 2.0**53))
+            bad = ~((np.abs(arg - np.rint(arg)) <= 1e-9) & (np.abs(arg) < 2.0**53))
             if bad.any():
                 raise SeqEvalError("alt() needs an integer argument", int(n[np.argmax(bad)]))
         return _FUNCTIONS[node.func](arg)
@@ -340,6 +336,7 @@ def _eval(node: Node, n: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown node {node!r}")
 
 
+@np.errstate(all="ignore")  # the non-finite check below reports overflow, not NumPy
 def _eval_window(expr: SeqExpr, n0: int, n1: int) -> np.ndarray:
     n = np.arange(n0, n1 + 1, dtype=np.int64)
     values = _eval(expr.ast, n)

@@ -141,6 +141,7 @@ def pituk_sum(eq: Equation, n0: int, N: int) -> np.ndarray:
     return _kernels.weighted_kernel_sums(coeffs, lags, np.ones(N - n0), True)
 
 
+@np.errstate(over="ignore")  # an overflowed bound is inf, still a bound
 def product_bound(eq: Equation, k: int, N: int) -> np.ndarray:
     """B(n) = prod_{j=k}^{n-1} (1 + sum_l |a_l(j)|); always >= |X(n, k)|."""
     coeffs, _ = _tables(eq, k, N)

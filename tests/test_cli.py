@@ -285,7 +285,6 @@ def test_non_integer_alt_argument_exits_2(tmp_path):
     assert "error: term 0: alt() needs an integer argument (at n=1000001)" in r.stderr
 
 
-# reading these slots makes NumPy warn; the warning stays a warning
 @pytest.mark.parametrize("coeff", [
     "splice(sin(1e400), 1, 2)",
     "per(0.1, 1e400 - 1e400)",
@@ -297,8 +296,7 @@ def test_non_finite_constant_slot_exits_2(tmp_path, coeff):
         "terms": [{"coeff": coeff, "lag": 1}]}}))
     r = run_cli("check", str(path), "--no-meta")
     assert r.returncode == 2
-    assert "Traceback" not in r.stderr
-    assert "error: term 0: non-finite value (at n=0)" in r.stderr
+    assert r.stderr == "error: term 0: non-finite value (at n=0)\n"
 
 
 @pytest.mark.parametrize("coeff", [
@@ -421,6 +419,32 @@ def test_overflow_exits_2_without_numpy_warnings(cfg_unbounded, argv):
     assert r.returncode == 2
     assert "is not finite" in r.stderr
     assert "Warning" not in r.stderr
+
+
+_NAMED_TERM_0 = "error: term 0: non-finite value (at n=0)\n"
+_ONE_TERM_COMMANDS = [["check", "--no-meta"], ["simulate", "--N", "5"],
+                      ["fundamental", "--k", "0", "--N", "5"]]
+
+
+@pytest.mark.parametrize("terms,argv,stderr", [
+    *[([(coeff, 1)], argv, _NAMED_TERM_0)
+      for coeff in ("1e308*10", "1e308 + 1e308", "sin(1e308*10*n)", "per(0.1, 1e400 - 1e400)")
+      for argv in _ONE_TERM_COMMANDS],
+    # each term is finite; the sum run_all evaluates for lag 1 is not
+    ([("1e308", 1), ("1e308", 1)], ["check", "--no-meta"],
+     "error: terms 0, 1: non-finite value (at n=0)\n"),
+    # finite coefficients on two lag tables, whose sums inside the checkers overflow
+    ([("1e308", 1), ("1e308", 2)], ["check", "--no-meta"],
+     "error: fundamental column at n = 3 is not finite (overflow); "
+     "fewer than 5 points are left to fit past n = 20\n"),
+])
+def test_degenerate_coefficients_exit_2_without_numpy_warnings(tmp_path, terms, argv, stderr):
+    # any RuntimeWarning becomes an exception, which would end the run
+    # with a traceback and exit 1
+    r = run_module(argv[0], _one_config(tmp_path, terms), *argv[1:],
+                   env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert r.returncode == 2
+    assert r.stderr == stderr
 
 
 def test_check_overflow_exits_0_without_numpy_warnings(tmp_path):

@@ -107,13 +107,21 @@ def test_validation_reports_the_first_bad_index_of_a_sliced_window():
     assert str(err.value) == "term 0: division by zero (at n=65542)"
 
 
-def test_name_failure_keeps_an_error_that_no_term_meets():
+def test_name_failure_names_a_sum_of_same_lag_terms():
     # each coefficient is finite; only their merged sum overflows
-    eq = validate([Term(parse("1e308"), DelaySpec.constant(1))] * 2)
-    with np.errstate(over="ignore"), pytest.raises(SeqEvalError) as err:
+    one = Term(parse("1e308"), DelaySpec.constant(1))
+    eq = validate([one, Term(parse("0.1"), DelaySpec.constant(2)), one])
+    with pytest.raises(SeqEvalError) as err:
         seqexpr.eval_range(merge_same_delay(eq).terms[0].coeff, 0, 3)
     assert str(err.value) == "non-finite value (at n=0)"
-    assert equation.name_failure(eq, err.value) is err.value
+    assert str(equation.name_failure(eq, err.value)) == "terms 0, 2: non-finite value (at n=0)"
+
+
+def test_name_failure_keeps_an_error_that_no_term_meets():
+    # nothing, sum or term, fails at n = 5
+    eq = validate([Term(parse("1e307"), DelaySpec.constant(1))] * 2)
+    exc = SeqEvalError("non-finite value", 5)
+    assert equation.name_failure(eq, exc) is exc
 
 
 def test_subset_equation_evaluates_nothing(eq_unbounded, monkeypatch):

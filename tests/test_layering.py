@@ -6,7 +6,8 @@ Every import counts, function-local ones too: ``cli`` sits on top, only
 import each other, directly or through others.  The two top layers, ``cli``
 and ``fixtures``, import no private name of another module.  Every name a module's
 ``__all__`` lists is defined in it, and every ``module.attr`` that README's
-package layout cites is defined.
+package layout cites is defined.  NumPy's floating-point flags are set only
+by the few functions that make values and check them.
 """
 
 import ast
@@ -100,3 +101,29 @@ def test_readme_package_layout_cites_only_defined_names():
     missing = [f"{m}.{a}" for m, a in sorted(cited)
                if not hasattr(importlib.import_module(f"delaystab.{m}"), a)]
     assert cited and missing == []
+
+
+def _errstate_users() -> set[str]:
+    """``module.function`` for each function whose own body or decorators
+    name ``errstate``; ``module`` alone for a use outside any function."""
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, ast.Attribute) and node.attr == "errstate" or \
+                isinstance(node, ast.Name) and node.id == "errstate":
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{where.split('.')[0]}.{child.name}" if inner else where)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return found
+
+
+def test_floating_point_flags_are_set_where_values_are_made():
+    # evaluation, run_all and the product bound name overflow in their own
+    # errors or witnesses, so no caller silences NumPy for them
+    assert _errstate_users() == {"seqexpr._eval_window", "criteria.run_all",
+                                 "criteria.positivity_scan", "simulator.product_bound",
+                                 "oracle._power_radius"}

@@ -431,13 +431,10 @@ def test_constant_slots_take_any_expression_of_constant_class():
 
 
 def test_non_finite_constant_slots_raise_an_evaluation_error():
-    # the suite turns NumPy's invalid-value warning into an error; the CLI
-    # leaves it a warning, as here (tests/test_cli.py runs these texts)
-    with np.errstate(invalid="ignore"):
-        for text in ("splice(1e400, 0.1, 0.2)", "splice(sin(1e400), 1, 2)", "per(1e400)",
-                     "per(0.1, 1e400 - 1e400)"):
-            with pytest.raises(se.SeqEvalError, match=r"non-finite value \(at n=0\)"):
-                se.parse(text)
+    for text in ("splice(1e400, 0.1, 0.2)", "splice(sin(1e400), 1, 2)", "per(1e400)",
+                 "per(0.1, 1e400 - 1e400)"):
+        with pytest.raises(se.SeqEvalError, match=r"non-finite value \(at n=0\)"):
+            se.parse(text)
     # the whole text is parsed before any slot is read
     with pytest.raises(se.SeqSyntaxError):
         se.parse("per(1e400,^7")
