@@ -54,6 +54,7 @@ from .oracle import (
     SpectralReport,
     companion_radius,
     decay_fit,
+    exact_stable,
     fit_decay,
     floquet_rate,
     random_equation,

@@ -5,14 +5,16 @@ decides stability exactly; general equations get an empirical geometric
 decay rate fitted to a fundamental-function column.  Every Stable verdict
 can be cross-validated against one of the two: ``oracle_block`` gives both
 as a report's ``oracle`` entry, and ``decay_fit`` is the one decay oracle.
-Periodic equations have an exact rate too, from a Floquet monodromy over
-one period (``floquet_rate``), which the tests and ``fuzz`` read.
+Periodic equations have a Floquet monodromy over one period: ``floquet_rate``
+reads its rate in floats, and ``exact_stable`` decides its stability, or a
+rate bound, in exact rationals, which the tests and ``fuzz`` read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +30,7 @@ __all__ = [
     "DecayFit",
     "companion_radius",
     "floquet_rate",
+    "exact_stable",
     "fit_decay",
     "decay_fit",
     "oracle_block",
@@ -50,7 +53,9 @@ _BLOCK = 16
 # least 32 wide for its Python overhead: eigvals takes 0.48 s at
 # d = T + 1 = 301 (d^3 = 2.7e7) and 12.9 s at d = 2,001
 _FLOQUET_WORK = 10**8
-_UNDECIDED = 1e-6  # a monodromy rate this near 1 decides nothing
+# exact_stable's cap on its work L (T + 1)^2 + (T + 1)^3, as rationals grow:
+# a period-2 lag table at d = 70 (work 3.5e5) takes 1.6 s
+_EXACT_WORK = 10**6
 
 
 @dataclass(frozen=True)
@@ -62,19 +67,12 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class FloquetRate:
-    """rho(M)^(1/L) for the monodromy M over one exact period L, with an
-    error bound at L = 1 only; rate None, with the reason, when there is none."""
+    """rho(M)^(1/L) for the monodromy M over one exact period L, in floats
+    and with no bound; rate None, with the reason, when there is none."""
 
     rate: Optional[float]
-    error_bound: Optional[float]
     period: Optional[int]
     reason: Optional[str] = None
-
-    @property
-    def tolerance(self) -> float:
-        """How far from 1 the rate decides stability: its error bound, or
-        1e-6 where it has none."""
-        return _UNDECIDED if self.error_bound is None else self.error_bound
 
 
 @dataclass(frozen=True)
@@ -110,12 +108,10 @@ def _companion(c: np.ndarray) -> np.ndarray:
     return C
 
 
-def _eig_radius(c: np.ndarray, z: Optional[np.ndarray] = None) -> tuple[float, float]:
+def _eig_radius(c: np.ndarray) -> tuple[float, float]:
     """Dominant modulus of the companion matrix from its eigenvalues z_i, with
     an error bound from p(x) = x^d - c_0 x^(d-1) - ... - c_(d-1), rescaled
     as in _power_radius so that every root lambda_j has |lambda_j| < 1.
-    A caller may pass the z_i of the companion itself: past d of about 20
-    the rescaled companion's small entries cost its roots their accuracy.
 
     R_i >= |p(z_i)| = prod_j |z_i - lambda_j| and p'/p = sum_j 1 / (x -
     lambda_j) put a root within e_i = min(R_i^(1/d), d R_i / |p'(z_i)|) of
@@ -127,7 +123,7 @@ def _eig_radius(c: np.ndarray, z: Optional[np.ndarray] = None) -> tuple[float, f
     j1 = np.arange(1, d + 1)
     shift = math.frexp(2.0 * float((np.abs(c) ** (1.0 / j1)).max()))[1]
     c = np.ldexp(c, -shift * j1)
-    z = np.linalg.eigvals(_companion(c)) if z is None else z * 2.0**-shift
+    z = np.linalg.eigvals(_companion(c))
     a = np.abs(z)
     g = 8 * d * np.finfo(float).eps
     p = np.concatenate([[1.0], -c])
@@ -262,24 +258,18 @@ def companion_radius(pairs: Sequence[tuple[float, int]]) -> SpectralReport:
 
 
 def floquet_rate(eq: Equation) -> FloquetRate:
-    """The exact exponential rate of a periodic equation (Elaydi, Floquet
+    """The exponential rate of a periodic equation in floats (Elaydi, Floquet
     theory).  The state (x(n), ..., x(n - T)) advances by A(n), whose first
     row is e_0 - sum_l a_l(n) e_(d_l(n)) and whose other rows shift down;
     the rate is rho(M)^(1/L) for M = A(L - 1) ... A(0) and L =
-    ``exact_period``.  At L = 1, M is the companion matrix and the rate
-    carries ``_eig_radius``'s bound; past it there is no bound, and a rate
-    near 1 decides nothing."""
+    ``exact_period``.  It carries no bound: ``exact_stable`` decides."""
     period = exact_period(eq, [t.delay for t in eq.terms])
     if period is None:
-        return FloquetRate(None, None, None, "a coefficient is general")
+        return FloquetRate(None, None, "a coefficient is general")
     d = eq.T + 1
     work = period * max(d, 32) ** 2 + d**3
     if work > _FLOQUET_WORK:
-        return FloquetRate(None, None, period,
-                           f"monodromy work {work} exceeds the cap {_FLOQUET_WORK}")
-    if period == 1:  # the companion's own eigenvalues, not its rescaled copy's
-        c = _char_coeffs(autonomous_coefficients(eq))
-        return FloquetRate(*_eig_radius(c, np.linalg.eigvals(_companion(c))), 1)
+        return FloquetRate(None, period, f"monodromy work {work} exceeds the cap {_FLOQUET_WORK}")
     coeffs, lags = eq.coeff_table(0, period - 1), eq.lag_table(0, period - 1)
     M, shift = np.eye(d), 0  # the product so far is M 2^shift
     for n in range(period):
@@ -292,8 +282,70 @@ def floquet_rate(eq: Equation) -> FloquetRate:
         shift += e
     radius = float(np.abs(np.linalg.eigvals(M)).max())
     if radius == 0.0:
-        return FloquetRate(0.0, None, period)
-    return FloquetRate(math.exp((math.log(radius) + shift * math.log(2.0)) / period), None, period)
+        return FloquetRate(0.0, period)
+    return FloquetRate(math.exp((math.log(radius) + shift * math.log(2.0)) / period), period)
+
+
+def exact_stable(eq: Equation, rate: float = 1.0) -> bool:
+    """Whether every Floquet multiplier of a periodic ``eq`` has modulus
+    below rate^L, decided in rationals with no tolerance (Elaydi, Floquet
+    theory and the Schur-Cohn criterion); at rate 1, exponential stability.
+    A multiplier on the circle is not stable.  It decides the equation
+    whose constants are the doubles nearest to what the user wrote.
+
+    M = A(L - 1) ... A(0) is built as ``floquet_rate`` builds it, reduced
+    to Hessenberg form by elementary similarities, and det(zI - M) taken
+    by the Hessenberg recurrence (Cohen 1993, Alg. 2.2.9).  p(s z) with s =
+    rate^L has every root in the open unit disk iff |p(0)| < |lead| and
+    p - (p(0) / lead) p_rev, less its zero constant term, does too."""
+    period = exact_period(eq, [t.delay for t in eq.terms])
+    if period is None:
+        raise ValueError("a coefficient is general")
+    d = eq.T + 1
+    work = period * d**2 + d**3
+    if work > _EXACT_WORK:
+        raise ValueError(f"exact monodromy work {work} exceeds the cap {_EXACT_WORK}")
+    steps = zip(eq.coeff_table(0, period - 1).T.tolist(), eq.lag_table(0, period - 1).T.tolist())
+    M = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for coeffs, lags in steps:  # M <- A(n) M, term by term
+        row = M[0][:]  # no two rows share a list: the reduction edits rows in place
+        for a, lag in zip(map(Fraction, coeffs), lags):
+            if a:
+                row = [x - a * y for x, y in zip(row, M[lag])]
+        M = [row] + M[:-1]
+    for j in range(d - 2):  # zero column j below the subdiagonal
+        pivot = next((i for i in range(j + 1, d) if M[i][j]), None)
+        if pivot is None:
+            continue
+        M[j + 1], M[pivot] = M[pivot], M[j + 1]
+        for r in M:
+            r[j + 1], r[pivot] = r[pivot], r[j + 1]
+        for i in range(j + 2, d):
+            if M[i][j]:  # row i -= u row j + 1, then column j + 1 += u column i
+                u = M[i][j] / M[j + 1][j]
+                M[i] = [x - u * y for x, y in zip(M[i], M[j + 1])]
+                for r in M:
+                    r[j + 1] += u * r[i]
+    polys = [[Fraction(1)]]  # det(zI - H) of each leading block, ascending
+    for m in range(d):
+        p = [x - M[m][m] * y for x, y in zip([0, *polys[m]], [*polys[m], 0])]
+        t = Fraction(1)
+        for i in range(1, m + 1):
+            t *= M[m - i + 1][m - i]
+            if not t:
+                break
+            c = t * M[m - i][m]
+            for k, x in enumerate(polys[m - i] if c else ()):
+                p[k] -= c * x
+        polys.append(p)
+    s = Fraction(rate) ** period
+    p = [x * s**k for k, x in enumerate(polys[d])]
+    while len(p) > 1:
+        if abs(p[0]) >= abs(p[-1]):
+            return False
+        r = p[0] / p[-1]
+        p = [x - r * y for x, y in zip(p[1:], p[-2::-1])]
+    return True
 
 
 def fit_decay(column: Sequence[float], skip: int, n0: int = 0) -> DecayFit:
@@ -394,13 +446,13 @@ def random_equation(seed: int, m_max: int = 3, T_max: int = 5,
 def general_surrogate(eq: Equation) -> Equation:
     """``eq`` with each coefficient written as ``<text> + 0*sin(n)``: the
     same values, bit for bit, but classify calls each one general, so the
-    checkers take the general path and ``floquet_rate(eq)`` is its exact rate."""
+    checkers take the general path and ``exact_stable(eq)`` decides it."""
     return validate([Term(parse(f"{t.coeff} + 0*sin(n)"), t.delay) for t in eq.terms])
 
 
 def splice_surrogate(eq: Equation, cutoff: int) -> Equation:
     """``eq`` with each coefficient written as ``splice(cutoff, 0.02, <text>)``:
-    a calm prefix, then ``eq``'s own coefficients, whose ``floquet_rate`` is
-    the tail's exact rate."""
+    a calm prefix, then ``eq``'s own coefficients, whose ``exact_stable``
+    decides the tail."""
     return validate([Term(parse(f"splice({cutoff}, 0.02, {t.coeff})"), t.delay)
                      for t in eq.terms])

@@ -437,6 +437,11 @@ _ONE_TERM_COMMANDS = [["check", "--no-meta"], ["simulate", "--N", "5"],
     ([("1e308", 1), ("1e308", 2)], ["check", "--no-meta"],
      "error: fundamental column at n = 3 is not finite (overflow); "
      "fewer than 5 points are left to fit past n = 20\n"),
+    # the step that overflows reads the same sum, which no horizon helps
+    ([("1e308", 1), ("1e308", 1)], ["simulate", "--N", "5"],
+     "error: terms 0, 1: non-finite value (at n=1)\n"),
+    ([("1e308", 1), ("1e308", 1)], ["fundamental", "--k", "0", "--N", "5"],
+     "error: terms 0, 1: non-finite value (at n=0)\n"),
 ])
 def test_degenerate_coefficients_exit_2_without_numpy_warnings(tmp_path, terms, argv, stderr):
     # any RuntimeWarning becomes an exception, which would end the run

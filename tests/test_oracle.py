@@ -1,5 +1,7 @@
+import functools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from delaystab import (
     Term,
     companion_radius,
     decay_fit,
+    exact_stable,
     fit_decay,
     fundamental,
     parse,
@@ -85,17 +88,23 @@ def test_companion_against_polynomial_roots():
 
 BOUNDARY_LAGS = range(1, 51)
 BOUNDARY_HAIR = 1e-6
+EXACT_HAIR = 1e-12  # only exact_stable tells the two sides apart here
 
 
-def _boundary_cases():
+def _boundary_cases(hair: float = BOUNDARY_HAIR):
     for k in BOUNDARY_LAGS:
         a = 2 * math.sin(math.pi / (2 * (2 * k + 1)))
-        yield k, a * (1 - BOUNDARY_HAIR), a * (1 + BOUNDARY_HAIR)
+        yield k, a * (1 - hair), a * (1 + hair)
 
 
-def _stable_lags_past_the_boundary() -> list:
-    return [k for k, _, above in _boundary_cases()
+def _stable_lags_past_the_boundary(hair: float = BOUNDARY_HAIR) -> list:
+    return [k for k, _, above in _boundary_cases(hair)
             if stable_verdicts(run_all(validate([Term(constant(above), DelaySpec.constant(k))])))]
+
+
+@functools.cache
+def _exact(a: float, lags: tuple) -> bool:
+    return exact_stable(validate([Term(constant(a), DelaySpec.periodic(list(lags)))]))
 
 
 def test_closed_form_boundary_is_never_certified_from_outside():
@@ -106,6 +115,9 @@ def test_closed_form_boundary_is_never_certified_from_outside():
         assert inside.radius - inside.dominant_modulus_error_bound < 1, k
         assert outside.radius + outside.dominant_modulus_error_bound > 1, k
     assert _stable_lags_past_the_boundary() == []
+    for k, _, above in _boundary_cases(EXACT_HAIR):
+        assert not _exact(above, (k,)), k
+    assert _stable_lags_past_the_boundary(EXACT_HAIR) == []
 
 
 def test_closed_form_boundary_catches_a_loosened_threshold(monkeypatch):
@@ -168,38 +180,48 @@ def test_power_path_bound_holds_on_benchmark_generator():
     assert powered > 50
 
 
-# --- the Floquet rate (Elaydi): rho(M)^(1/L) for the monodromy M over one
-# exact period L; at L = 1 with the companion's residual bound
+# --- the Floquet monodromy (Elaydi): M over one exact period L, its rate
+# rho(M)^(1/L) in floats, and exact_stable's decision in rationals
 
 
 def _rate(a: float, lags) -> FloquetRate:
     return floquet_rate(validate([Term(constant(a), DelaySpec.periodic(lags))]))
 
 
-def test_floquet_rate_decides_the_closed_form_boundary():
-    for k, below, above in _boundary_cases():
-        inside, outside = _rate(below, [k]), _rate(above, [k])
-        assert inside.period == outside.period == 1
-        assert inside.rate + inside.tolerance < 1 < outside.rate - outside.tolerance, k
-        # a lag table of period 2 takes the monodromy path to the same rate
-        for a, exact in ((below, inside), (above, outside)):
-            twice = _rate(a, [k, k])
-            assert twice.period == 2 and twice.error_bound is None
-            assert abs(twice.rate - exact.rate) <= exact.error_bound, k
+def test_exact_stable_decides_the_closed_form_boundary():
+    for k, below, above in _boundary_cases(EXACT_HAIR):
+        assert _exact(below, (k,)) and not _exact(above, (k,)), k
+        if k <= 25:  # a lag table of period 2: M is the companion squared
+            assert _exact(below, (k, k)) and not _exact(above, (k, k)), k
 
 
-@pytest.mark.parametrize("k", [1, 10, 20])
-def test_floquet_bound_holds_at_the_closed_form_boundary(k):
-    # past d of about 20 the rescaled companion's own roots miss by far more
-    a = 2 * math.sin(math.pi / (2 * (2 * k + 1))) * (1 + BOUNDARY_HAIR)
-    rate = _rate(a, [k])
-    assert abs(rate.rate - _true_radius(_char_coeffs([(a, k)]))) <= rate.error_bound
+@pytest.mark.parametrize("coeff, lag, rate, want", [
+    ("0.1 + 0.01*sin(n)", 1, 1.0, "a coefficient is general"),
+    # d = 501: 3 d^2 + d^3 = 126,504,504
+    ("per(0.1, 0.2, 0.3)", 500, 1.0, "exact monodromy work 126504504 exceeds the cap 1000000"),
+    ("per(1.0, 0.5)", 0, 1.0, True),  # a(0) = 1 zeroes x(1): M = 0
+    ("0", 0, 1.0, False),  # the multiplier 1
+    ("2", 0, 1.0, False),  # the multiplier -1
+    ("0.5", 0, 0.5, False),  # the multiplier 0.5 is not below the rate 0.5
+    ("0.5", 0, math.nextafter(0.5, 1), True),
+    # a step whose coefficients are all 0 copies x(n) into x(n + 1): float
+    # rates 1.148 and 0.920
+    ("per(-0.55, 0)", 5, 1.0, False),
+    ("per(0.203, 0, 0, 0)", 5, 1.0, True),
+])
+def test_exact_stable_edges(coeff, lag, rate, want):
+    eq = validate([Term(parse(coeff), DelaySpec.constant(lag))])
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            exact_stable(eq, rate)
+    else:
+        assert exact_stable(eq, rate) is want
 
 
 def test_a_monodromy_that_vanishes_has_rate_zero():
     # a(0) = 1 at lag 0 zeroes x(1), so the product over the period L = 2 is 0
     eq = validate([Term(parse("per(1.0, 0.5)"), DelaySpec.constant(0))])
-    assert floquet_rate(eq) == FloquetRate(0.0, None, 2)
+    assert floquet_rate(eq) == FloquetRate(0.0, 2)
 
 
 def test_floquet_rate_agrees_with_companion_radius():
@@ -207,10 +229,7 @@ def test_floquet_rate_agrees_with_companion_radius():
         eq = random_equation(seed, m_max=3, T_max=4, K_max=1.0, autonomous=True)
         rate, companion = floquet_rate(eq), companion_radius(autonomous_coefficients(eq))
         assert rate.period == 1
-        assert abs(rate.rate - companion.radius) <= (
-            companion.dominant_modulus_error_bound + rate.error_bound), seed
-        assert abs(rate.rate - _true_radius(_char_coeffs(autonomous_coefficients(eq)))) <= (
-            rate.error_bound), seed
+        assert abs(rate.rate - companion.radius) <= companion.dominant_modulus_error_bound, seed
 
 
 def test_floquet_rate_is_the_product_of_its_steps():
@@ -245,15 +264,39 @@ def test_floquet_rate_rescales_a_long_period():
 
 def test_floquet_rate_refuses_general_coefficients_and_past_its_cap():
     general = validate([Term(parse("0.1 + 0.01*sin(n)"), DelaySpec.constant(1))])
-    assert floquet_rate(general) == FloquetRate(None, None, None, "a coefficient is general")
+    assert floquet_rate(general) == FloquetRate(None, None, "a coefficient is general")
     # d = 501: 3 d^2 + d^3 = 126,504,504
     deep = validate([Term(parse("per(0.1, 0.2, 0.3)"), DelaySpec.constant(500))])
     assert floquet_rate(deep) == FloquetRate(
-        None, None, 3, "monodromy work 126504504 exceeds the cap 100000000")
+        None, 3, "monodromy work 126504504 exceeds the cap 100000000")
 
 
 # --- the soundness baseline: random_equation seeds 0..299 in four cells; no
-# Stable verdict on a rate >= 1, and the share of stable equations with one
+# Stable verdict on an equation exact_stable decides as not stable, the
+# share of stable equations with one, and the Stable mu that fail the exact
+# rate check
+
+
+@functools.cache
+def _baseline(m_max: int, T_max: int, autonomous: bool = False) -> tuple:
+    """(equation, exact_stable) for seeds 0..299 of one cell, decided once
+    for every test that reads the cell."""
+    eqs = [random_equation(seed, m_max=m_max, T_max=T_max, autonomous=autonomous)
+           for seed in range(300)]
+    return tuple((eq, exact_stable(eq)) for eq in eqs)
+
+
+# Stable verdicts whose mu fails the exact check, by cell and family: item
+# 2's theorem2 mu more than one ulp below the rate, and item 23b's mu at most
+# one ulp below it or equal to it (rounding), all on T = 0 equations
+_MU_DEFECTS = {
+    (3, 4, False): ({"theorem2": 3}, {"corollary3": 1, "theorem2": 1}),
+    (4, 6, False): ({"theorem2": 10}, {"corollary3": 1, "theorem2": 1}),
+    (2, 3, False): ({"theorem2": 5},
+                    {"corollary2": 1, "corollary3": 4, "theorem1": 1, "theorem2": 4}),
+    (3, 4, True): ({"theorem2": 44},
+                   {"corollary2": 6, "corollary3": 8, "theorem1": 8, "theorem2": 8}),
+}
 
 
 @pytest.mark.parametrize("kwargs, covered, stable", [
@@ -263,24 +306,48 @@ def test_floquet_rate_refuses_general_coefficients_and_past_its_cap():
     ({"m_max": 3, "T_max": 4, "autonomous": True}, 173, 208),
 ])
 def test_soundness_baseline(kwargs, covered, stable):
+    cell = (kwargs["m_max"], kwargs["T_max"], kwargs.get("autonomous", False))
     found_covered = found_stable = 0
-    for seed in range(300):
-        eq = random_equation(seed, **kwargs)
-        rate = floquet_rate(eq)
-        certified = bool(stable_verdicts(run_all(eq)))
-        assert abs(rate.rate - 1) > rate.tolerance, seed  # every rate here decides
-        if rate.rate > 1:
-            assert not certified, seed
-        else:
-            found_stable += 1
-            found_covered += certified
+    below, rounded = Counter(), Counter()
+    for seed, (eq, exact) in enumerate(_baseline(*cell)):
+        verdicts = stable_verdicts(run_all(eq))
+        if not exact:
+            assert not verdicts, seed
+            continue
+        found_stable += 1
+        found_covered += bool(verdicts)
+        # exact_stable(eq, mu) is monotone in mu: past the least mu that
+        # passes, every mu does
+        for v in sorted((v for v in verdicts if "mu" in v.witnesses),
+                        key=lambda v: v.witnesses["mu"]):
+            mu = v.witnesses["mu"]
+            if exact_stable(eq, mu):
+                break
+            if exact_stable(eq, math.nextafter(mu, math.inf)):
+                assert eq.T == 0, seed
+                rounded[_family(v.criterion)] += 1
+            else:
+                below[_family(v.criterion)] += 1
     assert (found_covered, found_stable) == (covered, stable)
+    assert (below, rounded) == _MU_DEFECTS[cell]
+
+
+def test_floquet_rate_agrees_with_exact_stable_away_from_one():
+    margin = 1e-6  # a float rate this near 1 is not compared
+    compared = 0
+    for cell in _MU_DEFECTS:
+        for seed, (eq, exact) in enumerate(_baseline(*cell)):
+            rate = floquet_rate(eq).rate
+            if abs(rate - 1) > margin:
+                compared += 1
+                assert (rate < 1) == exact, (cell, seed)
+    assert compared == 1200
 
 
 # --- a stability-region atlas (Levin & May; Kuruklis): the autonomous
 # equation x(n+1) - x(n) = -a x(n - k) - b x(n - j) on a 17 x 17 grid of
-# a, b in [-0.5, 1.0], against floquet_rate at L = 1 with its bound; no
-# Stable verdict outside the exact region, and the count inside pinned
+# a, b in [-0.5, 1.0], decided by exact_stable; no Stable verdict outside
+# the exact region, and the count inside pinned
 
 
 @pytest.mark.parametrize("lags, stable, covered", [
@@ -295,12 +362,8 @@ def test_stability_region_atlas(lags, stable, covered):
         for b in grid:
             eq = validate([Term(constant(float(a)), DelaySpec.constant(lags[0])),
                            Term(constant(float(b)), DelaySpec.constant(lags[1]))])
-            rate = floquet_rate(eq)
-            assert rate.period == 1
-            if abs(rate.rate - 1) <= rate.tolerance:
-                continue  # on the boundary within the bound: decides nothing
             certified = bool(stable_verdicts(run_all(eq)))
-            if rate.rate > 1:
+            if not exact_stable(eq):
                 assert not certified, (a, b)
             else:
                 found_stable += 1
@@ -309,8 +372,8 @@ def test_stability_region_atlas(lags, stable, covered):
 
 
 # --- periodic surrogates: a periodic equation written with
-# general coefficients takes the general path, with floquet_rate of the
-# periodic form as its exact rate
+# general coefficients takes the general path, with exact_stable of the
+# periodic form as its truth
 
 
 # read autonomous_coefficients, so they cannot fire on a general coefficient
@@ -327,14 +390,12 @@ def _stable_criteria(eq):
 
 def test_the_general_path_is_sound_on_periodic_surrogates():
     unstable = 0
-    for seed in range(100):
-        eq = random_equation(seed, m_max=3, T_max=4)
+    for seed, (eq, exact) in enumerate(_baseline(3, 4)[:100]):
         general = general_surrogate(eq)
         assert all(classify(t.coeff) is None for t in general.terms)
         assert general.coeff_table(0, 999).tobytes() == eq.coeff_table(0, 999).tobytes()
-        rate = floquet_rate(eq)
         periodic, found = _stable_criteria(eq), _stable_criteria(general)
-        if rate.rate - rate.tolerance >= 1:
+        if not exact:
             unstable += 1
             assert not found, seed
         assert not {_family(c) for c in found} & _AUTONOMOUS_FAMILIES, seed
@@ -346,10 +407,8 @@ def test_no_stable_verdict_rests_on_a_prefix_before_a_splice():
     # the cutoff lies past 10 T and 5 T, where the windows started before
     # they read the cutoff; the calm prefix passed every hypothesis there
     unstable = 0
-    for seed in range(100):
-        eq = random_equation(seed, m_max=3, T_max=4)
-        rate = floquet_rate(eq)
-        if rate.rate - rate.tolerance >= 1:
+    for seed, (eq, exact) in enumerate(_baseline(3, 4)[:100]):
+        if not exact:
             unstable += 1
             verdicts = run_all(splice_surrogate(eq, 20_000))
             assert not stable_verdicts(verdicts), seed
