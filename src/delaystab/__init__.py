@@ -50,13 +50,11 @@ from .criteria import (
 )
 from .oracle import (
     DecayFit,
-    FloquetRate,
     SpectralReport,
     companion_radius,
     decay_fit,
     exact_stable,
     fit_decay,
-    floquet_rate,
     random_equation,
     tail_equivalence_test,
 )

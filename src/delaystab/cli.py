@@ -38,7 +38,6 @@ from .fixtures import FIXTURE_CONFIGS, config_to_equation, run_fixture
 from .oracle import (
     decay_fit,
     exact_stable,
-    floquet_rate,
     general_surrogate,
     oracle_block,
     random_equation,
@@ -241,7 +240,7 @@ def _fuzz_soundness(base_seed: int, count: int, general: bool):
     """Stable verdicts on periodic equations that ``exact_stable`` decides
     are not stable; with ``general``, on a surrogate that takes the general
     path: even seeds hide the period behind ``+ 0*sin(n)``, odd ones behind
-    a splice.  A counterexample reports the equation's float rate."""
+    a splice.  A counterexample reports the decay fit ``check`` prints."""
     failures = []
     for i in range(count):
         seed = base_seed + i
@@ -253,7 +252,7 @@ def _fuzz_soundness(base_seed: int, count: int, general: bool):
         if stable and not exact_stable(eq):
             failures.append({
                 "seed": seed,
-                "rate": floquet_rate(eq).rate,
+                "mu_hat": decay_fit(eq, 400).mu_hat,
                 "criteria": [v.criterion for v in stable],
             })
     return failures
@@ -267,7 +266,9 @@ def _fuzz_tail_equivalence(base_seed: int, count: int, rng: np.random.Generator)
         eq = random_equation(seed, m_max=3, T_max=5, K_max=0.8)
         seed += 1
         if 0.98 <= decay_fit(eq, 400).mu_hat <= 1.02:
-            continue  # marginal rate: decay class not well defined
+            # a 400-step fit cannot class a rate this near 1, so exact_stable
+            # would not help: unskipped, seed 2880 (rate 1.00009) fits below 1
+            continue
         produced += 1
         n1 = int(rng.integers(1, 21))
         replacement = [Term(constant(float(rng.uniform(-0.8, 0.8))), t.delay)

@@ -5,9 +5,9 @@ decides stability exactly; general equations get an empirical geometric
 decay rate fitted to a fundamental-function column.  Every Stable verdict
 can be cross-validated against one of the two: ``oracle_block`` gives both
 as a report's ``oracle`` entry, and ``decay_fit`` is the one decay oracle.
-Periodic equations have a Floquet monodromy over one period: ``floquet_rate``
-reads its rate in floats, and ``exact_stable`` decides its stability, or a
-rate bound, in exact rationals, which the tests and ``fuzz`` read.
+Periodic equations have a Floquet monodromy over one period, and
+``exact_stable`` decides its stability, or a rate bound, in exact rationals,
+which the tests and ``fuzz`` read.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +26,8 @@ from .simulator import fundamental
 
 __all__ = [
     "SpectralReport",
-    "FloquetRate",
     "DecayFit",
     "companion_radius",
-    "floquet_rate",
     "exact_stable",
     "fit_decay",
     "decay_fit",
@@ -49,10 +47,6 @@ _TOL = 1e-10
 # steps per matrix product; every check point (a multiple of 64: every fourth
 # block) and every half-window start (used // 2) must fall on a block end
 _BLOCK = 16
-# floquet_rate's cap on its work L (T + 1)^2 + (T + 1)^3, a step counted at
-# least 32 wide for its Python overhead: eigvals takes 0.48 s at
-# d = T + 1 = 301 (d^3 = 2.7e7) and 12.9 s at d = 2,001
-_FLOQUET_WORK = 10**8
 # exact_stable's cap on its work L (T + 1)^2 + (T + 1)^3, as rationals grow:
 # a period-2 lag table at d = 70 (work 3.5e5) takes 1.6 s
 _EXACT_WORK = 10**6
@@ -63,16 +57,6 @@ class SpectralReport:
     radius: float
     dominant_modulus_error_bound: float
     dimension: int
-
-
-@dataclass(frozen=True)
-class FloquetRate:
-    """rho(M)^(1/L) for the monodromy M over one exact period L, in floats
-    and with no bound; rate None, with the reason, when there is none."""
-
-    rate: Optional[float]
-    period: Optional[int]
-    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -257,35 +241,6 @@ def companion_radius(pairs: Sequence[tuple[float, int]]) -> SpectralReport:
     return SpectralReport(radius, err, len(c))
 
 
-def floquet_rate(eq: Equation) -> FloquetRate:
-    """The exponential rate of a periodic equation in floats (Elaydi, Floquet
-    theory).  The state (x(n), ..., x(n - T)) advances by A(n), whose first
-    row is e_0 - sum_l a_l(n) e_(d_l(n)) and whose other rows shift down;
-    the rate is rho(M)^(1/L) for M = A(L - 1) ... A(0) and L =
-    ``exact_period``.  It carries no bound: ``exact_stable`` decides."""
-    period = exact_period(eq, [t.delay for t in eq.terms])
-    if period is None:
-        return FloquetRate(None, None, "a coefficient is general")
-    d = eq.T + 1
-    work = period * max(d, 32) ** 2 + d**3
-    if work > _FLOQUET_WORK:
-        return FloquetRate(None, period, f"monodromy work {work} exceeds the cap {_FLOQUET_WORK}")
-    coeffs, lags = eq.coeff_table(0, period - 1), eq.lag_table(0, period - 1)
-    M, shift = np.eye(d), 0  # the product so far is M 2^shift
-    for n in range(period):
-        row = M[0] - coeffs[:, n] @ M[lags[:, n]]
-        M[1:] = M[:-1]
-        M[0] = row
-        # long periods overflow: keep max |M| in [1/2, 1), exactly
-        e = math.frexp(float(np.abs(M).max()))[1]
-        M = np.ldexp(M, -e)
-        shift += e
-    radius = float(np.abs(np.linalg.eigvals(M)).max())
-    if radius == 0.0:
-        return FloquetRate(0.0, period)
-    return FloquetRate(math.exp((math.log(radius) + shift * math.log(2.0)) / period), period)
-
-
 def exact_stable(eq: Equation, rate: float = 1.0) -> bool:
     """Whether every Floquet multiplier of a periodic ``eq`` has modulus
     below rate^L, decided in rationals with no tolerance (Elaydi, Floquet
@@ -293,9 +248,11 @@ def exact_stable(eq: Equation, rate: float = 1.0) -> bool:
     A multiplier on the circle is not stable.  It decides the equation
     whose constants are the doubles nearest to what the user wrote.
 
-    M = A(L - 1) ... A(0) is built as ``floquet_rate`` builds it, reduced
-    to Hessenberg form by elementary similarities, and det(zI - M) taken
-    by the Hessenberg recurrence (Cohen 1993, Alg. 2.2.9).  p(s z) with s =
+    The state (x(n), ..., x(n - T)) advances by A(n), whose first row is
+    e_0 - sum_l a_l(n) e_(d_l(n)) and whose other rows shift down.  M =
+    A(L - 1) ... A(0), for L = ``exact_period``, is reduced to Hessenberg
+    form by elementary similarities, and det(zI - M) taken by the
+    Hessenberg recurrence (Cohen 1993, Alg. 2.2.9).  p(s z) with s =
     rate^L has every root in the open unit disk iff |p(0)| < |lead| and
     p - (p(0) / lead) p_rev, less its zero constant term, does too."""
     period = exact_period(eq, [t.delay for t in eq.terms])

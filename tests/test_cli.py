@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -252,6 +253,10 @@ def test_fuzz_mutation_surfaces_counterexamples():
     # odd ones a splice)
     general = payload["counterexamples"]["general_soundness"]
     assert {c["seed"] % 2 for c in general} == {0, 1}
+    # each gives its seed, its Stable criteria and the decay fit check prints
+    for c in payload["counterexamples"]["oracle_soundness"] + general:
+        assert set(c) == {"seed", "mu_hat", "criteria"}
+        assert math.isfinite(c["mu_hat"])
 
 
 def test_infinite_splice_cutoff_exits_2(tmp_path):

@@ -23,12 +23,11 @@ from delaystab import (
 )
 from delaystab import criteria
 from delaystab.equation import autonomous_coefficients
+from delaystab.limits import exact_period
 from delaystab.oracle import (
-    FloquetRate,
     _char_coeffs,
     _medians,
     _power_radius,
-    floquet_rate,
     general_surrogate,
     oracle_block,
     splice_surrogate,
@@ -180,12 +179,22 @@ def test_power_path_bound_holds_on_benchmark_generator():
     assert powered > 50
 
 
-# --- the Floquet monodromy (Elaydi): M over one exact period L, its rate
-# rho(M)^(1/L) in floats, and exact_stable's decision in rationals
+# --- the Floquet monodromy (Elaydi): exact_stable decides in rationals
+# whether M over one exact period L has every multiplier below rate^L
 
 
-def _rate(a: float, lags) -> FloquetRate:
-    return floquet_rate(validate([Term(constant(a), DelaySpec.periodic(lags))]))
+def _step_rate(eq) -> float:
+    """rho(M)^(1/L) in floats, with M as the L step matrices multiplied out
+    without rescaling: a cross-check of exact_stable for short periods."""
+    L, d = exact_period(eq, [t.delay for t in eq.terms]), eq.T + 1
+    coeffs, lags = eq.coeff_table(0, L - 1), eq.lag_table(0, L - 1)
+    M = np.eye(d)
+    for n in range(L):
+        A = np.eye(d, k=-1)
+        A[0, 0] = 1.0
+        np.subtract.at(A[0], lags[:, n], coeffs[:, n])
+        M = A @ M
+    return float(np.abs(np.linalg.eigvals(M)).max()) ** (1 / L)
 
 
 def test_exact_stable_decides_the_closed_form_boundary():
@@ -208,67 +217,21 @@ def test_exact_stable_decides_the_closed_form_boundary():
     # rates 1.148 and 0.920
     ("per(-0.55, 0)", 5, 1.0, False),
     ("per(0.203, 0, 0, 0)", 5, 1.0, True),
+    # a lag table of period 200: M is the companion to the 200th power, with
+    # rates (1 + sqrt(0.2)) / 2 = 0.72361 and sqrt(5) = 2.23607
+    ("0.2", [1] * 200, 0.7236, False),
+    ("0.2", [1] * 200, 0.7237, True),
+    ("5.0", [1] * 200, 2.236, False),
+    ("5.0", [1] * 200, 2.2361, True),
 ])
 def test_exact_stable_edges(coeff, lag, rate, want):
-    eq = validate([Term(parse(coeff), DelaySpec.constant(lag))])
+    delay = DelaySpec.constant(lag) if isinstance(lag, int) else DelaySpec.periodic(lag)
+    eq = validate([Term(parse(coeff), delay)])
     if isinstance(want, str):
         with pytest.raises(ValueError, match=f"^{want}$"):
             exact_stable(eq, rate)
     else:
         assert exact_stable(eq, rate) is want
-
-
-def test_a_monodromy_that_vanishes_has_rate_zero():
-    # a(0) = 1 at lag 0 zeroes x(1), so the product over the period L = 2 is 0
-    eq = validate([Term(parse("per(1.0, 0.5)"), DelaySpec.constant(0))])
-    assert floquet_rate(eq) == FloquetRate(0.0, 2)
-
-
-def test_floquet_rate_agrees_with_companion_radius():
-    for seed in range(100):
-        eq = random_equation(seed, m_max=3, T_max=4, K_max=1.0, autonomous=True)
-        rate, companion = floquet_rate(eq), companion_radius(autonomous_coefficients(eq))
-        assert rate.period == 1
-        assert abs(rate.rate - companion.radius) <= companion.dominant_modulus_error_bound, seed
-
-
-def test_floquet_rate_is_the_product_of_its_steps():
-    # the monodromy as L step matrices multiplied out, without rescaling
-    checked = 0
-    for seed in range(60):
-        eq = random_equation(seed, m_max=3, T_max=4)
-        rate = floquet_rate(eq)
-        if rate.period == 1:
-            continue
-        checked += 1
-        d, L = eq.T + 1, rate.period
-        coeffs, lags = eq.coeff_table(0, L - 1), eq.lag_table(0, L - 1)
-        M = np.eye(d)
-        for n in range(L):
-            A = np.eye(d, k=-1)
-            A[0, 0] = 1.0
-            np.subtract.at(A[0], lags[:, n], coeffs[:, n])
-            M = A @ M
-        want = float(np.abs(np.linalg.eigvals(M)).max()) ** (1 / L)
-        assert rate.rate == pytest.approx(want, rel=1e-9, abs=1e-12), seed
-    assert checked > 40
-
-
-def test_floquet_rate_rescales_a_long_period():
-    # 2,000 steps of growth about 2.2 overflow an unscaled product
-    exact = _rate(5.0, [1])
-    long = _rate(5.0, [1] * 2000)
-    assert long.period == 2000 and exact.rate > 2
-    assert long.rate == pytest.approx(exact.rate, rel=1e-9)
-
-
-def test_floquet_rate_refuses_general_coefficients_and_past_its_cap():
-    general = validate([Term(parse("0.1 + 0.01*sin(n)"), DelaySpec.constant(1))])
-    assert floquet_rate(general) == FloquetRate(None, None, "a coefficient is general")
-    # d = 501: 3 d^2 + d^3 = 126,504,504
-    deep = validate([Term(parse("per(0.1, 0.2, 0.3)"), DelaySpec.constant(500))])
-    assert floquet_rate(deep) == FloquetRate(
-        None, 3, "monodromy work 126504504 exceeds the cap 100000000")
 
 
 # --- the soundness baseline: random_equation seeds 0..299 in four cells; no
@@ -332,12 +295,12 @@ def test_soundness_baseline(kwargs, covered, stable):
     assert (below, rounded) == _MU_DEFECTS[cell]
 
 
-def test_floquet_rate_agrees_with_exact_stable_away_from_one():
+def test_float_monodromy_agrees_with_exact_stable_away_from_one():
     margin = 1e-6  # a float rate this near 1 is not compared
     compared = 0
     for cell in _MU_DEFECTS:
         for seed, (eq, exact) in enumerate(_baseline(*cell)):
-            rate = floquet_rate(eq).rate
+            rate = _step_rate(eq)
             if abs(rate - 1) > margin:
                 compared += 1
                 assert (rate < 1) == exact, (cell, seed)
