@@ -34,8 +34,9 @@ MAX_ENTRIES = 100_000_000
 # rows per block of the kernel streams (the column stream's later blocks double)
 BLOCK = 16
 # step_recurrence converts this many steps of its rows to Python lists at a
-# time, and format_csv formats this many rows per %; a few thousand keep those
-# lists (and peak memory) small at no cost in speed
+# time, and format_csv writes this many rows as one block of NUL-padded text
+# words; a few thousand keep those lists and blocks (and peak memory) small at
+# no cost in speed
 STEP_CHUNK = 1 << 12
 
 

@@ -116,20 +116,28 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _index(name: str, value: int) -> int:
+    """``value`` as an index n: below 2^53 in magnitude, where a float is
+    still the integer and the tables' and the CSV's int64 arithmetic holds."""
+    if abs(value) >= 2 ** 53:
+        raise ValueError(f"{name} {value} lies past 2^53")
+    return value
+
+
 def _window_from(config: dict) -> Optional[tuple[int, int]]:
     w = config.get("window")
     if w is None:
         return None
     if not (isinstance(w, list) and len(w) == 2 and all(map(_is_int, w))):
         raise ValueError(f"window {json.dumps(w)} must be a list of two integers [N0, N1]")
-    return (w[0], w[1])
+    return (_index("window", w[0]), _index("window", w[1]))
 
 
 def _horizon_from(config: dict, default: int) -> int:
     horizon = config.get("horizon", default)
     if not _is_int(horizon):
         raise ValueError(f"horizon {json.dumps(horizon)} must be an integer")
-    return horizon
+    return _index("horizon", horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +166,8 @@ def cmd_check(args, config: dict, eq: Equation) -> int:
 
 
 def cmd_simulate(args, config: dict, eq: Equation) -> int:
-    n0 = args.n0
-    horizon = args.N if args.N is not None else _horizon_from(config, 100)
+    n0 = _index("--n0", args.n0)
+    horizon = _index("--N", args.N) if args.N is not None else _horizon_from(config, 100)
     bad = [v for v in args.history if not math.isfinite(v)]
     if bad:
         # refused before stepping: the overflow check would blame the horizon
@@ -180,7 +188,7 @@ def cmd_simulate(args, config: dict, eq: Equation) -> int:
 
 
 def cmd_fundamental(args, config: dict, eq: Equation) -> int:
-    column = fundamental(eq, args.k, args.N)
+    column = fundamental(eq, _index("--k", args.k), _index("--N", args.N))
     bound = product_bound(eq, args.k, args.N)
     _require_finite(eq, args.k, column, bound)
     text = format_csv("n,value,bound", args.k, column, bound)

@@ -171,28 +171,143 @@ def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
 
 
 # ---------------------------------------------------------------------------
-# Output: plot-ready CSV (17 significant digits, LF endings), written atomically
+# Output: plot-ready CSV ("%.17g", LF endings), written atomically
+
+# The formatter's tables, built on its first call: 10^k for k in [_K0, _K1]
+# as a double-double hi + lo with hi's Dekker halves; then little-endian text
+# words: "0.000" prefixes and "e+XX" suffixes by decimal exponent x + 324, the
+# masks of a word's bytes below k, and per dot position q the body's bytes
+# before q, its bytes after q and the dot
+_K0, _K1 = -270, 308
+_ASCII0 = 0x3030303030303030  # "0" in each byte of a word
+_csv_words: Optional[tuple] = None
+
+
+def _csv_tables() -> tuple:
+    global _csv_words
+    if _csv_words is None:
+        ratios = [(10 ** max(k, 0), 10 ** max(-k, 0)) for k in range(_K0, _K1 + 1)]
+        hi = np.array([top / bottom for top, bottom in ratios])  # int division rounds correctly
+        lo = np.array([(top * den - num * bottom) / (bottom * den) for (top, bottom), (num, den)
+                       in zip(ratios, map(float.as_integer_ratio, hi.tolist()))])
+        s = hi * 2.0 ** -64  # exact, and far from overflow in the split
+        hh = (s * 134217729.0 - (s * 134217729.0 - s)) * 2.0 ** 64
+        below = [(1 << 8 * k) - 1 for k in range(9)]
+        within = np.array([[below[min(max(q - 8 * i, 0), 8)] for q in range(26)]
+                           for i in range(3)], np.uint64)
+        lt, le = within[:, :-1], within[:, 1:]
+        affix = lambda text: np.array([int.from_bytes(text(x), "little")  # noqa: E731
+                                       for x in range(-324, 309)], np.uint64)
+        _csv_words = (hi, hh, hi - hh, lo,
+                      affix(lambda x: b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b""),
+                      affix(lambda x: b"" if -4 <= x < 17 else b"e%+03d" % x),
+                      np.array(below, np.uint64), lt, ~le, (lt ^ le) & 0x2E2E2E2E2E2E2E2E)
+    return _csv_words
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^(16 - e) as p + r: p = fl(a * hi) and r its exact error
+    (Dekker's two-product) plus a * lo."""
+    hi, hh, hl, lo = (t.take(16 - e - _K0) for t in _csv_tables()[:4])
+    p, t = a * hi, a * 134217729.0
+    ah = t - (t - a)
+    al = a - ah
+    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+
+
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(d, x, slow): |v| = d * 10^(x - 16) to 17 digits, d in [10^16, 10^17),
+    or d = x = 0 at zero.  x = floor(log10 |v|) is fixed up once where p and
+    r, compared apart (1e16 + -0.25 == 1e16), cross a power of ten.  ``slow``
+    marks what this cannot prove: inf, nan, |v| outside the table, r within
+    2^-40 of a half (rint may round otherwise than the exact product), and
+    a d that rounds out of its range, as 99999999999999999.6 does."""
+    a = np.abs(v)
+    ok = (a >= 1e-292) & (a < 1e287)  # x in [16 - _K1, 16 - _K0]: 10^(16 - x) in the table
+    a = np.where(ok, a, 1.0)  # zeros and non-finite values never reach log10
+    x = np.clip(np.floor(np.log10(a)), 16 - _K1, 16 - _K0).astype(np.int64)
+    p, r = _scaled(a, x)
+    up, down = (p > 1e17) | (p == 1e17) & (r >= 0), (p < 1e16) | (p == 1e16) & (r < 0)
+    fix = np.flatnonzero(up | down)  # log10 rounded across a power of ten
+    if fix.size:
+        x[fix] = np.clip(x[fix] + up[fix] - down[fix], 16 - _K1, 16 - _K0)
+        p[fix], r[fix] = _scaled(a[fix], x[fix])
+    q = np.rint(r)
+    d = p.astype(np.int64) + q.astype(np.int64)
+    slow = (~(ok | (v == 0)) | (np.abs(np.abs(r - q) - 0.5) < 2.0 ** -40)
+            | (d < 10 ** 16) | (d >= 10 ** 17))
+    d[v == 0] = 0
+    return d.astype(np.uint64), x, slow
+
+
+def _swar(y: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of y < 10^8, a byte each, the first lowest."""
+    y = y // 10000 | (y % 10000) << 32
+    z = (y * 10486 >> 20) & 0x7F0000007F
+    y = z | (y - z * 100) << 16
+    z = (y * 103 >> 10) & 0xF000F000F000F
+    return z | (y - z * 10) << 8
+
+
+def _value_words(out: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Write ",%.17g" of each v as four NUL-padded words of ``out``: ',', the
+    sign and "0." with up to three zeros; then the digits with the dot
+    shifted in, and "e+XX".  Returns ``_decimal``'s mask of unproved values."""
+    _, _, _, _, pre, exp, below, lt, gt, dot = _csv_tables()
+    d, x, slow = _decimal(v)
+    t1, t2 = _swar(d // 10 ** 8 % 10 ** 8), _swar(d % 10 ** 8)
+    # significant digits: up to the last nonzero byte of t2, or else of t1
+    last = [(np.frexp(t.astype(np.float64))[1] + 7) >> 3 for t in (t1, t2)]
+    nd = 1 + np.where(t2 != 0, 8 + last[1], last[0])
+    fixed = (x >= -4) & (x < 17)
+    shown = np.where(fixed, np.maximum(nd, x + 1), nd)  # an integer part prints whole
+    q = np.where(fixed, x + 1, 1)
+    q = np.where((nd > q) & (q > 0), q, 24)  # the dot follows q digits if digits follow
+    out[:, 0] = 44 | np.signbit(v).astype(np.uint64) * 45 << 8 | pre.take(x + 324) << 16
+    carry = 0
+    for i, w in enumerate((d // 10 ** 16 | t1 << 8, t1 >> 56 | t2 << 8, t2 >> 56)):
+        w = w + _ASCII0 & below.take(np.clip(shown - 8 * i, 0, 8))
+        out[:, i + 1] = w & lt[i].take(q) | (w << 8 | carry) & gt[i].take(q) | dot[i].take(q)
+        carry = w >> 56
+    out[:, 3] |= exp.take(x + 324) << 16
+    return slow
 
 
 def format_csv(header: str, n0: int, *columns: np.ndarray) -> str:
-    """The header line, then one row "n,c_1(n),..." for n = n0, n0 + 1, ...
+    """The header line, then one row "n,c_1(n),..." for n = n0, n0 + 1, ...,
+    |n| < 2^53.  Values print as "%.17g": up to 17 significant digits,
+    trailing zeros dropped, which read every float64 back exactly.
 
-    Values print with 17 significant digits ("%.17g", the same text as
-    format(v, ".17g")), enough to read every float64 back exactly.  Each
-    chunk of ``_kernels.STEP_CHUNK`` rows is one ``%``: the row format,
-    repeated once per row, applied to the flat tuple (n, c_1(n), ..., n + 1,
-    ...), so no Python call or string is made per row.
+    Each chunk of ``_kernels.STEP_CHUNK`` rows is one array of NUL-padded
+    uint64 words, whose bytes less the NULs are its text: no Python object
+    is made per row or value.  ``_decimal`` rounds with Dekker's exact
+    product against a double-double 10^k, and what it cannot prove takes
+    "%.17g" itself, so that format stays the definition.
     """
-    row = "%d" + ",%.17g" * len(columns) + "\n"
-    width, size = len(columns) + 1, len(columns[0])
+    width, size = len(columns), len(columns[0])
+    if size and max(abs(n0), abs(n0 + size - 1)) >= 2 ** 53:
+        raise ValueError(f"row index past 2^53 in [{n0}, {n0 + size - 1}]")
+    below = _csv_tables()[6]
     parts = [header + "\n"]
     for c0 in range(0, size, _kernels.STEP_CHUNK):
         c1 = min(c0 + _kernels.STEP_CHUNK, size)
-        flat = [0] * ((c1 - c0) * width)
-        flat[::width] = range(n0 + c0, n0 + c1)
-        for j, c in enumerate(columns, 1):
-            flat[j::width] = c[c0:c1].tolist()
-        parts.append(row * (c1 - c0) % tuple(flat))
+        buf = np.empty((c1 - c0, 3 + 4 * width), "<u8")
+        n = np.arange(n0 + c0, n0 + c1, dtype=np.int64)
+        m = np.abs(n).astype(np.uint64)
+        # the sign, then m's 16 digits less their leading zeros
+        zeros = 15 - np.searchsorted(10 ** np.arange(1, 16, dtype=np.uint64), m, side="right")
+        buf[:, 0] = (n < 0).astype(np.uint64) * 45
+        for i, part in enumerate((m // 10 ** 8, m % 10 ** 8)):
+            buf[:, 1 + i] = _swar(part) + _ASCII0 & ~below.take(np.clip(zeros - 8 * i, 0, 8))
+        for j, c in enumerate(columns):
+            field, v = buf[:, 3 + 4 * j: 7 + 4 * j], np.asarray(c[c0:c1], np.float64)
+            idx = np.flatnonzero(_value_words(field, v))
+            if idx.size:
+                text = "\n,%.17g" * idx.size % tuple(v[idx].tolist())
+                texts = np.array(text.encode().split(b"\n")[1:], "S32")
+                field[idx] = texts.view("<u8").reshape(-1, 4)
+        buf[:, -1] |= np.uint64(10 << 56)
+        parts.append(buf.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 
 

@@ -280,6 +280,30 @@ def test_a_splice_cutoff_past_2_53_exits_2(tmp_path, cutoff, position):
     assert r.stderr == f"error: term 0: splice cutoff past 2^53 (at position {position})\n"
 
 
+_PAST_2_53 = "9223372036854775800"
+
+
+@pytest.mark.parametrize("config,argv,named", [
+    # an IndexError in limits.sums_from
+    ({"window": [9223372036854775000, 9223372036854775900]}, ["check"],
+     "window 9223372036854775000"),
+    # OverflowError converting n to a C long in evaluation
+    ({"window": [10**20, 10**20 + 10]}, ["check"], f"window {10**20}"),
+    ({}, ["simulate", "--n0", str(10**20), "--N", str(10**20 + 10)], f"--n0 {10**20}"),
+    ({}, ["fundamental", "--k", str(10**20), "--N", str(10**20 + 10)], f"--k {10**20}"),
+    # exited 0, with the forcing evaluated at the wrapped int64 indices past 2^63
+    ({}, ["simulate", "--n0", _PAST_2_53, "--N", "9223372036854775810"], f"--n0 {_PAST_2_53}"),
+    ({}, ["fundamental", "--k", "0", "--N", str(2**53)], f"--N {2**53}"),
+    ({"horizon": -(2**53)}, ["simulate"], f"horizon {-(2**53)}"),
+], ids=["check-int64", "check-2^64", "simulate-n0", "fundamental-k", "simulate-wrap",
+        "fundamental-N", "simulate-horizon"])
+def test_an_index_past_2_53_exits_2(tmp_path, config, argv, named):
+    r = run_cli(argv[0], _one_config(tmp_path, [("0.2 + 0.05*sin(n)", 1)], **config), *argv[1:])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: {named} lies past 2^53\n"
+
+
 def test_non_integer_alt_argument_exits_2(tmp_path):
     # n/2 is within alt's old relative tolerance of an integer past n = 10^5
     path = _one_config(tmp_path, [("splice(1000000, 0.1, 0.1 + 0.01*alt(n/2))", 1)],

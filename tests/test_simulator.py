@@ -20,6 +20,7 @@ from delaystab import (
     product_bound,
     representation_check,
     simulate,
+    simulator,
     subset_equation,
     validate,
 )
@@ -450,6 +451,54 @@ def test_format_csv_matches_the_per_row_text(rows, width, n0):
     reference = "".join(row % r for r in zip(range(n0, n0 + rows), *(c.tolist() for c in columns)))
     header = ",".join(["n"] + [f"c{j}" for j in range(width)])
     assert format_csv(header, n0, *columns) == header + "\n" + reference
+
+
+def _hard_doubles() -> np.ndarray:
+    """Doubles at every edge of the vectorised "%.17g": powers of ten with
+    their one-ulp neighbours, random bit patterns, exact ties (eighths with
+    18 digits, odd multiples of 2^-24) and 18-digit decimals ending in 5,
+    subnormals, zeros, infinities, nan and the layout switches."""
+    rng = np.random.default_rng(49)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)]).view(np.int64)
+    tens = np.concatenate([tens - 1, tens, tens + 1]).view(np.float64)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    ties = np.concatenate([rng.integers(2**52, 2**53, 2000) / 8.0,
+                           np.arange(1, 2**12, 2) * 2.0**-24,
+                           rng.integers(2**52, 2**53, 2000) / 2.0])
+    fives = [float(f"{m}5e{e}") for m, e in zip(rng.integers(10**16, 10**17, 2000),
+                                                 rng.integers(-330, 300, 2000))]
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072009e-308,
+             2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 1e-4,
+             9.9999999999999991e-6, 9.9999999999999991e-5, 1e16, 1e17, 9.9999999999999984e16,
+             1e16 + 2, 1234567890123456.75, 2.0**-25, 3 * 2.0**-25]
+    values = np.concatenate([tens, ties, fives, edges])
+    return np.concatenate([values, -values, bits])
+
+
+@pytest.mark.parametrize("n0", [-10**15, 10**12])
+def test_format_csv_prints_every_double_as_percent_17g(n0):
+    values = _hard_doubles()
+    text = format_csv("n,v", n0, values).split("\n")
+    reference = ["n,v", *map("%d,%.17g".__mod__, zip(range(n0, n0 + len(values)),
+                                                     values.tolist())), ""]
+    assert text == reference
+    # the fast path leaves some values (subnormals, infinities) to "%.17g",
+    # and every exact tie at the 18th digit, where rint(r) is not proved
+    assert simulator._decimal(values)[2].any()
+    assert simulator._decimal(np.array([1234567890123456.75, 3 * 2.0**-25]))[2].all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_format_csv_prints_other_dtypes_as_their_python_numbers(dtype):
+    column = (np.random.default_rng(3).standard_normal(500) * 2.0**40).astype(dtype)
+    reference = "".join(map("%d,%.17g\n".__mod__, enumerate(column.tolist())))
+    assert format_csv("n,v", 0, column) == "n,v\n" + reference
+
+
+def test_format_csv_refuses_a_row_index_past_2_53():
+    with pytest.raises(ValueError, match="past 2"):
+        format_csv("n,v", 2**53 - 1, np.ones(2))
+    assert format_csv("n,v", -(2**53) + 1, np.ones(1)) == "n,v\n-9007199254740991,1\n"
 
 
 def test_format_csv_memory_stays_near_its_text():
