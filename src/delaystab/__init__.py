@@ -35,7 +35,6 @@ from .simulator import (
 )
 from .limits import (
     AsymptoticEstimate,
-    liminf_sum,
     limsup_product,
 )
 from .criteria import (

@@ -130,7 +130,7 @@ Positivity = Union[PositivityCertificate, PositivityRefutation]
 
 # Strict thresholds need a margin above EPS; <= thresholds accept EPS of slack.
 EPS = 1e-12
-# p-step product horizons tried for the rate b^(1/p), besides P and 2P
+# p-step product horizons tried for the rate b^(1/p), besides an exact period P
 P_CANDIDATES = (1, 2, 3, 4, 6, 8, 12)
 # the fallback kernel scan starts at 5 T, or at the last splice cutoff past
 # it, and runs max(200, 10 T) steps
@@ -186,23 +186,22 @@ def _sum_bounds(eq: Equation, indices: Sequence[int],
 def _all_nonnegative(eq: Equation, indices: Sequence[int],
                      window: tuple[int, int]) -> tuple[bool, float]:
     rows, _ = limits.coeff_span(eq, window, indices)
-    worst = limits.least(rows)
+    worst = float(np.concatenate(rows).min())
     return worst >= -EPS, worst
 
 
 def _best_product(eq: Equation, window: tuple[int, int]) -> tuple[int, float, bool]:
-    """(p, b, exact) minimizing the rate b^(1/p) over candidate horizons."""
-    candidates = set(P_CANDIDATES)
+    """(p, b, exact) minimizing the rate b^(1/p): the ``P_CANDIDATES`` share one
+    running product, and an exact period P not among them is one period's
+    product, which every P-step product is in exact arithmetic (2P ties P)."""
+    found = limits.limsup_products(eq, P_CANDIDATES, window)
     period = limits.aggregate_period(eq)
-    if period is not None:
-        candidates |= {period, 2 * period}
-    best = None
-    for q, est in sorted(limits.limsup_products(eq, candidates, window).items()):
-        rate = max(est.value, 0.0) ** (1.0 / q)
-        if best is None or rate < best[3]:
-            best = (q, est.value, est.exact, rate)
-    q, b, exact, _ = best
-    return q, b, exact
+    if period is not None and period not in found:
+        rows, exact = limits.coeff_span(eq, window)
+        b = float(np.prod(1.0 - limits.row_sum(rows)))
+        found[period] = limits.AsymptoticEstimate(b, exact)
+    p, est = min(sorted(found.items()), key=lambda pe: max(pe[1].value, 0.0) ** (1.0 / pe[0]))
+    return p, est.value, est.exact
 
 
 @dataclass
@@ -525,12 +524,12 @@ def _char_lambda_search(alphas: Sequence[float], taus: Sequence[int]) -> tuple[f
 
 def _theorem1_rate(d: _Draft, eq: Equation) -> Optional[str]:
     """Theorem 1's rates on a positive kernel: 1 - a for a positive liminf
-    a of the coefficient sum, else the best p-step product's; the route
-    that certified, or None."""
-    est = once(limits.liminf_sum, eq, d.window)
-    d.note(est.exact, a=est.value)
-    if est.value > EPS:
-        d.mu = max(1.0 - est.value, 0.0)
+    a of the coefficient sum (the lower of the sum bounds lemma 4 reads),
+    else the best p-step product's; the route that certified, or None."""
+    a, _, exact = once(_sum_bounds, eq, tuple(range(eq.m)), d.window)
+    d.note(exact, a=a)
+    if a > EPS:
+        d.mu = max(1.0 - a, 0.0)
         return "liminf coefficient sum > 0"
     return "p-step coefficient product < 1" if d.product_rate(eq, d.window) else None
 

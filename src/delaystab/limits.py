@@ -7,10 +7,10 @@ exactly; otherwise the span is the certification window, the value is an
 estimate, and checkers report the verdict as window-certified.  A span is
 the coefficients' rows as ``eval_range`` gives them (inside an evaluation
 scope, read-only slices of the values the run already holds), so the
-consumers that index rows copy nothing; ``row_sum`` and ``least`` stack
-or join the rows, and so give the floats the stacked table gave.  Every
-p-step product horizon a rate search tries reads one span and one
-running product (``limsup_products``).
+consumers that index rows copy nothing; ``row_sum`` stacks the rows,
+and so gives the floats the stacked table gave.  The short p-step product
+horizons a rate search tries read one span and one running product
+(``limsup_products``); a longer exact period is one period's product.
 
 Delayed sums take a sup over n of sums between h_l(n) and n.  They all
 run over one strip (``delay_strip``), which works out its own period:
@@ -38,12 +38,10 @@ from .seqexpr import DelaySpec, classify, common_period, eval_range
 
 __all__ = [
     "AsymptoticEstimate",
-    "liminf_sum",
     "limsup_product",
     "limsup_products",
     "coeff_span",
     "row_sum",
-    "least",
     "default_window",
     "tail_start",
     "aggregate_period",
@@ -105,18 +103,6 @@ def coeff_span(eq: Equation, window: tuple[int, int], indices: Optional[Sequence
 def row_sum(rows: Sequence[np.ndarray]) -> np.ndarray:
     """Per point, the sum over ``rows``: the stacked table's axis-0 sum."""
     return np.stack(rows).sum(axis=0)
-
-
-def least(rows: Sequence[np.ndarray]) -> float:
-    """The least entry of ``rows``, the minimum of the joined rows."""
-    return float(np.concatenate(rows).min())
-
-
-def liminf_sum(eq: Equation, window: Optional[tuple[int, int]] = None) -> AsymptoticEstimate:
-    """liminf over n of sum_l a_l(n)."""
-    window = window or default_window(eq)
-    rows, exact = coeff_span(eq, window)
-    return AsymptoticEstimate(float(row_sum(rows).min()), exact)
 
 
 def limsup_products(eq: Equation, ps: Sequence[int],

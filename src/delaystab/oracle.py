@@ -255,6 +255,8 @@ def exact_stable(eq: Equation, rate: float = 1.0) -> bool:
     Hessenberg recurrence (Cohen 1993, Alg. 2.2.9).  p(s z) with s =
     rate^L has every root in the open unit disk iff |p(0)| < |lead| and
     p - (p(0) / lead) p_rev, less its zero constant term, does too."""
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"rate {rate!r} must be finite and nonnegative")
     period = exact_period(eq, [t.delay for t in eq.terms])
     if period is None:
         raise ValueError("a coefficient is general")

@@ -1502,6 +1502,42 @@ def test_liminf_stable_implies_one_step_product_below_one():
             assert limsup_product(eq, 1).value < 1.0
 
 
+def test_a_period_past_the_candidates_is_tried_as_one_product():
+    # a(n) = 0.5 once in 21 steps: no horizon in P_CANDIDATES has a product
+    # below 1, and every 21-step product is 0.5
+    eq = const_eq(("per(0.5" + ", 0" * 20 + ")", 0))
+    assert criteria._best_product(eq, limits.default_window(eq)) == (21, 0.5, True)
+    verdicts = {v.criterion: v for v in run_all(eq)}
+    for name in ("theorem1", "corollary3", "theorem2(I=0)"):
+        assert verdicts[name].outcome is Outcome.STABLE, name
+        assert verdicts[name].witnesses["p"] == 21.0
+        assert verdicts[name].witnesses["mu"] == 0.5 ** (1 / 21)
+
+
+def test_the_rate_search_runs_no_horizon_past_the_candidates(monkeypatch):
+    # period 30 * 31 = 930: a P- or 2P-step horizon taken from every point
+    # of the span would cost O(P^2); one period's product is linear in P
+    rng = np.random.default_rng(0)
+    coeff = " + ".join("per(" + ", ".join(repr(float(v)) for v in rng.uniform(0, 0.1, k).round(4))
+                       + ")" for k in (30, 31))
+    eq = const_eq((coeff, 1))
+    assert limits.aggregate_period(eq) == 930
+    asked, plain = [], limits.limsup_products
+
+    def recording(eq, ps, window=None):
+        asked.extend(ps)
+        return plain(eq, ps, window)
+
+    monkeypatch.setattr(limits, "limsup_products", recording)
+    window = limits.default_window(eq)
+    p, b, exact = criteria._best_product(eq, window)
+    assert asked and max(asked) <= max(criteria.P_CANDIDATES)
+    # the period's product wins: any shorter horizon's worst stretch is above its mean
+    assert (p, exact) == (930, True)
+    factors = 1.0 - eq.coeff_table(window[0], window[0] + 929).sum(axis=0)
+    assert b == pytest.approx(math.prod(factors.tolist()), rel=1e-12)
+
+
 def test_stable_fixture_verdicts_match_empirical_decay(eq_sin_cos, eq_alternating,
                                                        eq_periodic_mixed):
     from delaystab import decay_fit
@@ -1569,11 +1605,14 @@ def test_run_all_asks_each_comparison_question_once(monkeypatch):
     const_eq((0.1, 1), ("per(0.03, 0.05)", 3)),
 ], ids=["m3", "m2_lag1"])
 def test_run_all_answers_each_instance_once(eq, monkeypatch):
-    calls = _counting(monkeypatch, ("_limsup_ratio", "_gamma", "_best_product"))
+    calls = _counting(monkeypatch, ("_limsup_ratio", "_gamma", "_best_product", "_sum_bounds"))
     verdicts = {v.criterion: v for v in run_all(eq)}
     assert len(calls) == len(set(calls))
     window = criteria.limits.default_window(eq)
     full = tuple(range(eq.m))
+    # theorem 1's liminf is the lower bound of the sum bounds lemma 4 reads
+    assert "a" in verdicts["theorem1"].witnesses
+    assert calls.count(("_sum_bounds", (eq, full, window))) == 1
     # corollary 3 and theorem2(I=all) ask one product rate of the equation
     assert calls.count(("_best_product", (eq, window))) == 1
     label = "theorem2(I=" + ",".join(map(str, full)) + ")"

@@ -223,6 +223,12 @@ def test_exact_stable_decides_the_closed_form_boundary():
     ("0.2", [1] * 200, 0.7237, True),
     ("5.0", [1] * 200, 2.236, False),
     ("5.0", [1] * 200, 2.2361, True),
+    # the rate is finite and nonnegative; at rate 0 nothing is stable
+    ("0.5", 0, -0.6, "rate -0.6 must be finite and nonnegative"),
+    ("0.5", 0, math.inf, "rate inf must be finite and nonnegative"),
+    ("0.5", 0, math.nan, "rate nan must be finite and nonnegative"),
+    ("0.5", 0, 0.0, False),
+    ("per(1.0, 0.5)", 0, 0.0, False),
 ])
 def test_exact_stable_edges(coeff, lag, rate, want):
     delay = DelaySpec.constant(lag) if isinstance(lag, int) else DelaySpec.periodic(lag)
@@ -347,22 +353,28 @@ def _family(criterion):
     return criterion.split("(")[0].split(".")[0]
 
 
-def _stable_criteria(eq):
-    return {v.criterion for v in stable_verdicts(run_all(eq))}
+def _stable_witnesses(eq):
+    return {v.criterion: v.witnesses for v in stable_verdicts(run_all(eq))}
 
 
 def test_the_general_path_is_sound_on_periodic_surrogates():
+    # the general path gives the periodic path's Stable verdicts, less the
+    # autonomous families, with the same product witnesses and rate
     unstable = 0
     for seed, (eq, exact) in enumerate(_baseline(3, 4)[:100]):
         general = general_surrogate(eq)
         assert all(classify(t.coeff) is None for t in general.terms)
         assert general.coeff_table(0, 999).tobytes() == eq.coeff_table(0, 999).tobytes()
-        periodic, found = _stable_criteria(eq), _stable_criteria(general)
+        periodic, found = _stable_witnesses(eq), _stable_witnesses(general)
         if not exact:
             unstable += 1
             assert not found, seed
         assert not {_family(c) for c in found} & _AUTONOMOUS_FAMILIES, seed
-        assert found == {c for c in periodic if _family(c) not in _AUTONOMOUS_FAMILIES}, seed
+        shared = {c for c in periodic if _family(c) not in _AUTONOMOUS_FAMILIES}
+        assert found.keys() == shared, seed
+        for c in found:
+            for w in ("p", "b", "mu"):
+                assert found[c].get(w) == periodic[c].get(w), (seed, c, w)
     assert unstable == 18
 
 
