@@ -11,7 +11,8 @@ bound) and fills one verdict draft, ``_Draft``, with one stage per
 hypothesis: the range gate 0 < sum_I a < c, positivity, the p-step product
 rate, the domination ratio, the gap product and the quarter window sum.
 A stage notes each value it compared as a witness and flags the verdict
-window-certified when the value is an estimate on the window.  Inside
+window-certified when the value is an estimate on the window; the rate
+stage's products all come from ``limits.limsup_products``.  Inside
 ``run_all``'s evaluation scope ``seqexpr.once`` answers each range bound,
 rate, ratio and gap product once, so corollaries 6 and 8.1 read theorem
 2's ratio and corollaries 7 and 8.2 corollary 4's gap product; it also
@@ -130,7 +131,7 @@ Positivity = Union[PositivityCertificate, PositivityRefutation]
 
 # Strict thresholds need a margin above EPS; <= thresholds accept EPS of slack.
 EPS = 1e-12
-# p-step product horizons tried for the rate b^(1/p), besides an exact period P
+# p-step horizons for the rate b^(1/p); limits.limsup_products adds a period P
 P_CANDIDATES = (1, 2, 3, 4, 6, 8, 12)
 # the fallback kernel scan starts at 5 T, or at the last splice cutoff past
 # it, and runs max(200, 10 T) steps
@@ -188,20 +189,6 @@ def _all_nonnegative(eq: Equation, indices: Sequence[int],
     rows, _ = limits.coeff_span(eq, window, indices)
     worst = float(np.concatenate(rows).min())
     return worst >= -EPS, worst
-
-
-def _best_product(eq: Equation, window: tuple[int, int]) -> tuple[int, float, bool]:
-    """(p, b, exact) minimizing the rate b^(1/p): the ``P_CANDIDATES`` share one
-    running product, and an exact period P not among them is one period's
-    product, which every P-step product is in exact arithmetic (2P ties P)."""
-    found = limits.limsup_products(eq, P_CANDIDATES, window)
-    period = limits.aggregate_period(eq)
-    if period is not None and period not in found:
-        rows, exact = limits.coeff_span(eq, window)
-        b = float(np.prod(1.0 - limits.row_sum(rows)))
-        found[period] = limits.AsymptoticEstimate(b, exact)
-    p, est = min(sorted(found.items()), key=lambda pe: max(pe[1].value, 0.0) ** (1.0 / pe[0]))
-    return p, est.value, est.exact
 
 
 @dataclass
@@ -265,10 +252,13 @@ class _Draft:
         return self.positive(once(certify_positivity, cmp_eq, window))
 
     def product_rate(self, eq: Equation, window: tuple[int, int]) -> bool:
-        """The best p-step product b below 1, with the rate mu = b^(1/p)."""
-        q, b, exact = once(_best_product, eq, window)
-        self.note(exact, p=float(q), b=b)
-        self.mu = max(b, 0.0) ** (1.0 / q) if b < 1.0 - EPS else None
+        """The p-step product b of least rate b^(1/p), the shorter p on a
+        tie, below 1; that rate is mu."""
+        found = once(limits.limsup_products, eq, P_CANDIDATES, window)
+        rates = {p: max(est.value, 0.0) ** (1.0 / p) for p, est in sorted(found.items())}
+        q = min(rates, key=rates.__getitem__)
+        self.note(found[q].exact, p=float(q), b=found[q].value)
+        self.mu = rates[q] if found[q].value < 1.0 - EPS else None
         return self.mu is not None
 
     def dominated(self, eq: Equation, I: Sequence[int], name: str) -> bool:

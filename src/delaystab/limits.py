@@ -8,9 +8,10 @@ estimate, and checkers report the verdict as window-certified.  A span is
 the coefficients' rows as ``eval_range`` gives them (inside an evaluation
 scope, read-only slices of the values the run already holds), so the
 consumers that index rows copy nothing; ``row_sum`` stacks the rows,
-and so gives the floats the stacked table gave.  The short p-step product
-horizons a rate search tries read one span and one running product
-(``limsup_products``); a longer exact period is one period's product.
+and so gives the floats the stacked table gave.  ``limsup_products`` forms
+every p-step product a rate search tries from one span: one running
+product over the short horizons, and an exact period as one period's
+product, which it leaves out when that product underflowed.
 
 Delayed sums take a sup over n of sums between h_l(n) and n.  They all
 run over one strip (``delay_strip``), which works out its own period:
@@ -107,11 +108,15 @@ def row_sum(rows: Sequence[np.ndarray]) -> np.ndarray:
 
 def limsup_products(eq: Equation, ps: Sequence[int],
                     window: Optional[tuple[int, int]] = None) -> dict[int, AsymptoticEstimate]:
-    """limsup over n of prod_{j=n}^{n+p-1} (1 - sum_l a_l(j)), for each p in ``ps``.
+    """limsup over n of prod_{j=n}^{n+p-1} (1 - sum_l a_l(j)), for each p in
+    ``ps`` and, on an exact span, its period P.
 
     One span runs max(ps) - 1 points past its end, and one running product
     grows a factor at a time, left to right, so each p-step product is
-    the same float a sliding-window product gives.
+    the same float a sliding-window product gives.  P's product, one number
+    in exact arithmetic, is the span's first period multiplied out; it is
+    left out when it underflowed on factors in (0, 1], as no rate follows
+    (19 or fewer such factors never underflow: each is at least 2^-53).
     """
     ps = sorted(set(ps))
     if ps[0] < 1:
@@ -126,6 +131,10 @@ def limsup_products(eq: Equation, ps: Sequence[int],
             products *= factors[p - 1 : p - 1 + count]
         if p in ps:
             out[p] = AsymptoticEstimate(float(products.max()), exact)
+    if exact and count not in out:  # an exact span is one period P = count
+        b = float(np.prod(factors[:count]))
+        if b >= np.finfo(float).tiny or (factors[:count] <= 0).any():
+            out[count] = AsymptoticEstimate(b, True)
     return out
 
 

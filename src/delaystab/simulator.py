@@ -8,8 +8,8 @@ product bound) are computed here.
 Every entry point works on the steps from its start n0 to its horizon N
 and reads the coefficient and lag tables on [n0, N - 1] from ``_tables``,
 which refuses N < n0; the kernels in ``_kernels`` cap their own buffers.
-``simulate``, ``fundamental`` and ``lemma6_sum`` step the recurrence
-through one helper, ``_step``, from a history with zeros before it.
+``simulate``, ``fundamental``, ``cauchy_apply`` and ``lemma6_sum`` step the
+recurrence through one helper, ``_step``, from a history with zeros before it.
 """
 
 from __future__ import annotations
@@ -113,13 +113,11 @@ def kernel(eq: Equation, n0: int, N: int) -> Kernel:
 def cauchy_apply(eq: Equation, f: SeqExpr, n0: int, N: int) -> Trajectory:
     """y(n) = sum_{k=n0}^{n-1} X(n, k+1) f(k) with y(n0) = 0.
 
-    This is the zero-initial-data response to the forcing f, assembled
-    from kernel columns rather than by forward iteration, so it can be
-    cross-checked against simulate().
+    By the representation formula y is the solution with zero history and
+    forcing f, so it is one forward iteration.
     """
     coeffs, lags = _tables(eq, n0, N)
-    weights = eval_range(f, n0, N - 1)
-    return Trajectory(n0, _kernels.weighted_kernel_sums(coeffs, lags, weights, False))
+    return Trajectory(n0, _step(eq, coeffs, lags, eval_range(f, n0, N - 1), [0.0]))
 
 
 def lemma6_sum(eq: Equation, n0: int, N: int) -> np.ndarray:

@@ -45,7 +45,7 @@ from delaystab.criteria import (
 )
 from delaystab.equation import merge_same_delay
 from delaystab.fixtures import FIXTURE_CONFIGS, config_to_equation
-from delaystab.oracle import random_equation
+from delaystab.oracle import exact_stable, random_equation
 from delaystab.simulator import kernel
 
 
@@ -1506,7 +1506,9 @@ def test_a_period_past_the_candidates_is_tried_as_one_product():
     # a(n) = 0.5 once in 21 steps: no horizon in P_CANDIDATES has a product
     # below 1, and every 21-step product is 0.5
     eq = const_eq(("per(0.5" + ", 0" * 20 + ")", 0))
-    assert criteria._best_product(eq, limits.default_window(eq)) == (21, 0.5, True)
+    found = limits.limsup_products(eq, criteria.P_CANDIDATES, limits.default_window(eq))
+    assert all(found[p].value == 1.0 for p in criteria.P_CANDIDATES)
+    assert found[21] == limits.AsymptoticEstimate(0.5, True)
     verdicts = {v.criterion: v for v in run_all(eq)}
     for name in ("theorem1", "corollary3", "theorem2(I=0)"):
         assert verdicts[name].outcome is Outcome.STABLE, name
@@ -1530,12 +1532,28 @@ def test_the_rate_search_runs_no_horizon_past_the_candidates(monkeypatch):
 
     monkeypatch.setattr(limits, "limsup_products", recording)
     window = limits.default_window(eq)
-    p, b, exact = criteria._best_product(eq, window)
+    d = criteria._Draft("theorem1", "positive-kernel rate bound", window)
+    assert d.product_rate(eq, window)
     assert asked and max(asked) <= max(criteria.P_CANDIDATES)
     # the period's product wins: any shorter horizon's worst stretch is above its mean
-    assert (p, exact) == (930, True)
+    assert d.witnesses["p"] == 930 and not d.certified
     factors = 1.0 - eq.coeff_table(window[0], window[0] + 929).sum(axis=0)
-    assert b == pytest.approx(math.prod(factors.tolist()), rel=1e-12)
+    assert d.witnesses["b"] == pytest.approx(math.prod(factors.tolist()), rel=1e-12)
+    assert d.mu == d.witnesses["b"] ** (1 / 930)
+
+
+@pytest.mark.parametrize("k", [150, 160, 161, 162, 199])
+def test_every_product_rate_is_a_true_bound_past_underflow(k):
+    # per(0.99 x k, 0.5) at lag 0: the period's product 0.5 * 0.01^k is a
+    # normal float at k = 150 and subnormal or 0 from k = 160 on, where the
+    # search falls back to the 12-step product
+    eq = const_eq(("per(" + "0.99, " * k + "0.5)", 0))
+    rated = [v.witnesses for v in run_all(eq)
+             if v.outcome is Outcome.STABLE and "p" in v.witnesses]
+    assert {w["p"] for w in rated} == {151.0 if k == 150 else 12.0}
+    for w in rated:
+        assert w["mu"] == w["b"] ** (1 / w["p"])
+        assert exact_stable(eq, w["mu"])
 
 
 def test_stable_fixture_verdicts_match_empirical_decay(eq_sin_cos, eq_alternating,
@@ -1573,14 +1591,17 @@ def test_not_applicable_versus_inconclusive_discipline():
 
 
 def _counting(monkeypatch, names=("check_lemma4", "_char_root", "merge_same_delay")):
-    """Wrap each named criteria function; returns the (name, args) of every
-    call that runs it."""
+    """Wrap each named criteria function, or ``limits.<name>``; returns the
+    (name, args) of every call that runs it."""
     calls = []
     for name in names:
-        def counted(*args, fn=getattr(criteria, name), name=name):
+        owner = limits if name.startswith("limits.") else criteria
+        attr = name.removeprefix("limits.")
+
+        def counted(*args, fn=getattr(owner, attr), name=name):
             calls.append((name, args))
             return fn(*args)
-        monkeypatch.setattr(criteria, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     return calls
 
 
@@ -1605,7 +1626,8 @@ def test_run_all_asks_each_comparison_question_once(monkeypatch):
     const_eq((0.1, 1), ("per(0.03, 0.05)", 3)),
 ], ids=["m3", "m2_lag1"])
 def test_run_all_answers_each_instance_once(eq, monkeypatch):
-    calls = _counting(monkeypatch, ("_limsup_ratio", "_gamma", "_best_product", "_sum_bounds"))
+    calls = _counting(monkeypatch,
+                      ("_limsup_ratio", "_gamma", "limits.limsup_products", "_sum_bounds"))
     verdicts = {v.criterion: v for v in run_all(eq)}
     assert len(calls) == len(set(calls))
     window = criteria.limits.default_window(eq)
@@ -1614,7 +1636,8 @@ def test_run_all_answers_each_instance_once(eq, monkeypatch):
     assert "a" in verdicts["theorem1"].witnesses
     assert calls.count(("_sum_bounds", (eq, full, window))) == 1
     # corollary 3 and theorem2(I=all) ask one product rate of the equation
-    assert calls.count(("_best_product", (eq, window))) == 1
+    rate = ("limits.limsup_products", (eq, criteria.P_CANDIDATES, window))
+    assert calls.count(rate) == 1
     label = "theorem2(I=" + ",".join(map(str, full)) + ")"
     for w in ("p", "b"):
         assert verdicts["corollary3"].witnesses[w] == verdicts[label].witnesses[w]

@@ -7,7 +7,8 @@ import each other, directly or through others.  The two top layers, ``cli``
 and ``fixtures``, import no private name of another module.  Every name a module's
 ``__all__`` lists is defined in it, and every ``module.attr`` that README's
 package layout cites is defined.  NumPy's floating-point flags are set only
-by the few functions that make values and check them.
+by the few functions that make values and check them, and one function forms
+the coefficient products of the rate search.
 """
 
 import ast
@@ -103,20 +104,21 @@ def test_readme_package_layout_cites_only_defined_names():
     assert cited and missing == []
 
 
-def _errstate_users() -> set[str]:
+def _users(names: set[str], modules: str = "*") -> set[str]:
     """``module.function`` for each function whose own body or decorators
-    name ``errstate``; ``module`` alone for a use outside any function."""
+    name one of ``names``, as a name or an attribute; ``module`` alone for
+    a use outside any function."""
     found = set()
 
     def visit(node: ast.AST, where: str) -> None:
-        if isinstance(node, ast.Attribute) and node.attr == "errstate" or \
-                isinstance(node, ast.Name) and node.id == "errstate":
+        if isinstance(node, ast.Attribute) and node.attr in names or \
+                isinstance(node, ast.Name) and node.id in names:
             found.add(where)
         for child in ast.iter_child_nodes(node):
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, f"{where.split('.')[0]}.{child.name}" if inner else where)
 
-    for path in PACKAGE.glob("*.py"):
+    for path in PACKAGE.glob(f"{modules}.py"):
         visit(ast.parse(path.read_text(), str(path)), path.stem)
     return found
 
@@ -124,6 +126,14 @@ def _errstate_users() -> set[str]:
 def test_floating_point_flags_are_set_where_values_are_made():
     # evaluation, run_all and the product bound name overflow in their own
     # errors or witnesses, so no caller silences NumPy for them
-    assert _errstate_users() == {"seqexpr._eval_window", "criteria.run_all",
-                                 "criteria.positivity_scan", "simulator.product_bound",
-                                 "oracle._power_radius"}
+    assert _users({"errstate"}) == {"seqexpr._eval_window", "criteria.run_all",
+                                    "criteria.positivity_scan", "simulator.product_bound",
+                                    "oracle._power_radius"}
+
+
+def test_one_function_multiplies_coefficient_factors():
+    # every p-step product the rate search reads, an exact period's
+    # included, comes from limits.limsup_products
+    products = {"prod", "cumprod", "multiply"}
+    assert (_users(products, "criteria") | _users(products, "limits")
+            == {"limits.limsup_products"})

@@ -563,6 +563,21 @@ def _ref_limsup_product(eq, p, window=None):
     return AsymptoticEstimate(float(products.max()), exact)
 
 
+def _ref_products(eq, window):
+    """Every product the rate search reads: the sliding-window maximum at
+    each of ``P_CANDIDATES``, and on an exact span whose period P is not
+    among them one period's product from the window start, unless it
+    underflowed on positive factors."""
+    ps = criteria.P_CANDIDATES
+    want = {p: _ref_limsup_product(eq, p, window) for p in ps}
+    rows, exact = coeff_span(eq, window)
+    factors = 1.0 - np.stack(rows).sum(axis=0)
+    b = float(np.prod(factors))
+    if exact and len(factors) not in ps and (b >= np.finfo(float).tiny or min(factors) <= 0):
+        want[len(factors)] = AsymptoticEstimate(b, True)
+    return want
+
+
 @settings(max_examples=60, deadline=None)
 @given(values=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=24),
        general=st.booleans())
@@ -574,13 +589,38 @@ def test_running_products_match_sliding_windows(values, general):
         terms.append(Term(parse("0.01*sin(n)"), DelaySpec.constant(2)))
     eq = validate(terms)
     window = (10 * eq.T, 10 * eq.T + 300)
-    ps = list(criteria.P_CANDIDATES)  # the horizons _best_product asks for
-    got = limsup_products(eq, ps, window)
-    assert sorted(got) == ps
-    for p in ps:
-        want = _ref_limsup_product(eq, p, window)
-        assert got[p] == want
-        assert limsup_product(eq, p, window) == want
+    got = limsup_products(eq, criteria.P_CANDIDATES, window)  # what the rate stage reads
+    assert got == _ref_products(eq, window)
+    for p in criteria.P_CANDIDATES:
+        assert limsup_product(eq, p, window) == got[p]
+
+
+@pytest.mark.parametrize("tables", [[5], [7], [10], [5, 7]], ids=["P5", "P7", "P10", "P35"])
+def test_a_period_past_the_candidates_is_one_periods_product(tables):
+    # exact spans whose period is no candidate: P's key is the product of
+    # the window's first period, bit for bit, next to the sliding windows
+    rng = np.random.default_rng(len(tables) * 100 + tables[0])
+    eq = validate([Term(parse(f"per({', '.join(map(repr, rng.uniform(0, 0.3, k).tolist()))})"),
+                        DelaySpec.constant(l)) for l, k in enumerate(tables)])
+    period = math.prod(tables)
+    assert aggregate_period(eq) == period and period not in criteria.P_CANDIDATES
+    for start in (3, 10 * eq.T + 1, 1234):
+        window = (start, start + 500)
+        got = limsup_products(eq, criteria.P_CANDIDATES, window)
+        factors = 1.0 - eq.coeff_table(start, start + period - 1).sum(axis=0)
+        assert got[period] == AsymptoticEstimate(float(np.prod(factors)), True)
+        assert got == _ref_products(eq, window)
+
+
+def test_an_underflowed_period_product_is_no_rate():
+    # per(0.99 x k, 0.5) at lag 0: the period's product 0.5 * 0.01^k is
+    # subnormal at k = 160 and 0 at k = 162, both below its true value, so
+    # only the candidates are offered; a factor 0 makes a zero product true
+    for k in (160, 162):
+        eq = validate([Term(parse("per(" + "0.99, " * k + "0.5)"), DelaySpec.constant(0))])
+        assert sorted(limsup_products(eq, criteria.P_CANDIDATES)) == list(criteria.P_CANDIDATES)
+    eq = validate([Term(parse("per(1, " + "0.5, " * 199 + "0.5)"), DelaySpec.constant(0))])
+    assert limsup_products(eq, criteria.P_CANDIDATES)[201] == AsymptoticEstimate(0.0, True)
 
 
 @pytest.mark.parametrize("ps", [[0, 2], [-1]])
@@ -591,22 +631,21 @@ def test_product_horizons_must_be_positive(eq_sin_cos, ps):
 
 def test_best_product_horizons_match_sliding_windows_on_goldens(monkeypatch):
     from test_golden import CONFIGS
+    from delaystab import limits
 
     calls = []
-    best = criteria._best_product
+    plain = limits.limsup_products
 
-    def recording(eq, window):
-        calls.append((eq, window))
-        return best(eq, window)
+    def recording(eq, ps, window=None):
+        calls.append((eq, ps, window))
+        return plain(eq, ps, window)
 
-    monkeypatch.setattr(criteria, "_best_product", recording)
+    monkeypatch.setattr(limits, "limsup_products", recording)
     for config in CONFIGS.values():
         window = config.get("window")
         criteria.run_all(config_to_equation(config), window and tuple(window))
     monkeypatch.undo()
     assert len(calls) >= 100
-    for eq, window in calls:
-        ps = criteria.P_CANDIDATES
-        got = limsup_products(eq, ps, window)
-        for p in ps:
-            assert got[p] == _ref_limsup_product(eq, p, window)
+    for eq, ps, window in calls:
+        assert ps == criteria.P_CANDIDATES
+        assert limsup_products(eq, ps, window) == _ref_products(eq, window)

@@ -30,6 +30,7 @@ from delaystab.oracle import (
     _power_radius,
     general_surrogate,
     oracle_block,
+    periodic_table,
     splice_surrogate,
 )
 from delaystab.seqexpr import classify, constant
@@ -299,6 +300,47 @@ def test_soundness_baseline(kwargs, covered, stable):
                 below[_family(v.criterion)] += 1
     assert (found_covered, found_stable) == (covered, stable)
     assert (below, rounded) == _MU_DEFECTS[cell]
+
+
+def _period_sweep() -> list:
+    """150 seeded equations of 1 or 2 terms at lags 0 to 2, each coefficient
+    a ``per`` table of one length per equation, 5, 7, 10 or 11: periods the
+    rate search tries as one period's product, as no candidate horizon."""
+    eqs = []
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        m, P = int(rng.integers(1, 3)), int(rng.choice([5, 7, 10, 11]))
+        scale = float(rng.uniform(0.05, 1.0)) * 2.5 / m
+        terms = []
+        for _ in range(m):
+            values = [float(v) * (-1.0 if rng.random() < 0.05 else 1.0)
+                      for v in rng.uniform(0.0, scale, P)]
+            terms.append(Term(periodic_table(values), DelaySpec.constant(int(rng.integers(0, 3)))))
+        eqs.append(validate(terms))
+    return eqs
+
+
+def test_period_products_give_true_rates():
+    # no Stable verdict on an equation that is not exponentially stable, and
+    # every Stable mu passes the exact rate check but item 23b's rounding,
+    # one ulp on T = 0 equations; the rate stage takes its period's product
+    stable = covered = rated = 0
+    rounded = Counter()
+    for seed, eq in enumerate(_period_sweep()):
+        verdicts = stable_verdicts(run_all(eq))
+        rated += sum(v.witnesses.get("p") == exact_period(eq, []) for v in verdicts)
+        if not exact_stable(eq):
+            assert not verdicts, seed
+            continue
+        stable += 1
+        covered += bool(verdicts)
+        for v in (v for v in verdicts if "mu" in v.witnesses):
+            mu = v.witnesses["mu"]
+            if not exact_stable(eq, mu):
+                assert eq.T == 0 and exact_stable(eq, math.nextafter(mu, math.inf)), seed
+                rounded[_family(v.criterion)] += 1
+    assert (covered, stable, rated) == (35, 119, 27)
+    assert rounded == {"corollary3": 4, "theorem2": 4}
 
 
 def test_float_monodromy_agrees_with_exact_stable_away_from_one():
