@@ -289,6 +289,8 @@ def _fuzz_tail_equivalence(base_seed: int, count: int, rng: np.random.Generator)
 def cmd_fuzz(args) -> int:
     if args.count < 1:
         raise ValueError("count must be >= 1")
+    if args.seeds < 0:
+        raise ValueError("seeds must be >= 0")
     rng = np.random.default_rng(args.seeds)
     suites = {
         "representation_residual": _fuzz_representation(args.seeds, args.count, rng),
@@ -298,13 +300,8 @@ def cmd_fuzz(args) -> int:
     }
     failed = sum(len(v) for v in suites.values())
     if args.json:
-        payload = {
-            "schema": 1,
-            "count": args.count,
-            "base_seed": args.seeds,
-            "counterexamples": suites,
-            "pass": failed == 0,
-        }
+        payload = {"schema": 1, "count": args.count, "base_seed": args.seeds,
+                   "counterexamples": suites, "pass": failed == 0}
         _emit(_dump(_with_meta(payload, args)), args.out)
     else:
         lines = []

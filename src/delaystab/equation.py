@@ -84,16 +84,18 @@ def validate(terms: Sequence[Term], forcing: Optional[SeqExpr] = None) -> Equati
     [0, max(10 (T + 1), 1000)), so evaluation errors surface here, named
     by their term or the forcing; the window is recorded on the equation.
     It is evaluated in slices of 2^16 points, never through an evaluation
-    scope; one past the kernel cap (a lag of 10^7 and up) whole, so NumPy
-    refuses at once one it cannot hold.
-    """
+    scope.  A window past the kernel cap (a lag of 10^7 and up) is refused
+    before any evaluation, naming the term whose lag sets T."""
     eq = Equation(tuple(terms), forcing)
     length = max(10 * (1 + eq.T), 1000)
-    step = 1 << 16 if length <= _kernels.MAX_ENTRIES else length
+    if length > _kernels.MAX_ENTRIES:
+        i = next(i for i, t in enumerate(eq.terms) if t.delay.max_lag == eq.T)
+        raise _kernels.KernelMemoryError(f"term {i}: lag {eq.T} needs a validation window of "
+                                         f"{length} points (cap {_kernels.MAX_ENTRIES})")
     try:
         for _, expr in _named_exprs(eq):
-            for n0 in range(0, length, step):
-                _eval_window(expr, n0, min(n0 + step, length) - 1)
+            for n0 in range(0, length, 1 << 16):
+                _eval_window(expr, n0, min(n0 + (1 << 16), length) - 1)
     except SeqEvalError as exc:
         raise name_failure(eq, exc) from None
     return replace(eq, validation_window=(0, length))
@@ -170,8 +172,5 @@ def prefix_modify(eq: Equation, n1: int, replacement: Sequence[Term]) -> Equatio
         raise ValueError(f"replacement arity {len(replacement)} != {eq.m}")
     if n1 <= 0:
         return eq
-    new_terms = tuple(
-        Term(spliced(n1, r.coeff, t.coeff), t.delay)
-        for t, r in zip(eq.terms, replacement)
-    )
-    return validate(new_terms, eq.forcing)
+    return validate([Term(spliced(n1, r.coeff, t.coeff), t.delay)
+                     for t, r in zip(eq.terms, replacement)], eq.forcing)

@@ -47,9 +47,9 @@ _TOL = 1e-10
 # steps per matrix product; every check point (a multiple of 64: every fourth
 # block) and every half-window start (used // 2) must fall on a block end
 _BLOCK = 16
-# exact_stable's cap on its work L (T + 1)^2 + (T + 1)^3, as rationals grow:
-# a period-2 lag table at d = 70 (work 3.5e5) takes 1.6 s
-_EXACT_WORK = 10**6
+# exact_stable's cap on d^2 (d L g)^2 (d + 1): Schur-Cohn's d^2 and the reduction's d^3
+# steps (none at L = 1) on d L g bits; d = 96 at L = 1 takes 3.1 s, d = 16 at L = 10 1.5 s
+_EXACT_WORK = 5 * 10**11
 
 
 @dataclass(frozen=True)
@@ -249,29 +249,33 @@ def exact_stable(eq: Equation, rate: float = 1.0) -> bool:
     whose constants are the doubles nearest to what the user wrote.
 
     The state (x(n), ..., x(n - T)) advances by A(n), whose first row is
-    e_0 - sum_l a_l(n) e_(d_l(n)) and whose other rows shift down.  M =
-    A(L - 1) ... A(0), for L = ``exact_period``, is reduced to Hessenberg
-    form by elementary similarities, and det(zI - M) taken by the
-    Hessenberg recurrence (Cohen 1993, Alg. 2.2.9).  p(s z) with s =
-    rate^L has every root in the open unit disk iff |p(0)| < |lead| and
-    p - (p(0) / lead) p_rev, less its zero constant term, does too."""
+    e_0 - sum_l a_l(n) e_(d_l(n)) and whose other rows shift down.  With D
+    the largest of one period's coefficient denominators (powers of two),
+    D^L M = D A(L - 1) ... D A(0), for L = ``exact_period``, is built in
+    integers, reduced to Hessenberg form by elementary similarities, and p =
+    det(zI - D^L M) taken by the Hessenberg recurrence (Cohen 1993, Alg.
+    2.2.9).  p(s z), s = (rate D)^L, has every root in the open unit disk iff
+    |p(0)| < |lead| and p - (p(0) / lead) p_rev, less its zero constant term,
+    does too."""
     if not 0.0 <= rate < math.inf:
         raise ValueError(f"rate {rate!r} must be finite and nonnegative")
     period = exact_period(eq, [t.delay for t in eq.terms])
     if period is None:
         raise ValueError("a coefficient is general")
-    d = eq.T + 1
-    work = period * d**2 + d**3
-    if work > _EXACT_WORK:
+    table = eq.coeff_table(0, period - 1).T.tolist()
+    D = max(a.as_integer_ratio()[1] for col in table for a in col)  # powers of two: their lcm
+    steps = [[int(Fraction(a) * D) for a in col] for col in table]  # D a_l(n)
+    d, g = eq.T + 1, max(D + sum(map(abs, col)) for col in steps).bit_length()
+    if (work := d**2 * (d * period * g) ** 2 * (d + 1 if period > 1 else 1)) > _EXACT_WORK:
         raise ValueError(f"exact monodromy work {work} exceeds the cap {_EXACT_WORK}")
-    steps = zip(eq.coeff_table(0, period - 1).T.tolist(), eq.lag_table(0, period - 1).T.tolist())
-    M = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for coeffs, lags in steps:  # M <- A(n) M, term by term
-        row = M[0][:]  # no two rows share a list: the reduction edits rows in place
-        for a, lag in zip(map(Fraction, coeffs), lags):
+    M = [[int(i == j) for j in range(d)] for i in range(d)]
+    for col, lags in zip(steps, eq.lag_table(0, period - 1).T.tolist()):  # M <- D A(n) M
+        row = [D * x for x in M[0]]
+        for a, lag in zip(col, lags):
             if a:
                 row = [x - a * y for x, y in zip(row, M[lag])]
-        M = [row] + M[:-1]
+        M = [row] + [[D * x for x in r] for r in M[:-1]]
+    M = [list(map(Fraction, r)) for r in M]  # D^L times the monodromy
     for j in range(d - 2):  # zero column j below the subdiagonal
         pivot = next((i for i in range(j + 1, d) if M[i][j]), None)
         if pivot is None:
@@ -297,7 +301,7 @@ def exact_stable(eq: Equation, rate: float = 1.0) -> bool:
             for k, x in enumerate(polys[m - i] if c else ()):
                 p[k] -= c * x
         polys.append(p)
-    s = Fraction(rate) ** period
+    s = (Fraction(rate) * D) ** period
     p = [x * s**k for k, x in enumerate(polys[d])]
     while len(p) > 1:
         if abs(p[0]) >= abs(p[-1]):

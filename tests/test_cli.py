@@ -216,6 +216,12 @@ def test_fuzz_refuses_a_count_below_1():
     assert (r.returncode, r.stderr, r.stdout) == (2, "error: count must be >= 1\n", "")
 
 
+def test_fuzz_refuses_a_negative_base_seed():
+    # NumPy's own refusal, "expected non-negative integer", named no flag
+    r = run_cli("fuzz", "--seeds", "-1", "--count", "1")
+    assert (r.returncode, r.stderr, r.stdout) == (2, "error: seeds must be >= 0\n", "")
+
+
 def test_fuzz_single_seed_deterministic():
     a = run_cli("fuzz", "--count", "1", "--seeds", "0", "--json")
     b = run_cli("fuzz", "--count", "1", "--seeds", "0", "--json")
@@ -669,18 +675,35 @@ def test_check_accepts_a_one_point_window(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
-@pytest.mark.parametrize("terms,argv", [
-    ([("0.1", 10**12)], ["check"]),
-    ([("0.1", 1)], ["simulate", "--N", str(10**12)]),
-    ([("0.1", 1)], ["fundamental", "--k", "0", "--N", str(10**12)]),
+@pytest.mark.parametrize("terms,argv,message", [
+    ([("0.1", 10**12)], ["check"],
+     "term 0: lag 1000000000000 needs a validation window of 10000000000010 points "
+     "(cap 100000000)"),
+    ([("0.1", 1)], ["simulate", "--N", str(10**12)], "Unable to allocate"),
+    ([("0.1", 1)], ["fundamental", "--k", "0", "--N", str(10**12)], "Unable to allocate"),
 ], ids=["check", "simulate", "fundamental"])
-def test_a_refused_allocation_exits_2(tmp_path, terms, argv):
-    # each size is refused at once (7 to 73 TiB); NumPy's allocation error
-    # is a MemoryError like the kernel cap's, not a crash
+def test_a_refused_allocation_exits_2(tmp_path, terms, argv, message):
+    # each size is refused at once: a lag of 10^12 by validate's cap on its
+    # window, 10^12 steps by NumPy (7 to 73 TiB), whose allocation error is
+    # a MemoryError like the kernel cap's, not a crash
     r = run_cli(argv[0], _one_config(tmp_path, terms), *argv[1:])
     assert r.returncode == 2
-    assert "Unable to allocate" in r.stderr
+    assert message in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--N", "50"],
+                                  ["fundamental", "--k", "0", "--N", "50"], ["check"]],
+                         ids=["simulate", "fundamental", "check"])
+def test_a_lag_past_the_validation_cap_exits_2_at_load(tmp_path, argv):
+    # lag 10^7 validates on 10^8 + 10 points, past the cap: the job is
+    # refused when it is loaded, where simulate once evaluated the whole
+    # window (3.85 GB peak)
+    config = _one_config(tmp_path, [("0.1 + 0.05*sin(n)", 1), ("0.001", 10**7)])
+    r = run_cli(argv[0], config, *argv[1:])
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == ("error: term 1: lag 10000000 needs a validation window of "
+                        "100000010 points (cap 100000000)\n")
 
 
 class _FullDisk:

@@ -9,6 +9,7 @@ from delaystab import (
     DelaySpec,
     Equation,
     InitialData,
+    KernelMemoryError,
     Term,
     merge_same_delay,
     parse,
@@ -96,6 +97,33 @@ def test_validation_window_of_one_slice_is_one_call(monkeypatch):
             validate([Term(parse("0.1"), DelaySpec.constant(6553))])
             assert seqexpr._scope is None or not seqexpr._scope.spans
         assert calls == [("slice", "0.1", 0, 65535), ("slice", "0.1", 65536, 65539)]
+
+
+def test_validation_refuses_a_window_past_the_kernel_cap(monkeypatch):
+    # T = 10^7 validates on [0, 10^8 + 10), past the 10^8-entry cap: refused,
+    # naming the term whose lag sets T, before any expression is evaluated
+    def refused(expr, n0, n1):
+        raise AssertionError(f"validation evaluated {expr} on [{n0}, {n1}]")
+
+    monkeypatch.setattr(equation, "eval_range", refused)
+    monkeypatch.setattr(equation, "_eval_window", refused)
+    terms = [Term(parse("0.1 + 0.05*sin(n)"), DelaySpec.constant(1)),
+             Term(parse("0.001"), DelaySpec.constant(10**7))]
+    with pytest.raises(KernelMemoryError) as err:
+        validate(terms, parse("cos(n)"))
+    assert str(err.value) == ("term 1: lag 10000000 needs a validation window of "
+                              "100000010 points (cap 100000000)")
+
+
+def test_validation_of_the_longest_admitted_lag_stays_small(peak_rss_growth):
+    # T = 10^7 - 1 validates on [0, 10^8), exactly the cap, in 2^16-point
+    # slices: about 1 s, and RSS grows by about 1 MiB where one piece
+    # would take 800 MB
+    growth = peak_rss_growth("from delaystab import DelaySpec, Term, parse, validate", """
+        eq = validate([Term(parse("0.001"), DelaySpec.constant(10**7 - 1))])
+        assert eq.validation_window == (0, 10**8)
+    """)
+    assert growth < 64 * 1024  # KiB
 
 
 def test_validation_reports_the_first_bad_index_of_a_sliced_window():

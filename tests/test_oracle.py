@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 import warnings
 from collections import Counter
 
@@ -205,10 +206,18 @@ def test_exact_stable_decides_the_closed_form_boundary():
             assert _exact(below, (k, k)) and not _exact(above, (k, k)), k
 
 
+def _uniform_table(L: int) -> str:
+    """``per`` of the first L uniform(0.05, 0.3) draws from seed 0."""
+    draws = np.random.default_rng(0).uniform(0.05, 0.3, L).tolist()
+    return f"per({', '.join(map(repr, draws))})"
+
+
 @pytest.mark.parametrize("coeff, lag, rate, want", [
     ("0.1 + 0.01*sin(n)", 1, 1.0, "a coefficient is general"),
-    # d = 501: 3 d^2 + d^3 = 126,504,504
-    ("per(0.1, 0.2, 0.3)", 500, 1.0, "exact monodromy work 126504504 exceeds the cap 1000000"),
+    # d = 501, L = 3, g = 57: d^2 (d L g)^2 (d + 1) = 892,633,505,023,064,448
+    pytest.param("per(0.1, 0.2, 0.3)", 500, 1.0,
+                 "exact monodromy work 892633505023064448 exceeds the cap 500000000000",
+                 id="per3-lag500"),
     ("per(1.0, 0.5)", 0, 1.0, True),  # a(0) = 1 zeroes x(1): M = 0
     ("0", 0, 1.0, False),  # the multiplier 1
     ("2", 0, 1.0, False),  # the multiplier -1
@@ -230,15 +239,23 @@ def test_exact_stable_decides_the_closed_form_boundary():
     ("0.5", 0, math.nan, "rate nan must be finite and nonnegative"),
     ("0.5", 0, 0.0, False),
     ("per(1.0, 0.5)", 0, 0.0, False),
+    # one period of L uniform(0.05, 0.3) draws at lag 1: entries of D^L M
+    # gain g = 57 bits a step; L = 1,600 decides in about 0.3 s, and L =
+    # 6,400 (work 4 (2 6,400 g)^2 3, about 4 s) is refused before M is built
+    pytest.param(_uniform_table(1600), 1, 1.0, True, id="L1600"),
+    pytest.param(_uniform_table(6400), 1, 1.0,
+                 "exact monodromy work 6387793920000 exceeds the cap 500000000000", id="L6400"),
 ])
 def test_exact_stable_edges(coeff, lag, rate, want):
     delay = DelaySpec.constant(lag) if isinstance(lag, int) else DelaySpec.periodic(lag)
     eq = validate([Term(parse(coeff), delay)])
+    start = time.perf_counter()
     if isinstance(want, str):
         with pytest.raises(ValueError, match=f"^{want}$"):
             exact_stable(eq, rate)
     else:
         assert exact_stable(eq, rate) is want
+    assert time.perf_counter() - start < 1.0  # every row decides, or is refused, at once
 
 
 # --- the soundness baseline: random_equation seeds 0..299 in four cells; no
