@@ -5,6 +5,9 @@ Plain NumPy/Python.  The recurrence is inherently sequential in n, so
 float64 scalars, through a loop written out once per term count m (one
 expression per step, terms subtracted in order): its output is
 bit-identical to a per-step NumPy loop, overflow to inf and nan included.
+The loop reads its coefficient rows through memoryviews of the tables and
+each lagged value from an iterator: a constant lag walks the list itself,
+a lag table maps the list over its row of indices, so no row becomes a list.
 
 Both kernel streams yield (i0, block), block[r] being row n0 + i0 + r of X
 on the stream's columns, +0.0 past the diagonal.  ``kernel_rows`` steps
@@ -33,10 +36,8 @@ __all__ = ["KernelMemoryError", "MAX_ENTRIES", "step_recurrence", "require_ring"
 MAX_ENTRIES = 100_000_000
 # rows per block of the kernel streams (the column stream's later blocks double)
 BLOCK = 16
-# step_recurrence converts this many steps of its rows to Python lists at a
-# time, and format_csv writes this many rows as one block of NUL-padded text
-# words; a few thousand keep those lists and blocks (and peak memory) small at
-# no cost in speed
+# format_csv writes this many rows as one block of NUL-padded text words; a
+# few thousand keep those blocks (and peak memory) small at no cost in speed
 STEP_CHUNK = 1 << 12
 
 
@@ -51,32 +52,41 @@ def step_recurrence(coeffs, lags, forcing, x, t_max, steps):
     x[0..t_max] (x[t_max] is the value at the start index); every lag
     must lie in [0, t_max].
     """
-    low, high = int(lags[:, :steps].min(initial=0)), int(lags[:, :steps].max(initial=0))
+    rows = lags[:, :steps]
+    low, high = int(rows.min(initial=0)), int(rows.max(initial=0))
     if low < 0 or high > t_max:
         raise ValueError(f"lags in [{low}, {high}] leave the history [0, {t_max}]")
-    step = _stepper(coeffs.shape[0])
     xs = x[: t_max + 1].tolist()
-    # rows become Python lists a chunk at a time (whole, they outweigh their
-    # tables several times), each lag row as the indices of xs it reads
-    for c0 in range(0, steps, STEP_CHUNK):
-        c1 = min(c0 + STEP_CHUNK, steps)
-        reads = np.arange(t_max + c0, t_max + c1) - lags[:, c0:c1]
-        step(xs, forcing[c0:c1].tolist(), *coeffs[:, c0:c1].tolist(), *reads.tolist())
+    reads = []
+    for row in rows:
+        if steps and (row == row[0]).all():
+            # step i reads xs[t_max + i - d]: a walker over xs, which sees
+            # each value the loop appends
+            walk = iter(xs)
+            walk.__setstate__(t_max - int(row[0]))
+            reads.append(walk)
+        else:
+            reads.append(map(xs.__getitem__, memoryview(np.arange(t_max, t_max + steps) - row)))
+    _stepper(coeffs.shape[0])(xs, memoryview(forcing[:steps]),
+                              *map(memoryview, coeffs[:, :steps]), *reads)
     x[t_max + 1: t_max + steps + 1] = xs[t_max + 1:]
     return x
 
 
 @functools.cache
-def _stepper(m):
+def _stepper(m, indexed=False):
     """The step loop for m terms, its source written out from m alone.
 
-    step(xs, fs, a0s, .., j0s, ..) appends to xs, per entry f of fs, the
-    value x = (x - a0 * xs[j0]) - a1 * xs[j1] ... + f, x being the last
-    entry: the terms in the order a per-term loop takes, so it rounds the same.
+    step(xs, fs, a0s, .., y0s, ..) appends to xs, per entry f of fs, the
+    value x = (x - a0 * y0) - a1 * y1 ... + f, x being the last entry and
+    each y_l the next value of the iterable y_ls: the terms in the order a
+    per-term loop takes, so it rounds the same.  With ``indexed`` it takes
+    rows of indices j_ls instead and reads y_l = xs[j_l].
     """
-    names = [f"a{l}" for l in range(m)] + [f"j{l}" for l in range(m)]
+    reads = [f"j{l}" if indexed else f"y{l}" for l in range(m)]
+    names = [f"a{l}" for l in range(m)] + reads
     row_args, items = "".join(f", {v}s" for v in names), "".join(f", {v}" for v in names)
-    terms = "".join(f" - a{l} * xs[j{l}]" for l in range(m))
+    terms = "".join(f" - a{l} * " + (f"xs[{r}]" if indexed else r) for l, r in enumerate(reads))
     source = (f"def step(xs, fs{row_args}):\n"
               f"    append, x = xs.append, xs[-1]\n"
               f"    for f{items} in zip(fs{row_args}):\n"
@@ -149,11 +159,13 @@ def kernel_columns(coeffs, lags, count, size):
     row the last one ended at, so a caller that stops at a block has
     stepped at most twice the rows it needed.  Each column is the
     recurrence from zeros and 1.0 at its diagonal, stepped by
-    ``step_recurrence``'s loop; every column reads the same index rows, and
-    its values are bit-identical to ``kernel_rows``' entries.
+    ``step_recurrence``'s loop in its indexed form (a scan mostly stops
+    inside the first block, where building walkers per column costs more
+    than they save); every column reads the same index rows, and its values
+    are bit-identical to ``kernel_rows``' entries.
     """
     depth = int(lags.max(initial=0))
-    step = _stepper(coeffs.shape[0])
+    step = _stepper(coeffs.shape[0], True)
     rows = coeffs[:, : size - 1].tolist()
     rows += (np.arange(depth, depth + size - 1) - lags[:, : size - 1]).tolist()
     zeros = [0.0] * (size - 1)

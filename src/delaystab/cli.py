@@ -44,7 +44,7 @@ from .oracle import (
     splice_surrogate,
     tail_equivalence_test,
 )
-from .seqexpr import SeqEvalError, constant, periodic_table
+from .seqexpr import SeqEvalError, constant, evaluation_scope, periodic_table
 from .simulator import (
     format_csv,
     fundamental,
@@ -188,8 +188,11 @@ def cmd_simulate(args, config: dict, eq: Equation) -> int:
 
 
 def cmd_fundamental(args, config: dict, eq: Equation) -> int:
-    column = fundamental(eq, _index("--k", args.k), _index("--N", args.N))
-    bound = product_bound(eq, args.k, args.N)
+    # one scope evaluates each coefficient once for both tables; it closes
+    # before the text, so no table outlives the step
+    with evaluation_scope():
+        column = fundamental(eq, _index("--k", args.k), _index("--N", args.N))
+        bound = product_bound(eq, args.k, args.N)
     _require_finite(eq, args.k, column, bound)
     text = format_csv("n,value,bound", args.k, column, bound)
     if args.csv:

@@ -173,9 +173,10 @@ def representation_check(eq: Equation, init: InitialData, f: Optional[SeqExpr],
 
 # The formatter's tables, built on its first call: 10^k for k in [_K0, _K1]
 # as a double-double hi + lo with hi's Dekker halves; then little-endian text
-# words: "0.000" prefixes and "e+XX" suffixes by decimal exponent x + 324, the
-# masks of a word's bytes below k, and per dot position q the body's bytes
-# before q, its bytes after q and the dot
+# words: "0.000" prefixes and "e+XX" suffixes by decimal exponent x + 324; per
+# position q in a body of three words, the bytes of word i before q (which
+# also keep a body's first q bytes), its bytes after q and the dot at q; and
+# the four digits of each v < 10^4, a byte each, the first lowest
 _K0, _K1 = -270, 308
 _ASCII0 = 0x3030303030303030  # "0" in each byte of a word
 _csv_words: Optional[tuple] = None
@@ -196,10 +197,12 @@ def _csv_tables() -> tuple:
         lt, le = within[:, :-1], within[:, 1:]
         affix = lambda text: np.array([int.from_bytes(text(x), "little")  # noqa: E731
                                        for x in range(-324, 309)], np.uint64)
+        v = np.arange(10 ** 4, dtype=np.uint64)
         _csv_words = (hi, hh, hi - hh, lo,
                       affix(lambda x: b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b""),
                       affix(lambda x: b"" if -4 <= x < 17 else b"e%+03d" % x),
-                      np.array(below, np.uint64), lt, ~le, (lt ^ le) & 0x2E2E2E2E2E2E2E2E)
+                      lt, ~le, (lt ^ le) & 0x2E2E2E2E2E2E2E2E,
+                      sum(v // 10 ** (3 - i) % 10 << 8 * i for i in range(4)))
     return _csv_words
 
 
@@ -238,22 +241,22 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, ...]:
     return d.astype(np.uint64), x, slow
 
 
-def _swar(y: np.ndarray) -> np.ndarray:
+def _digits(y: np.ndarray) -> np.ndarray:
     """The 8 decimal digits of y < 10^8, a byte each, the first lowest."""
-    y = y // 10000 | (y % 10000) << 32
-    z = (y * 10486 >> 20) & 0x7F0000007F
-    y = z | (y - z * 100) << 16
-    z = (y * 103 >> 10) & 0xF000F000F000F
-    return z | (y - z * 10) << 8
+    digits, top = _csv_tables()[9], y // 10 ** 4
+    return digits.take(top) | digits.take(y - top * 10 ** 4) << 32
 
 
 def _value_words(out: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Write ",%.17g" of each v as four NUL-padded words of ``out``: ',', the
     sign and "0." with up to three zeros; then the digits with the dot
     shifted in, and "e+XX".  Returns ``_decimal``'s mask of unproved values."""
-    _, _, _, _, pre, exp, below, lt, gt, dot = _csv_tables()
+    pre, exp, lt, gt, dot = _csv_tables()[4:9]
     d, x, slow = _decimal(v)
-    t1, t2 = _swar(d // 10 ** 8 % 10 ** 8), _swar(d % 10 ** 8)
+    # d's first digit, then two words of 8 (uint64 % costs several times //)
+    high = d // 10 ** 8
+    first = high // 10 ** 8
+    t1, t2 = _digits(high - first * 10 ** 8), _digits(d - high * 10 ** 8)
     # significant digits: up to the last nonzero byte of t2, or else of t1
     last = [(np.frexp(t.astype(np.float64))[1] + 7) >> 3 for t in (t1, t2)]
     nd = 1 + np.where(t2 != 0, 8 + last[1], last[0])
@@ -263,8 +266,8 @@ def _value_words(out: np.ndarray, v: np.ndarray) -> np.ndarray:
     q = np.where((nd > q) & (q > 0), q, 24)  # the dot follows q digits if digits follow
     out[:, 0] = 44 | np.signbit(v).astype(np.uint64) * 45 << 8 | pre.take(x + 324) << 16
     carry = 0
-    for i, w in enumerate((d // 10 ** 16 | t1 << 8, t1 >> 56 | t2 << 8, t2 >> 56)):
-        w = w + _ASCII0 & below.take(np.clip(shown - 8 * i, 0, 8))
+    for i, w in enumerate((first | t1 << 8, t1 >> 56 | t2 << 8, t2 >> 56)):
+        w = w + _ASCII0 & lt[i].take(shown)
         out[:, i + 1] = w & lt[i].take(q) | (w << 8 | carry) & gt[i].take(q) | dot[i].take(q)
         carry = w >> 56
     out[:, 3] |= exp.take(x + 324) << 16
@@ -285,20 +288,26 @@ def format_csv(header: str, n0: int, *columns: np.ndarray) -> str:
     width, size = len(columns), len(columns[0])
     if size and max(abs(n0), abs(n0 + size - 1)) >= 2 ** 53:
         raise ValueError(f"row index past 2^53 in [{n0}, {n0 + size - 1}]")
-    below = _csv_tables()[6]
+    lt = _csv_tables()[6]
     parts = [header + "\n"]
     for c0 in range(0, size, _kernels.STEP_CHUNK):
         c1 = min(c0 + _kernels.STEP_CHUNK, size)
-        buf = np.empty((c1 - c0, 3 + 4 * width), "<u8")
         n = np.arange(n0 + c0, n0 + c1, dtype=np.int64)
         m = np.abs(n).astype(np.uint64)
-        # the sign, then m's 16 digits less their leading zeros
+        # m's 16 digits less their leading zeros: where every n lies in
+        # [0, 10^8), one word of the last 8; else the sign and two words of 8
+        lead = 1 if 0 <= n0 + c0 and n0 + c1 <= 10 ** 8 else 3
+        buf = np.empty((c1 - c0, lead + 4 * width), "<u8")
         zeros = 15 - np.searchsorted(10 ** np.arange(1, 16, dtype=np.uint64), m, side="right")
-        buf[:, 0] = (n < 0).astype(np.uint64) * 45
-        for i, part in enumerate((m // 10 ** 8, m % 10 ** 8)):
-            buf[:, 1 + i] = _swar(part) + _ASCII0 & ~below.take(np.clip(zeros - 8 * i, 0, 8))
+        words = (m,)
+        if lead == 3:
+            buf[:, 0] = (n < 0).astype(np.uint64) * 45
+            high = m // 10 ** 8
+            words = (high, m - high * 10 ** 8)
+        for i, part in enumerate(words, 2 - len(words)):
+            buf[:, lead - 2 + i] = _digits(part) + _ASCII0 & ~lt[i].take(zeros)
         for j, c in enumerate(columns):
-            field, v = buf[:, 3 + 4 * j: 7 + 4 * j], np.asarray(c[c0:c1], np.float64)
+            field, v = buf[:, lead + 4 * j: lead + 4 + 4 * j], np.asarray(c[c0:c1], np.float64)
             idx = np.flatnonzero(_value_words(field, v))
             if idx.size:
                 text = "\n,%.17g" * idx.size % tuple(v[idx].tolist())

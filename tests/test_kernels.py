@@ -335,21 +335,47 @@ def test_step_recurrence_matches_numpy_scalar_loop_bitwise(name, coeffs, lags, s
         assert np.isinf(x).any() and np.isnan(x[-1])
 
 
+def _walkers(xs, lags, at):
+    """Per lag row, an iterator of the values step i reads, xs[at + i - d]:
+    for a constant row a walker over xs itself, which sees what the loop
+    appends, else a generator over the row's indices."""
+    reads = []
+    for row in lags:
+        if len(row) and (row == row[0]).all():
+            walk = iter(xs)
+            walk.__setstate__(at - int(row[0]))
+            reads.append(walk)
+        else:
+            reads.append(xs[j] for j in (at + np.arange(len(row)) - row).tolist())
+    return reads
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
-def test_step_recurrence_gives_the_same_bits_in_any_chunk(chunk, monkeypatch):
+def test_step_recurrence_gives_the_same_bits_in_any_chunk(chunk):
+    # both read forms of the step loop, resumed every ``chunk`` steps as
+    # kernel_columns resumes its columns: walkers (constant, periodic and
+    # mixed lag rows, lag 0 and lag t_max among them) and index rows
     for name, coeffs, lags, _ in STEP_CASES:
-        steps = coeffs.shape[1]
+        m, steps = coeffs.shape
         t_max = int(lags.max(initial=0))
         forcing = np.sin(np.arange(float(steps)))
         x = np.zeros(t_max + steps + 1)
         x[: t_max + 1] = np.linspace(-1.0, 1.0, t_max + 1)
-        chunked = x.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            _kernels.step_recurrence(coeffs, lags, forcing, x, t_max, steps)
-            with monkeypatch.context() as patch:
-                patch.setattr(_kernels, "STEP_CHUNK", chunk)
-                _kernels.step_recurrence(coeffs, lags, forcing, chunked, t_max, steps)
-        assert chunked.tobytes() == x.tobytes(), name
+            want = _reference_step(coeffs, lags, forcing, x.copy(), t_max, steps).tobytes()
+        indices = (t_max + np.arange(steps) - lags).tolist()
+        walked, indexed = x[: t_max + 1].tolist(), x[: t_max + 1].tolist()
+        for c0 in range(0, steps, chunk):
+            c1 = min(c0 + chunk, steps)
+            _kernels._stepper(m)(walked, forcing[c0:c1].tolist(), *coeffs[:, c0:c1].tolist(),
+                                 *_walkers(walked, lags[:, c0:c1], t_max + c0))
+            _kernels._stepper(m, True)(indexed, forcing[c0:c1].tolist(),
+                                       *coeffs[:, c0:c1].tolist(),
+                                       *(row[c0:c1] for row in indices))
+        assert np.array(walked).tobytes() == want, name
+        assert np.array(indexed).tobytes() == want, name
+        if name == "overflow":
+            assert np.isnan(walked[-1])
 
 
 @pytest.mark.parametrize("bad_lag", [-1, 4])

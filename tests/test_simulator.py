@@ -11,6 +11,7 @@ from delaystab import (
     InitialData,
     KernelMemoryError,
     Term,
+    _kernels,
     cauchy_apply,
     fundamental,
     kernel,
@@ -128,10 +129,10 @@ def test_fundamental_is_the_simulated_column_bit_for_bit(seed):
 
 
 def test_fundamental_steps_a_long_column_in_bounded_memory(peak_rss_growth):
-    # lag 10^5, a column of 500,050 steps: its coefficient and lag rows
-    # become Python lists a chunk at a time and its zero history is never
-    # a dict, so a fresh process grows by about 60 MB; whole rows and a
-    # history dict take about 150 MB.
+    # lag 10^5, a column of 500,050 steps: its coefficient rows are read
+    # through memoryviews, its constant lags by walking the values, and its
+    # zero history is never a dict, so a fresh process grows by about 46 MB;
+    # whole rows as Python lists and a history dict take about 150 MB.
     growth = peak_rss_growth("""
         from delaystab import DelaySpec, Term, fundamental, parse, validate
     """, """
@@ -451,6 +452,21 @@ def test_format_csv_matches_the_per_row_text(rows, width, n0):
     reference = "".join(row % r for r in zip(range(n0, n0 + rows), *(c.tolist() for c in columns)))
     header = ",".join(["n"] + [f"c{j}" for j in range(width)])
     assert format_csv(header, n0, *columns) == header + "\n" + reference
+
+
+@pytest.mark.parametrize("n0", [10**8 - 3000, 10**8 - _kernels.STEP_CHUNK,
+                                10**8 + 1 - _kernels.STEP_CHUNK, -5000, -1,
+                                2**53 - 60_000, 0, 5, 10**12, -10**15])
+def test_format_csv_lays_out_n_in_one_word_or_three(n0):
+    # a chunk whose n all lie in [0, 10^8) writes n as one word, any other
+    # the sign and two words of 8 digits: chunks that cross 10^8 or 0, end
+    # just below 10^8 or at it, lie wholly past it or below 0, or reach
+    # toward 2^53
+    bits = np.random.default_rng(55).integers(0, 2**64, (2, 10_000), dtype=np.uint64)
+    a, b = bits.view(np.float64)
+    reference = "".join(map("%d,%.17g,%.17g\n".__mod__,
+                            zip(range(n0, n0 + len(a)), a.tolist(), b.tolist())))
+    assert format_csv("n,a,b", n0, a, b) == "n,a,b\n" + reference
 
 
 def _hard_doubles() -> np.ndarray:
